@@ -197,21 +197,11 @@ impl BatchScheduler {
         self.queue.len()
     }
 
-    /// Arrival time of the oldest queued request, if any (the minimum over
-    /// the queue; robust to out-of-submission-order arrival times).
-    pub fn oldest_arrival_ns(&self) -> Option<f64> {
-        self.queue
-            .iter()
-            .map(|r| r.arrival_ns)
-            .min_by(|a, b| a.total_cmp(b))
-    }
-
     /// Arrival time of the front-of-queue (first-submitted still-queued)
-    /// request, if any. O(1) companion to
-    /// [`BatchScheduler::oldest_arrival_ns`] for engines that submit in
-    /// non-decreasing arrival order: batch formation removes requests
-    /// without reordering the queue, so under sorted submission the front
-    /// request *is* the oldest and the two accessors agree.
+    /// request, if any, in O(1). Batch formation, shedding and preemption
+    /// remove requests without reordering the queue, so when requests are
+    /// submitted in non-decreasing arrival order (as the serving engine
+    /// does) the front request is the oldest queued one.
     pub fn front_arrival_ns(&self) -> Option<f64> {
         self.queue.front().map(|r| r.arrival_ns)
     }
@@ -595,7 +585,7 @@ mod tests {
         assert!(s.submit(InferenceRequest::new(2, f64::NAN, 128)).is_err());
         assert_eq!(s.queue_len(), 0);
         assert!(s.next_batch().is_none());
-        assert!(s.oldest_arrival_ns().is_none());
+        assert!(s.front_arrival_ns().is_none());
         assert!(s.fill_time_ns().is_none());
     }
 
@@ -683,20 +673,6 @@ mod tests {
         s.submit(request(1, 128).with_deadline_ns(1_000.0)).unwrap();
         let joined = s.admit_continuous(1, |_| true);
         assert_eq!(joined[0].id, 1);
-    }
-
-    #[test]
-    fn front_arrival_matches_oldest_under_sorted_submission() {
-        let mut s = scheduler(2, 1);
-        assert_eq!(s.front_arrival_ns(), None);
-        for id in 0..6 {
-            s.submit(request(id, 128)).unwrap();
-        }
-        while s.queue_len() > 0 {
-            assert_eq!(s.front_arrival_ns(), s.oldest_arrival_ns());
-            s.next_batch().unwrap();
-        }
-        assert_eq!(s.front_arrival_ns(), None);
     }
 
     fn policy_scheduler(policy: SchedulingPolicy, max_batch_size: usize) -> BatchScheduler {

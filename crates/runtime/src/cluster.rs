@@ -1,43 +1,28 @@
 //! Multi-chip serving: N backend replicas behind a dispatcher.
 //!
-//! [`ClusterSim`] extends the single-device [`ServingSim`]
-//! to a fleet of identical chips. One Poisson arrival stream (with the same
-//! heterogeneous request mix and SLO semantics as the single-chip run) is
-//! routed to chips by a [`DispatchPolicy`] — round-robin or
-//! join-shortest-queue — and every chip runs its own
-//! [`BatchScheduler`] with the configured
-//! batching window and [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
+//! [`ClusterSim`] extends the single-device
+//! [`ServingSim`](crate::serving::ServingSim) to a fleet of
+//! identical chips. One Poisson arrival stream (with the same heterogeneous
+//! request mix and SLO semantics as the single-chip run) is routed to chips
+//! by a [`DispatchPolicy`] — round-robin or join-shortest-queue — and every
+//! chip runs its own [`BatchScheduler`](crate::batch::BatchScheduler) with
+//! the configured batching window and
+//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
 //!
-//! Both simulators share one discrete-event engine (`run_engine`), so the
-//! batching-window semantics are identical everywhere:
-//!
-//! * the window deadline is anchored at the **oldest queued arrival**
-//!   (`max(ready, oldest + max_wait)`), so a request that already waited out
-//!   the window while the device was busy launches the moment the device
-//!   frees — a saturated chip never adds window delay;
-//! * the window is **non-clairvoyant**: a batch's launch time is decided
-//!   only from arrivals at or before "now" (`min(deadline, max(ready,
-//!   fill_time))`), never by peeking at future arrivals — the run's final
-//!   batch waits out its window exactly like a mid-run one;
-//! * "full" is judged from the queue's actual contents
-//!   ([`BatchScheduler::fill_time_ns`](crate::batch::BatchScheduler::fill_time_ns)),
-//!   so heterogeneous sequence lengths move the fill target with the padded
-//!   execution shape.
-//!
-//! Dispatch is decided at arrival time from information available at
-//! arrival time (join-shortest-queue counts each chip's queued plus
-//! in-flight requests), which keeps the whole cluster run deterministic for
-//! a seed.
+//! A cluster is a configuration of the one serving engine,
+//! [`OverloadSim`]: unbounded admission, no shedding, no preemption and no
+//! autoscaler, over a Poisson [`RequestTrace`] built from the
+//! [`ServingConfig`]. The batching-window semantics, dispatch rules and
+//! histogram-quantized latency percentiles are therefore the engine's (see
+//! [`crate::overload`]), and a run is deterministic for a seed.
 
-use crate::batch::{Batch, BatchScheduler, InferenceRequest, SchedulerConfig};
-use crate::error::RuntimeError;
-use crate::serving::{latency_summary, ServingConfig, ServingSim};
+use crate::batch::{Batch, InferenceRequest};
+use crate::overload::{OverloadConfig, OverloadSim};
+use crate::serving::{LatencySummary, ServingConfig};
+use crate::traffic::{ArrivalProcess, RequestTrace, TrafficConfig};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_pim::perf::BatchPerfSummary;
 use serde::{Deserialize, Serialize};
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// How the cluster routes an arriving request to a chip.
@@ -144,7 +129,7 @@ pub struct ClusterReport {
     /// Equals `achieved_qps` when no request carries an SLO.
     pub goodput_qps: f64,
     /// End-to-end request latency distribution.
-    pub latency: crate::serving::LatencySummary,
+    pub latency: LatencySummary,
     /// Fraction of deadline-carrying requests that completed by their
     /// deadline (1.0 when no request carries an SLO).
     pub slo_attainment: f64,
@@ -160,256 +145,43 @@ pub struct ClusterReport {
     pub mean_chip_utilization: f64,
 }
 
-/// Memoized batch evaluations, shared across a run's chips (replicas are
-/// identical, so a (shape, size) pair evaluates once). A `BTreeMap` rather
-/// than a hash map: lookups here are key-exact so iteration order never
-/// matters today, but the determinism policy (lint rule D1) bans
-/// hash-ordered containers in runtime code outright so a future iteration
-/// can never silently order-depend.
-type ShapeCache = BTreeMap<(usize, usize), BatchPerfSummary>;
-
-/// Per-chip accounting the engine reports back.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ChipStats {
-    pub completed: usize,
-    pub batches: usize,
-    pub busy_ns: f64,
-    pub device_free_ns: f64,
-}
-
-/// Everything a simulation run produces before report assembly.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EngineOutcome {
-    pub latencies_ns: Vec<f64>,
-    pub queue_ns_sum: f64,
-    pub slo_tracked: usize,
-    pub slo_met: usize,
-    pub last_completion_ns: f64,
-    pub traces: Vec<BatchTrace>,
-    pub chips: Vec<ChipStats>,
-}
-
-impl EngineOutcome {
-    /// Fraction of deadline-carrying requests that met their deadline.
-    pub fn slo_attainment(&self) -> f64 {
-        if self.slo_tracked > 0 {
-            self.slo_met as f64 / self.slo_tracked as f64
-        } else {
-            1.0
-        }
-    }
-}
-
-/// One chip of the simulated cluster: a scheduler queue plus device timing.
-struct ChipState {
-    index: usize,
-    scheduler: BatchScheduler,
-    backend: Arc<dyn Backend>,
-    device_free: f64,
-    busy_ns: f64,
-    batches: usize,
-    completed: usize,
-    /// Completion times of launched requests (for join-shortest-queue's
-    /// outstanding count); pruned lazily.
-    inflight: Vec<f64>,
-}
-
-impl ChipState {
-    fn new(index: usize, backend: Arc<dyn Backend>, config: SchedulerConfig) -> Result<Self> {
-        Ok(ChipState {
-            index,
-            scheduler: BatchScheduler::for_backend(Arc::clone(&backend), config)?,
-            backend,
-            device_free: 0.0,
-            busy_ns: 0.0,
-            batches: 0,
-            completed: 0,
-            inflight: Vec::new(),
-        })
-    }
-
-    /// Requests dispatched to this chip that have not completed by `now`.
-    fn outstanding(&mut self, now: f64) -> usize {
-        self.inflight.retain(|&completion| completion > now);
-        self.scheduler.queue_len() + self.inflight.len()
-    }
-
-    /// Commits every batch whose launch time is at or before `now`.
-    ///
-    /// Launch times are decided purely from the queue (whose members all
-    /// arrived in the past), so a launch at `t <= now` can never be changed
-    /// by an arrival after `now` — this is what makes the lazy event loop
-    /// exact. The window semantics live here; see the module docs.
-    fn advance(&mut self, now: f64, cache: &mut ShapeCache, out: &mut EngineOutcome) -> Result<()> {
-        while self.scheduler.queue_len() > 0 {
-            let Some(oldest) = self.scheduler.oldest_arrival_ns() else {
-                break;
-            };
-            let ready = self.device_free.max(oldest);
-            let max_wait = self.scheduler.config().max_wait_ns;
-            let launch = if max_wait == 0.0 {
-                ready
-            } else {
-                // Window deadline anchored at the oldest queued arrival,
-                // clamped to ready; a full queue launches at its fill time
-                // (or ready, whichever is later), a non-full one waits out
-                // the window.
-                let deadline = ready.max(oldest + max_wait);
-                match self.scheduler.fill_time_ns() {
-                    Some(fill) => deadline.min(ready.max(fill)),
-                    None => deadline,
-                }
-            };
-            if launch > now {
-                break;
-            }
-            let Some(batch) = self.scheduler.next_batch() else {
-                break;
-            };
-            let key = (batch.max_seq_len, batch.len());
-            let summary = match cache.entry(key) {
-                Entry::Occupied(entry) => entry.into_mut(),
-                Entry::Vacant(entry) => entry.insert(
-                    self.backend
-                        .evaluate_batched(batch.max_seq_len, batch.len())?,
-                ),
-            };
-            for (k, request) in batch.requests.iter().enumerate() {
-                let completion = launch + summary.completion_ns(k);
-                out.latencies_ns.push(completion - request.arrival_ns);
-                out.queue_ns_sum += launch - request.arrival_ns;
-                out.last_completion_ns = out.last_completion_ns.max(completion);
-                if request.has_deadline() {
-                    out.slo_tracked += 1;
-                    if completion <= request.deadline_ns {
-                        out.slo_met += 1;
-                    }
-                }
-                self.inflight.push(completion);
-            }
-            self.device_free = launch + summary.makespan_ns;
-            self.busy_ns += summary.makespan_ns;
-            self.batches += 1;
-            self.completed += batch.len();
-            out.traces.push(BatchTrace {
-                chip: self.index,
-                launch_ns: launch,
-                makespan_ns: summary.makespan_ns,
-                batch,
-            });
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> ChipStats {
-        ChipStats {
-            completed: self.completed,
-            batches: self.batches,
-            busy_ns: self.busy_ns,
-            device_free_ns: self.device_free,
-        }
-    }
-}
-
-/// Runs the shared discrete-event serving engine: `arrivals` (sorted by
-/// arrival time) dispatched over `chips` replicas of `backend`.
-///
-/// Chips advance in index order at every arrival, so the whole run is a
-/// deterministic function of its inputs.
-pub(crate) fn run_engine(
-    backend: Arc<dyn Backend>,
-    chips: usize,
-    dispatch: DispatchPolicy,
-    scheduler: SchedulerConfig,
-    arrivals: &[InferenceRequest],
-) -> Result<EngineOutcome> {
-    if chips == 0 {
-        return Err(RuntimeError::InvalidConfig(
-            "a cluster needs at least one chip".to_string(),
-        ));
-    }
-    if arrivals.is_empty() {
-        return Err(RuntimeError::InvalidConfig(
-            "the arrival stream is empty".to_string(),
-        ));
-    }
-    // NaN arrival times compare as unordered and are rejected here too.
-    if arrivals.windows(2).any(|pair| {
-        pair[0]
-            .arrival_ns
-            .partial_cmp(&pair[1].arrival_ns)
-            .is_none_or(|order| order == std::cmp::Ordering::Greater)
-    }) {
-        return Err(RuntimeError::InvalidConfig(
-            "arrivals must be sorted by non-decreasing arrival_ns".to_string(),
-        ));
-    }
-    let mut states = (0..chips)
-        .map(|index| ChipState::new(index, Arc::clone(&backend), scheduler))
-        .collect::<Result<Vec<_>>>()?;
-    let mut cache = ShapeCache::new();
-    let mut out = EngineOutcome {
-        latencies_ns: Vec::with_capacity(arrivals.len()),
-        ..EngineOutcome::default()
-    };
-    let mut round_robin = 0usize;
-    for request in arrivals {
-        let now = request.arrival_ns;
-        for chip in &mut states {
-            chip.advance(now, &mut cache, &mut out)?;
-        }
-        let target = match dispatch {
-            DispatchPolicy::RoundRobin => {
-                let index = round_robin % chips;
-                round_robin += 1;
-                index
-            }
-            DispatchPolicy::JoinShortestQueue => {
-                let mut best = 0usize;
-                let mut best_load = usize::MAX;
-                for (index, chip) in states.iter_mut().enumerate() {
-                    let load = chip.outstanding(now);
-                    if load < best_load {
-                        best = index;
-                        best_load = load;
-                    }
-                }
-                best
-            }
-        };
-        states[target].scheduler.submit(*request)?;
-    }
-    for chip in &mut states {
-        chip.advance(f64::INFINITY, &mut cache, &mut out)?;
-    }
-    out.chips = states.iter().map(ChipState::stats).collect();
-    Ok(out)
-}
-
 /// The multi-chip serving simulator, generic over the replicated device.
+#[derive(Debug)]
 pub struct ClusterSim<B: Backend = HyFlexPim> {
-    sim: ServingSim<B>,
-    chips: usize,
-    dispatch: DispatchPolicy,
+    backend: Arc<B>,
+    serving: ServingConfig,
+    engine: OverloadSim,
 }
 
 impl<B: Backend> Clone for ClusterSim<B> {
     fn clone(&self) -> Self {
         ClusterSim {
-            sim: self.sim.clone(),
-            chips: self.chips,
-            dispatch: self.dispatch,
+            backend: Arc::clone(&self.backend),
+            serving: self.serving.clone(),
+            engine: self.engine.clone(),
         }
     }
 }
 
-impl<B: Backend> std::fmt::Debug for ClusterSim<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterSim")
-            .field("sim", &self.sim)
-            .field("chips", &self.chips)
-            .field("dispatch", &self.dispatch)
-            .finish()
+impl<B: Backend> ClusterSim<B> {
+    /// The per-chip workload/scheduler configuration.
+    pub fn serving_config(&self) -> &ServingConfig {
+        &self.serving
+    }
+
+    /// Number of chips in the cluster.
+    pub fn chips(&self) -> usize {
+        self.engine.replicas()
+    }
+
+    /// The dispatch policy.
+    pub fn dispatch(&self) -> DispatchPolicy {
+        self.engine.config().dispatch
+    }
+
+    /// The replicated device model.
+    pub(crate) fn backend(&self) -> &B {
+        &self.backend
     }
 }
 
@@ -418,34 +190,37 @@ impl<B: Backend + 'static> ClusterSim<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] for a zero-chip cluster and
-    /// propagates every [`ServingSim::with_backend`] validation error.
+    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
+    /// for a zero-chip cluster, non-positive load, an empty run, or a
+    /// degenerate request mix (non-positive weight or SLO), and propagates
+    /// scheduler-configuration errors (including any request shape in the
+    /// mix that does not fit the backend's tile capacity).
     pub fn with_backend(backend: B, config: ClusterConfig) -> Result<Self> {
-        if config.chips == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "a cluster needs at least one chip".to_string(),
-            ));
-        }
+        let serving = config.serving;
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson { qps: serving.qps },
+            rate_curve: Vec::new(),
+            num_requests: serving.num_requests,
+            seq_len: serving.seq_len,
+            slo_ns: serving.slo_ns,
+            classes: serving.classes.clone(),
+            seed: serving.seed,
+        })?;
+        let backend = Arc::new(backend);
+        let replica: Arc<dyn Backend> = backend.clone();
+        let engine = OverloadSim::with_replicas(
+            vec![replica; config.chips],
+            OverloadConfig {
+                scheduler: serving.scheduler,
+                dispatch: config.dispatch,
+                ..OverloadConfig::new(trace)
+            },
+        )?;
         Ok(ClusterSim {
-            sim: ServingSim::with_backend(backend, config.serving)?,
-            chips: config.chips,
-            dispatch: config.dispatch,
+            backend,
+            serving,
+            engine,
         })
-    }
-
-    /// The per-chip workload/scheduler configuration.
-    pub fn serving_config(&self) -> &ServingConfig {
-        self.sim.config()
-    }
-
-    /// Number of chips in the cluster.
-    pub fn chips(&self) -> usize {
-        self.chips
-    }
-
-    /// The dispatch policy.
-    pub fn dispatch(&self) -> DispatchPolicy {
-        self.dispatch
     }
 
     /// Runs the simulation to completion.
@@ -454,7 +229,7 @@ impl<B: Backend + 'static> ClusterSim<B> {
     ///
     /// Propagates scheduler and device-model errors.
     pub fn run(&self) -> Result<ClusterReport> {
-        Ok(self.run_traced()?.0)
+        self.report(self.engine.config().trace.stream(), None)
     }
 
     /// Runs the simulation and also returns every launched batch.
@@ -463,8 +238,9 @@ impl<B: Backend + 'static> ClusterSim<B> {
     ///
     /// Propagates scheduler and device-model errors.
     pub fn run_traced(&self) -> Result<(ClusterReport, Vec<BatchTrace>)> {
-        let arrivals = self.sim.generate_arrivals();
-        self.replay_traced(&arrivals)
+        let mut traces = Vec::new();
+        let report = self.report(self.engine.config().trace.stream(), Some(&mut traces))?;
+        Ok((report, traces))
     }
 
     /// Replays an explicit arrival stream (sorted by `arrival_ns`) through
@@ -472,70 +248,61 @@ impl<B: Backend + 'static> ClusterSim<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] for an empty or unsorted
-    /// stream and propagates scheduler and device-model errors.
+    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
+    /// for an empty or unsorted stream and propagates scheduler and
+    /// device-model errors.
     pub fn replay_traced(
         &self,
         arrivals: &[InferenceRequest],
     ) -> Result<(ClusterReport, Vec<BatchTrace>)> {
-        let mut outcome = run_engine(
-            self.sim.backend_dyn(),
-            self.chips,
-            self.dispatch,
-            self.sim.config().scheduler,
-            arrivals,
-        )?;
-        let span_start = arrivals.first().map_or(0.0, |a| a.arrival_ns);
-        let completed = outcome.latencies_ns.len();
-        let sim_seconds = (outcome.last_completion_ns - span_start).max(0.0) * 1e-9;
-        let batches: usize = outcome.chips.iter().map(|c| c.batches).sum();
-        let per_chip_completed: Vec<usize> = outcome.chips.iter().map(|c| c.completed).collect();
-        let per_chip_utilization: Vec<f64> = outcome
-            .chips
-            .iter()
-            .map(|c| {
-                if c.device_free_ns > span_start {
-                    c.busy_ns / (c.device_free_ns - span_start)
+        let mut traces = Vec::new();
+        let report = self.report(arrivals.iter().copied(), Some(&mut traces))?;
+        Ok((report, traces))
+    }
+
+    /// Drives `requests` through the engine and reads the report off its
+    /// ledger; launched batches go to `sink` when one is given.
+    pub(crate) fn report(
+        &self,
+        requests: impl IntoIterator<Item = InferenceRequest>,
+        sink: Option<&mut Vec<BatchTrace>>,
+    ) -> Result<ClusterReport> {
+        let (ledger, replicas) = self.engine.drive(requests, sink)?;
+        let span_start = ledger.first_arrival_ns;
+        let run = self.engine.report(ledger, &replicas);
+        let per_chip_utilization: Vec<f64> = (replicas.iter())
+            .map(|r| {
+                if r.device_free > span_start {
+                    r.busy_ns / (r.device_free - span_start)
                 } else {
                     0.0
                 }
             })
             .collect();
-        let mean_chip_utilization = per_chip_utilization.iter().sum::<f64>() / self.chips as f64;
-        // A completion is useful unless it carried a deadline and missed it.
-        let useful = completed - (outcome.slo_tracked - outcome.slo_met);
-        let report = ClusterReport {
-            chips: self.chips,
-            dispatch: self.dispatch,
-            completed,
-            batches,
-            sim_seconds,
-            offered_qps: self.sim.config().qps,
-            achieved_qps: if sim_seconds > 0.0 {
-                completed as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            goodput_qps: if sim_seconds > 0.0 {
-                useful as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            latency: latency_summary(std::mem::take(&mut outcome.latencies_ns)),
-            slo_attainment: outcome.slo_attainment(),
-            mean_batch_size: completed as f64 / batches.max(1) as f64,
-            mean_queue_ms: outcome.queue_ns_sum / completed.max(1) as f64 / 1e6,
-            per_chip_completed,
+        Ok(ClusterReport {
+            chips: run.replicas,
+            dispatch: self.dispatch(),
+            completed: run.completed,
+            batches: run.batches,
+            sim_seconds: run.sim_seconds,
+            offered_qps: run.offered_qps,
+            achieved_qps: run.achieved_qps,
+            goodput_qps: run.goodput_qps,
+            latency: run.latency,
+            slo_attainment: run.slo_attainment,
+            mean_batch_size: run.mean_batch_size,
+            mean_queue_ms: run.mean_queue_ms,
+            per_chip_completed: run.per_replica_completed,
+            mean_chip_utilization: per_chip_utilization.iter().sum::<f64>() / replicas.len() as f64,
             per_chip_utilization,
-            mean_chip_utilization,
-        };
-        Ok((report, outcome.traces))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::ServingSim;
     use hyflex_pim::PerformanceModel;
     use hyflex_transformer::ModelConfig;
 

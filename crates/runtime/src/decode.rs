@@ -1,8 +1,9 @@
 //! Autoregressive decode serving: KV cache on the SLC/MLC hybrid fabric
 //! with continuous batching.
 //!
-//! The closed- and open-loop engines ([`crate::serving`], [`crate::overload`])
-//! price a request as **one** batched pass — the encoder/prefill regime of
+//! The encoder-pass serving engine ([`crate::overload`], with the closed-loop
+//! [`crate::serving`] and [`crate::cluster`] front-ends) prices a request as
+//! **one** batched pass — the encoder/prefill regime of
 //! the paper's figures. Generative serving is different: after its prompt is
 //! prefetched, a request produces output tokens one *iteration* at a time,
 //! and every iteration attends over the request's cached K/V. On HyFlexPIM
@@ -29,15 +30,21 @@
 //! boundaries ([`BatchScheduler::admit_continuous`]), admission is bounded
 //! by KV-cell capacity, and when optimistic admission overcommits the pool
 //! (every admitted request grows by one token per iteration) the engine
-//! evicts the least-progressed resident. Every request ends in exactly one
-//! of three ways — completed, shed before prefill, or evicted mid-decode —
-//! and the report's counters satisfy `admitted = completed + shed + evicted`
-//! by construction (`tests/decode_property.rs` pins the invariant under
-//! randomized traffic).
+//! evicts the least-progressed resident. Every offered request ends in
+//! exactly one of three ways — shed before prefill, evicted mid-decode, or
+//! completed — so the report's counters satisfy `offered = admitted + shed`
+//! and `admitted = completed + evicted`. Every run checks both identities
+//! before it reports, returning [`RuntimeError::Internal`] on a mismatch,
+//! and `tests/decode_property.rs` pins them under randomized traffic.
+//!
+//! Memory is bounded in both request and token count: the trace streams in,
+//! and request latency and time-per-output-token accumulate into the same
+//! log-linear histogram as the encoder engine's (see [`LatencySummary`]).
 
 use crate::batch::{BatchScheduler, SchedulerConfig};
 use crate::error::RuntimeError;
-use crate::serving::{latency_summary, LatencySummary};
+use crate::overload::{conserve, LatencyHistogram};
+use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
 use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
@@ -139,10 +146,11 @@ pub struct DecodeReport {
     /// Decoded tokens per simulated second.
     pub tokens_per_s: f64,
     /// Time-per-output-token distribution over every decoded token
-    /// (iteration compute plus the policy's critical-path KV append);
-    /// `tpot_ms` carries the mean.
+    /// (iteration compute plus the policy's critical-path KV append),
+    /// histogram-quantized; `tpot_ms` carries the exact mean.
     pub tpot: LatencySummary,
-    /// Arrival-to-completion latency distribution over completed requests.
+    /// Arrival-to-completion latency distribution over completed requests
+    /// (histogram-quantized percentiles, exact mean and max).
     pub request_latency: LatencySummary,
     /// Total energy, pJ: compute plus KV programming.
     pub total_energy_pj: f64,
@@ -287,10 +295,11 @@ impl DecodeSim {
     ///
     /// # Errors
     ///
-    /// Propagates backend evaluation errors.
+    /// Propagates backend evaluation errors, and returns
+    /// [`RuntimeError::Internal`] if the run breaks request conservation.
     pub fn run(&self) -> Result<DecodeReport> {
-        let arrivals: Vec<InferenceRequest> = self.trace.collect();
-        let offered = arrivals.len();
+        let mut arrivals = self.trace.stream().peekable();
+        let mut offered = 0usize;
         let mut queue = BatchScheduler::for_backend(
             Arc::clone(&self.backend),
             SchedulerConfig {
@@ -300,7 +309,6 @@ impl DecodeSim {
             },
         )?;
         let mut residents: Vec<Resident> = Vec::new();
-        let mut next_arrival = 0usize;
         let mut now_ns = 0.0f64;
         let mut admitted = 0usize;
         let mut completed = 0usize;
@@ -313,21 +321,22 @@ impl DecodeSim {
         let mut kv_write_pj = 0.0f64;
         let mut compute_pj = 0.0f64;
         let mut peak_kv_cells = 0usize;
-        let mut tpot_ns: Vec<f64> = Vec::new();
-        let mut request_latency_ns: Vec<f64> = Vec::new();
+        let mut tpot = LatencyHistogram::default();
+        let mut request_latency = LatencyHistogram::default();
         let mut first_arrival_ns = f64::NAN;
         let mut last_completion_ns = 0.0f64;
 
-        while next_arrival < arrivals.len() || queue.queue_len() > 0 || !residents.is_empty() {
+        while arrivals.peek().is_some() || queue.queue_len() > 0 || !residents.is_empty() {
             // Idle engine: jump to the next arrival.
             if residents.is_empty() && queue.queue_len() == 0 {
-                now_ns = now_ns.max(arrivals[next_arrival].arrival_ns);
+                if let Some(next) = arrivals.peek() {
+                    now_ns = now_ns.max(next.arrival_ns);
+                }
             }
             // Feed arrivals at or before the current token boundary; a
             // prompt that could never fit the empty pool is shed outright.
-            while next_arrival < arrivals.len() && arrivals[next_arrival].arrival_ns <= now_ns {
-                let request = arrivals[next_arrival];
-                next_arrival += 1;
+            while let Some(request) = arrivals.next_if(|r| r.arrival_ns <= now_ns) {
+                offered += 1;
                 if first_arrival_ns.is_nan() {
                     first_arrival_ns = request.arrival_ns;
                 }
@@ -451,7 +460,7 @@ impl DecodeSim {
                 }
                 resident.decoded += 1;
                 decoded_tokens += 1;
-                tpot_ns.push(iteration_ns);
+                tpot.record(iteration_ns);
             }
             peak_kv_cells =
                 peak_kv_cells.max(residents.iter().map(|r| r.cells(&self.kv)).sum::<usize>());
@@ -459,7 +468,7 @@ impl DecodeSim {
             residents.retain(|resident| {
                 if resident.decoded >= self.config.output_tokens {
                     completed += 1;
-                    request_latency_ns.push(now_ns - resident.request.arrival_ns);
+                    request_latency.record(now_ns - resident.request.arrival_ns);
                     last_completion_ns = last_completion_ns.max(now_ns);
                     false
                 } else {
@@ -473,14 +482,15 @@ impl DecodeSim {
         } else {
             ((last_completion_ns - first_arrival_ns) * 1e-9).max(0.0)
         };
-        let mean_tpot_ms = if tpot_ns.is_empty() {
-            None
-        } else {
-            Some(tpot_ns.iter().sum::<f64>() / tpot_ns.len() as f64 / 1e6)
-        };
-        let mut tpot = latency_summary(tpot_ns);
-        tpot.tpot_ms = mean_tpot_ms;
-        let request_latency = latency_summary(request_latency_ns);
+        conserve("offered = admitted + shed", offered, &[admitted, shed])?;
+        conserve(
+            "admitted = completed + evicted",
+            admitted,
+            &[completed, evicted],
+        )?;
+        // The histogram's mean is exact: it is the mean TPOT.
+        let mut tpot = tpot.summary();
+        tpot.tpot_ms = (decoded_tokens > 0).then_some(tpot.mean_ms);
         let total_energy_pj = compute_pj + kv_write_pj;
         Ok(DecodeReport {
             backend: self.backend.name().to_string(),
@@ -503,7 +513,7 @@ impl DecodeSim {
                 0.0
             },
             tpot,
-            request_latency,
+            request_latency: request_latency.summary(),
             total_energy_pj,
             kv_write_pj,
             energy_per_token_pj: if decoded_tokens > 0 {

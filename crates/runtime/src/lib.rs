@@ -30,24 +30,34 @@
 //!   [`InferenceRequest`]s bounded by the tile
 //!   capacity the serving backend reports, admitted in
 //!   [`policy`] order (FCFS, earliest-deadline-first, or strict priority).
-//! * [`serving`] — [`ServingSim`]: a closed-loop
-//!   serving simulator with Poisson arrivals — homogeneous or a weighted
-//!   [`RequestClass`] mix with per-class SLOs —
-//!   reporting throughput, utilization, p50/p95/p99 latency, and SLO
-//!   attainment (see `examples/serving_sim.rs` and the
-//!   `fig18_batch_throughput` binary).
-//! * [`cluster`] — [`ClusterSim`]: the same engine
-//!   over N backend replicas behind a round-robin or join-shortest-queue
-//!   dispatcher (`fig20_serving_policies`, `examples/cluster_serving.rs`).
-//! * [`traffic`] — [`RequestTrace`]: open-loop arrival generation — seeded
-//!   deterministic MMPP and gamma-burst processes under piecewise diurnal
-//!   rate curves, streaming to 10⁶–10⁷ requests in O(1) memory.
-//! * [`overload`] — [`OverloadSim`]: overload survival over a
-//!   chip-heterogeneous fleet — admission control (token-bucket /
-//!   queue-depth), deadline-aware shedding, policy-driven preemption, and a
-//!   reactive autoscaler — reporting p99.9 tails, goodput under SLO, and
-//!   per-phase (burst vs. trough) breakdowns (`fig21_overload_survival`,
-//!   `examples/open_loop_traffic.rs`).
+//! * [`overload`] — [`OverloadSim`]: the one serving engine for
+//!   encoder-pass requests. Its event loop drives a chip-heterogeneous
+//!   fleet under the batching-window launch rule, with admission control
+//!   (token-bucket / queue-depth), deadline-aware shedding, policy-driven
+//!   preemption, and a reactive autoscaler; it reports p99.9 tails, goodput
+//!   under SLO, and per-phase (burst vs. trough) breakdowns, and checks
+//!   request conservation at the end of every run
+//!   (`fig21_overload_survival`, `examples/open_loop_traffic.rs`).
+//! * [`cluster`] — [`ClusterSim`]: the engine with admission off (unbounded
+//!   admission, no shedding, no preemption, no autoscaler) over N replicas
+//!   of one backend behind a round-robin or join-shortest-queue dispatcher
+//!   (`fig20_serving_policies`, `examples/cluster_serving.rs`).
+//! * [`serving`] — [`ServingSim`]: a one-chip cluster — the closed-loop
+//!   serving simulator with Poisson arrivals, homogeneous or a weighted
+//!   [`RequestClass`] mix with per-class SLOs, reporting throughput,
+//!   utilization, p50/p95/p99 latency, and SLO attainment (see
+//!   `examples/serving_sim.rs` and the `fig18_batch_throughput` binary).
+//!   Its [`LatencySummary`] is the one latency summary of every simulator:
+//!   histogram-quantized percentiles (≤ 1.6 % error) with exact mean and
+//!   max, in O(1) memory.
+//! * [`traffic`] — [`RequestTrace`]: the one arrival generator — seeded
+//!   deterministic Poisson, MMPP and gamma-burst processes under piecewise
+//!   diurnal rate curves, streaming to 10⁶–10⁷ requests in O(1) memory.
+//! * [`decode`] — [`DecodeSim`]: autoregressive decode serving with
+//!   continuous batching and the KV cache on the SLC/MLC fabric. It runs
+//!   its own token-iteration loop, but streams its trace and shares the
+//!   engine's latency histogram and conservation checks
+//!   (`fig22_decode_serving`).
 //!
 //! The whole execution layer is **backend-generic**: the scheduler, the
 //! serving simulators, and [`par_backend_eval`]

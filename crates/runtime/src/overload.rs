@@ -1,50 +1,48 @@
-//! Overload survival: admission control, deadline-aware shedding,
-//! preemption, and reactive autoscaling over a chip-heterogeneous fleet.
+//! The serving engine: one discrete-event loop over a chip-heterogeneous
+//! fleet, with admission control, deadline-aware shedding, preemption, and
+//! reactive autoscaling.
 //!
-//! The closed-loop simulators ([`ServingSim`](crate::serving::ServingSim),
-//! [`ClusterSim`](crate::cluster::ClusterSim)) complete every request they
-//! are offered — under sustained overload their queues grow without bound
-//! and the report degenerates into one long queueing transient.
-//! [`OverloadSim`] is the open-loop counterpart: it drives a fleet of
-//! [`Backend`] replicas from a streaming [`RequestTrace`] and lets the
-//! operator *refuse* work instead of queueing it forever:
+//! [`OverloadSim`]'s loop is the only encoder-pass serving engine in the
+//! crate. The closed-loop simulators are configurations of it:
+//! [`ClusterSim`](crate::cluster::ClusterSim) is the engine with
+//! [`AdmissionPolicy::Unbounded`], no shedding, no preemption and no
+//! autoscaler, and [`ServingSim`](crate::serving::ServingSim) is a
+//! one-replica cluster. With admission off every offered request completes,
+//! so under sustained overload the queues grow without bound. The survival
+//! policies let the operator *refuse* work instead:
 //!
-//! * **Admission control** ([`AdmissionPolicy`]) — a token bucket
-//!   (rate + burst) or a per-replica queue-depth gate decides at arrival
-//!   time whether a request enters the system at all. Rejected requests
-//!   never queue.
+//! * **Admission control** ([`AdmissionPolicy`]) — a token bucket or a
+//!   per-replica queue-depth gate decides at arrival whether a request
+//!   enters the system at all.
 //! * **Deadline-aware shedding** (`shed`) — at every batch launch a replica
-//!   drops queued requests that provably cannot meet their deadline even if
-//!   launched immediately
-//!   ([`BatchScheduler::shed_doomed`](crate::batch::BatchScheduler::shed_doomed)),
-//!   so doomed work stops consuming device time that live requests need.
-//! * **Preemption** (`preempt`) — when the queue-depth gate is full, a
-//!   more-urgent newcomer (in [`SchedulingPolicy`](crate::policy::SchedulingPolicy)
-//!   order) evicts the least-urgent queued request
-//!   ([`BatchScheduler::preempt_for`](crate::batch::BatchScheduler::preempt_for))
-//!   instead of being rejected.
-//! * **Autoscaling** ([`AutoscalerConfig`]) — a reactive control loop
-//!   samples per-replica outstanding work at a fixed interval and, after a
-//!   configurable actuation lag, activates or retires replicas between a
-//!   floor and a ceiling. Retired replicas drain their queues but receive
-//!   no new dispatches; newly activated replicas come up cold (their
-//!   device clock starts at activation).
+//!   drops queued requests that cannot meet their deadline even if launched
+//!   immediately ([`BatchScheduler::shed_doomed`]).
+//! * **Preemption** (`preempt`) — at a full queue-depth gate, a more-urgent
+//!   newcomer evicts the least-urgent queued request
+//!   ([`BatchScheduler::preempt_for`]) instead of being rejected.
+//! * **Autoscaling** ([`AutoscalerConfig`]) — a control loop activates or
+//!   retires replicas after an actuation lag; retired replicas drain their
+//!   queues, activated ones come up cold.
 //!
-//! The fleet is **chip-heterogeneous**: each replica is its own
-//! `Arc<dyn Backend>`, so a fleet can mix HyFlexPIM chips with any of the
-//! registry baselines. Batch evaluations are memoized per replica.
+//! Every replica runs its own [`BatchScheduler`] and launches batches under
+//! the batching-window rule documented on [`SchedulerConfig::max_wait_ns`].
+//! Dispatch ([`DispatchPolicy`]) is decided at arrival time from information
+//! available then, and replicas advance in index order, so a run is a
+//! deterministic function of its inputs. Each replica is its own
+//! `Arc<dyn Backend>`, so a fleet can mix HyFlexPIM chips with any registry
+//! baseline; batch evaluations are memoized per replica.
 //!
-//! Reporting is honest about the tail: latencies accumulate into a
-//! log-linear histogram (64 sub-buckets per octave, ≤ 1.6 % relative
-//! error) so p99.9 is available at 10⁶–10⁷ requests in O(1) memory, and
-//! the report carries goodput under SLO, shed/preempt/reject counts, and
+//! Latencies accumulate into a log-linear histogram (≤ 1.6 % relative
+//! error), so p99.9 is available at 10⁶–10⁷ requests in O(1) memory. The
+//! report carries goodput under SLO, shed/preempt/reject counts, and
 //! per-phase (burst vs. trough) breakdowns keyed by the arrival phase the
-//! traffic generator tagged each request with. The conservation invariant
-//! `offered = completed + rejected + shed + preempted` holds exactly after
-//! the final drain (and `admitted = completed + shed + preempted`).
+//! traffic generator tagged each request with. Every run ends by checking
+//! `offered = admitted + rejected` and `admitted = completed + shed +
+//! preempted` per phase; a mismatch is returned as
+//! [`RuntimeError::Internal`], in release builds too.
 
 use crate::batch::{BatchScheduler, SchedulerConfig};
-use crate::cluster::DispatchPolicy;
+use crate::cluster::{BatchTrace, DispatchPolicy};
 use crate::error::RuntimeError;
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
@@ -277,9 +275,9 @@ pub struct OverloadReport {
 
 /// Log-linear latency histogram: exact counts below 64 ns, then 64
 /// sub-buckets per power-of-two octave, giving nearest-rank quantiles with
-/// ≤ 1/64 ≈ 1.6 % relative error in O(1) memory — the tail-estimation
-/// workhorse for 10⁶⁺-request runs where a sorted latency Vec would
-/// dominate memory. Mean and max are tracked exactly.
+/// ≤ 1/64 ≈ 1.6 % relative error in O(1) memory. It is the one percentile
+/// path of every serving simulator, so no run holds a latency per request.
+/// Mean and max are tracked exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LatencyHistogram {
     counts: Vec<u64>,
@@ -342,10 +340,6 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(value_ns);
     }
 
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Nearest-rank quantile (bucket midpoint), ns; `None` on an empty
     /// histogram.
     pub(crate) fn quantile_ns(&self, q: f64) -> Option<f64> {
@@ -363,9 +357,8 @@ impl LatencyHistogram {
         Some(self.max_ns)
     }
 
-    /// Summary with the same p99.9 small-sample rule as the sorted-Vec
-    /// path (`None` below 1000 samples); percentiles are bucket midpoints,
-    /// mean/max exact.
+    /// Summary with the p99.9 small-sample rule (`None` below 1000
+    /// samples); percentiles are bucket midpoints, mean/max exact.
     pub(crate) fn summary(&self) -> LatencySummary {
         if self.total == 0 {
             return LatencySummary::default();
@@ -382,146 +375,223 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-phase accumulators.
-#[derive(Debug, Clone, Default)]
-struct PhaseAcc {
-    offered: usize,
-    admitted: usize,
-    completed: usize,
-    rejected: usize,
-    shed: usize,
-    preempted: usize,
-    slo_tracked: usize,
-    slo_met: usize,
-    hist: LatencyHistogram,
+/// Checks one conservation identity `total = Σ parts` at the end of a run.
+///
+/// # Errors
+///
+/// Returns [`RuntimeError::Internal`] naming the identity on a mismatch: a
+/// request was lost or counted twice, which is an engine bug.
+pub(crate) fn conserve(identity: &str, total: usize, parts: &[usize]) -> Result<()> {
+    let sum: usize = parts.iter().sum();
+    if total == sum {
+        Ok(())
+    } else {
+        Err(RuntimeError::Internal(format!(
+            "conservation violated: {identity} ({total} != {sum})"
+        )))
+    }
 }
 
-/// Run-wide accumulators.
+/// One arrival phase's slice of the [`Ledger`]: how its requests ended.
 #[derive(Debug, Clone, Default)]
-struct Acc {
+struct PhaseLedger {
     offered: usize,
     admitted: usize,
     rejected: usize,
     shed: usize,
     preempted: usize,
     completed: usize,
+    /// Deadline-carrying arrivals; of those, the ones that completed (met
+    /// or missed), and the ones that met their deadline.
     slo_tracked: usize,
-    slo_met: usize,
-    /// Deadline-carrying completions (met or not), for goodput.
     slo_completed: usize,
-    queue_ns_sum: f64,
-    last_completion_ns: f64,
+    slo_met: usize,
     hist: LatencyHistogram,
-    phases: Vec<PhaseAcc>,
 }
 
-impl Acc {
-    fn phase(&mut self, request: &InferenceRequest) -> &mut PhaseAcc {
+impl PhaseLedger {
+    fn report(&self, label: String) -> PhaseReport {
+        let latency = self.hist.summary();
+        PhaseReport {
+            label,
+            offered: self.offered,
+            admitted: self.admitted,
+            completed: self.completed,
+            rejected: self.rejected,
+            shed: self.shed,
+            preempted: self.preempted,
+            slo_attainment: if self.slo_tracked > 0 {
+                self.slo_met as f64 / self.slo_tracked as f64
+            } else {
+                1.0
+            },
+            p99_ms: latency.p99_ms,
+            p999_ms: latency.p999_ms,
+        }
+    }
+}
+
+/// The run's accounting: every request's fate per arrival phase (run-wide
+/// counts are sums over the phases), the run-wide latency histogram, and
+/// the autoscaler log. Every front-end reads its report off the ledger.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ledger {
+    phases: Vec<PhaseLedger>,
+    hist: LatencyHistogram,
+    batches: usize,
+    queue_ns_sum: f64,
+    pub(crate) first_arrival_ns: f64,
+    last_arrival_ns: f64,
+    last_completion_ns: f64,
+    autoscale_events: Vec<AutoscaleEvent>,
+    peak_active: usize,
+}
+
+impl Ledger {
+    fn phase(&mut self, request: &InferenceRequest) -> &mut PhaseLedger {
         let index = (request.phase as usize).min(self.phases.len() - 1);
         &mut self.phases[index]
     }
 
-    fn on_offered(&mut self, request: &InferenceRequest) {
-        self.offered += 1;
-        if request.has_deadline() {
-            self.slo_tracked += 1;
+    /// A run-wide count: one phase counter summed over the phases.
+    fn total(&self, count: fn(&PhaseLedger) -> usize) -> usize {
+        self.phases.iter().map(count).sum()
+    }
+
+    /// Counts an offered request, rejecting a NaN arrival time or a step
+    /// back in time.
+    fn on_offered(&mut self, request: &InferenceRequest) -> Result<()> {
+        let now = request.arrival_ns;
+        if now.is_nan() || now < self.last_arrival_ns {
+            return Err(RuntimeError::InvalidConfig(
+                "arrivals must be sorted by non-decreasing arrival_ns".to_string(),
+            ));
         }
+        if self.first_arrival_ns.is_nan() {
+            self.first_arrival_ns = now;
+        }
+        self.last_arrival_ns = now;
         let phase = self.phase(request);
         phase.offered += 1;
-        if request.has_deadline() {
-            phase.slo_tracked += 1;
-        }
-    }
-
-    fn on_rejected(&mut self, request: &InferenceRequest) {
-        self.rejected += 1;
-        self.phase(request).rejected += 1;
-    }
-
-    fn on_admitted(&mut self, request: &InferenceRequest) {
-        self.admitted += 1;
-        self.phase(request).admitted += 1;
-    }
-
-    fn on_shed(&mut self, request: &InferenceRequest) {
-        self.shed += 1;
-        self.phase(request).shed += 1;
-    }
-
-    fn on_preempted(&mut self, request: &InferenceRequest) {
-        self.preempted += 1;
-        self.phase(request).preempted += 1;
+        phase.slo_tracked += usize::from(request.has_deadline());
+        Ok(())
     }
 
     fn on_completed(&mut self, request: &InferenceRequest, launch_ns: f64, completion_ns: f64) {
         let latency = completion_ns - request.arrival_ns;
-        self.completed += 1;
         self.queue_ns_sum += launch_ns - request.arrival_ns;
         self.last_completion_ns = self.last_completion_ns.max(completion_ns);
         self.hist.record(latency);
-        let met = request.has_deadline() && completion_ns <= request.deadline_ns;
-        if request.has_deadline() {
-            self.slo_completed += 1;
-            if met {
-                self.slo_met += 1;
-            }
-        }
         let phase = self.phase(request);
         phase.completed += 1;
         phase.hist.record(latency);
-        if met {
-            phase.slo_met += 1;
+        if request.has_deadline() {
+            phase.slo_completed += 1;
+            phase.slo_met += usize::from(completion_ns <= request.deadline_ns);
         }
+    }
+
+    /// Checks both conservation identities of every phase after the final
+    /// drain.
+    fn check(&self) -> Result<()> {
+        for p in &self.phases {
+            conserve(
+                "offered = admitted + rejected",
+                p.offered,
+                &[p.admitted, p.rejected],
+            )?;
+            conserve(
+                "admitted = completed + shed + preempted",
+                p.admitted,
+                &[p.completed, p.shed, p.preempted],
+            )?;
+        }
+        Ok(())
     }
 }
 
-/// One replica of the fleet: a scheduler queue plus device timing, its own
-/// batch-evaluation memo (replicas may be heterogeneous), and the
-/// precomputed single-request makespans shedding judges against.
-struct FleetChip {
+/// One replica of the fleet: a scheduler queue plus device timing and its
+/// own batch-evaluation memo (replicas may be heterogeneous).
+pub(crate) struct Replica {
+    index: usize,
     scheduler: BatchScheduler,
     backend: Arc<dyn Backend>,
-    device_free: f64,
-    busy_ns: f64,
-    batches: usize,
-    completed: usize,
+    pub(crate) device_free: f64,
+    pub(crate) busy_ns: f64,
+    pub(crate) completed: usize,
+    /// Completion times of launched requests (for the outstanding count);
+    /// pruned lazily.
     inflight: Vec<f64>,
     active: bool,
-    shed_enabled: bool,
-    // BTreeMap, not a hash map: the determinism policy (lint rule D1) bans
-    // hash-ordered containers in runtime code (see cluster::ShapeCache).
-    batch_cache: BTreeMap<(usize, usize), BatchPerfSummary>,
-    /// seq_len → single-request makespan, ns (the optimistic service
-    /// estimate for shedding). Precomputed for every shape in the mix; an
-    /// unknown shape estimates 0 (never shed early — conservative).
-    single_ns: BTreeMap<usize, f64>,
+    shed: bool,
+    /// (padded seq_len, batch size) → evaluation. A `BTreeMap` because the
+    /// determinism policy (lint rule D1) bans hash-ordered containers in
+    /// runtime code. Under shedding it starts with every mix shape at batch
+    /// size 1: the single-request makespan is the optimistic service
+    /// estimate shedding judges against.
+    memo: BTreeMap<(usize, usize), BatchPerfSummary>,
 }
 
-impl FleetChip {
+impl Replica {
+    fn new(
+        index: usize,
+        backend: &Arc<dyn Backend>,
+        config: &OverloadConfig,
+        active: bool,
+    ) -> Result<Self> {
+        let mut memo = BTreeMap::new();
+        if config.shed {
+            for seq_len in config.trace.seq_lens() {
+                memo.insert((seq_len, 1), backend.evaluate_batched(seq_len, 1)?);
+            }
+        }
+        Ok(Replica {
+            index,
+            scheduler: BatchScheduler::for_backend(Arc::clone(backend), config.scheduler)?,
+            backend: Arc::clone(backend),
+            device_free: 0.0,
+            busy_ns: 0.0,
+            completed: 0,
+            inflight: Vec::new(),
+            active,
+            shed: config.shed,
+            memo,
+        })
+    }
+
     /// Requests dispatched to this replica that have not completed by `now`.
     fn outstanding(&mut self, now: f64) -> usize {
         self.inflight.retain(|&completion| completion > now);
         self.scheduler.queue_len() + self.inflight.len()
     }
 
-    /// Commits every batch whose launch time is at or before `now`,
-    /// shedding doomed requests at each launch decision when enabled. Same
-    /// lazy-event reasoning as the closed-loop engine: launch times depend
-    /// only on already-arrived requests, so commitments at `t <= now` are
-    /// final.
-    fn advance(&mut self, now: f64, acc: &mut Acc) -> Result<()> {
-        while self.scheduler.queue_len() > 0 {
-            // The overload engine submits arrivals in non-decreasing time
-            // order and removals preserve queue order, so the O(1) front
-            // accessor is the oldest queued arrival.
-            let Some(oldest) = self.scheduler.front_arrival_ns() else {
-                break;
-            };
+    /// Commits every batch whose launch time is at or before `now` under
+    /// the batching-window rule of [`SchedulerConfig::max_wait_ns`],
+    /// shedding doomed requests at each launch decision when enabled, and
+    /// pushing each launched batch to `sink` when one is given.
+    ///
+    /// Launch times are decided purely from the queue (whose members all
+    /// arrived in the past), so a launch at `t <= now` can never be changed
+    /// by an arrival after `now` — this is what makes the lazy event loop
+    /// exact.
+    fn advance(
+        &mut self,
+        now: f64,
+        ledger: &mut Ledger,
+        mut sink: Option<&mut Vec<BatchTrace>>,
+    ) -> Result<()> {
+        // Arrivals are submitted in non-decreasing time order and removals
+        // preserve queue order, so the front request is the oldest queued.
+        while let Some(oldest) = self.scheduler.front_arrival_ns() {
             let ready = self.device_free.max(oldest);
             let max_wait = self.scheduler.config().max_wait_ns;
             let launch = if max_wait == 0.0 {
                 ready
             } else {
+                // Window deadline anchored at the oldest queued arrival,
+                // clamped to ready; a full queue launches at its fill time
+                // (or ready, whichever is later), a non-full one waits out
+                // the window.
                 let deadline = ready.max(oldest + max_wait);
                 match self.scheduler.fill_time_ns() {
                     Some(fill) => deadline.min(ready.max(fill)),
@@ -531,18 +601,19 @@ impl FleetChip {
             if launch > now {
                 break;
             }
-            if self.shed_enabled {
+            if self.shed {
                 // Judged at the launch decision: a queued request whose
                 // deadline precedes even an immediate solo completion is
                 // dead weight — drop it before it poisons a batch. The
-                // shed may change the window anchor, so re-decide.
-                let single_ns = &self.single_ns;
-                let shed = self
-                    .scheduler
-                    .shed_doomed(launch, |seq| single_ns.get(&seq).copied().unwrap_or(0.0));
+                // shed may change the window anchor, so re-decide. An
+                // unknown shape estimates 0 (never shed early).
+                let memo = &self.memo;
+                let shed = self.scheduler.shed_doomed(launch, |seq_len| {
+                    memo.get(&(seq_len, 1)).map_or(0.0, |s| s.makespan_ns)
+                });
                 if !shed.is_empty() {
                     for request in &shed {
-                        acc.on_shed(request);
+                        ledger.phase(request).shed += 1;
                     }
                     continue;
                 }
@@ -550,8 +621,7 @@ impl FleetChip {
             let Some(batch) = self.scheduler.next_batch() else {
                 break;
             };
-            let key = (batch.max_seq_len, batch.len());
-            let summary = match self.batch_cache.entry(key) {
+            let summary = match self.memo.entry((batch.max_seq_len, batch.len())) {
                 Entry::Occupied(entry) => entry.into_mut(),
                 Entry::Vacant(entry) => entry.insert(
                     self.backend
@@ -560,19 +630,171 @@ impl FleetChip {
             };
             for (k, request) in batch.requests.iter().enumerate() {
                 let completion = launch + summary.completion_ns(k);
-                acc.on_completed(request, launch, completion);
+                ledger.on_completed(request, launch, completion);
                 self.inflight.push(completion);
             }
             self.device_free = launch + summary.makespan_ns;
             self.busy_ns += summary.makespan_ns;
-            self.batches += 1;
             self.completed += batch.len();
+            ledger.batches += 1;
+            if let Some(sink) = sink.as_deref_mut() {
+                sink.push(BatchTrace {
+                    chip: self.index,
+                    launch_ns: launch,
+                    makespan_ns: summary.makespan_ns,
+                    batch,
+                });
+            }
         }
         Ok(())
     }
 }
 
-/// The open-loop overload simulator over a (possibly heterogeneous) fleet.
+/// Routes an arrival at `now` to an active replica: round-robin over the
+/// active replicas in index order, or the one with the fewest outstanding
+/// requests (ties to the lowest index).
+fn dispatch(
+    policy: DispatchPolicy,
+    replicas: &mut [Replica],
+    round_robin: &mut usize,
+    now: f64,
+) -> Result<usize> {
+    let target = match policy {
+        DispatchPolicy::RoundRobin => {
+            let active = replicas.iter().filter(|r| r.active).count();
+            let slot = round_robin.checked_rem(active);
+            *round_robin += 1;
+            slot.and_then(|slot| {
+                replicas
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.active)
+                    .nth(slot)
+                    .map(|(index, _)| index)
+            })
+        }
+        DispatchPolicy::JoinShortestQueue => {
+            let mut best = None;
+            let mut best_load = usize::MAX;
+            for (index, replica) in replicas.iter_mut().enumerate() {
+                if !replica.active {
+                    continue;
+                }
+                let load = replica.outstanding(now);
+                if load < best_load {
+                    best = Some(index);
+                    best_load = load;
+                }
+            }
+            best
+        }
+    };
+    target.ok_or_else(|| RuntimeError::Internal("no active replica to dispatch to".to_string()))
+}
+
+/// The autoscaler's control state during a run.
+struct Autoscaler {
+    config: AutoscalerConfig,
+    /// The ceiling, clamped to the fleet size.
+    fleet_max: usize,
+    active: usize,
+    next_check_ns: f64,
+    /// (actuation time ns, scale up?) — at most one in flight.
+    pending: Option<(f64, bool)>,
+    /// Holt level/trend state of the EWMA load predictor.
+    ewma: Option<(f64, f64)>,
+}
+
+impl Autoscaler {
+    /// Fires every check and actuation due at or before `now`, in time
+    /// order (an actuation may precede the next check or vice versa).
+    fn catch_up(
+        &mut self,
+        now: f64,
+        replicas: &mut [Replica],
+        ledger: &mut Ledger,
+        sink: &mut Option<&mut Vec<BatchTrace>>,
+    ) -> Result<()> {
+        let s = self.config;
+        loop {
+            let check = self.next_check_ns;
+            if self.pending.map_or(check, |(at, _)| at.min(check)) > now {
+                return Ok(());
+            }
+            // An actuation due at or before the next check fires first;
+            // `take_if` tests and consumes it in one step.
+            if let Some((at, up)) = self.pending.take_if(|&mut (at, _)| at <= check) {
+                if up && self.active < self.fleet_max {
+                    // Activate the lowest-index inactive replica; it comes
+                    // up cold at the actuation time.
+                    if let Some(replica) = replicas.iter_mut().find(|r| !r.active) {
+                        replica.active = true;
+                        replica.device_free = replica.device_free.max(at);
+                        self.active += 1;
+                    }
+                } else if !up && self.active > s.min_replicas {
+                    // Retire the highest-index active replica; it drains
+                    // but receives no new dispatches.
+                    if let Some(replica) = replicas.iter_mut().rev().find(|r| r.active) {
+                        replica.active = false;
+                        self.active -= 1;
+                    }
+                }
+                ledger.peak_active = ledger.peak_active.max(self.active);
+                ledger.autoscale_events.push(AutoscaleEvent {
+                    at_s: at * 1e-9,
+                    active_replicas: self.active,
+                });
+                continue;
+            }
+            // Observation: advance the fleet to the check time so
+            // outstanding work is measured, not stale.
+            for replica in replicas.iter_mut() {
+                replica.advance(check, ledger, sink.as_deref_mut())?;
+            }
+            if self.pending.is_none() {
+                let outstanding: usize = replicas
+                    .iter_mut()
+                    .filter(|r| r.active)
+                    .map(|r| r.outstanding(check))
+                    .sum();
+                let per_replica = self.forecast(outstanding as f64 / self.active as f64);
+                if per_replica > s.scale_up_outstanding && self.active < self.fleet_max {
+                    self.pending = Some((check + s.actuation_lag_s * 1e9, true));
+                } else if per_replica < s.scale_down_outstanding && self.active > s.min_replicas {
+                    self.pending = Some((check + s.actuation_lag_s * 1e9, false));
+                }
+            }
+            self.next_check_ns += s.check_interval_s * 1e9;
+        }
+    }
+
+    /// The per-replica load the thresholds are compared against: the
+    /// measurement itself, or under the EWMA predictor
+    /// `max(measured, projected)` with `projected` the Holt forecast one
+    /// actuation lag ahead. Scaling up on the forecast OR the evidence,
+    /// and down only when both agree, keeps a draining — but still full —
+    /// queue from retiring the replicas the next burst needs.
+    fn forecast(&mut self, measured: f64) -> f64 {
+        let Some(alpha) = self.config.ewma_alpha else {
+            return measured;
+        };
+        let (level, trend) = match self.ewma {
+            None => (measured, 0.0),
+            Some((prev_level, prev_trend)) => {
+                let level = alpha * measured + (1.0 - alpha) * (prev_level + prev_trend);
+                let trend = alpha * (level - prev_level) + (1.0 - alpha) * prev_trend;
+                (level, trend)
+            }
+        };
+        self.ewma = Some((level, trend));
+        let horizon_checks = self.config.actuation_lag_s / self.config.check_interval_s;
+        measured.max((level + trend * horizon_checks).max(0.0))
+    }
+}
+
+/// The serving engine over a (possibly heterogeneous) fleet.
+#[derive(Debug, Clone)]
 pub struct OverloadSim {
     replicas: Vec<Arc<dyn Backend>>,
     config: OverloadConfig,
@@ -655,13 +877,8 @@ impl OverloadSim {
             }
         }
         // Probe every replica with every shape in the mix so capacity
-        // violations surface at construction, as in the closed-loop sims.
-        let trace_config = config.trace.config();
-        let shapes: Vec<usize> = if trace_config.classes.is_empty() {
-            vec![trace_config.seq_len]
-        } else {
-            trace_config.classes.iter().map(|c| c.seq_len).collect()
-        };
+        // violations surface at construction, not mid-run.
+        let shapes = config.trace.seq_lens();
         for backend in &replicas {
             let mut probe = BatchScheduler::for_backend(Arc::clone(backend), config.scheduler)?;
             for &seq_len in &shapes {
@@ -695,306 +912,153 @@ impl OverloadSim {
     ///
     /// # Errors
     ///
-    /// Propagates scheduler and device-model errors.
+    /// Propagates scheduler and device-model errors, and returns
+    /// [`RuntimeError::Internal`] if the run breaks request conservation.
     pub fn run(&self) -> Result<OverloadReport> {
-        let trace = &self.config.trace;
-        let labels = trace.phase_labels();
-        let shapes: Vec<usize> = {
-            let tc = trace.config();
-            if tc.classes.is_empty() {
-                vec![tc.seq_len]
+        let (ledger, replicas) = self.drive(self.config.trace.stream(), None)?;
+        Ok(self.report(ledger, &replicas))
+    }
+
+    /// Reads a run's report off its ledger and final replica states.
+    pub(crate) fn report(&self, ledger: Ledger, replicas: &[Replica]) -> OverloadReport {
+        let completed = ledger.total(|p| p.completed);
+        let span_end = ledger.last_completion_ns.max(ledger.last_arrival_ns);
+        let sim_seconds = (span_end - ledger.first_arrival_ns).max(0.0) * 1e-9;
+        let per_second = |count: usize| {
+            if sim_seconds > 0.0 {
+                count as f64 / sim_seconds
             } else {
-                tc.classes.iter().map(|c| c.seq_len).collect()
+                0.0
             }
         };
-        let scaler = self.config.autoscaler;
-        let fleet_max = scaler.map_or(self.replicas.len(), |s| {
-            s.max_replicas.min(self.replicas.len())
-        });
-        let initially_active = scaler.map_or(self.replicas.len(), |s| s.min_replicas);
-        let mut chips: Vec<FleetChip> = Vec::with_capacity(self.replicas.len());
-        for (index, backend) in self.replicas.iter().enumerate() {
-            let mut single_ns = BTreeMap::new();
-            for &seq_len in &shapes {
-                single_ns.insert(seq_len, backend.evaluate_batched(seq_len, 1)?.makespan_ns);
-            }
-            chips.push(FleetChip {
-                scheduler: BatchScheduler::for_backend(Arc::clone(backend), self.config.scheduler)?,
-                backend: Arc::clone(backend),
-                device_free: 0.0,
-                busy_ns: 0.0,
-                batches: 0,
-                completed: 0,
-                inflight: Vec::new(),
-                active: index < initially_active,
-                shed_enabled: self.config.shed,
-                batch_cache: BTreeMap::new(),
-                single_ns,
-            });
+        // A completion is useful unless it carried a deadline and missed it.
+        let missed = ledger.total(|p| p.slo_completed) - ledger.total(|p| p.slo_met);
+        let slo_tracked = ledger.total(|p| p.slo_tracked);
+        OverloadReport {
+            replicas: replicas.len(),
+            offered: ledger.total(|p| p.offered),
+            admitted: ledger.total(|p| p.admitted),
+            rejected: ledger.total(|p| p.rejected),
+            shed: ledger.total(|p| p.shed),
+            preempted: ledger.total(|p| p.preempted),
+            completed,
+            batches: ledger.batches,
+            sim_seconds,
+            offered_qps: self.config.trace.mean_qps(),
+            achieved_qps: per_second(completed),
+            goodput_qps: per_second(completed - missed),
+            slo_attainment: if slo_tracked > 0 {
+                ledger.total(|p| p.slo_met) as f64 / slo_tracked as f64
+            } else {
+                1.0
+            },
+            latency: ledger.hist.summary(),
+            mean_batch_size: completed as f64 / ledger.batches.max(1) as f64,
+            mean_queue_ms: ledger.queue_ns_sum / completed.max(1) as f64 / 1e6,
+            per_replica_completed: replicas.iter().map(|r| r.completed).collect(),
+            phases: (self.config.trace.phase_labels().into_iter())
+                .zip(&ledger.phases)
+                .map(|(label, phase)| phase.report(label))
+                .collect(),
+            autoscale_events: ledger.autoscale_events,
+            peak_active_replicas: ledger.peak_active,
         }
-        let mut acc = Acc {
-            phases: vec![PhaseAcc::default(); labels.len()],
-            ..Acc::default()
+    }
+
+    /// The event loop: streams `requests` through the fleet, drains it,
+    /// checks conservation, and returns the ledger with the final replica
+    /// states. Arrivals must come in non-decreasing `arrival_ns`; one that
+    /// steps back in time is rejected as it streams past. Every launched
+    /// batch is pushed to `sink` when one is given.
+    pub(crate) fn drive(
+        &self,
+        requests: impl IntoIterator<Item = InferenceRequest>,
+        mut sink: Option<&mut Vec<BatchTrace>>,
+    ) -> Result<(Ledger, Vec<Replica>)> {
+        let fleet = self.replicas.len();
+        let initially_active = self.config.autoscaler.map_or(fleet, |s| s.min_replicas);
+        let mut replicas = (self.replicas.iter().enumerate())
+            .map(|(index, backend)| {
+                Replica::new(index, backend, &self.config, index < initially_active)
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let mut ledger = Ledger {
+            phases: vec![PhaseLedger::default(); self.config.trace.phase_labels().len()],
+            first_arrival_ns: f64::NAN,
+            last_arrival_ns: f64::NEG_INFINITY,
+            peak_active: initially_active,
+            ..Ledger::default()
         };
-        let mut events: Vec<AutoscaleEvent> = Vec::new();
-        let mut active_count = initially_active;
-        let mut peak_active = active_count;
-        let mut next_check_ns = scaler.map_or(f64::INFINITY, |s| s.check_interval_s * 1e9);
-        // (actuation time ns, scale up?) — at most one in flight.
-        let mut pending: Option<(f64, bool)> = None;
-        // Holt level/trend state of the EWMA load predictor.
-        let mut ewma: Option<(f64, f64)> = None;
+        let mut autoscaler = self.config.autoscaler.map(|config| Autoscaler {
+            config,
+            fleet_max: config.max_replicas.min(fleet),
+            active: initially_active,
+            next_check_ns: config.check_interval_s * 1e9,
+            pending: None,
+            ewma: None,
+        });
         let mut tokens = match self.config.admission {
             AdmissionPolicy::TokenBucket { burst, .. } => burst,
             _ => 0.0,
         };
         let mut last_refill_ns = 0.0f64;
         let mut round_robin = 0usize;
-        let mut first_arrival_ns = f64::NAN;
-        let mut last_arrival_ns = 0.0f64;
 
-        for request in trace.stream() {
+        for request in requests {
             let now = request.arrival_ns;
-            if first_arrival_ns.is_nan() {
-                first_arrival_ns = now;
-            }
-            last_arrival_ns = now;
-            // Autoscaler events due strictly before this arrival, in time
-            // order (an actuation may precede the next check or vice
-            // versa).
-            if let Some(s) = scaler {
-                loop {
-                    let next_event = pending.map_or(next_check_ns, |(at, _)| at.min(next_check_ns));
-                    if next_event > now {
-                        break;
-                    }
-                    // An actuation due at or before the next check fires
-                    // first; `take_if` tests and consumes it in one step.
-                    if let Some((at, up)) = pending.take_if(|&mut (at, _)| at <= next_check_ns) {
-                        if up && active_count < fleet_max {
-                            // Activate the lowest-index inactive replica;
-                            // it comes up cold at the actuation time.
-                            if let Some(chip) = chips.iter_mut().find(|c| !c.active) {
-                                chip.active = true;
-                                chip.device_free = chip.device_free.max(at);
-                                active_count += 1;
-                            }
-                        } else if !up && active_count > s.min_replicas {
-                            // Retire the highest-index active replica; it
-                            // drains but receives no new dispatches.
-                            if let Some(chip) = chips.iter_mut().rev().find(|c| c.active) {
-                                chip.active = false;
-                                active_count -= 1;
-                            }
-                        }
-                        peak_active = peak_active.max(active_count);
-                        events.push(AutoscaleEvent {
-                            at_s: at * 1e-9,
-                            active_replicas: active_count,
-                        });
-                    } else {
-                        // Observation: advance the fleet to the check time
-                        // so outstanding work is measured, not stale.
-                        let check = next_check_ns;
-                        for chip in &mut chips {
-                            chip.advance(check, &mut acc)?;
-                        }
-                        if pending.is_none() {
-                            let outstanding: usize = chips
-                                .iter_mut()
-                                .filter(|c| c.active)
-                                .map(|c| c.outstanding(check))
-                                .sum();
-                            let measured = outstanding as f64 / active_count as f64;
-                            let per_replica = match s.ewma_alpha {
-                                None => measured,
-                                Some(alpha) => {
-                                    let (level, trend) = match ewma {
-                                        None => (measured, 0.0),
-                                        Some((prev_level, prev_trend)) => {
-                                            let level = alpha * measured
-                                                + (1.0 - alpha) * (prev_level + prev_trend);
-                                            let trend = alpha * (level - prev_level)
-                                                + (1.0 - alpha) * prev_trend;
-                                            (level, trend)
-                                        }
-                                    };
-                                    ewma = Some((level, trend));
-                                    // Project to when an actuation ordered
-                                    // now would take effect.
-                                    let horizon_checks = s.actuation_lag_s / s.check_interval_s;
-                                    let projected = (level + trend * horizon_checks).max(0.0);
-                                    // Scale up on the forecast OR the
-                                    // evidence, down only when both agree:
-                                    // comparing max(measured, projected)
-                                    // against the thresholds encodes
-                                    // exactly that, and keeps a draining —
-                                    // but still full — queue from retiring
-                                    // the replicas the next burst needs.
-                                    measured.max(projected)
-                                }
-                            };
-                            if per_replica > s.scale_up_outstanding && active_count < fleet_max {
-                                pending = Some((check + s.actuation_lag_s * 1e9, true));
-                            } else if per_replica < s.scale_down_outstanding
-                                && active_count > s.min_replicas
-                            {
-                                pending = Some((check + s.actuation_lag_s * 1e9, false));
-                            }
-                        }
-                        next_check_ns += s.check_interval_s * 1e9;
-                    }
-                }
+            ledger.on_offered(&request)?;
+            // Autoscaler events due at or before this arrival.
+            if let Some(autoscaler) = &mut autoscaler {
+                autoscaler.catch_up(now, &mut replicas, &mut ledger, &mut sink)?;
             }
             // Retired replicas keep draining their queues.
-            for chip in &mut chips {
-                chip.advance(now, &mut acc)?;
+            for replica in &mut replicas {
+                replica.advance(now, &mut ledger, sink.as_deref_mut())?;
             }
-            acc.on_offered(&request);
-            // Admission gates that do not consult the target queue.
-            let pre_admitted = match self.config.admission {
-                AdmissionPolicy::TokenBucket { rate_qps, burst } => {
-                    tokens = (tokens + (now - last_refill_ns) * 1e-9 * rate_qps).min(burst);
-                    last_refill_ns = now;
-                    if tokens >= 1.0 {
-                        tokens -= 1.0;
-                        true
-                    } else {
-                        false
-                    }
+            // The token bucket does not consult the target queue.
+            if let AdmissionPolicy::TokenBucket { rate_qps, burst } = self.config.admission {
+                tokens = (tokens + (now - last_refill_ns) * 1e-9 * rate_qps).min(burst);
+                last_refill_ns = now;
+                if tokens < 1.0 {
+                    ledger.phase(&request).rejected += 1;
+                    continue;
                 }
-                _ => true,
-            };
-            if !pre_admitted {
-                acc.on_rejected(&request);
-                continue;
+                tokens -= 1.0;
             }
-            // Route among active replicas only.
-            let target = match self.config.dispatch {
-                DispatchPolicy::RoundRobin => {
-                    let slot = round_robin % active_count;
-                    round_robin += 1;
-                    chips
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.active)
-                        .nth(slot)
-                        .map(|(index, _)| index)
-                        .ok_or_else(|| {
-                            RuntimeError::Internal(
-                                "active replica count diverged from the active flags".to_string(),
-                            )
-                        })?
-                }
-                DispatchPolicy::JoinShortestQueue => {
-                    let mut best = usize::MAX;
-                    let mut best_load = usize::MAX;
-                    for (index, chip) in chips.iter_mut().enumerate() {
-                        if !chip.active {
-                            continue;
-                        }
-                        let load = chip.outstanding(now);
-                        if load < best_load {
-                            best = index;
-                            best_load = load;
-                        }
-                    }
-                    best
-                }
-            };
-            let chip = &mut chips[target];
+            let target = dispatch(self.config.dispatch, &mut replicas, &mut round_robin, now)?;
+            let replica = &mut replicas[target];
             // The queue-depth gate (with optional preemption).
             if let AdmissionPolicy::QueueDepth { max_outstanding } = self.config.admission {
-                if chip.outstanding(now) >= max_outstanding {
+                if replica.outstanding(now) >= max_outstanding {
                     let preempted = if self.config.preempt {
-                        chip.scheduler.preempt_for(&request)
+                        replica.scheduler.preempt_for(&request)
                     } else {
                         None
                     };
                     match preempted {
-                        Some(victim) => acc.on_preempted(&victim),
+                        Some(victim) => ledger.phase(&victim).preempted += 1,
                         None => {
-                            acc.on_rejected(&request);
+                            ledger.phase(&request).rejected += 1;
                             continue;
                         }
                     }
                 }
             }
-            acc.on_admitted(&request);
-            chip.scheduler.submit(request)?;
+            ledger.phase(&request).admitted += 1;
+            replica.scheduler.submit(request)?;
+        }
+        if ledger.first_arrival_ns.is_nan() {
+            return Err(RuntimeError::InvalidConfig(
+                "the arrival stream is empty".to_string(),
+            ));
         }
         // Drain: every queued request either completes or (under shedding)
         // is dropped at its final launch decision.
-        for chip in &mut chips {
-            chip.advance(f64::INFINITY, &mut acc)?;
+        for replica in &mut replicas {
+            replica.advance(f64::INFINITY, &mut ledger, sink.as_deref_mut())?;
         }
-        debug_assert_eq!(acc.offered, acc.admitted + acc.rejected);
-        debug_assert_eq!(acc.admitted, acc.completed + acc.shed + acc.preempted);
-
-        let span_start = if first_arrival_ns.is_nan() {
-            0.0
-        } else {
-            first_arrival_ns
-        };
-        let span_end = acc.last_completion_ns.max(last_arrival_ns);
-        let sim_seconds = (span_end - span_start).max(0.0) * 1e-9;
-        let batches: usize = chips.iter().map(|c| c.batches).sum();
-        let useful = acc.completed - (acc.slo_completed - acc.slo_met);
-        let phases = labels
-            .iter()
-            .zip(&acc.phases)
-            .map(|(label, p)| PhaseReport {
-                label: label.clone(),
-                offered: p.offered,
-                admitted: p.admitted,
-                completed: p.completed,
-                rejected: p.rejected,
-                shed: p.shed,
-                preempted: p.preempted,
-                slo_attainment: if p.slo_tracked > 0 {
-                    p.slo_met as f64 / p.slo_tracked as f64
-                } else {
-                    1.0
-                },
-                p99_ms: p.hist.quantile_ns(0.99).unwrap_or(0.0) / 1e6,
-                p999_ms: (p.hist.total() >= 1000)
-                    .then(|| p.hist.quantile_ns(0.999).unwrap_or(0.0) / 1e6),
-            })
-            .collect();
-        Ok(OverloadReport {
-            replicas: self.replicas.len(),
-            offered: acc.offered,
-            admitted: acc.admitted,
-            rejected: acc.rejected,
-            shed: acc.shed,
-            preempted: acc.preempted,
-            completed: acc.completed,
-            batches,
-            sim_seconds,
-            offered_qps: trace.mean_qps(),
-            achieved_qps: if sim_seconds > 0.0 {
-                acc.completed as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            goodput_qps: if sim_seconds > 0.0 {
-                useful as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            slo_attainment: if acc.slo_tracked > 0 {
-                acc.slo_met as f64 / acc.slo_tracked as f64
-            } else {
-                1.0
-            },
-            latency: acc.hist.summary(),
-            mean_batch_size: acc.completed as f64 / batches.max(1) as f64,
-            mean_queue_ms: acc.queue_ns_sum / acc.completed.max(1) as f64 / 1e6,
-            per_replica_completed: chips.iter().map(|c| c.completed).collect(),
-            phases,
-            autoscale_events: events,
-            peak_active_replicas: peak_active,
-        })
+        ledger.check()?;
+        Ok((ledger, replicas))
     }
 }
 
@@ -1076,6 +1140,30 @@ mod tests {
             LatencyHistogram::default().summary(),
             LatencySummary::default()
         );
+    }
+
+    #[test]
+    fn ledger_check_catches_a_lost_request() {
+        let phase = PhaseLedger {
+            offered: 3,
+            admitted: 2,
+            rejected: 1,
+            completed: 1,
+            ..PhaseLedger::default()
+        };
+        let ledger = Ledger {
+            phases: vec![phase.clone()],
+            ..Ledger::default()
+        };
+        let err = ledger.check().unwrap_err();
+        assert!(matches!(err, RuntimeError::Internal(_)), "{err}");
+        assert!(err.to_string().contains("admitted = completed"), "{err}");
+        // The same phase with the request accounted for passes.
+        let balanced = Ledger {
+            phases: vec![PhaseLedger { shed: 1, ..phase }],
+            ..Ledger::default()
+        };
+        assert!(balanced.check().is_ok());
     }
 
     #[test]

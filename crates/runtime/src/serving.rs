@@ -8,31 +8,34 @@
 //! [`ServingConfig::seq_len`]) or a heterogeneous mix of
 //! [`RequestClass`]es — per-request sequence lengths, SLOs, and priority
 //! classes drawn from a seeded, deterministic weighted distribution.
-//! Requests queue in a [`BatchScheduler`] under the configured
-//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy); batches launch under the batching-window
-//! semantics documented on [`SchedulerConfig::max_wait_ns`], occupy the
-//! device for their modeled makespan, and every request completes at its
-//! pipelined completion offset. The run is fully deterministic for a seed.
+//! Requests queue in a [`BatchScheduler`](crate::batch::BatchScheduler)
+//! under the configured [`SchedulingPolicy`](crate::policy::SchedulingPolicy);
+//! batches launch under the batching-window semantics documented on
+//! [`SchedulerConfig::max_wait_ns`], occupy the device for their modeled
+//! makespan, and every request completes at its pipelined completion offset.
+//! The run is fully deterministic for a seed.
+//!
+//! A `ServingSim` is a one-chip [`ClusterSim`], which in turn is the one
+//! serving engine ([`OverloadSim`](crate::overload::OverloadSim)) with
+//! admission, shedding, preemption and autoscaling off: its arrivals are the
+//! Poisson [`RequestTrace`](crate::traffic::RequestTrace) built from the
+//! [`ServingConfig`], and its latency percentiles come from the engine's
+//! log-linear histogram (see [`LatencySummary`]).
 //!
 //! The simulator is generic — `ServingSim<B: Backend>` — so the paper's
 //! baselines (ASADI, SPRINT, NMP, non-PIM) flow through the same serving
 //! machinery as HyFlexPIM itself (see the `fig19_backend_serving` and
 //! `fig20_serving_policies` binaries). The historical HyFlexPIM-only
 //! constructor [`ServingSim::new`] remains sugar over
-//! [`ServingSim::with_backend`] and produces bit-identical reports. For
-//! multi-chip serving on the same engine, see
-//! [`ClusterSim`](crate::cluster::ClusterSim).
+//! [`ServingSim::with_backend`] and produces bit-identical reports.
 
-use crate::batch::{BatchScheduler, InferenceRequest};
-use crate::cluster::{run_engine, BatchTrace, DispatchPolicy};
-use crate::error::RuntimeError;
+use crate::batch::InferenceRequest;
+use crate::cluster::{BatchTrace, ClusterConfig, ClusterReport, ClusterSim, DispatchPolicy};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::PerformanceModel;
-use hyflex_tensor::rng::Rng;
 use hyflex_transformer::ModelConfig;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 pub use crate::batch::SchedulerConfig;
 
@@ -127,14 +130,17 @@ impl Default for ServingConfig {
 
 /// Latency distribution of a run, milliseconds.
 ///
-/// Percentiles use the **nearest-rank** method on the ascending-sorted
-/// sample: `p(q) = x[⌈q·n⌉]` (1-indexed), so every reported percentile is
-/// an actually-observed latency, with no interpolation. Nearest rank is
-/// only meaningful once the sample can resolve the quantile — for
-/// `n < 1/(1−q)` the rank clamps to `n` and the "percentile" silently
-/// degenerates to the maximum. The low quantiles (p50/p95/p99) are always
-/// reported; the p99.9 tail is `Option` and stays `None` until the run
-/// completed at least 1000 requests.
+/// Every serving simulator fills it from one log-linear histogram (64
+/// sub-buckets per power-of-two octave). A percentile is the midpoint of
+/// the bucket holding the nearest-rank sample `x[⌈q·n⌉]` (1-indexed), so it
+/// is within 1/64 ≈ 1.6 % of that sample — not necessarily a latency any
+/// request observed, and possibly a little above the exact maximum. The
+/// histogram holds O(1) memory however many requests a run completes. Mean
+/// and maximum are exact. Nearest rank is only meaningful once the sample can resolve the
+/// quantile — for `n < 1/(1−q)` the rank clamps to `n` and the
+/// "percentile" degenerates to the maximum — so the low quantiles
+/// (p50/p95/p99) are always reported, while the p99.9 tail is `Option` and
+/// stays `None` until the run completed at least 1000 samples.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Median latency.
@@ -144,7 +150,7 @@ pub struct LatencySummary {
     /// 99th-percentile latency.
     pub p99_ms: f64,
     /// 99.9th-percentile latency, or `None` when the run completed fewer
-    /// than 1000 requests (`1/(1−0.999)` — the smallest sample whose
+    /// than 1000 samples (`1/(1−0.999)` — the smallest sample whose
     /// nearest-rank p99.9 is distinguishable from the maximum).
     pub p999_ms: Option<f64>,
     /// Mean latency.
@@ -152,11 +158,11 @@ pub struct LatencySummary {
     /// Worst-case latency.
     pub max_ms: f64,
     /// Mean time per output token over the run's decoded tokens, or `None`
-    /// for prefill-only runs (the closed- and open-loop simulators, whose
-    /// requests complete in one batched pass). Populated by the
-    /// decode-serving engine ([`crate::decode`]), where a request's latency
-    /// spans many generation iterations and the tail is better read per
-    /// token than per request.
+    /// for prefill-only runs (the encoder-pass simulators, whose requests
+    /// complete in one batched pass). Populated by the decode-serving
+    /// engine ([`crate::decode`]), where a request's latency spans many
+    /// generation iterations and the tail is better read per token than
+    /// per request.
     pub tpot_ms: Option<f64>,
 }
 
@@ -190,27 +196,18 @@ pub struct ServingReport {
     pub mean_queue_ms: f64,
 }
 
-/// The closed-loop serving simulator, generic over the device model.
+/// The closed-loop serving simulator, generic over the device model: a
+/// one-chip [`ClusterSim`].
+#[derive(Debug)]
 pub struct ServingSim<B: Backend = HyFlexPim> {
-    backend: Arc<B>,
-    config: ServingConfig,
+    cluster: ClusterSim<B>,
 }
 
 impl<B: Backend> Clone for ServingSim<B> {
     fn clone(&self) -> Self {
         ServingSim {
-            backend: Arc::clone(&self.backend),
-            config: self.config.clone(),
+            cluster: self.cluster.clone(),
         }
-    }
-}
-
-impl<B: Backend> std::fmt::Debug for ServingSim<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServingSim")
-            .field("backend", &self.backend.name())
-            .field("config", &self.config)
-            .finish()
     }
 }
 
@@ -221,11 +218,22 @@ impl ServingSim<HyFlexPim> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] for non-positive load or an
-    /// empty run, and propagates scheduler-configuration errors.
+    /// As for [`ServingSim::with_backend`], plus HyFlexPIM mapping errors.
     pub fn new(perf: PerformanceModel, model: ModelConfig, config: ServingConfig) -> Result<Self> {
         let backend = HyFlexPim::new(perf, model, config.slc_rank_fraction)?;
         ServingSim::with_backend(backend, config)
+    }
+}
+
+impl<B: Backend> ServingSim<B> {
+    /// The run configuration.
+    pub fn config(&self) -> &ServingConfig {
+        self.cluster.serving_config()
+    }
+
+    /// The device model being served.
+    pub fn backend(&self) -> &B {
+        self.cluster.backend()
     }
 }
 
@@ -234,118 +242,21 @@ impl<B: Backend + 'static> ServingSim<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] for non-positive load, an
-    /// empty run, or a degenerate request mix (non-positive weight,
-    /// non-positive SLO), and propagates scheduler-configuration errors
-    /// (including any request shape in the mix that does not fit the
-    /// backend's tile capacity).
+    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
+    /// for non-positive load, an empty run, or a degenerate request mix
+    /// (non-positive weight, non-positive SLO), and propagates
+    /// scheduler-configuration errors (including any request shape in the
+    /// mix that does not fit the backend's tile capacity).
     pub fn with_backend(backend: B, config: ServingConfig) -> Result<Self> {
-        if config.qps.is_nan() || config.qps <= 0.0 {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "qps {} must be positive",
-                config.qps
-            )));
-        }
-        if config.num_requests == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "num_requests must be at least 1".to_string(),
-            ));
-        }
-        if config.slo_ns.is_nan() || config.slo_ns <= 0.0 {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "slo_ns {} must be positive (f64::INFINITY for no SLO)",
-                config.slo_ns
-            )));
-        }
-        for (index, class) in config.classes.iter().enumerate() {
-            if !(class.weight > 0.0 && class.weight.is_finite()) {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "request class {index} has non-positive weight {}",
-                    class.weight
-                )));
-            }
-            if class.slo_ns.is_nan() || class.slo_ns <= 0.0 {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "request class {index} has non-positive slo_ns {}",
-                    class.slo_ns
-                )));
-            }
-        }
-        let backend = Arc::new(backend);
-        // Validate the scheduler policy and the tile fit of every shape in
-        // the mix up front.
-        let mut probe = BatchScheduler::for_backend(
-            Arc::clone(&backend) as Arc<dyn Backend>,
-            config.scheduler,
+        let cluster = ClusterSim::with_backend(
+            backend,
+            ClusterConfig {
+                chips: 1,
+                dispatch: DispatchPolicy::RoundRobin,
+                serving: config,
+            },
         )?;
-        if config.classes.is_empty() {
-            probe.submit(InferenceRequest::new(0, 0.0, config.seq_len))?;
-        } else {
-            for class in &config.classes {
-                probe.submit(InferenceRequest::new(0, 0.0, class.seq_len))?;
-            }
-        }
-        Ok(ServingSim { backend, config })
-    }
-
-    /// The run configuration.
-    pub fn config(&self) -> &ServingConfig {
-        &self.config
-    }
-
-    /// The device model being served.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
-    /// The backend as a shared trait object (for the engine).
-    pub(crate) fn backend_dyn(&self) -> Arc<dyn Backend> {
-        Arc::clone(&self.backend) as Arc<dyn Backend>
-    }
-
-    /// Samples the run's arrival stream: Poisson arrivals at `qps`, each
-    /// request's shape/SLO/priority drawn from the configured mix.
-    /// Deterministic for a seed; with an empty mix the stream is
-    /// bit-identical to the historical single-shape generator.
-    pub(crate) fn generate_arrivals(&self) -> Vec<InferenceRequest> {
-        let cfg = &self.config;
-        let mut rng = Rng::seed_from(cfg.seed);
-        let total_weight: f64 = cfg.classes.iter().map(|c| c.weight).sum();
-        let mut arrivals = Vec::with_capacity(cfg.num_requests);
-        let mut t = 0.0f64;
-        for id in 0..cfg.num_requests as u64 {
-            // Poisson process: exponential inter-arrival times at rate qps.
-            t += -(1.0 - rng.uniform()).ln() / cfg.qps * 1e9;
-            // The last class doubles as the rounding fallback, so an empty
-            // mix and a configured one branch on one `last()` call.
-            let class = match cfg.classes.last() {
-                None => RequestClass::new(cfg.seq_len, 1.0).with_slo_ns(cfg.slo_ns),
-                Some(&fallback) => {
-                    // Weighted draw; one extra uniform per request.
-                    let mut pick = rng.uniform() * total_weight;
-                    let mut chosen = fallback;
-                    for class in &cfg.classes {
-                        if pick < class.weight {
-                            chosen = *class;
-                            break;
-                        }
-                        pick -= class.weight;
-                    }
-                    chosen
-                }
-            };
-            let deadline_ns = if class.slo_ns.is_finite() {
-                t + class.slo_ns
-            } else {
-                f64::INFINITY
-            };
-            arrivals.push(
-                InferenceRequest::new(id, t, class.seq_len)
-                    .with_deadline_ns(deadline_ns)
-                    .with_priority(class.priority),
-            );
-        }
-        arrivals
+        Ok(ServingSim { cluster })
     }
 
     /// Runs the simulation to completion.
@@ -354,7 +265,7 @@ impl<B: Backend + 'static> ServingSim<B> {
     ///
     /// Propagates scheduler and device-model errors.
     pub fn run(&self) -> Result<ServingReport> {
-        Ok(self.run_traced()?.0)
+        self.cluster.run().map(single_chip)
     }
 
     /// Runs the simulation and also returns every launched batch (chip 0
@@ -364,8 +275,8 @@ impl<B: Backend + 'static> ServingSim<B> {
     ///
     /// Propagates scheduler and device-model errors.
     pub fn run_traced(&self) -> Result<(ServingReport, Vec<BatchTrace>)> {
-        let arrivals = self.generate_arrivals();
-        self.replay_traced(&arrivals)
+        let (report, traces) = self.cluster.run_traced()?;
+        Ok((single_chip(report), traces))
     }
 
     /// Replays an explicit arrival stream (sorted by `arrival_ns`) instead
@@ -375,10 +286,13 @@ impl<B: Backend + 'static> ServingSim<B> {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidConfig`] for an empty or unsorted
-    /// stream and propagates scheduler and device-model errors.
+    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
+    /// for an empty or unsorted stream and propagates scheduler and
+    /// device-model errors.
     pub fn replay(&self, arrivals: &[InferenceRequest]) -> Result<ServingReport> {
-        Ok(self.replay_traced(arrivals)?.0)
+        self.cluster
+            .report(arrivals.iter().copied(), None)
+            .map(single_chip)
     }
 
     /// [`ServingSim::replay`], also returning every launched batch.
@@ -390,77 +304,26 @@ impl<B: Backend + 'static> ServingSim<B> {
         &self,
         arrivals: &[InferenceRequest],
     ) -> Result<(ServingReport, Vec<BatchTrace>)> {
-        let mut outcome = run_engine(
-            self.backend_dyn(),
-            1,
-            DispatchPolicy::RoundRobin,
-            self.config.scheduler,
-            arrivals,
-        )?;
-        let span_start = arrivals.first().map_or(0.0, |a| a.arrival_ns);
-        let completed = outcome.latencies_ns.len();
-        // Span from the first arrival to the last completion, matching the
-        // documented definition (the clock itself starts at t = 0, before
-        // the first exponential inter-arrival sample).
-        let sim_seconds = (outcome.last_completion_ns - span_start).max(0.0) * 1e-9;
-        let chip = outcome.chips[0].clone();
-        // A completion is useful unless it carried a deadline and missed it.
-        let useful = completed - (outcome.slo_tracked - outcome.slo_met);
-        let report = ServingReport {
-            completed,
-            batches: chip.batches,
-            sim_seconds,
-            offered_qps: self.config.qps,
-            achieved_qps: if sim_seconds > 0.0 {
-                completed as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            goodput_qps: if sim_seconds > 0.0 {
-                useful as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            latency: latency_summary(std::mem::take(&mut outcome.latencies_ns)),
-            slo_attainment: outcome.slo_attainment(),
-            mean_batch_size: completed as f64 / chip.batches.max(1) as f64,
-            device_utilization: if chip.device_free_ns > span_start {
-                chip.busy_ns / (chip.device_free_ns - span_start)
-            } else {
-                0.0
-            },
-            mean_queue_ms: outcome.queue_ns_sum / completed.max(1) as f64 / 1e6,
-        };
-        Ok((report, outcome.traces))
+        let (report, traces) = self.cluster.replay_traced(arrivals)?;
+        Ok((single_chip(report), traces))
     }
 }
 
-/// Builds the percentile summary from raw request latencies, ns.
-pub(crate) fn latency_summary(mut latencies_ns: Vec<f64>) -> LatencySummary {
-    if latencies_ns.is_empty() {
-        return LatencySummary::default();
+/// The single-device view of a one-chip cluster report.
+fn single_chip(report: ClusterReport) -> ServingReport {
+    ServingReport {
+        completed: report.completed,
+        batches: report.batches,
+        sim_seconds: report.sim_seconds,
+        offered_qps: report.offered_qps,
+        achieved_qps: report.achieved_qps,
+        goodput_qps: report.goodput_qps,
+        latency: report.latency,
+        slo_attainment: report.slo_attainment,
+        mean_batch_size: report.mean_batch_size,
+        device_utilization: report.mean_chip_utilization,
+        mean_queue_ms: report.mean_queue_ms,
     }
-    // total_cmp gives the same order as partial_cmp on the finite
-    // latencies the engines produce, without a panic path on NaN.
-    latencies_ns.sort_by(f64::total_cmp);
-    LatencySummary {
-        p50_ms: percentile_ns(&latencies_ns, 0.50) / 1e6,
-        p95_ms: percentile_ns(&latencies_ns, 0.95) / 1e6,
-        p99_ms: percentile_ns(&latencies_ns, 0.99) / 1e6,
-        p999_ms: (latencies_ns.len() >= 1000).then(|| percentile_ns(&latencies_ns, 0.999) / 1e6),
-        mean_ms: latencies_ns.iter().sum::<f64>() / latencies_ns.len() as f64 / 1e6,
-        max_ms: latencies_ns.last().copied().unwrap_or(0.0) / 1e6,
-        tpot_ms: None,
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice, ns.
-fn percentile_ns(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -736,7 +599,11 @@ mod tests {
             config.clone(),
         )
         .unwrap();
-        let arrivals = sim.generate_arrivals();
+        let (report, traces) = sim.run_traced().unwrap();
+        let arrivals: Vec<InferenceRequest> = traces
+            .iter()
+            .flat_map(|t| t.batch.requests.iter().copied())
+            .collect();
         let short = arrivals.iter().filter(|r| r.seq_len == 64).count();
         let long = arrivals.iter().filter(|r| r.seq_len == 256).count();
         assert_eq!(short + long, 400);
@@ -752,11 +619,9 @@ mod tests {
             .filter(|r| r.seq_len == 256)
             .all(|r| !r.has_deadline() && r.priority == 1));
         // Deterministic: the same seed reproduces the stream and report.
-        assert_eq!(arrivals, sim.generate_arrivals());
-        let a = sim.run().unwrap();
-        let b = sim.run().unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.completed, 400);
+        assert_eq!((report.clone(), traces), sim.run_traced().unwrap());
+        assert_eq!(report, sim.run().unwrap());
+        assert_eq!(report.completed, 400);
     }
 
     #[test]
@@ -831,31 +696,6 @@ mod tests {
             InferenceRequest::new(1, 5.0, 128),
         ];
         assert!(s.replay(&unsorted).is_err());
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let sorted = vec![1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile_ns(&sorted, 0.50), 2.0);
-        assert_eq!(percentile_ns(&sorted, 0.99), 4.0);
-        assert_eq!(percentile_ns(&[], 0.5), 0.0);
-        assert_eq!(latency_summary(Vec::new()), LatencySummary::default());
-    }
-
-    #[test]
-    fn p999_is_none_until_the_sample_supports_it() {
-        // 999 samples cannot resolve a nearest-rank p99.9 (the rank clamps
-        // to the maximum); 1000 is the smallest sample that can.
-        let small: Vec<f64> = (1..=999).map(|v| v as f64 * 1e6).collect();
-        assert_eq!(latency_summary(small).p999_ms, None);
-        let full: Vec<f64> = (1..=1000).map(|v| v as f64 * 1e6).collect();
-        let summary = latency_summary(full);
-        // ceil(0.999 * 1000) = 999 → the 999th smallest value, not the max.
-        assert_eq!(summary.p999_ms, Some(999.0));
-        assert_eq!(summary.max_ms, 1000.0);
-        // Ordered within the summary when present.
-        assert!(summary.p99_ms <= summary.p999_ms.unwrap());
-        assert!(summary.p999_ms.unwrap() <= summary.max_ms);
     }
 
     #[test]

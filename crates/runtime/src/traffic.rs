@@ -1,19 +1,20 @@
 //! Open-loop arrival generation: bursty, diurnal, replayable request
 //! traces that stream to millions of requests.
 //!
-//! The closed-loop [`ServingSim`](crate::serving::ServingSim) samples plain
-//! Poisson arrivals and materializes the whole stream up front. Production
-//! traffic is neither: it is **open-loop** (arrivals do not wait for
-//! completions), **bursty** (arrival-rate variance far above Poisson), and
-//! **diurnal** (the mean rate itself drifts over the day). This module
+//! Every serving simulator draws its arrivals from a [`RequestTrace`]: the
+//! closed-loop [`ServingSim`](crate::serving::ServingSim) and
+//! [`ClusterSim`](crate::cluster::ClusterSim) build a Poisson trace from
+//! their [`ServingConfig`](crate::serving::ServingConfig). Production
+//! traffic is rarely that tame: it is **open-loop** (arrivals do not wait
+//! for completions), **bursty** (arrival-rate variance far above Poisson),
+//! and **diurnal** (the mean rate itself drifts over the day). This module
 //! models all three with three deterministic seeded processes behind one
 //! [`ArrivalProcess`] surface:
 //!
-//! * [`ArrivalProcess::Poisson`] — the historical memoryless stream. With
-//!   the same seed, rate, and request mix, the generated stream is
-//!   **bit-identical** to [`ServingSim`](crate::serving::ServingSim)'s
-//!   internal generator, so a Poisson [`RequestTrace`] replayed through the
-//!   closed-loop simulators reproduces their reports byte for byte.
+//! * [`ArrivalProcess::Poisson`] — the memoryless stream the closed-loop
+//!   simulators sample, so a Poisson [`RequestTrace`] with their seed,
+//!   rate, and request mix replayed through them reproduces their reports
+//!   byte for byte.
 //! * [`ArrivalProcess::Mmpp`] — a Markov-modulated Poisson process: the
 //!   stream cycles through [`MmppState`]s (e.g. *burst* → *trough*), each
 //!   holding a Poisson rate for an exponentially distributed dwell time.
@@ -95,8 +96,8 @@ impl RatePhase {
 /// The stochastic arrival process of an open-loop trace.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArrivalProcess {
-    /// Memoryless Poisson arrivals at a constant mean rate. Bit-identical
-    /// to the closed-loop simulators' generator for the same seed and mix.
+    /// Memoryless Poisson arrivals at a constant mean rate (the closed-loop
+    /// simulators' arrival process).
     Poisson {
         /// Mean arrival rate, requests per second.
         qps: f64,
@@ -179,7 +180,8 @@ impl RequestTrace {
     /// shapes, dwells, curve durations or multipliers, an empty run, an
     /// empty MMPP state list, more than 256 phases (the per-request phase
     /// tag is a `u8`), or a degenerate request mix (non-positive weight or
-    /// SLO), mirroring the closed-loop simulator's validation.
+    /// SLO). The closed-loop simulators validate their configs through
+    /// here.
     pub fn new(config: TrafficConfig) -> Result<Self> {
         if config.num_requests == 0 {
             return Err(RuntimeError::InvalidConfig(
@@ -305,6 +307,16 @@ impl RequestTrace {
                 / span
         };
         process_qps * curve_factor
+    }
+
+    /// Distinct request shapes the trace can yield: the mix's sequence
+    /// lengths, or the single `seq_len` without a mix.
+    pub(crate) fn seq_lens(&self) -> Vec<usize> {
+        if self.config.classes.is_empty() {
+            vec![self.config.seq_len]
+        } else {
+            self.config.classes.iter().map(|c| c.seq_len).collect()
+        }
     }
 
     /// Display labels of the trace's phases, indexed by the per-request
@@ -623,8 +635,8 @@ impl Iterator for TrafficStream {
             ArrivalProcess::GammaBurst { qps, shape } => self.next_gamma_arrival(qps, shape),
             _ => self.next_memoryless_arrival(),
         }
-        // Class draw identical to the closed-loop generator: one extra
-        // uniform per request when a mix is configured.
+        // Weighted class draw: one extra uniform per request when a mix
+        // is configured. The last class doubles as the rounding fallback.
         let class = match self.config.classes.last() {
             None => RequestClass::new(self.config.seq_len, 1.0).with_slo_ns(self.config.slo_ns),
             Some(&fallback) => {
@@ -917,9 +929,8 @@ seed = 42
 
     #[test]
     fn poisson_trace_matches_the_closed_loop_generator_exactly() {
-        // The open-loop Poisson trace and ServingSim's internal generator
-        // must produce byte-identical streams (same seed, rate, and mix),
-        // so replaying a Poisson trace reproduces closed-loop reports.
+        // ServingSim samples the Poisson trace of its config, so replaying
+        // the same trace (same seed, rate, and mix) reproduces its report.
         use crate::serving::{ServingConfig, ServingSim};
         use hyflex_pim::backend::HyFlexPim;
         use hyflex_transformer::ModelConfig;
@@ -947,7 +958,6 @@ seed = 42
             ..TrafficConfig::default()
         })
         .unwrap();
-        assert_eq!(trace.collect(), sim.generate_arrivals());
         assert_eq!(sim.replay(&trace.collect()).unwrap(), sim.run().unwrap());
     }
 

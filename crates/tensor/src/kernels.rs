@@ -18,7 +18,7 @@
 //!
 //! **The packed panel layer.** [`matmul`] copies each `BLOCK_INNER ×
 //! BLOCK_COLS` tile of `b` once into a contiguous, lane-stride-aligned
-//! panel buffer and runs [`packed_micro_kernel`] — a register-blocked
+//! panel buffer and runs `packed_micro_kernel` — a register-blocked
 //! (`MR` output rows × `LANES` columns) kernel — over it; the panel is
 //! then reused by every row block of `a`. [`matmul_transpose`] packs the
 //! rows of `b` into `NR`-interleaved dot panels, [`matmul_transpose_left`]
