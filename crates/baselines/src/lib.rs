@@ -267,15 +267,6 @@ impl<A: Accelerator + Send + Sync + std::fmt::Debug> Backend for AcceleratorBack
     }
 }
 
-/// All baselines (plus HyFlexPIM at the given SLC rate), in the order the
-/// paper's figures list them.
-#[deprecated(
-    note = "use BackendRegistry::paper().accelerators(slc_rank_fraction); this shim re-exports it"
-)]
-pub fn all_accelerators(slc_rank_fraction: f64) -> Vec<Box<dyn Accelerator>> {
-    BackendRegistry::paper().accelerators(slc_rank_fraction)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,17 +342,6 @@ mod tests {
         let nmp = energy(&NearMemoryProcessing::new());
         assert!(asadi_int8 < asadi_fp32);
         assert!(nmp < non_pim);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_all_accelerators_shim_matches_the_registry() {
-        let shim = all_accelerators(0.1);
-        let registry = roster(0.1);
-        assert_eq!(shim.len(), registry.len());
-        for (a, b) in shim.iter().zip(&registry) {
-            assert_eq!(a.name(), b.name());
-        }
     }
 
     #[test]

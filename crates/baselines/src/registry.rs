@@ -237,8 +237,7 @@ impl BackendRegistry {
         Ok((spec.accelerator)(slc_rank_fraction))
     }
 
-    /// All designs as [`Accelerator`]s, in paper-figure order (the basis of
-    /// the deprecated `all_accelerators` free function).
+    /// All designs as [`Accelerator`]s, in paper-figure order.
     pub fn accelerators(&self, slc_rank_fraction: f64) -> Vec<Box<dyn Accelerator>> {
         self.specs
             .iter()

@@ -50,8 +50,7 @@ fn bench_bit_serial_gemv(c: &mut Criterion) {
     group.finish();
 }
 
-/// A 4-tile matrix: the shape where the program-time tile plans and the
-/// row-tile pool parallelism of `gemv_pooled` matter.
+/// A 4-tile matrix: the shape where the program-time tile plans matter.
 fn bench_multi_tile_gemv(c: &mut Criterion) {
     let mut rng = Rng::seed_from(3);
     let weights = Matrix::random_normal(256, 32, 0.0, 0.5, &mut rng);
@@ -59,14 +58,10 @@ fn bench_multi_tile_gemv(c: &mut Criterion) {
     let noise = NoiseModel::calibrated_to_paper();
     let slc =
         MappedMatrix::program(&weights, WeightMapping::slc_default(), &noise, &mut rng).unwrap();
-    let pool = hyflex_parallel::JobPool::with_default_parallelism();
 
     let mut group = c.benchmark_group("crossbar/bit_serial_gemv_256x32");
     group.bench_function("slc_6b_adc_serial", |b| {
         b.iter(|| slc.gemv(black_box(&input)).unwrap())
-    });
-    group.bench_function("slc_6b_adc_pooled", |b| {
-        b.iter(|| slc.gemv_pooled(black_box(&input), &pool).unwrap())
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Criterion benches for the pooled gradient-redistribution factorization:
 //! every static layer of the tiny 2-block encoder decomposed serially vs on
-//! the persistent work-stealing pool, with both SVD algorithms.
+//! the scoped `par_map` pool, with both SVD algorithms.
 //!
 //! The serial and pooled paths are bit-identical by construction (each
 //! layer's sketch is seeded from its own name), so this bench measures pure

@@ -1,13 +1,17 @@
-//! Golden-output test of the serving figures: runs each figure binary and
+//! Golden-output test of every figure and table binary: runs each one and
 //! compares its stdout byte for byte with the fixture committed under
-//! `tests/fixtures/figs/`. Every simulator is seeded, so any difference is a
-//! behaviour change. Re-record a fixture only together with an explanation
-//! of why its cells moved (for example in EXPERIMENTS.md):
+//! `tests/fixtures/figs/`. Every experiment is seeded, so any difference is
+//! a behaviour change. Re-record a fixture only together with an
+//! explanation of why its cells moved (for example in EXPERIMENTS.md),
+//! passing the same arguments as the test below:
 //!
 //! ```sh
 //! cargo run --release --bin fig21_overload_survival -- --smoke \
 //!     > tests/fixtures/figs/fig21_overload_survival.txt
 //! ```
+//!
+//! fig12 and fig13 run with `--threads 2` because their header prints the
+//! worker count; every other cell is independent of the pool width.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -44,6 +48,78 @@ fn check(name: &str, exe: &str, args: &[&str]) {
         "{name} output differs from {} at line {}:\n  expected: {want}\n  actual:   {got}",
         fixture.display(),
         line + 1
+    );
+}
+
+#[test]
+fn fig02_ops_per_stage_matches_its_fixture() {
+    check(
+        "fig02_ops_per_stage",
+        env!("CARGO_BIN_EXE_fig02_ops_per_stage"),
+        &[],
+    );
+}
+
+#[test]
+fn fig11_gradient_redistribution_matches_its_fixture() {
+    check(
+        "fig11_gradient_redistribution",
+        env!("CARGO_BIN_EXE_fig11_gradient_redistribution"),
+        &[],
+    );
+}
+
+#[test]
+fn fig12_accuracy_vs_slc_rate_matches_its_fixture() {
+    check(
+        "fig12_accuracy_vs_slc_rate",
+        env!("CARGO_BIN_EXE_fig12_accuracy_vs_slc_rate"),
+        &["--threads", "2"],
+    );
+}
+
+#[test]
+fn fig13_selection_strategies_matches_its_fixture() {
+    check(
+        "fig13_selection_strategies",
+        env!("CARGO_BIN_EXE_fig13_selection_strategies"),
+        &["--threads", "2"],
+    );
+}
+
+#[test]
+fn fig14_linear_energy_matches_its_fixture() {
+    check(
+        "fig14_linear_energy",
+        env!("CARGO_BIN_EXE_fig14_linear_energy"),
+        &[],
+    );
+}
+
+#[test]
+fn fig15_end_to_end_energy_matches_its_fixture() {
+    check(
+        "fig15_end_to_end_energy",
+        env!("CARGO_BIN_EXE_fig15_end_to_end_energy"),
+        &[],
+    );
+}
+
+#[test]
+fn fig16_throughput_speedup_matches_its_fixture() {
+    check(
+        "fig16_throughput_speedup",
+        env!("CARGO_BIN_EXE_fig16_throughput_speedup"),
+        &[],
+    );
+}
+
+#[test]
+fn fig17_scalability_matches_its_fixture() {
+    check(
+        "fig17_scalability",
+        env!("CARGO_BIN_EXE_fig17_scalability"),
+        &[],
     );
 }
 
@@ -89,5 +165,23 @@ fn fig22_decode_serving_smoke_matches_its_fixture() {
         "fig22_decode_serving",
         env!("CARGO_BIN_EXE_fig22_decode_serving"),
         &["--smoke"],
+    );
+}
+
+#[test]
+fn table1_hyperparams_matches_its_fixture() {
+    check(
+        "table1_hyperparams",
+        env!("CARGO_BIN_EXE_table1_hyperparams"),
+        &[],
+    );
+}
+
+#[test]
+fn table2_hw_config_matches_its_fixture() {
+    check(
+        "table2_hw_config",
+        env!("CARGO_BIN_EXE_table2_hw_config"),
+        &[],
     );
 }

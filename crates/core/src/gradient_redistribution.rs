@@ -173,16 +173,14 @@ impl GradientRedistribution {
         self.factorize_model_pooled(model, &JobPool::serial())
     }
 
-    /// Factorizes the model's static linear layers concurrently on `pool`'s
-    /// persistent workers.
+    /// Factorizes the model's static linear layers concurrently on `pool`.
     ///
-    /// Each dense layer in the `ParamVisit` tree becomes one owned job
-    /// (name, weight, rank) dispatched through
-    /// [`JobPool::par_map_owned`]; the SVDs are mutually independent and
-    /// each layer's sketch is seeded from its own name, so the factored
-    /// model is bit-identical to the serial path for every worker count.
-    /// The weight clone handed to each job is negligible next to the
-    /// `O(m·n·k)` decomposition it feeds.
+    /// Each dense layer in the `ParamVisit` tree becomes one job that
+    /// borrows its (index, name, weight, rank) from the model and is
+    /// dispatched through [`JobPool::par_map`]; the SVDs are mutually
+    /// independent and each layer's sketch is seeded from its own name, so
+    /// the factored model is bit-identical to the serial path for every
+    /// worker count.
     ///
     /// # Errors
     ///
@@ -194,23 +192,23 @@ impl GradientRedistribution {
     ) -> Result<Vec<usize>> {
         let mut layers = model.named_linears_mut();
         let mut ranks = Vec::with_capacity(layers.len());
-        let mut jobs: Vec<(usize, String, Matrix, usize)> = Vec::new();
+        let mut jobs: Vec<(usize, &str, &Matrix, usize)> = Vec::new();
         for (index, (name, layer)) in layers.iter().enumerate() {
             let rank = self.truncation.rank_for(layer.in_dim(), layer.out_dim());
             ranks.push(rank);
             if let AnyLinear::Dense(dense) = &**layer {
-                jobs.push((index, name.clone(), dense.weight().clone(), rank));
+                jobs.push((index, name, dense.weight(), rank));
             }
         }
         let algorithm = self.svd_algorithm;
-        let factored = pool.par_map_owned(jobs, move |(index, name, weight, rank)| {
-            let seed = layer_sketch_seed(&name);
-            let result = FactoredLinear::from_weight_seeded(&weight, rank, algorithm, Some(seed));
+        let factored = pool.par_map(&jobs, |&(index, name, weight, rank)| {
+            let seed = layer_sketch_seed(name);
+            let result = FactoredLinear::from_weight_seeded(weight, rank, algorithm, Some(seed));
             (index, result)
         });
-        // par_map_owned preserves input order, so the first failure seen
-        // here is the first failing layer in model order — matching the
-        // historical serial loop's error.
+        // par_map preserves input order, so the first failure seen here is
+        // the first failing layer in model order — matching the serial
+        // loop's error.
         for (index, result) in factored {
             let layer = result.map_err(PimError::from)?;
             if let Some((_, slot)) = layers.get_mut(index) {

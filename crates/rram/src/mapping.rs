@@ -18,7 +18,6 @@ use crate::cell::CellMode;
 use crate::error::RramError;
 use crate::noise::NoiseModel;
 use crate::Result;
-use hyflex_parallel::JobPool;
 use hyflex_tensor::quant::{quantize_vector, QuantizedMatrix};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
@@ -298,23 +297,6 @@ impl MappedMatrix {
     ///
     /// Returns [`RramError::ShapeMismatch`] when `input.len() != rows`.
     pub fn gemv(&self, input: &[f32]) -> Result<Vec<f32>> {
-        self.gemv_pooled(input, &JobPool::serial())
-    }
-
-    /// [`MappedMatrix::gemv`] with the per-tile read-out work spread over
-    /// `pool`.
-    ///
-    /// Each row tile is an independent job producing its ADC-digitized
-    /// column sums; the shift-and-add recombination then replays the
-    /// canonical `tile → input_bit → digit_plane → column` accumulation
-    /// order on the calling thread, so the output is **bit-identical** to
-    /// the serial [`MappedMatrix::gemv`] for every worker count (enforced by
-    /// this module's determinism test).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::ShapeMismatch`] when `input.len() != rows`.
-    pub fn gemv_pooled(&self, input: &[f32], pool: &JobPool) -> Result<Vec<f32>> {
         if input.len() != self.rows {
             return Err(RramError::ShapeMismatch(format!(
                 "input length {} does not match weight rows {}",
@@ -334,76 +316,27 @@ impl MappedMatrix {
         let bits_per_cell = u32::from(self.mapping.mode.bits_per_cell());
         let input_bits = usize::from(self.mapping.input_bits);
         let levels = self.mapping.mode.levels();
-        let n_groups = self.tiles.first().map_or(0, |t| t.planes.len());
 
-        // Accumulated unsigned analog product Σ_i au_i · wu_ij per column.
-        // Both branches below accumulate in the canonical
-        // `tile → input_bit → digit_plane → column` order with identical
-        // arithmetic, so they are bit-identical to each other.
+        // Accumulated unsigned analog product Σ_i au_i · wu_ij per column,
+        // digitized and shifted-and-added in one fused
+        // `tile → input_bit → digit_plane → column` pass.
         let mut unsigned_acc = vec![0.0f64; self.cols];
-        if pool.workers() == 1 || self.tiles.len() <= 1 {
-            // Serial fast path: digitize and shift-and-add in one fused pass
-            // with no intermediate buffers.
-            for tile in &self.tiles {
-                let active = tile.active_rows(&unsigned_input, input_bits);
-                for (input_bit, rows_on) in active.iter().enumerate() {
-                    if rows_on.is_empty() {
-                        continue;
-                    }
-                    for (k, plane) in tile.planes.iter().enumerate() {
-                        let shift = input_bit as u32 + (k as u32) * bits_per_cell;
-                        let weight = (1u64 << shift) as f64;
-                        for (column, acc) in
-                            plane.chunks_exact(tile.rows).zip(unsigned_acc.iter_mut())
-                        {
-                            let mut analog_sum = 0.0f64;
-                            for &r in rows_on {
-                                analog_sum += f64::from(column[r]);
-                            }
-                            *acc += self.digitize(analog_sum, levels) * weight;
-                        }
-                    }
+        for tile in &self.tiles {
+            let active = tile.active_rows(&unsigned_input, input_bits);
+            for (input_bit, rows_on) in active.iter().enumerate() {
+                if rows_on.is_empty() {
+                    continue;
                 }
-            }
-        } else {
-            // Pooled path: each tile is an independent read-only job that
-            // produces its ADC-digitized column sums (per input bit, per
-            // digit plane, flattened `[k][c]`; `None` when no word line of
-            // the tile is active for that bit)...
-            let tile_sums: Vec<Vec<Option<Vec<f64>>>> = pool.par_map(&self.tiles, |tile| {
-                let active = tile.active_rows(&unsigned_input, input_bits);
-                active
-                    .iter()
-                    .map(|rows_on| {
-                        if rows_on.is_empty() {
-                            return None;
+                for (k, plane) in tile.planes.iter().enumerate() {
+                    let shift = input_bit as u32 + (k as u32) * bits_per_cell;
+                    let weight = (1u64 << shift) as f64;
+                    for (column, acc) in plane.chunks_exact(tile.rows).zip(unsigned_acc.iter_mut())
+                    {
+                        let mut analog_sum = 0.0f64;
+                        for &r in rows_on {
+                            analog_sum += f64::from(column[r]);
                         }
-                        let mut digitized = Vec::with_capacity(n_groups * self.cols);
-                        for plane in &tile.planes {
-                            for column in plane.chunks_exact(tile.rows) {
-                                let mut analog_sum = 0.0f64;
-                                for &r in rows_on {
-                                    analog_sum += f64::from(column[r]);
-                                }
-                                digitized.push(self.digitize(analog_sum, levels));
-                            }
-                        }
-                        Some(digitized)
-                    })
-                    .collect()
-            });
-            // ...and the calling thread replays the canonical shift-and-add
-            // recombination over the collected sums.
-            for per_bit in &tile_sums {
-                for (input_bit, digitized) in per_bit.iter().enumerate() {
-                    let Some(digitized) = digitized else { continue };
-                    for k in 0..n_groups {
-                        let shift = input_bit as u32 + (k as u32) * bits_per_cell;
-                        let weight = (1u64 << shift) as f64;
-                        let plane_sums = &digitized[k * self.cols..(k + 1) * self.cols];
-                        for (acc, value) in unsigned_acc.iter_mut().zip(plane_sums.iter()) {
-                            *acc += value * weight;
-                        }
+                        *acc += self.digitize(analog_sum, levels) * weight;
                     }
                 }
             }
@@ -629,32 +562,6 @@ mod tests {
         .unwrap();
         assert_eq!(mlc.physical_columns(), 5 * 4);
         assert_eq!(slc.shape(), (8, 5));
-    }
-
-    #[test]
-    fn pooled_gemv_is_bit_identical_for_every_worker_count() {
-        // 150 rows forces 3 tiles so the pool genuinely splits the work;
-        // paper-calibrated noise plus a real ADC exercises the full
-        // digitization path rather than the ideal shortcuts.
-        let weights = random_weights(150, 12, 20);
-        let input = random_input(150, 21);
-        for mapping in [WeightMapping::slc_default(), WeightMapping::mlc_default()] {
-            let mut rng = Rng::seed_from(22);
-            let mapped = MappedMatrix::program(
-                &weights,
-                mapping,
-                &NoiseModel::calibrated_to_paper(),
-                &mut rng,
-            )
-            .unwrap();
-            let serial = mapped.gemv(&input).unwrap();
-            for workers in [1, 2, 3, 8] {
-                let pooled = mapped.gemv_pooled(&input, &JobPool::new(workers)).unwrap();
-                let serial_bits: Vec<u32> = serial.iter().map(|x| x.to_bits()).collect();
-                let pooled_bits: Vec<u32> = pooled.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(pooled_bits, serial_bits, "workers={workers}, {mapping:?}");
-            }
-        }
     }
 
     #[test]

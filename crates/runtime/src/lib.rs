@@ -16,15 +16,11 @@
 //! Where `hyflex-pim` models one inference at a time, this crate models and
 //! drives **production-shaped** execution:
 //!
-//! * [`pool`] — [`JobPool`]: a scoped `std::thread` worker
-//!   pool with a shared job queue and an order-preserving `par_map`, used by
-//!   the noise-accuracy sweeps and the figure binaries to parallelize
-//!   seed × SLC-rate × evaluation-point grids without changing results. The
-//!   implementation lives in the foundation crate `hyflex-parallel` (so the
-//!   kernel layers in `hyflex-tensor`/`hyflex-rram` can use it too); this
-//!   crate re-exports it for back-compat.
-//! * [`sweep`] — parallel drivers for `NoiseSimulator` and
-//!   `PerformanceModel` sweeps, bit-identical to the serial entry points in
+//! * [`JobPool`] — the scoped, order-preserving `par_map` of
+//!   `hyflex-parallel`, re-exported here because the noise-accuracy sweeps
+//!   and the figure binaries size their pools through this crate.
+//! * [`sweep`] — parallel drivers for `NoiseSimulator` sweeps and
+//!   [`Backend`] evaluations, bit-identical to the serial entry points in
 //!   `hyflex-pim`.
 //! * [`batch`] — [`BatchScheduler`]: batching of
 //!   [`InferenceRequest`]s bounded by the tile
@@ -72,7 +68,6 @@ pub mod decode;
 pub mod error;
 pub mod overload;
 pub mod policy;
-pub mod pool;
 pub mod serving;
 pub mod sweep;
 pub mod traffic;
@@ -81,15 +76,15 @@ pub use batch::{Batch, BatchScheduler, InferenceRequest, SchedulerConfig};
 pub use cluster::{BatchTrace, ClusterConfig, ClusterReport, ClusterSim, DispatchPolicy};
 pub use decode::{DecodeConfig, DecodeReport, DecodeSim, KvPlacementPolicy};
 pub use error::RuntimeError;
+pub use hyflex_parallel::JobPool;
 pub use hyflex_pim::backend::{Backend, HyFlexPim};
 pub use overload::{
     AdmissionPolicy, AutoscaleEvent, AutoscalerConfig, OverloadConfig, OverloadReport, OverloadSim,
     PhaseReport,
 };
 pub use policy::SchedulingPolicy;
-pub use pool::{JobPool, PoolScope};
 pub use serving::{LatencySummary, RequestClass, ServingConfig, ServingReport, ServingSim};
-pub use sweep::{par_backend_eval, par_noise_sweep, par_perf_eval};
+pub use sweep::{par_backend_eval, par_noise_sweep};
 pub use traffic::{
     ArrivalProcess, MmppState, RatePhase, RequestTrace, TrafficConfig, TrafficStream,
 };

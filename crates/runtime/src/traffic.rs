@@ -179,9 +179,9 @@ impl RequestTrace {
     /// Returns [`RuntimeError::InvalidConfig`] for non-positive rates,
     /// shapes, dwells, curve durations or multipliers, an empty run, an
     /// empty MMPP state list, more than 256 phases (the per-request phase
-    /// tag is a `u8`), or a degenerate request mix (non-positive weight or
-    /// SLO). The closed-loop simulators validate their configs through
-    /// here.
+    /// tag is a `u8`), a zero sequence length, or a degenerate request mix
+    /// (zero sequence length, non-positive weight or SLO). The closed-loop
+    /// simulators validate their configs through here.
     pub fn new(config: TrafficConfig) -> Result<Self> {
         if config.num_requests == 0 {
             return Err(RuntimeError::InvalidConfig(
@@ -256,6 +256,11 @@ impl RequestTrace {
                 )));
             }
         }
+        if config.seq_len == 0 {
+            return Err(RuntimeError::InvalidConfig(
+                "seq_len must be at least 1".to_string(),
+            ));
+        }
         if config.slo_ns.is_nan() || config.slo_ns <= 0.0 {
             return Err(RuntimeError::InvalidConfig(format!(
                 "slo_ns {} must be positive (f64::INFINITY for no SLO)",
@@ -263,6 +268,11 @@ impl RequestTrace {
             )));
         }
         for (index, class) in config.classes.iter().enumerate() {
+            if class.seq_len == 0 {
+                return Err(RuntimeError::InvalidConfig(format!(
+                    "request class {index} has zero seq_len"
+                )));
+            }
             if !(class.weight > 0.0 && class.weight.is_finite()) {
                 return Err(RuntimeError::InvalidConfig(format!(
                     "request class {index} has non-positive weight {}",
@@ -375,7 +385,9 @@ impl RequestTrace {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] naming the offending line
-    /// for unknown keys, malformed numbers, `state` lines outside an MMPP
+    /// for unknown keys, malformed numbers, a `seq_len`, `num_requests` or
+    /// class `priority` that is not a whole number in range (`seq_len` and
+    /// `num_requests` must also be positive), `state` lines outside an MMPP
     /// process, or a configuration [`RequestTrace::new`] rejects.
     pub fn parse(text: &str) -> Result<Self> {
         let mut config = TrafficConfig::default();
@@ -447,26 +459,34 @@ impl RequestTrace {
                 }
                 "class" => {
                     let fields = parse_fields(value.split_whitespace(), index + 1)?;
-                    let seq_len = take_field(&fields, "seq_len", index + 1)?;
+                    let seq_len: usize = find_integer(&fields, "seq_len", index + 1)?
+                        .ok_or_else(|| bad("missing `seq_len=`".to_string()))?;
+                    if seq_len == 0 {
+                        return Err(bad("class seq_len must be at least 1".to_string()));
+                    }
                     let weight = take_field(&fields, "weight", index + 1)?;
-                    let mut class = RequestClass::new(seq_len as usize, weight);
+                    let mut class = RequestClass::new(seq_len, weight);
                     if let Some(slo) = find_field(&fields, "slo_ns") {
                         class = class.with_slo_ns(slo);
                     }
-                    if let Some(priority) = find_field(&fields, "priority") {
-                        class = class.with_priority(priority as u8);
+                    if let Some(priority) = find_integer(&fields, "priority", index + 1)? {
+                        class = class.with_priority(priority);
                     }
                     config.classes.push(class);
                 }
                 "num_requests" => {
                     config.num_requests = value
                         .parse()
-                        .map_err(|_| bad(format!("bad num_requests `{value}`")))?;
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| bad(format!("bad num_requests `{value}` (need ≥ 1)")))?;
                 }
                 "seq_len" => {
                     config.seq_len = value
                         .parse()
-                        .map_err(|_| bad(format!("bad seq_len `{value}`")))?;
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| bad(format!("bad seq_len `{value}` (need ≥ 1)")))?;
                 }
                 "slo_ns" => {
                     config.slo_ns =
@@ -732,6 +752,32 @@ fn find_field(fields: &[(&str, f64)], key: &str) -> Option<f64> {
     fields.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
 }
 
+/// Looks up an optional whole-number field parsed by [`parse_fields`],
+/// rejecting fractional, negative, non-finite and out-of-range values for
+/// `T` instead of coercing them.
+fn find_integer<T: TryFrom<u64>>(
+    fields: &[(&str, f64)],
+    key: &str,
+    line: usize,
+) -> Result<Option<T>> {
+    let Some(value) = find_field(fields, key) else {
+        return Ok(None);
+    };
+    // 2^64 is exact in f64, so every value below it that passes the
+    // fraction test converts to `u64` without rounding.
+    let whole = value.fract() == 0.0 && (0.0..18_446_744_073_709_551_616.0).contains(&value);
+    whole
+        .then(|| T::try_from(value as u64).ok())
+        .flatten()
+        .map(Some)
+        .ok_or_else(|| {
+            RuntimeError::InvalidConfig(format!(
+                "line {line}: `{key}={value}` is not a whole number in the range of {}",
+                std::any::type_name::<T>()
+            ))
+        })
+}
+
 /// Looks up a required field parsed by [`parse_fields`].
 fn take_field(fields: &[(&str, f64)], key: &str, line: usize) -> Result<f64> {
     find_field(fields, key)
@@ -896,6 +942,172 @@ seed = 42
             slo_ns: -1.0,
             ..TrafficConfig::default()
         }));
+    }
+
+    #[test]
+    fn construction_rejects_a_zero_top_level_seq_len() {
+        let err = RequestTrace::new(TrafficConfig {
+            seq_len: 0,
+            ..TrafficConfig::default()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("seq_len"), "{err}");
+    }
+
+    #[test]
+    fn construction_rejects_a_zero_class_seq_len() {
+        let err = RequestTrace::new(TrafficConfig {
+            classes: vec![RequestClass::new(64, 1.0), RequestClass::new(0, 1.0)],
+            ..TrafficConfig::default()
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("class 1"), "{err}");
+    }
+
+    /// Parses `text`, expecting an `InvalidConfig` error naming `line` and
+    /// mentioning `needle`.
+    fn rejected_at(text: &str, line: usize, needle: &str) {
+        let err = RequestTrace::parse(text).unwrap_err();
+        assert!(matches!(err, RuntimeError::InvalidConfig(_)), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.contains(&format!("line {line}")), "{msg}");
+        assert!(msg.contains(needle), "{msg}");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_negative_class_seq_len() {
+        rejected_at("seed = 1\nclass = seq_len=-5 weight=1\n", 2, "seq_len");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_fractional_class_seq_len() {
+        rejected_at("class = seq_len=64.9 weight=1\n", 1, "seq_len");
+    }
+
+    #[test]
+    fn trace_parser_rejects_an_out_of_range_class_seq_len() {
+        rejected_at("class = seq_len=1e30 weight=1\n", 1, "seq_len");
+        rejected_at("class = seq_len=inf weight=1\n", 1, "seq_len");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_zero_class_seq_len() {
+        rejected_at("class = seq_len=0 weight=1\n", 1, "seq_len");
+    }
+
+    #[test]
+    fn trace_parser_rejects_an_out_of_range_priority() {
+        rejected_at("class = seq_len=64 weight=1 priority=300\n", 1, "priority");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_negative_priority() {
+        rejected_at("class = seq_len=64 weight=1 priority=-2\n", 1, "priority");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_fractional_priority() {
+        rejected_at("class = seq_len=64 weight=1 priority=1.5\n", 1, "priority");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_zero_top_level_seq_len() {
+        rejected_at("seed = 3\n\nseq_len = 0\n", 3, "seq_len");
+    }
+
+    #[test]
+    fn trace_parser_rejects_a_zero_num_requests() {
+        rejected_at("num_requests = 0\n", 1, "num_requests");
+    }
+
+    #[test]
+    fn trace_parser_keeps_in_range_integer_fields() {
+        let parsed = RequestTrace::parse("class = seq_len=1 weight=1 priority=255\n").unwrap();
+        assert_eq!(
+            parsed.config().classes,
+            vec![RequestClass::new(1, 1.0).with_priority(255)]
+        );
+    }
+
+    mod parser_robustness {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Trace-file fragments: keys, field names, numbers (in and out of
+        /// range) and junk, concatenated into arbitrary input.
+        const FRAGMENTS: &[&str] = &[
+            "\nclass = ",
+            "\nprocess = ",
+            "\nstate = burst ",
+            "\nphase = peak ",
+            "\nseq_len = ",
+            "\nnum_requests = ",
+            " weight=1 ",
+            "process",
+            "state",
+            "phase",
+            "class",
+            "num_requests",
+            "seq_len",
+            "slo_ns",
+            "seed",
+            "bogus",
+            "poisson",
+            "mmpp",
+            "gamma",
+            "calm",
+            "qps=",
+            "dwell_s=",
+            "shape=",
+            "duration_s=",
+            "multiplier=",
+            "seq_len=",
+            "weight=",
+            "slo_ns=",
+            "priority=",
+            "0",
+            "1",
+            "3",
+            "-2",
+            "-5",
+            "64.9",
+            "300",
+            "3000",
+            "1e30",
+            "1e-300",
+            "inf",
+            "-inf",
+            "NaN",
+            "18446744073709551616",
+            "=",
+            " = ",
+            " ",
+            "\t",
+            "\n",
+            "\r\n",
+            "#",
+            "==",
+            "\u{e9}",
+            "\u{1F600}",
+            "",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Arbitrary input yields `Ok` or `Err`, never a panic.
+            #[test]
+            fn trace_parse_never_panics(
+                parts in proptest::collection::vec(
+                    proptest::sample::select(FRAGMENTS.to_vec()),
+                    0..48,
+                ),
+            ) {
+                let text: String = parts.concat();
+                let outcome = RequestTrace::parse(&text);
+                prop_assert!(outcome.is_ok() || outcome.is_err());
+            }
+        }
     }
 
     #[test]

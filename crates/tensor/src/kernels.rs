@@ -11,10 +11,9 @@
 //! and panel packing only reorder *memory* — which output element is worked
 //! on next and where the operands sit — never the order in which
 //! contributions are accumulated into a given element (always ascending
-//! inner index `k`, with the same skip-on-zero shortcuts). The pooled
-//! variants assign each output row to exactly one job, so they are also
-//! bit-identical for every worker count. `tests/property_invariants.rs`
-//! enforces kernel-vs-naive equivalence exactly, not within a tolerance.
+//! inner index `k`, with the same skip-on-zero shortcuts).
+//! `tests/property_invariants.rs` enforces kernel-vs-naive equivalence
+//! exactly, not within a tolerance.
 //!
 //! **The packed panel layer.** [`matmul`] copies each `BLOCK_INNER ×
 //! BLOCK_COLS` tile of `b` once into a contiguous, lane-stride-aligned
@@ -29,7 +28,6 @@
 use crate::error::TensorError;
 use crate::matrix::Matrix;
 use crate::Result;
-use hyflex_parallel::JobPool;
 
 /// Row-block (`i`) tile: output rows worked on together.
 const BLOCK_ROWS: usize = 32;
@@ -69,43 +67,6 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
     let mut out = Matrix::zeros(a.rows(), b.cols());
     matmul_rows_into(a, b, 0, a.rows(), out.as_mut_slice());
     Ok(out)
-}
-
-/// Blocked matrix multiplication with output rows split across `pool`.
-///
-/// Each job owns a disjoint band of output rows, so the result is
-/// bit-identical to [`matmul`] for every worker count.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] when the inner dimensions differ.
-pub fn matmul_pooled(a: &Matrix, b: &Matrix, pool: &JobPool) -> Result<Matrix> {
-    if a.cols() != b.rows() {
-        return Err(TensorError::ShapeMismatch {
-            op: "matmul",
-            lhs: a.shape(),
-            rhs: b.shape(),
-        });
-    }
-    let m = a.rows();
-    let n = b.cols();
-    if pool.workers() == 1 || m < 2 * BLOCK_ROWS {
-        return matmul(a, b);
-    }
-    let bands: Vec<(usize, usize)> = (0..m)
-        .step_by(BLOCK_ROWS)
-        .map(|row0| (row0, (row0 + BLOCK_ROWS).min(m)))
-        .collect();
-    let band_data = pool.par_map(&bands, |&(row0, row1)| {
-        let mut band = vec![0.0f32; (row1 - row0) * n];
-        matmul_rows_into(a, b, row0, row1, &mut band);
-        band
-    });
-    let mut data = Vec::with_capacity(m * n);
-    for band in band_data {
-        data.extend_from_slice(&band);
-    }
-    Matrix::from_vec(m, n, data)
 }
 
 /// A contiguous, lane-stride-aligned copy of one `b` tile: rows `k0..k1`,
@@ -500,17 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn pooled_matmul_is_bit_identical_for_every_worker_count() {
-        let a = random(130, 40, 5);
-        let b = random(40, 70, 6);
-        let serial = matmul(&a, &b).unwrap();
-        for workers in [1, 2, 3, 8] {
-            let pooled = matmul_pooled(&a, &b, &JobPool::new(workers)).unwrap();
-            assert_eq!(pooled.as_slice(), serial.as_slice(), "workers={workers}");
-        }
-    }
-
-    #[test]
     fn matmul_transpose_matches_explicit_transpose_bitwise() {
         let a = random(37, 50, 7);
         let b = random(41, 50, 8);
@@ -585,7 +535,6 @@ mod tests {
         let a = random(3, 4, 9);
         let b = random(3, 4, 10);
         assert!(matmul(&a, &b).is_err());
-        assert!(matmul_pooled(&a, &b, &JobPool::serial()).is_err());
         let c = random(3, 5, 11);
         assert!(matmul_transpose(&a, &c).is_err());
         assert!(matmul_transpose_left(&a, &random(4, 2, 14)).is_err());

@@ -16,8 +16,7 @@
 //!   the crossbar tiling code.
 //! * [`kernels`] — the blocked/tiled GEMM, GEMV, and fused rank-k
 //!   reconstruction kernels every `Matrix` product routes through,
-//!   bit-identical to the naive reference loops, with pool-parallel
-//!   variants built on `hyflex-parallel`.
+//!   bit-identical to the naive reference loops.
 //! * [`svd::Svd`] / [`svd::svd`] / [`svd::svd_with`] — one-sided Jacobi
 //!   singular value decomposition (the bit-stable default) and an opt-in
 //!   randomized subspace-iteration sketch ([`svd::SvdAlgorithm`]), with

@@ -9,7 +9,7 @@ use hyflex::pim::backend::{Backend, HyFlexPim};
 use hyflex::pim::perf::EvaluationPoint;
 use hyflex::pim::PerformanceModel;
 use hyflex::runtime::{
-    par_perf_eval, ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, JobPool,
+    par_backend_eval, ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, JobPool,
     RequestClass, SchedulerConfig, SchedulingPolicy, ServingConfig, ServingSim,
 };
 use hyflex::transformer::ModelConfig;
@@ -250,15 +250,24 @@ fn cluster_conserves_requests_across_chips_and_dispatchers() {
 #[test]
 fn parallel_perf_sweep_through_the_facade_matches_serial() {
     let perf = PerformanceModel::paper_default();
-    let points: Vec<EvaluationPoint> = [0.05, 0.5, 1.0]
+    let seq_lens = [128usize, 256, 512];
+    let requests: Vec<InferenceRequest> = seq_lens
         .iter()
-        .map(|&slc| EvaluationPoint {
-            model: ModelConfig::bert_base(),
-            seq_len: 256,
-            slc_rank_fraction: slc,
-        })
+        .enumerate()
+        .map(|(id, &seq_len)| InferenceRequest::of_len(id as u64, seq_len))
         .collect();
-    let serial = perf.evaluate_many(&points).unwrap();
-    let parallel = par_perf_eval(&JobPool::new(3), &perf, &points).unwrap();
-    assert_eq!(serial, parallel);
+    for slc in [0.05, 0.5, 1.0] {
+        let backend = HyFlexPim::new(perf.clone(), ModelConfig::bert_base(), slc).unwrap();
+        let points: Vec<EvaluationPoint> = seq_lens
+            .iter()
+            .map(|&seq_len| EvaluationPoint {
+                model: ModelConfig::bert_base(),
+                seq_len,
+                slc_rank_fraction: slc,
+            })
+            .collect();
+        let serial = perf.evaluate_many(&points).unwrap();
+        let parallel = par_backend_eval(&JobPool::new(3), &backend, &requests).unwrap();
+        assert_eq!(serial, parallel, "slc = {slc}");
+    }
 }
