@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::{svd, Matrix};
 use hyflex_transformer::layers::Linear;
-use hyflex_transformer::FactoredLinear;
+use hyflex_transformer::{FactoredLinear, Layer, LayerCtx};
 use std::hint::black_box;
 
 fn bench_svd(c: &mut Criterion) {
@@ -44,21 +44,22 @@ fn bench_factored_layer(c: &mut Criterion) {
     let mut factored = FactoredLinear::from_weight_hard_threshold(&weight).unwrap();
     let x = Matrix::random_normal(16, 64, 0.0, 1.0, &mut rng);
     let upstream = Matrix::random_normal(16, 64, 0.0, 1.0, &mut rng);
+    let ctx = LayerCtx::inference();
 
     let mut group = c.benchmark_group("factored_linear_64x64");
     group.bench_function("factorize_hard_threshold", |b| {
         b.iter(|| FactoredLinear::from_weight_hard_threshold(black_box(&weight)).unwrap())
     });
     group.bench_function("dense_forward", |b| {
-        b.iter(|| dense.forward(black_box(&x)).unwrap())
+        b.iter(|| dense.forward(black_box(&x), &ctx).unwrap())
     });
     group.bench_function("factored_forward", |b| {
-        b.iter(|| factored.forward(black_box(&x)).unwrap())
+        b.iter(|| factored.forward(black_box(&x), &ctx).unwrap())
     });
     group.bench_function("factored_backward", |b| {
         b.iter(|| {
             factored
-                .backward(black_box(&x), black_box(&upstream))
+                .backward(black_box(&x), black_box(&upstream), &ctx)
                 .unwrap()
         })
     });

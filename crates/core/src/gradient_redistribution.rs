@@ -469,20 +469,17 @@ mod tests {
                 AnyLinear::Factored(_) => unreachable!("the trained model is dense"),
             };
             let k = hard_threshold_rank(weight.rows(), weight.cols());
-            let jacobi = hyflex_transformer::FactoredLinear::from_weight_with(
-                &weight,
-                k,
-                SvdAlgorithm::Jacobi,
-            )
-            .unwrap();
-            let randomized = hyflex_transformer::FactoredLinear::from_weight_with(
-                &weight,
-                k,
-                SvdAlgorithm::Randomized,
-            )
-            .unwrap();
-            let err_jacobi = jacobi.to_dense().relative_error(&weight).unwrap();
-            let err_randomized = randomized.to_dense().relative_error(&weight).unwrap();
+            let jacobi =
+                FactoredLinear::from_weight_seeded(&weight, k, SvdAlgorithm::Jacobi, None).unwrap();
+            let randomized =
+                FactoredLinear::from_weight_seeded(&weight, k, SvdAlgorithm::Randomized, None)
+                    .unwrap();
+            let err_jacobi = jacobi.to_dense().unwrap().relative_error(&weight).unwrap();
+            let err_randomized = randomized
+                .to_dense()
+                .unwrap()
+                .relative_error(&weight)
+                .unwrap();
             assert!(
                 err_randomized <= err_jacobi + 1e-3,
                 "layer {}x{}: randomized err {err_randomized} vs jacobi err {err_jacobi}",

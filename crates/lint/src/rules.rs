@@ -139,10 +139,11 @@ pub enum FileKind {
 
 /// Crates whose non-test library code must be panic-free (E1 at deny).
 /// Everything else gets E1 at warn. core/runtime/rram carry the serving
-/// numbers and the figure pipeline end to end, and parallel is the worker
-/// pool under all of them, so a panic in any of these is an availability
-/// bug, not a debugging aid.
-pub const E1_DENY_CRATES: [&str; 4] = ["core", "runtime", "rram", "parallel"];
+/// numbers and the figure pipeline end to end, transformer is the model
+/// that pipeline trains and factorizes, and parallel is the worker pool
+/// under all of them, so a panic in any of these is an availability bug,
+/// not a debugging aid.
+pub const E1_DENY_CRATES: [&str; 5] = ["core", "runtime", "rram", "parallel", "transformer"];
 
 /// The crate allowed to touch `std::thread` (it *is* the pool).
 pub const D3_EXEMPT_CRATE: &str = "parallel";
@@ -206,6 +207,10 @@ mod tests {
         );
         assert_eq!(
             severity_for(RuleId::E1, "parallel", FileKind::Lib),
+            Some(Severity::Deny)
+        );
+        assert_eq!(
+            severity_for(RuleId::E1, "transformer", FileKind::Lib),
             Some(Severity::Deny)
         );
         assert_eq!(

@@ -102,7 +102,7 @@ fn e1_unwrap_fixture() {
 #[test]
 fn e1_severity_follows_the_crate_tier() {
     let src = include_str!("fixtures/e1_unwrap.rs");
-    // core/runtime/rram are deny-tier…
+    // core/runtime/rram/parallel/transformer are deny-tier…
     let deny = lint_source("crates/core/src/fixture.rs", src);
     assert_single(&deny, RuleId::E1, Severity::Deny, 3);
     // …the remaining library crates are warn-tier…

@@ -57,54 +57,48 @@ impl AttentionMask<'_> {
     }
 }
 
-/// Sets disallowed score lanes to `-inf` so the row-wise softmax assigns them
-/// exactly zero probability.
-fn apply_mask(scores: &mut Matrix, mask: &AttentionMask) {
-    match mask {
-        AttentionMask::Bidirectional => {}
-        AttentionMask::Causal => {
-            let n = scores.rows();
-            for r in 0..n {
-                for c in (r + 1)..n {
-                    scores.set(r, c, f32::NEG_INFINITY);
-                }
-            }
-        }
-        AttentionMask::Packed { .. } => {
-            for r in 0..scores.rows() {
-                for c in 0..scores.cols() {
-                    if !mask.allows(r, c) {
-                        scores.set(r, c, f32::NEG_INFINITY);
-                    }
-                }
+/// Writes `fill` into every lane of `m` that `mask` disallows, where row `r`
+/// of `m` is query position `first_row + r` and column `c` key position `c`.
+///
+/// The forward pass fills scores with `-inf`, so the row-wise softmax gives
+/// those lanes exactly zero probability; the backward pass fills score
+/// gradients with `0.0`, because a constant-zero probability passes no
+/// gradient.
+fn mask_fill(m: &mut Matrix, mask: &AttentionMask, first_row: usize, fill: f32) {
+    if matches!(mask, AttentionMask::Bidirectional) {
+        return;
+    }
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            if !mask.allows(first_row + r, c) {
+                m.set(r, c, fill);
             }
         }
     }
 }
 
-/// Zeroes score gradients on masked lanes (their probabilities are constant
-/// zero, so no gradient flows through them).
-fn zero_masked_grads(d_scores: &mut Matrix, mask: &AttentionMask) {
-    match mask {
-        AttentionMask::Bidirectional => {}
-        AttentionMask::Causal => {
-            let n = d_scores.rows();
-            for r in 0..n {
-                for c in (r + 1)..n {
-                    d_scores.set(r, c, 0.0);
-                }
-            }
-        }
-        AttentionMask::Packed { .. } => {
-            for r in 0..d_scores.rows() {
-                for c in 0..d_scores.cols() {
-                    if !mask.allows(r, c) {
-                        d_scores.set(r, c, 0.0);
-                    }
-                }
-            }
-        }
+/// One head's attention probabilities: the row-wise softmax of the masked,
+/// scaled scores `q_h·k_hᵀ / √d`.
+///
+/// `q_h`'s rows sit at absolute positions `first_row..first_row + q_h.rows()`
+/// and `k_h`'s rows at `0..k_h.rows()`: whole-sequence passes use
+/// `first_row = 0`, and a decode step uses the cache length before its
+/// append, so the causal rule lets each new row see every cached position up
+/// to and including its own.
+fn head_probs(
+    q_h: &Matrix,
+    k_h: &Matrix,
+    mask: &AttentionMask,
+    first_row: usize,
+) -> Result<Matrix> {
+    let scale = 1.0 / (q_h.cols() as f32).sqrt();
+    let mut scores = q_h.matmul_transpose(k_h)?.scale(scale);
+    mask_fill(&mut scores, mask, first_row, f32::NEG_INFINITY);
+    let mut probs = Matrix::zeros(scores.rows(), scores.cols());
+    for r in 0..scores.rows() {
+        probs.row_mut(r).copy_from_slice(&softmax(scores.row(r)));
     }
+    Ok(probs)
 }
 
 /// Multi-head self-attention layer.
@@ -165,63 +159,64 @@ impl MultiHeadAttention {
         [&self.wq, &self.wk, &self.wv, &self.wo]
     }
 
-    /// Forward pass over a `[L, dim]` activation matrix.
-    ///
-    /// `causal` masks attention to positions `> i` (decoder behaviour).
-    /// Shorthand for [`MultiHeadAttention::forward_masked`] with
-    /// [`AttentionMask::Causal`] or [`AttentionMask::Bidirectional`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the projections.
-    pub fn forward(&self, x: &Matrix, causal: bool) -> Result<Matrix> {
-        let mask = if causal {
-            AttentionMask::Causal
-        } else {
-            AttentionMask::Bidirectional
-        };
-        self.forward_masked(x, &mask)
-    }
-
-    /// Forward pass under an explicit [`AttentionMask`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the projections.
-    pub fn forward_masked(&self, x: &Matrix, mask: &AttentionMask) -> Result<Matrix> {
-        let (q, k, v) = (
-            self.wq.forward(x)?,
-            self.wk.forward(x)?,
-            self.wv.forward(x)?,
-        );
-        let context = self.attend(&q, &k, &v, mask)?;
-        self.wo.forward(&context)
-    }
-
-    fn head_slice(&self, m: &Matrix, head: usize) -> Matrix {
+    fn head_slice(&self, m: &Matrix, head: usize) -> Result<Matrix> {
         let hd = self.head_dim();
-        m.submatrix(0, head * hd, m.rows(), hd)
-            .expect("head slice within projection output")
+        Ok(m.submatrix(0, head * hd, m.rows(), hd)?)
     }
 
-    fn attend(&self, q: &Matrix, k: &Matrix, v: &Matrix, mask: &AttentionMask) -> Result<Matrix> {
-        let len = q.rows();
+    /// The `Q`, `K`, `V` projections of `x`.
+    fn project(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, Matrix, Matrix)> {
+        Ok((
+            self.wq.forward(x, ctx)?,
+            self.wk.forward(x, ctx)?,
+            self.wv.forward(x, ctx)?,
+        ))
+    }
+
+    /// The concatenated per-head context `probs_h·v_h` for queries at
+    /// absolute positions `first_row..` (see [`head_probs`]), plus each
+    /// head's probabilities for the backward pass.
+    fn attend(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        mask: &AttentionMask,
+        first_row: usize,
+    ) -> Result<(Matrix, Vec<Matrix>)> {
         let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-        let mut context = Matrix::zeros(len, self.dim());
+        let mut context = Matrix::zeros(q.rows(), self.dim());
+        let mut probs = Vec::with_capacity(self.num_heads);
         for head in 0..self.num_heads {
-            let qh = self.head_slice(q, head);
-            let kh = self.head_slice(k, head);
-            let vh = self.head_slice(v, head);
-            let mut scores = qh.matmul_transpose(&kh)?.scale(scale);
-            apply_mask(&mut scores, mask);
-            let mut probs = Matrix::zeros(len, len);
-            for r in 0..len {
-                probs.row_mut(r).copy_from_slice(&softmax(scores.row(r)));
-            }
-            let out_h = probs.matmul(&vh)?;
-            context.set_submatrix(0, head * hd, &out_h)?;
+            let p = head_probs(
+                &self.head_slice(q, head)?,
+                &self.head_slice(k, head)?,
+                mask,
+                first_row,
+            )?;
+            context.set_submatrix(0, head * hd, &p.matmul(&self.head_slice(v, head)?)?)?;
+            probs.push(p);
         }
+        Ok((context, probs))
+    }
+
+    /// Appends `k`/`v` to one request's cache, then attends `q` causally over
+    /// the whole cached history.
+    fn attend_cached(
+        &self,
+        q: &Matrix,
+        k: &Matrix,
+        v: &Matrix,
+        kv: &mut LayerKv,
+    ) -> Result<Matrix> {
+        let first_row = kv.len();
+        kv.append(k, v)?;
+        let (Some(k_all), Some(v_all)) = (kv.keys(), kv.values()) else {
+            return Err(ModelError::InvalidInput(
+                "KV cache is empty after an append".to_string(),
+            ));
+        };
+        let (context, _) = self.attend(q, k_all, v_all, &AttentionMask::Causal, first_row)?;
         Ok(context)
     }
 
@@ -233,50 +228,22 @@ impl MultiHeadAttention {
     /// at absolute positions `kv.len()..kv.len() + m`; the prefill phase
     /// passes the whole prompt at once (`kv` empty) and decode passes one row
     /// per step. The output is bit-identical to the matching rows of
-    /// [`MultiHeadAttention::forward`] with a causal mask over the whole
-    /// sequence: the projections are row-independent, softmax over an
-    /// un-padded prefix equals softmax over the `-inf`-masked full row
-    /// (`exp(-inf) = +0.0` and trailing exact zeros leave the sums
-    /// unchanged), and zero probabilities contribute exact zeros to the
-    /// context product — the same argument that makes packed batching exact.
+    /// [`Layer::forward`] with a causal mask over the whole sequence: the
+    /// projections are row-independent, softmax over an un-padded prefix
+    /// equals softmax over the `-inf`-masked full row (`exp(-inf) = +0.0` and
+    /// trailing exact zeros leave the sums unchanged), and zero probabilities
+    /// contribute exact zeros to the context product — the same argument
+    /// that makes packed batching exact.
     ///
     /// # Errors
     ///
     /// Returns shape errors from the projections or a cache whose width
     /// disagrees with this layer.
     pub fn decode_step(&self, x: &Matrix, kv: &mut LayerKv) -> Result<Matrix> {
-        let start = kv.len();
-        let q = self.wq.forward(x)?;
-        let k = self.wk.forward(x)?;
-        let v = self.wv.forward(x)?;
-        kv.append(&k, &v)?;
-        let k_all = kv.keys().expect("cache is non-empty after append");
-        let v_all = kv.values().expect("cache is non-empty after append");
-        let m = x.rows();
-        let len = k_all.rows();
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-        let mut context = Matrix::zeros(m, self.dim());
-        for head in 0..self.num_heads {
-            let qh = self.head_slice(&q, head);
-            let kh = self.head_slice(k_all, head);
-            let vh = self.head_slice(v_all, head);
-            let mut scores = qh.matmul_transpose(&kh)?.scale(scale);
-            // New row r sits at absolute position start + r and may attend
-            // every cached position up to and including itself.
-            for r in 0..m {
-                for c in (start + r + 1)..len {
-                    scores.set(r, c, f32::NEG_INFINITY);
-                }
-            }
-            let mut probs = Matrix::zeros(m, len);
-            for r in 0..m {
-                probs.row_mut(r).copy_from_slice(&softmax(scores.row(r)));
-            }
-            let out_h = probs.matmul(&vh)?;
-            context.set_submatrix(0, head * hd, &out_h)?;
-        }
-        self.wo.forward(&context)
+        let ctx = LayerCtx::causal();
+        let (q, k, v) = self.project(x, &ctx)?;
+        let context = self.attend_cached(&q, &k, &v, kv)?;
+        self.wo.forward(&context, &ctx)
     }
 
     /// One iteration-level batched decode step: row `b` of `x` is the next
@@ -284,8 +251,7 @@ impl MultiHeadAttention {
     ///
     /// The projections run once over the whole batch (they are
     /// row-independent, so each row matches its solo computation bitwise);
-    /// attention then runs per request against that request's own cache. The
-    /// newest token may attend every cached position, so no mask is needed.
+    /// attention then runs per request against that request's own cache.
     /// Each output row is bit-identical to calling
     /// [`MultiHeadAttention::decode_step`] for that request alone.
     ///
@@ -301,121 +267,15 @@ impl MultiHeadAttention {
                 caches.len()
             )));
         }
-        let q = self.wq.forward(x)?;
-        let k = self.wk.forward(x)?;
-        let v = self.wv.forward(x)?;
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
+        let ctx = LayerCtx::causal();
+        let (q, k, v) = self.project(x, &ctx)?;
         let mut context = Matrix::zeros(x.rows(), self.dim());
         for (b, kv) in caches.iter_mut().enumerate() {
-            let k_b = k.submatrix(b, 0, 1, k.cols())?;
-            let v_b = v.submatrix(b, 0, 1, v.cols())?;
-            kv.append(&k_b, &v_b)?;
-            let k_all = kv.keys().expect("cache is non-empty after append");
-            let v_all = kv.values().expect("cache is non-empty after append");
-            for head in 0..self.num_heads {
-                let qh = q.submatrix(b, head * hd, 1, hd)?;
-                let kh = self.head_slice(k_all, head);
-                let vh = self.head_slice(v_all, head);
-                let scores = qh.matmul_transpose(&kh)?.scale(scale);
-                let mut probs = Matrix::zeros(1, scores.cols());
-                probs.row_mut(0).copy_from_slice(&softmax(scores.row(0)));
-                let out_h = probs.matmul(&vh)?;
-                context.set_submatrix(b, head * hd, &out_h)?;
-            }
+            let row = |m: &Matrix| m.submatrix(b, 0, 1, m.cols());
+            let context_b = self.attend_cached(&row(&q)?, &row(&k)?, &row(&v)?, kv)?;
+            context.set_submatrix(b, 0, &context_b)?;
         }
-        self.wo.forward(&context)
-    }
-
-    /// Backward pass: accumulates projection gradients and returns `dL/dx`.
-    ///
-    /// Shorthand for [`MultiHeadAttention::backward_masked`] with
-    /// [`AttentionMask::Causal`] or [`AttentionMask::Bidirectional`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the projections.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix, causal: bool) -> Result<Matrix> {
-        let mask = if causal {
-            AttentionMask::Causal
-        } else {
-            AttentionMask::Bidirectional
-        };
-        self.backward_masked(x, grad_out, &mask)
-    }
-
-    /// Backward pass under an explicit [`AttentionMask`].
-    ///
-    /// The forward intermediates are recomputed internally, so the caller only
-    /// supplies the original input.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the projections.
-    pub fn backward_masked(
-        &mut self,
-        x: &Matrix,
-        grad_out: &Matrix,
-        mask: &AttentionMask,
-    ) -> Result<Matrix> {
-        let len = x.rows();
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let q = self.wq.forward(x)?;
-        let k = self.wk.forward(x)?;
-        let v = self.wv.forward(x)?;
-        let context = self.attend(&q, &k, &v, mask)?;
-
-        // Through the output projection.
-        let d_context = self.wo.backward(&context, grad_out)?;
-
-        let mut d_q = Matrix::zeros(len, self.dim());
-        let mut d_k = Matrix::zeros(len, self.dim());
-        let mut d_v = Matrix::zeros(len, self.dim());
-
-        for head in 0..self.num_heads {
-            let qh = self.head_slice(&q, head);
-            let kh = self.head_slice(&k, head);
-            let vh = self.head_slice(&v, head);
-            let d_ctx_h = self.head_slice(&d_context, head);
-
-            let mut scores = qh.matmul_transpose(&kh)?.scale(scale);
-            apply_mask(&mut scores, mask);
-            let mut probs = Matrix::zeros(len, len);
-            for r in 0..len {
-                probs.row_mut(r).copy_from_slice(&softmax(scores.row(r)));
-            }
-
-            // d_probs = d_ctx_h · vhᵀ ; d_vh = probsᵀ · d_ctx_h
-            let d_probs = d_ctx_h.matmul(&vh.transpose())?;
-            let d_vh = probs.transpose().matmul(&d_ctx_h)?;
-
-            // Through the row-wise softmax.
-            let mut d_scores = Matrix::zeros(len, len);
-            for r in 0..len {
-                let ds = softmax_backward(probs.row(r), d_probs.row(r));
-                d_scores.row_mut(r).copy_from_slice(&ds);
-            }
-            zero_masked_grads(&mut d_scores, mask);
-            let d_scores = d_scores.scale(scale);
-
-            // d_qh = d_scores · kh ; d_kh = d_scoresᵀ · qh
-            let d_qh = d_scores.matmul(&kh)?;
-            let d_kh = d_scores.transpose().matmul(&qh)?;
-
-            d_q.set_submatrix(0, head * hd, &d_qh)?;
-            d_k.set_submatrix(0, head * hd, &d_kh)?;
-            d_v.set_submatrix(0, head * hd, &d_vh)?;
-        }
-
-        let dx_q = self.wq.backward(x, &d_q)?;
-        let dx_k = self.wk.backward(x, &d_k)?;
-        let dx_v = self.wv.backward(x, &d_v)?;
-        let mut dx = dx_q;
-        dx.add_assign(&dx_k)?;
-        dx.add_assign(&dx_v)?;
-        Ok(dx)
+        self.wo.forward(&context, &ctx)
     }
 }
 
@@ -441,18 +301,71 @@ impl ParamVisit for MultiHeadAttention {
 
 impl Layer for MultiHeadAttention {
     fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        self.forward_masked(x, &ctx.mask)
+        let (q, k, v) = self.project(x, ctx)?;
+        let (context, _) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
+        self.wo.forward(&context, ctx)
     }
 
     fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        self.backward_masked(x, grad_out, &ctx.mask)
+        let len = x.rows();
+        let hd = self.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+
+        let (q, k, v) = self.project(x, ctx)?;
+        let (context, probs) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
+
+        // Through the output projection.
+        let d_context = self.wo.backward(&context, grad_out, ctx)?;
+
+        let mut d_q = Matrix::zeros(len, self.dim());
+        let mut d_k = Matrix::zeros(len, self.dim());
+        let mut d_v = Matrix::zeros(len, self.dim());
+
+        for (head, probs) in probs.iter().enumerate() {
+            let qh = self.head_slice(&q, head)?;
+            let kh = self.head_slice(&k, head)?;
+            let vh = self.head_slice(&v, head)?;
+            let d_ctx_h = self.head_slice(&d_context, head)?;
+
+            // d_probs = d_ctx_h · vhᵀ ; d_vh = probsᵀ · d_ctx_h
+            let d_probs = d_ctx_h.matmul(&vh.transpose())?;
+            let d_vh = probs.transpose().matmul(&d_ctx_h)?;
+
+            // Through the row-wise softmax.
+            let mut d_scores = Matrix::zeros(len, len);
+            for r in 0..len {
+                let ds = softmax_backward(probs.row(r), d_probs.row(r));
+                d_scores.row_mut(r).copy_from_slice(&ds);
+            }
+            mask_fill(&mut d_scores, &ctx.mask, 0, 0.0);
+            let d_scores = d_scores.scale(scale);
+
+            // d_qh = d_scores · kh ; d_kh = d_scoresᵀ · qh
+            let d_qh = d_scores.matmul(&kh)?;
+            let d_kh = d_scores.transpose().matmul(&qh)?;
+
+            d_q.set_submatrix(0, head * hd, &d_qh)?;
+            d_k.set_submatrix(0, head * hd, &d_kh)?;
+            d_v.set_submatrix(0, head * hd, &d_vh)?;
+        }
+
+        let mut dx = self.wq.backward(x, &d_q, ctx)?;
+        dx.add_assign(&self.wk.backward(x, &d_k, ctx)?)?;
+        dx.add_assign(&self.wv.backward(x, &d_v, ctx)?)?;
+        Ok(dx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factored::FactoredLinear;
     use crate::param::AdamWConfig;
+    use hyflex_tensor::SvdAlgorithm;
+
+    const CTX: LayerCtx<'static> = LayerCtx {
+        mask: AttentionMask::Bidirectional,
+    };
 
     fn make(dim: usize, heads: usize, seed: u64) -> MultiHeadAttention {
         let mut rng = Rng::seed_from(seed);
@@ -476,7 +389,7 @@ mod tests {
         let attn = make(8, 2, 2);
         let mut rng = Rng::seed_from(3);
         let x = Matrix::random_normal(5, 8, 0.0, 1.0, &mut rng);
-        let y = attn.forward(&x, false).unwrap();
+        let y = attn.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (5, 8));
     }
 
@@ -487,12 +400,12 @@ mod tests {
         let x = Matrix::random_normal(6, 4, 0.0, 1.0, &mut rng);
         // Changing a future token must not change earlier outputs under the
         // causal mask.
-        let y1 = attn.forward(&x, true).unwrap();
+        let y1 = attn.forward(&x, &LayerCtx::causal()).unwrap();
         let mut x2 = x.clone();
         for c in 0..4 {
             x2.set(5, c, x.at(5, c) + 3.0);
         }
-        let y2 = attn.forward(&x2, true).unwrap();
+        let y2 = attn.forward(&x2, &LayerCtx::causal()).unwrap();
         for r in 0..5 {
             for c in 0..4 {
                 assert!(
@@ -502,8 +415,8 @@ mod tests {
             }
         }
         // Without the mask the earlier outputs do change.
-        let y3 = attn.forward(&x, false).unwrap();
-        let y4 = attn.forward(&x2, false).unwrap();
+        let y3 = attn.forward(&x, &CTX).unwrap();
+        let y4 = attn.forward(&x2, &CTX).unwrap();
         let changed = (0..5).any(|r| (y3.at(r, 0) - y4.at(r, 0)).abs() > 1e-4);
         assert!(changed);
     }
@@ -515,9 +428,9 @@ mod tests {
         let x = Matrix::random_normal(4, 6, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(4, 6, 0.0, 1.0, &mut rng);
         let mut attn_mut = attn.clone();
-        let d_input = attn_mut.backward(&x, &upstream, false).unwrap();
+        let d_input = attn_mut.backward(&x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
-            attn.forward(input, false)
+            attn.forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -547,9 +460,11 @@ mod tests {
         let x = Matrix::random_normal(3, 4, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(3, 4, 0.0, 1.0, &mut rng);
         let mut attn_mut = attn.clone();
-        let d_input = attn_mut.backward(&x, &upstream, true).unwrap();
+        let d_input = attn_mut
+            .backward(&x, &upstream, &LayerCtx::causal())
+            .unwrap();
         let loss = |input: &Matrix| -> f32 {
-            attn.forward(input, true)
+            attn.forward(input, &LayerCtx::causal())
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -571,12 +486,15 @@ mod tests {
     fn projections_can_be_factorized() {
         let mut attn = make(8, 2, 10);
         for proj in attn.projections_mut() {
-            proj.factorize(4).unwrap();
+            let weight = proj.as_dense_mut().unwrap().weight().clone();
+            *proj = AnyLinear::Factored(
+                FactoredLinear::from_weight_seeded(&weight, 4, SvdAlgorithm::Jacobi, None).unwrap(),
+            );
         }
         assert!(attn.projections().iter().all(|p| p.as_factored().is_some()));
         let mut rng = Rng::seed_from(11);
         let x = Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng);
-        let y = attn.forward(&x, false).unwrap();
+        let y = attn.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (3, 8));
     }
 
@@ -586,8 +504,8 @@ mod tests {
         let mut rng = Rng::seed_from(13);
         let x = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
         let upstream = Matrix::filled(2, 4, 0.5);
-        let before = attn.forward(&x, false).unwrap();
-        attn.backward(&x, &upstream, false).unwrap();
+        let before = attn.forward(&x, &CTX).unwrap();
+        attn.backward(&x, &upstream, &CTX).unwrap();
         attn.step(
             &AdamWConfig {
                 learning_rate: 0.05,
@@ -596,7 +514,7 @@ mod tests {
             1,
         );
         attn.zero_grad();
-        let after = attn.forward(&x, false).unwrap();
+        let after = attn.forward(&x, &CTX).unwrap();
         assert!(
             !before.approx_eq(&after, 1e-6),
             "step should change outputs"

@@ -1,6 +1,6 @@
 //! A pre-norm transformer block: two [`Residual`] halves (attention, FFN).
 
-use crate::attention::{AttentionMask, MultiHeadAttention};
+use crate::attention::MultiHeadAttention;
 use crate::ffn::FeedForward;
 use crate::kv::LayerKv;
 use crate::layers::{AnyLinear, Layer, LayerCtx, LayerNorm, Residual};
@@ -89,50 +89,22 @@ impl TransformerBlock {
         named_linears, inner, projections, layers,
     );
 
-    /// Forward pass over a `[L, dim]` matrix.
-    ///
-    /// Shorthand for [`TransformerBlock::forward_masked`] with
-    /// [`AttentionMask::Causal`] or [`AttentionMask::Bidirectional`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn forward(&self, x: &Matrix, causal: bool) -> Result<Matrix> {
-        let mask = if causal {
-            AttentionMask::Causal
-        } else {
-            AttentionMask::Bidirectional
-        };
-        self.forward_masked(x, &mask)
-    }
-
-    /// Forward pass under an explicit [`AttentionMask`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn forward_masked(&self, x: &Matrix, mask: &AttentionMask) -> Result<Matrix> {
-        let ctx = LayerCtx::with_mask(*mask);
-        let h = self.attn.forward(x, &ctx)?;
-        self.ffn.forward(&h, &ctx)
-    }
-
     /// Decode-phase forward of one request's next rows, using and growing
     /// this block's cached keys/values.
     ///
-    /// Chains exactly the same operations as [`TransformerBlock::forward`]
-    /// with a causal mask — pre-norm, attention, residual add, then the FFN
-    /// half (which is row-wise and ignores the mask) — so each output row is
+    /// Chains exactly the same operations as [`Layer::forward`] with a
+    /// causal mask — pre-norm, attention, residual add, then the FFN half
+    /// (which is row-wise and ignores the mask) — so each output row is
     /// bit-identical to the matching row of the full forward pass.
     ///
     /// # Errors
     ///
     /// Returns shape errors from the sub-layers.
     pub fn decode_step(&self, x: &Matrix, kv: &mut LayerKv) -> Result<Matrix> {
-        let normed = self.attn.norm().forward(x)?;
+        let ctx = LayerCtx::causal();
+        let normed = self.attn.norm().forward(x, &ctx)?;
         let y = self.attn.inner().decode_step(&normed, kv)?;
-        let h = x.add(&y)?;
-        self.ffn.forward(&h, &LayerCtx::inference())
+        self.ffn.forward(&x.add(&y)?, &ctx)
     }
 
     /// One iteration-level batched decode step: row `b` of `x` belongs to the
@@ -143,47 +115,10 @@ impl TransformerBlock {
     ///
     /// Returns shape errors from the sub-layers.
     pub fn decode_step_batch(&self, x: &Matrix, caches: &mut [&mut LayerKv]) -> Result<Matrix> {
-        let normed = self.attn.norm().forward(x)?;
+        let ctx = LayerCtx::causal();
+        let normed = self.attn.norm().forward(x, &ctx)?;
         let y = self.attn.inner().decode_step_batch(&normed, caches)?;
-        let h = x.add(&y)?;
-        self.ffn.forward(&h, &LayerCtx::inference())
-    }
-
-    /// Backward pass: accumulates gradients in all sub-layers and returns
-    /// `dL/dx`.
-    ///
-    /// Shorthand for [`TransformerBlock::backward_masked`] with
-    /// [`AttentionMask::Causal`] or [`AttentionMask::Bidirectional`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix, causal: bool) -> Result<Matrix> {
-        let mask = if causal {
-            AttentionMask::Causal
-        } else {
-            AttentionMask::Bidirectional
-        };
-        self.backward_masked(x, grad_out, &mask)
-    }
-
-    /// Backward pass under an explicit [`AttentionMask`].
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn backward_masked(
-        &mut self,
-        x: &Matrix,
-        grad_out: &Matrix,
-        mask: &AttentionMask,
-    ) -> Result<Matrix> {
-        let ctx = LayerCtx::with_mask(*mask).train();
-        // Recompute the attention half's output, then chain the two residual
-        // backward passes (FFN half first, mirroring the forward order).
-        let h = self.attn.forward(x, &ctx)?;
-        let d_h = self.ffn.backward(&h, grad_out, &ctx)?;
-        self.attn.backward(x, &d_h, &ctx)
+        self.ffn.forward(&x.add(&y)?, &ctx)
     }
 }
 
@@ -219,6 +154,8 @@ impl Layer for TransformerBlock {
     }
 
     fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        // Recompute the attention half's output, then chain the two residual
+        // backward passes (FFN half first, mirroring the forward order).
         let h = self.attn.forward(x, ctx)?;
         let d_h = self.ffn.backward(&h, grad_out, ctx)?;
         self.attn.backward(x, &d_h, ctx)
@@ -228,14 +165,19 @@ impl Layer for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::AttentionMask;
     use crate::param::AdamWConfig;
+
+    const CTX: LayerCtx<'static> = LayerCtx {
+        mask: AttentionMask::Bidirectional,
+    };
 
     #[test]
     fn forward_preserves_shape_and_counts_parameters() {
         let mut rng = Rng::seed_from(1);
         let block = TransformerBlock::new(8, 16, 2, &mut rng).unwrap();
         let x = Matrix::random_normal(4, 8, 0.0, 1.0, &mut rng);
-        let y = block.forward(&x, false).unwrap();
+        let y = block.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (4, 8));
         assert_eq!(block.dim(), 8);
         let expected = 2 * 2 * 8 + 4 * (8 * 8 + 8) + (8 * 16 + 16) + (16 * 8 + 8);
@@ -283,10 +225,10 @@ mod tests {
         let x = Matrix::random_normal(3, 6, 0.0, 0.5, &mut rng);
         let upstream = Matrix::random_normal(3, 6, 0.0, 1.0, &mut rng);
         let mut block_mut = block.clone();
-        let d_input = block_mut.backward(&x, &upstream, false).unwrap();
+        let d_input = block_mut.backward(&x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
             block
-                .forward(input, false)
+                .forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -316,7 +258,7 @@ mod tests {
         let mut rng = Rng::seed_from(4);
         let block = TransformerBlock::new(8, 16, 2, &mut rng).unwrap();
         let x = Matrix::random_normal(4, 8, 0.0, 1.0, &mut rng);
-        let y = block.forward(&x, false).unwrap();
+        let y = block.forward(&x, &CTX).unwrap();
         let rel = y.sub(&x).unwrap().frobenius_norm() / x.frobenius_norm();
         assert!(rel < 3.0);
     }
@@ -326,9 +268,9 @@ mod tests {
         let mut rng = Rng::seed_from(5);
         let mut block = TransformerBlock::new(4, 8, 1, &mut rng).unwrap();
         let x = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
-        let before = block.forward(&x, false).unwrap();
+        let before = block.forward(&x, &CTX).unwrap();
         let grad = Matrix::filled(2, 4, 1.0);
-        block.backward(&x, &grad, false).unwrap();
+        block.backward(&x, &grad, &CTX).unwrap();
         block.step(
             &AdamWConfig {
                 learning_rate: 0.05,
@@ -337,7 +279,7 @@ mod tests {
             1,
         );
         block.zero_grad();
-        let after = block.forward(&x, false).unwrap();
+        let after = block.forward(&x, &CTX).unwrap();
         assert!(!before.approx_eq(&after, 1e-6));
     }
 }

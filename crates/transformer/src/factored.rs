@@ -10,7 +10,7 @@
 //! per-factor gradients, direct access to `|∂L/∂σ_r|`, and conversion back to
 //! a dense matrix (or to the `U` / `ΣVᵀ` pair the hardware stores).
 
-use crate::layers::Linear;
+use crate::layers::{Layer, LayerCtx};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::svd::{self, hard_threshold_rank, SvdAlgorithm};
@@ -31,58 +31,18 @@ pub struct FactoredLinear {
 }
 
 impl FactoredLinear {
-    /// Factorizes a dense layer at the given rank.
-    ///
-    /// Rank 0 (or a rank larger than `min(in, out)`) is clamped to the full
-    /// rank; use [`hard_threshold_rank`] for the paper's cost-neutral rank.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    pub fn from_dense(dense: &Linear, rank: usize) -> Result<Self> {
-        Self::from_weight(dense.weight(), rank)
-    }
-
-    /// [`FactoredLinear::from_dense`] with an explicit SVD algorithm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    pub fn from_dense_with(dense: &Linear, rank: usize, algorithm: SvdAlgorithm) -> Result<Self> {
-        Self::from_weight_with(dense.weight(), rank, algorithm)
-    }
-
-    /// Factorizes an explicit `[in, out]` weight matrix at the given rank
-    /// with the default (Jacobi) SVD.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    pub fn from_weight(weight: &Matrix, rank: usize) -> Result<Self> {
-        Self::from_weight_with(weight, rank, SvdAlgorithm::Jacobi)
-    }
-
     /// Factorizes an explicit `[in, out]` weight matrix at the given rank
     /// with the selected SVD algorithm.
     ///
-    /// With [`SvdAlgorithm::Jacobi`] this is the historical full-SVD +
-    /// truncate path, bit for bit. [`SvdAlgorithm::Randomized`] sketches
-    /// only the retained subspace, which is what makes truncated
-    /// factorization cheap for large layers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    pub fn from_weight_with(weight: &Matrix, rank: usize, algorithm: SvdAlgorithm) -> Result<Self> {
-        Self::from_weight_seeded(weight, rank, algorithm, None)
-    }
-
-    /// [`FactoredLinear::from_weight_with`] with an optional sketch seed.
-    ///
-    /// The seed only affects [`SvdAlgorithm::Randomized`]; the pooled
-    /// gradient-redistribution pipeline passes one seed per layer (derived
-    /// from the layer's parameter name) so concurrent factorizations draw
-    /// independent, schedule-independent sketches.
+    /// Rank 0 (or a rank larger than `min(in, out)`) is clamped to the full
+    /// rank; use [`hard_threshold_rank`] for the paper's cost-neutral rank.
+    /// With [`SvdAlgorithm::Jacobi`] this is the full-SVD + truncate path.
+    /// [`SvdAlgorithm::Randomized`] sketches only the retained subspace,
+    /// which is what makes truncated factorization cheap for large layers;
+    /// `seed` only affects that sketch. The pooled gradient-redistribution
+    /// pipeline passes one seed per layer (derived from the layer's parameter
+    /// name) so concurrent factorizations draw independent,
+    /// schedule-independent sketches.
     ///
     /// # Errors
     ///
@@ -118,7 +78,7 @@ impl FactoredLinear {
     /// Propagates SVD failures.
     pub fn from_weight_hard_threshold(weight: &Matrix) -> Result<Self> {
         let rank = hard_threshold_rank(weight.rows(), weight.cols());
-        Self::from_weight(weight, rank)
+        Self::from_weight_seeded(weight, rank, SvdAlgorithm::Jacobi, None)
     }
 
     /// Input dimension.
@@ -177,11 +137,13 @@ impl FactoredLinear {
     }
 
     /// Reconstructs the equivalent dense weight matrix `U·diag(σ)·Vᵀ`.
-    pub fn to_dense(&self) -> Matrix {
-        self.u
-            .value()
-            .matmul(&self.sigma_vt())
-            .expect("factor shapes are consistent by construction")
+    ///
+    /// # Errors
+    ///
+    /// Returns a shape error if the factors no longer chain (only possible
+    /// after a caller reshaped one through the `*_param_mut` accessors).
+    pub fn to_dense(&self) -> Result<Matrix> {
+        Ok(self.u.value().matmul(&self.sigma_vt())?)
     }
 
     /// Mutable access to the `U` parameter (noise injection).
@@ -197,70 +159,6 @@ impl FactoredLinear {
     /// Mutable access to the singular-value parameter.
     pub fn sigma_param_mut(&mut self) -> &mut Param {
         &mut self.sigma
-    }
-
-    /// Forward pass for a `[L, in]` activation matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the underlying matrix products.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let h = x.matmul(self.u.value())?;
-        let scaled = self.scale_by_sigma(&h);
-        let y = scaled.matmul(self.vt.value())?;
-        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
-    }
-
-    /// Backward pass: accumulates gradients on `U`, `σ`, `Vᵀ`, and the bias,
-    /// and returns `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the underlying matrix products.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Result<Matrix> {
-        let h = x.matmul(self.u.value())?; // [L, k]
-        let scaled = self.scale_by_sigma(&h); // h ⊙ σ
-
-        // dL/dVᵀ = (h ⊙ σ)ᵀ · grad_out
-        let d_vt = scaled.transpose().matmul(grad_out)?;
-        self.vt.accumulate_grad(&d_vt);
-
-        // dL/d(h ⊙ σ) = grad_out · V
-        let d_scaled = grad_out.matmul(&self.vt.value().transpose())?; // [L, k]
-
-        // dL/dσ_r = Σ_l d_scaled[l, r] · h[l, r], each rank reduced down its
-        // column with the allocation-free strided iterators. The
-        // accumulation order per rank is ascending row, exactly as the old
-        // row-outer element-wise loop produced it.
-        let mut d_sigma = Matrix::zeros(1, self.rank());
-        for (k, slot) in (0..self.rank()).zip(d_sigma.row_mut(0)) {
-            let mut acc = 0.0f32;
-            for (d, hv) in d_scaled.column_iter(k).zip(h.column_iter(k)) {
-                acc += d * hv;
-            }
-            *slot = acc;
-        }
-        self.sigma.accumulate_grad(&d_sigma);
-
-        // dL/dh = d_scaled ⊙ σ
-        let d_h = self.scale_by_sigma(&d_scaled);
-
-        // dL/dU = xᵀ · d_h
-        let d_u = x.transpose().matmul(&d_h)?;
-        self.u.accumulate_grad(&d_u);
-
-        // Bias gradient: column sums of grad_out, one contiguous row at a
-        // time (same ascending-row accumulation per column as before).
-        let mut d_bias = Matrix::zeros(1, grad_out.cols());
-        for r in 0..grad_out.rows() {
-            for (slot, g) in d_bias.row_mut(0).iter_mut().zip(grad_out.row(r)) {
-                *slot += g;
-            }
-        }
-        self.bias.accumulate_grad(&d_bias);
-
-        // dL/dx = d_h · Uᵀ
-        Ok(d_h.matmul(&self.u.value().transpose())?)
     }
 
     fn scale_by_sigma(&self, h: &Matrix) -> Matrix {
@@ -295,11 +193,78 @@ impl ParamVisit for FactoredLinear {
     }
 }
 
+impl Layer for FactoredLinear {
+    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
+        let h = x.matmul(self.u.value())?;
+        let scaled = self.scale_by_sigma(&h);
+        let y = scaled.matmul(self.vt.value())?;
+        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
+    }
+
+    /// Accumulates gradients on `U`, `σ`, `Vᵀ`, and the bias, and returns
+    /// `dL/dx`.
+    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
+        let h = x.matmul(self.u.value())?; // [L, k]
+        let scaled = self.scale_by_sigma(&h); // h ⊙ σ
+
+        // dL/dVᵀ = (h ⊙ σ)ᵀ · grad_out
+        let d_vt = scaled.transpose().matmul(grad_out)?;
+        self.vt.accumulate_grad(&d_vt)?;
+
+        // dL/d(h ⊙ σ) = grad_out · V
+        let d_scaled = grad_out.matmul(&self.vt.value().transpose())?; // [L, k]
+
+        // dL/dσ_r = Σ_l d_scaled[l, r] · h[l, r], each rank reduced down its
+        // column with the allocation-free strided iterators. The
+        // accumulation order per rank is ascending row, exactly as the old
+        // row-outer element-wise loop produced it.
+        let mut d_sigma = Matrix::zeros(1, self.rank());
+        for (k, slot) in (0..self.rank()).zip(d_sigma.row_mut(0)) {
+            let mut acc = 0.0f32;
+            for (d, hv) in d_scaled.column_iter(k).zip(h.column_iter(k)) {
+                acc += d * hv;
+            }
+            *slot = acc;
+        }
+        self.sigma.accumulate_grad(&d_sigma)?;
+
+        // dL/dh = d_scaled ⊙ σ
+        let d_h = self.scale_by_sigma(&d_scaled);
+
+        // dL/dU = xᵀ · d_h
+        let d_u = x.transpose().matmul(&d_h)?;
+        self.u.accumulate_grad(&d_u)?;
+
+        // Bias gradient: column sums of grad_out, one contiguous row at a
+        // time (same ascending-row accumulation per column as before).
+        let mut d_bias = Matrix::zeros(1, grad_out.cols());
+        for r in 0..grad_out.rows() {
+            for (slot, g) in d_bias.row_mut(0).iter_mut().zip(grad_out.row(r)) {
+                *slot += g;
+            }
+        }
+        self.bias.accumulate_grad(&d_bias)?;
+
+        // dL/dx = d_h · Uᵀ
+        Ok(d_h.matmul(&self.u.value().transpose())?)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::AttentionMask;
+    use crate::layers::Linear;
     use crate::param::AdamWConfig;
     use hyflex_tensor::rng::Rng;
+
+    const CTX: LayerCtx<'static> = LayerCtx {
+        mask: AttentionMask::Bidirectional,
+    };
+
+    fn factor(w: &Matrix, rank: usize) -> FactoredLinear {
+        FactoredLinear::from_weight_seeded(w, rank, SvdAlgorithm::Jacobi, None).unwrap()
+    }
 
     fn random_weight(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Rng::seed_from(seed);
@@ -310,14 +275,14 @@ mod tests {
     fn full_rank_factorization_reproduces_dense_layer() {
         let w = random_weight(10, 6, 1);
         let dense = Linear::from_weight(w.clone());
-        let factored = FactoredLinear::from_dense(&dense, 0).unwrap();
+        let factored = factor(dense.weight(), 0);
         assert_eq!(factored.rank(), 6);
         let mut rng = Rng::seed_from(2);
         let x = Matrix::random_normal(3, 10, 0.0, 1.0, &mut rng);
-        let dense_out = dense.forward(&x).unwrap();
-        let factored_out = factored.forward(&x).unwrap();
+        let dense_out = dense.forward(&x, &CTX).unwrap();
+        let factored_out = factored.forward(&x, &CTX).unwrap();
         assert!(dense_out.approx_eq(&factored_out, 1e-3));
-        assert!(factored.to_dense().approx_eq(&w, 1e-3));
+        assert!(factored.to_dense().unwrap().approx_eq(&w, 1e-3));
     }
 
     #[test]
@@ -336,23 +301,23 @@ mod tests {
     #[test]
     fn sigma_vt_combines_scale_into_right_factor() {
         let w = random_weight(8, 5, 4);
-        let f = FactoredLinear::from_weight(&w, 4).unwrap();
+        let f = factor(&w, 4);
         let reconstructed = f.u().matmul(&f.sigma_vt()).unwrap();
-        assert!(reconstructed.approx_eq(&f.to_dense(), 1e-4));
+        assert!(reconstructed.approx_eq(&f.to_dense().unwrap(), 1e-4));
     }
 
     #[test]
     fn input_gradient_matches_finite_difference() {
         let w = random_weight(6, 4, 5);
-        let mut f = FactoredLinear::from_weight(&w, 3).unwrap();
+        let mut f = factor(&w, 3);
         let mut rng = Rng::seed_from(6);
         let x = Matrix::random_normal(2, 6, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
-        let d_input = f.backward(&x, &upstream).unwrap();
+        let d_input = f.backward(&x, &upstream, &CTX).unwrap();
         let probe = f.clone();
         let loss = |input: &Matrix| -> f32 {
             probe
-                .forward(input)
+                .forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -373,11 +338,11 @@ mod tests {
     #[test]
     fn sigma_gradient_matches_finite_difference() {
         let w = random_weight(6, 5, 7);
-        let mut f = FactoredLinear::from_weight(&w, 4).unwrap();
+        let mut f = factor(&w, 4);
         let mut rng = Rng::seed_from(8);
         let x = Matrix::random_normal(3, 6, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
-        f.backward(&x, &upstream).unwrap();
+        f.backward(&x, &upstream, &CTX).unwrap();
         let analytic: Vec<f32> = f.sigma.grad().row(0).to_vec();
         for (k, &analytic_k) in analytic.iter().enumerate() {
             let numeric = {
@@ -387,9 +352,14 @@ mod tests {
                 let mut minus = f.clone();
                 let v = minus.sigma.value().at(0, k) - 1e-3;
                 minus.sigma.value_mut().set(0, k, v);
-                let loss_p = plus.forward(&x).unwrap().hadamard(&upstream).unwrap().sum();
+                let loss_p = plus
+                    .forward(&x, &CTX)
+                    .unwrap()
+                    .hadamard(&upstream)
+                    .unwrap()
+                    .sum();
                 let loss_m = minus
-                    .forward(&x)
+                    .forward(&x, &CTX)
                     .unwrap()
                     .hadamard(&upstream)
                     .unwrap()
@@ -411,7 +381,7 @@ mod tests {
     #[test]
     fn training_the_factored_layer_reduces_loss() {
         let w = random_weight(4, 1, 9);
-        let mut f = FactoredLinear::from_weight(&w, 2).unwrap();
+        let mut f = factor(&w, 2);
         let config = AdamWConfig {
             learning_rate: 0.02,
             weight_decay: 0.0,
@@ -430,7 +400,7 @@ mod tests {
                 .iter()
                 .zip(targets.iter())
                 .map(|(x, t)| {
-                    let y = f.forward(x).unwrap().at(0, 0);
+                    let y = f.forward(x, &CTX).unwrap().at(0, 0);
                     (y - t) * (y - t)
                 })
                 .sum::<f32>()
@@ -440,9 +410,9 @@ mod tests {
         for _ in 0..300 {
             f.zero_grad();
             for (x, t) in inputs.iter().zip(targets.iter()) {
-                let y = f.forward(x).unwrap();
+                let y = f.forward(x, &CTX).unwrap();
                 let grad = Matrix::filled(1, 1, 2.0 * (y.at(0, 0) - t));
-                f.backward(x, &grad).unwrap();
+                f.backward(x, &grad, &CTX).unwrap();
             }
             f.step(&config, inputs.len());
         }
@@ -453,7 +423,7 @@ mod tests {
     #[test]
     fn rank_is_clamped_to_full_rank() {
         let w = random_weight(5, 3, 11);
-        let f = FactoredLinear::from_weight(&w, 100).unwrap();
+        let f = factor(&w, 100);
         assert_eq!(f.rank(), 3);
         assert_eq!(f.in_dim(), 5);
         assert_eq!(f.out_dim(), 3);

@@ -48,30 +48,6 @@ impl FeedForward {
     pub fn layers(&self) -> [&AnyLinear; 2] {
         [&self.fc1, &self.fc2]
     }
-
-    /// Forward pass over a `[L, dim]` matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the linear layers.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let hidden = self.fc1.forward(x)?;
-        let activated = hidden.map(gelu);
-        self.fc2.forward(&activated)
-    }
-
-    /// Backward pass: accumulates layer gradients and returns `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the linear layers.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Result<Matrix> {
-        let hidden = self.fc1.forward(x)?;
-        let activated = hidden.map(gelu);
-        let d_activated = self.fc2.backward(&activated, grad_out)?;
-        let d_hidden = d_activated.hadamard(&hidden.map(gelu_derivative))?;
-        self.fc1.backward(x, &d_hidden)
-    }
 }
 
 impl ParamVisit for FeedForward {
@@ -91,19 +67,32 @@ impl ParamVisit for FeedForward {
 }
 
 impl Layer for FeedForward {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        FeedForward::forward(self, x)
+    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        let hidden = self.fc1.forward(x, ctx)?;
+        let activated = hidden.map(gelu);
+        self.fc2.forward(&activated, ctx)
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        FeedForward::backward(self, x, grad_out)
+    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        let hidden = self.fc1.forward(x, ctx)?;
+        let activated = hidden.map(gelu);
+        let d_activated = self.fc2.backward(&activated, grad_out, ctx)?;
+        let d_hidden = d_activated.hadamard(&hidden.map(gelu_derivative))?;
+        self.fc1.backward(x, &d_hidden, ctx)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::AttentionMask;
+    use crate::factored::FactoredLinear;
     use crate::param::AdamWConfig;
+    use hyflex_tensor::SvdAlgorithm;
+
+    const CTX: LayerCtx<'static> = LayerCtx {
+        mask: AttentionMask::Bidirectional,
+    };
 
     #[test]
     fn forward_shape_and_parameter_count() {
@@ -112,7 +101,7 @@ mod tests {
         assert_eq!(ffn.dim(), 8);
         assert_eq!(ffn.ffn_dim(), 32);
         let x = Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng);
-        let y = ffn.forward(&x).unwrap();
+        let y = ffn.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (3, 8));
         assert_eq!(ffn.parameter_count(), (8 * 32 + 32) + (32 * 8 + 8));
     }
@@ -124,9 +113,9 @@ mod tests {
         let x = Matrix::random_normal(2, 5, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(2, 5, 0.0, 1.0, &mut rng);
         let mut ffn_mut = ffn.clone();
-        let d_input = ffn_mut.backward(&x, &upstream).unwrap();
+        let d_input = ffn_mut.backward(&x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
-            ffn.forward(input)
+            ffn.forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -154,12 +143,16 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let mut ffn = FeedForward::new(8, 16, &mut rng);
         let x = Matrix::random_normal(2, 8, 0.0, 1.0, &mut rng);
-        let dense_out = ffn.forward(&x).unwrap();
+        let dense_out = ffn.forward(&x, &CTX).unwrap();
         for layer in ffn.layers_mut() {
             let full_rank = layer.in_dim().min(layer.out_dim());
-            layer.factorize(full_rank).unwrap();
+            let weight = layer.as_dense_mut().unwrap().weight().clone();
+            *layer = AnyLinear::Factored(
+                FactoredLinear::from_weight_seeded(&weight, full_rank, SvdAlgorithm::Jacobi, None)
+                    .unwrap(),
+            );
         }
-        let factored_out = ffn.forward(&x).unwrap();
+        let factored_out = ffn.forward(&x, &CTX).unwrap();
         assert!(dense_out.approx_eq(&factored_out, 1e-2));
     }
 
@@ -180,7 +173,7 @@ mod tests {
             inputs
                 .iter()
                 .map(|x| {
-                    let y = ffn.forward(x).unwrap();
+                    let y = ffn.forward(x, &CTX).unwrap();
                     y.add(x)
                         .unwrap()
                         .as_slice()
@@ -195,9 +188,9 @@ mod tests {
         for _ in 0..150 {
             ffn.zero_grad();
             for x in &inputs {
-                let y = ffn.forward(x).unwrap();
+                let y = ffn.forward(x, &CTX).unwrap();
                 let grad = y.add(x).unwrap().scale(2.0);
-                ffn.backward(x, &grad).unwrap();
+                ffn.backward(x, &grad, &CTX).unwrap();
             }
             ffn.step(&config, inputs.len());
         }

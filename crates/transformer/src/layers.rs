@@ -3,8 +3,8 @@
 //! Every module here implements two orthogonal interfaces:
 //!
 //! * [`Layer`] — `forward`/`backward` over row-major `[L, dim]` activation
-//!   matrices, with a [`LayerCtx`] carrying the attention mask and the
-//!   train-mode flag. Composition helpers ([`Residual`]) and the block/model
+//!   matrices, with a [`LayerCtx`] carrying the attention mask. It is the
+//!   only forward/backward path of every matrix-in module. Composition helpers ([`Residual`]) and the block/model
 //!   stack in [`crate::block`]/[`crate::model`] are written against this
 //!   trait, so encoder, decoder, and vision topologies assemble from the
 //!   same parts.
@@ -35,33 +35,22 @@ use serde::{Deserialize, Serialize};
 pub struct LayerCtx<'a> {
     /// Attention masking for this pass; layers without attention ignore it.
     pub mask: AttentionMask<'a>,
-    /// Train-mode flag. No current module behaves differently between train
-    /// and inference (there is no dropout), but the flag is threaded through
-    /// every call so stochastic layers can be added without changing the
-    /// [`Layer`] signature.
-    pub train: bool,
 }
 
 impl<'a> LayerCtx<'a> {
-    /// Inference context with the given attention mask.
+    /// Context with the given attention mask.
     pub fn with_mask(mask: AttentionMask<'a>) -> Self {
-        LayerCtx { mask, train: false }
+        LayerCtx { mask }
     }
 
-    /// Bidirectional inference context (the default).
+    /// Bidirectional context (the default).
     pub fn inference() -> LayerCtx<'static> {
         LayerCtx::with_mask(AttentionMask::Bidirectional)
     }
 
-    /// Causally masked inference context (decoder behaviour).
+    /// Causally masked context (decoder behaviour).
     pub fn causal() -> LayerCtx<'static> {
         LayerCtx::with_mask(AttentionMask::Causal)
-    }
-
-    /// The same context with the train-mode flag raised.
-    pub fn train(mut self) -> Self {
-        self.train = true;
-        self
     }
 }
 
@@ -150,15 +139,15 @@ impl<L: ParamVisit> ParamVisit for Residual<L> {
 
 impl<L: Layer> Layer for Residual<L> {
     fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let normed = self.norm.forward(x)?;
+        let normed = self.norm.forward(x, ctx)?;
         let y = self.inner.forward(&normed, ctx)?;
         Ok(x.add(&y)?)
     }
 
     fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let normed = self.norm.forward(x)?;
+        let normed = self.norm.forward(x, ctx)?;
         let d_inner = self.inner.backward(&normed, grad_out, ctx)?;
-        let d_norm = self.norm.backward(x, &d_inner)?;
+        let d_norm = self.norm.backward(x, &d_inner, ctx)?;
         let mut d_x = grad_out.clone();
         d_x.add_assign(&d_norm)?;
         Ok(d_x)
@@ -214,34 +203,6 @@ impl Linear {
     pub fn weight_param(&self) -> &Param {
         &self.weight
     }
-
-    /// Forward pass for a `[L, in]` activation matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` does not have `in_dim` columns.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        let y = x.matmul(self.weight.value())?;
-        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
-    }
-
-    /// Backward pass: accumulates weight/bias gradients and returns `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if `x` and `grad_out` disagree with the layer.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Result<Matrix> {
-        let d_weight = x.transpose().matmul(grad_out)?;
-        self.weight.accumulate_grad(&d_weight);
-        let mut d_bias = Matrix::zeros(1, grad_out.cols());
-        for r in 0..grad_out.rows() {
-            for c in 0..grad_out.cols() {
-                d_bias.set(0, c, d_bias.at(0, c) + grad_out.at(r, c));
-            }
-        }
-        self.bias.accumulate_grad(&d_bias);
-        Ok(grad_out.matmul(&self.weight.value().transpose())?)
-    }
 }
 
 impl ParamVisit for Linear {
@@ -262,11 +223,21 @@ impl ParamVisit for Linear {
 
 impl Layer for Linear {
     fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        Linear::forward(self, x)
+        let y = x.matmul(self.weight.value())?;
+        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
     }
 
     fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        Linear::backward(self, x, grad_out)
+        let d_weight = x.transpose().matmul(grad_out)?;
+        self.weight.accumulate_grad(&d_weight)?;
+        let mut d_bias = Matrix::zeros(1, grad_out.cols());
+        for r in 0..grad_out.rows() {
+            for c in 0..grad_out.cols() {
+                d_bias.set(0, c, d_bias.at(0, c) + grad_out.at(r, c));
+            }
+        }
+        self.bias.accumulate_grad(&d_bias)?;
+        Ok(grad_out.matmul(&self.weight.value().transpose())?)
     }
 }
 
@@ -302,77 +273,6 @@ impl AnyLinear {
             AnyLinear::Dense(l) => l.out_dim(),
             AnyLinear::Factored(f) => f.out_dim(),
         }
-    }
-
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying layer.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
-        match self {
-            AnyLinear::Dense(l) => l.forward(x),
-            AnyLinear::Factored(f) => f.forward(x),
-        }
-    }
-
-    /// Backward pass returning `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape errors from the underlying layer.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Result<Matrix> {
-        match self {
-            AnyLinear::Dense(l) => l.backward(x, grad_out),
-            AnyLinear::Factored(f) => f.backward(x, grad_out),
-        }
-    }
-
-    /// Converts a dense layer into its hard-threshold factored form in place
-    /// with the default (Jacobi) SVD.
-    ///
-    /// No-op if the layer is already factored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD errors.
-    pub fn factorize(&mut self, rank: usize) -> Result<()> {
-        self.factorize_with(rank, hyflex_tensor::SvdAlgorithm::Jacobi)
-    }
-
-    /// [`AnyLinear::factorize`] with an explicit SVD algorithm (the
-    /// gradient-redistribution pipeline threads its configured
-    /// [`hyflex_tensor::SvdAlgorithm`] through here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD errors.
-    pub fn factorize_with(
-        &mut self,
-        rank: usize,
-        algorithm: hyflex_tensor::SvdAlgorithm,
-    ) -> Result<()> {
-        self.factorize_seeded(rank, algorithm, None)
-    }
-
-    /// [`AnyLinear::factorize_with`] with an optional sketch seed for the
-    /// randomized SVD (see
-    /// [`FactoredLinear::from_weight_seeded`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD errors.
-    pub fn factorize_seeded(
-        &mut self,
-        rank: usize,
-        algorithm: hyflex_tensor::SvdAlgorithm,
-        seed: Option<u64>,
-    ) -> Result<()> {
-        if let AnyLinear::Dense(l) = self {
-            let factored = FactoredLinear::from_weight_seeded(l.weight(), rank, algorithm, seed)?;
-            *self = AnyLinear::Factored(factored);
-        }
-        Ok(())
     }
 
     /// Returns the factored layer, if this is one.
@@ -425,12 +325,18 @@ impl ParamVisit for AnyLinear {
 }
 
 impl Layer for AnyLinear {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        AnyLinear::forward(self, x)
+    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        match self {
+            AnyLinear::Dense(l) => l.forward(x, ctx),
+            AnyLinear::Factored(f) => f.forward(x, ctx),
+        }
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        AnyLinear::backward(self, x, grad_out)
+    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        match self {
+            AnyLinear::Dense(l) => l.backward(x, grad_out, ctx),
+            AnyLinear::Factored(f) => f.backward(x, grad_out, ctx),
+        }
     }
 }
 
@@ -456,13 +362,26 @@ impl LayerNorm {
     pub fn dim(&self) -> usize {
         self.gamma.value().cols()
     }
+}
 
-    /// Forward pass over a `[L, dim]` matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the column count differs from the layer dimension.
-    pub fn forward(&self, x: &Matrix) -> Result<Matrix> {
+impl ParamVisit for LayerNorm {
+    fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
+        f(&path.leaf("gamma"), &self.gamma);
+        f(&path.leaf("beta"), &self.beta);
+    }
+
+    fn visit_params_mut<'a>(
+        &'a mut self,
+        path: &mut ParamPath,
+        f: &mut dyn FnMut(&str, &'a mut Param),
+    ) {
+        f(&path.leaf("gamma"), &mut self.gamma);
+        f(&path.leaf("beta"), &mut self.beta);
+    }
+}
+
+impl Layer for LayerNorm {
+    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
         if x.cols() != self.dim() {
             return Err(ModelError::InvalidInput(format!(
                 "layer norm expected {} columns, got {}",
@@ -483,12 +402,7 @@ impl LayerNorm {
         Ok(out)
     }
 
-    /// Backward pass: accumulates gamma/beta gradients, returns `dL/dx`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on shape mismatch.
-    pub fn backward(&mut self, x: &Matrix, grad_out: &Matrix) -> Result<Matrix> {
+    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
         if x.shape() != grad_out.shape() {
             return Err(ModelError::InvalidInput(
                 "layer norm backward shape mismatch".to_string(),
@@ -515,35 +429,9 @@ impl LayerNorm {
                 d_beta.set(0, c, d_beta.at(0, c) + grads.d_beta[c]);
             }
         }
-        self.gamma.accumulate_grad(&d_gamma);
-        self.beta.accumulate_grad(&d_beta);
+        self.gamma.accumulate_grad(&d_gamma)?;
+        self.beta.accumulate_grad(&d_beta)?;
         Ok(d_input)
-    }
-}
-
-impl ParamVisit for LayerNorm {
-    fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
-        f(&path.leaf("gamma"), &self.gamma);
-        f(&path.leaf("beta"), &self.beta);
-    }
-
-    fn visit_params_mut<'a>(
-        &'a mut self,
-        path: &mut ParamPath,
-        f: &mut dyn FnMut(&str, &'a mut Param),
-    ) {
-        f(&path.leaf("gamma"), &mut self.gamma);
-        f(&path.leaf("beta"), &mut self.beta);
-    }
-}
-
-impl Layer for LayerNorm {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        LayerNorm::forward(self, x)
-    }
-
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        LayerNorm::backward(self, x, grad_out)
     }
 }
 
@@ -673,6 +561,11 @@ impl ParamVisit for Embedding {
 mod tests {
     use super::*;
     use crate::param::AdamWConfig;
+    use hyflex_tensor::SvdAlgorithm;
+
+    const CTX: LayerCtx<'static> = LayerCtx {
+        mask: AttentionMask::Bidirectional,
+    };
 
     fn finite_difference_check<F>(f: F, x: &Matrix, analytic: &Matrix, tol: f32)
     where
@@ -700,7 +593,7 @@ mod tests {
         let w = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
         let layer = Linear::from_weight(w);
         let x = Matrix::from_rows(&[vec![1.0, 0.0, -1.0]]).unwrap();
-        let y = layer.forward(&x).unwrap();
+        let y = layer.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (1, 2));
         assert_eq!(y.at(0, 0), -4.0);
         assert_eq!(y.at(0, 1), -4.0);
@@ -717,7 +610,7 @@ mod tests {
         let upstream = Matrix::random_normal(2, 3, 0.0, 1.0, &mut rng);
         let loss = |input: &Matrix| -> f32 {
             layer
-                .forward(input)
+                .forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -725,7 +618,7 @@ mod tests {
         };
         let d_input = {
             let mut l = layer.clone();
-            l.backward(&x, &upstream).unwrap()
+            l.backward(&x, &upstream, &CTX).unwrap()
         };
         finite_difference_check(loss, &x, &d_input, 1e-2);
     }
@@ -736,13 +629,13 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = Matrix::random_normal(2, 3, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(2, 2, 0.0, 1.0, &mut rng);
-        layer.backward(&x, &upstream).unwrap();
+        layer.backward(&x, &upstream, &CTX).unwrap();
         let analytic = layer.weight_param().grad().clone();
         let base_weight = layer.weight().clone();
         let loss = |w: &Matrix| -> f32 {
             let probe = Linear::from_weight(w.clone());
             probe
-                .forward(&x)
+                .forward(&x, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -756,27 +649,28 @@ mod tests {
         let mut rng = Rng::seed_from(3);
         let mut layer = AnyLinear::Dense(Linear::new(8, 6, &mut rng));
         let x = Matrix::random_normal(2, 8, 0.0, 1.0, &mut rng);
-        let dense_out = layer.forward(&x).unwrap();
-        layer.factorize(6).unwrap();
-        assert!(layer.as_factored().is_some());
-        let factored_out = layer.forward(&x).unwrap();
+        let dense_out = layer.forward(&x, &CTX).unwrap();
+        let weight = layer.as_dense_mut().unwrap().weight().clone();
+        layer = AnyLinear::Factored(
+            FactoredLinear::from_weight_seeded(&weight, 6, SvdAlgorithm::Jacobi, None).unwrap(),
+        );
+        assert!(layer.as_dense_mut().is_none());
+        assert_eq!(layer.as_factored().unwrap().rank(), 6);
+        let factored_out = layer.forward(&x, &CTX).unwrap();
         // Full-rank factorization reproduces the dense output.
         assert!(dense_out.approx_eq(&factored_out, 1e-3));
-        // Factorizing again is a no-op.
-        layer.factorize(3).unwrap();
-        assert_eq!(layer.as_factored().unwrap().rank(), 6);
     }
 
     #[test]
     fn layer_norm_forward_normalizes_rows() {
         let ln = LayerNorm::new(4);
         let x = Matrix::from_rows(&[vec![1.0, 2.0, 3.0, 4.0], vec![-1.0, 0.0, 1.0, 2.0]]).unwrap();
-        let y = ln.forward(&x).unwrap();
+        let y = ln.forward(&x, &CTX).unwrap();
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             assert!(mean.abs() < 1e-5);
         }
-        assert!(ln.forward(&Matrix::zeros(1, 3)).is_err());
+        assert!(ln.forward(&Matrix::zeros(1, 3), &CTX).is_err());
     }
 
     #[test]
@@ -785,11 +679,11 @@ mod tests {
         let mut ln = LayerNorm::new(5);
         let x = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
-        let d_input = ln.backward(&x, &upstream).unwrap();
+        let d_input = ln.backward(&x, &upstream, &CTX).unwrap();
         let probe = LayerNorm::new(5);
         let loss = |input: &Matrix| -> f32 {
             probe
-                .forward(input)
+                .forward(input, &CTX)
                 .unwrap()
                 .hadamard(&upstream)
                 .unwrap()
@@ -843,7 +737,7 @@ mod tests {
                 .iter()
                 .zip(targets.iter())
                 .map(|(x, t)| {
-                    let y = layer.forward(x).unwrap().at(0, 0);
+                    let y = layer.forward(x, &CTX).unwrap().at(0, 0);
                     (y - t) * (y - t)
                 })
                 .sum::<f32>()
@@ -853,9 +747,9 @@ mod tests {
         for _ in 0..200 {
             layer.zero_grad();
             for (x, t) in inputs.iter().zip(targets.iter()) {
-                let y = layer.forward(x).unwrap();
+                let y = layer.forward(x, &CTX).unwrap();
                 let grad = Matrix::filled(1, 1, 2.0 * (y.at(0, 0) - t));
-                layer.backward(x, &grad).unwrap();
+                layer.backward(x, &grad, &CTX).unwrap();
             }
             layer.step(&config, inputs.len());
         }

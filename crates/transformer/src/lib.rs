@@ -1,4 +1,15 @@
 #![forbid(unsafe_code)]
+// Unit tests panic by design; the clippy panic-path lints mirror
+// hyflex-lint rule E1, which exempts test code the same way.
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 //! # hyflex-transformer
 //!
 //! A from-scratch transformer substrate: encoder, decoder, and vision models

@@ -10,7 +10,7 @@ use crate::config::{ModelConfig, TaskKind};
 use crate::error::ModelError;
 use crate::graph::ModelGraph;
 use crate::kv::{KvCache, LayerKv};
-use crate::layers::{AnyLinear, Embedding, LayerNorm, Linear};
+use crate::layers::{AnyLinear, Embedding, Layer, LayerCtx, LayerNorm, Linear};
 use crate::param::{Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
@@ -150,7 +150,7 @@ impl TransformerModel {
                         self.config.max_seq_len
                     )));
                 }
-                proj.forward(features)
+                proj.forward(features, &LayerCtx::inference())
             }
             (ModelInput::Tokens(_), None, _) => Err(ModelError::InvalidInput(
                 "vision model cannot consume token input".to_string(),
@@ -161,20 +161,29 @@ impl TransformerModel {
         }
     }
 
-    /// The whole-sequence attention mask this model's topology implies.
-    fn sequence_mask(&self) -> AttentionMask<'static> {
+    /// The whole-sequence context this model's topology implies.
+    fn sequence_ctx(&self) -> LayerCtx<'static> {
         if self.config.is_causal() {
-            AttentionMask::Causal
+            LayerCtx::causal()
         } else {
-            AttentionMask::Bidirectional
+            LayerCtx::inference()
         }
+    }
+
+    /// Runs the block stack and the final norm over `x`.
+    fn encode(&self, mut x: Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        for block in &self.blocks {
+            x = block.forward(&x, ctx)?;
+        }
+        self.final_norm.forward(&x, ctx)
     }
 
     /// Applies the task head to one request's final hidden rows.
     fn head_logits(&self, hidden: &Matrix) -> Result<Matrix> {
+        let ctx = LayerCtx::inference();
         match self.config.task {
-            TaskKind::LanguageModeling => self.head.forward(hidden),
-            _ => self.head.forward(&mean_pool(hidden)),
+            TaskKind::LanguageModeling => self.head.forward(hidden, &ctx),
+            _ => self.head.forward(&mean_pool(hidden), &ctx),
         }
     }
 
@@ -187,12 +196,7 @@ impl TransformerModel {
     ///
     /// Returns input/shape errors.
     pub fn forward(&self, input: &ModelInput) -> Result<Matrix> {
-        let mask = self.sequence_mask();
-        let mut x = self.embed(input)?;
-        for block in &self.blocks {
-            x = block.forward_masked(&x, &mask)?;
-        }
-        let hidden = self.final_norm.forward(&x)?;
+        let hidden = self.encode(self.embed(input)?, &self.sequence_ctx())?;
         self.head_logits(&hidden)
     }
 
@@ -220,15 +224,12 @@ impl TransformerModel {
                 "batched forward needs at least one request".to_string(),
             ));
         }
-        let (mut x, segments) = self.pack(inputs)?;
-        let mask = AttentionMask::Packed {
+        let (x, segments) = self.pack(inputs)?;
+        let ctx = LayerCtx::with_mask(AttentionMask::Packed {
             segments: &segments,
             causal: self.config.is_causal(),
-        };
-        for block in &self.blocks {
-            x = block.forward_masked(&x, &mask)?;
-        }
-        let hidden = self.final_norm.forward(&x)?;
+        });
+        let hidden = self.encode(x, &ctx)?;
         segments
             .iter()
             .map(|seg| {
@@ -262,7 +263,9 @@ impl TransformerModel {
         KvCache::new(self.blocks.len())
     }
 
-    fn check_decode_ready(&self, cache_layers: usize) -> Result<()> {
+    /// The token embedding, once the model and a cache of `cache_layers`
+    /// layers are known to support KV-cached decoding.
+    fn check_decode_ready(&self, cache_layers: usize) -> Result<&Embedding> {
         if !self.config.is_causal() {
             return Err(ModelError::InvalidInput(
                 "KV-cached decoding needs a causal (decoder) model".to_string(),
@@ -273,18 +276,18 @@ impl TransformerModel {
                 "KV-cached decoding needs a language-modeling head".to_string(),
             ));
         }
-        if self.embedding.is_none() {
+        let Some(embedding) = &self.embedding else {
             return Err(ModelError::InvalidInput(
                 "KV-cached decoding needs a token embedding".to_string(),
             ));
-        }
+        };
         if cache_layers != self.blocks.len() {
             return Err(ModelError::InvalidInput(format!(
                 "KV cache has {cache_layers} layers, model has {}",
                 self.blocks.len()
             )));
         }
-        Ok(())
+        Ok(embedding)
     }
 
     /// Prefill phase: runs `tokens` through the stack in one pass, growing
@@ -305,14 +308,19 @@ impl TransformerModel {
     /// a cache of the wrong depth, out-of-vocabulary tokens, or a sequence
     /// overrunning the maximum length.
     pub fn prefill(&self, tokens: &[usize], cache: &mut KvCache) -> Result<Matrix> {
-        self.check_decode_ready(cache.num_layers())?;
-        let embedding = self.embedding.as_ref().expect("checked by decode_ready");
+        let embedding = self.check_decode_ready(cache.num_layers())?;
         let mut x = embedding.forward_from(tokens, cache.len())?;
         for (block, kv) in self.blocks.iter().zip(cache.layers_mut()) {
             x = block.decode_step(&x, kv)?;
         }
-        let hidden = self.final_norm.forward(&x)?;
-        self.head.forward(&hidden)
+        self.decode_logits(&x)
+    }
+
+    /// Final norm and LM head over decoded hidden rows.
+    fn decode_logits(&self, x: &Matrix) -> Result<Matrix> {
+        let ctx = LayerCtx::causal();
+        let hidden = self.final_norm.forward(x, &ctx)?;
+        self.head.forward(&hidden, &ctx)
     }
 
     /// Decode phase: appends one token to a request and returns its
@@ -345,17 +353,22 @@ impl TransformerModel {
         tokens: &[usize],
         caches: &mut [&mut KvCache],
     ) -> Result<Matrix> {
-        if tokens.is_empty() || tokens.len() != caches.len() {
+        if tokens.len() != caches.len() {
             return Err(ModelError::InvalidInput(format!(
                 "batched decode got {} tokens for {} caches",
                 tokens.len(),
                 caches.len()
             )));
         }
+        let mut embedding = None;
         for cache in caches.iter() {
-            self.check_decode_ready(cache.num_layers())?;
+            embedding = Some(self.check_decode_ready(cache.num_layers())?);
         }
-        let embedding = self.embedding.as_ref().expect("checked by decode_ready");
+        let Some(embedding) = embedding else {
+            return Err(ModelError::InvalidInput(
+                "batched decode needs at least one request".to_string(),
+            ));
+        };
         let mut x = Matrix::zeros(tokens.len(), self.config.hidden_dim);
         for (b, (&tok, cache)) in tokens.iter().zip(caches.iter()).enumerate() {
             let row = embedding.forward_from(&[tok], cache.len())?;
@@ -366,8 +379,7 @@ impl TransformerModel {
                 caches.iter_mut().map(|c| &mut c.layers_mut()[i]).collect();
             x = block.decode_step_batch(&x, &mut layer_kvs)?;
         }
-        let hidden = self.final_norm.forward(&x)?;
-        self.head.forward(&hidden)
+        self.decode_logits(&x)
     }
 
     /// Runs the model, then back-propagates `d_logits`, accumulating
@@ -376,54 +388,50 @@ impl TransformerModel {
     ///
     /// # Errors
     ///
-    /// Returns input/shape errors.
+    /// Returns input/shape errors, and any error `d_logits_of` returns.
     pub fn forward_backward(
         &mut self,
         input: &ModelInput,
-        d_logits_of: &mut dyn FnMut(&Matrix) -> Matrix,
+        d_logits_of: &mut dyn FnMut(&Matrix) -> Result<Matrix>,
     ) -> Result<(Matrix, Matrix)> {
-        let mask = self.sequence_mask();
+        let ctx = self.sequence_ctx();
         // Forward, caching each block input.
-        let x0 = self.embed(input)?;
+        let mut x = self.embed(input)?;
         let mut block_inputs = Vec::with_capacity(self.blocks.len());
-        let mut x = x0.clone();
         for block in &self.blocks {
             block_inputs.push(x.clone());
-            x = block.forward_masked(&x, &mask)?;
+            x = block.forward(&x, &ctx)?;
         }
-        let hidden = self.final_norm.forward(&x)?;
-        let (logits, pooled) = match self.config.task {
-            TaskKind::LanguageModeling => (self.head.forward(&hidden)?, None),
-            _ => {
-                let pooled = mean_pool(&hidden);
-                (self.head.forward(&pooled)?, Some(pooled))
-            }
+        let hidden = self.final_norm.forward(&x, &ctx)?;
+        let pooled = match self.config.task {
+            TaskKind::LanguageModeling => None,
+            _ => Some(mean_pool(&hidden)),
         };
+        let head_in = pooled.as_ref().unwrap_or(&hidden);
+        let logits = self.head.forward(head_in, &ctx)?;
 
-        let d_logits = d_logits_of(&logits);
+        let d_logits = d_logits_of(&logits)?;
 
         // Backward through the head.
-        let d_hidden = match (&self.config.task, pooled) {
-            (TaskKind::LanguageModeling, _) => self.head.backward(&hidden, &d_logits)?,
-            (_, Some(pooled)) => {
-                let d_pooled = self.head.backward(&pooled, &d_logits)?;
-                // Mean pooling broadcast: every row receives d_pooled / L.
-                let len = hidden.rows() as f32;
-                let mut d_hidden = Matrix::zeros(hidden.rows(), hidden.cols());
-                for r in 0..hidden.rows() {
-                    for c in 0..hidden.cols() {
-                        d_hidden.set(r, c, d_pooled.at(0, c) / len);
-                    }
+        let d_head_in = self.head.backward(head_in, &d_logits, &ctx)?;
+        let d_hidden = if pooled.is_some() {
+            // Mean pooling broadcast: every row receives d_pooled / L.
+            let len = hidden.rows() as f32;
+            let mut d_hidden = Matrix::zeros(hidden.rows(), hidden.cols());
+            for r in 0..hidden.rows() {
+                for c in 0..hidden.cols() {
+                    d_hidden.set(r, c, d_head_in.at(0, c) / len);
                 }
-                d_hidden
             }
-            (_, None) => unreachable!("pooled is always present for non-LM tasks"),
+            d_hidden
+        } else {
+            d_head_in
         };
 
         // Backward through the final layer norm and the block stack.
-        let mut d_x = self.final_norm.backward(&x, &d_hidden)?;
+        let mut d_x = self.final_norm.backward(&x, &d_hidden, &ctx)?;
         for (block, block_input) in self.blocks.iter_mut().zip(block_inputs.iter()).rev() {
-            d_x = block.backward_masked(block_input, &d_x, &mask)?;
+            d_x = block.backward(block_input, &d_x, &ctx)?;
         }
 
         // Backward into the embedding / patch projection.
@@ -432,7 +440,7 @@ impl TransformerModel {
                 embedding.backward(tokens, &d_x)?;
             }
             (ModelInput::Features(features), _, Some(proj)) => {
-                proj.backward(features, &d_x)?;
+                proj.backward(features, &d_x, &ctx)?;
             }
             _ => {}
         }
@@ -733,7 +741,7 @@ mod tests {
         let mut model = tiny_model(7);
         let input = ModelInput::Tokens(vec![1, 2, 3]);
         let (logits, d_logits) = model
-            .forward_backward(&input, &mut |logits: &Matrix| logits.scale(1.0))
+            .forward_backward(&input, &mut |logits: &Matrix| Ok(logits.scale(1.0)))
             .unwrap();
         assert_eq!(logits.shape(), (1, 3));
         assert_eq!(d_logits.shape(), (1, 3));

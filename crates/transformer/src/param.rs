@@ -135,13 +135,12 @@ impl Param {
 
     /// Adds a gradient contribution (e.g. from one sample of a batch).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the gradient shape does not match the parameter shape.
-    pub fn accumulate_grad(&mut self, grad: &Matrix) {
-        self.grad
-            .add_assign(grad)
-            .expect("gradient shape must match parameter shape");
+    /// Returns a shape error if the gradient shape does not match the
+    /// parameter shape; the accumulated gradient is then left unchanged.
+    pub fn accumulate_grad(&mut self, grad: &Matrix) -> Result<()> {
+        Ok(self.grad.add_assign(grad)?)
     }
 
     /// Clears the accumulated gradient.
@@ -417,7 +416,7 @@ mod tests {
         for _ in 0..500 {
             param.zero_grad();
             let grad = param.value().sub(&target).unwrap();
-            param.accumulate_grad(&grad);
+            param.accumulate_grad(&grad).unwrap();
             param.adamw_step(&config, 1);
         }
         let err = param.value().sub(&target).unwrap().max_abs();
@@ -428,8 +427,8 @@ mod tests {
     fn gradients_accumulate_and_reset() {
         let mut p = Param::new(Matrix::zeros(2, 2));
         let g = Matrix::filled(2, 2, 1.0);
-        p.accumulate_grad(&g);
-        p.accumulate_grad(&g);
+        p.accumulate_grad(&g).unwrap();
+        p.accumulate_grad(&g).unwrap();
         assert_eq!(p.grad().at(0, 0), 2.0);
         assert!((p.mean_abs_grad() - 2.0).abs() < 1e-9);
         p.zero_grad();
@@ -440,7 +439,7 @@ mod tests {
     fn frozen_parameters_do_not_update() {
         let mut p = Param::new(Matrix::filled(2, 2, 1.0));
         p.set_frozen(true);
-        p.accumulate_grad(&Matrix::filled(2, 2, 10.0));
+        p.accumulate_grad(&Matrix::filled(2, 2, 10.0)).unwrap();
         p.adamw_step(&AdamWConfig::default(), 1);
         assert!(p.value().approx_eq(&Matrix::filled(2, 2, 1.0), 0.0));
         assert!(p.is_frozen());
@@ -466,11 +465,11 @@ mod tests {
             ..AdamWConfig::default()
         };
         let mut a = Param::new(Matrix::zeros(1, 1));
-        a.accumulate_grad(&Matrix::filled(1, 1, 4.0));
+        a.accumulate_grad(&Matrix::filled(1, 1, 4.0)).unwrap();
         a.adamw_step(&config, 4);
 
         let mut b = Param::new(Matrix::zeros(1, 1));
-        b.accumulate_grad(&Matrix::filled(1, 1, 1.0));
+        b.accumulate_grad(&Matrix::filled(1, 1, 1.0)).unwrap();
         b.adamw_step(&config, 1);
 
         assert!((a.value().at(0, 0) - b.value().at(0, 0)).abs() < 1e-6);

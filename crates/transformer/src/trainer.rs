@@ -137,10 +137,9 @@ impl Trainer {
                 let mut loss_cell = 0.0f64;
                 let target = sample.target.clone();
                 model.forward_backward(&sample.input, &mut |logits: &Matrix| {
-                    let (loss, grad) = loss_and_grad(&task, logits, &target)
-                        .expect("loss configuration already validated");
+                    let (loss, grad) = loss_and_grad(&task, logits, &target)?;
                     loss_cell = loss;
-                    grad
+                    Ok(grad)
                 })?;
                 total_loss += loss_cell;
             }
@@ -201,10 +200,9 @@ impl Trainer {
             let mut loss_cell = 0.0f64;
             let target = sample.target.clone();
             model.forward_backward(&sample.input, &mut |logits: &Matrix| {
-                let (loss, grad) = loss_and_grad(&task, logits, &target)
-                    .expect("loss configuration already validated");
+                let (loss, grad) = loss_and_grad(&task, logits, &target)?;
                 loss_cell = loss;
-                grad
+                Ok(grad)
             })?;
             total_loss += loss_cell;
         }

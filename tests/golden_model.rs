@@ -6,15 +6,18 @@
 //! equality, so any numeric drift introduced by restructuring the model —
 //! however small — fails CI. The cases cover all three topologies the graph
 //! builder assembles (encoder, decoder, vision encoder) plus gradient
-//! accumulation through the full backward pass.
+//! accumulation through the full backward pass, for dense and for
+//! truncated-SVD factored models (whose `sigma` gradients are the gradient
+//! redistribution's SLC/MLC selection signal).
 //!
 //! Regenerate (only when intentionally re-baselining the numerics) with:
 //! `cargo test --test golden_model -- --ignored regenerate_golden_fixtures`
 
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::Matrix;
+use hyflex_tensor::svd::hard_threshold_rank;
+use hyflex_tensor::{Matrix, SvdAlgorithm};
 use hyflex_transformer::layers::AnyLinear;
-use hyflex_transformer::{ModelConfig, ModelInput, TransformerModel};
+use hyflex_transformer::{FactoredLinear, ModelConfig, ModelInput, TransformerModel};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -114,7 +117,7 @@ fn run_case(case: &str) -> Vec<(String, Matrix)> {
             let mut model = TransformerModel::new(ModelConfig::tiny_encoder(3), &mut rng).unwrap();
             let input = ModelInput::Tokens(vec![2, 8, 1, 1, 6]);
             let (logits, d_logits) = model
-                .forward_backward(&input, &mut |logits: &Matrix| logits.scale(0.5))
+                .forward_backward(&input, &mut |logits: &Matrix| Ok(logits.scale(0.5)))
                 .unwrap();
             let blocks = model.blocks();
             vec![
@@ -135,7 +138,7 @@ fn run_case(case: &str) -> Vec<(String, Matrix)> {
             let mut model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
             let input = ModelInput::Tokens(vec![7, 7, 3, 0]);
             let (logits, _) = model
-                .forward_backward(&input, &mut |logits: &Matrix| logits.scale(0.25))
+                .forward_backward(&input, &mut |logits: &Matrix| Ok(logits.scale(0.25)))
                 .unwrap();
             let blocks = model.blocks();
             vec![
@@ -145,6 +148,38 @@ fn run_case(case: &str) -> Vec<(String, Matrix)> {
                     weight_grad(blocks[0].attention().projections()[2]),
                 ),
             ]
+        }
+        "factored_backward" => {
+            let mut rng = Rng::seed_from(47);
+            let mut model = TransformerModel::new(ModelConfig::tiny_encoder(3), &mut rng).unwrap();
+            for (_, layer) in model.named_linears_mut() {
+                let AnyLinear::Dense(dense) = &*layer else {
+                    panic!("a freshly built model is dense");
+                };
+                let rank = hard_threshold_rank(dense.in_dim(), dense.out_dim());
+                let factored = FactoredLinear::from_weight_seeded(
+                    dense.weight(),
+                    rank,
+                    SvdAlgorithm::Jacobi,
+                    None,
+                )
+                .unwrap();
+                *layer = AnyLinear::Factored(factored);
+            }
+            let input = ModelInput::Tokens(vec![4, 0, 9, 3, 3]);
+            let (logits, _) = model
+                .forward_backward(&input, &mut |logits: &Matrix| Ok(logits.scale(0.5)))
+                .unwrap();
+            let params = model.params();
+            let mut captures = vec![("logits".to_string(), logits)];
+            for layer in ["blocks.0.attn.q_proj", "blocks.1.ffn.fc2"] {
+                for factor in ["u", "sigma", "vt"] {
+                    let name = format!("{layer}.{factor}");
+                    let grad = params.get(&name).unwrap().grad().clone();
+                    captures.push((format!("{name}.grad"), grad));
+                }
+            }
+            captures
         }
         other => panic!("unknown golden case {other}"),
     }
@@ -156,6 +191,7 @@ const CASES: &[&str] = &[
     "vit_forward",
     "encoder_backward",
     "decoder_backward",
+    "factored_backward",
 ];
 
 #[test]
