@@ -165,13 +165,12 @@ pub struct HyFlexPimAccelerator {
 impl HyFlexPimAccelerator {
     /// Creates the accelerator at a given SLC protection rate.
     pub fn new(slc_rank_fraction: f64) -> Self {
-        let perf = PerformanceModel::paper_default();
-        // Derive the chip from the same hardware config the evaluations use,
-        // so the scheduler's capacity contract cannot drift from the model.
-        let chip = Chip::new(*perf.hw()).expect("paper config is valid");
+        // The paper's chip and the paper's performance model share one
+        // hardware config, so the scheduler's capacity contract cannot drift
+        // from the model.
         HyFlexPimAccelerator {
-            perf,
-            chip,
+            perf: PerformanceModel::paper_default(),
+            chip: Chip::paper_default(),
             slc_rank_fraction,
             name: hyflex_pim::backend::hyflexpim_display_name(slc_rank_fraction),
         }

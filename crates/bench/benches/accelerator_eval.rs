@@ -3,6 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_baselines::{Accelerator, Asadi, AsadiPrecision, NonPim, Sprint};
+use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_pim::scalability::ScalabilityModel;
 use hyflex_transformer::ModelConfig;
@@ -17,6 +18,16 @@ fn bench_perf_model(c: &mut Criterion) {
     };
     c.bench_function("perf/hyflexpim_bert_large_n1024", |b| {
         b.iter(|| model.evaluate(black_box(&point)).unwrap())
+    });
+    // One decode iteration as the serving sims price it: a bound backend,
+    // 16 requests against a 256-token context.
+    let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.1).unwrap();
+    c.bench_function("perf/hyflexpim_decode_step_bert_large_ctx256_b16", |b| {
+        b.iter(|| {
+            backend
+                .evaluate_decode_step(black_box(256), black_box(16))
+                .unwrap()
+        })
     });
 }
 

@@ -11,8 +11,10 @@
 use std::fs::File;
 use std::io::Write;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
+// A panic while the lock is held cannot leave the `Option<File>` half
+// written, so a poisoned sink is recovered rather than propagated.
 static SINK: Mutex<Option<File>> = Mutex::new(None);
 
 /// Routes subsequent [`emit`] calls to `path` in addition to stdout,
@@ -23,19 +25,19 @@ static SINK: Mutex<Option<File>> = Mutex::new(None);
 /// Propagates file-creation errors.
 pub fn tee_to_file(path: &Path) -> std::io::Result<()> {
     let file = File::create(path)?;
-    *SINK.lock().expect("output sink poisoned") = Some(file);
+    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = Some(file);
     Ok(())
 }
 
 /// Stops teeing to a file (used by tests; binaries just exit).
 pub fn reset() {
-    *SINK.lock().expect("output sink poisoned") = None;
+    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
 }
 
 /// Prints one line to stdout and, if configured, the `--out` file.
 pub fn emit(line: &str) {
     println!("{line}");
-    let mut sink = SINK.lock().expect("output sink poisoned");
+    let mut sink = SINK.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(file) = sink.as_mut() {
         // Best effort: losing the archive copy should not kill the run.
         let _ = writeln!(file, "{line}");

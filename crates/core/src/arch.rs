@@ -104,6 +104,18 @@ impl Chip {
         elements * usize::from(self.config.weight_bits)
     }
 
+    /// PUs needed to hold one layer's static weights: the analog half of
+    /// [`Chip::pus_per_layer`], fixed once the model is mapped (it does not
+    /// depend on sequence length).
+    pub(crate) fn analog_pus_per_layer(
+        &self,
+        model: &ModelConfig,
+        slc_rank_fraction: f64,
+    ) -> usize {
+        let analog_needed = self.analog_cells_for_layer(model, slc_rank_fraction);
+        analog_needed.div_ceil(self.config.analog_cells_per_pu())
+    }
+
     /// Number of PUs needed to hold one layer (tensor parallelism, scaling
     /// case 1 of Section 3.1). At least 1.
     pub fn pus_per_layer(
@@ -112,12 +124,22 @@ impl Chip {
         seq_len: usize,
         slc_rank_fraction: f64,
     ) -> usize {
-        let resources = self.pu_resources();
-        let analog_needed = self.analog_cells_for_layer(model, slc_rank_fraction);
+        let by_analog = self.analog_pus_per_layer(model, slc_rank_fraction);
+        self.pus_per_layer_given_analog(by_analog, model, seq_len)
+    }
+
+    /// [`Chip::pus_per_layer`] from its precomputed analog half
+    /// ([`Chip::analog_pus_per_layer`]): the larger of that and the PUs the
+    /// layer's dynamic data needs at `seq_len`, at least 1.
+    pub(crate) fn pus_per_layer_given_analog(
+        &self,
+        analog_pus: usize,
+        model: &ModelConfig,
+        seq_len: usize,
+    ) -> usize {
         let digital_needed = self.digital_cells_for_layer(model, seq_len);
-        let by_analog = analog_needed.div_ceil(resources.analog_cells);
-        let by_digital = digital_needed.div_ceil(resources.digital_cells);
-        by_analog.max(by_digital).max(1)
+        let by_digital = digital_needed.div_ceil(self.config.digital_cells_per_pu());
+        analog_pus.max(by_digital).max(1)
     }
 
     /// Number of chips needed for the whole model (pipeline parallelism,
@@ -129,6 +151,12 @@ impl Chip {
         slc_rank_fraction: f64,
     ) -> usize {
         let pus_per_layer = self.pus_per_layer(model, seq_len, slc_rank_fraction);
+        self.chips_for_layer_pus(pus_per_layer, model)
+    }
+
+    /// Number of chips needed for the whole model when each layer occupies
+    /// `pus_per_layer` PUs.
+    pub(crate) fn chips_for_layer_pus(&self, pus_per_layer: usize, model: &ModelConfig) -> usize {
         let total_pus = pus_per_layer * model.num_layers;
         total_pus.div_ceil(self.pus())
     }

@@ -20,8 +20,7 @@
 //! [`PerformanceModel`]), the four baselines in `hyflex-baselines` (via its
 //! `BackendRegistry` / `SystemBuilder`).
 
-use crate::arch::Chip;
-use crate::perf::{BatchPerfSummary, EvaluationPoint, PerfSummary, PerformanceModel};
+use crate::perf::{BatchPerfSummary, Deployment, PerfSummary, PerformanceModel};
 use crate::PimError;
 use crate::Result;
 use hyflex_transformer::config::ModelConfig;
@@ -248,39 +247,44 @@ pub fn hyflexpim_display_name(slc_rank_fraction: f64) -> String {
 /// HyFlexPIM exposed through the [`Backend`] interface: the paper's hybrid
 /// SLC/MLC design, bound to a model and an SLC protection rate.
 ///
-/// Results are bit-identical to calling [`PerformanceModel::evaluate`] /
-/// [`PerformanceModel::evaluate_batched`] with the equivalent
-/// [`EvaluationPoint`] — the determinism suite in `hyflex-runtime` and the
-/// root `tests/backend_api.rs` enforce this.
+/// The static weights are mapped once: [`HyFlexPim::new`] builds the
+/// [`Deployment`] (crossbar read cycles, write energy, analog passes and
+/// PUs, chip area), and every call prices its sequence length from it with
+/// [`PerformanceModel::evaluate_deployed`] — no re-mapping, no config
+/// validation, no heap allocation. Results are bit-identical to calling
+/// [`PerformanceModel::evaluate`] / [`PerformanceModel::evaluate_batched`]
+/// with the equivalent [`EvaluationPoint`](crate::perf::EvaluationPoint):
+/// both run the same formulas in the same order, and the exact-equality
+/// tests here, the determinism suite in `hyflex-runtime` and the root
+/// `tests/backend_api.rs` enforce it.
 #[derive(Debug, Clone)]
 pub struct HyFlexPim {
     perf: PerformanceModel,
-    chip: Chip,
+    deployment: Deployment,
     model: ModelConfig,
-    slc_rank_fraction: f64,
     name: String,
 }
 
 impl HyFlexPim {
-    /// Binds a performance model to a deployment.
+    /// Binds a performance model to a deployment, mapping the model's static
+    /// layers once.
     ///
     /// # Errors
     ///
     /// Returns [`PimError::InvalidConfig`] for an SLC rate outside `[0, 1]`
-    /// and propagates hardware-configuration errors.
+    /// and propagates hardware-configuration and mapping errors.
     pub fn new(perf: PerformanceModel, model: ModelConfig, slc_rank_fraction: f64) -> Result<Self> {
         if !(0.0..=1.0).contains(&slc_rank_fraction) || slc_rank_fraction.is_nan() {
             return Err(PimError::InvalidConfig(format!(
                 "slc_rank_fraction {slc_rank_fraction} must lie in [0, 1]"
             )));
         }
-        let chip = Chip::new(*perf.hw())?;
+        let deployment = perf.deploy(&model, slc_rank_fraction)?;
         let name = hyflexpim_display_name(slc_rank_fraction);
         Ok(HyFlexPim {
             perf,
-            chip,
+            deployment,
             model,
-            slc_rank_fraction,
             name,
         })
     }
@@ -301,15 +305,12 @@ impl HyFlexPim {
 
     /// The SLC protection rate of the deployed mapping.
     pub fn slc_rank_fraction(&self) -> f64 {
-        self.slc_rank_fraction
+        self.deployment.slc_rank_fraction()
     }
 
-    fn point(&self, seq_len: usize) -> EvaluationPoint {
-        EvaluationPoint {
-            model: self.model.clone(),
-            seq_len,
-            slc_rank_fraction: self.slc_rank_fraction,
-        }
+    fn summary(&self, seq_len: usize) -> PerfSummary {
+        self.perf
+            .evaluate_deployed(&self.model, &self.deployment, seq_len)
     }
 }
 
@@ -327,35 +328,86 @@ impl Backend for HyFlexPim {
     }
 
     fn request_cells(&self, seq_len: usize) -> usize {
-        self.chip.digital_cells_for_layer(&self.model, seq_len)
+        self.deployment
+            .chip()
+            .digital_cells_for_layer(&self.model, seq_len)
     }
 
     fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
-        self.perf.evaluate(&self.point(request.seq_len))
+        Ok(self.summary(request.seq_len))
     }
 
     fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
-        self.perf.evaluate_batched(&self.point(seq_len), batch_size)
+        crate::perf::pipelined_batch(
+            self.summary(seq_len),
+            self.model.num_layers,
+            seq_len,
+            batch_size,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch::Chip;
+    use crate::perf::EvaluationPoint;
 
+    /// Sequence lengths 1..=2048: every length up to 8, then a stride that
+    /// is coprime to the powers of two, then the top of the range.
+    fn strided_lengths() -> impl Iterator<Item = usize> {
+        (1..=8).chain((9..2048).step_by(61)).chain([2047, 2048])
+    }
+
+    /// The deploy-once backend and a from-scratch `PerformanceModel`
+    /// evaluation run the same formulas in the same order: every figure is
+    /// exactly equal, never merely close.
     #[test]
     fn hyflexpim_backend_is_bit_identical_to_the_perf_model() {
+        use hyflex_rram::cell::CellMode;
+        let models = [
+            ModelConfig::bert_large(),
+            ModelConfig::gpt2_small(),
+            ModelConfig::llama3_1b(),
+        ];
+        for bits in 2..=4u8 {
+            let hw = crate::HyFlexPimConfig {
+                mlc_mode: CellMode::Mlc { bits },
+                ..crate::HyFlexPimConfig::paper_default()
+            };
+            let perf = PerformanceModel::new(hw).unwrap();
+            for model in &models {
+                for slc in [0.0, 0.05, 0.5, 1.0] {
+                    let backend = HyFlexPim::new(perf.clone(), model.clone(), slc).unwrap();
+                    let point = |seq_len| EvaluationPoint {
+                        model: model.clone(),
+                        seq_len,
+                        slc_rank_fraction: slc,
+                    };
+                    for n in strided_lengths() {
+                        let full = perf.evaluate(&point(n)).unwrap();
+                        let request = InferenceRequest::of_len(0, n);
+                        assert_eq!(backend.evaluate(&request).unwrap(), full);
+                        assert_eq!(
+                            backend.evaluate_batched(n, 16).unwrap(),
+                            perf.evaluate_batched(&point(n), 16).unwrap()
+                        );
+                        let marginal = if n == 1 {
+                            full
+                        } else {
+                            let prev = perf.evaluate(&point(n - 1)).unwrap();
+                            crate::perf::marginal_decode_summary(&full, &prev)
+                        };
+                        assert_eq!(
+                            backend.evaluate_decode_step(n, 16).unwrap(),
+                            crate::perf::pipelined_batch(marginal, model.num_layers, 1, 16)
+                                .unwrap()
+                        );
+                    }
+                }
+            }
+        }
         let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
-        let perf = PerformanceModel::paper_default();
-        let point = EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len: 128,
-            slc_rank_fraction: 0.05,
-        };
-        let via_backend = backend.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
-        assert_eq!(via_backend, perf.evaluate(&point).unwrap());
-        let batched = backend.evaluate_batched(128, 8).unwrap();
-        assert_eq!(batched, perf.evaluate_batched(&point, 8).unwrap());
         assert!(backend.name().contains("HyFlexPIM"));
         assert_eq!(backend.model().name, "BERT-Large");
     }

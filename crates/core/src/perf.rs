@@ -14,6 +14,19 @@
 //! the hybrid SLC/MLC mapping compares to an all-SLC mapping (ASADI), to a
 //! digital-processor design (SPRINT), and to near-memory or non-PIM
 //! baselines, across sequence lengths and protection rates.
+//!
+//! # Deploy once, evaluate many
+//!
+//! HyFlexPIM programs its static weights into SLC/MLC arrays once and reuses
+//! them for every inference (Section 5.2), and the model is split the same
+//! way. [`PerformanceModel::deploy`] maps a model's six static layers at one
+//! SLC rate and keeps what that mapping fixes for every sequence length (a
+//! [`Deployment`]). [`PerformanceModel::evaluate_deployed`] then prices one
+//! sequence length from it with no mapping, no validation and no heap
+//! allocation. [`PerformanceModel::evaluate`] is exactly `deploy` followed by
+//! `evaluate_deployed`, so the formulas exist once and a bound backend that
+//! deploys up front (`crate::backend::HyFlexPim`) is bit-identical to
+//! evaluating an [`EvaluationPoint`] from scratch.
 
 use crate::arch::Chip;
 use crate::config::{
@@ -21,7 +34,7 @@ use crate::config::{
     ON_CHIP_INTERCONNECT_BYTES_PER_S,
 };
 use crate::energy_breakdown::EnergyBreakdown;
-use crate::mapping::{self, LayerMapping};
+use crate::mapping;
 use crate::Result;
 use hyflex_circuits::sfu::SFU_INPUTS_PER_CYCLE;
 use hyflex_circuits::{EnergyModel, Table2};
@@ -185,6 +198,45 @@ impl BatchPerfSummary {
     }
 }
 
+/// A model deployed onto the chip: what [`PerformanceModel::deploy`]'s
+/// one-time crossbar mapping fixes, independent of sequence length.
+///
+/// HyFlexPIM programs its static weights into SLC/MLC arrays once and reuses
+/// them for every inference (Section 5.2), so a bound backend maps once and
+/// prices each call from this. Pricing from a deployment is bit-identical
+/// to [`PerformanceModel::evaluate`], which is itself `deploy` followed by
+/// [`PerformanceModel::evaluate_deployed`].
+#[derive(Debug, Clone, Copy)]
+pub struct Deployment {
+    chip: Chip,
+    slc_rank_fraction: f64,
+    /// SLC read cycles per token per input bit, summed over one block.
+    slc_cycles_per_bit: f64,
+    /// MLC read cycles per token per input bit, summed over one block.
+    mlc_cycles_per_bit: f64,
+    /// One-time programming energy of one block, pJ.
+    write_energy_pj: f64,
+    /// Serialized passes over one PU's analog arrays per factored stage.
+    analog_passes: f64,
+    /// PUs one layer's static weights need (the analog half of
+    /// [`Chip::pus_per_layer`]).
+    analog_pus_per_layer: usize,
+    /// Area of one chip, mm² (Table 2).
+    chip_area_mm2: f64,
+}
+
+impl Deployment {
+    /// The chip the model is deployed on.
+    pub fn chip(&self) -> &Chip {
+        &self.chip
+    }
+
+    /// The SLC protection rate of the mapping.
+    pub fn slc_rank_fraction(&self) -> f64 {
+        self.slc_rank_fraction
+    }
+}
+
 /// The HyFlexPIM analytical performance model.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PerformanceModel {
@@ -235,20 +287,6 @@ impl PerformanceModel {
         self.table2.chip_area_mm2()
     }
 
-    /// Per-block crossbar mappings at the given SLC fraction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping errors.
-    pub fn block_mapping(&self, point: &EvaluationPoint) -> Result<Vec<LayerMapping>> {
-        mapping::map_block(
-            &point.model,
-            &self.hw,
-            point.slc_rank_fraction,
-            &self.energy,
-        )
-    }
-
     /// Energy of the static-weight linear layers only (Figure 14), pJ.
     ///
     /// # Errors
@@ -258,27 +296,19 @@ impl PerformanceModel {
         Ok(self.evaluate(point)?.energy.linear_layer_pj())
     }
 
-    /// Evaluates energy, latency, throughput, and area efficiency for one
-    /// model / sequence-length / SLC-rate point.
+    /// Deploys `model` onto the chip at the given SLC protection rate: maps
+    /// the six static layers of one block onto SLC/MLC crossbars once and
+    /// keeps everything of that mapping that does not depend on sequence
+    /// length. [`PerformanceModel::evaluate_deployed`] then prices any
+    /// sequence length from it.
     ///
     /// # Errors
     ///
-    /// Propagates mapping errors and invalid configurations.
-    pub fn evaluate(&self, point: &EvaluationPoint) -> Result<PerfSummary> {
-        let model = &point.model;
-        let n = point.seq_len as f64;
-        let layers = model.num_layers as f64;
-        let input_bits = f64::from(self.hw.input_bits);
-        let block = self.block_mapping(point)?;
+    /// Returns [`PimError::InvalidConfig`](crate::PimError::InvalidConfig)
+    /// for an SLC rate outside `[0, 1]` and propagates mapping errors.
+    pub fn deploy(&self, model: &ModelConfig, slc_rank_fraction: f64) -> Result<Deployment> {
+        let block = mapping::map_block(model, &self.hw, slc_rank_fraction, &self.energy)?;
         let chip = Chip::new(self.hw)?;
-
-        let mut energy = EnergyBreakdown::default();
-
-        // ---- Analog PIM: static-weight linear layers -------------------
-        // Per token and per input bit, every occupied array performs one read
-        // cycle; the shared ADC digitizes its 128 bit lines (6-b for SLC
-        // arrays, 7-b for MLC arrays — one extra bit doubles conversion
-        // energy, but MLC halves the number of occupied arrays).
         let slc_cycles_per_bit: f64 = block
             .iter()
             .map(|m| m.slc.read_cycles_per_input_bit as f64)
@@ -287,9 +317,63 @@ impl PerformanceModel {
             .iter()
             .map(|m| m.mlc.read_cycles_per_input_bit as f64)
             .sum();
+        let write_energy_pj: f64 = block.iter().map(|m| m.write_energy_pj).sum();
+        // Arrays of a layer operate concurrently; if the layer needs more
+        // arrays than one PU owns, the work is serialized into passes.
+        let arrays_per_pu =
+            (self.hw.analog_modules_per_pu * self.hw.analog_arrays_per_module) as f64;
+        let arrays_per_block: f64 = block.iter().map(|m| m.total_arrays() as f64).sum();
+        let analog_passes = (arrays_per_block / arrays_per_pu).ceil().max(1.0);
+        Ok(Deployment {
+            chip,
+            slc_rank_fraction,
+            slc_cycles_per_bit,
+            mlc_cycles_per_bit,
+            write_energy_pj,
+            analog_passes,
+            analog_pus_per_layer: chip.analog_pus_per_layer(model, slc_rank_fraction),
+            chip_area_mm2: self.chip_area_mm2(),
+        })
+    }
+
+    /// Evaluates energy, latency, throughput, and area efficiency for one
+    /// model / sequence-length / SLC-rate point: [`PerformanceModel::deploy`]
+    /// followed by [`PerformanceModel::evaluate_deployed`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates mapping errors and invalid configurations.
+    pub fn evaluate(&self, point: &EvaluationPoint) -> Result<PerfSummary> {
+        let deployment = self.deploy(&point.model, point.slc_rank_fraction)?;
+        Ok(self.evaluate_deployed(&point.model, &deployment, point.seq_len))
+    }
+
+    /// Prices one inference of `seq_len` tokens on a deployment made by
+    /// [`PerformanceModel::deploy`] for the same `model`. Only the
+    /// sequence-dependent arithmetic runs here: no mapping, no validation
+    /// and no heap allocation.
+    pub fn evaluate_deployed(
+        &self,
+        model: &ModelConfig,
+        deployment: &Deployment,
+        seq_len: usize,
+    ) -> PerfSummary {
+        let d = deployment;
+        let chip = &d.chip;
+        let n = seq_len as f64;
+        let layers = model.num_layers as f64;
+        let input_bits = f64::from(self.hw.input_bits);
+
+        let mut energy = EnergyBreakdown::default();
+
+        // ---- Analog PIM: static-weight linear layers -------------------
+        // Per token and per input bit, every occupied array performs one read
+        // cycle; the shared ADC digitizes its 128 bit lines (6-b for SLC
+        // arrays, 7-b for MLC arrays — one extra bit doubles conversion
+        // energy, but MLC halves the number of occupied arrays).
         let tokens_bits = n * input_bits * layers;
-        let slc_cycles = slc_cycles_per_bit * tokens_bits;
-        let mlc_cycles = mlc_cycles_per_bit * tokens_bits;
+        let slc_cycles = d.slc_cycles_per_bit * tokens_bits;
+        let mlc_cycles = d.mlc_cycles_per_bit * tokens_bits;
         let total_cycles = slc_cycles + mlc_cycles;
         let bit_lines = self.hw.analog_array_cols as f64;
 
@@ -302,12 +386,11 @@ impl PerformanceModel {
             total_cycles * bit_lines * (self.energy.sample_hold_pj + self.energy.shift_add_op_pj);
 
         // One-time weight programming, amortized.
-        let write_per_block: f64 = block.iter().map(|m| m.write_energy_pj).sum();
         energy.analog_rram_write_pj =
-            write_per_block * layers / self.weight_reuse_inferences as f64;
+            d.write_energy_pj * layers / self.weight_reuse_inferences as f64;
 
         // ---- Digital PIM: attention score/context products --------------
-        let stage_ops = ops_count::model_ops(model, point.seq_len);
+        let stage_ops = ops_count::model_ops(model, seq_len);
         let attention_macs: f64 = stage_ops
             .iter()
             .filter(|s| {
@@ -331,8 +414,7 @@ impl PerformanceModel {
 
         // Dynamically generated data written into digital PIM (Q, K, V,
         // scores, FFN intermediate), INT8 SLC: one cell write per bit.
-        let digital_write_cells =
-            chip.digital_cells_for_layer(model, point.seq_len) as f64 * layers;
+        let digital_write_cells = chip.digital_cells_for_layer(model, seq_len) as f64 * layers;
         energy.digital_rram_write_pj = digital_write_cells * self.energy.slc_cell_write_pj;
 
         // ---- SFU: softmax, layer norm, GELU ------------------------------
@@ -354,14 +436,9 @@ impl PerformanceModel {
             activation_bytes_per_layer * layers * self.energy.inner_bus_byte_pj;
 
         // ---- Latency ------------------------------------------------------
-        // Arrays of a layer operate concurrently; if the layer needs more
-        // arrays than one PU owns, the work is serialized into passes.
-        let arrays_per_pu =
-            (self.hw.analog_modules_per_pu * self.hw.analog_arrays_per_module) as f64;
-        let arrays_per_block: f64 = block.iter().map(|m| m.total_arrays() as f64).sum();
-        let passes = (arrays_per_block / arrays_per_pu).ceil().max(1.0);
-        // Two dependent factored stages (x·U then ·ΣVᵀ) per linear layer.
-        let analog_stage_ns = n * input_bits * ANALOG_READ_CYCLE_NS * passes * 2.0;
+        // Two dependent factored stages (x·U then ·ΣVᵀ) per linear layer,
+        // serialized into the deployment's passes over one PU's arrays.
+        let analog_stage_ns = n * input_bits * ANALOG_READ_CYCLE_NS * d.analog_passes * 2.0;
 
         let digital_macs_per_layer = attention_macs / layers;
         let module_rate =
@@ -371,7 +448,8 @@ impl PerformanceModel {
 
         let inter_pu_bytes = activation_bytes_per_layer;
         let interconnect_stage_ns = inter_pu_bytes / ON_CHIP_INTERCONNECT_BYTES_PER_S * 1e9;
-        let chips = chip.chips_for_model(model, point.seq_len, point.slc_rank_fraction);
+        let pus_per_layer = chip.pus_per_layer_given_analog(d.analog_pus_per_layer, model, seq_len);
+        let chips = chip.chips_for_layer_pus(pus_per_layer, model);
         let chip_hop_ns = if chips > 1 {
             model.hidden_dim as f64 / GLOBAL_BUS_BYTES_PER_S * 1e9 * (chips - 1) as f64
         } else {
@@ -391,11 +469,9 @@ impl PerformanceModel {
         };
 
         // ---- Throughput and area -----------------------------------------
-        let total_ops = ops_count::total_ops(model, point.seq_len) * 2;
-        let area_mm2 = self.chip_area_mm2() * chips as f64;
-        Ok(PerfSummary::from_parts(
-            energy, latency, total_ops, area_mm2, chips,
-        ))
+        let total_ops = ops_count::total_ops(model, seq_len) * 2;
+        let area_mm2 = d.chip_area_mm2 * chips as f64;
+        PerfSummary::from_parts(energy, latency, total_ops, area_mm2, chips)
     }
 
     /// Evaluates a slice of points serially. This is the reference for the
@@ -648,6 +724,17 @@ mod tests {
         bad.pus_per_chip = 0;
         assert!(PerformanceModel::new(bad).is_err());
         assert!(PerformanceModel::new(HyFlexPimConfig::paper_default()).is_ok());
+    }
+
+    #[test]
+    fn deploy_rejects_out_of_range_slc_rates() {
+        let model = PerformanceModel::paper_default();
+        for bad in [-0.1, 1.1, f64::NAN] {
+            assert!(model.deploy(&ModelConfig::bert_base(), bad).is_err());
+        }
+        let deployment = model.deploy(&ModelConfig::bert_base(), 0.05).unwrap();
+        assert_eq!(deployment.slc_rank_fraction(), 0.05);
+        assert_eq!(deployment.chip().config(), model.hw());
     }
 
     #[test]

@@ -137,14 +137,6 @@ pub enum FileKind {
     Test,
 }
 
-/// Crates whose non-test library code must be panic-free (E1 at deny).
-/// Everything else gets E1 at warn. core/runtime/rram carry the serving
-/// numbers and the figure pipeline end to end, transformer is the model
-/// that pipeline trains and factorizes, and parallel is the worker pool
-/// under all of them, so a panic in any of these is an availability bug,
-/// not a debugging aid.
-pub const E1_DENY_CRATES: [&str; 5] = ["core", "runtime", "rram", "parallel", "transformer"];
-
 /// The crate allowed to touch `std::thread` (it *is* the pool).
 pub const D3_EXEMPT_CRATE: &str = "parallel";
 
@@ -170,14 +162,11 @@ pub fn severity_for(rule: RuleId, crate_name: &str, kind: FileKind) -> Option<Se
             }
         }
         RuleId::D4 | RuleId::D5 | RuleId::A1 => Some(Severity::Deny),
+        // Non-test library code must be panic-free in every crate: a panic
+        // in the figure pipeline or a serving sim is an availability bug,
+        // not a debugging aid.
         RuleId::E1 => match kind {
-            FileKind::Lib => {
-                if E1_DENY_CRATES.contains(&crate_name) {
-                    Some(Severity::Deny)
-                } else {
-                    Some(Severity::Warn)
-                }
-            }
+            FileKind::Lib => Some(Severity::Deny),
             // Panics are the right failure mode in tests, and bins may
             // unwrap at top level after printing context.
             FileKind::Bin | FileKind::Test => None,
@@ -201,22 +190,19 @@ mod tests {
 
     #[test]
     fn e1_tiers_match_the_policy() {
-        assert_eq!(
-            severity_for(RuleId::E1, "runtime", FileKind::Lib),
-            Some(Severity::Deny)
-        );
-        assert_eq!(
-            severity_for(RuleId::E1, "parallel", FileKind::Lib),
-            Some(Severity::Deny)
-        );
-        assert_eq!(
-            severity_for(RuleId::E1, "transformer", FileKind::Lib),
-            Some(Severity::Deny)
-        );
-        assert_eq!(
-            severity_for(RuleId::E1, "tensor", FileKind::Lib),
-            Some(Severity::Warn)
-        );
+        for crate_name in [
+            "runtime",
+            "parallel",
+            "transformer",
+            "tensor",
+            "bench",
+            "lint",
+        ] {
+            assert_eq!(
+                severity_for(RuleId::E1, crate_name, FileKind::Lib),
+                Some(Severity::Deny)
+            );
+        }
         assert_eq!(severity_for(RuleId::E1, "runtime", FileKind::Test), None);
         assert_eq!(severity_for(RuleId::E1, "bench", FileKind::Bin), None);
     }

@@ -102,12 +102,11 @@ fn e1_unwrap_fixture() {
 #[test]
 fn e1_severity_follows_the_crate_tier() {
     let src = include_str!("fixtures/e1_unwrap.rs");
-    // core/runtime/rram/parallel/transformer are deny-tier…
-    let deny = lint_source("crates/core/src/fixture.rs", src);
-    assert_single(&deny, RuleId::E1, Severity::Deny, 3);
-    // …the remaining library crates are warn-tier…
-    let warn = lint_source("crates/tensor/src/fixture.rs", src);
-    assert_single(&warn, RuleId::E1, Severity::Warn, 3);
+    // There is one library tier: library code of every crate is deny…
+    for path in ["crates/core/src/fixture.rs", "crates/tensor/src/fixture.rs"] {
+        let deny = lint_source(path, src);
+        assert_single(&deny, RuleId::E1, Severity::Deny, 3);
+    }
     // …and test code is exempt outright.
     let test = lint_source("crates/runtime/tests/fixture.rs", src);
     assert!(test.is_empty(), "tests may panic: {test:#?}");

@@ -512,7 +512,9 @@ fn svd_tall(w: &Matrix) -> Result<Svd> {
             .sqrt();
         sigmas.push(norm);
     }
-    order.sort_by(|&i, &j| sigmas[j].partial_cmp(&sigmas[i]).unwrap());
+    // Column norms are non-negative and finite, so the total order is the
+    // numeric one.
+    order.sort_by(|&i, &j| sigmas[j].total_cmp(&sigmas[i]));
 
     let mut u = Matrix::zeros(m, n);
     let mut vt = Matrix::zeros(n, n);

@@ -76,38 +76,33 @@ pub struct StageOps {
 }
 
 /// Operation counts per stage for a single transformer layer at sequence
-/// length `seq_len`.
-pub fn per_layer_ops(config: &ModelConfig, seq_len: usize) -> Vec<StageOps> {
+/// length `seq_len`, in [`Stage::all`] order.
+pub fn per_layer_ops(config: &ModelConfig, seq_len: usize) -> [StageOps; 7] {
     let n = seq_len as u64;
     let dh = config.hidden_dim as u64;
     let dff = config.ffn_dim as u64;
     let heads = config.num_heads as u64;
-    Stage::all()
-        .iter()
-        .map(|&stage| {
-            let ops = match stage {
-                Stage::TokenGenerationFc => 3 * n * dh * dh,
-                Stage::ScoreQKt => n * n * dh,
-                Stage::Softmax => n * n * heads,
-                Stage::ProbV => n * n * dh,
-                Stage::ProjectionFc => n * dh * dh,
-                Stage::Ffn1 => n * dh * dff,
-                Stage::Ffn2 => n * dff * dh,
-            };
-            StageOps { stage, ops }
-        })
-        .collect()
+    Stage::all().map(|stage| {
+        let ops = match stage {
+            Stage::TokenGenerationFc => 3 * n * dh * dh,
+            Stage::ScoreQKt => n * n * dh,
+            Stage::Softmax => n * n * heads,
+            Stage::ProbV => n * n * dh,
+            Stage::ProjectionFc => n * dh * dh,
+            Stage::Ffn1 => n * dh * dff,
+            Stage::Ffn2 => n * dff * dh,
+        };
+        StageOps { stage, ops }
+    })
 }
 
-/// Operation counts per stage for the whole model (all layers).
-pub fn model_ops(config: &ModelConfig, seq_len: usize) -> Vec<StageOps> {
-    per_layer_ops(config, seq_len)
-        .into_iter()
-        .map(|s| StageOps {
-            stage: s.stage,
-            ops: s.ops * config.num_layers as u64,
-        })
-        .collect()
+/// Operation counts per stage for the whole model (all layers), in
+/// [`Stage::all`] order.
+pub fn model_ops(config: &ModelConfig, seq_len: usize) -> [StageOps; 7] {
+    per_layer_ops(config, seq_len).map(|s| StageOps {
+        stage: s.stage,
+        ops: s.ops * config.num_layers as u64,
+    })
 }
 
 /// Total operations across all stages and layers.

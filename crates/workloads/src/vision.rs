@@ -54,16 +54,22 @@ pub fn generate(config: &VisionConfig, seed: u64) -> Dataset {
     let samples: Vec<Sample> = (0..total)
         .map(|_| {
             let class = rng.below(config.num_classes);
-            let noise = Matrix::random_normal(
+            let mut image = Matrix::random_normal(
                 config.patches,
                 config.patch_dim,
                 0.0,
                 config.noise_std,
                 &mut rng,
             );
-            let image = prototypes[class]
-                .add(&noise)
-                .expect("prototype and noise share a shape");
+            // Noise plus prototype, added in place: both have the image
+            // shape by construction, so no shape check can fail.
+            for (x, &p) in image
+                .as_mut_slice()
+                .iter_mut()
+                .zip(prototypes[class].as_slice())
+            {
+                *x += p;
+            }
             Sample {
                 input: ModelInput::Features(image),
                 target: Target::Class(class),

@@ -302,3 +302,37 @@ fn pool_stress_nested_scopes_inside_ten_thousand_uneven_jobs() {
     let got = pool.par_map(&items, work);
     assert_eq!(got, expected);
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The allocation-free `ops_count::total_ops` equals the sum of the
+    /// `model_ops` stages, which are the per-layer counts times the layers.
+    #[test]
+    fn total_ops_is_the_sum_of_the_model_stages(
+        seq_len in 0usize..4097,
+        num_layers in 1usize..65,
+        hidden_dim in 1usize..4097,
+        ffn_dim in 1usize..16385,
+        num_heads in 1usize..65,
+    ) {
+        use hyflex_transformer::{ops_count, ModelConfig};
+
+        let config = ModelConfig {
+            num_layers,
+            hidden_dim,
+            ffn_dim,
+            num_heads,
+            ..ModelConfig::bert_base()
+        };
+        let layer = ops_count::per_layer_ops(&config, seq_len);
+        let model = ops_count::model_ops(&config, seq_len);
+        for ((l, m), stage) in layer.iter().zip(&model).zip(ops_count::Stage::all()) {
+            prop_assert_eq!(l.stage, stage);
+            prop_assert_eq!(m.stage, stage);
+            prop_assert_eq!(m.ops, l.ops * num_layers as u64);
+        }
+        let stage_sum: u64 = model.iter().map(|s| s.ops).sum();
+        prop_assert_eq!(ops_count::total_ops(&config, seq_len), stage_sum);
+    }
+}
