@@ -56,10 +56,12 @@ fn bench_factored_layer(c: &mut Criterion) {
     group.bench_function("factored_forward", |b| {
         b.iter(|| factored.forward(black_box(&x), &ctx).unwrap())
     });
+    // The backward pass alone, from the state one forward pass saved.
+    let (_, saved) = factored.forward_saved(&x, &ctx).unwrap();
     group.bench_function("factored_backward", |b| {
         b.iter(|| {
             factored
-                .backward(black_box(&x), black_box(&upstream), &ctx)
+                .backward(black_box(&x), &saved, black_box(&upstream), &ctx)
                 .unwrap()
         })
     });

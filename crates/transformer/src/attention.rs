@@ -9,12 +9,12 @@
 
 use crate::error::ModelError;
 use crate::kv::LayerKv;
-use crate::layers::{AnyLinear, Layer, LayerCtx, Linear};
+use crate::layers::{AnyLinear, AnyLinearSaved, Layer, LayerCtx, Linear};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::activations::{softmax, softmax_backward};
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::Matrix;
+use hyflex_tensor::{kernels, Matrix};
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
@@ -164,7 +164,8 @@ impl MultiHeadAttention {
         Ok(m.submatrix(0, head * hd, m.rows(), hd)?)
     }
 
-    /// The `Q`, `K`, `V` projections of `x`.
+    /// The `Q`, `K`, `V` projections of `x` (the decode paths' projection;
+    /// the whole-sequence pass projects through `forward_saved`).
     fn project(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, Matrix, Matrix)> {
         Ok((
             self.wq.forward(x, ctx)?,
@@ -299,37 +300,79 @@ impl ParamVisit for MultiHeadAttention {
     }
 }
 
+/// What [`MultiHeadAttention`]'s forward pass keeps for its backward pass.
+pub struct AttentionSaved {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+    /// Each head's attention probabilities, `[L, L]`.
+    probs: Vec<Matrix>,
+    /// The concatenated per-head context, the output projection's input.
+    context: Matrix,
+    /// The `[W_Q, W_K, W_V, W_proj]` projections' saved state.
+    proj: [AnyLinearSaved; 4],
+}
+
 impl Layer for MultiHeadAttention {
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let (q, k, v) = self.project(x, ctx)?;
-        let (context, _) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
-        self.wo.forward(&context, ctx)
+    type Saved = AttentionSaved;
+
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, AttentionSaved)> {
+        let (q, q_saved) = self.wq.forward_saved(x, ctx)?;
+        let (k, k_saved) = self.wk.forward_saved(x, ctx)?;
+        let (v, v_saved) = self.wv.forward_saved(x, ctx)?;
+        let (context, probs) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
+        let (y, o_saved) = self.wo.forward_saved(&context, ctx)?;
+        let saved = AttentionSaved {
+            q,
+            k,
+            v,
+            probs,
+            context,
+            proj: [q_saved, k_saved, v_saved, o_saved],
+        };
+        Ok((y, saved))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &AttentionSaved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix> {
         let len = x.rows();
         let hd = self.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
-
-        let (q, k, v) = self.project(x, ctx)?;
-        let (context, probs) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
+        let AttentionSaved {
+            q,
+            k,
+            v,
+            probs,
+            context,
+            proj: [q_saved, k_saved, v_saved, o_saved],
+        } = saved;
+        if probs.len() != self.num_heads || probs.iter().any(|p| p.shape() != (len, len)) {
+            return Err(ModelError::InvalidInput(
+                "attention backward got saved state of another shape".to_string(),
+            ));
+        }
 
         // Through the output projection.
-        let d_context = self.wo.backward(&context, grad_out, ctx)?;
+        let d_context = self.wo.backward(context, o_saved, grad_out, ctx)?;
 
         let mut d_q = Matrix::zeros(len, self.dim());
         let mut d_k = Matrix::zeros(len, self.dim());
         let mut d_v = Matrix::zeros(len, self.dim());
 
         for (head, probs) in probs.iter().enumerate() {
-            let qh = self.head_slice(&q, head)?;
-            let kh = self.head_slice(&k, head)?;
-            let vh = self.head_slice(&v, head)?;
+            let qh = self.head_slice(q, head)?;
+            let kh = self.head_slice(k, head)?;
+            let vh = self.head_slice(v, head)?;
             let d_ctx_h = self.head_slice(&d_context, head)?;
 
             // d_probs = d_ctx_h · vhᵀ ; d_vh = probsᵀ · d_ctx_h
             let d_probs = d_ctx_h.matmul(&vh.transpose())?;
-            let d_vh = probs.transpose().matmul(&d_ctx_h)?;
+            let d_vh = kernels::matmul_transpose_left(probs, &d_ctx_h)?;
 
             // Through the row-wise softmax.
             let mut d_scores = Matrix::zeros(len, len);
@@ -342,16 +385,16 @@ impl Layer for MultiHeadAttention {
 
             // d_qh = d_scores · kh ; d_kh = d_scoresᵀ · qh
             let d_qh = d_scores.matmul(&kh)?;
-            let d_kh = d_scores.transpose().matmul(&qh)?;
+            let d_kh = kernels::matmul_transpose_left(&d_scores, &qh)?;
 
             d_q.set_submatrix(0, head * hd, &d_qh)?;
             d_k.set_submatrix(0, head * hd, &d_kh)?;
             d_v.set_submatrix(0, head * hd, &d_vh)?;
         }
 
-        let mut dx = self.wq.backward(x, &d_q, ctx)?;
-        dx.add_assign(&self.wk.backward(x, &d_k, ctx)?)?;
-        dx.add_assign(&self.wv.backward(x, &d_v, ctx)?)?;
+        let mut dx = self.wq.backward(x, q_saved, &d_q, ctx)?;
+        dx.add_assign(&self.wk.backward(x, k_saved, &d_k, ctx)?)?;
+        dx.add_assign(&self.wv.backward(x, v_saved, &d_v, ctx)?)?;
         Ok(dx)
     }
 }
@@ -360,6 +403,7 @@ impl Layer for MultiHeadAttention {
 mod tests {
     use super::*;
     use crate::factored::FactoredLinear;
+    use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
     use hyflex_tensor::SvdAlgorithm;
 
@@ -428,7 +472,7 @@ mod tests {
         let x = Matrix::random_normal(4, 6, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(4, 6, 0.0, 1.0, &mut rng);
         let mut attn_mut = attn.clone();
-        let d_input = attn_mut.backward(&x, &upstream, &CTX).unwrap();
+        let d_input = forward_then_backward(&mut attn_mut, &x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
             attn.forward(input, &CTX)
                 .unwrap()
@@ -460,9 +504,8 @@ mod tests {
         let x = Matrix::random_normal(3, 4, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(3, 4, 0.0, 1.0, &mut rng);
         let mut attn_mut = attn.clone();
-        let d_input = attn_mut
-            .backward(&x, &upstream, &LayerCtx::causal())
-            .unwrap();
+        let d_input =
+            forward_then_backward(&mut attn_mut, &x, &upstream, &LayerCtx::causal()).unwrap();
         let loss = |input: &Matrix| -> f32 {
             attn.forward(input, &LayerCtx::causal())
                 .unwrap()
@@ -505,7 +548,7 @@ mod tests {
         let x = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
         let upstream = Matrix::filled(2, 4, 0.5);
         let before = attn.forward(&x, &CTX).unwrap();
-        attn.backward(&x, &upstream, &CTX).unwrap();
+        forward_then_backward(&mut attn, &x, &upstream, &CTX).unwrap();
         attn.step(
             &AdamWConfig {
                 learning_rate: 0.05,

@@ -3,7 +3,7 @@
 use crate::attention::MultiHeadAttention;
 use crate::ffn::FeedForward;
 use crate::kv::LayerKv;
-use crate::layers::{AnyLinear, Layer, LayerCtx, LayerNorm, Residual};
+use crate::layers::{AnyLinear, Layer, LayerCtx, LayerNorm, Residual, ResidualSaved};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
@@ -147,18 +147,34 @@ impl ParamVisit for TransformerBlock {
     }
 }
 
+/// What [`TransformerBlock`]'s forward pass keeps for its backward pass.
+pub struct BlockSaved {
+    /// The attention half's output, the FFN half's input.
+    h: Matrix,
+    attn: ResidualSaved<MultiHeadAttention>,
+    ffn: ResidualSaved<FeedForward>,
+}
+
 impl Layer for TransformerBlock {
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let h = self.attn.forward(x, ctx)?;
-        self.ffn.forward(&h, ctx)
+    type Saved = BlockSaved;
+
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, BlockSaved)> {
+        let (h, attn) = self.attn.forward_saved(x, ctx)?;
+        let (y, ffn) = self.ffn.forward_saved(&h, ctx)?;
+        Ok((y, BlockSaved { h, attn, ffn }))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        // Recompute the attention half's output, then chain the two residual
-        // backward passes (FFN half first, mirroring the forward order).
-        let h = self.attn.forward(x, ctx)?;
-        let d_h = self.ffn.backward(&h, grad_out, ctx)?;
-        self.attn.backward(x, &d_h, ctx)
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &BlockSaved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        // Chain the two residual backward passes from the saved attention
+        // half's output (FFN half first, mirroring the forward order).
+        let d_h = self.ffn.backward(&saved.h, &saved.ffn, grad_out, ctx)?;
+        self.attn.backward(x, &saved.attn, &d_h, ctx)
     }
 }
 
@@ -166,6 +182,7 @@ impl Layer for TransformerBlock {
 mod tests {
     use super::*;
     use crate::attention::AttentionMask;
+    use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
 
     const CTX: LayerCtx<'static> = LayerCtx {
@@ -225,7 +242,7 @@ mod tests {
         let x = Matrix::random_normal(3, 6, 0.0, 0.5, &mut rng);
         let upstream = Matrix::random_normal(3, 6, 0.0, 1.0, &mut rng);
         let mut block_mut = block.clone();
-        let d_input = block_mut.backward(&x, &upstream, &CTX).unwrap();
+        let d_input = forward_then_backward(&mut block_mut, &x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
             block
                 .forward(input, &CTX)
@@ -270,7 +287,7 @@ mod tests {
         let x = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
         let before = block.forward(&x, &CTX).unwrap();
         let grad = Matrix::filled(2, 4, 1.0);
-        block.backward(&x, &grad, &CTX).unwrap();
+        forward_then_backward(&mut block, &x, &grad, &CTX).unwrap();
         block.step(
             &AdamWConfig {
                 learning_rate: 0.05,

@@ -10,11 +10,12 @@
 //! per-factor gradients, direct access to `|∂L/∂σ_r|`, and conversion back to
 //! a dense matrix (or to the `U` / `ΣVᵀ` pair the hardware stores).
 
+use crate::error::ModelError;
 use crate::layers::{Layer, LayerCtx};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::svd::{self, hard_threshold_rank, SvdAlgorithm};
-use hyflex_tensor::Matrix;
+use hyflex_tensor::{kernels, Matrix};
 use serde::{Deserialize, Serialize};
 
 /// A linear layer in truncated-SVD form: `y = x · U · diag(σ) · Vᵀ + b`.
@@ -193,22 +194,43 @@ impl ParamVisit for FactoredLinear {
     }
 }
 
+/// What [`FactoredLinear`]'s forward pass keeps for its backward pass.
+pub struct FactoredSaved {
+    /// `h = x · U`, shape `[L, k]`.
+    h: Matrix,
+    /// `h ⊙ σ`, shape `[L, k]`.
+    scaled: Matrix,
+}
+
 impl Layer for FactoredLinear {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
+    type Saved = FactoredSaved;
+
+    fn forward_saved(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<(Matrix, FactoredSaved)> {
         let h = x.matmul(self.u.value())?;
         let scaled = self.scale_by_sigma(&h);
         let y = scaled.matmul(self.vt.value())?;
-        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
+        let y = y.add_row_broadcast(self.bias.value().row(0))?;
+        Ok((y, FactoredSaved { h, scaled }))
     }
 
     /// Accumulates gradients on `U`, `σ`, `Vᵀ`, and the bias, and returns
     /// `dL/dx`.
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        let h = x.matmul(self.u.value())?; // [L, k]
-        let scaled = self.scale_by_sigma(&h); // h ⊙ σ
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &FactoredSaved,
+        grad_out: &Matrix,
+        _ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        let FactoredSaved { h, scaled } = saved;
+        if h.shape() != (x.rows(), self.rank()) || scaled.shape() != h.shape() {
+            return Err(ModelError::InvalidInput(
+                "factored backward got saved state of another shape".to_string(),
+            ));
+        }
 
         // dL/dVᵀ = (h ⊙ σ)ᵀ · grad_out
-        let d_vt = scaled.transpose().matmul(grad_out)?;
+        let d_vt = kernels::matmul_transpose_left(scaled, grad_out)?;
         self.vt.accumulate_grad(&d_vt)?;
 
         // dL/d(h ⊙ σ) = grad_out · V
@@ -232,7 +254,7 @@ impl Layer for FactoredLinear {
         let d_h = self.scale_by_sigma(&d_scaled);
 
         // dL/dU = xᵀ · d_h
-        let d_u = x.transpose().matmul(&d_h)?;
+        let d_u = kernels::matmul_transpose_left(x, &d_h)?;
         self.u.accumulate_grad(&d_u)?;
 
         // Bias gradient: column sums of grad_out, one contiguous row at a
@@ -254,7 +276,7 @@ impl Layer for FactoredLinear {
 mod tests {
     use super::*;
     use crate::attention::AttentionMask;
-    use crate::layers::Linear;
+    use crate::layers::{forward_then_backward, Linear};
     use crate::param::AdamWConfig;
     use hyflex_tensor::rng::Rng;
 
@@ -313,7 +335,7 @@ mod tests {
         let mut rng = Rng::seed_from(6);
         let x = Matrix::random_normal(2, 6, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(2, 4, 0.0, 1.0, &mut rng);
-        let d_input = f.backward(&x, &upstream, &CTX).unwrap();
+        let d_input = forward_then_backward(&mut f, &x, &upstream, &CTX).unwrap();
         let probe = f.clone();
         let loss = |input: &Matrix| -> f32 {
             probe
@@ -342,7 +364,7 @@ mod tests {
         let mut rng = Rng::seed_from(8);
         let x = Matrix::random_normal(3, 6, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
-        f.backward(&x, &upstream, &CTX).unwrap();
+        forward_then_backward(&mut f, &x, &upstream, &CTX).unwrap();
         let analytic: Vec<f32> = f.sigma.grad().row(0).to_vec();
         for (k, &analytic_k) in analytic.iter().enumerate() {
             let numeric = {
@@ -410,9 +432,9 @@ mod tests {
         for _ in 0..300 {
             f.zero_grad();
             for (x, t) in inputs.iter().zip(targets.iter()) {
-                let y = f.forward(x, &CTX).unwrap();
+                let (y, saved) = f.forward_saved(x, &CTX).unwrap();
                 let grad = Matrix::filled(1, 1, 2.0 * (y.at(0, 0) - t));
-                f.backward(x, &grad, &CTX).unwrap();
+                f.backward(x, &saved, &grad, &CTX).unwrap();
             }
             f.step(&config, inputs.len());
         }

@@ -5,7 +5,7 @@
 //! is why HyFlexPIM's gains over attention-only accelerators such as SPRINT
 //! are largest in that regime.
 
-use crate::layers::{AnyLinear, Layer, LayerCtx, Linear};
+use crate::layers::{AnyLinear, AnyLinearSaved, Layer, LayerCtx, Linear};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::activations::{gelu, gelu_derivative};
@@ -66,19 +66,44 @@ impl ParamVisit for FeedForward {
     }
 }
 
+/// What [`FeedForward`]'s forward pass keeps for its backward pass.
+pub struct FeedForwardSaved {
+    /// FFN1's output (the GELU input).
+    hidden: Matrix,
+    /// `gelu(hidden)`, FFN2's input.
+    activated: Matrix,
+    fc1: AnyLinearSaved,
+    fc2: AnyLinearSaved,
+}
+
 impl Layer for FeedForward {
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let hidden = self.fc1.forward(x, ctx)?;
+    type Saved = FeedForwardSaved;
+
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, FeedForwardSaved)> {
+        let (hidden, fc1) = self.fc1.forward_saved(x, ctx)?;
         let activated = hidden.map(gelu);
-        self.fc2.forward(&activated, ctx)
+        let (y, fc2) = self.fc2.forward_saved(&activated, ctx)?;
+        let saved = FeedForwardSaved {
+            hidden,
+            activated,
+            fc1,
+            fc2,
+        };
+        Ok((y, saved))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let hidden = self.fc1.forward(x, ctx)?;
-        let activated = hidden.map(gelu);
-        let d_activated = self.fc2.backward(&activated, grad_out, ctx)?;
-        let d_hidden = d_activated.hadamard(&hidden.map(gelu_derivative))?;
-        self.fc1.backward(x, &d_hidden, ctx)
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &FeedForwardSaved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        let d_activated = self
+            .fc2
+            .backward(&saved.activated, &saved.fc2, grad_out, ctx)?;
+        let d_hidden = d_activated.hadamard(&saved.hidden.map(gelu_derivative))?;
+        self.fc1.backward(x, &saved.fc1, &d_hidden, ctx)
     }
 }
 
@@ -87,6 +112,7 @@ mod tests {
     use super::*;
     use crate::attention::AttentionMask;
     use crate::factored::FactoredLinear;
+    use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
     use hyflex_tensor::SvdAlgorithm;
 
@@ -113,7 +139,7 @@ mod tests {
         let x = Matrix::random_normal(2, 5, 0.0, 0.8, &mut rng);
         let upstream = Matrix::random_normal(2, 5, 0.0, 1.0, &mut rng);
         let mut ffn_mut = ffn.clone();
-        let d_input = ffn_mut.backward(&x, &upstream, &CTX).unwrap();
+        let d_input = forward_then_backward(&mut ffn_mut, &x, &upstream, &CTX).unwrap();
         let loss = |input: &Matrix| -> f32 {
             ffn.forward(input, &CTX)
                 .unwrap()
@@ -188,9 +214,9 @@ mod tests {
         for _ in 0..150 {
             ffn.zero_grad();
             for x in &inputs {
-                let y = ffn.forward(x, &CTX).unwrap();
+                let (y, saved) = ffn.forward_saved(x, &CTX).unwrap();
                 let grad = y.add(x).unwrap().scale(2.0);
-                ffn.backward(x, &grad, &CTX).unwrap();
+                ffn.backward(x, &saved, &grad, &CTX).unwrap();
             }
             ffn.step(&config, inputs.len());
         }

@@ -2,12 +2,17 @@
 //!
 //! Every module here implements two orthogonal interfaces:
 //!
-//! * [`Layer`] — `forward`/`backward` over row-major `[L, dim]` activation
-//!   matrices, with a [`LayerCtx`] carrying the attention mask. It is the
-//!   only forward/backward path of every matrix-in module. Composition helpers ([`Residual`]) and the block/model
-//!   stack in [`crate::block`]/[`crate::model`] are written against this
-//!   trait, so encoder, decoder, and vision topologies assemble from the
-//!   same parts.
+//! * [`Layer`] — `forward_saved`/`backward` over row-major `[L, dim]`
+//!   activation matrices, with a [`LayerCtx`] carrying the attention mask.
+//!   `forward_saved` is the only forward implementation of every matrix-in
+//!   module: it returns the output together with the intermediates the
+//!   forward pass computed anyway (the layer's [`Layer::Saved`] state), and
+//!   `backward` reads those instead of running the forward again.
+//!   [`Layer::forward`] is `forward_saved` with the saved state dropped, so
+//!   inference pays nothing for it. Composition helpers ([`Residual`]) and
+//!   the block/model stack in [`crate::block`]/[`crate::model`] are written
+//!   against this trait, so encoder, decoder, and vision topologies assemble
+//!   from the same parts.
 //! * [`crate::param::ParamVisit`] — named parameter visitation, the single
 //!   source of truth for optimizer stepping, gradient clearing, and
 //!   parameter enumeration (`blocks.3.attn.q_proj.weight`).
@@ -21,15 +26,15 @@
 
 use crate::attention::AttentionMask;
 use crate::error::ModelError;
-use crate::factored::FactoredLinear;
+use crate::factored::{FactoredLinear, FactoredSaved};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
-use hyflex_tensor::activations;
+use hyflex_tensor::activations::{self, LayerNormOutput};
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::Matrix;
+use hyflex_tensor::{kernels, Matrix};
 use serde::{Deserialize, Serialize};
 
-/// Per-pass context threaded through [`Layer::forward`] and
+/// Per-pass context threaded through [`Layer::forward_saved`] and
 /// [`Layer::backward`].
 #[derive(Debug, Clone, Copy)]
 pub struct LayerCtx<'a> {
@@ -57,25 +62,49 @@ impl<'a> LayerCtx<'a> {
 /// A composable model module: forward/backward over `[L, dim]` activations
 /// plus named parameter visitation (via the [`ParamVisit`] supertrait).
 ///
-/// `backward` recomputes its forward intermediates internally, accumulates
-/// gradients into the module's parameters, and returns `dL/dx`; callers only
-/// supply the original input. Modules whose input is not an activation
-/// matrix (e.g. [`Embedding`], which consumes token ids) implement only
-/// [`ParamVisit`].
+/// [`Layer::forward_saved`] runs the forward pass once and hands back, next
+/// to the output, the intermediates the backward pass needs ([`Layer::Saved`]
+/// — only values the forward computes anyway, moved rather than cloned).
+/// [`Layer::backward`] reads them, accumulates gradients into the module's
+/// parameters, and returns `dL/dx`; it never runs the forward again. The
+/// caller supplies the same input and context it gave `forward_saved`.
+/// Modules whose input is not an activation matrix (e.g. [`Embedding`],
+/// which consumes token ids) implement only [`ParamVisit`].
 pub trait Layer: ParamVisit {
-    /// Forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the underlying computation.
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix>;
+    /// The forward intermediates [`Layer::backward`] reads.
+    type Saved;
 
-    /// Backward pass: accumulates parameter gradients, returns `dL/dx`.
+    /// Forward pass that also returns the intermediates for the backward
+    /// pass.
     ///
     /// # Errors
     ///
     /// Returns shape errors from the underlying computation.
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix>;
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, Self::Saved)>;
+
+    /// Forward pass: [`Layer::forward_saved`] with the saved state dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors from the underlying computation.
+    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+        Ok(self.forward_saved(x, ctx)?.0)
+    }
+
+    /// Backward pass from the state `forward_saved(x, ctx)` returned:
+    /// accumulates parameter gradients, returns `dL/dx`.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors from the underlying computation, including a
+    /// `saved` state that does not match this layer or `grad_out`.
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &Self::Saved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix>;
 }
 
 /// Pre-norm residual combinator: `x + inner(norm(x))`.
@@ -137,17 +166,39 @@ impl<L: ParamVisit> ParamVisit for Residual<L> {
     }
 }
 
+/// What [`Residual`]'s forward pass keeps for its backward pass.
+pub struct ResidualSaved<L: Layer> {
+    /// The normalized input the wrapped module consumed.
+    normed: Matrix,
+    norm: Vec<LayerNormOutput>,
+    inner: L::Saved,
+}
+
 impl<L: Layer> Layer for Residual<L> {
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let normed = self.norm.forward(x, ctx)?;
-        let y = self.inner.forward(&normed, ctx)?;
-        Ok(x.add(&y)?)
+    type Saved = ResidualSaved<L>;
+
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, Self::Saved)> {
+        let (normed, norm) = self.norm.forward_saved(x, ctx)?;
+        let (y, inner) = self.inner.forward_saved(&normed, ctx)?;
+        let saved = ResidualSaved {
+            normed,
+            norm,
+            inner,
+        };
+        Ok((x.add(&y)?, saved))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        let normed = self.norm.forward(x, ctx)?;
-        let d_inner = self.inner.backward(&normed, grad_out, ctx)?;
-        let d_norm = self.norm.backward(x, &d_inner, ctx)?;
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &Self::Saved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        let d_inner = self
+            .inner
+            .backward(&saved.normed, &saved.inner, grad_out, ctx)?;
+        let d_norm = self.norm.backward(x, &saved.norm, &d_inner, ctx)?;
         let mut d_x = grad_out.clone();
         d_x.add_assign(&d_norm)?;
         Ok(d_x)
@@ -222,13 +273,22 @@ impl ParamVisit for Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
+    /// The backward pass needs only the input, which the caller keeps.
+    type Saved = ();
+
+    fn forward_saved(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<(Matrix, ())> {
         let y = x.matmul(self.weight.value())?;
-        Ok(y.add_row_broadcast(self.bias.value().row(0))?)
+        Ok((y.add_row_broadcast(self.bias.value().row(0))?, ()))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        let d_weight = x.transpose().matmul(grad_out)?;
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        _saved: &(),
+        grad_out: &Matrix,
+        _ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        let d_weight = kernels::matmul_transpose_left(x, grad_out)?;
         self.weight.accumulate_grad(&d_weight)?;
         let mut d_bias = Matrix::zeros(1, grad_out.cols());
         for r in 0..grad_out.rows() {
@@ -324,18 +384,43 @@ impl ParamVisit for AnyLinear {
     }
 }
 
+/// What [`AnyLinear`]'s forward pass keeps: the saved state of whichever
+/// variant ran.
+pub enum AnyLinearSaved {
+    /// A dense layer's (empty) saved state.
+    Dense,
+    /// A factored layer's saved state.
+    Factored(FactoredSaved),
+}
+
 impl Layer for AnyLinear {
-    fn forward(&self, x: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
+    type Saved = AnyLinearSaved;
+
+    fn forward_saved(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, AnyLinearSaved)> {
         match self {
-            AnyLinear::Dense(l) => l.forward(x, ctx),
-            AnyLinear::Factored(f) => f.forward(x, ctx),
+            AnyLinear::Dense(l) => Ok((l.forward(x, ctx)?, AnyLinearSaved::Dense)),
+            AnyLinear::Factored(f) => {
+                let (y, saved) = f.forward_saved(x, ctx)?;
+                Ok((y, AnyLinearSaved::Factored(saved)))
+            }
         }
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        match self {
-            AnyLinear::Dense(l) => l.backward(x, grad_out, ctx),
-            AnyLinear::Factored(f) => f.backward(x, grad_out, ctx),
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &AnyLinearSaved,
+        grad_out: &Matrix,
+        ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        match (self, saved) {
+            (AnyLinear::Dense(l), AnyLinearSaved::Dense) => l.backward(x, &(), grad_out, ctx),
+            (AnyLinear::Factored(f), AnyLinearSaved::Factored(s)) => {
+                f.backward(x, s, grad_out, ctx)
+            }
+            _ => Err(ModelError::InvalidInput(
+                "linear backward got the saved state of the other variant".to_string(),
+            )),
         }
     }
 }
@@ -381,7 +466,10 @@ impl ParamVisit for LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
+    /// Each row's normalization (mean, inverse std, normalized values).
+    type Saved = Vec<LayerNormOutput>;
+
+    fn forward_saved(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<(Matrix, Vec<LayerNormOutput>)> {
         if x.cols() != self.dim() {
             return Err(ModelError::InvalidInput(format!(
                 "layer norm expected {} columns, got {}",
@@ -390,6 +478,7 @@ impl Layer for LayerNorm {
             )));
         }
         let mut out = Matrix::zeros(x.rows(), x.cols());
+        let mut rows = Vec::with_capacity(x.rows());
         for r in 0..x.rows() {
             let normalized = activations::layer_norm(
                 x.row(r),
@@ -398,12 +487,22 @@ impl Layer for LayerNorm {
                 self.epsilon,
             );
             out.row_mut(r).copy_from_slice(&normalized.output);
+            rows.push(normalized);
         }
-        Ok(out)
+        Ok((out, rows))
     }
 
-    fn backward(&mut self, x: &Matrix, grad_out: &Matrix, _ctx: &LayerCtx) -> Result<Matrix> {
-        if x.shape() != grad_out.shape() {
+    fn backward(
+        &mut self,
+        x: &Matrix,
+        saved: &Self::Saved,
+        grad_out: &Matrix,
+        _ctx: &LayerCtx,
+    ) -> Result<Matrix> {
+        if x.shape() != grad_out.shape()
+            || saved.len() != x.rows()
+            || saved.iter().any(|row| row.normalized.len() != x.cols())
+        {
             return Err(ModelError::InvalidInput(
                 "layer norm backward shape mismatch".to_string(),
             ));
@@ -411,15 +510,9 @@ impl Layer for LayerNorm {
         let mut d_input = Matrix::zeros(x.rows(), x.cols());
         let mut d_gamma = Matrix::zeros(1, x.cols());
         let mut d_beta = Matrix::zeros(1, x.cols());
-        for r in 0..x.rows() {
-            let forward = activations::layer_norm(
-                x.row(r),
-                self.gamma.value().row(0),
-                self.beta.value().row(0),
-                self.epsilon,
-            );
+        for (r, forward) in saved.iter().enumerate() {
             let grads = activations::layer_norm_backward(
-                &forward,
+                forward,
                 self.gamma.value().row(0),
                 grad_out.row(r),
             );
@@ -557,6 +650,19 @@ impl ParamVisit for Embedding {
     }
 }
 
+/// One forward pass, then the backward pass from its saved state: the
+/// call pair every unit test's gradient check needs.
+#[cfg(test)]
+pub(crate) fn forward_then_backward<L: Layer>(
+    layer: &mut L,
+    x: &Matrix,
+    grad_out: &Matrix,
+    ctx: &LayerCtx,
+) -> Result<Matrix> {
+    let (_, saved) = layer.forward_saved(x, ctx)?;
+    layer.backward(x, &saved, grad_out, ctx)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,7 +724,7 @@ mod tests {
         };
         let d_input = {
             let mut l = layer.clone();
-            l.backward(&x, &upstream, &CTX).unwrap()
+            forward_then_backward(&mut l, &x, &upstream, &CTX).unwrap()
         };
         finite_difference_check(loss, &x, &d_input, 1e-2);
     }
@@ -629,7 +735,7 @@ mod tests {
         let mut layer = Linear::new(3, 2, &mut rng);
         let x = Matrix::random_normal(2, 3, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(2, 2, 0.0, 1.0, &mut rng);
-        layer.backward(&x, &upstream, &CTX).unwrap();
+        forward_then_backward(&mut layer, &x, &upstream, &CTX).unwrap();
         let analytic = layer.weight_param().grad().clone();
         let base_weight = layer.weight().clone();
         let loss = |w: &Matrix| -> f32 {
@@ -679,7 +785,7 @@ mod tests {
         let mut ln = LayerNorm::new(5);
         let x = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
         let upstream = Matrix::random_normal(3, 5, 0.0, 1.0, &mut rng);
-        let d_input = ln.backward(&x, &upstream, &CTX).unwrap();
+        let d_input = forward_then_backward(&mut ln, &x, &upstream, &CTX).unwrap();
         let probe = LayerNorm::new(5);
         let loss = |input: &Matrix| -> f32 {
             probe
@@ -690,6 +796,59 @@ mod tests {
                 .sum()
         };
         finite_difference_check(loss, &x, &d_input, 2e-2);
+    }
+
+    /// Asserts `forward(x)` and `forward_saved(x).0` agree bit for bit.
+    fn assert_forward_is_forward_saved<L: Layer>(layer: &L, x: &Matrix, ctx: &LayerCtx) {
+        let plain = layer.forward(x, ctx).unwrap();
+        let (kept, _) = layer.forward_saved(x, ctx).unwrap();
+        assert_eq!(plain.shape(), kept.shape());
+        for (i, (a, b)) in plain.as_slice().iter().zip(kept.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "output {i}: {a:?} != {b:?}");
+        }
+    }
+
+    #[test]
+    fn forward_is_forward_saved_for_every_layer() {
+        use crate::attention::MultiHeadAttention;
+        use crate::block::TransformerBlock;
+        use crate::ffn::FeedForward;
+
+        let mut rng = Rng::seed_from(8);
+        let x = Matrix::random_normal(5, 8, 0.0, 1.0, &mut rng);
+        let linear = Linear::new(8, 6, &mut rng);
+        let factored =
+            FactoredLinear::from_weight_seeded(linear.weight(), 4, SvdAlgorithm::Jacobi, None)
+                .unwrap();
+        assert_forward_is_forward_saved(&linear, &x, &CTX);
+        assert_forward_is_forward_saved(&factored, &x, &CTX);
+        assert_forward_is_forward_saved(&AnyLinear::Dense(linear), &x, &CTX);
+        assert_forward_is_forward_saved(&AnyLinear::Factored(factored), &x, &CTX);
+        assert_forward_is_forward_saved(&LayerNorm::new(8), &x, &CTX);
+        let ffn = FeedForward::new(8, 16, &mut rng);
+        assert_forward_is_forward_saved(&ffn, &x, &CTX);
+        assert_forward_is_forward_saved(&Residual::new(LayerNorm::new(8), ffn), &x, &CTX);
+        let block = TransformerBlock::new(8, 16, 2, &mut rng).unwrap();
+        assert_forward_is_forward_saved(&block, &x, &CTX);
+
+        let attn = MultiHeadAttention::new(8, 2, &mut rng).unwrap();
+        let segments = [0..2, 2..5];
+        for mask in [
+            AttentionMask::Bidirectional,
+            AttentionMask::Causal,
+            AttentionMask::Packed {
+                segments: &segments,
+                causal: false,
+            },
+            AttentionMask::Packed {
+                segments: &segments,
+                causal: true,
+            },
+        ] {
+            let ctx = LayerCtx::with_mask(mask);
+            assert_forward_is_forward_saved(&attn, &x, &ctx);
+            assert_forward_is_forward_saved(&block, &x, &ctx);
+        }
     }
 
     #[test]
@@ -747,9 +906,9 @@ mod tests {
         for _ in 0..200 {
             layer.zero_grad();
             for (x, t) in inputs.iter().zip(targets.iter()) {
-                let y = layer.forward(x, &CTX).unwrap();
+                let (y, saved) = layer.forward_saved(x, &CTX).unwrap();
                 let grad = Matrix::filled(1, 1, 2.0 * (y.at(0, 0) - t));
-                layer.backward(x, &grad, &CTX).unwrap();
+                layer.backward(x, &saved, &grad, &CTX).unwrap();
             }
             layer.step(&config, inputs.len());
         }

@@ -386,6 +386,11 @@ impl TransformerModel {
     /// gradients in every layer. Returns the forward logits so callers can
     /// compute the loss once.
     ///
+    /// The forward pass runs once, through [`Layer::forward_saved`]: each
+    /// block's input and saved intermediates are kept (the output moves into
+    /// the next block's input slot), and the backward pass reads them
+    /// instead of running any layer forward again.
+    ///
     /// # Errors
     ///
     /// Returns input/shape errors, and any error `d_logits_of` returns.
@@ -395,14 +400,14 @@ impl TransformerModel {
         d_logits_of: &mut dyn FnMut(&Matrix) -> Result<Matrix>,
     ) -> Result<(Matrix, Matrix)> {
         let ctx = self.sequence_ctx();
-        // Forward, caching each block input.
+        // Forward, keeping each block's input and saved intermediates.
         let mut x = self.embed(input)?;
-        let mut block_inputs = Vec::with_capacity(self.blocks.len());
+        let mut block_saves = Vec::with_capacity(self.blocks.len());
         for block in &self.blocks {
-            block_inputs.push(x.clone());
-            x = block.forward(&x, &ctx)?;
+            let (y, saved) = block.forward_saved(&x, &ctx)?;
+            block_saves.push((std::mem::replace(&mut x, y), saved));
         }
-        let hidden = self.final_norm.forward(&x, &ctx)?;
+        let (hidden, final_saved) = self.final_norm.forward_saved(&x, &ctx)?;
         let pooled = match self.config.task {
             TaskKind::LanguageModeling => None,
             _ => Some(mean_pool(&hidden)),
@@ -413,7 +418,7 @@ impl TransformerModel {
         let d_logits = d_logits_of(&logits)?;
 
         // Backward through the head.
-        let d_head_in = self.head.backward(head_in, &d_logits, &ctx)?;
+        let d_head_in = self.head.backward(head_in, &(), &d_logits, &ctx)?;
         let d_hidden = if pooled.is_some() {
             // Mean pooling broadcast: every row receives d_pooled / L.
             let len = hidden.rows() as f32;
@@ -429,9 +434,11 @@ impl TransformerModel {
         };
 
         // Backward through the final layer norm and the block stack.
-        let mut d_x = self.final_norm.backward(&x, &d_hidden, &ctx)?;
-        for (block, block_input) in self.blocks.iter_mut().zip(block_inputs.iter()).rev() {
-            d_x = block.backward(block_input, &d_x, &ctx)?;
+        let mut d_x = self
+            .final_norm
+            .backward(&x, &final_saved, &d_hidden, &ctx)?;
+        for (block, (block_input, saved)) in self.blocks.iter_mut().zip(&block_saves).rev() {
+            d_x = block.backward(block_input, saved, &d_x, &ctx)?;
         }
 
         // Backward into the embedding / patch projection.
@@ -440,7 +447,7 @@ impl TransformerModel {
                 embedding.backward(tokens, &d_x)?;
             }
             (ModelInput::Features(features), _, Some(proj)) => {
-                proj.backward(features, &d_x, &ctx)?;
+                proj.backward(features, &(), &d_x, &ctx)?;
             }
             _ => {}
         }

@@ -93,6 +93,22 @@ fn loss_and_grad(task: &TaskKind, logits: &Matrix, target: &Target) -> Result<(f
     }
 }
 
+/// Runs one sample's forward/backward pass, accumulating its gradients into
+/// `model`, and returns the sample's loss.
+fn accumulate_sample(
+    model: &mut TransformerModel,
+    task: &TaskKind,
+    sample: &Sample,
+) -> Result<f64> {
+    let mut sample_loss = 0.0f64;
+    model.forward_backward(&sample.input, &mut |logits: &Matrix| {
+        let (loss, grad) = loss_and_grad(task, logits, &sample.target)?;
+        sample_loss = loss;
+        Ok(grad)
+    })?;
+    Ok(sample_loss)
+}
+
 /// Evaluation summary over a dataset split.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EvalReport {
@@ -134,14 +150,7 @@ impl Trainer {
         for batch in samples.chunks(self.batch_size) {
             model.zero_grad();
             for sample in batch {
-                let mut loss_cell = 0.0f64;
-                let target = sample.target.clone();
-                model.forward_backward(&sample.input, &mut |logits: &Matrix| {
-                    let (loss, grad) = loss_and_grad(&task, logits, &target)?;
-                    loss_cell = loss;
-                    Ok(grad)
-                })?;
-                total_loss += loss_cell;
+                total_loss += accumulate_sample(model, &task, sample)?;
             }
             model.step(&self.optimizer, batch.len());
         }
@@ -197,14 +206,7 @@ impl Trainer {
         let task = model.config().task;
         let mut total_loss = 0.0f64;
         for sample in samples {
-            let mut loss_cell = 0.0f64;
-            let target = sample.target.clone();
-            model.forward_backward(&sample.input, &mut |logits: &Matrix| {
-                let (loss, grad) = loss_and_grad(&task, logits, &target)?;
-                loss_cell = loss;
-                Ok(grad)
-            })?;
-            total_loss += loss_cell;
+            total_loss += accumulate_sample(model, &task, sample)?;
         }
         Ok(total_loss / samples.len() as f64)
     }

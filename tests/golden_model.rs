@@ -6,9 +6,10 @@
 //! equality, so any numeric drift introduced by restructuring the model —
 //! however small — fails CI. The cases cover all three topologies the graph
 //! builder assembles (encoder, decoder, vision encoder) plus gradient
-//! accumulation through the full backward pass, for dense and for
-//! truncated-SVD factored models (whose `sigma` gradients are the gradient
-//! redistribution's SLC/MLC selection signal).
+//! accumulation through the full backward pass (including the vision
+//! model's patch projection), for dense and for truncated-SVD factored
+//! models (whose `sigma` gradients are the gradient redistribution's SLC/MLC
+//! selection signal).
 //!
 //! Regenerate (only when intentionally re-baselining the numerics) with:
 //! `cargo test --test golden_model -- --ignored regenerate_golden_fixtures`
@@ -149,6 +150,31 @@ fn run_case(case: &str) -> Vec<(String, Matrix)> {
                 ),
             ]
         }
+        "vit_backward" => {
+            let mut rng = Rng::seed_from(48);
+            let mut model = TransformerModel::new(ModelConfig::tiny_vit(10), &mut rng).unwrap();
+            let patches = Matrix::random_normal(9, 24, 0.0, 1.0, &mut rng);
+            let (logits, d_logits) = model
+                .forward_backward(&ModelInput::Features(patches), &mut |logits: &Matrix| {
+                    Ok(logits.scale(0.5))
+                })
+                .unwrap();
+            let params = model.params();
+            let mut captures = vec![
+                ("logits".to_string(), logits),
+                ("d_logits".to_string(), d_logits),
+            ];
+            for name in [
+                "patch_proj.weight",
+                "patch_proj.bias",
+                "blocks.0.attn.k_proj.weight",
+                "blocks.1.ffn.fc1.weight",
+            ] {
+                let grad = params.get(name).unwrap().grad().clone();
+                captures.push((format!("{name}.grad"), grad));
+            }
+            captures
+        }
         "factored_backward" => {
             let mut rng = Rng::seed_from(47);
             let mut model = TransformerModel::new(ModelConfig::tiny_encoder(3), &mut rng).unwrap();
@@ -192,6 +218,7 @@ const CASES: &[&str] = &[
     "encoder_backward",
     "decoder_backward",
     "factored_backward",
+    "vit_backward",
 ];
 
 #[test]
