@@ -16,9 +16,9 @@
 //! `Backend::evaluate_decode_step`, whose component-wise marginal pricing
 //! charges precisely that).
 
-use crate::Accelerator;
-use hyflex_pim::mapping::kv_token_cost;
-use hyflex_pim::perf::{EvaluationPoint, PerfSummary, PerformanceModel};
+use hyflex_pim::backend::{Backend, InferenceRequest};
+use hyflex_pim::mapping::{kv_token_cost, KvTokenCost};
+use hyflex_pim::perf::{Deployment, PerfSummary, PerformanceModel};
 use hyflex_pim::Result;
 use hyflex_transformer::config::ModelConfig;
 
@@ -29,39 +29,57 @@ use hyflex_transformer::config::ModelConfig;
 /// energy once conversion overheads are counted.
 pub const ANALOG_ATTENTION_EFFICIENCY: f64 = 0.5;
 
-/// The analog in-memory attention baseline.
+/// The analog in-memory attention baseline, bound to the model it serves.
 #[derive(Debug, Clone)]
 pub struct AnalogAttention {
     perf: PerformanceModel,
+    /// Linear layers keep the all-SLC mapping (no hybrid protection
+    /// scheme), deployed once at construction.
+    deployment: Deployment,
+    /// Cost of programming one token's K/V rows into SLC.
+    kv: KvTokenCost,
+    model: ModelConfig,
 }
 
 impl AnalogAttention {
-    /// Creates the baseline on the paper's hardware constants.
-    pub fn new() -> Self {
-        AnalogAttention {
-            perf: PerformanceModel::paper_default(),
-        }
-    }
-
-    /// Linear layers keep the all-SLC mapping (no hybrid protection scheme).
-    fn point(&self, model: &ModelConfig, seq_len: usize) -> EvaluationPoint {
-        EvaluationPoint {
-            model: model.clone(),
-            seq_len,
-            slc_rank_fraction: 1.0,
-        }
-    }
-}
-
-impl Default for AnalogAttention {
-    fn default() -> Self {
-        AnalogAttention::new()
+    /// Deploys `model` on the paper's hardware constants.
+    ///
+    /// # Errors
+    ///
+    /// Propagates mapping and hardware-configuration errors.
+    pub fn new(model: ModelConfig) -> Result<Self> {
+        let perf = PerformanceModel::paper_default();
+        let deployment = perf.deploy(&model, 1.0)?;
+        let kv = kv_token_cost(&model, perf.hw(), perf.energy_model())?;
+        Ok(AnalogAttention {
+            perf,
+            deployment,
+            kv,
+            model,
+        })
     }
 }
 
-impl Accelerator for AnalogAttention {
+impl Backend for AnalogAttention {
     fn name(&self) -> &str {
         "AnalogAttention"
+    }
+
+    fn model(&self) -> &ModelConfig {
+        &self.model
+    }
+
+    /// The KV cache lives in analog crossbars, so requests are admitted
+    /// against the analog capacity of one PU.
+    fn capacity(&self) -> usize {
+        self.perf.hw().analog_cells_per_pu()
+    }
+
+    /// Cells one request's programmed KV occupies: K and V rows for every
+    /// token of every layer, in SLC.
+    fn request_cells(&self, seq_len: usize) -> usize {
+        let values_per_token = 2 * self.model.hidden_dim * self.model.num_layers;
+        seq_len * values_per_token * usize::from(self.perf.hw().weight_bits)
     }
 
     /// The all-SLC evaluation with the attention dot products moved into the
@@ -70,15 +88,16 @@ impl Accelerator for AnalogAttention {
     /// rows is programmed into SLC crossbars at runtime — an
     /// `analog_rram_write` energy adder and a per-layer write-pulse latency
     /// adder, both linear in the sequence length.
-    fn perf_summary(&self, model: &ModelConfig, seq_len: usize) -> Result<PerfSummary> {
-        let base = self.perf.evaluate(&self.point(model, seq_len))?;
-        let kv = kv_token_cost(model, self.perf.hw(), self.perf.energy_model())?;
-        let tokens = seq_len as f64;
+    fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
+        let base = self
+            .perf
+            .evaluate_deployed(&self.model, &self.deployment, request.seq_len);
+        let tokens = request.seq_len as f64;
         let mut energy = base.energy;
         energy.attention_dot_product_pj *= ANALOG_ATTENTION_EFFICIENCY;
-        energy.analog_rram_write_pj += tokens * kv.slc_write_pj;
+        energy.analog_rram_write_pj += tokens * self.kv.slc_write_pj;
         let mut latency = base.latency;
-        latency.analog_ns += tokens * kv.slc_write_ns;
+        latency.analog_ns += tokens * self.kv.slc_write_ns;
         Ok(PerfSummary::from_parts(
             energy,
             latency,
@@ -87,25 +106,21 @@ impl Accelerator for AnalogAttention {
             base.chips,
         ))
     }
-
-    /// The KV cache lives in analog crossbars, so requests are admitted
-    /// against the analog capacity of one PU.
-    fn tile_cells(&self) -> usize {
-        self.perf.hw().analog_cells_per_pu()
-    }
-
-    /// Cells one request's programmed KV occupies: K and V rows for every
-    /// token of every layer, in SLC.
-    fn request_cells(&self, model: &ModelConfig, seq_len: usize) -> usize {
-        let values_per_token = 2 * model.hidden_dim * model.num_layers;
-        seq_len * values_per_token * usize::from(self.perf.hw().weight_bits)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::HyFlexPimAccelerator;
+    use hyflex_pim::backend::HyFlexPim;
+    use hyflex_pim::energy_breakdown::EnergyBreakdown;
+    use hyflex_pim::perf::EvaluationPoint;
+
+    fn energy(backend: &dyn Backend, seq_len: usize) -> EnergyBreakdown {
+        backend
+            .evaluate(&InferenceRequest::of_len(0, seq_len))
+            .unwrap()
+            .energy
+    }
 
     #[test]
     fn prefill_regime_loses_to_hybrid_hyflexpim() {
@@ -114,31 +129,27 @@ mod tests {
         // attention saves, and the all-SLC linear mapping gives up the MLC
         // density win.
         let model = ModelConfig::bert_large();
-        let ours = AnalogAttention::new();
-        let hyflex = HyFlexPimAccelerator::new(0.05);
+        let ours = AnalogAttention::new(model.clone()).unwrap();
+        let hyflex = HyFlexPim::paper(model, 0.05).unwrap();
         assert!(
-            ours.linear_layer_energy_pj(&model, 128).unwrap()
-                > hyflex.linear_layer_energy_pj(&model, 128).unwrap()
+            ours.linear_layer_energy_pj(128).unwrap() > hyflex.linear_layer_energy_pj(128).unwrap()
         );
-        assert!(
-            ours.end_to_end_energy(&model, 128).unwrap().total_pj()
-                > hyflex.end_to_end_energy(&model, 128).unwrap().total_pj()
-        );
+        assert!(energy(&ours, 128).total_pj() > energy(&hyflex, 128).total_pj());
     }
 
     #[test]
     fn kv_programming_shows_up_as_analog_writes() {
         let model = ModelConfig::bert_large();
-        let ours = AnalogAttention::new();
-        let short = ours.end_to_end_energy(&model, 64).unwrap();
-        let long = ours.end_to_end_energy(&model, 128).unwrap();
+        let ours = AnalogAttention::new(model.clone()).unwrap();
+        let short = energy(&ours, 64);
+        let long = energy(&ours, 128);
         // The write adder grows with the sequence, and dominates the
         // amortized one-time weight programming of the base evaluation.
         assert!(long.analog_rram_write_pj > 1.9 * short.analog_rram_write_pj);
         // Attention runs cheaper than the digital-PIM baseline path.
         let digital = PerformanceModel::paper_default()
             .evaluate(&EvaluationPoint {
-                model: model.clone(),
+                model,
                 seq_len: 128,
                 slc_rank_fraction: 1.0,
             })
@@ -148,12 +159,8 @@ mod tests {
 
     #[test]
     fn decode_step_is_cheap_relative_to_prefill() {
-        use hyflex_pim::backend::Backend;
-        let backend =
-            crate::AcceleratorBackend::new(AnalogAttention::new(), ModelConfig::bert_large());
-        let prefill = backend
-            .evaluate(&hyflex_pim::backend::InferenceRequest::of_len(0, 128))
-            .unwrap();
+        let backend = AnalogAttention::new(ModelConfig::bert_large()).unwrap();
+        let prefill = backend.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
         let step = backend.evaluate_decode_step(128, 1).unwrap();
         // One decoded token programs one token's KV, not 128 of them.
         assert!(
@@ -164,13 +171,9 @@ mod tests {
 
     #[test]
     fn kv_capacity_bounds_requests() {
-        let model = ModelConfig::bert_large();
-        let ours = AnalogAttention::new();
-        assert!(ours.request_cells(&model, 128) <= ours.tile_cells());
+        let ours = AnalogAttention::new(ModelConfig::bert_large()).unwrap();
+        assert!(ours.request_cells(128) <= ours.capacity());
         // Cache cells grow linearly with context.
-        assert_eq!(
-            ours.request_cells(&model, 128),
-            2 * ours.request_cells(&model, 64)
-        );
+        assert_eq!(ours.request_cells(128), 2 * ours.request_cells(64));
     }
 }

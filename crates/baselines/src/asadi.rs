@@ -8,9 +8,9 @@
 //! attention-sparsity factor. ASADI† is the paper's fairer variant with INT8
 //! linear layers.
 
-use crate::Accelerator;
+use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::energy_breakdown::EnergyBreakdown;
-use hyflex_pim::perf::{EvaluationPoint, PerfSummary, PerformanceModel};
+use hyflex_pim::perf::{Deployment, PerfSummary, PerformanceModel};
 use hyflex_pim::Result;
 use hyflex_transformer::config::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -27,25 +27,33 @@ pub enum AsadiPrecision {
 /// Fraction of attention work ASADI's diagonal compression removes.
 pub const ASADI_ATTENTION_SAVINGS: f64 = 0.3;
 
-/// The ASADI / ASADI† baseline.
+/// The ASADI / ASADI† baseline, bound to the model it serves.
 #[derive(Debug, Clone)]
 pub struct Asadi {
     perf: PerformanceModel,
+    /// The all-SLC mapping — the defining difference from HyFlexPIM —
+    /// deployed once at construction.
+    deployment: Deployment,
+    model: ModelConfig,
     precision: AsadiPrecision,
-    name: &'static str,
 }
 
 impl Asadi {
-    /// Creates the baseline at the chosen precision.
-    pub fn new(precision: AsadiPrecision) -> Self {
-        Asadi {
-            perf: PerformanceModel::paper_default(),
+    /// Deploys `model` all-SLC on the paper's hardware at the chosen
+    /// precision.
+    ///
+    /// # Errors
+    ///
+    /// Propagates mapping errors.
+    pub fn new(precision: AsadiPrecision, model: ModelConfig) -> Result<Self> {
+        let perf = PerformanceModel::paper_default();
+        let deployment = perf.deploy(&model, 1.0)?;
+        Ok(Asadi {
+            perf,
+            deployment,
+            model,
             precision,
-            name: match precision {
-                AsadiPrecision::Fp32 => "ASADI",
-                AsadiPrecision::Int8 => "ASADI\u{2020}",
-            },
-        }
+        })
     }
 
     /// FP32 stores and moves 4x the bits of INT8; bit-serial analog PIM work
@@ -60,20 +68,6 @@ impl Asadi {
     /// Attention always runs at FP32 in both ASADI variants.
     fn attention_precision_factor(&self) -> f64 {
         4.0
-    }
-
-    fn point(&self, model: &ModelConfig, seq_len: usize) -> EvaluationPoint {
-        // All-SLC mapping is the defining difference from HyFlexPIM.
-        EvaluationPoint {
-            model: model.clone(),
-            seq_len,
-            slc_rank_fraction: 1.0,
-        }
-    }
-
-    fn breakdown(&self, model: &ModelConfig, seq_len: usize) -> Result<EnergyBreakdown> {
-        let summary = self.perf.evaluate(&self.point(model, seq_len))?;
-        Ok(self.scaled_energy(summary.energy))
     }
 
     fn scaled_energy(&self, mut energy: EnergyBreakdown) -> EnergyBreakdown {
@@ -91,9 +85,33 @@ impl Asadi {
     }
 }
 
-impl Accelerator for Asadi {
+impl Backend for Asadi {
     fn name(&self) -> &str {
-        self.name
+        match self.precision {
+            AsadiPrecision::Fp32 => "ASADI",
+            AsadiPrecision::Int8 => "ASADI\u{2020}",
+        }
+    }
+
+    fn model(&self) -> &ModelConfig {
+        &self.model
+    }
+
+    /// ASADI's tile budget mirrors HyFlexPIM's digital-PIM capacity (same
+    /// class of hybrid design).
+    fn capacity(&self) -> usize {
+        self.perf.hw().digital_cells_per_pu()
+    }
+
+    /// Per-layer dynamic state like the common model, but ASADI's FP32
+    /// attention state is 4× wider (and in the FP32 variant so is the rest).
+    fn request_cells(&self, seq_len: usize) -> usize {
+        let (model, n) = (&self.model, seq_len);
+        let attention_state = model.num_heads * n * n;
+        let linear_state = 3 * n * model.hidden_dim + n * model.hidden_dim + n * model.ffn_dim;
+        (linear_state * self.linear_precision_factor() as usize
+            + attention_state * self.attention_precision_factor() as usize)
+            * 8
     }
 
     /// ASADI through the all-SLC mapping: the same layer-pipeline latency
@@ -102,8 +120,10 @@ impl Accelerator for Asadi {
     /// stretched by the bit-serial operand width (4× for the FP32 variant —
     /// analog reads, digital products, SFU, and activation movement all
     /// scale with the operand bits).
-    fn perf_summary(&self, model: &ModelConfig, seq_len: usize) -> Result<PerfSummary> {
-        let base = self.perf.evaluate(&self.point(model, seq_len))?;
+    fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
+        let base = self
+            .perf
+            .evaluate_deployed(&self.model, &self.deployment, request.seq_len);
         let energy = self.scaled_energy(base.energy);
         let stretch = self.linear_precision_factor();
         let mut latency = base.latency;
@@ -119,51 +139,36 @@ impl Accelerator for Asadi {
             base.chips,
         ))
     }
-
-    fn linear_layer_energy_pj(&self, model: &ModelConfig, seq_len: usize) -> Result<f64> {
-        Ok(self.breakdown(model, seq_len)?.linear_layer_pj())
-    }
-
-    fn end_to_end_energy(&self, model: &ModelConfig, seq_len: usize) -> Result<EnergyBreakdown> {
-        self.breakdown(model, seq_len)
-    }
-
-    /// ASADI's tile budget mirrors HyFlexPIM's digital-PIM capacity (same
-    /// class of hybrid design).
-    fn tile_cells(&self) -> usize {
-        self.perf.hw().digital_cells_per_pu()
-    }
-
-    /// Per-layer dynamic state like the common model, but ASADI's FP32
-    /// attention state is 4× wider (and in the FP32 variant so is the rest).
-    fn request_cells(&self, model: &ModelConfig, seq_len: usize) -> usize {
-        let n = seq_len;
-        let attention_state = model.num_heads * n * n;
-        let linear_state = 3 * n * model.hidden_dim + n * model.hidden_dim + n * model.ffn_dim;
-        (linear_state * self.linear_precision_factor() as usize
-            + attention_state * self.attention_precision_factor() as usize)
-            * 8
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyflex_pim::backend::HyFlexPim;
+
+    fn tops(backend: &dyn Backend, seq_len: usize) -> f64 {
+        backend
+            .evaluate(&InferenceRequest::of_len(0, seq_len))
+            .unwrap()
+            .tops_per_mm2
+    }
 
     #[test]
     fn fp32_variant_is_more_expensive_than_int8_variant() {
         let model = ModelConfig::bert_large();
-        let fp32 = Asadi::new(AsadiPrecision::Fp32);
-        let int8 = Asadi::new(AsadiPrecision::Int8);
+        let fp32 = Asadi::new(AsadiPrecision::Fp32, model.clone()).unwrap();
+        let int8 = Asadi::new(AsadiPrecision::Int8, model).unwrap();
         assert!(
-            fp32.linear_layer_energy_pj(&model, 128).unwrap()
-                > int8.linear_layer_energy_pj(&model, 128).unwrap()
+            fp32.linear_layer_energy_pj(128).unwrap() > int8.linear_layer_energy_pj(128).unwrap()
         );
-        assert!(
-            fp32.end_to_end_energy(&model, 128).unwrap().total_pj()
-                > int8.end_to_end_energy(&model, 128).unwrap().total_pj()
-        );
-        assert!(fp32.tops_per_mm2(&model, 128).unwrap() < int8.tops_per_mm2(&model, 128).unwrap());
+        let total = |b: &Asadi| {
+            b.evaluate(&InferenceRequest::of_len(0, 128))
+                .unwrap()
+                .energy
+                .total_pj()
+        };
+        assert!(total(&fp32) > total(&int8));
+        assert!(tops(&fp32, 128) < tops(&int8, 128));
         assert_eq!(int8.name(), "ASADI\u{2020}");
         assert_eq!(fp32.name(), "ASADI");
     }
@@ -173,10 +178,10 @@ mod tests {
         // Figure 14: HyFlexPIM at 5% SLC is up to ~1.24x more efficient than
         // ASADI-dagger on linear layers.
         let model = ModelConfig::bert_large();
-        let asadi = Asadi::new(AsadiPrecision::Int8);
-        let hyflex = crate::HyFlexPimAccelerator::new(0.05);
-        let ratio = asadi.linear_layer_energy_pj(&model, 128).unwrap()
-            / hyflex.linear_layer_energy_pj(&model, 128).unwrap();
+        let asadi = Asadi::new(AsadiPrecision::Int8, model.clone()).unwrap();
+        let hyflex = HyFlexPim::paper(model, 0.05).unwrap();
+        let ratio = asadi.linear_layer_energy_pj(128).unwrap()
+            / hyflex.linear_layer_energy_pj(128).unwrap();
         assert!(ratio > 1.05 && ratio < 2.5, "ratio {ratio:.2}");
     }
 
@@ -184,10 +189,9 @@ mod tests {
     fn asadi_throughput_deficit_is_in_the_paper_band() {
         // Figure 16: HyFlexPIM achieves 1.1 - 1.86x speedup over ASADI-dagger.
         let model = ModelConfig::bert_large();
-        let asadi = Asadi::new(AsadiPrecision::Int8);
-        let hyflex = crate::HyFlexPimAccelerator::new(0.1);
-        let speedup =
-            hyflex.tops_per_mm2(&model, 1024).unwrap() / asadi.tops_per_mm2(&model, 1024).unwrap();
+        let asadi = Asadi::new(AsadiPrecision::Int8, model.clone()).unwrap();
+        let hyflex = HyFlexPim::paper(model, 0.1).unwrap();
+        let speedup = tops(&hyflex, 1024) / tops(&asadi, 1024);
         assert!((1.0..3.0).contains(&speedup), "speedup {speedup:.2}");
     }
 }

@@ -16,26 +16,29 @@
 //!   sits next to memory but still reads operands from the banks.
 //! * **Non-PIM** — a digital INT8 accelerator fed from off-chip DRAM through
 //!   an on-chip SRAM cache.
+//! * **Analog attention** — a serving-oriented design that runs attention
+//!   in analog crossbars over a runtime-programmed KV cache (not part of the
+//!   paper's roster; used by the decode-serving study).
 //!
-//! Every baseline implements the [`Accelerator`] trait — the full
-//! [`PerfSummary`] surface (latency breakdown, energy breakdown, area) plus
-//! batched evaluation — so the benchmark harness prints the
-//! normalized-energy figures (14 and 15) and the throughput figure (16) in
-//! one loop, and the serving machinery in `hyflex-runtime` can drive any of
-//! them. HyFlexPIM itself is exposed through the same trait via
-//! [`HyFlexPimAccelerator`].
+//! Every design implements `hyflex_pim::backend::Backend` directly, exactly
+//! as HyFlexPIM's own [`HyFlexPim`] does: it is built for one
+//! [`ModelConfig`], caches whatever that model fixes at construction (the
+//! all-SLC deployment of the ASADI family, for instance), and prices each
+//! request from a sequence length.
+//! The comparison figures (14–16), the serving simulators in
+//! `hyflex-runtime` and the tests therefore go through one trait.
 //!
-//! The crate also hosts the model-bound side of the comparison surface:
+//! The crate also hosts the name-addressed side of the comparison surface:
 //!
 //! * [`registry`] — [`BackendRegistry`]: name → constructor table for every
 //!   comparison backend (`hyflexpim`, `asadi-int8`, `asadi-fp32`, `nmp`,
-//!   `sprint`, `non-pim`), the one place that knows the full roster.
+//!   `sprint`, `non-pim`, `analog-attention`), the one place that knows the
+//!   full roster.
 //! * [`system`] — [`SystemBuilder`]: validated, fluent construction of a
 //!   deployed system
 //!   (`SystemBuilder::paper().slc_rate(0.05).backend("asadi-int8").build()`).
-//! * [`AcceleratorBackend`] — adapter binding an [`Accelerator`] to a
-//!   [`ModelConfig`] so it satisfies the `hyflex_pim::Backend` trait the
-//!   runtime consumes.
+//!
+//! [`HyFlexPim`]: hyflex_pim::backend::HyFlexPim
 
 pub mod analog_attention;
 pub mod asadi;
@@ -45,18 +48,13 @@ pub mod registry;
 pub mod sprint;
 pub mod system;
 
-use hyflex_pim::arch::Chip;
-use hyflex_pim::backend::{Backend, InferenceRequest};
-use hyflex_pim::energy_breakdown::EnergyBreakdown;
-use hyflex_pim::perf::{self, BatchPerfSummary, EvaluationPoint, PerfSummary, PerformanceModel};
-use hyflex_pim::Result;
 use hyflex_transformer::config::ModelConfig;
 
 pub use analog_attention::{AnalogAttention, ANALOG_ATTENTION_EFFICIENCY};
 pub use asadi::{Asadi, AsadiPrecision};
 pub use nmp::NearMemoryProcessing;
 pub use non_pim::NonPim;
-pub use registry::{BackendParams, BackendRegistry, BackendSpec};
+pub use registry::{BackendParams, BackendRegistry};
 pub use sprint::Sprint;
 pub use system::SystemBuilder;
 
@@ -67,241 +65,54 @@ pub use system::SystemBuilder;
 /// allocation that lets BERT-Large fill a 16-request batch at N = 128.
 pub const DEFAULT_TILE_BUFFER_BYTES: usize = 32 << 20;
 
-/// A transformer accelerator that can be evaluated analytically.
-///
-/// The three energy/area methods are the original comparison surface of
-/// Figures 14–16; [`Accelerator::perf_summary`] and
-/// [`Accelerator::batch_summary`] extend every design with the latency model
-/// the serving machinery needs, and [`Accelerator::tile_cells`] /
-/// [`Accelerator::request_cells`] expose the per-batch buffer budget the
-/// `BatchScheduler` admits requests against.
-pub trait Accelerator {
-    /// Human-readable name used in printed tables.
-    fn name(&self) -> &str;
-
-    /// Full evaluation of one inference: latency breakdown, energy
-    /// breakdown, throughput, and area.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration/mapping errors.
-    fn perf_summary(&self, model: &ModelConfig, seq_len: usize) -> Result<PerfSummary>;
-
-    /// Batched evaluation: `batch_size` requests of the same shape executed
-    /// back to back. The default models a layer pipeline (HyFlexPIM/ASADI
-    /// style); serial or bandwidth-bound designs override it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hyflex_pim::PimError::EmptyBatch`] for an empty batch and
-    /// propagates single-request evaluation errors.
-    fn batch_summary(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        batch_size: usize,
-    ) -> Result<BatchPerfSummary> {
-        let single = self.perf_summary(model, seq_len)?;
-        perf::pipelined_batch(single, model.num_layers, seq_len, batch_size)
-    }
-
-    /// Energy of the static-weight linear layers for one inference, pJ.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration/mapping errors.
-    fn linear_layer_energy_pj(&self, model: &ModelConfig, seq_len: usize) -> Result<f64> {
-        Ok(self.perf_summary(model, seq_len)?.energy.linear_layer_pj())
-    }
-
-    /// End-to-end energy breakdown for one inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration/mapping errors.
-    fn end_to_end_energy(&self, model: &ModelConfig, seq_len: usize) -> Result<EnergyBreakdown> {
-        Ok(self.perf_summary(model, seq_len)?.energy)
-    }
-
-    /// Area efficiency in TOPS/mm² for the full inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns configuration/mapping errors.
-    fn tops_per_mm2(&self, model: &ModelConfig, seq_len: usize) -> Result<f64> {
-        Ok(self.perf_summary(model, seq_len)?.tops_per_mm2)
-    }
-
-    /// Buffer budget of one layer tile, in cells (bits), that a batch of
-    /// in-flight requests must fit. Defaults to
-    /// [`DEFAULT_TILE_BUFFER_BYTES`] of SRAM.
-    fn tile_cells(&self) -> usize {
-        DEFAULT_TILE_BUFFER_BYTES * 8
-    }
-
-    /// Cells (bits) one request of length `seq_len` occupies in one layer
-    /// tile: the INT8 per-layer dynamic data (Q, K, V, attention scores,
-    /// attention output, FFN intermediate).
-    fn request_cells(&self, model: &ModelConfig, seq_len: usize) -> usize {
-        let n = seq_len;
-        let elements = 3 * n * model.hidden_dim
-            + model.num_heads * n * n
-            + n * model.hidden_dim
-            + n * model.ffn_dim;
-        elements * 8
-    }
-}
-
-/// HyFlexPIM exposed through the common [`Accelerator`] interface.
-#[derive(Debug, Clone)]
-pub struct HyFlexPimAccelerator {
-    perf: PerformanceModel,
-    chip: Chip,
-    /// SLC protection rate used for the mapping.
-    pub slc_rank_fraction: f64,
-    name: String,
-}
-
-impl HyFlexPimAccelerator {
-    /// Creates the accelerator at a given SLC protection rate.
-    pub fn new(slc_rank_fraction: f64) -> Self {
-        // The paper's chip and the paper's performance model share one
-        // hardware config, so the scheduler's capacity contract cannot drift
-        // from the model.
-        HyFlexPimAccelerator {
-            perf: PerformanceModel::paper_default(),
-            chip: Chip::paper_default(),
-            slc_rank_fraction,
-            name: hyflex_pim::backend::hyflexpim_display_name(slc_rank_fraction),
-        }
-    }
-
-    fn point(&self, model: &ModelConfig, seq_len: usize) -> EvaluationPoint {
-        EvaluationPoint {
-            model: model.clone(),
-            seq_len,
-            slc_rank_fraction: self.slc_rank_fraction,
-        }
-    }
-}
-
-impl Accelerator for HyFlexPimAccelerator {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn perf_summary(&self, model: &ModelConfig, seq_len: usize) -> Result<PerfSummary> {
-        self.perf.evaluate(&self.point(model, seq_len))
-    }
-
-    fn batch_summary(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        batch_size: usize,
-    ) -> Result<BatchPerfSummary> {
-        self.perf
-            .evaluate_batched(&self.point(model, seq_len), batch_size)
-    }
-
-    fn linear_layer_energy_pj(&self, model: &ModelConfig, seq_len: usize) -> Result<f64> {
-        self.perf
-            .linear_layer_energy_pj(&self.point(model, seq_len))
-    }
-
-    fn tile_cells(&self) -> usize {
-        self.perf.hw().digital_cells_per_pu()
-    }
-
-    fn request_cells(&self, model: &ModelConfig, seq_len: usize) -> usize {
-        self.chip.digital_cells_for_layer(model, seq_len)
-    }
-}
-
-/// Adapter binding an [`Accelerator`] to the [`ModelConfig`] it serves, so
-/// any baseline satisfies the `hyflex_pim::Backend` trait and flows through
-/// `BatchScheduler`, `ServingSim`, and the parallel sweep drivers.
-#[derive(Debug, Clone)]
-pub struct AcceleratorBackend<A> {
-    accelerator: A,
-    model: ModelConfig,
-}
-
-impl<A: Accelerator> AcceleratorBackend<A> {
-    /// Binds `accelerator` to `model`.
-    pub fn new(accelerator: A, model: ModelConfig) -> Self {
-        AcceleratorBackend { accelerator, model }
-    }
-
-    /// The wrapped accelerator.
-    pub fn accelerator(&self) -> &A {
-        &self.accelerator
-    }
-}
-
-impl<A: Accelerator + Send + Sync + std::fmt::Debug> Backend for AcceleratorBackend<A> {
-    fn name(&self) -> &str {
-        self.accelerator.name()
-    }
-
-    fn model(&self) -> &ModelConfig {
-        &self.model
-    }
-
-    fn capacity(&self) -> usize {
-        self.accelerator.tile_cells()
-    }
-
-    fn request_cells(&self, seq_len: usize) -> usize {
-        self.accelerator.request_cells(&self.model, seq_len)
-    }
-
-    fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
-        self.accelerator.perf_summary(&self.model, request.seq_len)
-    }
-
-    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
-        self.accelerator
-            .batch_summary(&self.model, seq_len, batch_size)
-    }
+/// Cells (bits) one request of length `seq_len` occupies in one layer tile
+/// of a digital baseline: the INT8 per-layer dynamic data (Q, K, V,
+/// attention scores, attention output, FFN intermediate).
+pub fn int8_activation_cells(model: &ModelConfig, seq_len: usize) -> usize {
+    let n = seq_len;
+    let elements = 3 * n * model.hidden_dim
+        + model.num_heads * n * n
+        + n * model.hidden_dim
+        + n * model.ffn_dim;
+    elements * 8
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyflex_pim::backend::{Backend, InferenceRequest};
+    use hyflex_pim::energy_breakdown::EnergyBreakdown;
+    use std::sync::Arc;
 
-    fn roster(slc: f64) -> Vec<Box<dyn Accelerator>> {
-        BackendRegistry::paper().accelerators(slc)
+    /// Every registered design bound to `model`, HyFlexPIM at `slc`, in
+    /// registry order (HyFlexPIM first).
+    fn roster(model: &ModelConfig, slc: f64) -> Vec<Box<dyn Backend>> {
+        let registry = BackendRegistry::paper();
+        let params = BackendParams {
+            slc_rank_fraction: slc,
+            ..BackendParams::paper(model.clone())
+        };
+        registry
+            .names()
+            .into_iter()
+            .map(|name| registry.build(name, &params).unwrap())
+            .collect()
     }
 
-    #[test]
-    fn hyflexpim_adapter_matches_the_perf_model() {
-        let acc = HyFlexPimAccelerator::new(0.05);
-        let model = ModelConfig::bert_large();
-        let direct = PerformanceModel::paper_default()
-            .evaluate(&EvaluationPoint {
-                model: model.clone(),
-                seq_len: 128,
-                slc_rank_fraction: 0.05,
-            })
-            .unwrap();
-        let via_trait = acc.end_to_end_energy(&model, 128).unwrap();
-        assert!((via_trait.total_pj() - direct.energy.total_pj()).abs() < 1e-6);
-        assert!(acc.name().contains("HyFlexPIM"));
-        assert!(acc.tops_per_mm2(&model, 128).unwrap() > 0.0);
-        // The full summary and the batched path are bit-identical too.
-        assert_eq!(acc.perf_summary(&model, 128).unwrap(), direct);
-        let batched = acc.batch_summary(&model, 128, 4).unwrap();
-        assert_eq!(batched.single, direct);
+    fn energy(backend: &dyn Backend, seq_len: usize) -> EnergyBreakdown {
+        backend
+            .evaluate(&InferenceRequest::of_len(0, seq_len))
+            .unwrap()
+            .energy
     }
 
     #[test]
     fn hyflexpim_beats_every_baseline_on_linear_layer_energy() {
         let model = ModelConfig::bert_large();
-        let hyflex = HyFlexPimAccelerator::new(0.05);
-        let ours = hyflex.linear_layer_energy_pj(&model, 128).unwrap();
-        for baseline in roster(0.05).into_iter().skip(1) {
-            let theirs = baseline.linear_layer_energy_pj(&model, 128).unwrap();
+        let roster = roster(&model, 0.05);
+        let ours = roster[0].linear_layer_energy_pj(128).unwrap();
+        for baseline in &roster[1..] {
+            let theirs = baseline.linear_layer_energy_pj(128).unwrap();
             assert!(
                 ours < theirs,
                 "{} linear-layer energy {:.3e} should exceed HyFlexPIM {:.3e}",
@@ -315,10 +126,10 @@ mod tests {
     #[test]
     fn hyflexpim_beats_every_baseline_end_to_end() {
         let model = ModelConfig::bert_large();
-        let hyflex = HyFlexPimAccelerator::new(0.05);
-        let ours = hyflex.end_to_end_energy(&model, 128).unwrap().total_pj();
-        for baseline in roster(0.05).into_iter().skip(1) {
-            let theirs = baseline.end_to_end_energy(&model, 128).unwrap().total_pj();
+        let roster = roster(&model, 0.05);
+        let ours = energy(roster[0].as_ref(), 128).total_pj();
+        for baseline in &roster[1..] {
+            let theirs = energy(baseline.as_ref(), 128).total_pj();
             assert!(
                 ours < theirs,
                 "{}: {:.3e} pJ should exceed HyFlexPIM {:.3e} pJ",
@@ -334,11 +145,11 @@ mod tests {
         // Non-PIM (DRAM-bound) is the most expensive end to end; the NMP
         // baseline sits between SPRINT and non-PIM.
         let model = ModelConfig::bert_large();
-        let energy = |a: &dyn Accelerator| a.end_to_end_energy(&model, 128).unwrap().total_pj();
-        let asadi_int8 = energy(&Asadi::new(AsadiPrecision::Int8));
-        let asadi_fp32 = energy(&Asadi::new(AsadiPrecision::Fp32));
-        let non_pim = energy(&NonPim::new());
-        let nmp = energy(&NearMemoryProcessing::new());
+        let total = |b: &dyn Backend| energy(b, 128).total_pj();
+        let asadi_int8 = total(&Asadi::new(AsadiPrecision::Int8, model.clone()).unwrap());
+        let asadi_fp32 = total(&Asadi::new(AsadiPrecision::Fp32, model.clone()).unwrap());
+        let non_pim = total(&NonPim::new(model.clone()));
+        let nmp = total(&NearMemoryProcessing::new(model));
         assert!(asadi_int8 < asadi_fp32);
         assert!(nmp < non_pim);
     }
@@ -346,34 +157,38 @@ mod tests {
     #[test]
     fn every_accelerator_reports_a_complete_perf_summary() {
         let model = ModelConfig::bert_large();
-        for acc in roster(0.05) {
-            let s = acc.perf_summary(&model, 128).unwrap();
+        for backend in roster(&model, 0.05) {
+            let s = backend.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
             assert!(
                 s.latency.total_ns() > 0.0,
                 "{} reports no latency",
-                acc.name()
+                backend.name()
             );
             assert!(s.energy.total_pj() > 0.0);
             assert!(s.area_mm2 > 0.0);
             assert!(s.tops_per_mm2 > 0.0);
             assert!(s.total_ops > 0);
             // The tile budget admits at least one BERT-Large request.
-            assert!(acc.request_cells(&model, 128) <= acc.tile_cells());
+            assert!(backend.request_cells(128) <= backend.capacity());
         }
     }
 
+    /// SPRINT overrides the provided `linear_layer_energy_pj` with its
+    /// Figure 14 accounting; the override must survive every pointer the
+    /// runtime hands backends around in.
     #[test]
-    fn accelerator_backend_adapter_forwards_to_the_accelerator() {
-        let model = ModelConfig::bert_base();
-        let backend = AcceleratorBackend::new(Sprint::new(), model.clone());
-        assert_eq!(backend.name(), "SPRINT");
-        assert_eq!(backend.model().name, model.name);
-        let direct = Sprint::new().perf_summary(&model, 64).unwrap();
-        let via = backend.evaluate(&InferenceRequest::of_len(0, 64)).unwrap();
-        assert_eq!(direct, via);
-        assert_eq!(
-            backend.request_cells(64),
-            Sprint::new().request_cells(&model, 64)
-        );
+    fn sprint_linear_energy_forwards_through_pointers() {
+        fn linear_bits<B: Backend>(backend: B) -> u64 {
+            backend.linear_layer_energy_pj(128).unwrap().to_bits()
+        }
+        let sprint = Sprint::new(ModelConfig::bert_base());
+        let own = sprint.linear_layer_energy_pj(128).unwrap().to_bits();
+        let breakdown = energy(&sprint, 128).linear_layer_pj().to_bits();
+        assert_ne!(own, breakdown);
+        let boxed: Box<dyn Backend> = Box::new(sprint.clone());
+        let arced: Arc<dyn Backend> = Arc::new(sprint.clone());
+        assert_eq!(linear_bits(&sprint), own);
+        assert_eq!(linear_bits(boxed), own);
+        assert_eq!(linear_bits(arced), own);
     }
 }

@@ -6,8 +6,9 @@
 //! interface, and the near-bank ALUs are less efficient than a dense digital
 //! datapath — let alone in-array analog accumulation.
 
-use crate::Accelerator;
+use crate::{int8_activation_cells, DEFAULT_TILE_BUFFER_BYTES};
 use hyflex_circuits::EnergyModel;
+use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::energy_breakdown::EnergyBreakdown;
 use hyflex_pim::perf::{self, BatchPerfSummary, LatencyBreakdown, PerfSummary};
 use hyflex_pim::Result;
@@ -30,17 +31,21 @@ pub const NMP_AREA_MM2: f64 = 60.0;
 /// but finite: every operand still crosses it.
 pub const NMP_HBM_BYTES_PER_S: f64 = 512.0e9;
 
-/// The TransPIM-style near-memory-processing baseline.
+/// The TransPIM-style near-memory-processing baseline, bound to the model
+/// it serves.
 #[derive(Debug, Clone)]
 pub struct NearMemoryProcessing {
     energy: EnergyModel,
+    model: ModelConfig,
 }
 
 impl NearMemoryProcessing {
-    /// Creates the baseline with the shared 65 nm energy constants.
-    pub fn new() -> Self {
+    /// Creates the baseline for `model` with the shared 65 nm energy
+    /// constants.
+    pub fn new(model: ModelConfig) -> Self {
         NearMemoryProcessing {
             energy: EnergyModel::default(),
+            model,
         }
     }
 
@@ -49,96 +54,20 @@ impl NearMemoryProcessing {
     }
 
     /// Per-inference weight traffic across the bank interface, bytes.
-    fn weight_bytes(model: &ModelConfig) -> f64 {
-        model.static_params_total() as f64
+    fn weight_bytes(&self) -> f64 {
+        self.model.static_params_total() as f64
     }
 
     /// Per-inference activation/intermediate traffic across the bank
     /// interface, bytes (same accounting as the energy model).
-    fn activation_bytes(model: &ModelConfig, seq_len: usize) -> f64 {
+    fn activation_bytes(&self, seq_len: usize) -> f64 {
+        let model = &self.model;
         (seq_len * (model.hidden_dim + model.ffn_dim) * model.num_layers) as f64
             + (model.num_heads * seq_len * seq_len * model.num_layers) as f64
     }
-}
 
-impl Default for NearMemoryProcessing {
-    fn default() -> Self {
-        NearMemoryProcessing::new()
-    }
-}
-
-impl Accelerator for NearMemoryProcessing {
-    fn name(&self) -> &str {
-        "NMP (TransPIM)"
-    }
-
-    /// DRAM-bounded timing: the near-bank ALUs run at their compute peak,
-    /// but weights and activations all cross the bank interface; whichever
-    /// is slower bounds the inference, and the excess of the memory time
-    /// over the compute time is exposed as interconnect stall.
-    fn perf_summary(&self, model: &ModelConfig, seq_len: usize) -> Result<PerfSummary> {
-        let total_ops = ops_count::total_ops(model, seq_len) * 2;
-        let compute_s = total_ops as f64 / NMP_PEAK_OPS_PER_S;
-        let bytes = Self::weight_bytes(model) + Self::activation_bytes(model, seq_len);
-        let mem_s = bytes / NMP_HBM_BYTES_PER_S;
-        let latency = LatencyBreakdown {
-            analog_ns: 0.0,
-            digital_ns: compute_s * 1e9,
-            sfu_ns: 0.0,
-            interconnect_ns: (mem_s - compute_s).max(0.0) * 1e9,
-            queueing_ns: 0.0,
-        };
-        Ok(PerfSummary::from_parts(
-            self.end_to_end_energy(model, seq_len)?,
-            latency,
-            total_ops,
-            NMP_AREA_MM2,
-            1,
-        ))
-    }
-
-    /// Batching amortizes the dominant weight traffic: a streamed weight
-    /// tile is applied to every request of the batch before eviction, so at
-    /// steady state only the per-request activation traffic and the compute
-    /// time bound the initiation interval. The first request still pays the
-    /// full weight-streaming latency, and the per-request energy amortizes
-    /// the weight-traffic crossing the same way the interval does.
-    fn batch_summary(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        batch_size: usize,
-    ) -> Result<BatchPerfSummary> {
-        let single = self.perf_summary(model, seq_len)?;
-        // The compute time is exactly the digital latency component of the
-        // single-request evaluation; only the weight-streaming share of the
-        // memory time is amortized away.
-        let compute_s = single.latency.digital_ns * 1e-9;
-        let act_s = Self::activation_bytes(model, seq_len) / NMP_HBM_BYTES_PER_S;
-        let interval_ns = compute_s.max(act_s) * 1e9;
-        let mut batch = perf::batch_summary_from_interval(single, interval_ns, batch_size)?;
-        // Weight bytes cross the bank interface once per batch, not once per
-        // request: keep the energy model consistent with the latency model.
-        let weight_pj = Self::weight_bytes(model) * self.energy.hbm_access_byte_pj;
-        let b = batch_size as f64;
-        batch.energy_per_request_pj -= weight_pj * (b - 1.0) / b;
-        Ok(batch)
-    }
-
-    fn linear_layer_energy_pj(&self, model: &ModelConfig, seq_len: usize) -> Result<f64> {
-        let stages = ops_count::model_ops(model, seq_len);
-        let linear_macs: f64 = stages
-            .iter()
-            .filter(|s| s.stage.is_static_weight())
-            .map(|s| s.ops as f64)
-            .sum();
-        // Weights stream from the HBM banks for every inference.
-        let weight_bytes = model.static_params_total() as f64;
-        Ok(linear_macs * self.mac_pj() + weight_bytes * self.energy.hbm_access_byte_pj)
-    }
-
-    fn end_to_end_energy(&self, model: &ModelConfig, seq_len: usize) -> Result<EnergyBreakdown> {
-        let stages = ops_count::model_ops(model, seq_len);
+    fn breakdown(&self, seq_len: usize) -> EnergyBreakdown {
+        let stages = ops_count::model_ops(&self.model, seq_len);
         let mut energy = EnergyBreakdown::default();
         let total_macs: f64 = stages
             .iter()
@@ -154,46 +83,134 @@ impl Accelerator for NearMemoryProcessing {
         energy.sfu_pj = softmax_elems * self.energy.sfu_element_pj * NEAR_BANK_MAC_OVERHEAD;
         // Weights plus activations and attention intermediates cross the bank
         // interface (same traffic accounting as the latency model).
-        let bytes = Self::weight_bytes(model) + Self::activation_bytes(model, seq_len);
+        let bytes = self.weight_bytes() + self.activation_bytes(seq_len);
         energy.dram_access_pj = bytes * self.energy.hbm_access_byte_pj;
-        Ok(energy)
+        energy
+    }
+}
+
+impl Backend for NearMemoryProcessing {
+    fn name(&self) -> &str {
+        "NMP (TransPIM)"
+    }
+
+    fn model(&self) -> &ModelConfig {
+        &self.model
+    }
+
+    fn capacity(&self) -> usize {
+        DEFAULT_TILE_BUFFER_BYTES * 8
+    }
+
+    fn request_cells(&self, seq_len: usize) -> usize {
+        int8_activation_cells(&self.model, seq_len)
+    }
+
+    /// DRAM-bounded timing: the near-bank ALUs run at their compute peak,
+    /// but weights and activations all cross the bank interface; whichever
+    /// is slower bounds the inference, and the excess of the memory time
+    /// over the compute time is exposed as interconnect stall.
+    fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
+        let seq_len = request.seq_len;
+        let total_ops = ops_count::total_ops(&self.model, seq_len) * 2;
+        let compute_s = total_ops as f64 / NMP_PEAK_OPS_PER_S;
+        let bytes = self.weight_bytes() + self.activation_bytes(seq_len);
+        let mem_s = bytes / NMP_HBM_BYTES_PER_S;
+        let latency = LatencyBreakdown {
+            analog_ns: 0.0,
+            digital_ns: compute_s * 1e9,
+            sfu_ns: 0.0,
+            interconnect_ns: (mem_s - compute_s).max(0.0) * 1e9,
+            queueing_ns: 0.0,
+        };
+        Ok(PerfSummary::from_parts(
+            self.breakdown(seq_len),
+            latency,
+            total_ops,
+            NMP_AREA_MM2,
+            1,
+        ))
+    }
+
+    /// Batching amortizes the dominant weight traffic: a streamed weight
+    /// tile is applied to every request of the batch before eviction, so at
+    /// steady state only the per-request activation traffic and the compute
+    /// time bound the initiation interval. The first request still pays the
+    /// full weight-streaming latency, and the per-request energy amortizes
+    /// the weight-traffic crossing the same way the interval does.
+    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
+        let single = self.evaluate(&InferenceRequest::of_len(0, seq_len))?;
+        // The compute time is exactly the digital latency component of the
+        // single-request evaluation; only the weight-streaming share of the
+        // memory time is amortized away.
+        let compute_s = single.latency.digital_ns * 1e-9;
+        let act_s = self.activation_bytes(seq_len) / NMP_HBM_BYTES_PER_S;
+        let interval_ns = compute_s.max(act_s) * 1e9;
+        let mut batch = perf::batch_summary_from_interval(single, interval_ns, batch_size)?;
+        // Weight bytes cross the bank interface once per batch, not once per
+        // request: keep the energy model consistent with the latency model.
+        let weight_pj = self.weight_bytes() * self.energy.hbm_access_byte_pj;
+        let b = batch_size as f64;
+        batch.energy_per_request_pj -= weight_pj * (b - 1.0) / b;
+        Ok(batch)
+    }
+
+    /// Figure 14 charges NMP's linear layers their near-bank MACs plus the
+    /// full weight stream from the HBM banks.
+    fn linear_layer_energy_pj(&self, seq_len: usize) -> Result<f64> {
+        let stages = ops_count::model_ops(&self.model, seq_len);
+        let linear_macs: f64 = stages
+            .iter()
+            .filter(|s| s.stage.is_static_weight())
+            .map(|s| s.ops as f64)
+            .sum();
+        // Weights stream from the HBM banks for every inference.
+        Ok(linear_macs * self.mac_pj() + self.weight_bytes() * self.energy.hbm_access_byte_pj)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hyflex_pim::backend::HyFlexPim;
+
+    fn total_pj(backend: &dyn Backend, seq_len: usize) -> f64 {
+        backend
+            .evaluate(&InferenceRequest::of_len(0, seq_len))
+            .unwrap()
+            .energy
+            .total_pj()
+    }
 
     #[test]
     fn nmp_is_cheaper_than_dram_bound_but_more_expensive_than_pim() {
         let model = ModelConfig::bert_large();
-        let nmp = NearMemoryProcessing::new();
-        let non_pim = crate::NonPim::new();
-        let hyflex = crate::HyFlexPimAccelerator::new(0.05);
-        let nmp_e = nmp.end_to_end_energy(&model, 128).unwrap().total_pj();
-        let non_pim_e = non_pim.end_to_end_energy(&model, 128).unwrap().total_pj();
-        let hyflex_e = hyflex.end_to_end_energy(&model, 128).unwrap().total_pj();
-        assert!(nmp_e < non_pim_e);
-        assert!(hyflex_e < nmp_e);
+        let nmp = NearMemoryProcessing::new(model.clone());
+        let non_pim = crate::NonPim::new(model.clone());
+        let hyflex = HyFlexPim::paper(model, 0.05).unwrap();
+        let nmp_e = total_pj(&nmp, 128);
+        assert!(nmp_e < total_pj(&non_pim, 128));
+        assert!(total_pj(&hyflex, 128) < nmp_e);
     }
 
     #[test]
     fn linear_energy_includes_weight_streaming() {
         let model = ModelConfig::bert_base();
-        let nmp = NearMemoryProcessing::new();
-        let at_n1 = nmp.linear_layer_energy_pj(&model, 1).unwrap();
+        let nmp = NearMemoryProcessing::new(model.clone());
+        let at_n1 = nmp.linear_layer_energy_pj(1).unwrap();
         // Even a single-token inference pays the full weight traffic.
         let weight_bytes = model.static_params_total() as f64;
         assert!(at_n1 > weight_bytes * EnergyModel::default().hbm_access_byte_pj);
-        assert!(nmp.tops_per_mm2(&model, 128).unwrap() > 0.0);
+        let summary = nmp.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
+        assert!(summary.tops_per_mm2 > 0.0);
     }
 
     #[test]
     fn batching_amortizes_weight_streaming_in_energy_and_latency_alike() {
         let model = ModelConfig::bert_base();
-        let nmp = NearMemoryProcessing::new();
-        let b1 = nmp.batch_summary(&model, 128, 1).unwrap();
-        let b8 = nmp.batch_summary(&model, 128, 8).unwrap();
+        let nmp = NearMemoryProcessing::new(model.clone());
+        let b1 = nmp.evaluate_batched(128, 1).unwrap();
+        let b8 = nmp.evaluate_batched(128, 8).unwrap();
         // A batch of one amortizes nothing.
         assert_eq!(b1.energy_per_request_pj, b1.single.energy.total_pj());
         assert_eq!(b1.makespan_ns, b1.single.latency.total_ns());

@@ -3,13 +3,9 @@
 //! The registry is the single place that knows the full roster of modeled
 //! accelerators. Consumers address backends by name (`--backend asadi-int8`
 //! on the figure binaries, [`crate::SystemBuilder::backend`]) and get back a
-//! boxed `hyflex_pim::Backend` bound to the requested deployment, or —
-//! for the energy/area comparison figures — a boxed [`Accelerator`].
+//! boxed `hyflex_pim::Backend` bound to the requested deployment.
 
-use crate::{
-    Accelerator, AcceleratorBackend, AnalogAttention, Asadi, AsadiPrecision, HyFlexPimAccelerator,
-    NearMemoryProcessing, NonPim, Sprint,
-};
+use crate::{AnalogAttention, Asadi, AsadiPrecision, NearMemoryProcessing, NonPim, Sprint};
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::{HyFlexPimConfig, PimError, Result};
@@ -40,16 +36,14 @@ impl BackendParams {
 }
 
 type BackendCtor = fn(&BackendParams) -> Result<Box<dyn Backend>>;
-type AcceleratorCtor = fn(f64) -> Box<dyn Accelerator>;
 
-/// One registered backend: its lookup name and constructors.
+/// One registered backend: its lookup name and constructor.
 pub struct BackendSpec {
     /// Registry lookup name (also the `--backend` flag value).
     pub name: &'static str,
     /// One-line description shown in listings.
     pub summary: &'static str,
     build: BackendCtor,
-    accelerator: AcceleratorCtor,
 }
 
 /// The roster of comparison backends, in the order the paper's figures list
@@ -80,73 +74,36 @@ impl BackendRegistry {
                             p.slc_rank_fraction,
                         )?))
                     },
-                    accelerator: |slc| Box::new(HyFlexPimAccelerator::new(slc)),
                 },
                 BackendSpec {
                     name: "asadi-int8",
                     summary: "ASADI\u{2020}: all-SLC RRAM PIM, INT8 linear layers, FP32 attention",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            Asadi::new(AsadiPrecision::Int8),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(Asadi::new(AsadiPrecision::Int8)),
+                    build: |p| Ok(Box::new(Asadi::new(AsadiPrecision::Int8, p.model.clone())?)),
                 },
                 BackendSpec {
                     name: "asadi-fp32",
                     summary: "ASADI as published: all-SLC RRAM PIM, FP32 everywhere",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            Asadi::new(AsadiPrecision::Fp32),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(Asadi::new(AsadiPrecision::Fp32)),
+                    build: |p| Ok(Box::new(Asadi::new(AsadiPrecision::Fp32, p.model.clone())?)),
                 },
                 BackendSpec {
                     name: "nmp",
                     summary: "TransPIM-style near-memory processing in HBM banks",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            NearMemoryProcessing::new(),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(NearMemoryProcessing::new()),
+                    build: |p| Ok(Box::new(NearMemoryProcessing::new(p.model.clone()))),
                 },
                 BackendSpec {
                     name: "sprint",
                     summary: "SPRINT: in-RRAM attention pruning + digital INT8 processor",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            Sprint::new(),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(Sprint::new()),
+                    build: |p| Ok(Box::new(Sprint::new(p.model.clone()))),
                 },
                 BackendSpec {
                     name: "non-pim",
                     summary: "conventional digital INT8 accelerator fed from off-chip DRAM",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            NonPim::new(),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(NonPim::new()),
+                    build: |p| Ok(Box::new(NonPim::new(p.model.clone()))),
                 },
                 BackendSpec {
                     name: "analog-attention",
                     summary: "analog in-memory attention over a runtime-programmed KV cache",
-                    build: |p| {
-                        Ok(Box::new(AcceleratorBackend::new(
-                            AnalogAttention::new(),
-                            p.model.clone(),
-                        )))
-                    },
-                    accelerator: |_| Box::new(AnalogAttention::new()),
+                    build: |p| Ok(Box::new(AnalogAttention::new(p.model.clone())?)),
                 },
             ],
         }
@@ -164,21 +121,6 @@ impl BackendRegistry {
             .map(|s| s.name)
             .filter(|n| *n != "analog-attention")
             .collect()
-    }
-
-    /// [`Self::accelerators`] restricted to the paper-figure roster
-    /// ([`Self::paper_figure_names`]).
-    pub fn paper_figure_accelerators(&self, slc_rank_fraction: f64) -> Vec<Box<dyn Accelerator>> {
-        self.specs
-            .iter()
-            .filter(|s| s.name != "analog-attention")
-            .map(|s| (s.accelerator)(slc_rank_fraction))
-            .collect()
-    }
-
-    /// The registered specs, in paper-figure order.
-    pub fn specs(&self) -> &[BackendSpec] {
-        &self.specs
     }
 
     /// The registered names, in paper-figure order.
@@ -218,31 +160,6 @@ impl BackendRegistry {
             .find(|s| s.name == name)
             .ok_or_else(|| self.unknown(name))?;
         (spec.build)(params)
-    }
-
-    /// Builds the named design as a model-unbound [`Accelerator`] for the
-    /// energy/area comparison figures. `slc_rank_fraction` applies to
-    /// HyFlexPIM only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::InvalidConfig`] naming the available backends for
-    /// an unknown name.
-    pub fn accelerator(&self, name: &str, slc_rank_fraction: f64) -> Result<Box<dyn Accelerator>> {
-        let spec = self
-            .specs
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| self.unknown(name))?;
-        Ok((spec.accelerator)(slc_rank_fraction))
-    }
-
-    /// All designs as [`Accelerator`]s, in paper-figure order.
-    pub fn accelerators(&self, slc_rank_fraction: f64) -> Vec<Box<dyn Accelerator>> {
-        self.specs
-            .iter()
-            .map(|s| (s.accelerator)(slc_rank_fraction))
-            .collect()
     }
 
     fn unknown(&self, name: &str) -> PimError {
@@ -293,7 +210,6 @@ mod tests {
                 "non-pim"
             ]
         );
-        assert_eq!(registry.paper_figure_accelerators(0.05).len(), 6);
         assert!(registry.contains("sprint"));
         assert!(registry.contains("analog-attention"));
         assert!(!registry.contains("tpu"));
@@ -327,7 +243,6 @@ mod tests {
         for name in registry.names() {
             assert!(message.contains(name), "{message} should list {name}");
         }
-        assert!(registry.accelerator("tpu-v7", 0.05).is_err());
     }
 
     #[test]

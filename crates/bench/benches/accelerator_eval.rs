@@ -2,8 +2,8 @@
 //! figure binaries: the HyFlexPIM performance model and the baselines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hyflex_baselines::{Accelerator, Asadi, AsadiPrecision, NonPim, Sprint};
-use hyflex_pim::backend::{Backend, HyFlexPim};
+use hyflex_baselines::{Asadi, AsadiPrecision, NonPim, Sprint};
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_pim::scalability::ScalabilityModel;
 use hyflex_transformer::ModelConfig;
@@ -32,19 +32,22 @@ fn bench_perf_model(c: &mut Criterion) {
 }
 
 fn bench_baselines(c: &mut Criterion) {
+    // Each design is built for the model once; the timed body prices one
+    // 1024-token request from the prebuilt backend.
     let config = ModelConfig::bert_large();
+    let request = InferenceRequest::of_len(0, 1024);
     let mut group = c.benchmark_group("perf/baselines_end_to_end_n1024");
     group.bench_function("asadi_int8", |b| {
-        let acc = Asadi::new(AsadiPrecision::Int8);
-        b.iter(|| acc.end_to_end_energy(black_box(&config), 1024).unwrap())
+        let backend = Asadi::new(AsadiPrecision::Int8, config.clone()).unwrap();
+        b.iter(|| backend.evaluate(black_box(&request)).unwrap())
     });
     group.bench_function("sprint", |b| {
-        let acc = Sprint::new();
-        b.iter(|| acc.end_to_end_energy(black_box(&config), 1024).unwrap())
+        let backend = Sprint::new(config.clone());
+        b.iter(|| backend.evaluate(black_box(&request)).unwrap())
     });
     group.bench_function("non_pim", |b| {
-        let acc = NonPim::new();
-        b.iter(|| acc.end_to_end_energy(black_box(&config), 1024).unwrap())
+        let backend = NonPim::new(config.clone());
+        b.iter(|| backend.evaluate(black_box(&request)).unwrap())
     });
     group.finish();
 }

@@ -4,48 +4,59 @@
 //! Common flags: `--out PATH`, `--backend NAME` (restrict the baseline rows
 //! to one registered design).
 
-use hyflex_baselines::{Accelerator, BackendRegistry, NonPim};
+use hyflex_baselines::{BackendParams, BackendRegistry, NonPim};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
+use hyflex_pim::backend::Backend;
 use hyflex_transformer::ModelConfig;
 
 fn main() {
     let args = BinArgs::parse();
     args.init_output();
     let registry = BackendRegistry::paper();
+    let model = ModelConfig::bert_large();
+    // Every design is deployed once for the model; the cells below only
+    // price sequence lengths.
+    let build = |name: &str, slc_rank_fraction: f64| {
+        let params = BackendParams {
+            slc_rank_fraction,
+            ..BackendParams::paper(model.clone())
+        };
+        registry.build(name, &params).expect("registered")
+    };
     // --backend restricts the comparison rows; default shows every design.
-    let baselines: Vec<Box<dyn Accelerator>> = match args.selected_backend_or_exit() {
-        Some(name) => vec![registry.accelerator(&name, 0.05).expect("name validated")],
+    let baselines: Vec<Box<dyn Backend>> = match args.selected_backend_or_exit() {
+        Some(name) => vec![build(&name, 0.05)],
         None => registry
-            .paper_figure_accelerators(0.05)
+            .paper_figure_names()
             .into_iter()
             .skip(1)
+            .map(|name| build(name, 0.05))
             .collect(),
     };
-    let model = ModelConfig::bert_large();
     let lengths = [128usize, 512, 1024, 2048, 4096, 8192];
     let slc_rates = [0.05, 0.10, 0.30, 0.40, 0.50];
+    let hyflex: Vec<Box<dyn Backend>> = slc_rates
+        .iter()
+        .map(|&rate| build("hyflexpim", rate))
+        .collect();
+    let non_pim = NonPim::new(model.clone());
     emitln!("Figure 14 — linear-layer energy, normalized to the non-PIM baseline (%)");
     emitln!("Model: {} (lower is better)", model.name);
 
     for &n in &lengths {
         emitln!("\nSequence length N = {n}");
-        let reference = NonPim::new()
-            .linear_layer_energy_pj(&model, n)
-            .expect("baseline energy");
+        let reference = non_pim.linear_layer_energy_pj(n).expect("baseline energy");
         print_row("Accelerator", &[format!("{:>12}", "norm. energy")]);
-        for &rate in &slc_rates {
-            let hyflex = registry.accelerator("hyflexpim", rate).expect("registered");
-            let e = hyflex.linear_layer_energy_pj(&model, n).expect("energy");
+        for (&rate, backend) in slc_rates.iter().zip(&hyflex) {
+            let e = backend.linear_layer_energy_pj(n).expect("energy");
             print_row(
                 &format!("HyFlexPIM {}% SLC", (rate * 100.0) as u32),
                 &[fmt(100.0 * e / reference, 1)],
             );
         }
-        for accelerator in &baselines {
-            let e = accelerator
-                .linear_layer_energy_pj(&model, n)
-                .expect("energy");
-            print_row(accelerator.name(), &[fmt(100.0 * e / reference, 1)]);
+        for backend in &baselines {
+            let e = backend.linear_layer_energy_pj(n).expect("energy");
+            print_row(backend.name(), &[fmt(100.0 * e / reference, 1)]);
         }
     }
 }

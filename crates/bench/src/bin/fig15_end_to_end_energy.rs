@@ -3,67 +3,75 @@
 //! Common flags: `--out PATH`, `--backend NAME` (restrict the comparison
 //! rows to one registered design).
 
-use hyflex_baselines::{Accelerator, BackendRegistry, HyFlexPimAccelerator};
+use hyflex_baselines::{BackendParams, BackendRegistry};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
+use hyflex_pim::backend::{Backend, InferenceRequest};
+use hyflex_pim::energy_breakdown::EnergyBreakdown;
 use hyflex_transformer::ModelConfig;
 
-fn comparison(model: &ModelConfig, slc_rate: f64, selected: Option<&str>) {
-    let lengths = [128usize, 512, 1024];
+const LENGTHS: [usize; 3] = [128, 512, 1024];
+
+fn energy(backend: &dyn Backend, seq_len: usize) -> EnergyBreakdown {
+    backend
+        .evaluate(&InferenceRequest::of_len(0, seq_len))
+        .expect("energy")
+        .energy
+}
+
+/// Prints the comparison table and the HyFlexPIM breakdown for one model,
+/// deploying every design once at `slc_rate` (only HyFlexPIM reads it).
+fn figure(model: ModelConfig, slc_rate: f64, selected: Option<&str>) {
+    let registry = BackendRegistry::paper();
+    let params = BackendParams {
+        slc_rank_fraction: slc_rate,
+        ..BackendParams::paper(model)
+    };
+    let build = |name: &str| registry.build(name, &params).expect("registered");
+    let hyflex = build("hyflexpim");
+    let names = match selected {
+        Some(name) => vec![name],
+        None => registry.paper_figure_names(),
+    };
+    let rows: Vec<Box<dyn Backend>> = names.into_iter().map(build).collect();
+    comparison(hyflex.as_ref(), &rows, slc_rate);
+    breakdown(hyflex.as_ref(), slc_rate);
+}
+
+fn comparison(hyflex: &dyn Backend, rows: &[Box<dyn Backend>], slc_rate: f64) {
     emitln!(
         "\nEnd-to-end energy for {} (HyFlexPIM at {}% SLC), normalized to HyFlexPIM = 1.0",
-        model.name,
+        hyflex.model().name,
         (slc_rate * 100.0) as u32
     );
     print_row(
         "Accelerator",
-        &lengths.iter().map(|n| format!("N={n}")).collect::<Vec<_>>(),
+        &LENGTHS.iter().map(|n| format!("N={n}")).collect::<Vec<_>>(),
     );
-    let hyflex = HyFlexPimAccelerator::new(slc_rate);
-    let reference: Vec<f64> = lengths
+    let reference: Vec<f64> = LENGTHS
         .iter()
-        .map(|&n| {
-            hyflex
-                .end_to_end_energy(model, n)
-                .expect("energy")
-                .total_pj()
-        })
+        .map(|&n| energy(hyflex, n).total_pj())
         .collect();
-    let registry = BackendRegistry::paper();
-    let accelerators: Vec<Box<dyn Accelerator>> = match selected {
-        Some(name) => vec![registry
-            .accelerator(name, slc_rate)
-            .expect("name validated")],
-        None => registry.paper_figure_accelerators(slc_rate),
-    };
-    for accelerator in accelerators {
-        let values: Vec<String> = lengths
+    for backend in rows {
+        let values: Vec<String> = LENGTHS
             .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                let e = accelerator.end_to_end_energy(model, n).expect("energy");
-                fmt(e.total_pj() / reference[i], 2)
-            })
+            .zip(&reference)
+            .map(|(&n, r)| fmt(energy(backend.as_ref(), n).total_pj() / r, 2))
             .collect();
-        print_row(accelerator.name(), &values);
+        print_row(backend.name(), &values);
     }
 }
 
-fn breakdown(model: &ModelConfig, slc_rate: f64) {
+fn breakdown(hyflex: &dyn Backend, slc_rate: f64) {
     emitln!(
         "\nHyFlexPIM component breakdown for {} at {}% SLC (% of total energy)",
-        model.name,
+        hyflex.model().name,
         (slc_rate * 100.0) as u32
     );
-    let lengths = [128usize, 512, 1024];
-    let hyflex = HyFlexPimAccelerator::new(slc_rate);
     print_row(
         "Component",
-        &lengths.iter().map(|n| format!("N={n}")).collect::<Vec<_>>(),
+        &LENGTHS.iter().map(|n| format!("N={n}")).collect::<Vec<_>>(),
     );
-    let breakdowns: Vec<_> = lengths
-        .iter()
-        .map(|&n| hyflex.end_to_end_energy(model, n).expect("energy"))
-        .collect();
+    let breakdowns: Vec<_> = LENGTHS.iter().map(|&n| energy(hyflex, n)).collect();
     let component_names: Vec<&'static str> =
         breakdowns[0].components().iter().map(|(n, _)| *n).collect();
     for name in component_names {
@@ -90,11 +98,7 @@ fn main() {
     let selected = args.selected_backend_or_exit();
     emitln!("Figure 15 — end-to-end energy comparison and breakdown");
     // (a, b): BERT-Large at 5% SLC.
-    let bert = ModelConfig::bert_large();
-    comparison(&bert, 0.05, selected.as_deref());
-    breakdown(&bert, 0.05);
+    figure(ModelConfig::bert_large(), 0.05, selected.as_deref());
     // (c, d): GPT-2 at 30% SLC.
-    let gpt2 = ModelConfig::gpt2_small();
-    comparison(&gpt2, 0.30, selected.as_deref());
-    breakdown(&gpt2, 0.30);
+    figure(ModelConfig::gpt2_small(), 0.30, selected.as_deref());
 }

@@ -185,3 +185,35 @@ fn table2_hw_config_matches_its_fixture() {
         &[],
     );
 }
+
+// `--backend` narrows a comparison figure to one registered design. These
+// fixtures pin the single-backend path: a figure-roster baseline (fig14), a
+// backend outside the figure roster (fig15), and HyFlexPIM as its own
+// denominator at the 5 % point (fig16).
+
+#[test]
+fn fig14_linear_energy_backend_sprint_matches_its_fixture() {
+    check(
+        "fig14_linear_energy_backend_sprint",
+        env!("CARGO_BIN_EXE_fig14_linear_energy"),
+        &["--backend", "sprint"],
+    );
+}
+
+#[test]
+fn fig15_end_to_end_energy_backend_analog_attention_matches_its_fixture() {
+    check(
+        "fig15_end_to_end_energy_backend_analog_attention",
+        env!("CARGO_BIN_EXE_fig15_end_to_end_energy"),
+        &["--backend", "analog-attention"],
+    );
+}
+
+#[test]
+fn fig16_throughput_speedup_backend_hyflexpim_matches_its_fixture() {
+    check(
+        "fig16_throughput_speedup_backend_hyflexpim",
+        env!("CARGO_BIN_EXE_fig16_throughput_speedup"),
+        &["--backend", "hyflexpim"],
+    );
+}

@@ -17,8 +17,9 @@
 //! accelerator is being simulated.
 //!
 //! Implementations live next to their models: [`HyFlexPim`] here (wrapping
-//! [`PerformanceModel`]), the four baselines in `hyflex-baselines` (via its
-//! `BackendRegistry` / `SystemBuilder`).
+//! [`PerformanceModel`]); ASADI/ASADI†, SPRINT, NMP, non-PIM and analog
+//! attention in `hyflex-baselines`, each implementing [`Backend`] directly
+//! and addressed by name through its `BackendRegistry` / `SystemBuilder`.
 
 use crate::perf::{BatchPerfSummary, Deployment, PerfSummary, PerformanceModel};
 use crate::PimError;
@@ -145,11 +146,35 @@ pub trait Backend: Send + Sync + std::fmt::Debug {
     /// [`Backend::evaluate`]; an empty batch is a typed error
     /// ([`PimError::EmptyBatch`]), never a NaN.
     ///
+    /// The default models a layer pipeline (HyFlexPIM/ASADI style): the
+    /// single-request evaluation pipelined across the model's layers (see
+    /// [`pipelined_batch`]). Serial or bandwidth-bound designs override it.
+    ///
+    /// [`pipelined_batch`]: crate::perf::pipelined_batch
+    ///
     /// # Errors
     ///
     /// Returns [`PimError::EmptyBatch`] for `batch_size == 0` and propagates
     /// single-request evaluation errors.
-    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary>;
+    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
+        let single = self.evaluate(&InferenceRequest::of_len(0, seq_len))?;
+        crate::perf::pipelined_batch(single, self.model().num_layers, seq_len, batch_size)
+    }
+
+    /// Energy of the static-weight linear layers for one inference of
+    /// `seq_len` tokens (Figure 14), pJ. The default is the linear-layer
+    /// share of [`Backend::evaluate`]'s energy breakdown; designs whose
+    /// Figure 14 accounting differs from their breakdown override it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates evaluation errors.
+    fn linear_layer_energy_pj(&self, seq_len: usize) -> Result<f64> {
+        Ok(self
+            .evaluate(&InferenceRequest::of_len(0, seq_len))?
+            .energy
+            .linear_layer_pj())
+    }
 
     /// Prices one autoregressive **decode iteration**: `batch_size` requests
     /// each generate their next token against a cached context of
@@ -218,8 +243,12 @@ macro_rules! forward_backend {
             ) -> Result<BatchPerfSummary> {
                 (**self).evaluate_batched(seq_len, batch_size)
             }
-            // Forwarded explicitly so overrides of the provided default stay
-            // visible through trait objects and smart pointers.
+            // The provided methods are forwarded explicitly so overrides of
+            // their defaults stay visible through trait objects and smart
+            // pointers.
+            fn linear_layer_energy_pj(&self, seq_len: usize) -> Result<f64> {
+                (**self).linear_layer_energy_pj(seq_len)
+            }
             fn evaluate_decode_step(
                 &self,
                 context_len: usize,
@@ -234,15 +263,6 @@ macro_rules! forward_backend {
 forward_backend!(&B);
 forward_backend!(Box<B>);
 forward_backend!(std::sync::Arc<B>);
-
-/// Canonical display name of a HyFlexPIM deployment at an SLC protection
-/// rate — shared by every HyFlexPIM wrapper so printed tables agree.
-pub fn hyflexpim_display_name(slc_rank_fraction: f64) -> String {
-    format!(
-        "HyFlexPIM ({}% SLC)",
-        (slc_rank_fraction * 100.0).round() as u32
-    )
-}
 
 /// HyFlexPIM exposed through the [`Backend`] interface: the paper's hybrid
 /// SLC/MLC design, bound to a model and an SLC protection rate.
@@ -280,7 +300,10 @@ impl HyFlexPim {
             )));
         }
         let deployment = perf.deploy(&model, slc_rank_fraction)?;
-        let name = hyflexpim_display_name(slc_rank_fraction);
+        let name = format!(
+            "HyFlexPIM ({}% SLC)",
+            (slc_rank_fraction * 100.0).round() as u32
+        );
         Ok(HyFlexPim {
             perf,
             deployment,
@@ -307,11 +330,6 @@ impl HyFlexPim {
     pub fn slc_rank_fraction(&self) -> f64 {
         self.deployment.slc_rank_fraction()
     }
-
-    fn summary(&self, seq_len: usize) -> PerfSummary {
-        self.perf
-            .evaluate_deployed(&self.model, &self.deployment, seq_len)
-    }
 }
 
 impl Backend for HyFlexPim {
@@ -334,16 +352,9 @@ impl Backend for HyFlexPim {
     }
 
     fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
-        Ok(self.summary(request.seq_len))
-    }
-
-    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
-        crate::perf::pipelined_batch(
-            self.summary(seq_len),
-            self.model.num_layers,
-            seq_len,
-            batch_size,
-        )
+        Ok(self
+            .perf
+            .evaluate_deployed(&self.model, &self.deployment, request.seq_len))
     }
 }
 

@@ -287,15 +287,6 @@ impl PerformanceModel {
         self.table2.chip_area_mm2()
     }
 
-    /// Energy of the static-weight linear layers only (Figure 14), pJ.
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping errors.
-    pub fn linear_layer_energy_pj(&self, point: &EvaluationPoint) -> Result<f64> {
-        Ok(self.evaluate(point)?.energy.linear_layer_pj())
-    }
-
     /// Deploys `model` onto the chip at the given SLC protection rate: maps
     /// the six static layers of one block onto SLC/MLC crossbars once and
     /// keeps everything of that mapping that does not depend on sequence
@@ -741,14 +732,20 @@ mod tests {
     fn mlc_heavy_mapping_saves_linear_layer_energy() {
         let model = PerformanceModel::paper_default();
         let slc_only = model
-            .linear_layer_energy_pj(&point(ModelConfig::bert_large(), 128, 1.0))
-            .unwrap();
+            .evaluate(&point(ModelConfig::bert_large(), 128, 1.0))
+            .unwrap()
+            .energy
+            .linear_layer_pj();
         let hybrid_5 = model
-            .linear_layer_energy_pj(&point(ModelConfig::bert_large(), 128, 0.05))
-            .unwrap();
+            .evaluate(&point(ModelConfig::bert_large(), 128, 0.05))
+            .unwrap()
+            .energy
+            .linear_layer_pj();
         let hybrid_50 = model
-            .linear_layer_energy_pj(&point(ModelConfig::bert_large(), 128, 0.5))
-            .unwrap();
+            .evaluate(&point(ModelConfig::bert_large(), 128, 0.5))
+            .unwrap()
+            .energy
+            .linear_layer_pj();
         assert!(hybrid_5 < hybrid_50);
         assert!(hybrid_50 < slc_only);
         // The paper reports up to ~1.24x linear-layer energy gain vs an

@@ -424,7 +424,7 @@ impl BatchScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hyflex_baselines::{AcceleratorBackend, NonPim};
+    use hyflex_baselines::NonPim;
 
     fn scheduler(max_batch_size: usize, pus_per_layer: usize) -> BatchScheduler {
         BatchScheduler::new(
@@ -483,10 +483,7 @@ mod tests {
 
     #[test]
     fn generic_scheduler_admits_against_the_backend_budget() {
-        let backend = Arc::new(AcceleratorBackend::new(
-            NonPim::new(),
-            ModelConfig::bert_large(),
-        ));
+        let backend = Arc::new(NonPim::new(ModelConfig::bert_large()));
         let capacity = backend.capacity();
         let mut s = BatchScheduler::for_backend(backend, SchedulerConfig::default()).unwrap();
         assert_eq!(s.capacity_cells(), capacity);

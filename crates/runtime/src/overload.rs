@@ -1068,7 +1068,7 @@ mod tests {
     use crate::policy::SchedulingPolicy;
     use crate::serving::RequestClass;
     use crate::traffic::{ArrivalProcess, MmppState, TrafficConfig};
-    use hyflex_baselines::{AcceleratorBackend, Asadi, AsadiPrecision, NonPim};
+    use hyflex_baselines::{Asadi, AsadiPrecision, NonPim};
     use hyflex_pim::backend::HyFlexPim;
     use hyflex_pim::PerformanceModel;
     use hyflex_transformer::ModelConfig;
@@ -1486,14 +1486,8 @@ mod tests {
     fn heterogeneous_fleets_mix_designs_in_one_run() {
         let fleet: Vec<Arc<dyn Backend>> = vec![
             Arc::new(hyflex_backend()),
-            Arc::new(AcceleratorBackend::new(
-                Asadi::new(AsadiPrecision::Int8),
-                ModelConfig::bert_base(),
-            )),
-            Arc::new(AcceleratorBackend::new(
-                NonPim::new(),
-                ModelConfig::bert_base(),
-            )),
+            Arc::new(Asadi::new(AsadiPrecision::Int8, ModelConfig::bert_base()).unwrap()),
+            Arc::new(NonPim::new(ModelConfig::bert_base())),
         ];
         let sim = OverloadSim::with_replicas(
             fleet,
@@ -1513,14 +1507,8 @@ mod tests {
         let again = OverloadSim::with_replicas(
             vec![
                 Arc::new(hyflex_backend()),
-                Arc::new(AcceleratorBackend::new(
-                    Asadi::new(AsadiPrecision::Int8),
-                    ModelConfig::bert_base(),
-                )),
-                Arc::new(AcceleratorBackend::new(
-                    NonPim::new(),
-                    ModelConfig::bert_base(),
-                )),
+                Arc::new(Asadi::new(AsadiPrecision::Int8, ModelConfig::bert_base()).unwrap()),
+                Arc::new(NonPim::new(ModelConfig::bert_base())),
             ],
             OverloadConfig {
                 dispatch: DispatchPolicy::JoinShortestQueue,

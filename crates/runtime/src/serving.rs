@@ -330,7 +330,7 @@ fn single_chip(report: ClusterReport) -> ServingReport {
 mod tests {
     use super::*;
     use crate::policy::SchedulingPolicy;
-    use hyflex_baselines::{AcceleratorBackend, NonPim, Sprint};
+    use hyflex_baselines::{NonPim, Sprint};
 
     fn sim(qps: f64, max_batch_size: usize, num_requests: usize) -> ServingSim {
         ServingSim::new(
@@ -443,20 +443,14 @@ mod tests {
             ..ServingConfig::default()
         };
         for report in [
-            ServingSim::with_backend(
-                AcceleratorBackend::new(Sprint::new(), ModelConfig::bert_base()),
-                config.clone(),
-            )
-            .unwrap()
-            .run()
-            .unwrap(),
-            ServingSim::with_backend(
-                AcceleratorBackend::new(NonPim::new(), ModelConfig::bert_base()),
-                config.clone(),
-            )
-            .unwrap()
-            .run()
-            .unwrap(),
+            ServingSim::with_backend(Sprint::new(ModelConfig::bert_base()), config.clone())
+                .unwrap()
+                .run()
+                .unwrap(),
+            ServingSim::with_backend(NonPim::new(ModelConfig::bert_base()), config.clone())
+                .unwrap()
+                .run()
+                .unwrap(),
         ] {
             assert_eq!(report.completed, 120);
             assert!(report.latency.p50_ms > 0.0);

@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example open_loop_traffic`
 
-use hyflex::baselines::{AcceleratorBackend, Asadi, AsadiPrecision};
+use hyflex::baselines::{Asadi, AsadiPrecision};
 use hyflex::pim::backend::{Backend, HyFlexPim};
 use hyflex::runtime::{
     AdmissionPolicy, ArrivalProcess, AutoscalerConfig, OverloadConfig, OverloadReport, OverloadSim,
@@ -53,10 +53,7 @@ fn mixed_fleet() -> Result<Vec<Arc<dyn Backend>>, Box<dyn std::error::Error>> {
     Ok(vec![
         Arc::new(hyflex.clone()),
         Arc::new(hyflex),
-        Arc::new(AcceleratorBackend::new(
-            Asadi::new(AsadiPrecision::Int8),
-            ModelConfig::bert_large(),
-        )),
+        Arc::new(Asadi::new(AsadiPrecision::Int8, ModelConfig::bert_large())?),
     ])
 }
 

@@ -1,12 +1,19 @@
 //! Tests of the paper's headline quantitative claims, checked against the
 //! reproduction's own models (shape and direction, not absolute joules).
 
-use hyflex_baselines::{Accelerator, Asadi, AsadiPrecision, HyFlexPimAccelerator, NonPim, Sprint};
+use hyflex_baselines::{Asadi, AsadiPrecision, NonPim, Sprint};
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::mapping;
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
+use hyflex_pim::perf::{EvaluationPoint, PerfSummary, PerformanceModel};
 use hyflex_pim::scalability::ScalabilityModel;
 use hyflex_transformer::config::{ModelConfig, StaticLayerKind};
 use hyflex_transformer::ops_count;
+
+fn summary(backend: &dyn Backend, seq_len: usize) -> PerfSummary {
+    backend
+        .evaluate(&InferenceRequest::of_len(0, seq_len))
+        .unwrap()
+}
 
 /// Section 2.1: more than 70 % of transformer computation comes from static
 /// weights at typical sequence lengths.
@@ -46,12 +53,11 @@ fn low_protection_rates_keep_most_weights_in_mlc() {
 /// comparable band and never fall below parity.
 #[test]
 fn throughput_speedup_over_asadi_is_in_band() {
-    let asadi = Asadi::new(AsadiPrecision::Int8);
     let model = ModelConfig::bert_large();
+    let asadi = Asadi::new(AsadiPrecision::Int8, model.clone()).unwrap();
     for (n, rate) in [(128usize, 0.05f64), (1024, 0.10), (4096, 0.30)] {
-        let hyflex = HyFlexPimAccelerator::new(rate);
-        let speedup =
-            hyflex.tops_per_mm2(&model, n).unwrap() / asadi.tops_per_mm2(&model, n).unwrap();
+        let hyflex = HyFlexPim::paper(model.clone(), rate).unwrap();
+        let speedup = summary(&hyflex, n).tops_per_mm2 / summary(&asadi, n).tops_per_mm2;
         assert!(
             (1.0..=2.6).contains(&speedup),
             "speedup {speedup:.2} at N={n}, rate {rate}"
@@ -63,12 +69,11 @@ fn throughput_speedup_over_asadi_is_in_band() {
 /// the paper's ~1.24x at low SLC rates and shrinks as the SLC rate grows.
 #[test]
 fn linear_layer_energy_gain_over_asadi_shrinks_with_slc_rate() {
-    let asadi = Asadi::new(AsadiPrecision::Int8);
     let model = ModelConfig::bert_large();
+    let asadi = Asadi::new(AsadiPrecision::Int8, model.clone()).unwrap();
     let gain = |rate: f64| {
-        let hyflex = HyFlexPimAccelerator::new(rate);
-        asadi.linear_layer_energy_pj(&model, 128).unwrap()
-            / hyflex.linear_layer_energy_pj(&model, 128).unwrap()
+        let hyflex = HyFlexPim::paper(model.clone(), rate).unwrap();
+        asadi.linear_layer_energy_pj(128).unwrap() / hyflex.linear_layer_energy_pj(128).unwrap()
     };
     let at_5 = gain(0.05);
     let at_50 = gain(0.50);
@@ -85,16 +90,10 @@ fn linear_layer_energy_gain_over_asadi_shrinks_with_slc_rate() {
 #[test]
 fn end_to_end_energy_beats_all_baselines() {
     let model = ModelConfig::bert_large();
-    let hyflex = HyFlexPimAccelerator::new(0.05);
-    let ours = hyflex.end_to_end_energy(&model, 128).unwrap().total_pj();
-    let sprint = Sprint::new()
-        .end_to_end_energy(&model, 128)
-        .unwrap()
-        .total_pj();
-    let non_pim = NonPim::new()
-        .end_to_end_energy(&model, 128)
-        .unwrap()
-        .total_pj();
+    let hyflex = HyFlexPim::paper(model.clone(), 0.05).unwrap();
+    let ours = summary(&hyflex, 128).energy.total_pj();
+    let sprint = summary(&Sprint::new(model.clone()), 128).energy.total_pj();
+    let non_pim = summary(&NonPim::new(model), 128).energy.total_pj();
     assert!(ours < sprint);
     assert!(ours < non_pim);
     assert!(
@@ -109,12 +108,10 @@ fn end_to_end_energy_beats_all_baselines() {
 /// SPRINT cannot accelerate dominate.
 #[test]
 fn speedup_over_sprint_is_large_and_shrinks_with_sequence_length() {
-    let sprint = Sprint::new();
     let model = ModelConfig::bert_large();
-    let hyflex = HyFlexPimAccelerator::new(0.10);
-    let speedup = |n: usize| {
-        hyflex.tops_per_mm2(&model, n).unwrap() / sprint.tops_per_mm2(&model, n).unwrap()
-    };
+    let sprint = Sprint::new(model.clone());
+    let hyflex = HyFlexPim::paper(model, 0.10).unwrap();
+    let speedup = |n: usize| summary(&hyflex, n).tops_per_mm2 / summary(&sprint, n).tops_per_mm2;
     let short = speedup(128);
     let long = speedup(4096);
     assert!(short > 5.0, "short-sequence speedup {short:.1}");
