@@ -68,10 +68,26 @@ fn bench_factored_layer(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_matmul_tails(c: &mut Criterion) {
+    // Output widths on and off the kernel's 8-lane chunk: a rank-21 factored
+    // layer or a 12-token attention product runs a remainder chunk.
+    let mut rng = Rng::seed_from(11);
+    let mut group = c.benchmark_group("kernels/matmul");
+    for (m, k, n) in [(12, 64, 31), (12, 64, 32), (12, 32, 12), (12, 32, 16)] {
+        let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
+        let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| black_box(&a).matmul(black_box(&b)).unwrap())
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_svd,
     bench_svd_algorithms_at_hard_threshold,
-    bench_factored_layer
+    bench_factored_layer,
+    bench_matmul_tails
 );
 criterion_main!(benches);

@@ -15,14 +15,14 @@
 //! ([`Backend::request_cells`]).
 
 use crate::error::RuntimeError;
-use crate::policy::SchedulingPolicy;
+use crate::policy::{order_key, Rank, SchedulingPolicy};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::HyFlexPimConfig;
 use hyflex_transformer::ModelConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 pub use hyflex_pim::backend::InferenceRequest;
@@ -120,13 +120,54 @@ impl Batch {
     }
 }
 
-/// FCFS batch former bounded by batch size and the backend's tile capacity.
+/// Policy-ordered batch former bounded by batch size and the backend's tile
+/// capacity.
+///
+/// Queued requests are stored in submission order, each tagged with a
+/// strictly increasing submission sequence number. Under EDF and priority
+/// the scheduler also keeps every queued request's policy rank (an integer
+/// key in the policy's order) in an ordered set, so it picks the next
+/// request and the preemption victim without scanning the queue. FCFS keeps
+/// no such index: it serves the front of the queue. The first
+/// [`shed_doomed`](BatchScheduler::shed_doomed) call builds a second index,
+/// the finite deadlines of each request shape, which later submissions and
+/// removals keep in step; a scheduler that never sheds never builds it.
+///
+/// Cost per operation, for a queue of `q` requests and a batch of `B`:
+///
+/// | operation | FCFS | EDF / priority |
+/// |---|---|---|
+/// | [`submit`](BatchScheduler::submit) | O(1) | O(log q) |
+/// | [`next_batch`](BatchScheduler::next_batch) | O(B) | O(B·log q) + one `VecDeque::remove` per request |
+/// | [`admit_continuous`](BatchScheduler::admit_continuous) | O(1) per request | O(log q) + one `VecDeque::remove` per request |
+/// | [`preempt_for`](BatchScheduler::preempt_for) | O(q) scan | O(log q) + one `VecDeque::remove` |
+/// | [`shed_doomed`](BatchScheduler::shed_doomed) | one estimate per shape, O(log q) per shape when nothing is doomed, O(q + k·log q) to shed `k` | same |
+/// | [`fill_time_ns`](BatchScheduler::fill_time_ns) | O(1) memoized, O(B) after a removal | same |
+/// | [`front_arrival_ns`](BatchScheduler::front_arrival_ns), [`queue_len`](BatchScheduler::queue_len) | O(1) | O(1) |
+///
+/// A `VecDeque::remove` moves the shorter side of the queue, a memmove of
+/// at most q/2 entries. Once built, the shedding index adds O(log q) to
+/// every submission and removal of a request with a finite deadline.
 #[derive(Debug, Clone)]
 pub struct BatchScheduler {
     config: SchedulerConfig,
     backend: Arc<dyn Backend>,
     capacity_cells: usize,
-    queue: VecDeque<InferenceRequest>,
+    /// Queued requests in submission order with their sequence numbers,
+    /// which increase strictly front to back (so the queue is
+    /// binary-searchable by sequence number).
+    queue: VecDeque<(u64, InferenceRequest)>,
+    /// Sequence number of the next submission.
+    next_seq: u64,
+    /// EDF and priority: `(rank, seq)` of every queued request. The first
+    /// entry is the request served next. `None` under FCFS.
+    order: Option<BTreeSet<(Rank, u64)>>,
+    /// Shedding index: for each `seq_len`, `(order_key(deadline), seq)` of
+    /// every queued request with a finite deadline. Built by the first
+    /// [`BatchScheduler::shed_doomed`] call.
+    shed_index: Option<BTreeMap<usize, BTreeSet<(u64, u64)>>>,
+    /// Memo of [`BatchScheduler::fill_time_ns`]; `None` when stale.
+    fill_time: Option<Option<f64>>,
 }
 
 impl BatchScheduler {
@@ -174,6 +215,10 @@ impl BatchScheduler {
             backend,
             capacity_cells,
             queue: VecDeque::new(),
+            next_seq: 0,
+            order: (config.policy != SchedulingPolicy::Fcfs).then(BTreeSet::new),
+            shed_index: None,
+            fill_time: Some(None),
         })
     }
 
@@ -203,7 +248,7 @@ impl BatchScheduler {
     /// submitted in non-decreasing arrival order (as the serving engine
     /// does) the front request is the oldest queued one.
     pub fn front_arrival_ns(&self) -> Option<f64> {
-        self.queue.front().map(|r| r.arrival_ns)
+        self.queue.front().map(|(_, r)| r.arrival_ns)
     }
 
     /// Deadline-aware load shedding: removes and returns every queued
@@ -214,36 +259,76 @@ impl BatchScheduler {
     /// `service_estimate_ns` is the device's *single-request* makespan for
     /// the given sequence length — an optimistic bound, so only requests
     /// that would miss even an immediate solo launch are shed. Requests
-    /// without a deadline (`f64::INFINITY`) are never shed. Relative queue
-    /// order of survivors is preserved.
+    /// without a deadline (`f64::INFINITY`) are never shed. The shed
+    /// requests come back in submission order, and the relative queue order
+    /// of survivors is preserved.
+    ///
+    /// `service_estimate_ns` must be a pure function of `seq_len`: it is
+    /// called once per queued shape that has a finite deadline, and only
+    /// the doomed prefix of each shape's deadline order is visited.
     pub fn shed_doomed(
         &mut self,
         horizon_ns: f64,
         mut service_estimate_ns: impl FnMut(usize) -> f64,
     ) -> Vec<InferenceRequest> {
-        let doomed = |r: &InferenceRequest, estimate: &mut dyn FnMut(usize) -> f64| {
-            r.deadline_ns.is_finite() && r.deadline_ns < horizon_ns + estimate(r.seq_len)
-        };
-        // Fast path: the common launch has nothing to shed — avoid
-        // rebuilding the queue on every batch formation.
-        if !self
-            .queue
-            .iter()
-            .any(|r| doomed(r, &mut service_estimate_ns))
-        {
-            return Vec::new();
-        }
-        let mut shed = Vec::new();
-        let mut kept = VecDeque::with_capacity(self.queue.len());
-        for request in self.queue.drain(..) {
-            if doomed(&request, &mut service_estimate_ns) {
-                shed.push(request);
-            } else {
-                kept.push_back(request);
+        let queue = &self.queue;
+        let shed_index = self.shed_index.get_or_insert_with(|| {
+            let mut shed_index: BTreeMap<usize, BTreeSet<(u64, u64)>> = BTreeMap::new();
+            for (seq, request) in queue {
+                if request.deadline_ns.is_finite() {
+                    shed_index
+                        .entry(request.seq_len)
+                        .or_default()
+                        .insert((order_key(request.deadline_ns), *seq));
+                }
+            }
+            shed_index
+        });
+        let mut doomed: Vec<u64> = Vec::new();
+        for (&seq_len, deadlines) in shed_index.iter_mut() {
+            if deadlines.is_empty() {
+                continue;
+            }
+            let completion = horizon_ns + service_estimate_ns(seq_len);
+            if completion.is_nan() {
+                continue;
+            }
+            // `deadline < completion` is a key comparison (finite deadline,
+            // non-NaN completion), so the doomed requests of this shape are
+            // a prefix of its deadline order.
+            let completion = order_key(completion);
+            while let Some(&(deadline, seq)) = deadlines.first() {
+                if deadline >= completion {
+                    break;
+                }
+                deadlines.pop_first();
+                doomed.push(seq);
             }
         }
-        self.queue = kept;
-        shed
+        if doomed.is_empty() {
+            return Vec::new();
+        }
+        doomed.sort_unstable();
+        // Partition from the first doomed position: survivors slide forward
+        // in order, the doomed collect at the back.
+        let first = self.position(doomed[0]).unwrap_or(0);
+        let mut pending = doomed.iter().peekable();
+        let mut kept = first;
+        for read in first..self.queue.len() {
+            if pending.next_if_eq(&&self.queue[read].0).is_none() {
+                self.queue.swap(kept, read);
+                kept += 1;
+            }
+        }
+        let mut shed: Vec<(u64, InferenceRequest)> = self.queue.drain(kept..).collect();
+        shed.sort_unstable_by_key(|&(seq, _)| seq);
+        if let Some(order) = &mut self.order {
+            for (seq, request) in &shed {
+                order.remove(&(self.config.policy.rank(request), *seq));
+            }
+        }
+        self.fill_time = None;
+        shed.into_iter().map(|(_, request)| request).collect()
     }
 
     /// Preemption hook for bounded-queue admission: if `incoming` is
@@ -254,11 +339,19 @@ impl BatchScheduler {
     /// latest arrival) is never more urgent than any queued one, so FCFS
     /// never preempts — preemption is meaningful for EDF (a tight-deadline
     /// newcomer displaces a deadline-less request) and priority classes.
+    /// Among queued requests that tie exactly for least urgent, the
+    /// earliest submitted is the victim.
     pub fn preempt_for(&mut self, incoming: &InferenceRequest) -> Option<InferenceRequest> {
-        let policy = self.config.policy;
-        let victim = policy.victim_index(&self.queue)?;
-        if policy.before(incoming, &self.queue[victim]) {
-            self.queue.remove(victim)
+        let victim = match &self.order {
+            None => (self.config.policy).victim_index(self.queue.iter().map(|(_, r)| r))?,
+            Some(order) => {
+                let &(rank, _) = order.last()?;
+                let &(_, seq) = order.range((rank, 0)..).next()?;
+                self.position(seq)?
+            }
+        };
+        if self.config.policy.before(incoming, &self.queue[victim].1) {
+            self.take(victim)
         } else {
             None
         }
@@ -273,13 +366,24 @@ impl BatchScheduler {
     /// running max sequence only grows, the target only shrinks, so the
     /// scan is exact and exits after at most `max_batch_size` requests.
     ///
+    /// The result is memoized (hence `&mut self`): a submission keeps a
+    /// found fill time (it only appends behind the scanned prefix), and any
+    /// removal clears it.
+    ///
     /// The serving simulators use this as the batching window's fill
     /// signal: a non-full batch (`None`) waits out the window, a full one
     /// launches at `max(ready, fill_time)`.
-    pub fn fill_time_ns(&self) -> Option<f64> {
+    pub fn fill_time_ns(&mut self) -> Option<f64> {
+        if self.fill_time.is_none() {
+            self.fill_time = Some(self.scan_fill_time());
+        }
+        self.fill_time.flatten()
+    }
+
+    fn scan_fill_time(&self) -> Option<f64> {
         let mut max_seq_len = 0usize;
         let mut fill_time = f64::NEG_INFINITY;
-        for (index, request) in self.queue.iter().enumerate() {
+        for (index, (_, request)) in self.queue.iter().enumerate() {
             max_seq_len = max_seq_len.max(request.seq_len);
             fill_time = fill_time.max(request.arrival_ns);
             let capacity_batch = (self.capacity_cells / self.request_cells(max_seq_len)).max(1);
@@ -327,25 +431,56 @@ impl BatchScheduler {
                 request.id, self.capacity_cells
             )));
         }
-        self.queue.push_back(request);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        if let Some(order) = &mut self.order {
+            order.insert((self.config.policy.rank(&request), seq));
+        }
+        if let Some(shed_index) = &mut self.shed_index {
+            if request.deadline_ns.is_finite() {
+                (shed_index.entry(request.seq_len).or_default())
+                    .insert((order_key(request.deadline_ns), seq));
+            }
+        }
+        self.queue.push_back((seq, request));
+        // Appending leaves the scanned prefix alone, so a found fill time
+        // stands; a queue that was not full may have just filled.
+        if self.fill_time == Some(None) {
+            self.fill_time = None;
+        }
         Ok(())
     }
 
-    /// Index of the request the policy would serve next, if any.
+    /// Queue position of the request with sequence number `seq`.
+    fn position(&self, seq: u64) -> Option<usize> {
+        self.queue.binary_search_by_key(&seq, |&(s, _)| s).ok()
+    }
+
+    /// Queue position of the request the policy would serve next, if any:
+    /// the front under FCFS, the first rank otherwise.
     fn next_candidate(&self) -> Option<usize> {
-        match self.config.policy {
-            // FCFS queues are served front-first (submission order).
-            SchedulingPolicy::Fcfs => (!self.queue.is_empty()).then_some(0),
-            policy => {
-                let mut best: Option<usize> = None;
-                for (index, request) in self.queue.iter().enumerate() {
-                    if best.is_none_or(|b| policy.before(request, &self.queue[b])) {
-                        best = Some(index);
-                    }
+        match &self.order {
+            None => (!self.queue.is_empty()).then_some(0),
+            Some(order) => self.position(order.first()?.1),
+        }
+    }
+
+    /// Removes and returns the request at queue position `position`,
+    /// keeping both indexes and the fill-time memo in step.
+    fn take(&mut self, position: usize) -> Option<InferenceRequest> {
+        let (seq, request) = self.queue.remove(position)?;
+        if let Some(order) = &mut self.order {
+            order.remove(&(self.config.policy.rank(&request), seq));
+        }
+        if let Some(shed_index) = &mut self.shed_index {
+            if request.deadline_ns.is_finite() {
+                if let Some(deadlines) = shed_index.get_mut(&request.seq_len) {
+                    deadlines.remove(&(order_key(request.deadline_ns), seq));
                 }
-                best
             }
         }
+        self.fill_time = None;
+        Some(request)
     }
 
     /// Continuous (iteration-level) batching: pops up to `slots` queued
@@ -369,10 +504,10 @@ impl BatchScheduler {
             let Some(candidate) = self.next_candidate() else {
                 break;
             };
-            if !fits(&self.queue[candidate]) {
+            if !fits(&self.queue[candidate].1) {
                 break;
             }
-            let Some(request) = self.queue.remove(candidate) else {
+            let Some(request) = self.take(candidate) else {
                 break;
             };
             joined.push(request);
@@ -400,13 +535,13 @@ impl BatchScheduler {
             let Some(candidate) = self.next_candidate() else {
                 break;
             };
-            let prospective_max = max_seq_len.max(self.queue[candidate].seq_len);
+            let prospective_max = max_seq_len.max(self.queue[candidate].1.seq_len);
             let prospective_cells = (requests.len() + 1) * self.request_cells(prospective_max);
             if prospective_cells > self.capacity_cells {
                 break;
             }
             max_seq_len = prospective_max;
-            let Some(request) = self.queue.remove(candidate) else {
+            let Some(request) = self.take(candidate) else {
                 break;
             };
             requests.push(request);
@@ -734,6 +869,378 @@ mod tests {
                 drained += batch.len();
             }
             assert_eq!(drained, 32, "{policy} dropped requests");
+        }
+    }
+
+    #[test]
+    fn fill_time_memo_follows_submissions_and_removals() {
+        let mut s = scheduler(2, 1);
+        s.submit(request(0, 64)).unwrap();
+        assert_eq!(s.fill_time_ns(), None);
+        s.submit(request(1, 64)).unwrap();
+        assert_eq!(s.fill_time_ns(), Some(1.0));
+        // A later submission keeps the found fill time.
+        s.submit(request(2, 64)).unwrap();
+        assert_eq!(s.fill_time_ns(), Some(1.0));
+        // A removal clears it: the queue now fills at request 3.
+        assert_eq!(s.next_batch().unwrap().len(), 2);
+        assert_eq!(s.fill_time_ns(), None);
+        s.submit(request(3, 64)).unwrap();
+        assert_eq!(s.fill_time_ns(), Some(3.0));
+    }
+
+    #[test]
+    fn exact_ties_preempt_the_earliest_submitted_and_serve_it_first() {
+        // Three requests equal in every field the policy reads: the victim
+        // and the next candidate are both the earliest submission, as the
+        // linear scans pick.
+        for policy in [SchedulingPolicy::Edf, SchedulingPolicy::Priority] {
+            let mut s = policy_scheduler(policy, 4);
+            let twin = request(7, 128).with_deadline_ns(9_000.0).with_priority(2);
+            s.submit(request(1, 128).with_deadline_ns(1_000.0)).unwrap();
+            s.submit(twin).unwrap();
+            for seq_len in [64, 256] {
+                s.submit(InferenceRequest { seq_len, ..twin }).unwrap();
+            }
+            let victim = s
+                .preempt_for(&request(9, 128).with_deadline_ns(0.0))
+                .unwrap();
+            assert_eq!((victim.id, victim.seq_len), (7, 128), "{policy}");
+            let batch = s.next_batch().unwrap();
+            let served: Vec<_> = batch.requests.iter().map(|r| (r.id, r.seq_len)).collect();
+            assert_eq!(served, vec![(1, 128), (7, 64), (7, 256)], "{policy}");
+        }
+    }
+
+    #[test]
+    fn shedding_returns_requests_in_submission_order_across_shapes() {
+        let mut s = policy_scheduler(SchedulingPolicy::Edf, 8);
+        for (id, (seq, deadline)) in [
+            (64, 900.0),
+            (128, 100.0),
+            (64, f64::INFINITY),
+            (128, 5_000.0),
+            (64, 200.0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            s.submit(request(id as u64, seq).with_deadline_ns(deadline))
+                .unwrap();
+        }
+        // 64-token requests finish at 1 000, 128-token ones at 2 000.
+        let shed = s.shed_doomed(0.0, |seq| seq as f64 / 64.0 * 1_000.0);
+        assert_eq!(shed.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 4]);
+        // The index follows later submissions and removals.
+        s.submit(request(5, 64).with_deadline_ns(1_500.0)).unwrap();
+        let shed = s.shed_doomed(1_000.0, |seq| seq as f64 / 64.0 * 1_000.0);
+        assert_eq!(shed.iter().map(|r| r.id).collect::<Vec<_>>(), vec![5]);
+        let rest: Vec<u64> = s
+            .next_batch()
+            .unwrap()
+            .requests
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(rest, vec![3, 2]);
+        assert!(s.shed_doomed(1e12, |_| 0.0).is_empty());
+    }
+
+    /// The scheduler as it was before its queue was indexed: linear-scan
+    /// candidate and victim, the scan-then-rebuild shed and the unmemoized
+    /// fill scan. The equivalence property below holds the indexed
+    /// scheduler to it step by step.
+    struct Reference {
+        config: SchedulerConfig,
+        backend: Arc<dyn Backend>,
+        capacity_cells: usize,
+        queue: VecDeque<InferenceRequest>,
+    }
+
+    impl Reference {
+        fn new(s: &BatchScheduler) -> Self {
+            Reference {
+                config: s.config,
+                backend: Arc::clone(&s.backend),
+                capacity_cells: s.capacity_cells,
+                queue: VecDeque::new(),
+            }
+        }
+
+        fn request_cells(&self, seq_len: usize) -> usize {
+            self.backend.request_cells(seq_len)
+        }
+
+        fn next_candidate(&self) -> Option<usize> {
+            match self.config.policy {
+                SchedulingPolicy::Fcfs => (!self.queue.is_empty()).then_some(0),
+                policy => {
+                    let mut best: Option<usize> = None;
+                    for (index, request) in self.queue.iter().enumerate() {
+                        if best.is_none_or(|b| policy.before(request, &self.queue[b])) {
+                            best = Some(index);
+                        }
+                    }
+                    best
+                }
+            }
+        }
+
+        fn next_batch(&mut self) -> Option<Batch> {
+            self.queue.front()?;
+            let mut requests: Vec<InferenceRequest> = Vec::new();
+            let mut max_seq_len = 0usize;
+            while requests.len() < self.config.max_batch_size {
+                let Some(candidate) = self.next_candidate() else {
+                    break;
+                };
+                let prospective_max = max_seq_len.max(self.queue[candidate].seq_len);
+                let prospective_cells = (requests.len() + 1) * self.request_cells(prospective_max);
+                if prospective_cells > self.capacity_cells {
+                    break;
+                }
+                max_seq_len = prospective_max;
+                requests.extend(self.queue.remove(candidate));
+            }
+            let cells_used = requests.len() * self.request_cells(max_seq_len);
+            Some(Batch {
+                requests,
+                cells_used,
+                max_seq_len,
+            })
+        }
+
+        fn admit_continuous(
+            &mut self,
+            slots: usize,
+            mut fits: impl FnMut(&InferenceRequest) -> bool,
+        ) -> Vec<InferenceRequest> {
+            let mut joined = Vec::new();
+            while joined.len() < slots {
+                let Some(candidate) = self.next_candidate() else {
+                    break;
+                };
+                if !fits(&self.queue[candidate]) {
+                    break;
+                }
+                joined.extend(self.queue.remove(candidate));
+            }
+            joined
+        }
+
+        fn preempt_for(&mut self, incoming: &InferenceRequest) -> Option<InferenceRequest> {
+            let policy = self.config.policy;
+            let victim = policy.victim_index(&self.queue)?;
+            if policy.before(incoming, &self.queue[victim]) {
+                self.queue.remove(victim)
+            } else {
+                None
+            }
+        }
+
+        fn shed_doomed(
+            &mut self,
+            horizon_ns: f64,
+            mut service_estimate_ns: impl FnMut(usize) -> f64,
+        ) -> Vec<InferenceRequest> {
+            let mut shed = Vec::new();
+            let mut kept = VecDeque::new();
+            for request in self.queue.drain(..) {
+                if request.deadline_ns.is_finite()
+                    && request.deadline_ns < horizon_ns + service_estimate_ns(request.seq_len)
+                {
+                    shed.push(request);
+                } else {
+                    kept.push_back(request);
+                }
+            }
+            self.queue = kept;
+            shed
+        }
+
+        fn fill_time_ns(&self) -> Option<f64> {
+            let mut max_seq_len = 0usize;
+            let mut fill_time = f64::NEG_INFINITY;
+            for (index, request) in self.queue.iter().enumerate() {
+                max_seq_len = max_seq_len.max(request.seq_len);
+                fill_time = fill_time.max(request.arrival_ns);
+                let capacity_batch = (self.capacity_cells / self.request_cells(max_seq_len)).max(1);
+                if index + 1 >= self.config.max_batch_size.min(capacity_batch) {
+                    return Some(fill_time);
+                }
+            }
+            None
+        }
+    }
+
+    /// Every field of a request, floats as bits (so `-0.0` and `+0.0`
+    /// differ).
+    fn fields(r: &InferenceRequest) -> (u64, u64, u64, usize, u8) {
+        (
+            r.id,
+            r.arrival_ns.to_bits(),
+            r.deadline_ns.to_bits(),
+            r.seq_len,
+            r.priority,
+        )
+    }
+
+    fn all_fields<'r>(
+        requests: impl IntoIterator<Item = &'r InferenceRequest>,
+    ) -> Vec<(u64, u64, u64, usize, u8)> {
+        requests.into_iter().map(fields).collect()
+    }
+
+    /// Draws a request from a small value set full of ties: repeated ids,
+    /// equal arrivals, signed zeros, deadline-less requests and three
+    /// shapes (the longest binds the tile capacity).
+    fn drawn_request(next_id: &mut u64, a: u64, b: u64) -> InferenceRequest {
+        const SEQ_LENS: [usize; 3] = [64, 512, 4096];
+        const DEADLINES: [f64; 8] = [
+            -0.0,
+            0.0,
+            300.0,
+            300.0,
+            900.0,
+            2_000.0,
+            f64::INFINITY,
+            f64::INFINITY,
+        ];
+        const ARRIVALS: [f64; 6] = [-0.0, 0.0, 100.0, 100.0, 200.0, 700.0];
+        // One draw in four repeats the previous id.
+        if !a.is_multiple_of(4) {
+            *next_id += 1;
+        }
+        InferenceRequest::new(
+            *next_id,
+            ARRIVALS[(b % 6) as usize],
+            SEQ_LENS[(a / 4 % 3) as usize],
+        )
+        .with_deadline_ns(DEADLINES[(b / 6 % 8) as usize])
+        .with_priority((a / 12 % 3) as u8)
+    }
+
+    mod equivalence {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn indexed_scheduler_matches_the_linear_scan_reference(
+                ops in proptest::collection::vec((0u8..6, any::<u64>(), any::<u64>()), 1..160usize),
+                policy in proptest::sample::select(SchedulingPolicy::ALL.to_vec()),
+                max_batch_size in 1usize..6,
+            ) {
+                let mut s = BatchScheduler::new(
+                    HyFlexPimConfig::paper_default(),
+                    ModelConfig::bert_large(),
+                    SchedulerConfig {
+                        max_batch_size,
+                        max_wait_ns: 0.0,
+                        pus_per_layer: 2,
+                        policy,
+                    },
+                )
+                .unwrap();
+                let mut reference = Reference::new(&s);
+                let mut next_id = 0u64;
+                for (step, &(op, a, b)) in ops.iter().enumerate() {
+                    let (got, want) = match op {
+                        // Submissions are the most common step.
+                        0 | 1 => {
+                            let r = drawn_request(&mut next_id, a, b);
+                            s.submit(r).unwrap();
+                            reference.queue.push_back(r);
+                            (Vec::new(), Vec::new())
+                        }
+                        2 => {
+                            let got = s.next_batch();
+                            let want = reference.next_batch();
+                            prop_assert_eq!(
+                                got.as_ref().map(|g| (g.cells_used, g.max_seq_len)),
+                                want.as_ref().map(|w| (w.cells_used, w.max_seq_len))
+                            );
+                            (
+                                got.map(|g| g.requests).unwrap_or_default(),
+                                want.map(|w| w.requests).unwrap_or_default(),
+                            )
+                        }
+                        3 => {
+                            let slots = (a % 5) as usize;
+                            let gate = |budget: u64| {
+                                let mut budget = budget % 4;
+                                move |_: &InferenceRequest| {
+                                    budget = budget.saturating_sub(1);
+                                    budget > 0
+                                }
+                            };
+                            (
+                                s.admit_continuous(slots, gate(b)),
+                                reference.admit_continuous(slots, gate(b)),
+                            )
+                        }
+                        4 => {
+                            let incoming = drawn_request(&mut next_id, a, b);
+                            let got = s.preempt_for(&incoming);
+                            let want = reference.preempt_for(&incoming);
+                            if got.is_some() {
+                                // Admit the newcomer in the victim's place,
+                                // as the serving engine does.
+                                s.submit(incoming).unwrap();
+                                reference.queue.push_back(incoming);
+                            }
+                            (got.into_iter().collect(), want.into_iter().collect())
+                        }
+                        _ => {
+                            const HORIZONS: [f64; 5] = [-0.0, 0.0, 100.0, 400.0, 2_500.0];
+                            let horizon = HORIZONS[(a % 5) as usize];
+                            let estimate = |seq_len: usize| (b % 3) as f64 * seq_len as f64;
+                            (
+                                s.shed_doomed(horizon, estimate),
+                                reference.shed_doomed(horizon, estimate),
+                            )
+                        }
+                    };
+                    prop_assert_eq!(all_fields(&got), all_fields(&want), "step {} op {}", step, op);
+                    prop_assert_eq!(
+                        all_fields(s.queue.iter().map(|(_, r)| r)),
+                        all_fields(&reference.queue),
+                        "queue after step {}",
+                        step
+                    );
+                    prop_assert_eq!(s.queue_len(), reference.queue.len());
+                    prop_assert_eq!(
+                        s.front_arrival_ns().map(f64::to_bits),
+                        reference.queue.front().map(|r| r.arrival_ns.to_bits())
+                    );
+                    prop_assert_eq!(
+                        s.fill_time_ns().map(f64::to_bits),
+                        reference.fill_time_ns().map(f64::to_bits),
+                        "fill time after step {}",
+                        step
+                    );
+                    // The indexes hold exactly the queued requests.
+                    let seqs: Vec<u64> = s.queue.iter().map(|&(seq, _)| seq).collect();
+                    prop_assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+                    if let Some(order) = &s.order {
+                        let mut indexed: Vec<u64> = order.iter().map(|&(_, seq)| seq).collect();
+                        indexed.sort_unstable();
+                        prop_assert_eq!(&indexed, &seqs);
+                    }
+                    if let Some(shed_index) = &s.shed_index {
+                        let mut indexed: Vec<u64> =
+                            shed_index.values().flatten().map(|&(_, seq)| seq).collect();
+                        indexed.sort_unstable();
+                        let finite: Vec<u64> = (s.queue.iter())
+                            .filter(|(_, r)| r.deadline_ns.is_finite())
+                            .map(|&(seq, _)| seq)
+                            .collect();
+                        prop_assert_eq!(indexed, finite);
+                    }
+                }
+            }
         }
     }
 

@@ -31,19 +31,23 @@
 //! by KV-cell capacity, and when optimistic admission overcommits the pool
 //! (every admitted request grows by one token per iteration) the engine
 //! evicts the least-progressed resident. Every offered request ends in
-//! exactly one of three ways — shed before prefill, evicted mid-decode, or
-//! completed — so the report's counters satisfy `offered = admitted + shed`
-//! and `admitted = completed + evicted`. Every run checks both identities
+//! exactly one of four ways — shed before prefill, rejected by the
+//! queue-depth gate, evicted mid-decode, or completed — so the report's
+//! counters satisfy `offered = admitted + shed + rejected` and
+//! `admitted = completed + evicted`. Every run checks both identities
 //! before it reports, returning [`RuntimeError::Internal`] on a mismatch,
 //! and `tests/decode_property.rs` pins them under randomized traffic.
 //!
-//! Memory is bounded in both request and token count: the trace streams in,
-//! and request latency and time-per-output-token accumulate into the same
-//! log-linear histogram as the encoder engine's (see [`LatencySummary`]).
+//! The trace streams in, and request latency and time-per-output-token
+//! accumulate into the same log-linear histogram as the encoder engine's
+//! (see [`LatencySummary`]), so memory is bounded in token count. It is
+//! bounded in request count only with the queue-depth gate
+//! ([`DecodeConfig::admission`]): without it, an overloaded trace grows the
+//! waiting queue with the number of requests.
 
 use crate::batch::{BatchScheduler, SchedulerConfig};
 use crate::error::RuntimeError;
-use crate::overload::{conserve, LatencyHistogram};
+use crate::overload::{conserve, AdmissionPolicy, LatencyHistogram};
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
 use crate::Result;
@@ -104,6 +108,13 @@ pub struct DecodeConfig {
     /// Hardware constants the KV cost model reads (cells per value, write
     /// pulses). Defaults to the paper configuration.
     pub hw: HyFlexPimConfig,
+    /// Arrival gate. [`AdmissionPolicy::Unbounded`] (the default) admits
+    /// every request whose prompt fits the pool.
+    /// [`AdmissionPolicy::QueueDepth`] rejects an arrival while
+    /// `max_outstanding` or more requests are outstanding (waiting plus
+    /// resident), which bounds the waiting queue. The token bucket is not
+    /// supported here.
+    pub admission: AdmissionPolicy,
 }
 
 impl Default for DecodeConfig {
@@ -115,6 +126,7 @@ impl Default for DecodeConfig {
             kv_pus: 8,
             admit_watermark: 0.9,
             hw: HyFlexPimConfig::paper_default(),
+            admission: AdmissionPolicy::Unbounded,
         }
     }
 }
@@ -135,6 +147,10 @@ pub struct DecodeReport {
     pub completed: usize,
     /// Requests dropped before prefill (prompt KV exceeds the whole pool).
     pub shed: usize,
+    /// Requests the queue-depth gate turned away at arrival.
+    pub rejected: usize,
+    /// Most requests waiting (admitted, not yet resident) at once.
+    pub peak_waiting: usize,
     /// Requests evicted mid-decode when the KV pool overcommitted.
     pub evicted: usize,
     /// Output tokens decoded across the run (completed and evicted work).
@@ -216,8 +232,8 @@ impl DecodeSim {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a zero output length,
-    /// batch width, KV pool, or hybrid hot window, and propagates hardware
-    /// validation errors.
+    /// batch width, KV pool, hybrid hot window or queue-depth limit, or a
+    /// token-bucket gate, and propagates hardware validation errors.
     pub fn new(
         backend: Arc<dyn Backend>,
         trace: RequestTrace,
@@ -242,6 +258,22 @@ impl DecodeSim {
             if hot_window == 0 {
                 return Err(RuntimeError::InvalidConfig(
                     "hybrid hot_window must be at least 1".to_string(),
+                ));
+            }
+        }
+        match config.admission {
+            AdmissionPolicy::Unbounded => {}
+            AdmissionPolicy::QueueDepth { max_outstanding } => {
+                if max_outstanding == 0 {
+                    return Err(RuntimeError::InvalidConfig(
+                        "queue-depth gate needs max_outstanding >= 1".to_string(),
+                    ));
+                }
+            }
+            AdmissionPolicy::TokenBucket { .. } => {
+                return Err(RuntimeError::InvalidConfig(
+                    "decode serving supports the queue-depth gate, not the token bucket"
+                        .to_string(),
                 ));
             }
         }
@@ -313,6 +345,8 @@ impl DecodeSim {
         let mut admitted = 0usize;
         let mut completed = 0usize;
         let mut shed = 0usize;
+        let mut rejected = 0usize;
+        let mut peak_waiting = 0usize;
         let mut evicted = 0usize;
         let mut decoded_tokens = 0usize;
         let mut demoted_tokens = 0usize;
@@ -346,9 +380,16 @@ impl DecodeSim {
                     shed += 1;
                     continue;
                 }
+                if let AdmissionPolicy::QueueDepth { max_outstanding } = self.config.admission {
+                    if queue.queue_len() + residents.len() >= max_outstanding {
+                        rejected += 1;
+                        continue;
+                    }
+                }
                 admitted += 1;
                 queue.submit(request)?;
             }
+            peak_waiting = peak_waiting.max(queue.queue_len());
             // Token boundary: waiting requests join the running batch while
             // batch width and (optimistically: prompt-only) KV capacity
             // allow.
@@ -482,7 +523,11 @@ impl DecodeSim {
         } else {
             ((last_completion_ns - first_arrival_ns) * 1e-9).max(0.0)
         };
-        conserve("offered = admitted + shed", offered, &[admitted, shed])?;
+        conserve(
+            "offered = admitted + shed + rejected",
+            offered,
+            &[admitted, shed, rejected],
+        )?;
         conserve(
             "admitted = completed + evicted",
             admitted,
@@ -499,6 +544,8 @@ impl DecodeSim {
             admitted,
             completed,
             shed,
+            rejected,
+            peak_waiting,
             evicted,
             decoded_tokens,
             sim_seconds,
@@ -646,6 +693,17 @@ mod tests {
             placement: KvPlacementPolicy::Hybrid { hot_window: 0 },
             ..DecodeConfig::default()
         }));
+        assert!(bad(DecodeConfig {
+            admission: AdmissionPolicy::QueueDepth { max_outstanding: 0 },
+            ..DecodeConfig::default()
+        }));
+        assert!(bad(DecodeConfig {
+            admission: AdmissionPolicy::TokenBucket {
+                rate_qps: 100.0,
+                burst: 4.0,
+            },
+            ..DecodeConfig::default()
+        }));
     }
 
     #[test]
@@ -739,5 +797,45 @@ mod tests {
         assert_eq!(report.shed, 5);
         assert_eq!(report.admitted, 0);
         assert_eq!(report.completed, 0);
+    }
+
+    #[test]
+    fn queue_depth_gate_bounds_the_waiting_queue_under_overload() {
+        // Far more arrivals than the engine serves: without a gate the
+        // waiting queue holds most of the trace; with one it stays below
+        // the limit.
+        let run = |admission| {
+            DecodeSim::new(
+                backend(),
+                trace(50_000.0, 2_000, 128),
+                DecodeConfig {
+                    output_tokens: 32,
+                    kv_pus: 4,
+                    admission,
+                    ..DecodeConfig::default()
+                },
+            )
+            .unwrap()
+            .run()
+            .unwrap()
+        };
+        let open = run(AdmissionPolicy::Unbounded);
+        assert_eq!(open.rejected, 0);
+        assert_eq!(open.peak_waiting, 1_843);
+        let gated = run(AdmissionPolicy::QueueDepth {
+            max_outstanding: 64,
+        });
+        // Waiting plus resident never passes 64.
+        assert_eq!(gated.peak_waiting, 55);
+        assert_eq!(gated.rejected, 1_789);
+        assert_eq!(gated.offered, gated.admitted + gated.shed + gated.rejected);
+        assert_eq!(gated.admitted, gated.completed + gated.evicted);
+        // Deterministic: the same count on every run.
+        assert_eq!(
+            gated,
+            run(AdmissionPolicy::QueueDepth {
+                max_outstanding: 64
+            })
+        );
     }
 }

@@ -44,14 +44,16 @@
 use crate::batch::{BatchScheduler, SchedulerConfig};
 use crate::cluster::{BatchTrace, DispatchPolicy};
 use crate::error::RuntimeError;
+use crate::policy::order_key;
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
 use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::perf::BatchPerfSummary;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// Gate deciding at arrival time whether a request enters the system.
@@ -519,9 +521,9 @@ pub(crate) struct Replica {
     pub(crate) device_free: f64,
     pub(crate) busy_ns: f64,
     pub(crate) completed: usize,
-    /// Completion times of launched requests (for the outstanding count);
-    /// pruned lazily.
-    inflight: Vec<f64>,
+    /// Completion times of launched requests as order keys, earliest on
+    /// top (for the outstanding count); popped lazily.
+    inflight: BinaryHeap<Reverse<u64>>,
     active: bool,
     shed: bool,
     /// (padded seq_len, batch size) → evaluation. A `BTreeMap` because the
@@ -552,7 +554,7 @@ impl Replica {
             device_free: 0.0,
             busy_ns: 0.0,
             completed: 0,
-            inflight: Vec::new(),
+            inflight: BinaryHeap::new(),
             active,
             shed: config.shed,
             memo,
@@ -561,7 +563,14 @@ impl Replica {
 
     /// Requests dispatched to this replica that have not completed by `now`.
     fn outstanding(&mut self, now: f64) -> usize {
-        self.inflight.retain(|&completion| completion > now);
+        let now = order_key(now);
+        while self
+            .inflight
+            .peek()
+            .is_some_and(|&Reverse(done)| done <= now)
+        {
+            self.inflight.pop();
+        }
         self.scheduler.queue_len() + self.inflight.len()
     }
 
@@ -631,7 +640,7 @@ impl Replica {
             for (k, request) in batch.requests.iter().enumerate() {
                 let completion = launch + summary.completion_ns(k);
                 ledger.on_completed(request, launch, completion);
-                self.inflight.push(completion);
+                self.inflight.push(Reverse(order_key(completion)));
             }
             self.device_free = launch + summary.makespan_ns;
             self.busy_ns += summary.makespan_ns;

@@ -1,10 +1,13 @@
 //! Batch-formation scheduling policies.
 //!
+//! A [`SchedulingPolicy`] is a total order on queued requests: its
+//! `before` says which of two requests is served first, and its `rank` is
+//! the same order as an integer key.
 //! [`BatchScheduler`](crate::batch::BatchScheduler) keeps its queue in
-//! submission order and applies the configured [`SchedulingPolicy`] when it
-//! *forms* a batch: the policy picks which queued request is admitted next,
-//! and admission then proceeds greedily under the batch-size and
-//! tile-capacity caps exactly as under FCFS. All three policies are
+//! submission order and, under EDF and priority, an ordered index of these
+//! ranks: the first rank is the request admitted next, the last is the
+//! preemption victim. Admission then proceeds greedily under the batch-size
+//! and tile-capacity caps exactly as under FCFS. All three policies are
 //! deterministic — ties always break by earlier arrival, then lower request
 //! id — so a serving run is reproducible for a seed regardless of policy.
 //!
@@ -22,7 +25,23 @@
 
 use hyflex_pim::backend::InferenceRequest;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+
+/// A request's position in a policy's order, as integers: the policy's own
+/// key, then arrival, then id. See [`SchedulingPolicy::rank`].
+pub(crate) type Rank = (u64, u64, u64);
+
+/// Maps a non-NaN `f64` onto a `u64` whose unsigned order is the float
+/// order. `-0.0` and `+0.0` share one key, as they compare equal under
+/// `==` and `<`; `f64::INFINITY` maps to the largest key of any non-NaN.
+pub(crate) fn order_key(x: f64) -> u64 {
+    // `x + 0.0` turns -0.0 into +0.0 and leaves every other value alone.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
 
 /// Order in which queued requests are admitted into the next batch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,20 +111,37 @@ impl SchedulingPolicy {
         }
     }
 
+    /// `before` as an integer key: for requests with non-NaN arrivals and
+    /// deadlines, `before(a, b)` holds exactly when `rank(a) < rank(b)`, and
+    /// requests neither of which is before the other have equal ranks.
+    pub(crate) fn rank(&self, request: &InferenceRequest) -> Rank {
+        let primary = match self {
+            SchedulingPolicy::Fcfs => 0,
+            SchedulingPolicy::Edf => order_key(request.deadline_ns),
+            SchedulingPolicy::Priority => u64::from(request.priority),
+        };
+        (primary, order_key(request.arrival_ns), request.id)
+    }
+
     /// Index of the queued request this policy ranks *last* — the one every
     /// other queued request would be served before, and therefore the
     /// preemption victim when an admission gate must make room (see
     /// [`BatchScheduler::preempt_for`](crate::batch::BatchScheduler::preempt_for)).
-    /// `None` for an empty queue. Deterministic through the same
-    /// arrival-then-id tie-breaks as [`SchedulingPolicy::before`].
-    pub(crate) fn victim_index(&self, queue: &VecDeque<InferenceRequest>) -> Option<usize> {
-        let mut worst: Option<usize> = None;
-        for (index, request) in queue.iter().enumerate() {
-            if worst.is_none_or(|w| self.before(&queue[w], request)) {
-                worst = Some(index);
+    /// Among exact ties the earliest index wins. `None` for an empty queue.
+    /// A linear scan, O(q): the scheduler uses it under FCFS, which keeps no
+    /// rank index, and its tests use it as the oracle for the indexed
+    /// victim.
+    pub(crate) fn victim_index<'q>(
+        &self,
+        queue: impl IntoIterator<Item = &'q InferenceRequest>,
+    ) -> Option<usize> {
+        let mut worst: Option<(usize, &InferenceRequest)> = None;
+        for (index, request) in queue.into_iter().enumerate() {
+            if worst.is_none_or(|(_, w)| self.before(w, request)) {
+                worst = Some((index, request));
             }
         }
-        worst
+        worst.map(|(index, _)| index)
     }
 }
 
@@ -118,6 +154,7 @@ impl std::fmt::Display for SchedulingPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     fn req(id: u64, arrival_ns: f64) -> InferenceRequest {
         InferenceRequest::new(id, arrival_ns, 128)
@@ -175,6 +212,41 @@ mod tests {
         assert_eq!(SchedulingPolicy::Edf.victim_index(&queue), Some(1));
         // Priority: the highest priority value sorts last.
         assert_eq!(SchedulingPolicy::Priority.victim_index(&queue), Some(2));
+    }
+
+    #[test]
+    fn rank_order_is_the_before_order() {
+        // Ties on every field the policies read, signed zeros and
+        // deadline-less requests: `before` and `rank` must agree pairwise.
+        let mut requests = Vec::new();
+        let mut id = 0;
+        for arrival in [-0.0, 0.0, 1.0, f64::INFINITY] {
+            for deadline in [-1.0, -0.0, 0.0, 5.0, f64::INFINITY] {
+                for priority in [0u8, 3] {
+                    let r = req(id, arrival)
+                        .with_deadline_ns(deadline)
+                        .with_priority(priority);
+                    // Twice: an exact tie under every policy.
+                    requests.extend([r, r]);
+                    id += 1;
+                }
+            }
+        }
+        for policy in SchedulingPolicy::ALL {
+            for a in &requests {
+                for b in &requests {
+                    assert_eq!(
+                        policy.before(a, b),
+                        policy.rank(a) < policy.rank(b),
+                        "{policy}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+        assert!(order_key(f64::NEG_INFINITY) < order_key(-1.0));
+        assert!(order_key(-1.0) < order_key(-0.0));
+        assert_eq!(order_key(-0.0), order_key(0.0));
+        assert!(order_key(f64::MAX) < order_key(f64::INFINITY));
     }
 
     #[test]

@@ -90,8 +90,8 @@ struct OutBand<'o> {
 }
 
 /// Copies the `b` tile (`k0..k1` × `col0..col0 + width`) into `packed` with
-/// row stride `stride`. Pad lanes past `width` are never read, so they are
-/// left as-is.
+/// row stride `stride`, zeroing each row's pad lanes past `width`: the
+/// micro-kernel's last chunk reads them, and its results there are dropped.
 fn pack_panel(
     b_data: &[f32],
     n: usize,
@@ -103,7 +103,9 @@ fn pack_panel(
 ) {
     for (kk, k) in (k0..k1).enumerate() {
         let src = &b_data[k * n + col0..k * n + col0 + width];
-        packed[kk * stride..kk * stride + width].copy_from_slice(src);
+        let row = &mut packed[kk * stride..(kk + 1) * stride];
+        row[..width].copy_from_slice(src);
+        row[width..].fill(0.0);
     }
 }
 
@@ -130,9 +132,11 @@ fn pack_panel(
 ///    `acc = 0.0` summed and added at the end would *not* be — that
 ///    re-association is exactly what the contract forbids.
 ///
-/// Columns are walked in `LANES`-exact chunks (the vectorized body) with a
-/// scalar tail, never by zero-padding the output, so remainder columns also
-/// keep the reference chain.
+/// Columns are walked in `LANES`-wide chunks, the last one padded when
+/// `width % LANES != 0`: it runs the same vectorized body, but loads and
+/// stores only its real lanes. Each real lane keeps its own reference
+/// chain; the pad lanes accumulate products of the panel's zeroed pad and
+/// are discarded.
 fn packed_micro_kernel(
     a_data: &[f32],
     inner: usize,
@@ -149,35 +153,62 @@ fn packed_micro_kernel(
             let base = (i + r - out.row0) * out.n + panel.col0 + jo;
             acc_row.copy_from_slice(&out.data[base..base + LANES]);
         }
-        for k in panel.k0..panel.k1 {
-            let prow = &panel.data[(k - panel.k0) * panel.stride + jo..][..LANES];
-            for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
-                let aik = a_data[(i + r) * inner + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                for (accv, &pv) in acc_row.iter_mut().zip(prow.iter()) {
-                    *accv += aik * pv;
-                }
-            }
-        }
+        accumulate_chunk(a_data, inner, (i, h), panel, jo, &mut acc);
         for (r, acc_row) in acc.iter().take(h).enumerate() {
             let base = (i + r - out.row0) * out.n + panel.col0 + jo;
             out.data[base..base + LANES].copy_from_slice(acc_row);
         }
     }
-    for j in (chunks * LANES)..panel.width {
-        for r in 0..h {
-            let base = (i + r - out.row0) * out.n + panel.col0 + j;
-            let mut accv = out.data[base];
-            for k in panel.k0..panel.k1 {
-                let aik = a_data[(i + r) * inner + k];
-                if aik == 0.0 {
-                    continue;
-                }
-                accv += aik * panel.data[(k - panel.k0) * panel.stride + j];
+    let jo = chunks * LANES;
+    let lanes = panel.width - jo;
+    if lanes == 0 {
+        return;
+    }
+    // The padded tail chunk. Its lane loops run a fixed `LANES` times and
+    // test the bound (a `lanes`-long copy would keep the accumulators out
+    // of registers).
+    let mut acc = [[0.0f32; LANES]; MR];
+    for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
+        let base = (i + r - out.row0) * out.n + panel.col0 + jo;
+        let src = &out.data[base..base + lanes];
+        for (l, accv) in acc_row.iter_mut().enumerate() {
+            *accv = src.get(l).copied().unwrap_or(0.0);
+        }
+    }
+    accumulate_chunk(a_data, inner, (i, h), panel, jo, &mut acc);
+    for (r, acc_row) in acc.iter().take(h).enumerate() {
+        let base = (i + r - out.row0) * out.n + panel.col0 + jo;
+        let dst = &mut out.data[base..base + lanes];
+        for (l, &accv) in acc_row.iter().enumerate() {
+            if let Some(d) = dst.get_mut(l) {
+                *d = accv;
             }
-            out.data[base] = accv;
+        }
+    }
+}
+
+/// Extends the accumulators of output rows `i..i + h` over the panel's
+/// `k` slab at panel column `jo`: ascending `k`, skipping zero `a`
+/// entries, which is every lane's reference chain.
+#[inline(always)]
+fn accumulate_chunk(
+    a_data: &[f32],
+    inner: usize,
+    (i, h): (usize, usize),
+    panel: &PackedPanel<'_>,
+    jo: usize,
+    acc: &mut [[f32; LANES]; MR],
+) {
+    for k in panel.k0..panel.k1 {
+        let prow = &panel.data[(k - panel.k0) * panel.stride + jo..][..LANES];
+        for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
+            let aik = a_data[(i + r) * inner + k];
+            if aik == 0.0 {
+                continue;
+            }
+            for (accv, &pv) in acc_row.iter_mut().zip(prow.iter()) {
+                *accv += aik * pv;
+            }
         }
     }
 }
@@ -458,6 +489,20 @@ mod tests {
             let naive = naive_matmul(&a, &b);
             assert_eq!(blocked.as_slice(), naive.as_slice(), "{m}x{k}x{n}");
         }
+        // Every tail width: full chunks, a padded last chunk, and widths
+        // below one chunk, over row counts that leave a short row block.
+        for n in 1..=2 * LANES + 1 {
+            for (m, k) in [(1, 3), (5, 9), (6, 70)] {
+                let a = random(m, k, 40 + n as u64);
+                let b = random(k, n, 80 + n as u64);
+                let blocked = matmul(&a, &b).unwrap();
+                assert_eq!(
+                    blocked.as_slice(),
+                    naive_matmul(&a, &b).as_slice(),
+                    "{m}x{k}x{n}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -507,27 +552,25 @@ mod tests {
     #[test]
     fn packed_matmul_preserves_zero_skip_nan_semantics() {
         // 0 × inf would be NaN without the skip; the packed kernel must
-        // keep the reference's skip behaviour exactly.
-        let mut a = Matrix::zeros(2, 3);
-        a.set(0, 1, 2.0);
-        a.set(1, 0, 1.0);
-        let mut b = Matrix::zeros(3, 2);
-        b.set(0, 0, f32::INFINITY);
-        b.set(1, 1, 4.0);
-        b.set(2, 0, f32::NAN);
-        let got = matmul(&a, &b).unwrap();
-        let naive = naive_matmul(&a, &b);
-        assert_eq!(
-            got.as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>(),
-            naive
-                .as_slice()
-                .iter()
-                .map(|x| x.to_bits())
-                .collect::<Vec<_>>()
-        );
+        // keep the reference's skip behaviour exactly. Width 2 is all tail;
+        // width LANES + 3 puts the non-finite values in both a full chunk
+        // and the padded tail chunk, next to an infinite `a` entry whose
+        // products with the zeroed pad lanes are NaN.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n in [2, LANES + 3] {
+            let mut a = Matrix::zeros(3, 3);
+            a.set(0, 1, 2.0);
+            a.set(1, 0, 1.0);
+            a.set(2, 1, f32::INFINITY);
+            let mut b = Matrix::zeros(3, n);
+            for j in [0, n - 2] {
+                b.set(0, j, f32::INFINITY);
+                b.set(2, j, f32::NAN);
+            }
+            b.set(1, n - 1, 4.0);
+            let got = matmul(&a, &b).unwrap();
+            assert_eq!(bits(&got), bits(&naive_matmul(&a, &b)), "width {n}");
+        }
     }
 
     #[test]
