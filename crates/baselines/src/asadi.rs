@@ -13,10 +13,9 @@ use hyflex_pim::energy_breakdown::EnergyBreakdown;
 use hyflex_pim::perf::{Deployment, PerfSummary, PerformanceModel};
 use hyflex_pim::Result;
 use hyflex_transformer::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Precision of ASADI's linear-layer datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AsadiPrecision {
     /// Published ASADI: FP32 everywhere.
     Fp32,

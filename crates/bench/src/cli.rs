@@ -16,8 +16,6 @@
 //! * `--svd-algo NAME` — SVD algorithm for the gradient-redistribution
 //!   pipeline (`jacobi` — the bit-stable default — or `randomized`, the
 //!   Gaussian-sketch subspace iteration);
-//! * `--policy NAME` — batch-formation scheduling policy for serving
-//!   binaries (`fcfs`, `edf`, `priority`);
 //! * `--chips N` — cluster size for multi-chip serving binaries;
 //! * `--dispatch NAME` — cluster request routing (`round-robin`/`rr`,
 //!   `jsq`/`shortest-queue`);
@@ -30,7 +28,7 @@ use crate::output;
 use hyflex_baselines::{BackendRegistry, SystemBuilder};
 use hyflex_pim::backend::Backend;
 use hyflex_rram::cell::CellMode;
-use hyflex_runtime::{DispatchPolicy, JobPool, RequestTrace, SchedulingPolicy};
+use hyflex_runtime::{DispatchPolicy, JobPool, RequestTrace};
 use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::ModelConfig;
 use std::path::PathBuf;
@@ -50,8 +48,6 @@ pub struct BinArgs {
     pub backend: Option<String>,
     /// `--svd-algo NAME`: SVD algorithm for factorization pipelines.
     pub svd_algo: Option<String>,
-    /// `--policy NAME`: batch-formation scheduling policy.
-    pub policy: Option<String>,
     /// `--chips N`: cluster size for multi-chip serving.
     pub chips: Option<usize>,
     /// `--dispatch NAME`: cluster request-routing policy.
@@ -72,7 +68,7 @@ impl BinArgs {
 
     /// Parses from an explicit argument iterator (testable core of
     /// [`BinArgs::parse`]).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
         let args: Vec<String> = args.into_iter().collect();
         let mut parsed = BinArgs::default();
         let value_of = |flag: &str| -> Option<&String> {
@@ -88,40 +84,12 @@ impl BinArgs {
         parsed.threads = value_of("--threads").and_then(|v| v.parse().ok());
         parsed.backend = value_of("--backend").cloned();
         parsed.svd_algo = value_of("--svd-algo").cloned();
-        parsed.policy = value_of("--policy").cloned();
         parsed.chips = value_of("--chips").and_then(|v| v.parse().ok());
         parsed.dispatch = value_of("--dispatch").cloned();
         parsed.requests = value_of("--requests").and_then(|v| v.parse().ok());
         parsed.trace = value_of("--trace").map(PathBuf::from);
         parsed.smoke = args.iter().any(|a| a == "--smoke");
         parsed
-    }
-
-    /// The `--policy` selection (or `default`), validated against the
-    /// policy names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hyflex_pim::PimError::InvalidConfig`] naming the accepted
-    /// policies for an unknown name.
-    pub fn policy_or(&self, default: SchedulingPolicy) -> hyflex_pim::Result<SchedulingPolicy> {
-        match &self.policy {
-            None => Ok(default),
-            Some(name) => SchedulingPolicy::parse(name).ok_or_else(|| {
-                hyflex_pim::PimError::InvalidConfig(format!(
-                    "unknown --policy {name}; expected one of: fcfs, edf, priority"
-                ))
-            }),
-        }
-    }
-
-    /// Binary-facing variant of [`BinArgs::policy_or`]: prints the error
-    /// and exits with status 2 instead of returning it.
-    pub fn policy_or_exit(&self, default: SchedulingPolicy) -> SchedulingPolicy {
-        self.policy_or(default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
     }
 
     /// The `--svd-algo` selection (or `default`), validated against the
@@ -131,7 +99,7 @@ impl BinArgs {
     ///
     /// Returns [`hyflex_pim::PimError::InvalidConfig`] naming the accepted
     /// algorithms for an unknown name.
-    pub fn svd_algo_or(&self, default: SvdAlgorithm) -> hyflex_pim::Result<SvdAlgorithm> {
+    fn svd_algo_or(&self, default: SvdAlgorithm) -> hyflex_pim::Result<SvdAlgorithm> {
         match &self.svd_algo {
             None => Ok(default),
             Some(name) => SvdAlgorithm::parse(name).ok_or_else(|| {
@@ -142,7 +110,7 @@ impl BinArgs {
         }
     }
 
-    /// Binary-facing variant of [`BinArgs::svd_algo_or`]: prints the error
+    /// Binary-facing variant of `svd_algo_or`: prints the error
     /// and exits with status 2 instead of returning it.
     pub fn svd_algo_or_exit(&self, default: SvdAlgorithm) -> SvdAlgorithm {
         self.svd_algo_or(default).unwrap_or_else(|e| {
@@ -165,7 +133,7 @@ impl BinArgs {
     ///
     /// Returns [`hyflex_pim::PimError::InvalidConfig`] naming the accepted
     /// policies for an unknown name.
-    pub fn dispatch_or(&self, default: DispatchPolicy) -> hyflex_pim::Result<DispatchPolicy> {
+    fn dispatch_or(&self, default: DispatchPolicy) -> hyflex_pim::Result<DispatchPolicy> {
         match &self.dispatch {
             None => Ok(default),
             Some(name) => DispatchPolicy::parse(name).ok_or_else(|| {
@@ -177,7 +145,7 @@ impl BinArgs {
         }
     }
 
-    /// Binary-facing variant of [`BinArgs::dispatch_or`]: prints the error
+    /// Binary-facing variant of `dispatch_or`: prints the error
     /// and exits with status 2 instead of returning it.
     pub fn dispatch_or_exit(&self, default: DispatchPolicy) -> DispatchPolicy {
         self.dispatch_or(default).unwrap_or_else(|e| {
@@ -195,13 +163,13 @@ impl BinArgs {
     ///
     /// Returns the registry's unknown-backend error (which names the
     /// available backends).
-    pub fn backend_or(&self, default: &str) -> hyflex_pim::Result<String> {
+    fn backend_or(&self, default: &str) -> hyflex_pim::Result<String> {
         let name = self.backend.clone().unwrap_or_else(|| default.to_string());
         BackendRegistry::paper().ensure_known(&name)?;
         Ok(name)
     }
 
-    /// Binary-facing variant of [`BinArgs::backend_or`]: prints the
+    /// Binary-facing variant of `backend_or`: prints the
     /// registry's unknown-backend listing and exits with status 2 instead of
     /// returning an error.
     pub fn backend_or_exit(&self, default: &str) -> String {
@@ -305,7 +273,7 @@ impl BinArgs {
     ///
     /// Propagates [`RequestTrace::from_file`] errors (unreadable path,
     /// malformed workload line) unchanged.
-    pub fn trace_or(
+    fn trace_or(
         &self,
         default: impl FnOnce() -> RequestTrace,
     ) -> hyflex_runtime::Result<RequestTrace> {
@@ -315,7 +283,7 @@ impl BinArgs {
         }
     }
 
-    /// Binary-facing variant of [`BinArgs::trace_or`]: prints the error and
+    /// Binary-facing variant of `trace_or`: prints the error and
     /// exits with status 2 instead of returning it.
     pub fn trace_or_exit(&self, default: impl FnOnce() -> RequestTrace) -> RequestTrace {
         self.trace_or(default).unwrap_or_else(|e| {
@@ -393,11 +361,7 @@ mod tests {
 
     #[test]
     fn serving_flags_parse_and_validate() {
-        let args = parse(&["--policy", "edf", "--chips", "4", "--dispatch", "jsq"]);
-        assert_eq!(
-            args.policy_or(SchedulingPolicy::Fcfs).unwrap(),
-            SchedulingPolicy::Edf
-        );
+        let args = parse(&["--chips", "4", "--dispatch", "jsq"]);
         assert_eq!(args.chips_or(1), 4);
         assert_eq!(
             args.dispatch_or(DispatchPolicy::RoundRobin).unwrap(),
@@ -411,22 +375,13 @@ mod tests {
         assert_eq!(args.requests_or(1_000_000), 1_000_000);
         assert!(!args.smoke);
         let args = parse(&["--chips", "0"]);
-        assert_eq!(
-            args.policy_or(SchedulingPolicy::Priority).unwrap(),
-            SchedulingPolicy::Priority
-        );
         assert_eq!(args.chips_or(2), 2);
         assert_eq!(
             args.dispatch_or(DispatchPolicy::JoinShortestQueue).unwrap(),
             DispatchPolicy::JoinShortestQueue
         );
         // Unknown names are errors that list the accepted values.
-        let args = parse(&["--policy", "lifo", "--dispatch", "random"]);
-        let err = args
-            .policy_or(SchedulingPolicy::Fcfs)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("lifo") && err.contains("edf"), "{err}");
+        let args = parse(&["--dispatch", "random"]);
         let err = args
             .dispatch_or(DispatchPolicy::RoundRobin)
             .unwrap_err()

@@ -59,32 +59,10 @@ pub struct FunctionalExperiment {
     pub trainer: Trainer,
 }
 
-/// Trains a tiny encoder on the given dataset, runs gradient redistribution,
-/// and returns everything the accuracy figures need.
-///
-/// # Errors
-///
-/// Propagates model/training errors.
-pub fn run_functional_experiment(
-    config: ModelConfig,
-    dataset: Dataset,
-    pretrain_epochs: usize,
-    finetune_epochs: usize,
-    seed: u64,
-) -> Result<FunctionalExperiment> {
-    run_functional_experiment_with(
-        config,
-        dataset,
-        pretrain_epochs,
-        finetune_epochs,
-        seed,
-        SvdAlgorithm::Jacobi,
-    )
-}
-
-/// [`run_functional_experiment`] with an explicit SVD algorithm (the
-/// `--svd-algo` flag of the accuracy figure binaries lands here; `jacobi`
-/// reproduces the recorded figures bit for bit).
+/// Trains a tiny encoder on the given dataset, runs gradient redistribution
+/// with the given SVD algorithm, and returns everything the accuracy figures
+/// need (the `--svd-algo` flag of the accuracy figure binaries lands here;
+/// `jacobi` reproduces the recorded figures bit for bit).
 ///
 /// # Errors
 ///
@@ -136,8 +114,15 @@ mod tests {
     #[test]
     fn functional_experiment_produces_profiles() {
         let dataset = glue::generate(GlueTask::Sst2, &GlueConfig::default(), 3);
-        let exp =
-            run_functional_experiment(ModelConfig::tiny_encoder(2), dataset, 2, 1, 3).unwrap();
+        let exp = run_functional_experiment_with(
+            ModelConfig::tiny_encoder(2),
+            dataset,
+            2,
+            1,
+            3,
+            SvdAlgorithm::Jacobi,
+        )
+        .unwrap();
         assert_eq!(exp.report.layer_profiles.len(), 12);
         assert!(!exp.dataset.eval.is_empty());
     }

@@ -10,7 +10,6 @@
 
 use crate::error::CircuitError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Sampling rate of the shared SAR ADC (samples per second).
 pub const ADC_SAMPLE_RATE_HZ: f64 = 1.28e9;
@@ -19,7 +18,7 @@ pub const ADC_SAMPLE_RATE_HZ: f64 = 1.28e9;
 pub const MAX_ADC_BITS: u8 = 7;
 
 /// Operating mode of the reconfigurable ADC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdcMode {
     /// 6-bit conversion used for SLC column sums (MSB capacitor bypassed).
     Slc6Bit,
@@ -43,7 +42,7 @@ impl AdcMode {
 }
 
 /// Result of one SAR conversion.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Conversion {
     /// Digital output code.
     pub code: u32,
@@ -54,7 +53,7 @@ pub struct Conversion {
 }
 
 /// A successive-approximation ADC with the paper's MSB-bypass reconfiguration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SarAdc {
     mode: AdcMode,
     full_scale: f64,
@@ -103,7 +102,7 @@ impl SarAdc {
     }
 
     /// Size of one least-significant-bit step in analog units.
-    pub fn lsb(&self) -> f64 {
+    fn lsb(&self) -> f64 {
         self.full_scale / f64::from(self.mode.codes())
     }
 
@@ -147,16 +146,6 @@ impl SarAdc {
             reconstructed: f64::from(code) * lsb,
         }
     }
-
-    /// Quantization error bound: half an LSB once inside the full-scale range.
-    pub fn max_quantization_error(&self) -> f64 {
-        self.lsb()
-    }
-
-    /// Time to digitize `samples` values with one shared ADC, in nanoseconds.
-    pub fn conversion_time_ns(&self, samples: usize) -> f64 {
-        samples as f64 / ADC_SAMPLE_RATE_HZ * 1e9
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +188,7 @@ mod tests {
             assert!(conv.code >= last_code);
             last_code = conv.code;
             assert!(conv.code < adc.mode().codes());
-            assert!((conv.reconstructed - i as f64).abs() <= adc.max_quantization_error());
+            assert!((conv.reconstructed - i as f64).abs() <= adc.lsb());
             assert_eq!(conv.comparisons, 6);
         }
     }
@@ -246,9 +235,8 @@ mod tests {
 
     #[test]
     fn conversion_time_covers_128_bitlines_within_read_cycle() {
-        let adc = SarAdc::for_crossbar(AdcMode::Slc6Bit, 64, 1).unwrap();
         // 128 bit lines through one 1.28 GS/s ADC = exactly 100 ns (Section 5.4).
-        let t = adc.conversion_time_ns(128);
+        let t = 128.0 / ADC_SAMPLE_RATE_HZ * 1e9;
         assert!((t - 100.0).abs() < 1e-9);
     }
 }

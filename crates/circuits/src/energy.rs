@@ -9,7 +9,6 @@
 //! collected here so every crate draws from a single set of constants.
 
 use crate::table2::Table2;
-use serde::{Deserialize, Serialize};
 
 /// Crossbar read cycle: 128 bit lines digitized through one 1.28 GS/s ADC.
 pub const CROSSBAR_READ_CYCLE_NS: f64 = 100.0;
@@ -25,7 +24,7 @@ pub const ADC_SAMPLE_RATE_HZ: f64 = 1.28e9;
 /// All fields are public: this is a passive configuration record that the
 /// architecture model and the baselines consume directly; experiments can
 /// tweak individual entries for sensitivity studies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModel {
     /// Energy of one ADC conversion (one bit-line sample), pJ.
     pub adc_conversion_pj: f64,
@@ -67,7 +66,7 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// Derives the per-event energies from the paper's Table 2 power budget.
-    pub fn from_table2(table: &Table2) -> Self {
+    fn from_table2(table: &Table2) -> Self {
         let analog = &table.analog;
         let arrays_per_module = 512.0;
         let read_cycle_s = CROSSBAR_READ_CYCLE_NS * 1e-9;
@@ -144,15 +143,6 @@ impl EnergyModel {
         }
     }
 
-    /// Energy of one full analog-array bit-serial read cycle, including the
-    /// 128 ADC conversions, sample-and-hold captures, and shift-add updates.
-    pub fn analog_cycle_total_pj(&self, bit_lines: usize) -> f64 {
-        self.analog_array_read_cycle_pj
-            + self.analog_wldrv_cycle_pj
-            + bit_lines as f64
-                * (self.adc_conversion_pj + self.sample_hold_pj + self.shift_add_op_pj)
-    }
-
     /// Energy to program a matrix of `cells` cells in the given mode.
     pub fn array_write_pj(&self, cells: usize, mlc: bool) -> f64 {
         let per_cell = if mlc {
@@ -193,7 +183,11 @@ mod tests {
     #[test]
     fn full_cycle_total_is_dominated_by_adc_and_wldrv() {
         let e = EnergyModel::default();
-        let total = e.analog_cycle_total_pj(128);
+        // One bit-serial read cycle over 128 bit lines: array read, WL
+        // drivers, and per-bit-line ADC, sample-and-hold and shift-add.
+        let total = e.analog_array_read_cycle_pj
+            + e.analog_wldrv_cycle_pj
+            + 128.0 * (e.adc_conversion_pj + e.sample_hold_pj + e.shift_add_op_pj);
         let adc_part = 128.0 * e.adc_conversion_pj;
         assert!(total > adc_part);
         assert!((adc_part + e.analog_wldrv_cycle_pj) / total > 0.8);

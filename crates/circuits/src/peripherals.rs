@@ -7,10 +7,9 @@
 
 use crate::error::CircuitError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A 1-bit word-line driver (1-bit DAC) feeding one crossbar row.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WordlineDriver {
     read_voltage: f64,
     activations: u64,
@@ -52,7 +51,7 @@ impl WordlineDriver {
 
 /// A sample-and-hold circuit capturing one bit-line output before the shared
 /// ADC digitizes it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SampleAndHold {
     held: Option<f64>,
     samples: u64,
@@ -68,19 +67,6 @@ impl SampleAndHold {
     pub fn sample(&mut self, value: f64) {
         self.held = Some(value);
         self.samples += 1;
-    }
-
-    /// The held value, if any has been sampled.
-    pub fn held(&self) -> Option<f64> {
-        self.held
-    }
-
-    /// Reads the held value with a droop factor applied after `hold_ns`
-    /// nanoseconds (a first-order leak with a 10 µs time constant — droop is
-    /// negligible over the 100 ns conversion window, which is the point).
-    pub fn read_after(&self, hold_ns: f64) -> Option<f64> {
-        const TAU_NS: f64 = 10_000.0;
-        self.held.map(|v| v * (-hold_ns / TAU_NS).exp())
     }
 
     /// Number of samples captured.
@@ -107,23 +93,12 @@ mod tests {
     #[test]
     fn sample_and_hold_round_trips() {
         let mut sh = SampleAndHold::new();
-        assert_eq!(sh.held(), None);
+        assert_eq!(sh.held, None);
         sh.sample(1.25);
-        assert_eq!(sh.held(), Some(1.25));
+        assert_eq!(sh.held, Some(1.25));
         assert_eq!(sh.samples(), 1);
         sh.sample(0.5);
-        assert_eq!(sh.held(), Some(0.5));
+        assert_eq!(sh.held, Some(0.5));
         assert_eq!(sh.samples(), 2);
-    }
-
-    #[test]
-    fn droop_is_negligible_over_the_conversion_window() {
-        let mut sh = SampleAndHold::new();
-        sh.sample(1.0);
-        let after_conversion = sh.read_after(100.0).unwrap();
-        assert!(after_conversion > 0.98);
-        // But a very long hold visibly droops.
-        let after_long_hold = sh.read_after(50_000.0).unwrap();
-        assert!(after_long_hold < 0.05);
     }
 }

@@ -13,7 +13,6 @@
 
 use crate::error::CircuitError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Inputs processed per cycle by one SFU (paper Section 3.1).
 pub const SFU_INPUTS_PER_CYCLE: usize = 256;
@@ -22,7 +21,7 @@ pub const SFU_INPUTS_PER_CYCLE: usize = 256;
 pub const DEFAULT_TAYLOR_TERMS: usize = 8;
 
 /// Pipeline statistics accumulated by SFU evaluations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SfuStats {
     /// Total scalar elements processed.
     pub elements: u64,
@@ -47,7 +46,7 @@ impl SfuStats {
 /// series is evaluated, and the result is squared back up. This is the
 /// standard trick for keeping a short series accurate over the range softmax
 /// needs (large negative arguments).
-pub fn taylor_exp(x: f32, terms: usize) -> f32 {
+fn taylor_exp(x: f32, terms: usize) -> f32 {
     if terms == 0 {
         return 1.0;
     }
@@ -70,7 +69,7 @@ pub fn taylor_exp(x: f32, terms: usize) -> f32 {
 }
 
 /// The floating-point special function unit.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpecialFunctionUnit {
     taylor_terms: usize,
     stats: SfuStats,
@@ -83,24 +82,6 @@ impl SpecialFunctionUnit {
             taylor_terms: DEFAULT_TAYLOR_TERMS,
             stats: SfuStats::default(),
         }
-    }
-
-    /// Creates an SFU with a custom Taylor-series depth (for ablations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CircuitError::InvalidConfig`] when `terms` is zero or
-    /// implausibly large.
-    pub fn with_taylor_terms(terms: usize) -> Result<Self> {
-        if terms == 0 || terms > 64 {
-            return Err(CircuitError::InvalidConfig(format!(
-                "Taylor series depth {terms} must be in 1..=64"
-            )));
-        }
-        Ok(SpecialFunctionUnit {
-            taylor_terms: terms,
-            stats: SfuStats::default(),
-        })
     }
 
     /// Accumulated statistics.
@@ -183,11 +164,6 @@ impl SpecialFunctionUnit {
         self.record(x.len(), 3);
         out
     }
-
-    /// Cycles needed to stream `elements` values through one pipeline pass.
-    pub fn cycles_for(&self, elements: usize) -> u64 {
-        elements.div_ceil(SFU_INPUTS_PER_CYCLE) as u64
-    }
 }
 
 #[cfg(test)]
@@ -263,31 +239,9 @@ mod tests {
         // 256 inputs/cycle was chosen to balance the 273 ops/cycle GEMV rate
         // of a digital module (Section 3.1): the SFU must not be the
         // bottleneck by more than a small margin.
-        let sfu = SpecialFunctionUnit::new();
         assert_eq!(SFU_INPUTS_PER_CYCLE, 256);
-        assert_eq!(sfu.cycles_for(256), 1);
-        assert_eq!(sfu.cycles_for(257), 2);
         let ratio = 273.0 / SFU_INPUTS_PER_CYCLE as f64;
         assert!(ratio < 1.1);
-    }
-
-    #[test]
-    fn custom_taylor_depth_is_validated_and_affects_accuracy() {
-        assert!(SpecialFunctionUnit::with_taylor_terms(0).is_err());
-        assert!(SpecialFunctionUnit::with_taylor_terms(100).is_err());
-        let mut coarse = SpecialFunctionUnit::with_taylor_terms(2).unwrap();
-        let mut fine = SpecialFunctionUnit::with_taylor_terms(12).unwrap();
-        let logits = [0.3f32, 1.1, -2.0];
-        let exact = activations::softmax(&logits);
-        let err = |out: &[f32]| -> f32 {
-            out.iter()
-                .zip(exact.iter())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0, f32::max)
-        };
-        let coarse_err = err(&coarse.softmax(&logits));
-        let fine_err = err(&fine.softmax(&logits));
-        assert!(fine_err <= coarse_err);
     }
 
     #[test]

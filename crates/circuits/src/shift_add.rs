@@ -8,10 +8,9 @@
 
 use crate::error::CircuitError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Shift-and-add accumulator for one output element.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShiftAdder {
     accumulator: i64,
     operations: u64,
@@ -40,32 +39,9 @@ impl ShiftAdder {
         Ok(())
     }
 
-    /// Accumulates an ADC code for input bit `input_bit` and weight cell
-    /// column `cell_index`, where each cell column carries `bits_per_cell`
-    /// weight bits. This is exactly the shift pattern of Figures 6 and 7.
-    ///
-    /// # Errors
-    ///
-    /// Propagates overflow errors from [`ShiftAdder::accumulate`].
-    pub fn accumulate_pim(
-        &mut self,
-        code: i64,
-        input_bit: u32,
-        cell_index: u32,
-        bits_per_cell: u8,
-    ) -> Result<()> {
-        let shift = input_bit + cell_index * u32::from(bits_per_cell);
-        self.accumulate(code, shift)
-    }
-
     /// Current accumulated value.
     pub fn value(&self) -> i64 {
         self.accumulator
-    }
-
-    /// Number of shift-add operations performed.
-    pub fn operations(&self) -> u64 {
-        self.operations
     }
 
     /// Resets the accumulator for the next output element.
@@ -73,13 +49,6 @@ impl ShiftAdder {
         self.accumulator = 0;
         self.operations = 0;
     }
-}
-
-/// Number of shift-add operations needed per output element for a full
-/// bit-serial GEMV: one per (input bit × weight cell column).
-pub fn ops_per_output(input_bits: u8, weight_bits: u8, bits_per_cell: u8) -> u64 {
-    let cells = weight_bits.div_ceil(bits_per_cell);
-    u64::from(input_bits) * u64::from(cells)
 }
 
 #[cfg(test)]
@@ -92,10 +61,10 @@ mod tests {
         sa.accumulate(3, 0).unwrap();
         sa.accumulate(3, 2).unwrap();
         assert_eq!(sa.value(), 3 + 12);
-        assert_eq!(sa.operations(), 2);
+        assert_eq!(sa.operations, 2);
         sa.reset();
         assert_eq!(sa.value(), 0);
-        assert_eq!(sa.operations(), 0);
+        assert_eq!(sa.operations, 0);
     }
 
     #[test]
@@ -113,9 +82,9 @@ mod tests {
         let mut sa = ShiftAdder::new();
         for (w_idx, &w) in weight_bits.iter().enumerate() {
             for (a_idx, &a) in input_bits.iter().enumerate() {
-                // Column sum for one input bit and one SLC weight column is a*w.
-                sa.accumulate_pim(a * w, a_idx as u32, w_idx as u32, 1)
-                    .unwrap();
+                // Column sum for one input bit and one SLC weight column is
+                // a*w, shifted by input bit + weight column.
+                sa.accumulate(a * w, (a_idx + w_idx) as u32).unwrap();
             }
         }
         assert_eq!(sa.value(), 11 * 6);
@@ -129,19 +98,10 @@ mod tests {
         let mut sa = ShiftAdder::new();
         for (cell, &digit) in weight_digits.iter().enumerate() {
             for (a_idx, &a) in input_bits.iter().enumerate() {
-                sa.accumulate_pim(a * digit, a_idx as u32, cell as u32, 2)
-                    .unwrap();
+                // Each MLC cell column carries two weight bits.
+                sa.accumulate(a * digit, (a_idx + 2 * cell) as u32).unwrap();
             }
         }
         assert_eq!(sa.value(), 11 * 6);
-    }
-
-    #[test]
-    fn mlc_halves_the_shift_add_work() {
-        let slc = ops_per_output(8, 8, 1);
-        let mlc = ops_per_output(8, 8, 2);
-        assert_eq!(slc, 64);
-        assert_eq!(mlc, 32);
-        assert_eq!(slc, 2 * mlc);
     }
 }

@@ -7,10 +7,8 @@
 //! SFU). The benchmark binary `table2_hw_config` prints this structure in the
 //! same layout as the paper.
 
-use serde::Serialize;
-
 /// One row of Table 2: a peripheral or memory component inside a PIM module.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Component name as printed in the paper.
     pub name: &'static str,
@@ -25,7 +23,7 @@ pub struct ComponentSpec {
 }
 
 /// Area/power breakdown of one PIM module plus the module count per chip.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleBreakdown {
     /// Module name ("Analog RRAM Module" / "Digital RRAM Module").
     pub name: &'static str,
@@ -63,7 +61,7 @@ impl ModuleBreakdown {
 }
 
 /// The full Table 2: analog and digital module breakdowns.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// Analog RRAM PIM module breakdown.
     pub analog: ModuleBreakdown,

@@ -9,26 +9,11 @@
 //! chips) that [`crate::scalability`] models quantitatively.
 
 use crate::config::HyFlexPimConfig;
-use crate::error::PimError;
 use crate::Result;
 use hyflex_transformer::config::{ModelConfig, StaticLayerKind};
-use serde::{Deserialize, Serialize};
-
-/// Resource totals of one processing unit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ProcessingUnitResources {
-    /// Analog crossbar arrays available.
-    pub analog_arrays: usize,
-    /// Analog crossbar cells available.
-    pub analog_cells: usize,
-    /// Digital crossbar cells available.
-    pub digital_cells: usize,
-    /// Shared ADC instances (one per analog array).
-    pub adcs: usize,
-}
 
 /// The chip-level structural model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Chip {
     config: HyFlexPimConfig,
 }
@@ -61,24 +46,12 @@ impl Chip {
         self.config.pus_per_chip
     }
 
-    /// Resources of a single PU.
-    pub fn pu_resources(&self) -> ProcessingUnitResources {
-        let analog_arrays =
-            self.config.analog_modules_per_pu * self.config.analog_arrays_per_module;
-        ProcessingUnitResources {
-            analog_arrays,
-            analog_cells: self.config.analog_cells_per_pu(),
-            digital_cells: self.config.digital_cells_per_pu(),
-            adcs: analog_arrays,
-        }
-    }
-
     /// Analog cells needed to store one transformer layer's static weights
     /// when `slc_rank_fraction` of the factored ranks are stored in SLC.
     ///
     /// Weights are counted in their factored form (`U` plus `Σ·Vᵀ` at the
     /// hard-threshold rank, which is parameter-neutral versus dense).
-    pub fn analog_cells_for_layer(&self, model: &ModelConfig, slc_rank_fraction: f64) -> usize {
+    fn analog_cells_for_layer(&self, model: &ModelConfig, slc_rank_fraction: f64) -> usize {
         let slc = slc_rank_fraction.clamp(0.0, 1.0);
         let slc_cells_per_weight = self.config.slc_cells_per_weight() as f64;
         let mlc_cells_per_weight = self.config.mlc_cells_per_weight() as f64;
@@ -142,46 +115,11 @@ impl Chip {
         analog_pus.max(by_digital).max(1)
     }
 
-    /// Number of chips needed for the whole model (pipeline parallelism,
-    /// scaling case 3).
-    pub fn chips_for_model(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        slc_rank_fraction: f64,
-    ) -> usize {
-        let pus_per_layer = self.pus_per_layer(model, seq_len, slc_rank_fraction);
-        self.chips_for_layer_pus(pus_per_layer, model)
-    }
-
     /// Number of chips needed for the whole model when each layer occupies
     /// `pus_per_layer` PUs.
     pub(crate) fn chips_for_layer_pus(&self, pus_per_layer: usize, model: &ModelConfig) -> usize {
         let total_pus = pus_per_layer * model.num_layers;
         total_pus.div_ceil(self.pus())
-    }
-
-    /// How many model layers one chip can host concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::CapacityExceeded`] when even a single layer does
-    /// not fit on the chip.
-    pub fn layers_per_chip(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        slc_rank_fraction: f64,
-    ) -> Result<usize> {
-        let per_layer = self.pus_per_layer(model, seq_len, slc_rank_fraction);
-        if per_layer > self.pus() {
-            return Err(PimError::CapacityExceeded(format!(
-                "one {} layer needs {per_layer} PUs but the chip has {}",
-                model.name,
-                self.pus()
-            )));
-        }
-        Ok(self.pus() / per_layer)
     }
 
     /// Total analog weight-storage requirement of the model in bytes
@@ -203,11 +141,13 @@ mod tests {
     #[test]
     fn pu_resources_match_table_2_geometry() {
         let chip = Chip::paper_default();
-        let pu = chip.pu_resources();
-        assert_eq!(pu.analog_arrays, 24 * 512);
-        assert_eq!(pu.analog_cells, 24 * 512 * 64 * 128);
-        assert_eq!(pu.adcs, pu.analog_arrays);
-        assert_eq!(pu.digital_cells, 8 * 256 * 1024 * 1024);
+        let config = chip.config();
+        assert_eq!(
+            config.analog_modules_per_pu * config.analog_arrays_per_module,
+            24 * 512
+        );
+        assert_eq!(config.analog_cells_per_pu(), 24 * 512 * 64 * 128);
+        assert_eq!(config.digital_cells_per_pu(), 8 * 256 * 1024 * 1024);
         assert_eq!(chip.pus(), 24);
     }
 
@@ -230,8 +170,8 @@ mod tests {
         let chip = Chip::paper_default();
         let model = ModelConfig::bert_large();
         assert_eq!(chip.pus_per_layer(&model, 128, 0.1), 1);
-        assert_eq!(chip.chips_for_model(&model, 128, 0.1), 1);
-        assert_eq!(chip.layers_per_chip(&model, 128, 0.1).unwrap(), 24);
+        assert_eq!(chip.chips_for_layer_pus(1, &model), 1);
+        assert_eq!(chip.pus(), 24);
     }
 
     #[test]
@@ -242,8 +182,7 @@ mod tests {
         let model = ModelConfig::gpt2_small();
         let per_layer = chip.pus_per_layer(&model, 1024, 0.2);
         assert_eq!(per_layer, 1);
-        let layers = chip.layers_per_chip(&model, 1024, 0.2).unwrap();
-        assert!(layers >= 12);
+        assert!(chip.pus() / per_layer >= 12);
     }
 
     #[test]
@@ -257,7 +196,7 @@ mod tests {
             per_layer >= 2,
             "expected >=2 PUs per Llama3 layer, got {per_layer}"
         );
-        let chips = chip.chips_for_model(&model, 8192, 0.2);
+        let chips = chip.chips_for_layer_pus(per_layer, &model);
         assert!(chips >= 2, "expected >=2 chips, got {chips}");
     }
 
@@ -268,7 +207,7 @@ mod tests {
         config.digital_arrays_per_module = 4;
         let chip = Chip::new(config).unwrap();
         let model = ModelConfig::llama3_1b();
-        assert!(chip.layers_per_chip(&model, 8192, 0.5).is_err());
+        assert!(chip.pus_per_layer(&model, 8192, 0.5) > chip.pus());
     }
 
     #[test]

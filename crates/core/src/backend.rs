@@ -25,7 +25,6 @@ use crate::perf::{BatchPerfSummary, Deployment, PerfSummary, PerformanceModel};
 use crate::PimError;
 use crate::Result;
 use hyflex_transformer::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// One inference request submitted to a backend or the runtime.
 ///
@@ -40,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// constructors ([`InferenceRequest::new`], [`InferenceRequest::of_len`])
 /// leave both at their neutral values (no deadline, priority 0), so callers
 /// that predate the fields never mention them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InferenceRequest {
     /// Caller-assigned identifier.
     pub id: u64,
@@ -319,11 +318,6 @@ impl HyFlexPim {
     /// Returns [`PimError::InvalidConfig`] for an SLC rate outside `[0, 1]`.
     pub fn paper(model: ModelConfig, slc_rank_fraction: f64) -> Result<Self> {
         HyFlexPim::new(PerformanceModel::paper_default(), model, slc_rank_fraction)
-    }
-
-    /// The underlying performance model.
-    pub fn performance_model(&self) -> &PerformanceModel {
-        &self.perf
     }
 
     /// The SLC protection rate of the deployed mapping.

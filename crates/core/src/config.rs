@@ -7,7 +7,6 @@ use hyflex_rram::spec::{
     DIGITAL_ARRAYS_PER_MODULE, DIGITAL_ARRAY_COLS, DIGITAL_ARRAY_ROWS, DIGITAL_MODULES_PER_PU,
     PUS_PER_CHIP,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::error::PimError;
 use crate::Result;
@@ -38,7 +37,7 @@ pub const RRAM_WRITE_PULSE_NS: f64 = 100.0;
 ///
 /// Defaults follow Table 2 and Section 5.4 of the paper. Fields are public so
 /// experiments can run design-space sweeps (e.g. 3-bit MLC ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HyFlexPimConfig {
     /// Processing units per chip.
     pub pus_per_chip: usize,
@@ -142,20 +141,6 @@ impl HyFlexPimConfig {
             * self.digital_array_cols
     }
 
-    /// Analog storage capacity per chip in bytes, for a given SLC fraction of
-    /// the cells (SLC cells store one bit, MLC cells `mlc_mode` bits).
-    pub fn analog_capacity_bytes(&self, slc_fraction: f64) -> f64 {
-        let cells = (self.analog_cells_per_pu() * self.pus_per_chip) as f64;
-        let slc = slc_fraction.clamp(0.0, 1.0);
-        let bits_per_cell = slc * 1.0 + (1.0 - slc) * f64::from(self.mlc_mode.bits_per_cell());
-        cells * bits_per_cell / 8.0
-    }
-
-    /// Digital storage capacity per chip in bytes (always SLC).
-    pub fn digital_capacity_bytes(&self) -> f64 {
-        (self.digital_cells_per_pu() * self.pus_per_chip) as f64 / 8.0
-    }
-
     /// Number of SLC cell-columns needed per weight column.
     pub fn slc_cells_per_weight(&self) -> usize {
         usize::from(self.weight_bits)
@@ -186,13 +171,12 @@ mod tests {
         assert_eq!(c.analog_arrays_per_module, 512);
         assert_eq!(c.digital_modules_per_pu, 8);
         // One analog array is 1 KB in SLC mode; 512 arrays x 24 modules x 24 PUs.
-        let slc_bytes = c.analog_capacity_bytes(1.0);
+        let slc_bytes = (c.analog_cells_per_pu() * c.pus_per_chip) as f64 / 8.0;
         assert!((slc_bytes - (512.0 * 24.0 * 24.0 * 1024.0)).abs() < 1.0);
         // Full-MLC capacity is exactly double.
-        let mlc_bytes = c.analog_capacity_bytes(0.0);
-        assert!((mlc_bytes / slc_bytes - 2.0).abs() < 1e-9);
+        assert_eq!(c.mlc_mode.bits_per_cell(), 2);
         // Digital: 128 KB per array x 256 arrays x 8 modules x 24 PUs.
-        let digital = c.digital_capacity_bytes();
+        let digital = (c.digital_cells_per_pu() * c.pus_per_chip) as f64 / 8.0;
         assert!((digital - (128.0 * 1024.0 * 256.0 * 8.0 * 24.0)).abs() < 1.0);
     }
 
@@ -217,14 +201,5 @@ mod tests {
         let mut c = HyFlexPimConfig::paper_default();
         c.mlc_mode = CellMode::Mlc { bits: 3 };
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn capacity_scales_with_slc_fraction() {
-        let c = HyFlexPimConfig::paper_default();
-        let at_10 = c.analog_capacity_bytes(0.1);
-        let at_50 = c.analog_capacity_bytes(0.5);
-        assert!(at_10 > at_50);
-        assert!(at_10 < c.analog_capacity_bytes(0.0));
     }
 }

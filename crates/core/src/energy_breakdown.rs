@@ -1,11 +1,9 @@
 //! Per-component energy breakdown (the categories of Figure 15(b)/(d)).
 
-use serde::{Deserialize, Serialize};
-
 /// End-to-end energy split into the component categories the paper plots.
 ///
 /// All values are in picojoules for one inference at a given sequence length.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// ADC conversions for the linear layers (analog PIM).
     pub linear_adc_pj: f64,

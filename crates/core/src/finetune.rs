@@ -1,10 +1,9 @@
 //! Fine-tuning hyper-parameters (paper Table 1).
 
 use hyflex_transformer::{AdamWConfig, Trainer};
-use serde::{Deserialize, Serialize};
 
 /// One row of Table 1: the fine-tuning recipe for one evaluation model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperParams {
     /// Model name as printed in the paper.
     pub model: &'static str,
@@ -53,13 +52,6 @@ impl HyperParams {
         ]
     }
 
-    /// Looks up the row for a model name (prefix match, e.g. "BERT-Base").
-    pub fn for_model(name: &str) -> Option<HyperParams> {
-        Self::table1()
-            .into_iter()
-            .find(|h| name.starts_with(h.model))
-    }
-
     /// Builds a trainer from this row. The reduced-scale functional models
     /// use a larger learning rate (they train from scratch rather than from a
     /// pre-trained checkpoint); `lr_scale` exposes that adjustment while
@@ -79,24 +71,30 @@ impl HyperParams {
 mod tests {
     use super::*;
 
+    /// Looks up the row for a model name (prefix match, e.g. "BERT-Base").
+    fn for_model(name: &str) -> Option<HyperParams> {
+        HyperParams::table1()
+            .into_iter()
+            .find(|h| name.starts_with(h.model))
+    }
+
     #[test]
     fn table1_matches_paper_values() {
         let rows = HyperParams::table1();
         assert_eq!(rows.len(), 5);
-        let bert = HyperParams::for_model("BERT-Base").unwrap();
+        let bert = for_model("BERT-Base").unwrap();
         assert_eq!(bert.batch_size, 32);
         assert!((bert.learning_rate - 2e-5).abs() < 1e-12);
-        let large = HyperParams::for_model("BERT-Large").unwrap();
+        let large = for_model("BERT-Large").unwrap();
         assert!((large.learning_rate - 5e-6).abs() < 1e-12);
-        let gpt = HyperParams::for_model("GPT-2").unwrap();
+        let gpt = for_model("GPT-2").unwrap();
         assert_eq!(gpt.batch_size, 2);
         assert!(rows.iter().all(|r| r.optimizer == "AdamW"));
-        assert!(HyperParams::for_model("T5").is_none());
     }
 
     #[test]
     fn trainer_applies_learning_rate_scale() {
-        let row = HyperParams::for_model("ViT-Base").unwrap();
+        let row = for_model("ViT-Base").unwrap();
         let trainer = row.trainer(100.0);
         assert!((trainer.optimizer.learning_rate - 5e-4).abs() < 1e-9);
         assert_eq!(trainer.batch_size, 10);

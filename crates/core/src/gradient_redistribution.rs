@@ -27,7 +27,6 @@ use hyflex_tensor::Matrix;
 use hyflex_transformer::layers::AnyLinear;
 use hyflex_transformer::trainer::{EvalReport, Sample};
 use hyflex_transformer::{FactoredLinear, ParamVisit, Trainer, TransformerModel};
-use serde::{Deserialize, Serialize};
 
 /// Deterministic per-layer sketch seed: FNV-1a over the dotted parameter
 /// name (`blocks.3.attn.q_proj`, ...).
@@ -48,7 +47,7 @@ fn layer_sketch_seed(name: &str) -> u64 {
 }
 
 /// How aggressively to truncate each layer's SVD.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruncationPolicy {
     /// The paper's cost-neutral rank `in·out / (in + out)`.
     HardThreshold,
@@ -60,7 +59,7 @@ pub enum TruncationPolicy {
 
 impl TruncationPolicy {
     /// The rank this policy picks for a layer of shape `in × out`.
-    pub fn rank_for(&self, in_dim: usize, out_dim: usize) -> usize {
+    fn rank_for(&self, in_dim: usize, out_dim: usize) -> usize {
         let full = in_dim.min(out_dim);
         match self {
             TruncationPolicy::HardThreshold => hard_threshold_rank(in_dim, out_dim).min(full),
@@ -71,7 +70,7 @@ impl TruncationPolicy {
 }
 
 /// Gradient profile of one factored layer after redistribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerGradientProfile {
     /// Index of the layer in [`TransformerModel::named_linears`] order.
     pub layer_index: usize,
@@ -89,7 +88,7 @@ pub struct LayerGradientProfile {
 impl LayerGradientProfile {
     /// Fraction of total gradient mass carried by the `top_fraction` of ranks
     /// with the largest gradients. Near 1.0 means strong concentration.
-    pub fn gradient_concentration(&self, top_fraction: f64) -> f64 {
+    fn gradient_concentration(&self, top_fraction: f64) -> f64 {
         if self.sigma_gradients.is_empty() {
             return 0.0;
         }
@@ -105,7 +104,7 @@ impl LayerGradientProfile {
 }
 
 /// Result of running the full gradient-redistribution pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedistributionReport {
     /// Per-layer gradient profiles (one per static linear layer).
     pub layer_profiles: Vec<LayerGradientProfile>,
@@ -134,7 +133,7 @@ impl RedistributionReport {
 }
 
 /// The gradient-redistribution pipeline driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GradientRedistribution {
     /// Truncation policy (Algorithm 1 step 2).
     pub truncation: TruncationPolicy,

@@ -25,10 +25,9 @@ use hyflex_tensor::Matrix;
 use hyflex_transformer::layers::AnyLinear;
 use hyflex_transformer::trainer::{evaluate_model, EvalReport, Sample};
 use hyflex_transformer::TransformerModel;
-use serde::{Deserialize, Serialize};
 
 /// How a model's static weights are mapped onto SLC and MLC cells.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HybridMappingSpec {
     /// Fraction of ranks (or weights) protected in SLC, in `[0, 1]`.
     pub protection_rate: f64,
@@ -55,7 +54,7 @@ impl HybridMappingSpec {
 }
 
 /// Bookkeeping from one noise-injection pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NoiseStats {
     /// Number of ranks mapped to SLC (factored layers).
     pub slc_ranks: usize,
@@ -80,7 +79,7 @@ impl NoiseStats {
 }
 
 /// One point of a protection-rate × seed accuracy sweep (Figure 12 style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     /// SLC protection rate for this point.
     pub protection_rate: f64,
@@ -107,7 +106,7 @@ impl SweepPoint {
 }
 
 /// Result of one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepOutcome {
     /// The evaluated point.
     pub point: SweepPoint,
@@ -118,7 +117,7 @@ pub struct SweepOutcome {
 }
 
 /// The noise-injected inference simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseSimulator {
     noise: NoiseModel,
     weight_bits: u8,
@@ -163,7 +162,7 @@ impl NoiseSimulator {
     ///
     /// Returns [`PimError::InvalidConfig`] when a factored layer needs a
     /// gradient profile that is missing.
-    pub fn apply_to_model(
+    fn apply_to_model(
         &self,
         model: &mut TransformerModel,
         profiles: &[LayerGradientProfile],

@@ -41,7 +41,6 @@ use hyflex_circuits::{EnergyModel, Table2};
 use hyflex_rram::digital::DigitalPimModule;
 use hyflex_transformer::config::ModelConfig;
 use hyflex_transformer::ops_count;
-use serde::{Deserialize, Serialize};
 
 /// Default number of inferences over which the one-time analog weight
 /// programming cost is amortized (static weights are written once and reused;
@@ -49,7 +48,7 @@ use serde::{Deserialize, Serialize};
 pub const DEFAULT_WEIGHT_REUSE_INFERENCES: u64 = 10_000;
 
 /// One design/workload point to evaluate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvaluationPoint {
     /// Model architecture (paper-scale dimensions).
     pub model: ModelConfig,
@@ -60,7 +59,7 @@ pub struct EvaluationPoint {
 }
 
 /// Latency split of one inference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyBreakdown {
     /// Time spent in analog crossbar reads (per pipeline stage, summed).
     pub analog_ns: f64,
@@ -90,7 +89,7 @@ impl LatencyBreakdown {
 }
 
 /// Full evaluation result for one point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfSummary {
     /// Energy per inference, by component.
     pub energy: EnergyBreakdown,
@@ -141,16 +140,6 @@ impl PerfSummary {
             chips,
         }
     }
-
-    /// Energy efficiency in tera-operations per joule.
-    pub fn tops_per_joule(&self) -> f64 {
-        let joules = self.energy.total_pj() * 1e-12;
-        if joules == 0.0 {
-            0.0
-        } else {
-            self.total_ops as f64 / joules / 1e12
-        }
-    }
 }
 
 /// Batch-aware evaluation result: `batch_size` requests of the same shape
@@ -164,7 +153,7 @@ impl PerfSummary {
 /// the pipeline fill/drain overhead (the `1 + (L-1)/N` factor of the
 /// single-request latency): utilization approaches 1 as `B` grows while
 /// per-request latency grows only by the queueing term `k · interval`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchPerfSummary {
     /// Number of requests in the batch.
     pub batch_size: usize,
@@ -238,7 +227,7 @@ impl Deployment {
 }
 
 /// The HyFlexPIM analytical performance model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerformanceModel {
     hw: HyFlexPimConfig,
     energy: EnergyModel,
@@ -821,7 +810,6 @@ mod tests {
         assert!(s.throughput_tops > 0.01 && s.throughput_tops < 10_000.0);
         assert!(s.area_mm2 > 50.0);
         assert!(s.tops_per_mm2 > 0.0);
-        assert!(s.tops_per_joule() > 0.0);
         assert_eq!(s.chips, 1);
     }
 

@@ -20,10 +20,9 @@ use crate::error::PimError;
 use crate::perf::{EvaluationPoint, PerformanceModel};
 use crate::Result;
 use hyflex_transformer::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Memory requirement of a model on HyFlexPIM (Figure 17 left axis).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemoryRequirement {
     /// Static weights held in analog PIM RRAM, bytes.
     pub analog_bytes: f64,
@@ -33,7 +32,7 @@ pub struct MemoryRequirement {
 
 impl MemoryRequirement {
     /// Total bytes.
-    pub fn total_bytes(&self) -> f64 {
+    fn total_bytes(&self) -> f64 {
         self.analog_bytes + self.digital_bytes
     }
 
@@ -44,7 +43,7 @@ impl MemoryRequirement {
 }
 
 /// One throughput-scaling configuration (a bar of Figure 17's right axis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalingPoint {
     /// Configuration label (e.g. "GPT-2 x2 PUs", "Llama3 quad-chip").
     pub label: String,
@@ -112,7 +111,7 @@ impl ScalabilityModel {
     /// # Errors
     ///
     /// Returns [`PimError::InvalidConfig`] when `pus` is zero.
-    pub fn tensor_parallel_speedup(
+    fn tensor_parallel_speedup(
         &self,
         model: &ModelConfig,
         seq_len: usize,
@@ -150,7 +149,7 @@ impl ScalabilityModel {
     ///
     /// Returns [`PimError::InvalidConfig`] for zero chip counts or
     /// `chips < base_chips`.
-    pub fn multi_chip_speedup(
+    fn multi_chip_speedup(
         &self,
         model: &ModelConfig,
         seq_len: usize,

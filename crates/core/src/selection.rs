@@ -13,10 +13,9 @@
 use crate::gradient_redistribution::LayerGradientProfile;
 use hyflex_tensor::stats::top_k_indices;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Strategy for choosing which portion of a layer is stored in SLC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SelectionStrategy {
     /// Protect ranks with the largest singular-value gradients (proposed).
     GradientBased,

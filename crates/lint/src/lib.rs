@@ -4,7 +4,8 @@
 //! A dependency-free, token-level static-analysis pass over the workspace
 //! that enforces the invariants every recorded number rests on: **same
 //! seed, same bytes, under any thread count** — plus the safety policy
-//! (no `unsafe`, no panic paths in the serving crates).
+//! (no `unsafe`, no panic paths in library code) and a surface check (no
+//! library `pub fn` that nothing outside its file names).
 //!
 //! The dynamic determinism suite (CI's multi-thread-count jobs, the golden
 //! fixtures) proves these invariants hold *today*; this pass rejects the
@@ -30,7 +31,7 @@
 pub mod lexer;
 pub mod rules;
 
-use lexer::{find_word, lex, SourceLine};
+use lexer::{find_word, identifiers, lex, SourceLine};
 use rules::{severity_for, FileKind, RuleId, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -68,7 +69,7 @@ impl Report {
     }
 
     /// Number of warn-severity findings.
-    pub fn warn_count(&self) -> usize {
+    fn warn_count(&self) -> usize {
         self.findings
             .iter()
             .filter(|f| f.severity == Severity::Warn)
@@ -90,7 +91,7 @@ pub struct FileCtx {
 
 /// Classifies a workspace-relative `/`-separated path. Returns `None` for
 /// files outside the lint's scope (vendored code, non-Rust files).
-pub fn classify(rel_path: &str) -> Option<FileCtx> {
+fn classify(rel_path: &str) -> Option<FileCtx> {
     if !rel_path.ends_with(".rs") {
         return None;
     }
@@ -132,15 +133,70 @@ struct AllowDirective {
     used: bool,
 }
 
-/// Scans one file's source text. `rel_path` decides crate and kind; fixture
-/// tests call this directly with synthetic paths.
+/// Whether U1 reads `rel_path` for references. Every linted file counts,
+/// and so does the end-to-end benchmark, whose calls into the crates are
+/// API use even though its code sits outside the per-file rules.
+fn is_indexed(rel_path: &str) -> bool {
+    classify(rel_path).is_some()
+        || (rel_path.starts_with("e2ebench/src/") && rel_path.ends_with(".rs"))
+}
+
+/// Scans in-memory `(workspace-relative path, source)` files as one
+/// workspace: the per-file rules on every classified file, plus U1, which
+/// looks a `pub fn`'s name up in every *other* indexed file's code-channel
+/// identifiers. [`lint_workspace`] is this function over the files on disk.
+pub fn lint_sources(files: &[(&str, &str)]) -> Report {
+    let lexed: Vec<(&str, Vec<SourceLine>)> = files
+        .iter()
+        .filter(|(path, _)| is_indexed(path))
+        .map(|&(path, source)| (path, lex(source)))
+        .collect();
+    let index: Vec<BTreeSet<&str>> = lexed
+        .iter()
+        .map(|(_, lines)| lines.iter().flat_map(|l| identifiers(&l.code)).collect())
+        .collect();
+    let mut report = Report::default();
+    for (i, (path, lines)) in lexed.iter().enumerate() {
+        let Some(ctx) = classify(path) else {
+            continue;
+        };
+        let named_elsewhere = |name: &str| {
+            index
+                .iter()
+                .enumerate()
+                .any(|(j, ids)| j != i && ids.contains(name))
+        };
+        report
+            .findings
+            .extend(lint_lines(path, &ctx, lines, Some(&named_elsewhere)));
+        report.files_scanned += 1;
+    }
+    report
+        .findings
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    report
+}
+
+/// Scans one file's source text on its own. `rel_path` decides crate and
+/// kind; fixture tests call this directly with synthetic paths. U1 needs
+/// the other files, so it runs only through [`lint_sources`].
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let Some(ctx) = classify(rel_path) else {
         return Vec::new();
     };
-    let lines = lex(source);
+    lint_lines(rel_path, &ctx, &lex(source), None)
+}
+
+/// The per-file rule pass. `named_elsewhere` answers U1's question — does
+/// another file's code name this identifier? — and `None` skips U1.
+fn lint_lines(
+    rel_path: &str,
+    ctx: &FileCtx,
+    lines: &[SourceLine],
+    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let mut directives = parse_directives(rel_path, &lines, &mut findings);
+    let mut directives = parse_directives(rel_path, lines, &mut findings);
 
     // Map each line-scoped directive to the lines it covers: its own line
     // if that line has code (a trailing comment), else the statement that
@@ -167,7 +223,7 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         }
     }
 
-    let test_lines = test_region_lines(&lines);
+    let test_lines = test_region_lines(lines);
     for (i, line) in lines.iter().enumerate() {
         let kind = if test_lines.contains(&i) {
             FileKind::Test
@@ -212,6 +268,43 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         });
     }
 
+    // U1: a non-test library `pub fn` must be named by some other file.
+    let u1 = severity_for(RuleId::U1, &ctx.crate_name, ctx.kind).zip(named_elsewhere);
+    if let Some((severity, named_elsewhere)) = u1 {
+        for (i, line) in lines.iter().enumerate() {
+            if test_lines.contains(&i) {
+                continue;
+            }
+            let Some(name) = pub_fn_name(&line.code) else {
+                continue;
+            };
+            if named_elsewhere(name) || suppressed(RuleId::U1, i, &line_allows, &mut directives) {
+                continue;
+            }
+            let used_here = lines.iter().enumerate().any(|(k, l)| {
+                k != i && !test_lines.contains(&k) && find_word(&l.code, name).is_some()
+            });
+            let message = if used_here {
+                format!(
+                    "`pub fn {name}` is named by no other file; only this file calls it, \
+                     so make it private"
+                )
+            } else {
+                format!(
+                    "`pub fn {name}` is named by no other file and by no non-test code \
+                     here; delete it (and the tests that are its only callers)"
+                )
+            };
+            findings.push(Finding {
+                rule: RuleId::U1,
+                severity,
+                file: rel_path.to_string(),
+                line: i + 1,
+                message,
+            });
+        }
+    }
+
     // A2: a directive that suppressed nothing is stale and should go.
     for d in &directives {
         if !d.used {
@@ -234,6 +327,19 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     }
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
+}
+
+/// The name declared by a `pub fn` line (`pub const/async/unsafe fn`
+/// too). Restricted visibility (`pub(crate) fn`) is not surface.
+fn pub_fn_name(code: &str) -> Option<&str> {
+    let mut rest = code.trim_start().strip_prefix("pub ")?.trim_start();
+    while let Some(tail) = ["const ", "async ", "unsafe "]
+        .iter()
+        .find_map(|q| rest.strip_prefix(q))
+    {
+        rest = tail.trim_start();
+    }
+    identifiers(rest.strip_prefix("fn ")?).next()
 }
 
 fn line_has_code(line: &SourceLine) -> bool {
@@ -322,7 +428,7 @@ fn parse_one_directive(text: &str, at: usize) -> Result<AllowDirective, String> 
             Some(rule) => rule_ids.push(rule),
             None => {
                 return Err(format!(
-                    "unknown rule id `{token}` in allow directive (known: D1–D5, E1)"
+                    "unknown rule id `{token}` in allow directive (known: D1–D5, E1, U1)"
                 ))
             }
         }
@@ -461,6 +567,7 @@ fn detect(rule: RuleId, code: &str) -> Option<String> {
                 )
             })
         }
+        RuleId::U1 => None, // cross-file check, handled in lint_lines
         RuleId::A1 | RuleId::A2 => None, // directive hygiene, handled elsewhere
     }
 }
@@ -469,7 +576,7 @@ fn detect(rule: RuleId, code: &str) -> Option<String> {
 /// reports. Skips build output, vendored stand-ins, VCS metadata, and
 /// fixture data directories (the lint's own fixtures contain deliberate
 /// violations).
-pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     const SKIP_DIRS: [&str; 4] = ["target", "vendor", ".git", "fixtures"];
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -502,21 +609,20 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
     Ok(files)
 }
 
-/// Scans the whole workspace under `root`.
+/// Scans the whole workspace under `root` (see [`lint_sources`]).
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    let mut report = Report::default();
+    let mut files = Vec::new();
     for (rel, abs) in collect_files(root)? {
-        if classify(&rel).is_none() {
-            continue;
+        if is_indexed(&rel) {
+            let source = std::fs::read_to_string(&abs)?;
+            files.push((rel, source));
         }
-        let source = std::fs::read_to_string(&abs)?;
-        report.findings.extend(lint_source(&rel, &source));
-        report.files_scanned += 1;
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(report)
+    let borrowed: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(rel, source)| (rel.as_str(), source.as_str()))
+        .collect();
+    Ok(lint_sources(&borrowed))
 }
 
 /// Renders the human-readable report. Deny findings are always listed;

@@ -2,7 +2,7 @@
 //! violation is detected on the lexed code channel.
 //!
 //! Severity is decided per (rule, crate, file-kind) by [`severity_for`]; the
-//! detection logic itself lives in [`crate::lint_source`].
+//! detection logic itself lives in [`crate::lint_sources`].
 
 use std::fmt;
 
@@ -24,7 +24,7 @@ impl fmt::Display for Severity {
 }
 
 /// Stable rule identifiers (`D*` = determinism/safety, `E*` = error
-/// handling, `A*` = allow-directive hygiene).
+/// handling, `U*` = unreachable surface, `A*` = allow-directive hygiene).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     /// No `HashMap`/`HashSet` (iteration order is seeded per-process and
@@ -41,6 +41,8 @@ pub enum RuleId {
     D5,
     /// No `unwrap`/`expect`/`panic!` family in non-test library code.
     E1,
+    /// No library `pub fn` whose name no other file's code mentions.
+    U1,
     /// A `hyflex-lint:` directive that is malformed or lacks a reason.
     A1,
     /// An allow directive that suppressed nothing.
@@ -49,13 +51,14 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 8] = [
+    pub const ALL: [RuleId; 9] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
         RuleId::D4,
         RuleId::D5,
         RuleId::E1,
+        RuleId::U1,
         RuleId::A1,
         RuleId::A2,
     ];
@@ -69,6 +72,7 @@ impl RuleId {
             RuleId::D4 => "D4",
             RuleId::D5 => "D5",
             RuleId::E1 => "E1",
+            RuleId::U1 => "U1",
             RuleId::A1 => "A1",
             RuleId::A2 => "A2",
         }
@@ -83,6 +87,7 @@ impl RuleId {
             RuleId::D4 => "no-unsafe",
             RuleId::D5 => "forbid-unsafe-attr",
             RuleId::E1 => "no-panic-paths",
+            RuleId::U1 => "unreferenced-pub",
             RuleId::A1 => "malformed-allow",
             RuleId::A2 => "unused-allow",
         }
@@ -108,6 +113,10 @@ impl RuleId {
             RuleId::E1 => {
                 "unwrap/expect/panic in library code turns recoverable \
                  conditions into aborts; return typed errors instead"
+            }
+            RuleId::U1 => {
+                "a library pub fn that no other file's code names is dead \
+                 surface; delete it, or make it private if this file calls it"
             }
             RuleId::A1 => "hyflex-lint allow directives must name a rule and give a reason",
             RuleId::A2 => "an allow directive that suppresses nothing should be removed",
@@ -171,6 +180,13 @@ pub fn severity_for(rule: RuleId, crate_name: &str, kind: FileKind) -> Option<Se
             // unwrap at top level after printing context.
             FileKind::Bin | FileKind::Test => None,
         },
+        // Library surface must be reached from outside its file (another
+        // module, crate, bin, test, example or the benchmark). A bin's or a
+        // test's `pub` is not surface at all.
+        RuleId::U1 => match kind {
+            FileKind::Lib => Some(Severity::Deny),
+            FileKind::Bin | FileKind::Test => None,
+        },
         RuleId::A2 => Some(Severity::Warn),
     }
 }
@@ -205,6 +221,18 @@ mod tests {
         }
         assert_eq!(severity_for(RuleId::E1, "runtime", FileKind::Test), None);
         assert_eq!(severity_for(RuleId::E1, "bench", FileKind::Bin), None);
+    }
+
+    #[test]
+    fn u1_is_deny_for_library_code_only() {
+        for crate_name in ["core", "tensor", "bench", "lint", "hyflex"] {
+            assert_eq!(
+                severity_for(RuleId::U1, crate_name, FileKind::Lib),
+                Some(Severity::Deny)
+            );
+            assert_eq!(severity_for(RuleId::U1, crate_name, FileKind::Bin), None);
+            assert_eq!(severity_for(RuleId::U1, crate_name, FileKind::Test), None);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use hyflex_lint::rules::{RuleId, Severity};
-use hyflex_lint::{lint_source, lint_workspace, Finding};
+use hyflex_lint::{lint_source, lint_sources, lint_workspace, Finding};
 
 /// Asserts a fixture produced exactly one finding with the expected
 /// rule, severity, and 1-based line.
@@ -154,6 +154,71 @@ fn unused_allow_is_flagged() {
     assert_single(&findings, RuleId::A2, Severity::Warn, 2);
 }
 
+/// U1 needs the workspace view: the fixture's `pub fn api` plus one
+/// caller file, and only the fixture's findings.
+fn u1_findings(fixture: &str, caller: Option<(&str, &str)>) -> Vec<Finding> {
+    const PATH: &str = "crates/core/src/fixture.rs";
+    let mut files = vec![(PATH, fixture)];
+    files.extend(caller);
+    lint_sources(&files)
+        .findings
+        .into_iter()
+        .filter(|f| f.file == PATH)
+        .collect()
+}
+
+const U1_FIXTURE: &str = include_str!("fixtures/u1_unreferenced.rs");
+
+#[test]
+fn u1_flags_a_pub_fn_reached_only_by_its_own_tests() {
+    let findings = u1_findings(U1_FIXTURE, None);
+    assert_single(&findings, RuleId::U1, Severity::Deny, 2);
+    assert!(
+        findings[0].message.contains("`pub fn api`"),
+        "{findings:#?}"
+    );
+}
+
+#[test]
+fn u1_ignores_mentions_in_another_files_doc_comment() {
+    let doc_only = "/// [`api`] is documented here, but never called.\nfn other() {}\n";
+    let findings = u1_findings(U1_FIXTURE, Some(("crates/runtime/src/other.rs", doc_only)));
+    assert_single(&findings, RuleId::U1, Severity::Deny, 2);
+}
+
+#[test]
+fn u1_counts_callers_in_other_crates_tests_examples_and_the_benchmark() {
+    let call = "fn caller() -> u32 {\n    hyflex_pim::fixture::api()\n}\n";
+    for caller in [
+        "crates/runtime/src/user.rs",
+        "tests/user.rs",
+        "examples/user.rs",
+        "e2ebench/src/main.rs",
+    ] {
+        let findings = u1_findings(U1_FIXTURE, Some((caller, call)));
+        assert!(findings.is_empty(), "{caller}: {findings:#?}");
+    }
+}
+
+#[test]
+fn u1_skips_test_pub_fns_restricted_visibility_and_bins() {
+    let src = include_str!("fixtures/u1_not_surface.rs");
+    let findings = u1_findings(src, None);
+    assert!(findings.is_empty(), "{findings:#?}");
+    let bin = lint_sources(&[("crates/bench/src/bin/fixture.rs", U1_FIXTURE)]);
+    assert!(bin.findings.is_empty(), "{:#?}", bin.findings);
+}
+
+#[test]
+fn u1_allow_with_reason_suppresses_the_finding() {
+    let src = include_str!("fixtures/u1_allow_justified.rs");
+    let findings = u1_findings(src, None);
+    assert!(
+        findings.is_empty(),
+        "justified allow should suppress U1: {findings:#?}"
+    );
+}
+
 /// The self-check: the lint must pass on the workspace that ships it.
 #[test]
 fn workspace_self_check_has_no_deny_findings() {
@@ -203,6 +268,14 @@ fn cli_fails_on_a_violation_with_rule_id_and_line() {
         include_str!("fixtures/d1_hash_map.rs"),
     )
     .expect("write fixture");
+    // A caller keeps the fixture's `pub fn` clear of U1, so D1 stays the
+    // only finding.
+    std::fs::create_dir_all(ws.join("tests")).expect("mkdir tests");
+    std::fs::write(
+        ws.join("tests/caller.rs"),
+        "fn caller() {\n    let _ = runtime::entry_count;\n}\n",
+    )
+    .expect("write caller");
 
     let out = Command::new(env!("CARGO_BIN_EXE_hyflex-lint"))
         .args(["--check", "--root"])

@@ -10,7 +10,6 @@
 
 use crate::error::RramError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// On-state resistance of the RRAM device in ohms (paper Section 5.4).
 pub const R_ON_OHMS: f64 = 6_000.0;
@@ -28,7 +27,7 @@ pub const SET_VOLTAGE_V: f64 = 1.62;
 pub const RESET_VOLTAGE_V: f64 = 3.63;
 
 /// Storage mode of an RRAM cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellMode {
     /// Single-level cell: one bit per device.
     Slc,
@@ -98,7 +97,7 @@ impl CellMode {
 }
 
 /// A single programmable RRAM cell.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RramCell {
     mode: CellMode,
     level: u32,
@@ -127,11 +126,6 @@ impl RramCell {
     /// Currently programmed level.
     pub fn level(&self) -> u32 {
         self.level
-    }
-
-    /// Present conductance in siemens (including any programming error).
-    pub fn conductance(&self) -> f64 {
-        self.conductance
     }
 
     /// Number of write operations the cell has absorbed.

@@ -130,13 +130,6 @@ impl CrossbarArray {
         Ok(())
     }
 
-    /// Reads back every cell's snapped level.
-    pub fn read_levels(&self) -> Matrix {
-        Matrix::from_fn(self.spec.rows, self.spec.cols, |r, c| {
-            self.cells[r * self.spec.cols + c].read_level() as f32
-        })
-    }
-
     /// Bit-line currents (amperes) when the given word lines are driven.
     ///
     /// `active_rows[i] == true` applies [`READ_VOLTAGE_V`] to row `i`.
@@ -145,7 +138,7 @@ impl CrossbarArray {
     ///
     /// Returns [`RramError::ShapeMismatch`] if `active_rows` is not exactly
     /// one entry per row.
-    pub fn column_currents(&self, active_rows: &[bool]) -> Result<Vec<f64>> {
+    fn column_currents(&self, active_rows: &[bool]) -> Result<Vec<f64>> {
         if active_rows.len() != self.spec.rows {
             return Err(RramError::ShapeMismatch(format!(
                 "expected {} row activations, got {}",
@@ -190,12 +183,6 @@ impl CrossbarArray {
             })
             .collect())
     }
-
-    /// Total write pulses absorbed by the array so far (for endurance
-    /// accounting).
-    pub fn total_write_pulses(&self) -> u64 {
-        self.cells.iter().map(|c| c.write_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +193,18 @@ mod tests {
         ArraySpec { rows: 8, cols: 4 }
     }
 
+    /// Reads back every cell's snapped level.
+    fn read_levels(xbar: &CrossbarArray) -> Matrix {
+        Matrix::from_fn(xbar.spec.rows, xbar.spec.cols, |r, c| {
+            xbar.cells[r * xbar.spec.cols + c].read_level() as f32
+        })
+    }
+
+    /// Total write pulses absorbed by the array so far.
+    fn total_write_pulses(xbar: &CrossbarArray) -> u64 {
+        xbar.cells.iter().map(|c| c.write_count()).sum()
+    }
+
     #[test]
     fn programming_and_reading_back_is_exact_without_noise() {
         let mut rng = Rng::seed_from(1);
@@ -213,7 +212,7 @@ mod tests {
             CrossbarArray::new(small_spec(), CellMode::MLC2, NoiseModel::ideal()).unwrap();
         let levels = Matrix::from_fn(8, 4, |r, c| ((r + c) % 4) as f32);
         xbar.program_levels(&levels, &mut rng).unwrap();
-        let read = xbar.read_levels();
+        let read = read_levels(&xbar);
         assert!(read.approx_eq(&levels, 0.0));
     }
 
@@ -265,10 +264,10 @@ mod tests {
             CrossbarArray::new(small_spec(), CellMode::Slc, NoiseModel::ideal()).unwrap();
         let ones = Matrix::filled(8, 4, 1.0);
         xbar.program_levels(&ones, &mut rng).unwrap();
-        assert!(xbar.total_write_pulses() > 0);
+        assert!(total_write_pulses(&xbar) > 0);
         xbar.reconfigure(CellMode::MLC2).unwrap();
         assert_eq!(xbar.mode(), CellMode::MLC2);
-        assert_eq!(xbar.read_levels().sum(), 0.0);
+        assert_eq!(read_levels(&xbar).sum(), 0.0);
         assert!(xbar.reconfigure(CellMode::Mlc { bits: 7 }).is_err());
     }
 
@@ -314,6 +313,6 @@ mod tests {
             CrossbarArray::new(small_spec(), CellMode::MLC2, NoiseModel::ideal()).unwrap();
         mlc.program_levels(&levels, &mut rng).unwrap();
 
-        assert!(mlc.total_write_pulses() > slc.total_write_pulses());
+        assert!(total_write_pulses(&mlc) > total_write_pulses(&slc));
     }
 }

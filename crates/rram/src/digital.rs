@@ -17,7 +17,6 @@
 use crate::error::RramError;
 use crate::spec::{ArraySpec, DIGITAL_ARRAYS_PER_MODULE};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Columns consumed by one NOR gate (two operands plus one output).
 pub const COLUMNS_PER_NOR: usize = 3;
@@ -28,28 +27,8 @@ pub const CYCLES_PER_ROW_OP: u64 = 5;
 /// NOR operations needed for one INT8 x INT8 multiplication (paper Section 3.1).
 pub const NOR_OPS_PER_INT8_MUL: u64 = 64;
 
-/// Logical NOR of two bits, the primitive the digital PIM array implements.
-pub fn nor(a: bool, b: bool) -> bool {
-    !(a || b)
-}
-
-/// NOT implemented as `NOR(a, a)`.
-pub fn not_via_nor(a: bool) -> bool {
-    nor(a, a)
-}
-
-/// OR implemented as `NOT(NOR(a, b))` — two NOR operations.
-pub fn or_via_nor(a: bool) -> impl Fn(bool) -> bool {
-    move |b| not_via_nor(nor(a, b))
-}
-
-/// AND implemented from NOR gates: `AND(a, b) = NOR(NOT a, NOT b)` — three NORs.
-pub fn and_via_nor(a: bool, b: bool) -> bool {
-    nor(not_via_nor(a), not_via_nor(b))
-}
-
 /// Operation statistics accumulated by digital PIM computations.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DigitalOpStats {
     /// Total NOR gate evaluations.
     pub nor_ops: u64,
@@ -151,7 +130,7 @@ impl DigitalPimModule {
     /// # Errors
     ///
     /// Returns [`RramError::ShapeMismatch`] if the operands differ in length.
-    pub fn dot_product(&mut self, a: &[i32], b: &[i32]) -> Result<i64> {
+    fn dot_product(&mut self, a: &[i32], b: &[i32]) -> Result<i64> {
         if a.len() != b.len() {
             return Err(RramError::ShapeMismatch(format!(
                 "dot product operands of length {} and {}",
@@ -205,24 +184,6 @@ impl DigitalPimModule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nor_truth_table() {
-        assert!(nor(false, false));
-        assert!(!nor(true, false));
-        assert!(!nor(false, true));
-        assert!(!nor(true, true));
-    }
-
-    #[test]
-    fn derived_gates_from_nor() {
-        assert!(not_via_nor(false));
-        assert!(!not_via_nor(true));
-        assert!(and_via_nor(true, true));
-        assert!(!and_via_nor(true, false));
-        assert!(or_via_nor(true)(false));
-        assert!(!or_via_nor(false)(false));
-    }
 
     #[test]
     fn paper_module_throughput_is_273_ops_per_cycle() {

@@ -37,8 +37,6 @@
 //! * [`digital`] — the digital PIM module: NOR-gate bit-wise computation
 //!   with the cycle/operation accounting of Section 3.1 (three columns and
 //!   five cycles per NOR-based row operation).
-//! * [`endurance`] — write-endurance tracking and lifetime estimation
-//!   (Section 5.2: 10⁸ write cycles, multi-year server lifetimes).
 //! * [`spec`] — array/module geometry constants shared with the architecture
 //!   model (Table 2).
 //!
@@ -50,7 +48,6 @@
 pub mod cell;
 pub mod crossbar;
 pub mod digital;
-pub mod endurance;
 pub mod error;
 pub mod mapping;
 pub mod noise;

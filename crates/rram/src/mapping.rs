@@ -21,10 +21,9 @@ use crate::Result;
 use hyflex_tensor::quant::{quantize_vector, QuantizedMatrix};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for mapping a weight matrix onto crossbar columns.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WeightMapping {
     /// Cell mode used for every cell of this matrix (SLC or MLC).
     pub mode: CellMode,
@@ -175,7 +174,7 @@ impl MappedMatrix {
     /// # Errors
     ///
     /// Returns configuration errors from an invalid mapping.
-    pub fn program_quantized(
+    fn program_quantized(
         quantized: &QuantizedMatrix,
         mapping: WeightMapping,
         noise: &NoiseModel,
@@ -275,11 +274,6 @@ impl MappedMatrix {
         &self.mapping
     }
 
-    /// Number of physical crossbar columns occupied.
-    pub fn physical_columns(&self) -> usize {
-        self.cols * self.mapping.cells_per_weight()
-    }
-
     /// Number of 64-row array tiles needed to hold the matrix rows.
     pub fn row_tiles(&self) -> usize {
         self.tiles.len()
@@ -375,10 +369,15 @@ impl MappedMatrix {
             }
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
 
     /// Exact signed-integer GEMV on the quantization grid, ignoring analog
-    /// noise and ADC effects. Useful as a reference in tests.
-    pub fn reference_gemv(
+    /// noise and ADC effects: the reference the fused GEMV is checked against.
+    fn reference_gemv(
         weights: &Matrix,
         input: &[f32],
         mapping: &WeightMapping,
@@ -395,11 +394,6 @@ impl MappedMatrix {
         }
         Ok(out)
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn random_weights(rows: usize, cols: usize, seed: u64) -> Matrix {
         let mut rng = Rng::seed_from(seed);
@@ -454,7 +448,7 @@ mod tests {
         let mapped =
             MappedMatrix::program(&weights, mapping, &NoiseModel::ideal(), &mut rng).unwrap();
         let out = mapped.gemv(&input).unwrap();
-        let reference = MappedMatrix::reference_gemv(&weights, &input, &mapping).unwrap();
+        let reference = reference_gemv(&weights, &input, &mapping).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -470,7 +464,7 @@ mod tests {
         let mapped =
             MappedMatrix::program(&weights, mapping, &NoiseModel::ideal(), &mut rng).unwrap();
         let out = mapped.gemv(&input).unwrap();
-        let reference = MappedMatrix::reference_gemv(&weights, &input, &mapping).unwrap();
+        let reference = reference_gemv(&weights, &input, &mapping).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
@@ -535,33 +529,10 @@ mod tests {
             MappedMatrix::program(&weights, mapping, &NoiseModel::ideal(), &mut rng).unwrap();
         assert_eq!(mapped.row_tiles(), 3);
         let out = mapped.gemv(&input).unwrap();
-        let reference = MappedMatrix::reference_gemv(&weights, &input, &mapping).unwrap();
+        let reference = reference_gemv(&weights, &input, &mapping).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {
             assert!((a - b).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn physical_column_accounting() {
-        let weights = random_weights(8, 5, 16);
-        let mut rng = Rng::seed_from(17);
-        let slc = MappedMatrix::program(
-            &weights,
-            WeightMapping::slc_default(),
-            &NoiseModel::ideal(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(slc.physical_columns(), 5 * 8);
-        let mlc = MappedMatrix::program(
-            &weights,
-            WeightMapping::mlc_default(),
-            &NoiseModel::ideal(),
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(mlc.physical_columns(), 5 * 4);
-        assert_eq!(slc.shape(), (8, 5));
     }
 
     #[test]

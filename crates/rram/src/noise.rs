@@ -12,13 +12,13 @@
 //! Two distinct error mechanisms are modelled:
 //!
 //! 1. **Write-time analog conductance error** — a small, Gaussian, relative
-//!    error on the programmed conductance ([`NoiseModel::write_sigma`],
+//!    error on the programmed conductance (`write_sigma`,
 //!    default 3 %, typical of program-and-verify RRAM programming). This is
 //!    the error that perturbs analog GEMV results; its effective magnitude in
 //!    weight units is given by [`NoiseModel::weight_sigma`].
 //! 2. **Retention-driven level flips** — after retention the conductance can
 //!    drift across a decision boundary, flipping the stored level. The drift
-//!    magnitude ([`NoiseModel::retention_sigma`]) is reverse-calibrated so the
+//!    magnitude (`retention_sigma`) is reverse-calibrated so the
 //!    2-bit MLC flip probability equals the paper's 4.04 %
 //!    ([`NoiseModel::bit_error_rate`]). SLC, with its 3× wider windows, ends
 //!    up orders of magnitude more robust — exactly the asymmetry the hybrid
@@ -28,8 +28,6 @@ use crate::cell::CellMode;
 use crate::error::RramError;
 use crate::Result;
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The MLC bit-error rate measured by Fan et al. after one day of retention,
 /// used by the paper to calibrate the noise model.
@@ -39,12 +37,12 @@ pub const PAPER_MLC2_BER: f64 = 0.0404;
 pub const DEFAULT_WRITE_SIGMA: f64 = 0.03;
 
 /// Standard normal upper-tail probability `Q(x) = P(Z > x)`.
-pub fn normal_tail(x: f64) -> f64 {
+fn normal_tail(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
 /// Complementary error function (Abramowitz & Stegun 7.1.26, |err| < 1.5e-7).
-pub fn erfc(x: f64) -> f64 {
+fn erfc(x: f64) -> f64 {
     let sign_negative = x < 0.0;
     let x_abs = x.abs();
     let t = 1.0 / (1.0 + 0.327_591_1 * x_abs);
@@ -116,7 +114,7 @@ pub fn sigma_from_ber(target_ber: f64, mode: CellMode) -> Result<f64> {
 }
 
 /// Device-level noise model shared by every RRAM array in the architecture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseModel {
     /// Relative write-time conductance error standard deviation.
     write_sigma: f64,
@@ -147,16 +145,6 @@ impl NoiseModel {
         })
     }
 
-    /// Builds a model where both mechanisms share the same sigma (useful for
-    /// sensitivity sweeps and unit tests).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::InvalidConfig`] for negative or non-finite sigma.
-    pub fn from_device_sigma(device_sigma: f64) -> Result<Self> {
-        Self::new(device_sigma, device_sigma)
-    }
-
     /// The paper's calibration: a 3 % write-time error plus a retention drift
     /// whose 2-bit MLC bit-error rate equals 4.04 %.
     #[allow(clippy::expect_used)]
@@ -177,16 +165,6 @@ impl NoiseModel {
             write_sigma: 0.0,
             retention_sigma: 0.0,
         }
-    }
-
-    /// Relative write-time conductance error standard deviation.
-    pub fn write_sigma(&self) -> f64 {
-        self.write_sigma
-    }
-
-    /// Relative retention-drift disturbance standard deviation.
-    pub fn retention_sigma(&self) -> f64 {
-        self.retention_sigma
     }
 
     /// Bit-error (level-flip) rate for the given cell mode, driven by
@@ -220,64 +198,6 @@ impl NoiseModel {
         } else {
             rng.normal_with(0.0, self.write_sigma)
         }
-    }
-
-    /// Applies the weight-level Gaussian error of Eq. 5 to a matrix whose
-    /// entries are all stored in cells of the given mode.
-    pub fn apply_gaussian(&self, weights: &Matrix, mode: CellMode, rng: &mut Rng) -> Matrix {
-        let sigma = self.weight_sigma(mode);
-        if sigma == 0.0 {
-            return weights.clone();
-        }
-        Matrix::from_fn(weights.rows(), weights.cols(), |r, c| {
-            weights.at(r, c) * (1.0 + rng.normal_with(0.0, sigma) as f32)
-        })
-    }
-
-    /// Applies both the Gaussian analog error and discrete level-flip errors.
-    ///
-    /// Each weight is stored across `weight_bits / bits_per_cell` cells; with
-    /// probability [`NoiseModel::bit_error_rate`] each cell reads one level
-    /// off, changing the weight by `± levels^cell_index` quantization steps.
-    /// High-order cell flips therefore produce large weight errors, which is
-    /// what makes an all-MLC mapping collapse model accuracy in the paper.
-    pub fn apply_with_flips(
-        &self,
-        weights: &Matrix,
-        mode: CellMode,
-        weight_bits: u8,
-        rng: &mut Rng,
-    ) -> Matrix {
-        let gaussian = self.apply_gaussian(weights, mode, rng);
-        let ber = self.bit_error_rate(mode);
-        if ber == 0.0 {
-            return gaussian;
-        }
-        let bits_per_cell = mode.bits_per_cell();
-        let n_cells = weight_bits.div_ceil(bits_per_cell);
-        let max_int = (1i64 << (weight_bits - 1)) - 1;
-        let scale = weights.max_abs() / max_int as f32;
-        if scale == 0.0 {
-            return gaussian;
-        }
-        let mut out = gaussian;
-        for r in 0..out.rows() {
-            for c in 0..out.cols() {
-                let mut delta_steps = 0i64;
-                for cell in 0..n_cells {
-                    if rng.bernoulli(ber) {
-                        let magnitude = 1i64 << (u32::from(cell) * u32::from(bits_per_cell));
-                        let sign = if rng.bernoulli(0.5) { 1 } else { -1 };
-                        delta_steps += sign * magnitude;
-                    }
-                }
-                if delta_steps != 0 {
-                    let v = out.at(r, c) + delta_steps as f32 * scale;
-                    out.set(r, c, v);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -342,13 +262,13 @@ mod tests {
         // Higher-level MLCs are much worse than 2-bit MLC.
         let mlc4_ber = model.bit_error_rate(CellMode::Mlc { bits: 4 });
         assert!(mlc4_ber > mlc_ber);
-        assert!((model.write_sigma() - DEFAULT_WRITE_SIGMA).abs() < 1e-12);
-        assert!(model.retention_sigma() > model.write_sigma());
+        assert!((model.write_sigma - DEFAULT_WRITE_SIGMA).abs() < 1e-12);
+        assert!(model.retention_sigma > model.write_sigma);
     }
 
     #[test]
     fn weight_sigma_scales_with_level_count() {
-        let model = NoiseModel::from_device_sigma(0.08).unwrap();
+        let model = NoiseModel::new(0.08, 0.08).unwrap();
         let slc = model.weight_sigma(CellMode::Slc);
         let mlc2 = model.weight_sigma(CellMode::MLC2);
         let mlc3 = model.weight_sigma(CellMode::Mlc { bits: 3 });
@@ -362,84 +282,15 @@ mod tests {
     #[test]
     fn ideal_model_is_a_no_op() {
         let model = NoiseModel::ideal();
-        let mut rng = Rng::seed_from(1);
-        let w = Matrix::random_normal(8, 8, 0.0, 1.0, &mut rng);
-        let noisy = model.apply_gaussian(&w, CellMode::MLC2, &mut rng);
-        assert!(w.approx_eq(&noisy, 0.0));
+        assert_eq!(model.weight_sigma(CellMode::MLC2), 0.0);
         assert_eq!(model.bit_error_rate(CellMode::MLC2), 0.0);
     }
 
     #[test]
-    fn gaussian_noise_magnitude_tracks_weight_sigma() {
-        let model = NoiseModel::from_device_sigma(0.05).unwrap();
-        let mut rng = Rng::seed_from(2);
-        let w = Matrix::filled(64, 64, 1.0);
-        let noisy_slc = model.apply_gaussian(&w, CellMode::Slc, &mut rng);
-        let noisy_mlc = model.apply_gaussian(&w, CellMode::MLC2, &mut rng);
-        let err = |m: &Matrix| {
-            let d = m.sub(&w).unwrap();
-            (d.as_slice()
-                .iter()
-                .map(|x| (*x as f64).powi(2))
-                .sum::<f64>()
-                / d.len() as f64)
-                .sqrt()
-        };
-        let slc_err = err(&noisy_slc);
-        let mlc_err = err(&noisy_mlc);
-        let expected_slc = model.weight_sigma(CellMode::Slc);
-        let expected_mlc = model.weight_sigma(CellMode::MLC2);
-        assert!((slc_err - expected_slc).abs() < 0.2 * expected_slc);
-        assert!((mlc_err - expected_mlc).abs() < 0.2 * expected_mlc);
-        assert!(mlc_err > slc_err * 2.0);
-    }
-
-    #[test]
-    fn flips_add_large_outliers_for_mlc_but_not_slc() {
-        let model = NoiseModel::calibrated_to_paper();
-        let mut rng = Rng::seed_from(3);
-        let w = Matrix::filled(32, 32, 0.5);
-        let noisy = model.apply_with_flips(&w, CellMode::MLC2, 8, &mut rng);
-        let max_dev = noisy
-            .sub(&w)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .fold(0.0f32, |m, x| m.max(x.abs()));
-        // A high-order cell flip changes the weight by >= 1/4 of full scale.
-        assert!(
-            max_dev > 0.1,
-            "expected at least one large flip-induced deviation, got {max_dev}"
-        );
-
-        // SLC flips are essentially absent at the calibrated retention drift,
-        // and the SLC write noise is far below the flip magnitude.
-        let noisy_slc = model.apply_with_flips(&w, CellMode::Slc, 8, &mut rng);
-        let slc_big_devs = noisy_slc
-            .sub(&w)
-            .unwrap()
-            .as_slice()
-            .iter()
-            .filter(|x| x.abs() > 0.1)
-            .count();
-        assert_eq!(slc_big_devs, 0);
-    }
-
-    #[test]
     fn constructors_validate_input() {
-        assert!(NoiseModel::from_device_sigma(-0.1).is_err());
-        assert!(NoiseModel::from_device_sigma(f64::NAN).is_err());
-        assert!(NoiseModel::from_device_sigma(0.1).is_ok());
+        assert!(NoiseModel::new(-0.1, 0.0).is_err());
+        assert!(NoiseModel::new(f64::NAN, 0.0).is_err());
         assert!(NoiseModel::new(0.01, -1.0).is_err());
         assert!(NoiseModel::new(0.01, 0.1).is_ok());
-    }
-
-    #[test]
-    fn apply_with_flips_handles_zero_matrix() {
-        let model = NoiseModel::calibrated_to_paper();
-        let mut rng = Rng::seed_from(4);
-        let w = Matrix::zeros(4, 4);
-        let noisy = model.apply_with_flips(&w, CellMode::MLC2, 8, &mut rng);
-        assert!(noisy.approx_eq(&w, 0.0));
     }
 }

@@ -1,7 +1,5 @@
 //! Array and module geometry constants (paper Table 2 and Section 5.4).
 
-use serde::{Deserialize, Serialize};
-
 /// Rows (word lines) of an analog PIM RRAM array.
 pub const ANALOG_ARRAY_ROWS: usize = 64;
 /// Columns (bit lines) of an analog PIM RRAM array.
@@ -24,7 +22,7 @@ pub const DIGITAL_MODULES_PER_PU: usize = 8;
 pub const PUS_PER_CHIP: usize = 24;
 
 /// Geometry of a single RRAM crossbar array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArraySpec {
     /// Number of word lines (rows).
     pub rows: usize,
@@ -54,11 +52,6 @@ impl ArraySpec {
         self.rows * self.cols
     }
 
-    /// Storage capacity in bits when each cell stores `bits_per_cell` bits.
-    pub fn capacity_bits(&self, bits_per_cell: u8) -> usize {
-        self.cells() * usize::from(bits_per_cell)
-    }
-
     /// ADC resolution required for a full-precision analog read:
     /// `ceil(log2(rows)) + bits_per_cell - 1` (paper Section 3.2).
     pub fn required_adc_bits(&self, bits_per_cell: u8) -> u8 {
@@ -77,16 +70,10 @@ mod tests {
         assert_eq!(analog.rows, 64);
         assert_eq!(analog.cols, 128);
         assert_eq!(analog.cells(), 8192);
-        // 64x128 SLC array stores 1 KB (Section 5.4).
-        assert_eq!(analog.capacity_bits(1), 8 * 1024);
-        // The same array in 2-bit MLC mode stores 2 KB.
-        assert_eq!(analog.capacity_bits(2), 16 * 1024);
 
         let digital = ArraySpec::digital();
         assert_eq!(digital.rows, 1024);
         assert_eq!(digital.cols, 1024);
-        // 1024x1024 SLC array stores 128 KB (Section 5.4).
-        assert_eq!(digital.capacity_bits(1), 8 * 128 * 1024);
     }
 
     #[test]

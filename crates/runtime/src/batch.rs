@@ -21,14 +21,13 @@ use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::HyFlexPimConfig;
 use hyflex_transformer::ModelConfig;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 pub use hyflex_pim::backend::InferenceRequest;
 
 /// Batching policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Maximum number of requests per batch.
     pub max_batch_size: usize,
@@ -73,7 +72,7 @@ impl Default for SchedulerConfig {
 }
 
 /// A group of requests admitted for one pipelined execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
     /// Admitted requests in FCFS order.
     pub requests: Vec<InferenceRequest>,
@@ -104,19 +103,6 @@ impl Batch {
     /// the batch's longest sequence.
     pub fn padded_token_count(&self) -> usize {
         self.len() * self.max_seq_len
-    }
-
-    /// Fraction of the padded execution shape that is padding (`0.0` for a
-    /// uniform or empty batch). The functional model's packed batching
-    /// (`AttentionMask::Packed` in `hyflex-transformer`) executes exactly
-    /// [`Batch::actual_token_count`] rows instead, so this is the token
-    /// fraction packing recovers.
-    pub fn padding_waste(&self) -> f64 {
-        let padded = self.padded_token_count();
-        if padded == 0 {
-            return 0.0;
-        }
-        1.0 - self.actual_token_count() as f64 / padded as f64
     }
 }
 
@@ -678,15 +664,13 @@ mod tests {
         assert_eq!(batch.len(), 4);
         assert_eq!(batch.actual_token_count(), 64 + 128 + 256 + 64);
         assert_eq!(batch.padded_token_count(), 4 * 256);
-        let expected = 1.0 - 512.0 / 1024.0;
-        assert!((batch.padding_waste() - expected).abs() < 1e-12);
 
         // A uniform batch wastes nothing.
         let mut s = scheduler(2, 1);
         s.submit(request(0, 128)).unwrap();
         s.submit(request(1, 128)).unwrap();
         let batch = s.next_batch().unwrap();
-        assert_eq!(batch.padding_waste(), 0.0);
+        assert_eq!(batch.actual_token_count(), batch.padded_token_count());
     }
 
     #[test]

@@ -22,11 +22,10 @@ use crate::serving::{LatencySummary, ServingConfig};
 use crate::traffic::{ArrivalProcess, RequestTrace, TrafficConfig};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// How the cluster routes an arriving request to a chip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum DispatchPolicy {
     /// Cycle through chips in index order, one request each.
     #[default]
@@ -71,7 +70,7 @@ impl std::fmt::Display for DispatchPolicy {
 }
 
 /// Cluster topology and workload of one multi-chip run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
     /// Number of identical backend replicas.
     pub chips: usize,
@@ -94,7 +93,7 @@ impl Default for ClusterConfig {
 
 /// One launched batch, as observed by the engine (returned by the
 /// `*_traced` entry points for tests and trace analysis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchTrace {
     /// Index of the chip that executed the batch (always 0 single-chip).
     pub chip: usize,
@@ -107,7 +106,7 @@ pub struct BatchTrace {
 }
 
 /// Outcome of one cluster run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
     /// Number of chips simulated.
     pub chips: usize,

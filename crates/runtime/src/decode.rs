@@ -54,11 +54,10 @@ use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::{kv_token_cost, HyFlexPimConfig, KvTokenCost};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Where a request's cached K/V rows live on the RRAM fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KvPlacementPolicy {
     /// Every token in SLC: single-pulse appends, half the token capacity.
     SlcOnly,
@@ -88,7 +87,7 @@ impl KvPlacementPolicy {
 }
 
 /// Workload and placement policy of one decode-serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeConfig {
     /// KV placement policy.
     pub placement: KvPlacementPolicy,
@@ -132,7 +131,7 @@ impl Default for DecodeConfig {
 }
 
 /// Outcome of one decode-serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeReport {
     /// Backend display name.
     pub backend: String,

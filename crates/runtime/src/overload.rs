@@ -50,14 +50,13 @@ use crate::traffic::RequestTrace;
 use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::perf::BatchPerfSummary;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// Gate deciding at arrival time whether a request enters the system.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdmissionPolicy {
     /// Admit everything (the closed-loop behavior; queues are unbounded).
     Unbounded,
@@ -101,7 +100,7 @@ impl AdmissionPolicy {
 /// activation, below `scale_down_outstanding` one retirement, each taking
 /// effect `actuation_lag_s` later (modeling provisioning delay). At most
 /// one actuation is in flight at a time, which doubles as a cooldown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscalerConfig {
     /// Fewest replicas kept active (the fleet starts here).
     pub min_replicas: usize,
@@ -145,7 +144,7 @@ impl Default for AutoscalerConfig {
 }
 
 /// One autoscaler actuation, as recorded in the report.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleEvent {
     /// Time the actuation took effect, seconds.
     pub at_s: f64,
@@ -154,7 +153,7 @@ pub struct AutoscaleEvent {
 }
 
 /// Workload and survival policy of one open-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// The arrival trace (process, rate curve, mix, seed).
     pub trace: RequestTrace,
@@ -192,7 +191,7 @@ impl OverloadConfig {
 }
 
 /// Per-phase (burst/trough/curve-segment) slice of the report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseReport {
     /// Phase label from the traffic generator.
     pub label: String,
@@ -227,7 +226,7 @@ pub struct PhaseReport {
 /// leaves nothing in flight). `slo_attainment` is over *offered*
 /// deadline-carrying requests — a shed or rejected request is a miss, not
 /// a statistical disappearance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadReport {
     /// Fleet size (replicas provisioned, whether or not ever active).
     pub replicas: usize,

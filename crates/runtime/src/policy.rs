@@ -24,7 +24,6 @@
 //!   value first), FCFS within a class.
 
 use hyflex_pim::backend::InferenceRequest;
-use serde::{Deserialize, Serialize};
 
 /// A request's position in a policy's order, as integers: the policy's own
 /// key, then arrival, then id. See [`SchedulingPolicy::rank`].
@@ -44,7 +43,7 @@ pub(crate) fn order_key(x: f64) -> u64 {
 }
 
 /// Order in which queued requests are admitted into the next batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SchedulingPolicy {
     /// First come, first served (the historical behavior and the default).
     #[default]
@@ -72,7 +71,7 @@ impl SchedulingPolicy {
         }
     }
 
-    /// Parses a policy name as accepted by the binaries' `--policy` flag.
+    /// Parses a policy name (the inverse of [`SchedulingPolicy::name`]).
     pub fn parse(name: &str) -> Option<SchedulingPolicy> {
         match name.to_ascii_lowercase().as_str() {
             "fcfs" => Some(SchedulingPolicy::Fcfs),

@@ -35,13 +35,12 @@ use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::PerformanceModel;
 use hyflex_transformer::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 pub use crate::batch::SchedulerConfig;
 
 /// One stratum of a heterogeneous request mix: a sequence length with a
 /// sampling weight, and the SLO metadata its requests carry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestClass {
     /// Sequence length of requests in this class.
     pub seq_len: usize,
@@ -84,7 +83,7 @@ impl RequestClass {
 }
 
 /// Workload and policy of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingConfig {
     /// Offered load: mean arrival rate, requests per second.
     pub qps: f64,
@@ -141,7 +140,7 @@ impl Default for ServingConfig {
 /// "percentile" degenerates to the maximum — so the low quantiles
 /// (p50/p95/p99) are always reported, while the p99.9 tail is `Option` and
 /// stays `None` until the run completed at least 1000 samples.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencySummary {
     /// Median latency.
     pub p50_ms: f64,
@@ -167,7 +166,7 @@ pub struct LatencySummary {
 }
 
 /// Outcome of one serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
     /// Requests completed (always `num_requests` — the loop is closed).
     pub completed: usize,

@@ -43,10 +43,9 @@ use crate::serving::RequestClass;
 use crate::Result;
 use hyflex_pim::backend::InferenceRequest;
 use hyflex_tensor::rng::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One state of a Markov-modulated Poisson process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MmppState {
     /// Display label used in per-phase report rows (e.g. `"burst"`).
     pub label: String,
@@ -72,7 +71,7 @@ impl MmppState {
 /// One segment of a piecewise time-varying rate curve (cycled for diurnal
 /// shape): for `duration_s` the process's instantaneous rate is multiplied
 /// by `multiplier`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RatePhase {
     /// Display label used in per-phase report rows (e.g. `"peak"`).
     pub label: String,
@@ -94,7 +93,7 @@ impl RatePhase {
 }
 
 /// The stochastic arrival process of an open-loop trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless Poisson arrivals at a constant mean rate (the closed-loop
     /// simulators' arrival process).
@@ -121,7 +120,7 @@ pub enum ArrivalProcess {
 }
 
 /// Workload description of one open-loop trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficConfig {
     /// The arrival process.
     pub process: ArrivalProcess,
@@ -166,7 +165,7 @@ impl Default for TrafficConfig {
 /// yields them one at a time in O(1) memory, so traces scale to 10⁶–10⁷
 /// requests. [`RequestTrace::collect`] materializes small traces for replay
 /// through the closed-loop simulators' `replay` entry points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     config: TrafficConfig,
 }

@@ -5,22 +5,6 @@
 //! series exponential, pipelined SFU) live in `hyflex-circuits::sfu` and are
 //! validated against these references.
 
-use crate::matrix::Matrix;
-
-/// Rectified linear unit.
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// Derivative of [`relu`].
-pub fn relu_derivative(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// Gaussian error linear unit (tanh approximation, as used by BERT/GPT-2).
 pub fn gelu(x: f32) -> f32 {
     const SQRT_2_OVER_PI: f32 = 0.797_884_6;
@@ -52,16 +36,6 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
         return vec![1.0 / logits.len() as f32; logits.len()];
     }
     exps.into_iter().map(|e| e / sum).collect()
-}
-
-/// Row-wise softmax over a matrix.
-pub fn softmax_rows(m: &Matrix) -> Matrix {
-    let mut out = m.clone();
-    for r in 0..m.rows() {
-        let probs = softmax(m.row(r));
-        out.row_mut(r).copy_from_slice(&probs);
-    }
-    out
 }
 
 /// Jacobian-vector product of softmax: given the softmax output `p` and an
@@ -169,37 +143,23 @@ pub fn layer_norm_backward(
     }
 }
 
-/// Cross-entropy loss between softmax probabilities and a one-hot target.
-///
-/// # Panics
-///
-/// Panics if `target >= probs.len()`.
-pub fn cross_entropy(probs: &[f32], target: usize) -> f32 {
-    assert!(target < probs.len(), "target index out of range");
-    -(probs[target].max(1e-12)).ln()
-}
-
-/// Mean squared error between a prediction and a target scalar.
-pub fn squared_error(prediction: f32, target: f32) -> f32 {
-    let d = prediction - target;
-    d * d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Cross-entropy loss between softmax probabilities and a one-hot target.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target >= probs.len()`.
+    fn cross_entropy(probs: &[f32], target: usize) -> f32 {
+        assert!(target < probs.len(), "target index out of range");
+        -(probs[target].max(1e-12)).ln()
+    }
+
     fn numeric_derivative<F: Fn(f32) -> f32>(f: F, x: f32) -> f32 {
         let h = 1e-3;
         (f(x + h) - f(x - h)) / (2.0 * h)
-    }
-
-    #[test]
-    fn relu_basics() {
-        assert_eq!(relu(-2.0), 0.0);
-        assert_eq!(relu(3.0), 3.0);
-        assert_eq!(relu_derivative(-1.0), 0.0);
-        assert_eq!(relu_derivative(1.0), 1.0);
     }
 
     #[test]
@@ -240,15 +200,6 @@ mod tests {
             assert!((x - y).abs() < 1e-6);
         }
         assert!(softmax(&[]).is_empty());
-    }
-
-    #[test]
-    fn softmax_rows_normalizes_each_row() {
-        let m = Matrix::from_rows(&[vec![0.0, 0.0], vec![10.0, 0.0]]).unwrap();
-        let s = softmax_rows(&m);
-        assert!((s.row(0).iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert!((s.row(1).iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        assert!(s.at(1, 0) > 0.99);
     }
 
     #[test]
@@ -343,11 +294,5 @@ mod tests {
         let confident_wrong = cross_entropy(&[0.9, 0.05, 0.05], 1);
         assert!(confident_wrong > confident_right);
         assert!(confident_right < 0.2);
-    }
-
-    #[test]
-    fn squared_error_is_symmetric() {
-        assert_eq!(squared_error(2.0, 5.0), squared_error(5.0, 2.0));
-        assert_eq!(squared_error(3.0, 3.0), 0.0);
     }
 }

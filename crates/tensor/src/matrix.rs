@@ -7,13 +7,12 @@
 use crate::error::TensorError;
 use crate::rng::Rng;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A dense, row-major matrix of `f32` values.
 ///
 /// The storage layout is `data[row * cols + col]`. Shapes are validated at
 /// run time; operations that can fail return [`TensorError`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -167,11 +166,6 @@ impl Matrix {
     /// Mutable view of the underlying row-major buffer.
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns the element at `(row, col)`.
@@ -342,25 +336,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// In-place AXPY update (`self += alpha * other`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Matrix) -> Result<()> {
-        if self.shape() != other.shape() {
-            return Err(TensorError::ShapeMismatch {
-                op: "axpy",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Returns `self` scaled by a scalar.
     pub fn scale(&self, factor: f32) -> Matrix {
         self.map(|x| x * factor)
@@ -455,27 +430,6 @@ impl Matrix {
             }
         }
         Ok(())
-    }
-
-    /// Horizontally concatenates `self` and `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the row counts differ.
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(TensorError::ShapeMismatch {
-                op: "hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for r in 0..self.rows {
-            out.data[r * out.cols..r * out.cols + self.cols].copy_from_slice(self.row(r));
-            out.data[r * out.cols + self.cols..(r + 1) * out.cols].copy_from_slice(other.row(r));
-        }
-        Ok(out)
     }
 
     /// Vertically concatenates `self` and `other`.
@@ -706,15 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn axpy_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let g = Matrix::filled(2, 2, 3.0);
-        a.axpy(0.5, &g).unwrap();
-        a.axpy(0.5, &g).unwrap();
-        assert!(a.approx_eq(&Matrix::filled(2, 2, 3.0), 1e-6));
-    }
-
-    #[test]
     fn broadcast_bias() {
         let a = sample();
         let out = a.add_row_broadcast(&[1.0, 1.0, 1.0]).unwrap();
@@ -741,9 +686,6 @@ mod tests {
     #[test]
     fn stacking() {
         let a = sample();
-        let h = a.hstack(&a).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h.at(1, 5), 6.0);
         let v = a.vstack(&a).unwrap();
         assert_eq!(v.shape(), (4, 3));
         assert_eq!(v.at(3, 0), 4.0);

@@ -9,12 +9,11 @@
 use crate::error::TensorError;
 use crate::matrix::Matrix;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// A matrix quantized to signed integers with a single per-tensor scale.
 ///
 /// `value ≈ q * scale` where `q ∈ [-(2^(bits-1)-1), 2^(bits-1)-1]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedMatrix {
     rows: usize,
     cols: usize,
@@ -103,45 +102,15 @@ impl QuantizedMatrix {
         })
     }
 
-    /// Mean absolute quantization error against the original matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mean_abs_error(&self, original: &Matrix) -> Result<f32> {
-        let deq = self.dequantize();
-        let diff = deq.sub(original)?;
-        Ok(diff.as_slice().iter().map(|x| x.abs() as f64).sum::<f64>() as f32 / diff.len() as f32)
-    }
-
-    /// Extracts bit-plane `bit` (0 = LSB) of the two's-complement offset
-    /// representation used by the crossbar mapping.
-    ///
-    /// The signed integer `q` is first shifted to the unsigned value
-    /// `q + 2^(bits-1)` so every plane is a 0/1 matrix that can be written
-    /// directly into SLC cells; the mapping layer subtracts the offset after
-    /// the analog accumulation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if `bit >= self.bits()`.
-    pub fn bit_plane(&self, bit: u8) -> Result<Matrix> {
-        if bit >= self.bits {
-            return Err(TensorError::InvalidArgument(format!(
-                "bit {bit} out of range for {}-bit quantization",
-                self.bits
-            )));
-        }
-        let offset = 1i32 << (self.bits - 1);
-        Ok(Matrix::from_fn(self.rows, self.cols, |r, c| {
-            let unsigned = self.value(r, c) + offset;
-            ((unsigned >> bit) & 1) as f32
-        }))
-    }
-
     /// Extracts the `group`-th group of `bits_per_cell` bits (0 = least
     /// significant group) of the offset representation, as used for MLC cells
-    /// that store multiple bits per device.
+    /// that store multiple bits per device (`bits_per_cell = 1` gives the
+    /// SLC bit-planes).
+    ///
+    /// The signed integer `q` is first shifted to the unsigned value
+    /// `q + 2^(bits-1)` so every group is a non-negative matrix that can be
+    /// written directly into cells; the mapping layer subtracts the offset
+    /// after the analog accumulation.
     ///
     /// # Errors
     ///
@@ -199,11 +168,6 @@ pub fn quantize_vector(v: &[f32], bits: u8) -> Result<(Vec<i32>, f32)> {
     Ok((q, scale))
 }
 
-/// Decomposes an unsigned integer into its bits, LSB first.
-pub fn unsigned_bits(value: u32, bits: u8) -> Vec<u8> {
-    (0..bits).map(|b| ((value >> b) & 1) as u8).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,7 +179,8 @@ mod tests {
         let m = Matrix::random_normal(16, 16, 0.0, 0.5, &mut rng);
         let q = QuantizedMatrix::quantize_int8(&m).unwrap();
         assert_eq!(q.bits(), 8);
-        let err = q.mean_abs_error(&m).unwrap();
+        let diff = q.dequantize().sub(&m).unwrap();
+        let err = diff.as_slice().iter().map(|x| x.abs()).sum::<f32>() / diff.len() as f32;
         // Mean error should be well below one quantization step.
         assert!(err < q.scale());
     }
@@ -245,24 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn bit_planes_reassemble_to_values() {
-        let mut rng = Rng::seed_from(2);
-        let m = Matrix::random_uniform(4, 5, -1.0, 1.0, &mut rng);
-        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
-        let offset = 1i32 << 7;
-        let planes: Vec<Matrix> = (0..8).map(|b| q.bit_plane(b).unwrap()).collect();
-        for r in 0..4 {
-            for c in 0..5 {
-                let mut acc = 0i32;
-                for (b, plane) in planes.iter().enumerate() {
-                    acc += (plane.at(r, c) as i32) << b;
-                }
-                assert_eq!(acc - offset, q.value(r, c));
-            }
-        }
-    }
-
-    #[test]
     fn bit_groups_reassemble_to_values_for_mlc() {
         let mut rng = Rng::seed_from(3);
         let m = Matrix::random_uniform(6, 3, -2.0, 2.0, &mut rng);
@@ -284,7 +231,6 @@ mod tests {
     fn bit_plane_and_group_bounds_are_checked() {
         let m = Matrix::zeros(2, 2);
         let q = QuantizedMatrix::quantize(&m, 8).unwrap();
-        assert!(q.bit_plane(8).is_err());
         assert!(q.bit_group(4, 2).is_err());
         assert!(q.bit_group(0, 0).is_err());
     }
@@ -307,12 +253,6 @@ mod tests {
             assert!((orig - *qv as f32 * scale).abs() <= scale);
         }
         assert!(quantize_vector(&v, 1).is_err());
-    }
-
-    #[test]
-    fn unsigned_bits_lsb_first() {
-        assert_eq!(unsigned_bits(0b1011, 4), vec![1, 1, 0, 1]);
-        assert_eq!(unsigned_bits(0, 3), vec![0, 0, 0]);
     }
 
     #[test]

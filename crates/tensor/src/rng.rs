@@ -118,39 +118,6 @@ impl Rng {
     pub fn normal_vec(&mut self, n: usize) -> Vec<f32> {
         (0..n).map(|_| self.normal() as f32).collect()
     }
-
-    /// Shuffles a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        if items.len() < 2 {
-            return;
-        }
-        for i in (1..items.len()).rev() {
-            let j = self.below(i + 1);
-            items.swap(i, j);
-        }
-    }
-
-    /// Chooses a random element index weighted by the (non-negative) weights.
-    ///
-    /// Returns `None` if the weights are empty or all zero.
-    pub fn weighted_choice(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().filter(|w| w.is_finite() && **w > 0.0).sum();
-        if total <= 0.0 {
-            return None;
-        }
-        let mut target = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 || !w.is_finite() {
-                continue;
-            }
-            if target < w {
-                return Some(i);
-            }
-            target -= w;
-        }
-        // Floating-point slack: fall back to the last positive weight.
-        weights.iter().rposition(|w| *w > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -209,36 +176,6 @@ mod tests {
         for _ in 0..1000 {
             assert!(rng.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::seed_from(5);
-        let mut items: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut items);
-        let mut sorted = items.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn weighted_choice_prefers_heavy_weights() {
-        let mut rng = Rng::seed_from(13);
-        let weights = [0.0, 0.05, 0.95];
-        let mut counts = [0usize; 3];
-        for _ in 0..2000 {
-            let idx = rng.weighted_choice(&weights).unwrap();
-            counts[idx] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        assert!(counts[2] > counts[1] * 5);
-    }
-
-    #[test]
-    fn weighted_choice_handles_degenerate_inputs() {
-        let mut rng = Rng::seed_from(17);
-        assert_eq!(rng.weighted_choice(&[]), None);
-        assert_eq!(rng.weighted_choice(&[0.0, 0.0]), None);
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! models. All of those metrics are implemented here so the benchmark
 //! harness can print the same kinds of rows.
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean. Returns 0 for an empty slice.
 pub fn mean(xs: &[f32]) -> f64 {
     if xs.is_empty() {
@@ -16,7 +14,7 @@ pub fn mean(xs: &[f32]) -> f64 {
 }
 
 /// Population variance. Returns 0 for an empty slice.
-pub fn variance(xs: &[f32]) -> f64 {
+fn variance(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
@@ -60,7 +58,7 @@ pub fn pearson(xs: &[f32], ys: &[f32]) -> f64 {
 }
 
 /// Binary confusion matrix.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// True positives.
     pub tp: usize,

@@ -46,7 +46,6 @@ use crate::kernels;
 use crate::matrix::Matrix;
 use crate::rng::Rng;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Maximum number of Jacobi sweeps before accepting the precision plateau
@@ -57,7 +56,7 @@ const MAX_SWEEPS: usize = 60;
 const EPS: f64 = 1e-10;
 
 /// Which SVD algorithm to run (see the module docs for the trade-off).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SvdAlgorithm {
     /// One-sided Jacobi: exact to working precision, bit-stable default.
     #[default]
@@ -87,8 +86,8 @@ impl fmt::Display for SvdAlgorithm {
     }
 }
 
-/// Tuning knobs for [`svd_randomized`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Tuning knobs for `svd_randomized`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomizedSvdConfig {
     /// Target rank (0 means the full `min(m, n)`).
     pub rank: usize,
@@ -107,16 +106,16 @@ pub struct RandomizedSvdConfig {
 impl RandomizedSvdConfig {
     /// The default configuration for a given target rank: 8 oversampling
     /// columns and 3 subspace iterations.
-    pub fn for_rank(rank: usize) -> Self {
+    fn for_rank(rank: usize) -> Self {
         RandomizedSvdConfig::for_rank_seeded(rank, 0x5eed_cafe)
     }
 
-    /// Like [`RandomizedSvdConfig::for_rank`] but with a caller-chosen
+    /// Like `RandomizedSvdConfig::for_rank` but with a caller-chosen
     /// sketch seed. The pooled gradient-redistribution path derives one
     /// seed per layer from the layer's dotted parameter name, so every
     /// layer draws an independent sketch no matter which worker (or how
     /// many workers) factorizes it.
-    pub fn for_rank_seeded(rank: usize, seed: u64) -> Self {
+    fn for_rank_seeded(rank: usize, seed: u64) -> Self {
         RandomizedSvdConfig {
             rank,
             oversample: 8,
@@ -131,7 +130,7 @@ impl RandomizedSvdConfig {
 /// `u` is `m×r`, `singular_values` has length `r`, and `vt` is `r×n` where
 /// `r = min(m, n)` (or less after [`Svd::truncate`]). Singular values are
 /// sorted in non-increasing order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Svd {
     /// Left singular vectors, one column per retained rank.
     pub u: Matrix,
@@ -177,56 +176,6 @@ impl Svd {
             singular_values: self.singular_values[..k].to_vec(),
             vt,
         })
-    }
-
-    /// The factor `Σ Vᵀ` (size `r×n`), which the paper pre-computes and stores
-    /// in RRAM together with `U` (Figure 10, step 3).
-    pub fn sigma_vt(&self) -> Matrix {
-        let mut out = self.vt.clone();
-        for (k, &sigma) in self.singular_values.iter().enumerate() {
-            for j in 0..out.cols() {
-                out.set(k, j, out.at(k, j) * sigma);
-            }
-        }
-        out
-    }
-
-    /// The factor `U Σ` (size `m×r`).
-    pub fn u_sigma(&self) -> Matrix {
-        let mut out = self.u.clone();
-        for (k, &sigma) in self.singular_values.iter().enumerate() {
-            for i in 0..out.rows() {
-                out.set(i, k, out.at(i, k) * sigma);
-            }
-        }
-        out
-    }
-
-    /// Fraction of total squared singular mass captured by the leading `k` ranks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidArgument`] if `k` exceeds the rank.
-    pub fn captured_energy(&self, k: usize) -> Result<f64> {
-        if k > self.rank() {
-            return Err(TensorError::InvalidArgument(format!(
-                "k={k} exceeds rank {}",
-                self.rank()
-            )));
-        }
-        let total: f64 = self
-            .singular_values
-            .iter()
-            .map(|s| (*s as f64).powi(2))
-            .sum();
-        if total == 0.0 {
-            return Ok(1.0);
-        }
-        let head: f64 = self.singular_values[..k]
-            .iter()
-            .map(|s| (*s as f64).powi(2))
-            .sum();
-        Ok(head / total)
     }
 }
 
@@ -274,7 +223,7 @@ pub fn svd(w: &Matrix) -> Result<Svd> {
 /// truncates — exactly the historical `svd(w)? .truncate(rank)` sequence, so
 /// the default path stays bit-identical. With [`SvdAlgorithm::Randomized`]
 /// it sketches only the leading subspace
-/// (see [`svd_randomized`] and [`RandomizedSvdConfig::for_rank`]).
+/// (see `svd_randomized` and `RandomizedSvdConfig::for_rank`).
 ///
 /// # Errors
 ///
@@ -286,7 +235,7 @@ pub fn svd_with(w: &Matrix, algorithm: SvdAlgorithm, rank: usize) -> Result<Svd>
 /// [`svd_with`] with an optional per-call sketch seed.
 ///
 /// `seed` only affects [`SvdAlgorithm::Randomized`] (it replaces the fixed
-/// default of [`RandomizedSvdConfig::for_rank`]); the Jacobi path is
+/// default of `RandomizedSvdConfig::for_rank`); the Jacobi path is
 /// deterministic with no randomness to seed. Passing `None` is exactly
 /// [`svd_with`].
 ///
@@ -333,7 +282,7 @@ pub fn svd_with_seeded(
 ///
 /// Propagates shape/decomposition failures from the underlying products and
 /// the small Jacobi solve.
-pub fn svd_randomized(w: &Matrix, config: &RandomizedSvdConfig) -> Result<Svd> {
+fn svd_randomized(w: &Matrix, config: &RandomizedSvdConfig) -> Result<Svd> {
     ensure_finite(w)?;
     let full = w.rows().min(w.cols());
     let rank = if config.rank == 0 {
@@ -622,30 +571,6 @@ mod tests {
         assert!(half_err < 1.0);
         assert!(d.truncate(0).is_err());
         assert!(d.truncate(13).is_err());
-    }
-
-    #[test]
-    fn sigma_vt_and_u_sigma_factorizations_agree() {
-        let w = random(9, 7, 7);
-        let d = svd(&w).unwrap();
-        let via_sigma_vt = d.u.matmul(&d.sigma_vt()).unwrap();
-        let via_u_sigma = d.u_sigma().matmul(&d.vt).unwrap();
-        assert!(via_sigma_vt.approx_eq(&w, 1e-3));
-        assert!(via_u_sigma.approx_eq(&w, 1e-3));
-    }
-
-    #[test]
-    fn captured_energy_is_monotone() {
-        let w = random(15, 10, 8);
-        let d = svd(&w).unwrap();
-        let mut prev = 0.0;
-        for k in 1..=d.rank() {
-            let e = d.captured_energy(k).unwrap();
-            assert!(e >= prev);
-            prev = e;
-        }
-        assert!((prev - 1.0).abs() < 1e-6);
-        assert!(d.captured_energy(d.rank() + 1).is_err());
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::Result;
 use hyflex_tensor::activations::{softmax, softmax_backward};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::{kernels, Matrix};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Attention masking policy for one forward/backward pass.
@@ -46,7 +45,7 @@ pub enum AttentionMask<'a> {
 
 impl AttentionMask<'_> {
     /// Whether query row `r` may attend to key column `c`.
-    pub fn allows(&self, r: usize, c: usize) -> bool {
+    fn allows(&self, r: usize, c: usize) -> bool {
         match self {
             AttentionMask::Bidirectional => true,
             AttentionMask::Causal => c <= r,
@@ -102,7 +101,7 @@ fn head_probs(
 }
 
 /// Multi-head self-attention layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiHeadAttention {
     wq: AnyLinear,
     wk: AnyLinear,
@@ -144,7 +143,7 @@ impl MultiHeadAttention {
     }
 
     /// Per-head dimension.
-    pub fn head_dim(&self) -> usize {
+    fn head_dim(&self) -> usize {
         self.dim() / self.num_heads
     }
 

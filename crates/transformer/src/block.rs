@@ -8,7 +8,6 @@ use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Generates a named static-linear accessor from the single canonical
 /// definition of the paper's layer order (`[W_Q, W_K, W_V, W_proj, FFN1,
@@ -35,7 +34,7 @@ macro_rules! impl_block_named_linears {
 
 /// One transformer block: `x + Attn(LN(x))` followed by `h + FFN(LN(h))` —
 /// structurally, `Residual<MultiHeadAttention>` then `Residual<FeedForward>`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerBlock {
     attn: Residual<MultiHeadAttention>,
     ffn: Residual<FeedForward>,

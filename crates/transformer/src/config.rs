@@ -3,10 +3,9 @@
 
 use crate::error::ModelError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// High-level architecture family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Bidirectional encoder (BERT-style); attention is unmasked.
     Encoder,
@@ -17,7 +16,7 @@ pub enum ModelKind {
 }
 
 /// The downstream task a model instance is trained for.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TaskKind {
     /// Sequence classification into `num_classes` classes (GLUE, CIFAR).
     Classification {
@@ -44,7 +43,7 @@ impl TaskKind {
 
 /// Shape of one static (weight-stationary) linear layer in a transformer
 /// block, used by the hardware mapping and the performance model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StaticLayerKind {
     /// Query projection `W_Q` (Dh × Dh).
     Query,
@@ -75,7 +74,7 @@ impl StaticLayerKind {
 }
 
 /// A transformer model configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelConfig {
     /// Human-readable model name.
     pub name: String,
@@ -163,7 +162,7 @@ impl ModelConfig {
 
     /// Total number of static-weight parameters per block
     /// (the weights HyFlexPIM stores in analog RRAM).
-    pub fn static_params_per_layer(&self) -> usize {
+    fn static_params_per_layer(&self) -> usize {
         StaticLayerKind::all()
             .iter()
             .map(|l| {

@@ -16,10 +16,9 @@ use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::svd::{self, hard_threshold_rank, SvdAlgorithm};
 use hyflex_tensor::{kernels, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A linear layer in truncated-SVD form: `y = x · U · diag(σ) · Vᵀ + b`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactoredLinear {
     /// Left factor `U`, shape `[in, k]`.
     u: Param,
@@ -126,7 +125,7 @@ impl FactoredLinear {
 
     /// The factor `diag(σ)·Vᵀ` that the hardware stores alongside `U`
     /// (Figure 10, step 3).
-    pub fn sigma_vt(&self) -> Matrix {
+    fn sigma_vt(&self) -> Matrix {
         let mut out = self.vt.value().clone();
         let sigma = self.sigma.value().row(0);
         for (k, &s) in sigma.iter().enumerate() {
@@ -155,11 +154,6 @@ impl FactoredLinear {
     /// Mutable access to the `Vᵀ` parameter (noise injection).
     pub fn vt_param_mut(&mut self) -> &mut Param {
         &mut self.vt
-    }
-
-    /// Mutable access to the singular-value parameter.
-    pub fn sigma_param_mut(&mut self) -> &mut Param {
-        &mut self.sigma
     }
 
     fn scale_by_sigma(&self, h: &Matrix) -> Matrix {

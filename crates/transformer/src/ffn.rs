@@ -11,10 +11,9 @@ use crate::Result;
 use hyflex_tensor::activations::{gelu, gelu_derivative};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Two-layer feed-forward block with GELU activation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedForward {
     fc1: AnyLinear,
     fc2: AnyLinear,

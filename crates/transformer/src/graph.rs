@@ -126,11 +126,6 @@ impl ModelGraph {
         &self.config
     }
 
-    /// The input stage.
-    pub fn stem(&self) -> &StemSpec {
-        &self.stem
-    }
-
     /// The block nodes, in execution order.
     pub fn blocks(&self) -> &[BlockSpec] {
         &self.blocks
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn encoder_graph_has_token_stem_and_pooled_head() {
         let graph = ModelGraph::from_config(ModelConfig::tiny_encoder(3)).unwrap();
-        assert!(matches!(graph.stem(), StemSpec::TokenEmbedding { .. }));
+        assert!(matches!(&graph.stem, StemSpec::TokenEmbedding { .. }));
         assert!(graph.blocks().iter().all(|b| *b == BlockSpec::Encoder));
         assert!(matches!(graph.head(), HeadSpec::Pooled { outputs: 3 }));
         let summary = graph.summary();
@@ -260,7 +255,7 @@ mod tests {
     fn vision_graph_has_patch_stem() {
         let graph = ModelGraph::from_config(ModelConfig::tiny_vit(10)).unwrap();
         assert!(matches!(
-            graph.stem(),
+            &graph.stem,
             StemSpec::PatchProjection { patch_dim: 24 }
         ));
         assert!(graph.summary().contains("patch projection"));

@@ -15,7 +15,6 @@
 use crate::error::ModelError;
 use crate::Result;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Cached keys and values of one attention layer for one request.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// column-wise, matching the projection layout in
 /// [`crate::attention::MultiHeadAttention`]. Empty caches hold no matrix at
 /// all (the tensor crate rejects zero-row matrices).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LayerKv {
     k: Option<Matrix>,
     v: Option<Matrix>,
@@ -81,17 +80,11 @@ impl LayerKv {
         }
         Ok(())
     }
-
-    /// Drops every cached entry.
-    pub fn clear(&mut self) {
-        self.k = None;
-        self.v = None;
-    }
 }
 
 /// Per-request KV cache: one [`LayerKv`] per transformer block, growing by
 /// one token row per layer at every decode step.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KvCache {
     layers: Vec<LayerKv>,
 }
@@ -129,13 +122,6 @@ impl KvCache {
     pub fn layers_mut(&mut self) -> &mut [LayerKv] {
         &mut self.layers
     }
-
-    /// Drops every cached entry in every layer.
-    pub fn clear(&mut self) {
-        for layer in &mut self.layers {
-            layer.clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +129,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn append_grows_and_clear_empties() {
+    fn append_grows_the_cache() {
         let mut kv = LayerKv::new();
         assert!(kv.is_empty());
         assert!(kv.keys().is_none());
@@ -153,8 +139,6 @@ mod tests {
         assert_eq!(kv.len(), 2);
         assert_eq!(kv.keys().unwrap().shape(), (2, 4));
         assert_eq!(kv.values().unwrap().shape(), (2, 4));
-        kv.clear();
-        assert!(kv.is_empty());
     }
 
     #[test]
@@ -180,7 +164,5 @@ mod tests {
         }
         assert_eq!(cache.len(), 1);
         assert!(!cache.is_empty());
-        cache.clear();
-        assert!(cache.is_empty());
     }
 }

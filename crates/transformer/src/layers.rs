@@ -32,7 +32,6 @@ use crate::Result;
 use hyflex_tensor::activations::{self, LayerNormOutput};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::{kernels, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// Per-pass context threaded through [`Layer::forward_saved`] and
 /// [`Layer::backward`].
@@ -112,7 +111,7 @@ pub trait Layer: ParamVisit {
 /// Both halves of a transformer block are instances of this shape — attention
 /// and FFN each sit behind a layer norm inside a residual connection — so the
 /// block in [`crate::block`] is literally two `Residual`s.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Residual<L> {
     norm: LayerNorm,
     inner: L,
@@ -127,11 +126,6 @@ impl<L> Residual<L> {
     /// The pre-normalization layer.
     pub fn norm(&self) -> &LayerNorm {
         &self.norm
-    }
-
-    /// Mutable access to the pre-normalization layer.
-    pub fn norm_mut(&mut self) -> &mut LayerNorm {
-        &mut self.norm
     }
 
     /// The wrapped module.
@@ -206,7 +200,7 @@ impl<L: Layer> Layer for Residual<L> {
 }
 
 /// A dense affine layer `y = x · W + b` with `W` of shape `[in, out]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Linear {
     weight: Param,
     bias: Param,
@@ -310,7 +304,7 @@ impl Layer for Linear {
 // forward/backward access through a pointer for no measurable win, so the
 // size imbalance is accepted.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AnyLinear {
     /// A standard dense layer.
     Dense(Linear),
@@ -337,14 +331,6 @@ impl AnyLinear {
 
     /// Returns the factored layer, if this is one.
     pub fn as_factored(&self) -> Option<&FactoredLinear> {
-        match self {
-            AnyLinear::Factored(f) => Some(f),
-            AnyLinear::Dense(_) => None,
-        }
-    }
-
-    /// Returns the factored layer mutably, if this is one.
-    pub fn as_factored_mut(&mut self) -> Option<&mut FactoredLinear> {
         match self {
             AnyLinear::Factored(f) => Some(f),
             AnyLinear::Dense(_) => None,
@@ -426,7 +412,7 @@ impl Layer for AnyLinear {
 }
 
 /// Layer normalization with learned scale and shift, applied to each row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerNorm {
     gamma: Param,
     beta: Param,
@@ -529,7 +515,7 @@ impl Layer for LayerNorm {
 }
 
 /// Token embedding plus learned positional embedding.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Embedding {
     table: Param,
     positions: Param,
@@ -551,7 +537,7 @@ impl Embedding {
     }
 
     /// Maximum sequence length.
-    pub fn max_len(&self) -> usize {
+    fn max_len(&self) -> usize {
         self.positions.value().rows()
     }
 

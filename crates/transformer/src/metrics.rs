@@ -6,10 +6,9 @@
 //! harness can print whichever one the paper uses for a given task.
 
 use hyflex_tensor::stats::{self, ConfusionMatrix};
-use serde::{Deserialize, Serialize};
 
 /// Quality metrics for one evaluation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TaskMetrics {
     /// Classification metrics.
     Classification {
@@ -90,14 +89,6 @@ impl TaskMetrics {
         }
     }
 
-    /// Matthews correlation, if this is a classification metric.
-    pub fn matthews(&self) -> Option<f64> {
-        match self {
-            TaskMetrics::Classification { matthews, .. } => Some(*matthews),
-            _ => None,
-        }
-    }
-
     /// Pearson correlation, if this is a regression metric.
     pub fn pearson(&self) -> Option<f64> {
         match self {
@@ -127,11 +118,19 @@ impl TaskMetrics {
 mod tests {
     use super::*;
 
+    /// Matthews correlation, if this is a classification metric.
+    fn matthews(m: &TaskMetrics) -> Option<f64> {
+        match m {
+            TaskMetrics::Classification { matthews, .. } => Some(*matthews),
+            _ => None,
+        }
+    }
+
     #[test]
     fn classification_metrics_for_perfect_predictions() {
         let m = TaskMetrics::classification(&[0, 1, 1, 0], &[0, 1, 1, 0]);
         assert_eq!(m.accuracy(), Some(1.0));
-        assert_eq!(m.matthews(), Some(1.0));
+        assert_eq!(matthews(&m), Some(1.0));
         assert!((m.primary_value() - 1.0).abs() < 1e-12);
     }
 
@@ -139,7 +138,7 @@ mod tests {
     fn multiclass_predictions_skip_binary_metrics() {
         let m = TaskMetrics::classification(&[0, 1, 2], &[0, 2, 2]);
         assert!((m.accuracy().unwrap() - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(m.matthews(), Some(0.0));
+        assert_eq!(matthews(&m), Some(0.0));
     }
 
     #[test]

@@ -15,11 +15,10 @@ use crate::param::{Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// Input to a transformer model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ModelInput {
     /// A sequence of token ids (encoder / decoder models).
     Tokens(Vec<usize>),
@@ -64,7 +63,7 @@ macro_rules! impl_model_named_linears {
 }
 
 /// A complete transformer model instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransformerModel {
     config: ModelConfig,
     embedding: Option<Embedding>,
@@ -256,11 +255,6 @@ impl TransformerModel {
             packed.set_submatrix(seg.start, 0, e)?;
         }
         Ok((packed, segments))
-    }
-
-    /// Creates an empty KV cache sized for this model's block stack.
-    pub fn new_kv_cache(&self) -> KvCache {
-        KvCache::new(self.blocks.len())
     }
 
     /// The token embedding, once the model and a cache of `cache_layers`
@@ -571,7 +565,7 @@ mod tests {
         let full = model.forward(&ModelInput::Tokens(tokens.clone())).unwrap();
 
         // Prefill the first three tokens in one pass, then decode one by one.
-        let mut cache = model.new_kv_cache();
+        let mut cache = KvCache::new(model.blocks.len());
         let prefill = model.prefill(&tokens[..3], &mut cache).unwrap();
         assert_eq!(prefill.shape(), (3, full.cols()));
         for r in 0..3 {
@@ -608,7 +602,7 @@ mod tests {
         let mut solo_caches: Vec<KvCache> = prompts
             .iter()
             .map(|p| {
-                let mut c = model.new_kv_cache();
+                let mut c = KvCache::new(model.blocks.len());
                 model.prefill(p, &mut c).unwrap();
                 c
             })
@@ -623,7 +617,7 @@ mod tests {
         let mut batch_caches: Vec<KvCache> = prompts
             .iter()
             .map(|p| {
-                let mut c = model.new_kv_cache();
+                let mut c = KvCache::new(model.blocks.len());
                 model.prefill(p, &mut c).unwrap();
                 c
             })
@@ -651,7 +645,7 @@ mod tests {
     fn decode_rejects_bad_models_and_caches() {
         // Encoder models (non-causal, non-LM) cannot decode.
         let encoder = tiny_model(23);
-        let mut cache = encoder.new_kv_cache();
+        let mut cache = KvCache::new(encoder.blocks.len());
         assert!(encoder.prefill(&[1, 2], &mut cache).is_err());
 
         let mut rng = Rng::seed_from(24);
@@ -660,14 +654,14 @@ mod tests {
         let mut shallow = KvCache::new(1);
         assert!(decoder.prefill(&[1], &mut shallow).is_err());
         // Out-of-vocabulary token and over-long sequence.
-        let mut cache = decoder.new_kv_cache();
+        let mut cache = KvCache::new(decoder.blocks.len());
         assert!(decoder.prefill(&[1000], &mut cache).is_err());
         let max = decoder.config().max_seq_len;
-        let mut cache = decoder.new_kv_cache();
+        let mut cache = KvCache::new(decoder.blocks.len());
         decoder.prefill(&vec![1; max], &mut cache).unwrap();
         assert!(decoder.decode_step(1, &mut cache).is_err());
         // Batch size / cache count mismatch.
-        let mut one = decoder.new_kv_cache();
+        let mut one = KvCache::new(decoder.blocks.len());
         decoder.prefill(&[1], &mut one).unwrap();
         let mut refs: Vec<&mut KvCache> = vec![&mut one];
         assert!(decoder.decode_step_batch(&[1, 2], &mut refs).is_err());

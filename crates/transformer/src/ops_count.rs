@@ -7,10 +7,9 @@
 //! at very long sequences do the quadratic attention products take over.
 
 use crate::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// A computation stage of the transformer pipeline, in Figure 2's order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Q/K/V generation (fully connected, static weights).
     TokenGenerationFc,
@@ -66,7 +65,7 @@ impl Stage {
 }
 
 /// Operation count for one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageOps {
     /// The stage.
     pub stage: Stage,

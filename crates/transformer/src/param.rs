@@ -35,11 +35,10 @@
 use crate::error::ModelError;
 use crate::Result;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the AdamW optimizer (paper Table 1 uses AdamW for all
 /// fine-tuning runs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamWConfig {
     /// Learning rate.
     pub learning_rate: f32,
@@ -53,15 +52,7 @@ pub struct AdamWConfig {
     pub weight_decay: f32,
 }
 
-impl AdamWConfig {
-    /// The paper's encoder fine-tuning setting (BERT-Base: lr 2e-5).
-    pub fn with_learning_rate(learning_rate: f32) -> Self {
-        AdamWConfig {
-            learning_rate,
-            ..AdamWConfig::default()
-        }
-    }
-}
+impl AdamWConfig {}
 
 impl Default for AdamWConfig {
     fn default() -> Self {
@@ -76,7 +67,7 @@ impl Default for AdamWConfig {
 }
 
 /// A trainable parameter tensor with gradient and AdamW state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     value: Matrix,
     grad: Matrix,
@@ -84,8 +75,6 @@ pub struct Param {
     moment2: Matrix,
     /// Number of AdamW steps applied (for bias correction).
     steps: u64,
-    /// Frozen parameters accumulate gradients but are not updated.
-    frozen: bool,
 }
 
 impl Param {
@@ -98,7 +87,6 @@ impl Param {
             moment1: Matrix::zeros(r, c),
             moment2: Matrix::zeros(r, c),
             steps: 0,
-            frozen: false,
         }
     }
 
@@ -123,16 +111,6 @@ impl Param {
         &mut self.grad
     }
 
-    /// Whether the parameter is excluded from optimizer updates.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
-    /// Freezes or unfreezes the parameter.
-    pub fn set_frozen(&mut self, frozen: bool) {
-        self.frozen = frozen;
-    }
-
     /// Adds a gradient contribution (e.g. from one sample of a batch).
     ///
     /// # Errors
@@ -150,10 +128,7 @@ impl Param {
 
     /// Applies one AdamW update using the accumulated gradient divided by
     /// `batch_size`.
-    pub fn adamw_step(&mut self, config: &AdamWConfig, batch_size: usize) {
-        if self.frozen {
-            return;
-        }
+    fn adamw_step(&mut self, config: &AdamWConfig, batch_size: usize) {
         self.steps += 1;
         let scale = 1.0 / batch_size.max(1) as f32;
         let t = self.steps as i32;
@@ -173,17 +148,6 @@ impl Param {
             let update = m_hat / (v_hat.sqrt() + config.epsilon);
             value[i] -= config.learning_rate * (update + config.weight_decay * value[i]);
         }
-    }
-
-    /// Mean absolute accumulated gradient, a scalar importance signal.
-    pub fn mean_abs_grad(&self) -> f64 {
-        let n = self.grad.len() as f64;
-        self.grad
-            .as_slice()
-            .iter()
-            .map(|g| g.abs() as f64)
-            .sum::<f64>()
-            / n
     }
 }
 
@@ -262,7 +226,7 @@ pub trait ParamVisit {
         self.visit_params_mut(&mut ParamPath::root(), &mut |_, p| p.zero_grad());
     }
 
-    /// Applies one AdamW step to every (non-frozen) parameter.
+    /// Applies one AdamW step to every parameter.
     ///
     /// AdamW is element-wise per parameter, so routing the optimizer through
     /// the visitation walk is bit-identical to the per-field `step` methods
@@ -360,11 +324,6 @@ impl<'s, 'a> VarBuilder<'s, 'a> {
         }
     }
 
-    /// The current dotted prefix.
-    pub fn prefix(&self) -> &str {
-        &self.prefix
-    }
-
     /// Resolves `name` under the current prefix; falls back to
     /// `<name>.weight` for dense linear layers.
     ///
@@ -430,19 +389,8 @@ mod tests {
         p.accumulate_grad(&g).unwrap();
         p.accumulate_grad(&g).unwrap();
         assert_eq!(p.grad().at(0, 0), 2.0);
-        assert!((p.mean_abs_grad() - 2.0).abs() < 1e-9);
         p.zero_grad();
         assert_eq!(p.grad().max_abs(), 0.0);
-    }
-
-    #[test]
-    fn frozen_parameters_do_not_update() {
-        let mut p = Param::new(Matrix::filled(2, 2, 1.0));
-        p.set_frozen(true);
-        p.accumulate_grad(&Matrix::filled(2, 2, 10.0)).unwrap();
-        p.adamw_step(&AdamWConfig::default(), 1);
-        assert!(p.value().approx_eq(&Matrix::filled(2, 2, 1.0), 0.0));
-        assert!(p.is_frozen());
     }
 
     #[test]
@@ -480,8 +428,5 @@ mod tests {
         let c = AdamWConfig::default();
         assert!((c.learning_rate - 2e-5).abs() < 1e-12);
         assert!(c.beta1 > c.weight_decay);
-        let c2 = AdamWConfig::with_learning_rate(5e-6);
-        assert!((c2.learning_rate - 5e-6).abs() < 1e-12);
-        assert_eq!(c2.beta2, c.beta2);
     }
 }

@@ -15,10 +15,9 @@ use crate::Result;
 use hyflex_tensor::activations::softmax;
 use hyflex_tensor::stats;
 use hyflex_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// The supervised target for one sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Target {
     /// Class index for classification tasks.
     Class(usize),
@@ -29,7 +28,7 @@ pub enum Target {
 }
 
 /// One supervised sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     /// Model input.
     pub input: ModelInput,
@@ -110,7 +109,7 @@ fn accumulate_sample(
 }
 
 /// Evaluation summary over a dataset split.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Mean loss over the split.
     pub mean_loss: f64,
@@ -119,7 +118,7 @@ pub struct EvalReport {
 }
 
 /// Fine-tuning driver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trainer {
     /// Optimizer hyper-parameters.
     pub optimizer: AdamWConfig,

@@ -1,10 +1,9 @@
 //! Dataset containers and splitting helpers.
 
 use hyflex_transformer::trainer::Sample;
-use serde::{Deserialize, Serialize};
 
 /// A named dataset with train and evaluation splits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Human-readable dataset name (e.g. "MRPC (synthetic)").
     pub name: String,

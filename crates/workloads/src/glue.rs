@@ -13,10 +13,9 @@ use crate::dataset::Dataset;
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::trainer::{Sample, Target};
 use hyflex_transformer::ModelInput;
-use serde::{Deserialize, Serialize};
 
 /// The seven GLUE tasks used in the paper's encoder evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GlueTask {
     /// Linguistic acceptability (metric: Matthews correlation).
     Cola,
@@ -69,7 +68,7 @@ impl GlueTask {
     /// Label-noise probability controlling task difficulty. Values chosen so
     /// the relative ordering of task difficulty mirrors GLUE (SST-2/QQP easy,
     /// RTE/CoLA hard).
-    pub fn label_noise(&self) -> f64 {
+    fn label_noise(&self) -> f64 {
         match self {
             GlueTask::Sst2 => 0.02,
             GlueTask::Qqp => 0.04,
@@ -97,7 +96,7 @@ impl GlueTask {
 }
 
 /// Configuration for synthetic GLUE generation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlueConfig {
     /// Vocabulary size of the target model.
     pub vocab_size: usize,
@@ -199,14 +198,6 @@ pub fn generate(task: GlueTask, config: &GlueConfig, seed: u64) -> Dataset {
     )
 }
 
-/// Generates all seven GLUE stand-in datasets with a shared seed.
-pub fn generate_all(config: &GlueConfig, seed: u64) -> Vec<(GlueTask, Dataset)> {
-    GlueTask::all()
-        .iter()
-        .map(|&task| (task, generate(task, config, seed)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,13 +272,5 @@ mod tests {
             }
         }
         assert!(distinct.len() > 2, "regression targets should vary");
-    }
-
-    #[test]
-    fn generate_all_covers_every_task() {
-        let all = generate_all(&GlueConfig::default(), 11);
-        assert_eq!(all.len(), 7);
-        let names: Vec<&str> = all.iter().map(|(t, _)| t.name()).collect();
-        assert!(names.contains(&"STS-B"));
     }
 }

@@ -1,4 +1,4 @@
-//! Synthetic language-modeling corpora (WikiText-2 and PTB stand-ins).
+//! Synthetic language-modeling corpus (WikiText-2 stand-in).
 //!
 //! A seeded first-order Markov chain with a sparse, strongly-peaked
 //! transition matrix generates token sequences with learnable structure: a
@@ -10,10 +10,9 @@ use crate::dataset::Dataset;
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::trainer::{Sample, Target};
 use hyflex_transformer::ModelInput;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic corpus generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LmConfig {
     /// Vocabulary size of the target model.
     pub vocab_size: usize,
@@ -30,25 +29,13 @@ pub struct LmConfig {
 
 impl LmConfig {
     /// WikiText-2 stand-in sized for the tiny decoder configuration.
-    pub fn wikitext2_stand_in() -> Self {
+    fn wikitext2_stand_in() -> Self {
         LmConfig {
             vocab_size: 64,
             seq_len: 12,
             train_sequences: 96,
             eval_sequences: 32,
             branching: 3,
-        }
-    }
-
-    /// Penn Treebank stand-in: slightly smaller effective vocabulary usage
-    /// and shorter sequences (the paper evaluates Llama3 on PTB with MSL 100).
-    pub fn ptb_stand_in() -> Self {
-        LmConfig {
-            vocab_size: 48,
-            seq_len: 10,
-            train_sequences: 96,
-            eval_sequences: 32,
-            branching: 2,
         }
     }
 }
@@ -125,11 +112,6 @@ pub fn wikitext2_dataset(seed: u64) -> Dataset {
     MarkovCorpus::new(LmConfig::wikitext2_stand_in(), seed).generate(seed)
 }
 
-/// Convenience constructor: PTB stand-in dataset.
-pub fn ptb_dataset(seed: u64) -> Dataset {
-    MarkovCorpus::new(LmConfig::ptb_stand_in(), seed).generate(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,14 +176,5 @@ mod tests {
         }
         assert!(observed > 0);
         assert!(concentrated * 10 >= observed * 9);
-    }
-
-    #[test]
-    fn ptb_stand_in_differs_from_wikitext_stand_in() {
-        let w = LmConfig::wikitext2_stand_in();
-        let p = LmConfig::ptb_stand_in();
-        assert!(p.vocab_size < w.vocab_size);
-        assert!(p.seq_len < w.seq_len);
-        assert!(!ptb_dataset(1).train.is_empty());
     }
 }

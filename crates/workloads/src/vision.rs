@@ -11,10 +11,9 @@ use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
 use hyflex_transformer::trainer::{Sample, Target};
 use hyflex_transformer::ModelInput;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic vision task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VisionConfig {
     /// Number of classes (CIFAR-10 has 10).
     pub num_classes: usize,
