@@ -113,7 +113,6 @@ mod tests {
     use super::*;
     use hyflex_pim::backend::HyFlexPim;
     use hyflex_pim::energy_breakdown::EnergyBreakdown;
-    use hyflex_pim::perf::EvaluationPoint;
 
     fn energy(backend: &dyn Backend, seq_len: usize) -> EnergyBreakdown {
         backend
@@ -147,14 +146,8 @@ mod tests {
         // amortized one-time weight programming of the base evaluation.
         assert!(long.analog_rram_write_pj > 1.9 * short.analog_rram_write_pj);
         // Attention runs cheaper than the digital-PIM baseline path.
-        let digital = PerformanceModel::paper_default()
-            .evaluate(&EvaluationPoint {
-                model,
-                seq_len: 128,
-                slc_rank_fraction: 1.0,
-            })
-            .unwrap();
-        assert!(long.attention_dot_product_pj < digital.energy.attention_dot_product_pj);
+        let digital = energy(&HyFlexPim::paper(model, 1.0).unwrap(), 128);
+        assert!(long.attention_dot_product_pj < digital.attention_dot_product_pj);
     }
 
     #[test]

@@ -4,24 +4,20 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_baselines::{Asadi, AsadiPrecision, NonPim, Sprint};
 use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_pim::scalability::ScalabilityModel;
 use hyflex_transformer::ModelConfig;
 use std::hint::black_box;
 
 fn bench_perf_model(c: &mut Criterion) {
-    let model = PerformanceModel::paper_default();
-    let point = EvaluationPoint {
-        model: ModelConfig::bert_large(),
-        seq_len: 1024,
-        slc_rank_fraction: 0.1,
-    };
-    c.bench_function("perf/hyflexpim_bert_large_n1024", |b| {
-        b.iter(|| model.evaluate(black_box(&point)).unwrap())
-    });
-    // One decode iteration as the serving sims price it: a bound backend,
-    // 16 requests against a 256-token context.
+    // HyFlexPIM is priced as the figures and sims price it: a backend bound
+    // to its deployment once, then one 1024-token request per call.
     let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.1).unwrap();
+    let request = InferenceRequest::of_len(0, 1024);
+    c.bench_function("perf/hyflexpim_deployed_bert_large_n1024", |b| {
+        b.iter(|| backend.evaluate(black_box(&request)).unwrap())
+    });
+    // One decode iteration as the serving sims price it: the same bound
+    // backend, 16 requests against a 256-token context.
     c.bench_function("perf/hyflexpim_decode_step_bert_large_ctx256_b16", |b| {
         b.iter(|| {
             backend

@@ -5,19 +5,22 @@
 //! `Backend::evaluate_batched`: pipelining B requests through the layer
 //! pipeline amortizes fill/drain (the `1 + (L-1)/N` overhead of the
 //! single-request latency), so gains are largest for short, decode-like
-//! sequences where N < L. Part (b) runs the closed-loop `ServingSim` at
-//! increasing offered load and reports latency percentiles. Common flags:
+//! sequences where N < L. Part (b) serves one chip (a one-chip `ClusterSim`)
+//! at increasing offered load and reports latency percentiles. Common flags:
 //! `--seed N`, `--out PATH`, `--backend NAME` (run the sweep on a baseline
 //! backend instead of HyFlexPIM; defaults reproduce the historical HyFlexPIM
 //! rows bit for bit).
 
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
-use hyflex_pim::backend::Backend;
+use hyflex_pim::backend::{Backend, HyFlexPim};
+use hyflex_pim::perf::packed_batch;
 use hyflex_runtime::{
-    BatchScheduler, InferenceRequest, SchedulerConfig, ServingConfig, ServingSim,
+    BatchScheduler, ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, SchedulerConfig,
+    ServingConfig,
 };
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::ModelConfig;
+use std::sync::Arc;
 
 const BATCH_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 const SLC_RATE: f64 = 0.05;
@@ -61,8 +64,8 @@ fn batch_sweep(args: &BinArgs, title: &str, model: ModelConfig, seq_len: usize) 
 }
 
 fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) {
-    let backend: std::sync::Arc<dyn Backend> =
-        std::sync::Arc::from(args.build_backend_or_exit("hyflexpim", model.clone(), SLC_RATE));
+    let backend: Arc<dyn Backend> =
+        Arc::from(args.build_backend_or_exit("hyflexpim", model.clone(), SLC_RATE));
     emitln!(
         "\n(b) {}: closed-loop serving on {} (Poisson arrivals, batch cap 16, N = {seq_len})",
         model.name,
@@ -85,15 +88,18 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
         .expect("single-request evaluation");
     let service_qps = 1e9 / single.makespan_ns;
     for load in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let config = ServingConfig {
-            qps: service_qps * load,
-            num_requests: 2000,
-            seq_len,
-            slc_rank_fraction: SLC_RATE,
-            seed,
-            ..ServingConfig::default()
+        let config = ClusterConfig {
+            chips: 1,
+            dispatch: DispatchPolicy::RoundRobin,
+            serving: ServingConfig {
+                qps: service_qps * load,
+                num_requests: 2000,
+                seq_len,
+                seed,
+                ..ServingConfig::default()
+            },
         };
-        let report = ServingSim::with_backend(std::sync::Arc::clone(&backend), config)
+        let report = ClusterSim::with_backend(Arc::clone(&backend), config)
             .expect("serving sim")
             .run()
             .expect("serving run");
@@ -105,7 +111,7 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
                 fmt(report.latency.p95_ms, 3),
                 fmt(report.latency.p99_ms, 3),
                 fmt(report.mean_batch_size, 1),
-                fmt(report.device_utilization * 100.0, 1),
+                fmt(report.mean_chip_utilization * 100.0, 1),
             ],
         );
     }
@@ -117,9 +123,9 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
 /// draining a seeded mixed-length queue through the scheduler at several
 /// batch caps and comparing [`hyflex_runtime::Batch::padded_token_count`]
 /// against [`hyflex_runtime::Batch::actual_token_count`], then prices both
-/// shapes on the device model: the padded columns charge every batch at its
-/// maximum length (`evaluate_batched`), the packed columns charge only the
-/// real tokens (`evaluate_batched_packed`), so "saved %" is the device time
+/// shapes on one HyFlexPIM deployment: the padded columns charge every batch
+/// at its maximum length (`evaluate_batched`), the packed columns charge
+/// only the real tokens ([`packed_batch`]), so "saved %" is the device time
 /// packed execution recovers on this request stream.
 fn padding_waste_sweep(seed: u64, model: ModelConfig) {
     emitln!(
@@ -139,11 +145,11 @@ fn padding_waste_sweep(seed: u64, model: ModelConfig) {
         ],
     );
     const LENGTHS: [usize; 6] = [32, 64, 96, 128, 256, 384];
-    let perf = hyflex_pim::PerformanceModel::paper_default();
+    let backend: Arc<dyn Backend> =
+        Arc::new(HyFlexPim::paper(model, SLC_RATE).expect("HyFlexPIM deployment"));
     for cap in [2usize, 4, 8, 16] {
-        let mut scheduler = BatchScheduler::new(
-            hyflex_pim::HyFlexPimConfig::paper_default(),
-            model.clone(),
+        let mut scheduler = BatchScheduler::for_backend(
+            Arc::clone(&backend),
             SchedulerConfig {
                 max_batch_size: cap,
                 max_wait_ns: 0.0,
@@ -165,17 +171,11 @@ fn padding_waste_sweep(seed: u64, model: ModelConfig) {
             batches += 1;
             actual += batch.actual_token_count();
             padded += batch.padded_token_count();
-            let point = hyflex_pim::EvaluationPoint {
-                model: model.clone(),
-                seq_len: batch.max_seq_len,
-                slc_rank_fraction: SLC_RATE,
-            };
-            padded_ns += perf
-                .evaluate_batched(&point, batch.len())
-                .expect("padded evaluation")
-                .makespan_ns;
-            packed_ns += perf
-                .evaluate_batched_packed(&point, batch.len(), batch.actual_token_count())
+            let padded_batch = backend
+                .evaluate_batched(batch.max_seq_len, batch.len())
+                .expect("padded evaluation");
+            padded_ns += padded_batch.makespan_ns;
+            packed_ns += packed_batch(padded_batch, batch.max_seq_len, batch.actual_token_count())
                 .expect("packed evaluation")
                 .makespan_ns;
         }

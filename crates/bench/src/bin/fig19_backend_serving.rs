@@ -3,10 +3,10 @@
 //! The first payoff of the unified `Backend` API: one serving workload
 //! (BERT-Large, N = 128, Poisson arrivals, batch cap 16) driven across every
 //! registered backend — HyFlexPIM and the four baselines — through the same
-//! `BatchScheduler`/`ServingSim` machinery. The offered load is **matched**:
-//! every backend is offered the same QPS, anchored to HyFlexPIM's
-//! single-request service rate, so tail latency and sustained throughput are
-//! directly comparable. Designs slower than the offered load saturate and
+//! `BatchScheduler` and one-chip `ClusterSim` machinery. The offered load is
+//! **matched**: every backend is offered the same QPS, anchored to
+//! HyFlexPIM's single-request service rate, so tail latency and sustained
+//! throughput are directly comparable. Designs slower than the offered load saturate and
 //! their percentiles explode — that is the comparison.
 //!
 //! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict the
@@ -15,7 +15,7 @@
 use hyflex_baselines::{BackendRegistry, SystemBuilder};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
-use hyflex_runtime::{ServingConfig, ServingSim};
+use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
 use hyflex_transformer::ModelConfig;
 
 const SEQ_LEN: usize = 128;
@@ -98,15 +98,18 @@ fn main() {
         );
         for (backend, single_us) in &backends {
             let label = backend.name().to_string();
-            let config = ServingConfig {
-                qps: anchor_qps * load,
-                num_requests: NUM_REQUESTS,
-                seq_len: SEQ_LEN,
-                slc_rank_fraction: SLC_RATE,
-                seed,
-                ..ServingConfig::default()
+            let config = ClusterConfig {
+                chips: 1,
+                dispatch: DispatchPolicy::RoundRobin,
+                serving: ServingConfig {
+                    qps: anchor_qps * load,
+                    num_requests: NUM_REQUESTS,
+                    seq_len: SEQ_LEN,
+                    seed,
+                    ..ServingConfig::default()
+                },
             };
-            let report = ServingSim::with_backend(std::sync::Arc::clone(backend), config)
+            let report = ClusterSim::with_backend(std::sync::Arc::clone(backend), config)
                 .expect("serving sim")
                 .run()
                 .expect("serving run");
@@ -119,7 +122,7 @@ fn main() {
                     fmt(report.latency.p95_ms, 3),
                     fmt(report.latency.p99_ms, 3),
                     fmt(report.mean_batch_size, 1),
-                    fmt(report.device_utilization * 100.0, 1),
+                    fmt(report.mean_chip_utilization * 100.0, 1),
                 ],
             );
         }

@@ -134,7 +134,6 @@ fn main() {
                             .with_priority(0),
                         RequestClass::new(BATCH_SEQ, BATCH_WEIGHT).with_priority(1),
                     ],
-                    slc_rank_fraction: SLC_RATE,
                     seed,
                     scheduler: SchedulerConfig {
                         max_batch_size: BATCH_CAP,

@@ -13,11 +13,12 @@
 //! transformer architecture it serves, and any mapping parameters (for
 //! HyFlexPIM, the SLC protection rate) are fixed at construction, so the
 //! per-request surface needs only a sequence length. That is what lets
-//! `ServingSim<B: Backend>` and `BatchScheduler` stay agnostic of *which*
-//! accelerator is being simulated.
+//! `hyflex-runtime`'s `BatchScheduler` and serving engines stay agnostic of
+//! *which* accelerator is being simulated.
 //!
-//! Implementations live next to their models: [`HyFlexPim`] here (wrapping
-//! [`PerformanceModel`]); ASADI/ASADI†, SPRINT, NMP, non-PIM and analog
+//! Implementations live next to their models: [`HyFlexPim`] here (a
+//! [`PerformanceModel`] with a model deployed on it), the one way every
+//! consumer outside this crate prices HyFlexPIM; ASADI/ASADI†, SPRINT, NMP, non-PIM and analog
 //! attention in `hyflex-baselines`, each implementing [`Backend`] directly
 //! and addressed by name through its `BackendRegistry` / `SystemBuilder`.
 
@@ -270,12 +271,9 @@ forward_backend!(std::sync::Arc<B>);
 /// [`Deployment`] (crossbar read cycles, write energy, analog passes and
 /// PUs, chip area), and every call prices its sequence length from it with
 /// [`PerformanceModel::evaluate_deployed`] — no re-mapping, no config
-/// validation, no heap allocation. Results are bit-identical to calling
-/// [`PerformanceModel::evaluate`] / [`PerformanceModel::evaluate_batched`]
-/// with the equivalent [`EvaluationPoint`](crate::perf::EvaluationPoint):
-/// both run the same formulas in the same order, and the exact-equality
-/// tests here, the determinism suite in `hyflex-runtime` and the root
-/// `tests/backend_api.rs` enforce it.
+/// validation, no heap allocation. Deploying once is bit-identical to
+/// deploying afresh for every call: the exact-equality sweep here and the
+/// root `tests/backend_api.rs` enforce it.
 #[derive(Debug, Clone)]
 pub struct HyFlexPim {
     perf: PerformanceModel,
@@ -356,7 +354,7 @@ impl Backend for HyFlexPim {
 mod tests {
     use super::*;
     use crate::arch::Chip;
-    use crate::perf::EvaluationPoint;
+    use crate::perf::{marginal_decode_summary, pipelined_batch};
 
     /// Sequence lengths 1..=2048: every length up to 8, then a stride that
     /// is coprime to the powers of two, then the top of the range.
@@ -364,9 +362,9 @@ mod tests {
         (1..=8).chain((9..2048).step_by(61)).chain([2047, 2048])
     }
 
-    /// The deploy-once backend and a from-scratch `PerformanceModel`
-    /// evaluation run the same formulas in the same order: every figure is
-    /// exactly equal, never merely close.
+    /// The deploy-once backend and a fresh `deploy` + `evaluate_deployed`
+    /// for every call run the same formulas in the same order: every figure
+    /// is exactly equal, never merely close.
     #[test]
     fn hyflexpim_backend_is_bit_identical_to_the_perf_model() {
         use hyflex_rram::cell::CellMode;
@@ -384,29 +382,26 @@ mod tests {
             for model in &models {
                 for slc in [0.0, 0.05, 0.5, 1.0] {
                     let backend = HyFlexPim::new(perf.clone(), model.clone(), slc).unwrap();
-                    let point = |seq_len| EvaluationPoint {
-                        model: model.clone(),
-                        seq_len,
-                        slc_rank_fraction: slc,
+                    let fresh = |seq_len| {
+                        let deployment = perf.deploy(model, slc).unwrap();
+                        perf.evaluate_deployed(model, &deployment, seq_len)
                     };
                     for n in strided_lengths() {
-                        let full = perf.evaluate(&point(n)).unwrap();
+                        let full = fresh(n);
                         let request = InferenceRequest::of_len(0, n);
                         assert_eq!(backend.evaluate(&request).unwrap(), full);
                         assert_eq!(
                             backend.evaluate_batched(n, 16).unwrap(),
-                            perf.evaluate_batched(&point(n), 16).unwrap()
+                            pipelined_batch(full.clone(), model.num_layers, n, 16).unwrap()
                         );
                         let marginal = if n == 1 {
                             full
                         } else {
-                            let prev = perf.evaluate(&point(n - 1)).unwrap();
-                            crate::perf::marginal_decode_summary(&full, &prev)
+                            marginal_decode_summary(&full, &fresh(n - 1))
                         };
                         assert_eq!(
                             backend.evaluate_decode_step(n, 16).unwrap(),
-                            crate::perf::pipelined_batch(marginal, model.num_layers, 1, 16)
-                                .unwrap()
+                            pipelined_batch(marginal, model.num_layers, 1, 16).unwrap()
                         );
                     }
                 }

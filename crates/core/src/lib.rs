@@ -47,8 +47,7 @@
 //! * [`finetune`] — the fine-tuning hyper-parameters of Table 1.
 //! * [`backend`] — the unified [`Backend`] evaluation trait every modeled
 //!   accelerator (HyFlexPIM and the `hyflex-baselines` designs) implements,
-//!   so the runtime's scheduler, serving simulator, and sweep drivers are
-//!   backend-generic.
+//!   so the runtime's scheduler and serving simulators are backend-generic.
 
 pub mod arch;
 pub mod backend;
@@ -69,7 +68,7 @@ pub use error::PimError;
 pub use gradient_redistribution::{GradientRedistribution, RedistributionReport};
 pub use mapping::{kv_token_cost, KvTokenCost};
 pub use noise_sim::{HybridMappingSpec, NoiseSimulator, SweepOutcome, SweepPoint};
-pub use perf::{BatchPerfSummary, EvaluationPoint, PerformanceModel};
+pub use perf::{BatchPerfSummary, PerformanceModel};
 pub use selection::SelectionStrategy;
 
 /// Convenience result alias used across the crate.

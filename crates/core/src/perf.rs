@@ -15,7 +15,7 @@
 //! digital-processor design (SPRINT), and to near-memory or non-PIM
 //! baselines, across sequence lengths and protection rates.
 //!
-//! # Deploy once, evaluate many
+//! # Deploy once, price every length
 //!
 //! HyFlexPIM programs its static weights into SLC/MLC arrays once and reuses
 //! them for every inference (Section 5.2), and the model is split the same
@@ -23,10 +23,11 @@
 //! SLC rate and keeps what that mapping fixes for every sequence length (a
 //! [`Deployment`]). [`PerformanceModel::evaluate_deployed`] then prices one
 //! sequence length from it with no mapping, no validation and no heap
-//! allocation. [`PerformanceModel::evaluate`] is exactly `deploy` followed by
-//! `evaluate_deployed`, so the formulas exist once and a bound backend that
-//! deploys up front (`crate::backend::HyFlexPim`) is bit-identical to
-//! evaluating an [`EvaluationPoint`] from scratch.
+//! allocation. That pair is the only way to price HyFlexPIM: the bound
+//! backend `crate::backend::HyFlexPim` deploys in its constructor and
+//! prices every call from the deployment, and the batch arithmetic
+//! ([`pipelined_batch`], [`packed_batch`], [`batch_summary_from_interval`])
+//! works on the summaries it returns.
 
 use crate::arch::Chip;
 use crate::config::{
@@ -46,17 +47,6 @@ use hyflex_transformer::ops_count;
 /// programming cost is amortized (static weights are written once and reused;
 /// Section 5.2 argues for ≥10 k daily requests).
 pub const DEFAULT_WEIGHT_REUSE_INFERENCES: u64 = 10_000;
-
-/// One design/workload point to evaluate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EvaluationPoint {
-    /// Model architecture (paper-scale dimensions).
-    pub model: ModelConfig,
-    /// Sequence length `N`.
-    pub seq_len: usize,
-    /// Fraction of factored ranks protected in SLC.
-    pub slc_rank_fraction: f64,
-}
 
 /// Latency split of one inference.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -110,8 +100,9 @@ pub struct PerfSummary {
 impl PerfSummary {
     /// Assembles a summary from the modeled quantities, deriving the
     /// zero-guarded throughput (TOPS) and area efficiency (TOPS/mm²). Every
-    /// backend — HyFlexPIM's `evaluate` and the baselines — builds its
-    /// result through this so the derivations cannot drift apart.
+    /// backend — HyFlexPIM's [`PerformanceModel::evaluate_deployed`] and the
+    /// baselines — builds its result through this so the derivations cannot
+    /// drift apart.
     pub fn from_parts(
         energy: EnergyBreakdown,
         latency: LatencyBreakdown,
@@ -148,10 +139,10 @@ impl PerfSummary {
 /// The model: the chip dedicates one pipeline stage per transformer layer
 /// (Section 3.1). A request keeps each stage busy for one *initiation
 /// interval* — the per-layer stage occupancy already implied by
-/// [`PerformanceModel::evaluate`]'s latency model — and request `k` enters
-/// the pipeline `k` intervals after request 0. Batching therefore amortizes
-/// the pipeline fill/drain overhead (the `1 + (L-1)/N` factor of the
-/// single-request latency): utilization approaches 1 as `B` grows while
+/// [`PerformanceModel::evaluate_deployed`]'s latency model — and request `k`
+/// enters the pipeline `k` intervals after request 0. Batching therefore
+/// amortizes the pipeline fill/drain overhead (the `1 + (L-1)/N` factor of
+/// the single-request latency): utilization approaches 1 as `B` grows while
 /// per-request latency grows only by the queueing term `k · interval`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchPerfSummary {
@@ -192,9 +183,7 @@ impl BatchPerfSummary {
 ///
 /// HyFlexPIM programs its static weights into SLC/MLC arrays once and reuses
 /// them for every inference (Section 5.2), so a bound backend maps once and
-/// prices each call from this. Pricing from a deployment is bit-identical
-/// to [`PerformanceModel::evaluate`], which is itself `deploy` followed by
-/// [`PerformanceModel::evaluate_deployed`].
+/// prices each call from this with [`PerformanceModel::evaluate_deployed`].
 #[derive(Debug, Clone, Copy)]
 pub struct Deployment {
     chip: Chip,
@@ -314,18 +303,6 @@ impl PerformanceModel {
             analog_pus_per_layer: chip.analog_pus_per_layer(model, slc_rank_fraction),
             chip_area_mm2: self.chip_area_mm2(),
         })
-    }
-
-    /// Evaluates energy, latency, throughput, and area efficiency for one
-    /// model / sequence-length / SLC-rate point: [`PerformanceModel::deploy`]
-    /// followed by [`PerformanceModel::evaluate_deployed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates mapping errors and invalid configurations.
-    pub fn evaluate(&self, point: &EvaluationPoint) -> Result<PerfSummary> {
-        let deployment = self.deploy(&point.model, point.slc_rank_fraction)?;
-        Ok(self.evaluate_deployed(&point.model, &deployment, point.seq_len))
     }
 
     /// Prices one inference of `seq_len` tokens on a deployment made by
@@ -453,108 +430,17 @@ impl PerformanceModel {
         let area_mm2 = d.chip_area_mm2 * chips as f64;
         PerfSummary::from_parts(energy, latency, total_ops, area_mm2, chips)
     }
-
-    /// Evaluates a slice of points serially. This is the reference for the
-    /// parallel driver in `hyflex-runtime`, which must return bit-identical
-    /// results in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first evaluation error.
-    pub fn evaluate_many(&self, points: &[EvaluationPoint]) -> Result<Vec<PerfSummary>> {
-        points.iter().map(|p| self.evaluate(p)).collect()
-    }
-
-    /// Evaluates `batch_size` same-shape requests pipelined back to back
-    /// through the layer pipeline (batch-size > 1 inference modeling).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::EmptyBatch`](crate::PimError::EmptyBatch) for a
-    /// zero batch size and propagates single-request evaluation errors.
-    pub fn evaluate_batched(
-        &self,
-        point: &EvaluationPoint,
-        batch_size: usize,
-    ) -> Result<BatchPerfSummary> {
-        if batch_size == 0 {
-            return Err(crate::PimError::EmptyBatch);
-        }
-        let single = self.evaluate(point)?;
-        pipelined_batch(single, point.model.num_layers, point.seq_len, batch_size)
-    }
-
-    /// [`PerformanceModel::evaluate_batched`] with **actual-token** (packed)
-    /// latency accounting: the batch still executes at the padded shape
-    /// `point.seq_len` (the longest request — that is the crossbar read-out
-    /// schedule), but the steady-state initiation intervals are charged for
-    /// `actual_tokens` real tokens instead of `batch_size × seq_len` padded
-    /// ones. This is the device-side counterpart of the functional model's
-    /// packed batching (`AttentionMask::Packed` in `hyflex-transformer`):
-    /// fig18 part (c) showed padding wastes 30–59 % of executed tokens on
-    /// mixed-length batches; this entry point lets the analytic hardware
-    /// model recover that fraction.
-    ///
-    /// The mapping: the padded interval `I(N)` is the per-request stage
-    /// occupancy at `N = seq_len` tokens, so the per-*token* occupancy is
-    /// `I(N)/N`. The first request fills the pipeline at its own (maximum)
-    /// length; the remaining `actual_tokens − N` real tokens stream through
-    /// at the per-token rate, giving the effective interval
-    /// `(actual_tokens − N) / (B − 1) · I(N)/N`. A uniform batch
-    /// (`actual_tokens == batch_size · seq_len`) is bit-identical to
-    /// [`PerformanceModel::evaluate_batched`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::EmptyBatch`](crate::PimError::EmptyBatch) for a
-    /// zero batch size,
-    /// [`PimError::InvalidConfig`](crate::PimError::InvalidConfig) when
-    /// `actual_tokens` is impossible for the shape (below `seq_len` — the
-    /// longest request alone — or above the padded `batch_size × seq_len`),
-    /// and propagates single-request evaluation errors.
-    pub fn evaluate_batched_packed(
-        &self,
-        point: &EvaluationPoint,
-        batch_size: usize,
-        actual_tokens: usize,
-    ) -> Result<BatchPerfSummary> {
-        if batch_size == 0 {
-            return Err(crate::PimError::EmptyBatch);
-        }
-        if actual_tokens < point.seq_len || actual_tokens > batch_size * point.seq_len {
-            return Err(crate::PimError::InvalidConfig(format!(
-                "actual_tokens {actual_tokens} must lie in [{}, {}] for a batch of \
-                 {batch_size} requests padded to {} tokens",
-                point.seq_len,
-                batch_size * point.seq_len,
-                point.seq_len
-            )));
-        }
-        let padded = pipelined_batch(
-            self.evaluate(point)?,
-            point.model.num_layers,
-            point.seq_len,
-            batch_size,
-        )?;
-        if batch_size == 1 {
-            return Ok(padded);
-        }
-        let per_token_ns = padded.initiation_interval_ns / point.seq_len.max(1) as f64;
-        let packed_interval_ns =
-            (actual_tokens - point.seq_len) as f64 / (batch_size - 1) as f64 * per_token_ns;
-        batch_summary_from_interval(padded.single, packed_interval_ns, batch_size)
-    }
 }
 
 /// Builds a [`BatchPerfSummary`] for `batch_size` requests pipelined through
 /// an `num_layers`-stage layer pipeline, given the single-request evaluation.
 ///
-/// This is the arithmetic behind [`PerformanceModel::evaluate_batched`],
-/// exposed so layer-pipelined backends (HyFlexPIM, ASADI) share one batching
-/// model: the initiation interval is the per-request *occupancy* of one layer
-/// stage, not latency/L — within a request the L stages already overlap token
-/// by token, so the single-request latency reports each component as one
-/// layer's stage time scaled by the fill/drain factor `1 + (L-1)/N`. Undoing
+/// This is the default `Backend::evaluate_batched`, so layer-pipelined
+/// backends (HyFlexPIM, ASADI) share one batching model: the initiation
+/// interval is the per-request *occupancy* of one layer stage, not latency/L
+/// — within a request the L stages already overlap token by token, so the
+/// single-request latency reports each component as one layer's stage time
+/// scaled by the fill/drain factor `1 + (L-1)/N`. Undoing
 /// that factor (and splitting interconnect, which is accounted per layer)
 /// recovers the time a request keeps one stage busy — the earliest the next
 /// request can enter it. Batching thus amortizes exactly the fill/drain
@@ -582,6 +468,58 @@ pub fn pipelined_batch(
             / pipeline_factor
             + single.latency.interconnect_ns / layers;
     batch_summary_from_interval(single, initiation_interval_ns, batch_size)
+}
+
+/// Re-prices a padded batch with **actual-token** (packed) latency
+/// accounting: the batch still executes at the padded shape `seq_len` (the
+/// longest request — that is the crossbar read-out schedule), but the
+/// steady-state initiation intervals are charged for `actual_tokens` real
+/// tokens instead of `batch_size × seq_len` padded ones. This is the
+/// device-side counterpart of the functional model's packed batching
+/// (`AttentionMask::Packed` in `hyflex-transformer`): fig18 part (c) prices
+/// mixed-length batches both ways to show the padding fraction packing
+/// recovers.
+///
+/// `padded` is the batch priced at `seq_len` (e.g. by
+/// `Backend::evaluate_batched`). Its interval `I(N)` is the per-request
+/// stage occupancy at `N = seq_len` tokens, so the per-*token* occupancy is
+/// `I(N)/N`. The first request fills the pipeline at its own (maximum)
+/// length; the remaining `actual_tokens − N` real tokens stream through at
+/// the per-token rate, giving the effective interval
+/// `(actual_tokens − N) / (B − 1) · I(N)/N`. A batch of one returns `padded`
+/// unchanged, and a uniform batch (`actual_tokens == batch_size · seq_len`)
+/// is charged the padded interval.
+///
+/// # Errors
+///
+/// Returns [`PimError::EmptyBatch`](crate::PimError::EmptyBatch) for a zero
+/// batch size and
+/// [`PimError::InvalidConfig`](crate::PimError::InvalidConfig) when
+/// `actual_tokens` is impossible for the shape (below `seq_len` — the
+/// longest request alone — or above the padded `batch_size × seq_len`).
+pub fn packed_batch(
+    padded: BatchPerfSummary,
+    seq_len: usize,
+    actual_tokens: usize,
+) -> Result<BatchPerfSummary> {
+    let batch_size = padded.batch_size;
+    if batch_size == 0 {
+        return Err(crate::PimError::EmptyBatch);
+    }
+    if actual_tokens < seq_len || actual_tokens > batch_size * seq_len {
+        return Err(crate::PimError::InvalidConfig(format!(
+            "actual_tokens {actual_tokens} must lie in [{seq_len}, {}] for a batch of \
+             {batch_size} requests padded to {seq_len} tokens",
+            batch_size * seq_len
+        )));
+    }
+    if batch_size == 1 {
+        return Ok(padded);
+    }
+    let per_token_ns = padded.initiation_interval_ns / seq_len.max(1) as f64;
+    let packed_interval_ns =
+        (actual_tokens - seq_len) as f64 / (batch_size - 1) as f64 * per_token_ns;
+    batch_summary_from_interval(padded.single, packed_interval_ns, batch_size)
 }
 
 /// Builds a [`BatchPerfSummary`] from a single-request evaluation and an
@@ -689,13 +627,15 @@ pub fn marginal_decode_summary(full: &PerfSummary, prev: &PerfSummary) -> PerfSu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, HyFlexPim, InferenceRequest};
 
-    fn point(model: ModelConfig, seq_len: usize, slc: f64) -> EvaluationPoint {
-        EvaluationPoint {
-            model,
-            seq_len,
-            slc_rank_fraction: slc,
-        }
+    /// One inference of `seq_len` tokens on the paper chip with `model`
+    /// deployed at SLC rate `slc`.
+    fn summary(model: ModelConfig, seq_len: usize, slc: f64) -> PerfSummary {
+        HyFlexPim::paper(model, slc)
+            .unwrap()
+            .evaluate(&InferenceRequest::of_len(0, seq_len))
+            .unwrap()
     }
 
     #[test]
@@ -719,20 +659,13 @@ mod tests {
 
     #[test]
     fn mlc_heavy_mapping_saves_linear_layer_energy() {
-        let model = PerformanceModel::paper_default();
-        let slc_only = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 1.0))
-            .unwrap()
+        let slc_only = summary(ModelConfig::bert_large(), 128, 1.0)
             .energy
             .linear_layer_pj();
-        let hybrid_5 = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.05))
-            .unwrap()
+        let hybrid_5 = summary(ModelConfig::bert_large(), 128, 0.05)
             .energy
             .linear_layer_pj();
-        let hybrid_50 = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.5))
-            .unwrap()
+        let hybrid_50 = summary(ModelConfig::bert_large(), 128, 0.5)
             .energy
             .linear_layer_pj();
         assert!(hybrid_5 < hybrid_50);
@@ -746,13 +679,8 @@ mod tests {
 
     #[test]
     fn mlc_heavy_mapping_improves_area_efficiency() {
-        let model = PerformanceModel::paper_default();
-        let slc_only = model
-            .evaluate(&point(ModelConfig::bert_large(), 1024, 1.0))
-            .unwrap();
-        let hybrid = model
-            .evaluate(&point(ModelConfig::bert_large(), 1024, 0.05))
-            .unwrap();
+        let slc_only = summary(ModelConfig::bert_large(), 1024, 1.0);
+        let hybrid = summary(ModelConfig::bert_large(), 1024, 0.05);
         assert!(hybrid.tops_per_mm2 >= slc_only.tops_per_mm2);
         let speedup = hybrid.tops_per_mm2 / slc_only.tops_per_mm2;
         assert!(
@@ -763,31 +691,19 @@ mod tests {
 
     #[test]
     fn energy_grows_with_sequence_length_and_model_size() {
-        let model = PerformanceModel::paper_default();
-        let short = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.1))
-            .unwrap();
-        let long = model
-            .evaluate(&point(ModelConfig::bert_large(), 1024, 0.1))
-            .unwrap();
+        let short = summary(ModelConfig::bert_large(), 128, 0.1);
+        let long = summary(ModelConfig::bert_large(), 1024, 0.1);
         assert!(long.energy.total_pj() > short.energy.total_pj());
         assert!(long.latency.total_ns() > short.latency.total_ns());
 
-        let base = model
-            .evaluate(&point(ModelConfig::bert_base(), 128, 0.1))
-            .unwrap();
+        let base = summary(ModelConfig::bert_base(), 128, 0.1);
         assert!(short.energy.total_pj() > base.energy.total_pj());
     }
 
     #[test]
     fn attention_share_grows_with_sequence_length() {
-        let model = PerformanceModel::paper_default();
-        let short = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.1))
-            .unwrap();
-        let long = model
-            .evaluate(&point(ModelConfig::bert_large(), 4096, 0.1))
-            .unwrap();
+        let short = summary(ModelConfig::bert_large(), 128, 0.1);
+        let long = summary(ModelConfig::bert_large(), 4096, 0.1);
         let share = |s: &PerfSummary| {
             (s.energy.attention_dot_product_pj + s.energy.digital_wldrv_pj) / s.energy.total_pj()
         };
@@ -796,10 +712,7 @@ mod tests {
 
     #[test]
     fn summary_reports_sane_magnitudes() {
-        let model = PerformanceModel::paper_default();
-        let s = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.05))
-            .unwrap();
+        let s = summary(ModelConfig::bert_large(), 128, 0.05);
         // Energy for one BERT-Large inference on a 65 nm PIM should be in the
         // 0.1 mJ .. 1 J band.
         let mj = s.energy.total_mj();
@@ -816,19 +729,17 @@ mod tests {
     #[test]
     fn llama3_requires_multiple_chips_and_more_area() {
         let model = PerformanceModel::paper_default();
-        let s = model
-            .evaluate(&point(ModelConfig::llama3_1b(), 8192, 0.2))
-            .unwrap();
+        let s = summary(ModelConfig::llama3_1b(), 8192, 0.2);
         assert!(s.chips >= 2);
         assert!(s.area_mm2 > model.chip_area_mm2() * 1.5);
     }
 
     #[test]
     fn batched_evaluation_amortizes_pipeline_fill() {
-        let model = PerformanceModel::paper_default();
-        let p = point(ModelConfig::bert_large(), 128, 0.1);
-        let b1 = model.evaluate_batched(&p, 1).unwrap();
-        let b16 = model.evaluate_batched(&p, 16).unwrap();
+        let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.1).unwrap();
+        let seq_len = 128;
+        let b1 = backend.evaluate_batched(seq_len, 1).unwrap();
+        let b16 = backend.evaluate_batched(seq_len, 16).unwrap();
         // Batch of one: no queueing, makespan equals single-request latency.
         assert_eq!(b1.latency.queueing_ns, 0.0);
         assert!((b1.makespan_ns - b1.single.latency.total_ns()).abs() < 1e-6);
@@ -849,7 +760,7 @@ mod tests {
         assert!((b16.pipeline_utilization - expected).abs() < 1e-12);
         // Batching amortizes exactly the fill/drain overhead, so per-request
         // throughput gains are bounded by the pipeline factor 1 + (L-1)/N.
-        let pipeline_factor = 1.0 + (p.model.num_layers as f64 - 1.0) / p.seq_len as f64;
+        let pipeline_factor = 1.0 + (backend.model().num_layers as f64 - 1.0) / seq_len as f64;
         let gain = b16.requests_per_s / b1.requests_per_s;
         assert!(
             gain > 1.0 && gain <= pipeline_factor + 1e-9,
@@ -857,58 +768,53 @@ mod tests {
         );
         // Short sequences (decode-like) benefit far more from batching than
         // long prefill, because fill/drain dominates when N < L.
-        let short = point(ModelConfig::bert_large(), 16, 0.1);
-        let s1 = model.evaluate_batched(&short, 1).unwrap();
-        let s16 = model.evaluate_batched(&short, 16).unwrap();
+        let s1 = backend.evaluate_batched(16, 1).unwrap();
+        let s16 = backend.evaluate_batched(16, 16).unwrap();
         let short_gain = s16.requests_per_s / s1.requests_per_s;
         assert!(short_gain > gain, "short {short_gain:.2} vs long {gain:.2}");
         assert!(short_gain > 1.5);
         // Completion times are spaced by the initiation interval.
         let spacing = b16.completion_ns(5) - b16.completion_ns(4);
         assert!((spacing - b16.initiation_interval_ns).abs() < 1e-9);
-        assert!(model.evaluate_batched(&p, 0).is_err());
+        assert!(backend.evaluate_batched(seq_len, 0).is_err());
     }
 
     #[test]
     fn packed_batch_charges_actual_tokens_not_padded() {
-        let model = PerformanceModel::paper_default();
-        let p = point(ModelConfig::bert_large(), 256, 0.1);
-        let padded = model.evaluate_batched(&p, 8).unwrap();
+        let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.1).unwrap();
+        let padded = backend.evaluate_batched(256, 8).unwrap();
         // A uniform batch (no padding) is bit-identical to the padded path.
-        assert_eq!(
-            model.evaluate_batched_packed(&p, 8, 8 * 256).unwrap(),
-            padded
-        );
+        assert_eq!(packed_batch(padded.clone(), 256, 8 * 256).unwrap(), padded);
         // A batch of one is bit-identical too (the lone request is the max).
-        assert_eq!(
-            model.evaluate_batched_packed(&p, 1, 256).unwrap(),
-            model.evaluate_batched(&p, 1).unwrap()
-        );
+        let one = backend.evaluate_batched(256, 1).unwrap();
+        assert_eq!(packed_batch(one.clone(), 256, 256).unwrap(), one);
         // A mixed batch with half its padded tokens real finishes sooner:
         // the makespan drops by exactly the padding fraction of the
         // steady-state intervals, while the first request is unchanged.
         let actual = 256 + 7 * 128; // one max-length request + 7 half-length
-        let packed = model.evaluate_batched_packed(&p, 8, actual).unwrap();
+        let packed = packed_batch(padded.clone(), 256, actual).unwrap();
         assert_eq!(packed.first_request_ns, padded.first_request_ns);
         assert!(packed.makespan_ns < padded.makespan_ns);
         let expected_interval = (actual - 256) as f64 / 7.0 / 256.0 * padded.initiation_interval_ns;
         assert!((packed.initiation_interval_ns - expected_interval).abs() < 1e-9);
         assert!(packed.requests_per_s > padded.requests_per_s);
         // Impossible token counts are typed errors, not NaNs.
-        assert!(model.evaluate_batched_packed(&p, 8, 255).is_err());
-        assert!(model.evaluate_batched_packed(&p, 8, 8 * 256 + 1).is_err());
-        assert!(model.evaluate_batched_packed(&p, 0, 256).is_err());
+        assert!(packed_batch(padded.clone(), 256, 255).is_err());
+        assert!(packed_batch(padded.clone(), 256, 8 * 256 + 1).is_err());
+        let empty = BatchPerfSummary {
+            batch_size: 0,
+            ..padded
+        };
+        assert!(matches!(
+            packed_batch(empty, 256, 256),
+            Err(crate::PimError::EmptyBatch)
+        ));
     }
 
     #[test]
     fn marginal_decode_summary_prices_one_token() {
-        let model = PerformanceModel::paper_default();
-        let full = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.1))
-            .unwrap();
-        let prev = model
-            .evaluate(&point(ModelConfig::bert_large(), 127, 0.1))
-            .unwrap();
+        let full = summary(ModelConfig::bert_large(), 128, 0.1);
+        let prev = summary(ModelConfig::bert_large(), 127, 0.1);
         let marginal = marginal_decode_summary(&full, &prev);
         assert!(marginal.energy.total_pj() > 0.0);
         assert!(marginal.energy.total_pj() < full.energy.total_pj());
@@ -925,27 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_many_matches_individual_evaluations() {
-        let model = PerformanceModel::paper_default();
-        let points = vec![
-            point(ModelConfig::bert_large(), 128, 0.1),
-            point(ModelConfig::bert_base(), 512, 0.3),
-            point(ModelConfig::gpt2_small(), 1024, 0.05),
-        ];
-        let many = model.evaluate_many(&points).unwrap();
-        for (p, summary) in points.iter().zip(&many) {
-            assert_eq!(summary, &model.evaluate(p).unwrap());
-        }
-    }
-
-    #[test]
     fn adc_is_a_leading_linear_layer_energy_component() {
         // Table 2: the ADC dominates analog-module power; the per-inference
         // breakdown should reflect that within the linear-layer portion.
-        let model = PerformanceModel::paper_default();
-        let s = model
-            .evaluate(&point(ModelConfig::bert_large(), 128, 0.05))
-            .unwrap();
+        let s = summary(ModelConfig::bert_large(), 128, 0.05);
         let linear = s.energy.linear_layer_pj();
         assert!(s.energy.linear_adc_pj / linear > 0.3);
     }

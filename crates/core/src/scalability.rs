@@ -17,7 +17,7 @@
 use crate::arch::Chip;
 use crate::config::{GLOBAL_BUS_BYTES_PER_S, ON_CHIP_INTERCONNECT_BYTES_PER_S};
 use crate::error::PimError;
-use crate::perf::{EvaluationPoint, PerformanceModel};
+use crate::perf::PerformanceModel;
 use crate::Result;
 use hyflex_transformer::config::ModelConfig;
 
@@ -93,11 +93,8 @@ impl ScalabilityModel {
 
     /// Per-token stage latency used as the basis for parallelism overheads.
     fn stage_latency_ns(&self, model: &ModelConfig, seq_len: usize, slc: f64) -> Result<f64> {
-        let summary = self.perf.evaluate(&EvaluationPoint {
-            model: model.clone(),
-            seq_len,
-            slc_rank_fraction: slc,
-        })?;
+        let deployment = self.perf.deploy(model, slc)?;
+        let summary = self.perf.evaluate_deployed(model, &deployment, seq_len);
         Ok(summary.latency.total_ns() / model.num_layers as f64 / seq_len as f64)
     }
 

@@ -1,4 +1,7 @@
 #![forbid(unsafe_code)]
+// Unit tests panic by design; the clippy panic-path lints mirror
+// hyflex-lint rule E1, which exempts test code the same way.
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 //! # hyflex-lint
 //!
 //! A dependency-free, token-level static-analysis pass over the workspace

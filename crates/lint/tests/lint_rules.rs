@@ -1,3 +1,6 @@
+// Integration tests panic by design (mirrors hyflex-lint rule E1's
+// test exemption).
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 //! Fixture-based tests for the rule engine, plus the workspace self-check.
 //!
 //! Every file under `tests/fixtures/` holds exactly one known violation (or

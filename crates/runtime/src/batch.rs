@@ -17,10 +17,7 @@
 use crate::error::RuntimeError;
 use crate::policy::{order_key, Rank, SchedulingPolicy};
 use crate::Result;
-use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_pim::perf::PerformanceModel;
-use hyflex_pim::HyFlexPimConfig;
-use hyflex_transformer::ModelConfig;
+use hyflex_pim::backend::Backend;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -74,7 +71,9 @@ impl Default for SchedulerConfig {
 /// A group of requests admitted for one pipelined execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Batch {
-    /// Admitted requests in FCFS order.
+    /// Admitted requests in the order the scheduling policy served them
+    /// (arrival order under FCFS; deadline or priority order under EDF and
+    /// priority).
     pub requests: Vec<InferenceRequest>,
     /// Tile cells the batch occupies in one layer tile, with every request
     /// padded to the batch's longest sequence (the executed shape).
@@ -157,20 +156,6 @@ pub struct BatchScheduler {
 }
 
 impl BatchScheduler {
-    /// Builds a scheduler for `model` served on the HyFlexPIM hardware `hw`
-    /// (the historical constructor, kept as sugar over
-    /// [`BatchScheduler::for_backend`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for a zero batch size or zero
-    /// PUs per layer, and propagates hardware-configuration errors.
-    pub fn new(hw: HyFlexPimConfig, model: ModelConfig, config: SchedulerConfig) -> Result<Self> {
-        // Capacity accounting is independent of the SLC rate; bind at 0.
-        let backend = HyFlexPim::new(PerformanceModel::new(hw)?, model, 0.0)?;
-        BatchScheduler::for_backend(Arc::new(backend), config)
-    }
-
     /// Builds a scheduler admitting requests against `backend`'s tile
     /// capacity.
     ///
@@ -546,18 +531,24 @@ impl BatchScheduler {
 mod tests {
     use super::*;
     use hyflex_baselines::NonPim;
+    use hyflex_pim::backend::HyFlexPim;
+    use hyflex_pim::HyFlexPimConfig;
+    use hyflex_transformer::ModelConfig;
+
+    /// A scheduler admitting against the paper chip serving BERT-Large
+    /// (capacity accounting is independent of the SLC rate).
+    fn hyflexpim_scheduler(config: SchedulerConfig) -> Result<BatchScheduler> {
+        let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.0)?;
+        BatchScheduler::for_backend(Arc::new(backend), config)
+    }
 
     fn scheduler(max_batch_size: usize, pus_per_layer: usize) -> BatchScheduler {
-        BatchScheduler::new(
-            HyFlexPimConfig::paper_default(),
-            ModelConfig::bert_large(),
-            SchedulerConfig {
-                max_batch_size,
-                max_wait_ns: 0.0,
-                pus_per_layer,
-                ..SchedulerConfig::default()
-            },
-        )
+        hyflexpim_scheduler(SchedulerConfig {
+            max_batch_size,
+            max_wait_ns: 0.0,
+            pus_per_layer,
+            ..SchedulerConfig::default()
+        })
         .unwrap()
     }
 
@@ -567,8 +558,6 @@ mod tests {
 
     #[test]
     fn construction_validates_policy() {
-        let hw = HyFlexPimConfig::paper_default();
-        let model = ModelConfig::bert_large();
         for bad in [
             SchedulerConfig {
                 max_batch_size: 0,
@@ -583,15 +572,15 @@ mod tests {
                 ..SchedulerConfig::default()
             },
         ] {
-            assert!(BatchScheduler::new(hw, model.clone(), bad).is_err());
+            assert!(hyflexpim_scheduler(bad).is_err());
         }
-        assert!(BatchScheduler::new(hw, model, SchedulerConfig::default()).is_ok());
+        assert!(hyflexpim_scheduler(SchedulerConfig::default()).is_ok());
     }
 
     #[test]
-    fn legacy_constructor_matches_the_backend_capacity_contract() {
-        // The (hw, model) constructor must charge exactly the digital-cell
-        // budget the pre-refactor scheduler used.
+    fn hyflexpim_scheduler_charges_the_digital_cell_budget() {
+        // Over the HyFlexPIM backend the scheduler charges exactly the
+        // digital-PIM cell budget of the layer's PUs.
         let hw = HyFlexPimConfig::paper_default();
         let s = scheduler(4, 2);
         assert_eq!(s.capacity_cells(), 2 * hw.digital_cells_per_pu());
@@ -792,16 +781,12 @@ mod tests {
     }
 
     fn policy_scheduler(policy: SchedulingPolicy, max_batch_size: usize) -> BatchScheduler {
-        BatchScheduler::new(
-            HyFlexPimConfig::paper_default(),
-            ModelConfig::bert_large(),
-            SchedulerConfig {
-                max_batch_size,
-                max_wait_ns: 0.0,
-                policy,
-                ..SchedulerConfig::default()
-            },
-        )
+        hyflexpim_scheduler(SchedulerConfig {
+            max_batch_size,
+            max_wait_ns: 0.0,
+            policy,
+            ..SchedulerConfig::default()
+        })
         .unwrap()
     }
 
@@ -1117,16 +1102,12 @@ mod tests {
                 policy in proptest::sample::select(SchedulingPolicy::ALL.to_vec()),
                 max_batch_size in 1usize..6,
             ) {
-                let mut s = BatchScheduler::new(
-                    HyFlexPimConfig::paper_default(),
-                    ModelConfig::bert_large(),
-                    SchedulerConfig {
-                        max_batch_size,
-                        max_wait_ns: 0.0,
-                        pus_per_layer: 2,
-                        policy,
-                    },
-                )
+                let mut s = hyflexpim_scheduler(SchedulerConfig {
+                    max_batch_size,
+                    max_wait_ns: 0.0,
+                    pus_per_layer: 2,
+                    policy,
+                })
                 .unwrap();
                 let mut reference = Reference::new(&s);
                 let mut next_id = 0u64;

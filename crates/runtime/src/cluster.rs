@@ -1,13 +1,12 @@
-//! Multi-chip serving: N backend replicas behind a dispatcher.
+//! Closed-loop serving: N backend replicas behind a dispatcher.
 //!
-//! [`ClusterSim`] extends the single-device
-//! [`ServingSim`](crate::serving::ServingSim) to a fleet of
-//! identical chips. One Poisson arrival stream (with the same heterogeneous
-//! request mix and SLO semantics as the single-chip run) is routed to chips
-//! by a [`DispatchPolicy`] — round-robin or join-shortest-queue — and every
-//! chip runs its own [`BatchScheduler`](crate::batch::BatchScheduler) with
-//! the configured batching window and
-//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
+//! [`ClusterSim`] runs the closed-loop [`ServingConfig`] workload on a fleet
+//! of identical chips; one chip is the single-device serving run. One
+//! Poisson arrival stream (with the config's heterogeneous request mix and
+//! SLO semantics) is routed to chips by a [`DispatchPolicy`] — round-robin
+//! or join-shortest-queue — and every chip runs its own
+//! [`BatchScheduler`](crate::batch::BatchScheduler) with the configured
+//! batching window and [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
 //!
 //! A cluster is a configuration of the one serving engine,
 //! [`OverloadSim`]: unbounded admission, no shedding, no preemption and no
@@ -22,6 +21,7 @@ use crate::serving::{LatencySummary, ServingConfig};
 use crate::traffic::{ArrivalProcess, RequestTrace, TrafficConfig};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 /// How the cluster routes an arriving request to a chip.
@@ -144,30 +144,25 @@ pub struct ClusterReport {
     pub mean_chip_utilization: f64,
 }
 
-/// The multi-chip serving simulator, generic over the replicated device.
+/// The closed-loop serving simulator on one chip or many, generic over the
+/// replicated device.
 #[derive(Debug)]
 pub struct ClusterSim<B: Backend = HyFlexPim> {
-    backend: Arc<B>,
-    serving: ServingConfig,
     engine: OverloadSim,
+    /// The replicated device type; the engine holds the replicas.
+    backend: PhantomData<B>,
 }
 
 impl<B: Backend> Clone for ClusterSim<B> {
     fn clone(&self) -> Self {
         ClusterSim {
-            backend: Arc::clone(&self.backend),
-            serving: self.serving.clone(),
             engine: self.engine.clone(),
+            backend: PhantomData,
         }
     }
 }
 
 impl<B: Backend> ClusterSim<B> {
-    /// The per-chip workload/scheduler configuration.
-    pub fn serving_config(&self) -> &ServingConfig {
-        &self.serving
-    }
-
     /// Number of chips in the cluster.
     pub fn chips(&self) -> usize {
         self.engine.replicas()
@@ -176,11 +171,6 @@ impl<B: Backend> ClusterSim<B> {
     /// The dispatch policy.
     pub fn dispatch(&self) -> DispatchPolicy {
         self.engine.config().dispatch
-    }
-
-    /// The replicated device model.
-    pub(crate) fn backend(&self) -> &B {
-        &self.backend
     }
 }
 
@@ -202,11 +192,10 @@ impl<B: Backend + 'static> ClusterSim<B> {
             num_requests: serving.num_requests,
             seq_len: serving.seq_len,
             slo_ns: serving.slo_ns,
-            classes: serving.classes.clone(),
+            classes: serving.classes,
             seed: serving.seed,
         })?;
-        let backend = Arc::new(backend);
-        let replica: Arc<dyn Backend> = backend.clone();
+        let replica: Arc<dyn Backend> = Arc::new(backend);
         let engine = OverloadSim::with_replicas(
             vec![replica; config.chips],
             OverloadConfig {
@@ -216,9 +205,8 @@ impl<B: Backend + 'static> ClusterSim<B> {
             },
         )?;
         Ok(ClusterSim {
-            backend,
-            serving,
             engine,
+            backend: PhantomData,
         })
     }
 
@@ -261,7 +249,7 @@ impl<B: Backend + 'static> ClusterSim<B> {
 
     /// Drives `requests` through the engine and reads the report off its
     /// ledger; launched batches go to `sink` when one is given.
-    pub(crate) fn report(
+    fn report(
         &self,
         requests: impl IntoIterator<Item = InferenceRequest>,
         sink: Option<&mut Vec<BatchTrace>>,
@@ -301,7 +289,6 @@ impl<B: Backend + 'static> ClusterSim<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serving::ServingSim;
     use hyflex_pim::PerformanceModel;
     use hyflex_transformer::ModelConfig;
 
@@ -390,33 +377,51 @@ mod tests {
 
     #[test]
     fn a_one_chip_cluster_matches_the_single_device_simulator() {
-        // Same engine, one replica: the cluster's aggregate numbers must be
-        // byte-identical to ServingSim on the same backend and workload.
-        let cluster = cluster(1, DispatchPolicy::JoinShortestQueue, 4000.0);
-        let cluster_report = cluster.run().unwrap();
-        let single = ServingSim::with_backend(
+        // One chip is the single-device case: the engine on one replica
+        // with admission off, over the Poisson trace of the serving config.
+        // Driving `OverloadSim` directly on the same backend and trace must
+        // give byte-identical numbers.
+        let report = cluster(1, DispatchPolicy::RoundRobin, 4000.0)
+            .run()
+            .unwrap();
+        let serving = ServingConfig {
+            qps: 4000.0,
+            num_requests: 240,
+            ..ServingConfig::default()
+        };
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson { qps: serving.qps },
+            num_requests: serving.num_requests,
+            seq_len: serving.seq_len,
+            seed: serving.seed,
+            ..TrafficConfig::default()
+        })
+        .unwrap();
+        let single = OverloadSim::with_backend(
             HyFlexPim::new(
                 PerformanceModel::paper_default(),
                 ModelConfig::bert_base(),
                 0.05,
             )
             .unwrap(),
-            cluster.serving_config().clone(),
+            OverloadConfig {
+                scheduler: serving.scheduler,
+                ..OverloadConfig::new(trace)
+            },
         )
         .unwrap()
         .run()
         .unwrap();
-        assert_eq!(cluster_report.completed, single.completed);
-        assert_eq!(cluster_report.batches, single.batches);
-        assert_eq!(cluster_report.latency, single.latency);
-        assert_eq!(cluster_report.goodput_qps, single.goodput_qps);
-        assert_eq!(cluster_report.sim_seconds, single.sim_seconds);
-        assert_eq!(cluster_report.mean_batch_size, single.mean_batch_size);
-        assert_eq!(cluster_report.mean_queue_ms, single.mean_queue_ms);
-        assert_eq!(
-            cluster_report.per_chip_utilization[0],
-            single.device_utilization
-        );
+        assert_eq!(report.completed, single.completed);
+        assert_eq!(report.batches, single.batches);
+        assert_eq!(report.latency, single.latency);
+        assert_eq!(report.achieved_qps, single.achieved_qps);
+        assert_eq!(report.goodput_qps, single.goodput_qps);
+        assert_eq!(report.slo_attainment, single.slo_attainment);
+        assert_eq!(report.sim_seconds, single.sim_seconds);
+        assert_eq!(report.mean_batch_size, single.mean_batch_size);
+        assert_eq!(report.mean_queue_ms, single.mean_queue_ms);
+        assert_eq!(report.per_chip_completed, single.per_replica_completed);
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! * [`JobPool`] — the scoped, order-preserving `par_map` of
 //!   `hyflex-parallel`, re-exported here because the noise-accuracy sweeps
 //!   and the figure binaries size their pools through this crate.
-//! * [`sweep`] — parallel drivers for `NoiseSimulator` sweeps and
-//!   [`Backend`] evaluations, bit-identical to the serial entry points in
-//!   `hyflex-pim`.
+//! * [`sweep`] — the parallel driver for `NoiseSimulator` sweeps,
+//!   bit-identical to the serial entry point in `hyflex-pim`.
 //! * [`batch`] — [`BatchScheduler`]: batching of
 //!   [`InferenceRequest`]s bounded by the tile
 //!   capacity the serving backend reports, admitted in
@@ -34,15 +33,17 @@
 //!   under SLO, and per-phase (burst vs. trough) breakdowns, and checks
 //!   request conservation at the end of every run
 //!   (`fig21_overload_survival`, `examples/open_loop_traffic.rs`).
-//! * [`cluster`] — [`ClusterSim`]: the engine with admission off (unbounded
-//!   admission, no shedding, no preemption, no autoscaler) over N replicas
-//!   of one backend behind a round-robin or join-shortest-queue dispatcher
-//!   (`fig20_serving_policies`, `examples/cluster_serving.rs`).
-//! * [`serving`] — [`ServingSim`]: a one-chip cluster — the closed-loop
-//!   serving simulator with Poisson arrivals, homogeneous or a weighted
-//!   [`RequestClass`] mix with per-class SLOs, reporting throughput,
-//!   utilization, p50/p95/p99 latency, and SLO attainment (see
-//!   `examples/serving_sim.rs` and the `fig18_batch_throughput` binary).
+//! * [`cluster`] — [`ClusterSim`]: the closed-loop serving simulator, the
+//!   engine with admission off (unbounded admission, no shedding, no
+//!   preemption, no autoscaler) over N replicas of one backend behind a
+//!   round-robin or join-shortest-queue dispatcher; one chip is the
+//!   single-device case. It reports throughput, utilization, p50/p95/p99
+//!   latency, and SLO attainment (`fig18_batch_throughput`–
+//!   `fig20_serving_policies`, `examples/serving_sim.rs`,
+//!   `examples/cluster_serving.rs`).
+//! * [`serving`] — the closed-loop workload [`ClusterSim`] runs: a
+//!   [`ServingConfig`] of Poisson arrivals, homogeneous or a weighted
+//!   [`RequestClass`] mix with per-class SLOs, and the batching policy.
 //!   Its [`LatencySummary`] is the one latency summary of every simulator:
 //!   histogram-quantized percentiles (≤ 1.6 % error) with exact mean and
 //!   max, in O(1) memory.
@@ -55,12 +56,13 @@
 //!   engine's latency histogram and conservation checks
 //!   (`fig22_decode_serving`).
 //!
-//! The whole execution layer is **backend-generic**: the scheduler, the
-//! serving simulators, and [`par_backend_eval`]
-//! consume any `hyflex_pim::Backend` ([`HyFlexPim`] or the baselines from
-//! `hyflex-baselines`), so one workload drives interchangeable device models
-//! (`fig19_backend_serving`). The HyFlexPIM path stays bit-identical to the
-//! pre-generic implementation (CI-enforced determinism suite).
+//! The whole execution layer is **backend-generic**: the scheduler and the
+//! serving simulators consume any `hyflex_pim::Backend` ([`HyFlexPim`] or
+//! the baselines from `hyflex-baselines`), so one workload drives
+//! interchangeable device models (`fig19_backend_serving`). A backend is
+//! the only way in: every simulator is built from one (or a fleet of them),
+//! and runs are exact functions of their seed (CI-enforced determinism
+//! suite).
 
 pub mod batch;
 pub mod cluster;
@@ -83,8 +85,8 @@ pub use overload::{
     PhaseReport,
 };
 pub use policy::SchedulingPolicy;
-pub use serving::{LatencySummary, RequestClass, ServingConfig, ServingReport, ServingSim};
-pub use sweep::{par_backend_eval, par_noise_sweep};
+pub use serving::{LatencySummary, RequestClass, ServingConfig};
+pub use sweep::par_noise_sweep;
 pub use traffic::{
     ArrivalProcess, MmppState, RatePhase, RequestTrace, TrafficConfig, TrafficStream,
 };

@@ -6,8 +6,7 @@
 //! crate. The closed-loop simulators are configurations of it:
 //! [`ClusterSim`](crate::cluster::ClusterSim) is the engine with
 //! [`AdmissionPolicy::Unbounded`], no shedding, no preemption and no
-//! autoscaler, and [`ServingSim`](crate::serving::ServingSim) is a
-//! one-replica cluster. With admission off every offered request completes,
+//! autoscaler; one chip is the single-device run. With admission off every offered request completes,
 //! so under sustained overload the queues grow without bound. The survival
 //! policies let the operator *refuse* work instead:
 //!

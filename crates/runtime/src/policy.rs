@@ -62,22 +62,12 @@ impl SchedulingPolicy {
         SchedulingPolicy::Priority,
     ];
 
-    /// Stable lower-case name (accepted back by [`SchedulingPolicy::parse`]).
+    /// Stable lower-case name, as the figure binaries print it.
     pub fn name(&self) -> &'static str {
         match self {
             SchedulingPolicy::Fcfs => "fcfs",
             SchedulingPolicy::Edf => "edf",
             SchedulingPolicy::Priority => "priority",
-        }
-    }
-
-    /// Parses a policy name (the inverse of [`SchedulingPolicy::name`]).
-    pub fn parse(name: &str) -> Option<SchedulingPolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "fcfs" => Some(SchedulingPolicy::Fcfs),
-            "edf" => Some(SchedulingPolicy::Edf),
-            "priority" | "prio" => Some(SchedulingPolicy::Priority),
-            _ => None,
         }
     }
 
@@ -162,11 +152,8 @@ mod tests {
     #[test]
     fn names_round_trip_and_reject_unknowns() {
         for policy in SchedulingPolicy::ALL {
-            assert_eq!(SchedulingPolicy::parse(policy.name()), Some(policy));
             assert_eq!(policy.to_string(), policy.name());
         }
-        assert_eq!(SchedulingPolicy::parse("EDF"), Some(SchedulingPolicy::Edf));
-        assert_eq!(SchedulingPolicy::parse("lifo"), None);
         assert_eq!(SchedulingPolicy::default(), SchedulingPolicy::Fcfs);
     }
 

@@ -1,40 +1,25 @@
-//! Closed-loop serving simulation: Poisson arrivals → batch scheduler →
-//! batch-aware device model → latency percentiles, throughput, and SLO
-//! attainment.
+//! The closed-loop serving workload: Poisson arrivals at a configurable
+//! offered QPS, a homogeneous or heterogeneous request mix, and the batching
+//! policy — plus the latency summary every simulator reports.
 //!
-//! [`ServingSim`] drives any device implementing `hyflex_pim::Backend` with
-//! a synthetic open-loop arrival process at a configurable offered QPS. The
-//! request stream may be homogeneous (every request at
-//! [`ServingConfig::seq_len`]) or a heterogeneous mix of
-//! [`RequestClass`]es — per-request sequence lengths, SLOs, and priority
-//! classes drawn from a seeded, deterministic weighted distribution.
-//! Requests queue in a [`BatchScheduler`](crate::batch::BatchScheduler)
-//! under the configured [`SchedulingPolicy`](crate::policy::SchedulingPolicy);
-//! batches launch under the batching-window semantics documented on
-//! [`SchedulerConfig::max_wait_ns`], occupy the device for their modeled
-//! makespan, and every request completes at its pipelined completion offset.
-//! The run is fully deterministic for a seed.
+//! A [`ServingConfig`] describes one run: requests either all at
+//! [`ServingConfig::seq_len`] or drawn from a weighted mix of
+//! [`RequestClass`]es (per-request sequence lengths, SLOs and priority
+//! classes, sampled from a seeded, deterministic distribution), queued in a
+//! [`BatchScheduler`](crate::batch::BatchScheduler) under the configured
+//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy) and launched under
+//! the batching-window semantics documented on
+//! [`SchedulerConfig::max_wait_ns`].
 //!
-//! A `ServingSim` is a one-chip [`ClusterSim`], which in turn is the one
-//! serving engine ([`OverloadSim`](crate::overload::OverloadSim)) with
-//! admission, shedding, preemption and autoscaling off: its arrivals are the
+//! [`ClusterSim`](crate::cluster::ClusterSim) runs it: its arrivals are the
 //! Poisson [`RequestTrace`](crate::traffic::RequestTrace) built from the
-//! [`ServingConfig`], and its latency percentiles come from the engine's
-//! log-linear histogram (see [`LatencySummary`]).
-//!
-//! The simulator is generic — `ServingSim<B: Backend>` — so the paper's
-//! baselines (ASADI, SPRINT, NMP, non-PIM) flow through the same serving
-//! machinery as HyFlexPIM itself (see the `fig19_backend_serving` and
-//! `fig20_serving_policies` binaries). The historical HyFlexPIM-only
-//! constructor [`ServingSim::new`] remains sugar over
-//! [`ServingSim::with_backend`] and produces bit-identical reports.
-
-use crate::batch::InferenceRequest;
-use crate::cluster::{BatchTrace, ClusterConfig, ClusterReport, ClusterSim, DispatchPolicy};
-use crate::Result;
-use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_pim::PerformanceModel;
-use hyflex_transformer::ModelConfig;
+//! config, fanned out over `chips` replicas of any `hyflex_pim::Backend`
+//! (one chip is the single-device case), and driven through the one serving
+//! engine, [`OverloadSim`](crate::overload::OverloadSim), with admission,
+//! shedding, preemption and autoscaling off. Its latency percentiles come
+//! from the engine's log-linear histogram (see [`LatencySummary`]). The
+//! unit tests here pin the single-device behaviour of that path: the
+//! batching window, SLO accounting, goodput and the request mix.
 
 pub use crate::batch::SchedulerConfig;
 
@@ -101,10 +86,9 @@ pub struct ServingConfig {
     /// no mix draw consumes randomness, an arrival process bit-identical
     /// to the pre-mix simulator's.
     pub classes: Vec<RequestClass>,
-    /// SLC protection rate of the deployed mapping. Consumed by the
-    /// HyFlexPIM constructor ([`ServingSim::new`]); backends passed to
-    /// [`ServingSim::with_backend`] already carry their mapping and ignore
-    /// this field.
+    /// Read by nothing: a backend carries its own mapping (for HyFlexPIM,
+    /// the SLC rate passed to `HyFlexPim::new`). The field stays only
+    /// because the stand-alone `e2ebench` package still sets it.
     pub slc_rank_fraction: f64,
     /// Seed of the arrival process (inter-arrival times and mix draws).
     pub seed: u64,
@@ -165,218 +149,77 @@ pub struct LatencySummary {
     pub tpot_ms: Option<f64>,
 }
 
-/// Outcome of one serving run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingReport {
-    /// Requests completed (always `num_requests` — the loop is closed).
-    pub completed: usize,
-    /// Batches executed.
-    pub batches: usize,
-    /// Wall-clock span from first arrival to last completion, seconds.
-    pub sim_seconds: f64,
-    /// Configured offered load, requests per second.
-    pub offered_qps: f64,
-    /// Completed requests per simulated second.
-    pub achieved_qps: f64,
-    /// Goodput under SLO: *useful* completions per simulated second, where
-    /// a completion is useful if it met its deadline or carried no SLO.
-    /// Equals `achieved_qps` when no request carries an SLO.
-    pub goodput_qps: f64,
-    /// End-to-end request latency distribution.
-    pub latency: LatencySummary,
-    /// Fraction of deadline-carrying requests that completed by their
-    /// deadline (1.0 when no request carries an SLO).
-    pub slo_attainment: f64,
-    /// Mean formed batch size.
-    pub mean_batch_size: f64,
-    /// Fraction of the run the device spent executing batches.
-    pub device_utilization: f64,
-    /// Mean time a request waited before its batch launched, milliseconds.
-    pub mean_queue_ms: f64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::InferenceRequest;
+    use crate::cluster::{ClusterConfig, ClusterSim, DispatchPolicy};
+    use crate::policy::SchedulingPolicy;
+    use crate::Result;
+    use hyflex_baselines::{NonPim, Sprint};
+    use hyflex_pim::backend::{Backend, HyFlexPim};
+    use hyflex_transformer::ModelConfig;
 
-/// The closed-loop serving simulator, generic over the device model: a
-/// one-chip [`ClusterSim`].
-#[derive(Debug)]
-pub struct ServingSim<B: Backend = HyFlexPim> {
-    cluster: ClusterSim<B>,
-}
-
-impl<B: Backend> Clone for ServingSim<B> {
-    fn clone(&self) -> Self {
-        ServingSim {
-            cluster: self.cluster.clone(),
-        }
-    }
-}
-
-impl ServingSim<HyFlexPim> {
-    /// Builds a simulator serving `model` on the HyFlexPIM hardware behind
-    /// `perf` at `config.slc_rank_fraction` (the historical constructor;
-    /// sugar over [`ServingSim::with_backend`]).
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServingSim::with_backend`], plus HyFlexPIM mapping errors.
-    pub fn new(perf: PerformanceModel, model: ModelConfig, config: ServingConfig) -> Result<Self> {
-        let backend = HyFlexPim::new(perf, model, config.slc_rank_fraction)?;
-        ServingSim::with_backend(backend, config)
-    }
-}
-
-impl<B: Backend> ServingSim<B> {
-    /// The run configuration.
-    pub fn config(&self) -> &ServingConfig {
-        self.cluster.serving_config()
-    }
-
-    /// The device model being served.
-    pub fn backend(&self) -> &B {
-        self.cluster.backend()
-    }
-}
-
-impl<B: Backend + 'static> ServingSim<B> {
-    /// Builds a simulator serving requests on `backend`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
-    /// for non-positive load, an empty run, or a degenerate request mix
-    /// (non-positive weight, non-positive SLO), and propagates
-    /// scheduler-configuration errors (including any request shape in the
-    /// mix that does not fit the backend's tile capacity).
-    pub fn with_backend(backend: B, config: ServingConfig) -> Result<Self> {
-        let cluster = ClusterSim::with_backend(
+    /// `backend` serving `config` as a single device: a one-chip cluster.
+    fn one_chip<B: Backend + 'static>(backend: B, config: ServingConfig) -> Result<ClusterSim<B>> {
+        ClusterSim::with_backend(
             backend,
             ClusterConfig {
                 chips: 1,
                 dispatch: DispatchPolicy::RoundRobin,
                 serving: config,
             },
-        )?;
-        Ok(ServingSim { cluster })
-    }
-
-    /// Runs the simulation to completion.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler and device-model errors.
-    pub fn run(&self) -> Result<ServingReport> {
-        self.cluster.run().map(single_chip)
-    }
-
-    /// Runs the simulation and also returns every launched batch (chip 0
-    /// only — there is one chip), in launch order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler and device-model errors.
-    pub fn run_traced(&self) -> Result<(ServingReport, Vec<BatchTrace>)> {
-        let (report, traces) = self.cluster.run_traced()?;
-        Ok((single_chip(report), traces))
-    }
-
-    /// Replays an explicit arrival stream (sorted by `arrival_ns`) instead
-    /// of sampling the configured Poisson process — for trace-driven
-    /// studies and timer-semantics tests. The report's `offered_qps`
-    /// remains the configured value; everything else reflects the stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
-    /// for an empty or unsorted stream and propagates scheduler and
-    /// device-model errors.
-    pub fn replay(&self, arrivals: &[InferenceRequest]) -> Result<ServingReport> {
-        self.cluster
-            .report(arrivals.iter().copied(), None)
-            .map(single_chip)
-    }
-
-    /// [`ServingSim::replay`], also returning every launched batch.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ServingSim::replay`].
-    pub fn replay_traced(
-        &self,
-        arrivals: &[InferenceRequest],
-    ) -> Result<(ServingReport, Vec<BatchTrace>)> {
-        let (report, traces) = self.cluster.replay_traced(arrivals)?;
-        Ok((single_chip(report), traces))
-    }
-}
-
-/// The single-device view of a one-chip cluster report.
-fn single_chip(report: ClusterReport) -> ServingReport {
-    ServingReport {
-        completed: report.completed,
-        batches: report.batches,
-        sim_seconds: report.sim_seconds,
-        offered_qps: report.offered_qps,
-        achieved_qps: report.achieved_qps,
-        goodput_qps: report.goodput_qps,
-        latency: report.latency,
-        slo_attainment: report.slo_attainment,
-        mean_batch_size: report.mean_batch_size,
-        device_utilization: report.mean_chip_utilization,
-        mean_queue_ms: report.mean_queue_ms,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::policy::SchedulingPolicy;
-    use hyflex_baselines::{NonPim, Sprint};
-
-    fn sim(qps: f64, max_batch_size: usize, num_requests: usize) -> ServingSim {
-        ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            ServingConfig {
-                qps,
-                num_requests,
-                scheduler: SchedulerConfig {
-                    max_batch_size,
-                    ..SchedulerConfig::default()
-                },
-                ..ServingConfig::default()
-            },
         )
+    }
+
+    /// One paper chip serving BERT-Base at 10 % SLC.
+    fn serve(config: ServingConfig) -> Result<ClusterSim> {
+        one_chip(
+            HyFlexPim::paper(ModelConfig::bert_base(), 0.1).unwrap(),
+            config,
+        )
+    }
+
+    fn sim(qps: f64, max_batch_size: usize, num_requests: usize) -> ClusterSim {
+        serve(ServingConfig {
+            qps,
+            num_requests,
+            scheduler: SchedulerConfig {
+                max_batch_size,
+                ..SchedulerConfig::default()
+            },
+            ..ServingConfig::default()
+        })
         .unwrap()
     }
 
     #[test]
     fn construction_rejects_bad_loads() {
-        let perf = PerformanceModel::paper_default();
-        let model = ModelConfig::bert_base();
         let bad_qps = ServingConfig {
             qps: 0.0,
             ..ServingConfig::default()
         };
-        assert!(ServingSim::new(perf.clone(), model.clone(), bad_qps).is_err());
+        assert!(serve(bad_qps).is_err());
         let empty = ServingConfig {
             num_requests: 0,
             ..ServingConfig::default()
         };
-        assert!(ServingSim::new(perf.clone(), model.clone(), empty).is_err());
+        assert!(serve(empty).is_err());
         let bad_slo = ServingConfig {
             slo_ns: 0.0,
             ..ServingConfig::default()
         };
-        assert!(ServingSim::new(perf.clone(), model.clone(), bad_slo).is_err());
+        assert!(serve(bad_slo).is_err());
         let bad_class = ServingConfig {
             classes: vec![RequestClass::new(128, 0.0)],
             ..ServingConfig::default()
         };
-        assert!(ServingSim::new(perf.clone(), model.clone(), bad_class).is_err());
+        assert!(serve(bad_class).is_err());
         let bad_class_slo = ServingConfig {
             classes: vec![RequestClass::new(128, 1.0).with_slo_ns(-1.0)],
             ..ServingConfig::default()
         };
-        assert!(ServingSim::new(perf, model, bad_class_slo).is_err());
+        assert!(serve(bad_class_slo).is_err());
     }
 
     #[test]
@@ -392,7 +235,7 @@ mod tests {
         assert!(report.latency.mean_ms <= report.latency.max_ms);
         assert!(report.mean_batch_size >= 1.0);
         assert!(report.mean_batch_size <= 8.0);
-        assert!(report.device_utilization > 0.0 && report.device_utilization <= 1.0);
+        assert!(report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0);
         // No request carries an SLO, so attainment is trivially perfect.
         assert_eq!(report.slo_attainment, 1.0);
     }
@@ -405,36 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_path_is_bit_identical_to_the_legacy_constructor() {
-        // The HyFlexPIM-only constructor and the backend-generic one must
-        // produce byte-for-byte the same report.
-        let config = ServingConfig {
-            qps: 900.0,
-            num_requests: 250,
-            ..ServingConfig::default()
-        };
-        let legacy = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            config.clone(),
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        let backend = HyFlexPim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            config.slc_rank_fraction,
-        )
-        .unwrap();
-        let generic = ServingSim::with_backend(backend, config)
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(legacy, generic);
-    }
-
-    #[test]
     fn baseline_backends_serve_through_the_same_machinery() {
         let config = ServingConfig {
             qps: 200.0,
@@ -442,11 +255,11 @@ mod tests {
             ..ServingConfig::default()
         };
         for report in [
-            ServingSim::with_backend(Sprint::new(ModelConfig::bert_base()), config.clone())
+            one_chip(Sprint::new(ModelConfig::bert_base()), config.clone())
                 .unwrap()
                 .run()
                 .unwrap(),
-            ServingSim::with_backend(NonPim::new(ModelConfig::bert_base()), config.clone())
+            one_chip(NonPim::new(ModelConfig::bert_base()), config.clone())
                 .unwrap()
                 .run()
                 .unwrap(),
@@ -454,7 +267,7 @@ mod tests {
             assert_eq!(report.completed, 120);
             assert!(report.latency.p50_ms > 0.0);
             assert!(report.latency.p50_ms <= report.latency.p99_ms);
-            assert!(report.device_utilization > 0.0 && report.device_utilization <= 1.0);
+            assert!(report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0);
         }
     }
 
@@ -478,7 +291,7 @@ mod tests {
     fn light_load_keeps_batches_small_and_queues_short() {
         let report = sim(50.0, 16, 200).run().unwrap();
         assert!(report.mean_batch_size < 4.0);
-        assert!(report.device_utilization < 0.9);
+        assert!(report.mean_chip_utilization < 0.9);
         assert!(report.mean_queue_ms <= report.latency.mean_ms);
     }
 
@@ -491,18 +304,14 @@ mod tests {
         // The fixed anchor is `oldest_arrival + max_wait` (clamped to
         // `ready`): a saturated device launches the moment it frees.
         let max_wait = 10_000.0; // 10 µs, far below the batch makespan
-        let s = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            ServingConfig {
-                scheduler: SchedulerConfig {
-                    max_batch_size: 2,
-                    max_wait_ns: max_wait,
-                    ..SchedulerConfig::default()
-                },
-                ..ServingConfig::default()
+        let s = serve(ServingConfig {
+            scheduler: SchedulerConfig {
+                max_batch_size: 2,
+                max_wait_ns: max_wait,
+                ..SchedulerConfig::default()
             },
-        )
+            ..ServingConfig::default()
+        })
         .unwrap();
         let arrivals = [
             // A full batch launches at t = 0 and occupies the device.
@@ -539,7 +348,7 @@ mod tests {
         // idled until its window deadline. The fixed window always waits
         // min(max_wait, time-to-fill), so the two cases agree.
         let s = sim(1.0, 16, 3);
-        let max_wait = s.config().scheduler.max_wait_ns;
+        let max_wait = SchedulerConfig::default().max_wait_ns;
         let lone = [InferenceRequest::new(0, 0.0, 128)];
         let (_, lone_traces) = s.replay_traced(&lone).unwrap();
         assert_eq!(lone_traces.len(), 1);
@@ -560,7 +369,7 @@ mod tests {
     #[test]
     fn window_still_launches_early_the_moment_the_batch_fills() {
         let s = sim(1.0, 2, 3); // batch cap 2
-        let max_wait = s.config().scheduler.max_wait_ns;
+        let max_wait = SchedulerConfig::default().max_wait_ns;
         let fill_at = max_wait / 4.0;
         let arrivals = [
             InferenceRequest::new(0, 0.0, 128),
@@ -586,12 +395,7 @@ mod tests {
             ],
             ..ServingConfig::default()
         };
-        let sim = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            config.clone(),
-        )
-        .unwrap();
+        let sim = serve(config).unwrap();
         let (report, traces) = sim.run_traced().unwrap();
         let arrivals: Vec<InferenceRequest> = traces
             .iter()
@@ -626,14 +430,7 @@ mod tests {
             slo_ns: 1e9, // 1 s
             ..ServingConfig::default()
         };
-        let report = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            generous,
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let report = serve(generous).unwrap().run().unwrap();
         assert_eq!(report.slo_attainment, 1.0);
         // An SLO tighter than the single-request latency can never be met.
         let impossible = ServingConfig {
@@ -642,14 +439,7 @@ mod tests {
             slo_ns: 1.0, // 1 ns
             ..ServingConfig::default()
         };
-        let report = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            impossible,
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let report = serve(impossible).unwrap().run().unwrap();
         assert_eq!(report.slo_attainment, 0.0);
     }
 
@@ -668,12 +458,7 @@ mod tests {
             },
             ..ServingConfig::default()
         };
-        let sim = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            config,
-        )
-        .unwrap();
+        let sim = serve(config).unwrap();
         let a = sim.run().unwrap();
         assert_eq!(a, sim.run().unwrap());
         assert_eq!(a.completed, 300);
@@ -683,12 +468,12 @@ mod tests {
     #[test]
     fn replay_rejects_degenerate_streams() {
         let s = sim(100.0, 4, 10);
-        assert!(s.replay(&[]).is_err());
+        assert!(s.replay_traced(&[]).is_err());
         let unsorted = [
             InferenceRequest::new(0, 10.0, 128),
             InferenceRequest::new(1, 5.0, 128),
         ];
-        assert!(s.replay(&unsorted).is_err());
+        assert!(s.replay_traced(&unsorted).is_err());
     }
 
     #[test]
@@ -704,14 +489,7 @@ mod tests {
             slo_ns: 1.0, // 1 ns
             ..ServingConfig::default()
         };
-        let report = ServingSim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            impossible,
-        )
-        .unwrap()
-        .run()
-        .unwrap();
+        let report = serve(impossible).unwrap().run().unwrap();
         assert!(report.achieved_qps > 0.0);
         assert_eq!(report.goodput_qps, 0.0);
     }

@@ -2,9 +2,8 @@
 //! traces that stream to millions of requests.
 //!
 //! Every serving simulator draws its arrivals from a [`RequestTrace`]: the
-//! closed-loop [`ServingSim`](crate::serving::ServingSim) and
-//! [`ClusterSim`](crate::cluster::ClusterSim) build a Poisson trace from
-//! their [`ServingConfig`](crate::serving::ServingConfig). Production
+//! closed-loop [`ClusterSim`](crate::cluster::ClusterSim) builds a Poisson
+//! trace from its [`ServingConfig`](crate::serving::ServingConfig). Production
 //! traffic is rarely that tame: it is **open-loop** (arrivals do not wait
 //! for completions), **bursty** (arrival-rate variance far above Poisson),
 //! and **diurnal** (the mean rate itself drifts over the day). This module
@@ -513,7 +512,6 @@ impl RequestTrace {
     }
 
     /// Materializes the whole trace (for replay through
-    /// [`ServingSim::replay`](crate::serving::ServingSim::replay) /
     /// [`ClusterSim::replay_traced`](crate::cluster::ClusterSim::replay_traced)
     /// and for tests). Prefer [`RequestTrace::stream`] for large traces.
     pub fn collect(&self) -> Vec<InferenceRequest> {
@@ -1140,9 +1138,10 @@ seed = 42
 
     #[test]
     fn poisson_trace_matches_the_closed_loop_generator_exactly() {
-        // ServingSim samples the Poisson trace of its config, so replaying
+        // ClusterSim samples the Poisson trace of its config, so replaying
         // the same trace (same seed, rate, and mix) reproduces its report.
-        use crate::serving::{ServingConfig, ServingSim};
+        use crate::cluster::{ClusterConfig, ClusterSim, DispatchPolicy};
+        use crate::serving::ServingConfig;
         use hyflex_pim::backend::HyFlexPim;
         use hyflex_transformer::ModelConfig;
 
@@ -1150,14 +1149,18 @@ seed = 42
             RequestClass::new(64, 3.0).with_slo_ns(2e6),
             RequestClass::new(256, 1.0).with_priority(1),
         ];
-        let sim = ServingSim::with_backend(
+        let sim = ClusterSim::with_backend(
             HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-            ServingConfig {
-                qps: 3000.0,
-                num_requests: 500,
-                classes: classes.clone(),
-                seed: 99,
-                ..ServingConfig::default()
+            ClusterConfig {
+                chips: 1,
+                dispatch: DispatchPolicy::RoundRobin,
+                serving: ServingConfig {
+                    qps: 3000.0,
+                    num_requests: 500,
+                    classes: classes.clone(),
+                    seed: 99,
+                    ..ServingConfig::default()
+                },
             },
         )
         .unwrap();
@@ -1169,7 +1172,8 @@ seed = 42
             ..TrafficConfig::default()
         })
         .unwrap();
-        assert_eq!(sim.replay(&trace.collect()).unwrap(), sim.run().unwrap());
+        let (replayed, _) = sim.replay_traced(&trace.collect()).unwrap();
+        assert_eq!(replayed, sim.run().unwrap());
     }
 
     #[test]

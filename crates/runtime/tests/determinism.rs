@@ -73,79 +73,14 @@ fn determinism_parallel_noise_sweep_is_bit_identical_to_serial() {
 }
 
 #[test]
-fn determinism_generic_backend_eval_is_bit_identical_to_the_perf_model() {
-    // The backend-generic parallel driver must reproduce the serial
-    // HyFlexPIM reference bit for bit, for any worker count.
-    use hyflex_pim::backend::HyFlexPim;
-    use hyflex_pim::perf::EvaluationPoint;
-    use hyflex_pim::{InferenceRequest, PerformanceModel};
-    use hyflex_runtime::par_backend_eval;
-
-    let slc = 0.07;
-    let backend = HyFlexPim::paper(ModelConfig::bert_large(), slc).unwrap();
-    let perf = PerformanceModel::paper_default();
-    let requests: Vec<InferenceRequest> = [64usize, 128, 256, 512, 1024, 2048]
-        .iter()
-        .enumerate()
-        .map(|(id, &seq_len)| InferenceRequest::of_len(id as u64, seq_len))
-        .collect();
-    let points: Vec<EvaluationPoint> = requests
-        .iter()
-        .map(|r| EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len: r.seq_len,
-            slc_rank_fraction: slc,
-        })
-        .collect();
-    let serial = perf.evaluate_many(&points).unwrap();
-    for workers in [1, 2, 4, 7] {
-        let pool = JobPool::new(workers);
-        let parallel = par_backend_eval(&pool, &backend, &requests).unwrap();
-        assert_eq!(
-            serial, parallel,
-            "generic backend eval with {workers} workers diverged from the perf model"
-        );
-    }
-}
-
-#[test]
-fn determinism_generic_serving_is_bit_identical_to_the_legacy_path() {
-    use hyflex_pim::backend::HyFlexPim;
-    use hyflex_pim::PerformanceModel;
-    use hyflex_runtime::{ServingConfig, ServingSim};
-
-    let config = ServingConfig {
-        qps: 1500.0,
-        num_requests: 300,
-        seq_len: 128,
-        slc_rank_fraction: 0.05,
-        seed: 42,
-        ..ServingConfig::default()
-    };
-    let legacy = ServingSim::new(
-        PerformanceModel::paper_default(),
-        ModelConfig::bert_large(),
-        config.clone(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
-    let backend = HyFlexPim::paper(ModelConfig::bert_large(), config.slc_rank_fraction).unwrap();
-    let generic = ServingSim::with_backend(backend, config)
-        .unwrap()
-        .run()
-        .unwrap();
-    assert_eq!(legacy, generic);
-}
-
-#[test]
 fn determinism_policy_serving_is_reproducible_and_fcfs_default_unchanged() {
     // The policy-aware scheduler and the heterogeneous mix must be exact
     // functions of the seed, and the explicit-FCFS configuration must be
     // byte-identical to the default (policy is additive, not perturbing).
     use hyflex_pim::backend::HyFlexPim;
     use hyflex_runtime::{
-        RequestClass, SchedulerConfig, SchedulingPolicy, ServingConfig, ServingSim,
+        ClusterConfig, ClusterSim, DispatchPolicy, RequestClass, SchedulerConfig, SchedulingPolicy,
+        ServingConfig,
     };
 
     let base = ServingConfig {
@@ -155,49 +90,46 @@ fn determinism_policy_serving_is_reproducible_and_fcfs_default_unchanged() {
             RequestClass::new(64, 2.0).with_slo_ns(4e6).with_priority(0),
             RequestClass::new(256, 1.0).with_priority(1),
         ],
-        slc_rank_fraction: 0.05,
         seed: 21,
         ..ServingConfig::default()
     };
-    let run = |policy: SchedulingPolicy| {
-        let config = ServingConfig {
-            scheduler: SchedulerConfig {
-                policy,
-                ..SchedulerConfig::default()
-            },
-            ..base.clone()
-        };
-        ServingSim::with_backend(
+    let serve = |serving: ServingConfig| {
+        ClusterSim::with_backend(
             HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-            config,
+            ClusterConfig {
+                chips: 1,
+                dispatch: DispatchPolicy::RoundRobin,
+                serving,
+            },
         )
         .unwrap()
         .run()
         .unwrap()
     };
+    let run = |policy: SchedulingPolicy| {
+        serve(ServingConfig {
+            scheduler: SchedulerConfig {
+                policy,
+                ..SchedulerConfig::default()
+            },
+            ..base.clone()
+        })
+    };
     for policy in SchedulingPolicy::ALL {
         assert_eq!(run(policy), run(policy), "{policy} run not reproducible");
     }
-    let default = ServingSim::with_backend(
-        HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-        base.clone(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
-    assert_eq!(run(SchedulingPolicy::Fcfs), default);
+    assert_eq!(run(SchedulingPolicy::Fcfs), serve(base.clone()));
 }
 
 #[test]
 fn determinism_cluster_serving_is_reproducible_and_one_chip_matches_single() {
     use hyflex_pim::backend::HyFlexPim;
-    use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig, ServingSim};
+    use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
 
     let serving = ServingConfig {
         qps: 6000.0,
         num_requests: 240,
         seq_len: 128,
-        slc_rank_fraction: 0.05,
         seed: 33,
         ..ServingConfig::default()
     };
@@ -223,20 +155,19 @@ fn determinism_cluster_serving_is_reproducible_and_one_chip_matches_single() {
             );
         }
     }
-    // One replica behind either dispatcher is the single-device simulator.
-    let single = ServingSim::with_backend(
-        HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-        serving.clone(),
-    )
-    .unwrap()
-    .run()
-    .unwrap();
+    // One replica is the single-device run whichever dispatcher fronts
+    // it: only the report's dispatch label differs.
+    let single = cluster(1, DispatchPolicy::RoundRobin);
     for dispatch in DispatchPolicy::ALL {
         let report = cluster(1, dispatch);
-        assert_eq!(report.latency, single.latency);
-        assert_eq!(report.batches, single.batches);
-        assert_eq!(report.sim_seconds, single.sim_seconds);
-        assert_eq!(report.mean_queue_ms, single.mean_queue_ms);
+        assert_eq!(report.dispatch, dispatch);
+        assert_eq!(
+            hyflex_runtime::ClusterReport {
+                dispatch: single.dispatch,
+                ..report
+            },
+            single
+        );
     }
 }
 

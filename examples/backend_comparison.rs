@@ -2,13 +2,13 @@
 //!
 //! Demonstrates the unified `Backend` API: `SystemBuilder` constructs a
 //! validated, model-bound backend by name, and the same closed-loop
-//! `ServingSim` machinery drives HyFlexPIM and all four baselines at a
+//! one-chip `ClusterSim` drives HyFlexPIM and all four baselines at a
 //! matched offered load (see also the `fig19_backend_serving` binary).
 //!
 //! Run with: `cargo run --release --example backend_comparison`
 
 use hyflex::baselines::{BackendRegistry, SystemBuilder};
-use hyflex::runtime::{ServingConfig, ServingSim};
+use hyflex::runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
 use hyflex::transformer::ModelConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,15 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .backend(name)
             .build()?;
         let label = backend.name().to_string();
-        let report = ServingSim::with_backend(
+        let report = ClusterSim::with_backend(
             backend,
-            ServingConfig {
-                qps: offered_qps,
-                num_requests: 400,
-                seq_len,
-                slc_rank_fraction: slc_rate,
-                seed: 7,
-                ..ServingConfig::default()
+            ClusterConfig {
+                chips: 1,
+                dispatch: DispatchPolicy::RoundRobin,
+                serving: ServingConfig {
+                    qps: offered_qps,
+                    num_requests: 400,
+                    seq_len,
+                    seed: 7,
+                    ..ServingConfig::default()
+                },
             },
         )?
         .run()?;
@@ -58,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.latency.p50_ms,
             report.latency.p95_ms,
             report.latency.p99_ms,
-            report.device_utilization * 100.0
+            report.mean_chip_utilization * 100.0
         );
     }
     println!(

@@ -42,7 +42,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         RequestClass::new(64, 3.0).with_slo_ns(slo_ns),
                         RequestClass::new(256, 1.0).with_priority(1),
                     ],
-                    slc_rank_fraction: 0.05,
                     seed: 7,
                     scheduler: SchedulerConfig::default(),
                     ..ServingConfig::default()

@@ -10,9 +10,9 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::glue::{self, GlueConfig, GlueTask};
@@ -68,12 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. What does this mapping cost at paper scale?
-    let perf = PerformanceModel::paper_default();
-    let summary = perf.evaluate(&EvaluationPoint {
-        model: ModelConfig::bert_large(),
-        seq_len: 128,
-        slc_rank_fraction: 0.10,
-    })?;
+    let deployed = HyFlexPim::paper(ModelConfig::bert_large(), 0.10)?;
+    let summary = deployed.evaluate(&InferenceRequest::of_len(0, 128))?;
     println!(
         "BERT-Large @ N=128, 10% SLC: {:.2} mJ per inference, {:.1} us latency, {:.2} TOPS/mm^2",
         summary.energy.total_mj(),

@@ -1,7 +1,8 @@
 //! Closed-loop batched serving on the HyFlexPIM device model.
 //!
-//! Simulates Poisson request arrivals against the analytical BERT-Large
-//! deployment (5 % SLC protection) for batch caps 1, 4, and 16, and reports
+//! Simulates Poisson request arrivals against one chip serving the analytical
+//! BERT-Large deployment (5 % SLC protection) for batch caps 1, 4, and 16,
+//! and reports
 //! throughput plus p50/p95/p99 latency for each. Batching overlaps requests
 //! in the layer pipeline, recovering the fill/drain overhead of a single
 //! request (the `1 + (L-1)/N` latency factor): under an overload the
@@ -11,27 +12,18 @@
 //!
 //! Run with: `cargo run --release --example serving_sim`
 
-use hyflex_pim::perf::EvaluationPoint;
-use hyflex_pim::PerformanceModel;
-use hyflex_runtime::{SchedulerConfig, ServingConfig, ServingSim};
+use hyflex_pim::backend::{Backend, HyFlexPim};
+use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, SchedulerConfig, ServingConfig};
 use hyflex_transformer::ModelConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let model = ModelConfig::bert_large();
     let seq_len = 128;
     let slc_rank_fraction = 0.05;
-    let perf = PerformanceModel::paper_default();
+    let backend = HyFlexPim::paper(ModelConfig::bert_large(), slc_rank_fraction)?;
 
     // Offer twice the single-request service rate: a saturating overload
     // under which the batch cap decides the sustained rate.
-    let single = perf.evaluate_batched(
-        &EvaluationPoint {
-            model: model.clone(),
-            seq_len,
-            slc_rank_fraction,
-        },
-        1,
-    )?;
+    let single = backend.evaluate_batched(seq_len, 1)?;
     let offered_qps = 2.0 * 1e9 / single.makespan_ns;
     println!(
         "BERT-Large, N = {seq_len}, {:.0}% SLC — single-request latency {:.1} µs",
@@ -47,19 +39,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for max_batch_size in [1usize, 4, 16] {
-        let config = ServingConfig {
-            qps: offered_qps,
-            num_requests: 4000,
-            seq_len,
-            slc_rank_fraction,
-            seed: 7,
-            scheduler: SchedulerConfig {
-                max_batch_size,
-                ..SchedulerConfig::default()
+        let config = ClusterConfig {
+            chips: 1,
+            dispatch: DispatchPolicy::RoundRobin,
+            serving: ServingConfig {
+                qps: offered_qps,
+                num_requests: 4000,
+                seq_len,
+                seed: 7,
+                scheduler: SchedulerConfig {
+                    max_batch_size,
+                    ..SchedulerConfig::default()
+                },
+                ..ServingConfig::default()
             },
-            ..ServingConfig::default()
         };
-        let report = ServingSim::new(perf.clone(), model.clone(), config)?.run()?;
+        let report = ClusterSim::with_backend(backend.clone(), config)?.run()?;
         println!(
             "{:>10} {:>12.0} {:>10.3} {:>10.3} {:>10.3} {:>11.1} {:>8.1}",
             max_batch_size,
@@ -68,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.latency.p95_ms,
             report.latency.p99_ms,
             report.mean_batch_size,
-            report.device_utilization * 100.0
+            report.mean_chip_utilization * 100.0
         );
     }
     println!("\nDeterministic for a fixed seed; see crates/runtime for the scheduler model.");

@@ -3,9 +3,9 @@
 //!
 //! Run with: `cargo run --release --example vit_inference`
 
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::vision::{self, VisionConfig};
@@ -49,12 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Paper-scale ViT-Base inference cost (197 patch tokens).
-    let perf = PerformanceModel::paper_default();
-    let summary = perf.evaluate(&EvaluationPoint {
-        model: ModelConfig::vit_base(),
-        seq_len: 197,
-        slc_rank_fraction: 0.05,
-    })?;
+    let deployed = HyFlexPim::paper(ModelConfig::vit_base(), 0.05)?;
+    let summary = deployed.evaluate(&InferenceRequest::of_len(0, 197))?;
     println!(
         "\nViT-Base @ 197 tokens, 5% SLC: {:.2} mJ, {:.1} us, {:.2} TOPS/mm^2",
         summary.energy.total_mj(),

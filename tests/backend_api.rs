@@ -1,16 +1,16 @@
 //! Cross-crate integration of the unified `Backend` API: every registered
 //! backend (HyFlexPIM + the four baselines) flows through `SystemBuilder`,
-//! `BatchScheduler`, and `ServingSim`; the HyFlexPIM path stays bit-identical
-//! to the pre-refactor `PerformanceModel` surface; and the batched-evaluation
-//! edge cases (batch of one, empty batch, padded mixed-length batches) hold
-//! for all of them.
+//! `BatchScheduler`, and a one-chip `ClusterSim`; the deployed HyFlexPIM
+//! backend is bit-identical to `PerformanceModel`'s `deploy` +
+//! `evaluate_deployed`; and the batched-evaluation edge cases (batch of one,
+//! empty batch, padded mixed-length batches) hold for all of them.
 
 use hyflex::baselines::{BackendParams, BackendRegistry, SystemBuilder};
 use hyflex::pim::backend::{Backend, HyFlexPim, InferenceRequest};
-use hyflex::pim::perf::EvaluationPoint;
+use hyflex::pim::perf::pipelined_batch;
 use hyflex::pim::{PerformanceModel, PimError};
 use hyflex::runtime::{
-    par_backend_eval, BatchScheduler, JobPool, SchedulerConfig, ServingConfig, ServingSim,
+    BatchScheduler, ClusterConfig, ClusterSim, DispatchPolicy, SchedulerConfig, ServingConfig,
 };
 use hyflex::transformer::ModelConfig;
 use std::sync::Arc;
@@ -29,15 +29,18 @@ fn all_backends() -> Vec<Box<dyn Backend>> {
 fn every_registered_backend_runs_through_serving_sim() {
     for backend in all_backends() {
         let name = backend.name().to_string();
-        let config = ServingConfig {
-            qps: 500.0,
-            num_requests: 150,
-            seq_len: 128,
-            slc_rank_fraction: 0.05,
-            seed: 19,
-            ..ServingConfig::default()
+        let config = ClusterConfig {
+            chips: 1,
+            dispatch: DispatchPolicy::RoundRobin,
+            serving: ServingConfig {
+                qps: 500.0,
+                num_requests: 150,
+                seq_len: 128,
+                seed: 19,
+                ..ServingConfig::default()
+            },
         };
-        let report = ServingSim::with_backend(backend, config)
+        let report = ClusterSim::with_backend(backend, config)
             .unwrap_or_else(|e| panic!("{name}: sim construction failed: {e}"))
             .run()
             .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
@@ -46,53 +49,37 @@ fn every_registered_backend_runs_through_serving_sim() {
         assert!(report.latency.p50_ms <= report.latency.p95_ms, "{name}");
         assert!(report.latency.p95_ms <= report.latency.p99_ms, "{name}");
         assert!(
-            report.device_utilization > 0.0 && report.device_utilization <= 1.0,
+            report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0,
             "{name}: utilization {}",
-            report.device_utilization
+            report.mean_chip_utilization
         );
     }
 }
 
 #[test]
 fn hyflexpim_backend_is_bit_identical_to_the_performance_model() {
+    // The backend deploys once; the reference deploys afresh for every
+    // length, through the facade.
     let slc = 0.05;
-    let backend = HyFlexPim::paper(ModelConfig::bert_large(), slc).unwrap();
+    let model = ModelConfig::bert_large();
+    let backend = HyFlexPim::paper(model.clone(), slc).unwrap();
     let perf = PerformanceModel::paper_default();
     for seq_len in [64usize, 128, 512, 2048] {
-        let point = EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len,
-            slc_rank_fraction: slc,
-        };
+        let deployment = perf.deploy(&model, slc).unwrap();
+        let single = perf.evaluate_deployed(&model, &deployment, seq_len);
         assert_eq!(
             backend
                 .evaluate(&InferenceRequest::of_len(0, seq_len))
                 .unwrap(),
-            perf.evaluate(&point).unwrap()
+            single
         );
         for batch in [1usize, 4, 32] {
             assert_eq!(
                 backend.evaluate_batched(seq_len, batch).unwrap(),
-                perf.evaluate_batched(&point, batch).unwrap()
+                pipelined_batch(single.clone(), model.num_layers, seq_len, batch).unwrap()
             );
         }
     }
-    // The parallel generic driver reproduces evaluate_many bit for bit.
-    let requests: Vec<InferenceRequest> = (0..6)
-        .map(|i| InferenceRequest::of_len(i, 128 + 64 * i as usize))
-        .collect();
-    let points: Vec<EvaluationPoint> = requests
-        .iter()
-        .map(|r| EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len: r.seq_len,
-            slc_rank_fraction: slc,
-        })
-        .collect();
-    assert_eq!(
-        par_backend_eval(&JobPool::new(3), &backend, &requests).unwrap(),
-        perf.evaluate_many(&points).unwrap()
-    );
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! quantity in different crates.
 
 use hyflex_circuits::adc::{AdcMode, SarAdc};
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::config::HyFlexPimConfig;
 use hyflex_pim::mapping;
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
+use hyflex_pim::perf::PerformanceModel;
 use hyflex_rram::mapping::{MappedMatrix, WeightMapping};
 use hyflex_rram::noise::NoiseModel;
 use hyflex_rram::spec::ArraySpec;
@@ -58,14 +59,10 @@ fn layer_mapping_cell_counts_match_config_capacity_accounting() {
 
 #[test]
 fn performance_model_ops_match_ops_count_totals() {
-    let perf = PerformanceModel::paper_default();
     let model = ModelConfig::bert_base();
-    let summary = perf
-        .evaluate(&EvaluationPoint {
-            model: model.clone(),
-            seq_len: 512,
-            slc_rank_fraction: 0.1,
-        })
+    let summary = HyFlexPim::paper(model.clone(), 0.1)
+        .unwrap()
+        .evaluate(&InferenceRequest::of_len(0, 512))
         .unwrap();
     assert_eq!(summary.total_ops, ops_count::total_ops(&model, 512) * 2);
 }

@@ -2,9 +2,9 @@
 //! redistribution → hybrid SLC/MLC noise injection → evaluation, plus the
 //! architecture model on the same mapping.
 
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::glue::{self, GlueConfig, GlueTask};
@@ -60,13 +60,9 @@ fn full_software_hardware_pipeline_runs_end_to_end() {
     );
 
     // 4. The architecture model evaluates the same mapping at paper scale.
-    let perf = PerformanceModel::paper_default();
-    let summary = perf
-        .evaluate(&EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len: 128,
-            slc_rank_fraction: 0.10,
-        })
+    let summary = HyFlexPim::paper(ModelConfig::bert_large(), 0.10)
+        .unwrap()
+        .evaluate(&InferenceRequest::of_len(0, 128))
         .unwrap();
     assert!(summary.energy.total_pj() > 0.0);
     assert!(summary.latency.total_ns() > 0.0);

@@ -4,7 +4,7 @@
 use hyflex_baselines::{Asadi, AsadiPrecision, NonPim, Sprint};
 use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex_pim::mapping;
-use hyflex_pim::perf::{EvaluationPoint, PerfSummary, PerformanceModel};
+use hyflex_pim::perf::PerfSummary;
 use hyflex_pim::scalability::ScalabilityModel;
 use hyflex_transformer::config::{ModelConfig, StaticLayerKind};
 use hyflex_transformer::ops_count;
@@ -146,15 +146,8 @@ fn scalability_matches_figure_17_shape() {
 /// BERT-Large layer within one PU (one layer per PU across 24 PUs).
 #[test]
 fn bert_large_maps_one_layer_per_pu() {
-    let perf = PerformanceModel::paper_default();
-    let summary = perf
-        .evaluate(&EvaluationPoint {
-            model: ModelConfig::bert_large(),
-            seq_len: 128,
-            slc_rank_fraction: 0.05,
-        })
-        .unwrap();
-    assert_eq!(summary.chips, 1);
+    let deployed = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
+    assert_eq!(summary(&deployed, 128).chips, 1);
     // All six static layers of one block fit in one PU's analog arrays.
     let hw = hyflex_pim::HyFlexPimConfig::paper_default();
     let energy = hyflex_circuits::EnergyModel::default();

@@ -6,22 +6,33 @@
 //! `examples/serving_sim.rs` and `examples/cluster_serving.rs` use them.
 
 use hyflex::pim::backend::{Backend, HyFlexPim};
-use hyflex::pim::perf::EvaluationPoint;
-use hyflex::pim::PerformanceModel;
 use hyflex::runtime::{
-    par_backend_eval, ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, JobPool,
-    RequestClass, SchedulerConfig, SchedulingPolicy, ServingConfig, ServingSim,
+    ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, RequestClass, SchedulerConfig,
+    SchedulingPolicy, ServingConfig,
 };
 use hyflex::transformer::ModelConfig;
 use hyflex_runtime::BatchScheduler;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// `backend` serving `serving` as a single device: a one-chip cluster.
+fn one_chip<B: Backend + 'static>(backend: B, serving: ServingConfig) -> ClusterSim<B> {
+    ClusterSim::with_backend(
+        backend,
+        ClusterConfig {
+            chips: 1,
+            dispatch: DispatchPolicy::RoundRobin,
+            serving,
+        },
+    )
+    .expect("serving sim builds")
+}
 
 fn serving_config(max_batch_size: usize) -> ServingConfig {
     ServingConfig {
         qps: 5000.0,
         num_requests: 600,
         seq_len: 128,
-        slc_rank_fraction: 0.05,
         seed: 18,
         scheduler: SchedulerConfig {
             max_batch_size,
@@ -33,12 +44,10 @@ fn serving_config(max_batch_size: usize) -> ServingConfig {
 
 #[test]
 fn serving_reports_throughput_and_tail_latency_for_required_batch_sizes() {
-    let perf = PerformanceModel::paper_default();
-    let model = ModelConfig::bert_large();
+    let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
     let mut achieved = Vec::new();
     for batch in [1usize, 4, 16] {
-        let report = ServingSim::new(perf.clone(), model.clone(), serving_config(batch))
-            .expect("serving sim builds")
+        let report = one_chip(backend.clone(), serving_config(batch))
             .run()
             .expect("serving run completes");
         assert_eq!(report.completed, 600);
@@ -58,9 +67,9 @@ fn serving_reports_throughput_and_tail_latency_for_required_batch_sizes() {
 
 #[test]
 fn scheduler_capacity_contract_holds_through_the_facade() {
-    let mut scheduler = BatchScheduler::new(
-        hyflex::pim::HyFlexPimConfig::paper_default(),
-        ModelConfig::bert_large(),
+    let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
+    let mut scheduler = BatchScheduler::for_backend(
+        Arc::new(backend),
         SchedulerConfig {
             max_batch_size: 8,
             max_wait_ns: 0.0,
@@ -104,7 +113,6 @@ fn arbitrary_mix() -> impl Strategy<Value = ServingConfig> {
                 .into_iter()
                 .map(|(seq_len, weight)| RequestClass::new(seq_len, weight))
                 .collect(),
-            slc_rank_fraction: 0.05,
             seed,
             scheduler: SchedulerConfig {
                 max_batch_size,
@@ -125,7 +133,7 @@ proptest! {
         let backend = paper_backend();
         let capacity_cells = backend.capacity() * config.scheduler.pus_per_layer;
         let cap = config.scheduler.max_batch_size;
-        let sim = ServingSim::with_backend(backend.clone(), config.clone()).unwrap();
+        let sim = one_chip(backend.clone(), config.clone());
         let (report, traces) = sim.run_traced().unwrap();
         prop_assert_eq!(report.completed, config.num_requests);
 
@@ -183,7 +191,6 @@ fn edf_beats_fcfs_on_slo_attainment_under_overload() {
                     .with_priority(0),
                 RequestClass::new(256, 1.0).with_priority(1),
             ],
-            slc_rank_fraction: 0.05,
             seed: 20,
             ..ServingConfig::default()
         };
@@ -194,10 +201,7 @@ fn edf_beats_fcfs_on_slo_attainment_under_overload() {
             },
             ..config
         };
-        ServingSim::with_backend(paper_backend(), config)
-            .unwrap()
-            .run()
-            .unwrap()
+        one_chip(paper_backend(), config).run().unwrap()
     };
     let fcfs = run(SchedulingPolicy::Fcfs);
     let edf = run(SchedulingPolicy::Edf);
@@ -222,7 +226,6 @@ fn cluster_conserves_requests_across_chips_and_dispatchers() {
                 qps: 9000.0,
                 num_requests: 360,
                 classes: vec![RequestClass::new(64, 2.0), RequestClass::new(256, 1.0)],
-                slc_rank_fraction: 0.05,
                 seed: 11,
                 ..ServingConfig::default()
             },
@@ -244,30 +247,5 @@ fn cluster_conserves_requests_across_chips_and_dispatchers() {
             report.per_chip_completed.iter().all(|&c| c > 0),
             "{dispatch}"
         );
-    }
-}
-
-#[test]
-fn parallel_perf_sweep_through_the_facade_matches_serial() {
-    let perf = PerformanceModel::paper_default();
-    let seq_lens = [128usize, 256, 512];
-    let requests: Vec<InferenceRequest> = seq_lens
-        .iter()
-        .enumerate()
-        .map(|(id, &seq_len)| InferenceRequest::of_len(id as u64, seq_len))
-        .collect();
-    for slc in [0.05, 0.5, 1.0] {
-        let backend = HyFlexPim::new(perf.clone(), ModelConfig::bert_base(), slc).unwrap();
-        let points: Vec<EvaluationPoint> = seq_lens
-            .iter()
-            .map(|&seq_len| EvaluationPoint {
-                model: ModelConfig::bert_base(),
-                seq_len,
-                slc_rank_fraction: slc,
-            })
-            .collect();
-        let serial = perf.evaluate_many(&points).unwrap();
-        let parallel = par_backend_eval(&JobPool::new(3), &backend, &requests).unwrap();
-        assert_eq!(serial, parallel, "slc = {slc}");
     }
 }

@@ -3,7 +3,8 @@
 //! config regressions (invalid defaults, broken re-exports, non-finite
 //! outputs) before the heavier integration tests run.
 
-use hyflex_pim::perf::{EvaluationPoint, PerformanceModel};
+use hyflex_pim::backend::{Backend, HyFlexPim, InferenceRequest};
+use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::HyFlexPimConfig;
 use hyflex_transformer::ModelConfig;
 
@@ -26,12 +27,10 @@ fn default_config_is_valid() {
 fn default_performance_model_evaluates_one_point() {
     let model = PerformanceModel::new(HyFlexPimConfig::default())
         .expect("default config must build a performance model");
-    let summary = model
-        .evaluate(&EvaluationPoint {
-            model: ModelConfig::bert_base(),
-            seq_len: 128,
-            slc_rank_fraction: 0.10,
-        })
+    let deployed = HyFlexPim::new(model, ModelConfig::bert_base(), 0.10)
+        .expect("default model must deploy BERT-Base");
+    let summary = deployed
+        .evaluate(&InferenceRequest::of_len(0, 128))
         .expect("default model must evaluate BERT-Base at n=128");
     assert!(
         summary.energy.total_pj().is_finite() && summary.energy.total_pj() > 0.0,
