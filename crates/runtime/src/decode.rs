@@ -1,10 +1,10 @@
 //! Autoregressive decode serving: KV cache on the SLC/MLC hybrid fabric
 //! with continuous batching.
 //!
-//! The encoder-pass serving engine ([`crate::overload`], with the closed-loop
-//! [`crate::serving`] and [`crate::cluster`] front-ends) prices a request as
-//! **one** batched pass — the encoder/prefill regime of
-//! the paper's figures. Generative serving is different: after its prompt is
+//! The encoder-pass serving engine ([`crate::overload`], with the
+//! [`crate::cluster`] front-end running the closed-loop workload that
+//! [`crate::serving`] describes) prices a request as **one** batched pass —
+//! the encoder/prefill regime of the paper's figures. Generative serving is different: after its prompt is
 //! prefetched, a request produces output tokens one *iteration* at a time,
 //! and every iteration attends over the request's cached K/V. On HyFlexPIM
 //! that cache competes for the same RRAM real estate the weights live in,

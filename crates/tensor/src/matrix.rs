@@ -432,28 +432,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Vertically concatenates `self` and `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the column counts differ.
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(TensorError::ShapeMismatch {
-                op: "vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = self.data.clone();
-        data.extend_from_slice(&other.data);
-        Ok(Matrix {
-            rows: self.rows + other.rows,
-            cols: self.cols,
-            data,
-        })
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data
@@ -681,14 +659,6 @@ mod tests {
         assert_eq!(target.at(2, 2), 6.0);
         assert!(target.set_submatrix(2, 2, &block).is_err());
         assert!(m.submatrix(0, 2, 1, 5).is_err());
-    }
-
-    #[test]
-    fn stacking() {
-        let a = sample();
-        let v = a.vstack(&a).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        assert_eq!(v.at(3, 0), 4.0);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! its costs live in `hyflex-pim`.
 
 use crate::error::ModelError;
-use crate::kv::LayerKv;
 use crate::layers::{AnyLinear, AnyLinearSaved, Layer, LayerCtx, Linear};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
@@ -57,19 +56,19 @@ impl AttentionMask<'_> {
 }
 
 /// Writes `fill` into every lane of `m` that `mask` disallows, where row `r`
-/// of `m` is query position `first_row + r` and column `c` key position `c`.
+/// of `m` is query position `r` and column `c` key position `c`.
 ///
 /// The forward pass fills scores with `-inf`, so the row-wise softmax gives
 /// those lanes exactly zero probability; the backward pass fills score
 /// gradients with `0.0`, because a constant-zero probability passes no
 /// gradient.
-fn mask_fill(m: &mut Matrix, mask: &AttentionMask, first_row: usize, fill: f32) {
+fn mask_fill(m: &mut Matrix, mask: &AttentionMask, fill: f32) {
     if matches!(mask, AttentionMask::Bidirectional) {
         return;
     }
     for r in 0..m.rows() {
         for c in 0..m.cols() {
-            if !mask.allows(first_row + r, c) {
+            if !mask.allows(r, c) {
                 m.set(r, c, fill);
             }
         }
@@ -78,21 +77,10 @@ fn mask_fill(m: &mut Matrix, mask: &AttentionMask, first_row: usize, fill: f32) 
 
 /// One head's attention probabilities: the row-wise softmax of the masked,
 /// scaled scores `q_h·k_hᵀ / √d`.
-///
-/// `q_h`'s rows sit at absolute positions `first_row..first_row + q_h.rows()`
-/// and `k_h`'s rows at `0..k_h.rows()`: whole-sequence passes use
-/// `first_row = 0`, and a decode step uses the cache length before its
-/// append, so the causal rule lets each new row see every cached position up
-/// to and including its own.
-fn head_probs(
-    q_h: &Matrix,
-    k_h: &Matrix,
-    mask: &AttentionMask,
-    first_row: usize,
-) -> Result<Matrix> {
+fn head_probs(q_h: &Matrix, k_h: &Matrix, mask: &AttentionMask) -> Result<Matrix> {
     let scale = 1.0 / (q_h.cols() as f32).sqrt();
     let mut scores = q_h.matmul_transpose(k_h)?.scale(scale);
-    mask_fill(&mut scores, mask, first_row, f32::NEG_INFINITY);
+    mask_fill(&mut scores, mask, f32::NEG_INFINITY);
     let mut probs = Matrix::zeros(scores.rows(), scores.cols());
     for r in 0..scores.rows() {
         probs.row_mut(r).copy_from_slice(&softmax(scores.row(r)));
@@ -163,119 +151,24 @@ impl MultiHeadAttention {
         Ok(m.submatrix(0, head * hd, m.rows(), hd)?)
     }
 
-    /// The `Q`, `K`, `V` projections of `x` (the decode paths' projection;
-    /// the whole-sequence pass projects through `forward_saved`).
-    fn project(&self, x: &Matrix, ctx: &LayerCtx) -> Result<(Matrix, Matrix, Matrix)> {
-        Ok((
-            self.wq.forward(x, ctx)?,
-            self.wk.forward(x, ctx)?,
-            self.wv.forward(x, ctx)?,
-        ))
-    }
-
-    /// The concatenated per-head context `probs_h·v_h` for queries at
-    /// absolute positions `first_row..` (see [`head_probs`]), plus each
-    /// head's probabilities for the backward pass.
+    /// The concatenated per-head context `probs_h·v_h` (see [`head_probs`]),
+    /// plus each head's probabilities for the backward pass.
     fn attend(
         &self,
         q: &Matrix,
         k: &Matrix,
         v: &Matrix,
         mask: &AttentionMask,
-        first_row: usize,
     ) -> Result<(Matrix, Vec<Matrix>)> {
         let hd = self.head_dim();
         let mut context = Matrix::zeros(q.rows(), self.dim());
         let mut probs = Vec::with_capacity(self.num_heads);
         for head in 0..self.num_heads {
-            let p = head_probs(
-                &self.head_slice(q, head)?,
-                &self.head_slice(k, head)?,
-                mask,
-                first_row,
-            )?;
+            let p = head_probs(&self.head_slice(q, head)?, &self.head_slice(k, head)?, mask)?;
             context.set_submatrix(0, head * hd, &p.matmul(&self.head_slice(v, head)?)?)?;
             probs.push(p);
         }
         Ok((context, probs))
-    }
-
-    /// Appends `k`/`v` to one request's cache, then attends `q` causally over
-    /// the whole cached history.
-    fn attend_cached(
-        &self,
-        q: &Matrix,
-        k: &Matrix,
-        v: &Matrix,
-        kv: &mut LayerKv,
-    ) -> Result<Matrix> {
-        let first_row = kv.len();
-        kv.append(k, v)?;
-        let (Some(k_all), Some(v_all)) = (kv.keys(), kv.values()) else {
-            return Err(ModelError::InvalidInput(
-                "KV cache is empty after an append".to_string(),
-            ));
-        };
-        let (context, _) = self.attend(q, k_all, v_all, &AttentionMask::Causal, first_row)?;
-        Ok(context)
-    }
-
-    /// Decode-phase forward: treats `x`'s rows as one request's next tokens,
-    /// appends their keys/values to the request's cache, and attends each new
-    /// row causally over the full cached history.
-    ///
-    /// `x` holds the (already pre-normalized) hidden rows of `m` new tokens
-    /// at absolute positions `kv.len()..kv.len() + m`; the prefill phase
-    /// passes the whole prompt at once (`kv` empty) and decode passes one row
-    /// per step. The output is bit-identical to the matching rows of
-    /// [`Layer::forward`] with a causal mask over the whole sequence: the
-    /// projections are row-independent, softmax over an un-padded prefix
-    /// equals softmax over the `-inf`-masked full row (`exp(-inf) = +0.0` and
-    /// trailing exact zeros leave the sums unchanged), and zero probabilities
-    /// contribute exact zeros to the context product — the same argument
-    /// that makes packed batching exact.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the projections or a cache whose width
-    /// disagrees with this layer.
-    pub fn decode_step(&self, x: &Matrix, kv: &mut LayerKv) -> Result<Matrix> {
-        let ctx = LayerCtx::causal();
-        let (q, k, v) = self.project(x, &ctx)?;
-        let context = self.attend_cached(&q, &k, &v, kv)?;
-        self.wo.forward(&context, &ctx)
-    }
-
-    /// One iteration-level batched decode step: row `b` of `x` is the next
-    /// token of the request owning `caches[b]`.
-    ///
-    /// The projections run once over the whole batch (they are
-    /// row-independent, so each row matches its solo computation bitwise);
-    /// attention then runs per request against that request's own cache.
-    /// Each output row is bit-identical to calling
-    /// [`MultiHeadAttention::decode_step`] for that request alone.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the row count and cache count disagree, plus
-    /// shape errors from the projections.
-    pub fn decode_step_batch(&self, x: &Matrix, caches: &mut [&mut LayerKv]) -> Result<Matrix> {
-        if x.rows() != caches.len() {
-            return Err(ModelError::InvalidInput(format!(
-                "batched decode got {} rows for {} caches",
-                x.rows(),
-                caches.len()
-            )));
-        }
-        let ctx = LayerCtx::causal();
-        let (q, k, v) = self.project(x, &ctx)?;
-        let mut context = Matrix::zeros(x.rows(), self.dim());
-        for (b, kv) in caches.iter_mut().enumerate() {
-            let row = |m: &Matrix| m.submatrix(b, 0, 1, m.cols());
-            let context_b = self.attend_cached(&row(&q)?, &row(&k)?, &row(&v)?, kv)?;
-            context.set_submatrix(b, 0, &context_b)?;
-        }
-        self.wo.forward(&context, &ctx)
     }
 }
 
@@ -319,7 +212,7 @@ impl Layer for MultiHeadAttention {
         let (q, q_saved) = self.wq.forward_saved(x, ctx)?;
         let (k, k_saved) = self.wk.forward_saved(x, ctx)?;
         let (v, v_saved) = self.wv.forward_saved(x, ctx)?;
-        let (context, probs) = self.attend(&q, &k, &v, &ctx.mask, 0)?;
+        let (context, probs) = self.attend(&q, &k, &v, &ctx.mask)?;
         let (y, o_saved) = self.wo.forward_saved(&context, ctx)?;
         let saved = AttentionSaved {
             q,
@@ -379,7 +272,7 @@ impl Layer for MultiHeadAttention {
                 let ds = softmax_backward(probs.row(r), d_probs.row(r));
                 d_scores.row_mut(r).copy_from_slice(&ds);
             }
-            mask_fill(&mut d_scores, &ctx.mask, 0, 0.0);
+            mask_fill(&mut d_scores, &ctx.mask, 0.0);
             let d_scores = d_scores.scale(scale);
 
             // d_qh = d_scores · kh ; d_kh = d_scoresᵀ · qh

@@ -2,7 +2,6 @@
 
 use crate::attention::MultiHeadAttention;
 use crate::ffn::FeedForward;
-use crate::kv::LayerKv;
 use crate::layers::{AnyLinear, Layer, LayerCtx, LayerNorm, Residual, ResidualSaved};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
@@ -87,38 +86,6 @@ impl TransformerBlock {
         /// order as [`TransformerBlock::named_linears_mut`].
         named_linears, inner, projections, layers,
     );
-
-    /// Decode-phase forward of one request's next rows, using and growing
-    /// this block's cached keys/values.
-    ///
-    /// Chains exactly the same operations as [`Layer::forward`] with a
-    /// causal mask — pre-norm, attention, residual add, then the FFN half
-    /// (which is row-wise and ignores the mask) — so each output row is
-    /// bit-identical to the matching row of the full forward pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn decode_step(&self, x: &Matrix, kv: &mut LayerKv) -> Result<Matrix> {
-        let ctx = LayerCtx::causal();
-        let normed = self.attn.norm().forward(x, &ctx)?;
-        let y = self.attn.inner().decode_step(&normed, kv)?;
-        self.ffn.forward(&x.add(&y)?, &ctx)
-    }
-
-    /// One iteration-level batched decode step: row `b` of `x` belongs to the
-    /// request owning `caches[b]`. Row-identical to per-request
-    /// [`TransformerBlock::decode_step`] calls.
-    ///
-    /// # Errors
-    ///
-    /// Returns shape errors from the sub-layers.
-    pub fn decode_step_batch(&self, x: &Matrix, caches: &mut [&mut LayerKv]) -> Result<Matrix> {
-        let ctx = LayerCtx::causal();
-        let normed = self.attn.norm().forward(x, &ctx)?;
-        let y = self.attn.inner().decode_step_batch(&normed, caches)?;
-        self.ffn.forward(&x.add(&y)?, &ctx)
-    }
 }
 
 impl ParamVisit for TransformerBlock {

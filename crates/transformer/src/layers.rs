@@ -349,8 +349,7 @@ impl AnyLinear {
 impl ParamVisit for AnyLinear {
     // Transparent: the variant's own leaf names (`weight`/`bias` dense,
     // `u`/`sigma`/`vt`/`bias` factored) appear directly under the layer's
-    // scope, so `VarBuilder::get("q_proj")` resolves through the `.weight`
-    // fallback regardless of factorization state.
+    // scope.
     fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
         match self {
             AnyLinear::Dense(l) => l.visit_params(path, f),
@@ -552,27 +551,13 @@ impl Embedding {
     ///
     /// Returns an error for out-of-vocabulary tokens or too-long sequences.
     pub fn forward(&self, tokens: &[usize]) -> Result<Matrix> {
-        self.forward_from(tokens, 0)
-    }
-
-    /// Looks up embeddings with positions starting at `start`: token `i`
-    /// receives the positional embedding of absolute position `start + i`.
-    /// This is the decode-phase entry point — a request with `start` tokens
-    /// already cached embeds its next token at position `start`, bit-identical
-    /// to where a full-sequence [`Embedding::forward`] would place it.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for out-of-vocabulary tokens or when `start +
-    /// tokens.len()` exceeds the maximum sequence length.
-    pub fn forward_from(&self, tokens: &[usize], start: usize) -> Result<Matrix> {
         if tokens.is_empty() {
             return Err(ModelError::InvalidInput("empty token sequence".into()));
         }
-        if start + tokens.len() > self.max_len() {
+        if tokens.len() > self.max_len() {
             return Err(ModelError::InvalidInput(format!(
-                "positions {start}..{} exceed maximum {}",
-                start + tokens.len(),
+                "{} tokens exceed maximum {}",
+                tokens.len(),
                 self.max_len()
             )));
         }
@@ -589,7 +574,7 @@ impl Embedding {
                 out.set(
                     i,
                     c,
-                    self.table.value().at(tok, c) + self.positions.value().at(start + i, c),
+                    self.table.value().at(tok, c) + self.positions.value().at(i, c),
                 );
             }
         }

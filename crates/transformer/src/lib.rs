@@ -34,11 +34,11 @@
 //! `hyflex-pim` can swap any dense linear layer for its truncated-SVD
 //! factored equivalent and read back gradients on the singular values.
 //!
-//! Model structure is declarative: [`graph::ModelGraph`] assembles encoder,
-//! decoder, and vision topologies from the same composable modules, and
-//! every parameter is reachable through the named-visitation API in
-//! [`param`] ([`param::ParamVisit`], [`param::ParamStore`],
-//! [`param::VarBuilder`]) under dotted names such as
+//! [`model::TransformerModel::new`] assembles encoder, decoder, and vision
+//! topologies from the same composable modules, each with one forward path
+//! ([`layers::Layer::forward_saved`]); every parameter is reachable through
+//! the named-visitation API in [`param`] ([`param::ParamVisit`],
+//! [`param::ParamStore`]) under dotted names such as
 //! `blocks.3.attn.q_proj.weight`.
 
 pub mod attention;
@@ -47,8 +47,6 @@ pub mod config;
 pub mod error;
 pub mod factored;
 pub mod ffn;
-pub mod graph;
-pub mod kv;
 pub mod layers;
 pub mod metrics;
 pub mod model;
@@ -60,11 +58,9 @@ pub use attention::AttentionMask;
 pub use config::{ModelConfig, ModelKind, TaskKind};
 pub use error::ModelError;
 pub use factored::FactoredLinear;
-pub use graph::{BlockSpec, HeadSpec, ModelGraph, StemSpec};
-pub use kv::{KvCache, LayerKv};
 pub use layers::{Layer, LayerCtx, Residual};
 pub use model::{ModelInput, TransformerModel};
-pub use param::{AdamWConfig, Param, ParamPath, ParamStore, ParamVisit, VarBuilder};
+pub use param::{AdamWConfig, Param, ParamPath, ParamStore, ParamVisit};
 pub use trainer::Trainer;
 
 /// Convenience result alias used across the crate.

@@ -1,15 +1,13 @@
 //! End-to-end transformer models: embeddings, block stack, and task head.
 //!
-//! [`TransformerModel`] is assembled by the declarative builder in
-//! [`crate::graph`]; this module owns the runtime behaviour — forward,
-//! packed batching, backward, and the named parameter surface.
+//! [`TransformerModel`] owns construction from a [`ModelConfig`] and the
+//! runtime behaviour — forward, packed batching, backward, and the named
+//! parameter surface.
 
 use crate::attention::AttentionMask;
 use crate::block::TransformerBlock;
-use crate::config::{ModelConfig, TaskKind};
+use crate::config::{ModelConfig, ModelKind, TaskKind};
 use crate::error::ModelError;
-use crate::graph::ModelGraph;
-use crate::kv::{KvCache, LayerKv};
 use crate::layers::{AnyLinear, Embedding, Layer, LayerCtx, LayerNorm, Linear};
 use crate::param::{Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
@@ -76,34 +74,46 @@ pub struct TransformerModel {
 impl TransformerModel {
     /// Builds a randomly initialized model from a configuration.
     ///
-    /// Shorthand for [`ModelGraph::from_config`] followed by
-    /// [`ModelGraph::build`].
+    /// The RNG is consumed in a fixed order — the stem (token embedding, or
+    /// the patch projection of a vision model), then each block in turn,
+    /// then the head — so a seed always reproduces the same parameters.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidConfig`] for inconsistent configurations.
     pub fn new(config: ModelConfig, rng: &mut Rng) -> Result<Self> {
-        ModelGraph::from_config(config)?.build(rng)
-    }
-
-    /// Assembles a model from already-constructed parts (the graph builder's
-    /// final step).
-    pub(crate) fn from_parts(
-        config: ModelConfig,
-        embedding: Option<Embedding>,
-        patch_proj: Option<Linear>,
-        blocks: Vec<TransformerBlock>,
-        final_norm: LayerNorm,
-        head: Linear,
-    ) -> Self {
-        TransformerModel {
+        config.validate()?;
+        let c = &config;
+        let (embedding, patch_proj) = match c.kind {
+            ModelKind::VisionEncoder => {
+                let patch_dim = c
+                    .patch_dim
+                    .ok_or_else(|| ModelError::InvalidConfig("missing patch_dim".into()))?;
+                (None, Some(Linear::new(patch_dim, c.hidden_dim, rng)))
+            }
+            _ => (
+                Some(Embedding::new(
+                    c.vocab_size,
+                    c.max_seq_len,
+                    c.hidden_dim,
+                    rng,
+                )),
+                None,
+            ),
+        };
+        let blocks = (0..c.num_layers)
+            .map(|_| TransformerBlock::new(c.hidden_dim, c.ffn_dim, c.num_heads, rng))
+            .collect::<Result<Vec<_>>>()?;
+        let final_norm = LayerNorm::new(c.hidden_dim);
+        let head = Linear::new(c.hidden_dim, c.task.head_outputs(c.vocab_size), rng);
+        Ok(TransformerModel {
             config,
             embedding,
             patch_proj,
             blocks,
             final_norm,
             head,
-        }
+        })
     }
 
     /// The model configuration.
@@ -255,125 +265,6 @@ impl TransformerModel {
             packed.set_submatrix(seg.start, 0, e)?;
         }
         Ok((packed, segments))
-    }
-
-    /// The token embedding, once the model and a cache of `cache_layers`
-    /// layers are known to support KV-cached decoding.
-    fn check_decode_ready(&self, cache_layers: usize) -> Result<&Embedding> {
-        if !self.config.is_causal() {
-            return Err(ModelError::InvalidInput(
-                "KV-cached decoding needs a causal (decoder) model".to_string(),
-            ));
-        }
-        if !matches!(self.config.task, TaskKind::LanguageModeling) {
-            return Err(ModelError::InvalidInput(
-                "KV-cached decoding needs a language-modeling head".to_string(),
-            ));
-        }
-        let Some(embedding) = &self.embedding else {
-            return Err(ModelError::InvalidInput(
-                "KV-cached decoding needs a token embedding".to_string(),
-            ));
-        };
-        if cache_layers != self.blocks.len() {
-            return Err(ModelError::InvalidInput(format!(
-                "KV cache has {cache_layers} layers, model has {}",
-                self.blocks.len()
-            )));
-        }
-        Ok(embedding)
-    }
-
-    /// Prefill phase: runs `tokens` through the stack in one pass, growing
-    /// `cache` by their keys/values, and returns the `[tokens, vocab]`
-    /// next-token logits.
-    ///
-    /// The tokens sit at absolute positions `cache.len()..cache.len() +
-    /// tokens.len()`, so calling prefill on an empty cache processes a fresh
-    /// prompt and calling it again extends the same request. Every logits row
-    /// is bit-identical to the matching row of
-    /// [`TransformerModel::forward`] over the request's full token sequence —
-    /// the cached decode path reorders no arithmetic (see
-    /// [`crate::attention::MultiHeadAttention::decode_step`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidInput`] for non-causal or non-LM models,
-    /// a cache of the wrong depth, out-of-vocabulary tokens, or a sequence
-    /// overrunning the maximum length.
-    pub fn prefill(&self, tokens: &[usize], cache: &mut KvCache) -> Result<Matrix> {
-        let embedding = self.check_decode_ready(cache.num_layers())?;
-        let mut x = embedding.forward_from(tokens, cache.len())?;
-        for (block, kv) in self.blocks.iter().zip(cache.layers_mut()) {
-            x = block.decode_step(&x, kv)?;
-        }
-        self.decode_logits(&x)
-    }
-
-    /// Final norm and LM head over decoded hidden rows.
-    fn decode_logits(&self, x: &Matrix) -> Result<Matrix> {
-        let ctx = LayerCtx::causal();
-        let hidden = self.final_norm.forward(x, &ctx)?;
-        self.head.forward(&hidden, &ctx)
-    }
-
-    /// Decode phase: appends one token to a request and returns its
-    /// `[1, vocab]` next-token logits.
-    ///
-    /// # Errors
-    ///
-    /// See [`TransformerModel::prefill`].
-    pub fn decode_step(&self, token: usize, cache: &mut KvCache) -> Result<Matrix> {
-        self.prefill(&[token], cache)
-    }
-
-    /// One iteration-level batched decode step: `tokens[b]` is the next token
-    /// of the request owning `caches[b]`, and row `b` of the returned
-    /// `[batch, vocab]` matrix is its next-token logits.
-    ///
-    /// Requests at different positions share the pass — this is what lets the
-    /// runtime's continuous batcher admit and retire requests at token
-    /// boundaries. Every row is bit-identical to a per-request
-    /// [`TransformerModel::decode_step`] call because each sub-layer is
-    /// row-independent and attention runs against each request's own cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidInput`] for an empty batch or mismatched
-    /// token/cache counts, plus the per-request errors of
-    /// [`TransformerModel::prefill`].
-    pub fn decode_step_batch(
-        &self,
-        tokens: &[usize],
-        caches: &mut [&mut KvCache],
-    ) -> Result<Matrix> {
-        if tokens.len() != caches.len() {
-            return Err(ModelError::InvalidInput(format!(
-                "batched decode got {} tokens for {} caches",
-                tokens.len(),
-                caches.len()
-            )));
-        }
-        let mut embedding = None;
-        for cache in caches.iter() {
-            embedding = Some(self.check_decode_ready(cache.num_layers())?);
-        }
-        let Some(embedding) = embedding else {
-            return Err(ModelError::InvalidInput(
-                "batched decode needs at least one request".to_string(),
-            ));
-        };
-        let mut x = Matrix::zeros(tokens.len(), self.config.hidden_dim);
-        for (b, (&tok, cache)) in tokens.iter().zip(caches.iter()).enumerate() {
-            let row = embedding.forward_from(&[tok], cache.len())?;
-            x.set_submatrix(b, 0, &row)?;
-        }
-        for (i, block) in self.blocks.iter().enumerate() {
-            let mut layer_kvs: Vec<&mut LayerKv> =
-                caches.iter_mut().map(|c| &mut c.layers_mut()[i]).collect();
-            x = block.decode_step_batch(&x, &mut layer_kvs)?;
-        }
-        self.decode_logits(&x)
     }
 
     /// Runs the model, then back-propagates `d_logits`, accumulating
@@ -558,117 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn kv_decode_matches_full_causal_forward_bitwise() {
-        let mut rng = Rng::seed_from(21);
-        let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
-        let tokens = vec![3usize, 1, 4, 1, 5, 9];
-        let full = model.forward(&ModelInput::Tokens(tokens.clone())).unwrap();
-
-        // Prefill the first three tokens in one pass, then decode one by one.
-        let mut cache = KvCache::new(model.blocks.len());
-        let prefill = model.prefill(&tokens[..3], &mut cache).unwrap();
-        assert_eq!(prefill.shape(), (3, full.cols()));
-        for r in 0..3 {
-            for c in 0..full.cols() {
-                assert_eq!(
-                    prefill.at(r, c).to_bits(),
-                    full.at(r, c).to_bits(),
-                    "prefill logits diverge at [{r},{c}]"
-                );
-            }
-        }
-        for (t, &tok) in tokens.iter().enumerate().skip(3) {
-            let step = model.decode_step(tok, &mut cache).unwrap();
-            assert_eq!(step.shape(), (1, full.cols()));
-            for c in 0..full.cols() {
-                assert_eq!(
-                    step.at(0, c).to_bits(),
-                    full.at(t, c).to_bits(),
-                    "decode logits diverge at step {t}, col {c}"
-                );
-            }
-        }
-        assert_eq!(cache.len(), tokens.len());
-    }
-
-    #[test]
-    fn batched_decode_matches_sequential_decode_bitwise() {
-        let mut rng = Rng::seed_from(22);
-        let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
-        let prompts = [vec![3usize, 1, 4], vec![9usize], vec![2usize, 6, 5, 3]];
-        let next = [1usize, 7, 0];
-
-        // Sequential: decode each request alone.
-        let mut solo_caches: Vec<KvCache> = prompts
-            .iter()
-            .map(|p| {
-                let mut c = KvCache::new(model.blocks.len());
-                model.prefill(p, &mut c).unwrap();
-                c
-            })
-            .collect();
-        let solo: Vec<Matrix> = next
-            .iter()
-            .zip(solo_caches.iter_mut())
-            .map(|(&tok, c)| model.decode_step(tok, c).unwrap())
-            .collect();
-
-        // Batched: same requests share one iteration.
-        let mut batch_caches: Vec<KvCache> = prompts
-            .iter()
-            .map(|p| {
-                let mut c = KvCache::new(model.blocks.len());
-                model.prefill(p, &mut c).unwrap();
-                c
-            })
-            .collect();
-        let mut refs: Vec<&mut KvCache> = batch_caches.iter_mut().collect();
-        let batched = model.decode_step_batch(&next, &mut refs).unwrap();
-
-        assert_eq!(batched.rows(), prompts.len());
-        for (b, solo_logits) in solo.iter().enumerate() {
-            for c in 0..batched.cols() {
-                assert_eq!(
-                    batched.at(b, c).to_bits(),
-                    solo_logits.at(0, c).to_bits(),
-                    "batched decode diverges for request {b}, col {c}"
-                );
-            }
-        }
-        // Caches advanced identically.
-        for (solo_c, batch_c) in solo_caches.iter().zip(&batch_caches) {
-            assert_eq!(solo_c, batch_c);
-        }
-    }
-
-    #[test]
-    fn decode_rejects_bad_models_and_caches() {
-        // Encoder models (non-causal, non-LM) cannot decode.
-        let encoder = tiny_model(23);
-        let mut cache = KvCache::new(encoder.blocks.len());
-        assert!(encoder.prefill(&[1, 2], &mut cache).is_err());
-
-        let mut rng = Rng::seed_from(24);
-        let decoder = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
-        // Wrong cache depth.
-        let mut shallow = KvCache::new(1);
-        assert!(decoder.prefill(&[1], &mut shallow).is_err());
-        // Out-of-vocabulary token and over-long sequence.
-        let mut cache = KvCache::new(decoder.blocks.len());
-        assert!(decoder.prefill(&[1000], &mut cache).is_err());
-        let max = decoder.config().max_seq_len;
-        let mut cache = KvCache::new(decoder.blocks.len());
-        decoder.prefill(&vec![1; max], &mut cache).unwrap();
-        assert!(decoder.decode_step(1, &mut cache).is_err());
-        // Batch size / cache count mismatch.
-        let mut one = KvCache::new(decoder.blocks.len());
-        decoder.prefill(&[1], &mut one).unwrap();
-        let mut refs: Vec<&mut KvCache> = vec![&mut one];
-        assert!(decoder.decode_step_batch(&[1, 2], &mut refs).is_err());
-        assert!(decoder.decode_step_batch(&[], &mut []).is_err());
-    }
-
-    #[test]
     fn lm_forward_produces_per_position_logits() {
         let mut rng = Rng::seed_from(2);
         let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
@@ -717,12 +497,10 @@ mod tests {
         let model = tiny_model(9);
         let store = model.params();
         assert_eq!(store.parameter_count(), model.parameter_count());
-        // Exact leaf lookup and the `.weight` fallback both resolve.
-        let vb = store.root().pp("blocks.1").pp("attn");
-        let direct = vb.get("q_proj.weight").unwrap();
-        let fallback = vb.get("q_proj").unwrap();
-        assert!(std::ptr::eq(direct, fallback));
-        assert!(vb.get("nonexistent").is_err());
+        let q = store.get("blocks.1.attn.q_proj.weight").unwrap();
+        assert_eq!(q.value().shape(), (32, 32));
+        assert!(store.get("blocks.1.attn.q_proj").is_none());
+        assert!(store.get("blocks.1.attn.nonexistent").is_none());
         assert!(store.get("embedding.table").is_some());
         assert!(store.get("final_norm.gamma").is_some());
         assert!(store.get("head.bias").is_some());
@@ -767,5 +545,12 @@ mod tests {
         let mut config = ModelConfig::tiny_encoder(2);
         config.num_heads = 3;
         assert!(TransformerModel::new(config, &mut rng).is_err());
+        // A vision model without a patch dimension has no stem to build.
+        let mut config = ModelConfig::tiny_vit(10);
+        config.patch_dim = None;
+        assert!(matches!(
+            TransformerModel::new(config, &mut rng),
+            Err(ModelError::InvalidConfig(_))
+        ));
     }
 }

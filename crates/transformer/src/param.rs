@@ -16,8 +16,7 @@
 //! one walk, so they can never drift from the module structure the way the
 //! old hand-maintained `static_linears` vectors could.
 //!
-//! [`ParamStore`] snapshots one walk into a name → parameter table, and
-//! [`VarBuilder`] is the candle-style scoped accessor over it:
+//! [`ParamStore`] snapshots one walk into a name → parameter table:
 //!
 //! ```
 //! use hyflex_transformer::{ModelConfig, ParamStore, ParamVisit, TransformerModel};
@@ -26,13 +25,11 @@
 //! let mut rng = Rng::seed_from(1);
 //! let model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
 //! let store = ParamStore::of(&model);
-//! let vb = store.root();
-//! let q = vb.pp("blocks.0.attn").get("q_proj").unwrap();
+//! let q = store.get("blocks.0.attn.q_proj.weight").unwrap();
 //! assert_eq!(q.value().rows(), 32);
 //! assert_eq!(store.parameter_count(), model.parameter_count());
 //! ```
 
-use crate::error::ModelError;
 use crate::Result;
 use hyflex_tensor::Matrix;
 
@@ -51,8 +48,6 @@ pub struct AdamWConfig {
     /// Decoupled weight decay coefficient.
     pub weight_decay: f32,
 }
-
-impl AdamWConfig {}
 
 impl Default for AdamWConfig {
     fn default() -> Self {
@@ -286,73 +281,6 @@ impl<'a> ParamStore<'a> {
     /// Total number of scalar parameter values.
     pub fn parameter_count(&self) -> usize {
         self.entries.iter().map(|(_, p)| p.value().len()).sum()
-    }
-
-    /// A [`VarBuilder`] rooted at the empty prefix.
-    pub fn root(&self) -> VarBuilder<'_, 'a> {
-        VarBuilder {
-            store: self,
-            prefix: String::new(),
-        }
-    }
-}
-
-/// Candle-style scoped accessor over a [`ParamStore`].
-///
-/// [`VarBuilder::pp`] ("push prefix") descends into a scope;
-/// [`VarBuilder::get`] resolves a name under the current prefix. A name that
-/// resolves to a whole linear layer (e.g. `q_proj`) falls back to that
-/// layer's primary `weight` parameter, so
-/// `vb.pp("blocks.3.attn").get("q_proj")` works for dense layers.
-#[derive(Debug, Clone)]
-pub struct VarBuilder<'s, 'a> {
-    store: &'s ParamStore<'a>,
-    prefix: String,
-}
-
-impl<'s, 'a> VarBuilder<'s, 'a> {
-    /// Descends into `segment` (push prefix).
-    pub fn pp(&self, segment: &str) -> VarBuilder<'s, 'a> {
-        let prefix = if self.prefix.is_empty() {
-            segment.to_string()
-        } else {
-            format!("{}.{segment}", self.prefix)
-        };
-        VarBuilder {
-            store: self.store,
-            prefix,
-        }
-    }
-
-    /// Resolves `name` under the current prefix; falls back to
-    /// `<name>.weight` for dense linear layers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidInput`] when neither name exists.
-    pub fn get(&self, name: &str) -> Result<&'a Param> {
-        let full = if self.prefix.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{name}", self.prefix)
-        };
-        self.store
-            .get(&full)
-            .or_else(|| self.store.get(&format!("{full}.weight")))
-            .ok_or_else(|| ModelError::InvalidInput(format!("no parameter named {full}")))
-    }
-
-    /// Names available under the current prefix, in visitation order.
-    pub fn names(&self) -> Vec<String> {
-        if self.prefix.is_empty() {
-            return self.store.names().map(str::to_string).collect();
-        }
-        let scoped = format!("{}.", self.prefix);
-        self.store
-            .names()
-            .filter_map(|n| n.strip_prefix(&scoped))
-            .map(str::to_string)
-            .collect()
     }
 }
 

@@ -9,19 +9,14 @@ use hyflex_pim::backend::InferenceRequest;
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
 use hyflex_tensor::rng::Rng;
-use hyflex_transformer::{AdamWConfig, ModelConfig, ModelGraph, Trainer};
+use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::lm;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // Functional part: tiny decoder on the synthetic corpus. The model is
-    // assembled declaratively: the graph describes the stem/blocks/head
-    // topology, `build` instantiates it (bit-identical to the direct
-    // `TransformerModel::new` constructor for the same seed).
+    // Functional part: tiny decoder on the synthetic corpus.
     let dataset = lm::wikitext2_dataset(77);
-    let graph = ModelGraph::from_config(ModelConfig::tiny_decoder())?;
-    print!("{}", graph.summary());
     let mut rng = Rng::seed_from(77);
-    let mut model = graph.build(&mut rng)?;
+    let mut model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng)?;
     let trainer = Trainer::new(
         AdamWConfig {
             learning_rate: 3e-3,

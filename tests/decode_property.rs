@@ -1,14 +1,7 @@
-//! Property-based proofs for the decode-serving subsystem.
-//!
-//! Two contracts are pinned here. First, iteration-level *batched* decode
-//! (`TransformerModel::decode_step_batch` — the numerical kernel behind the
-//! runtime's continuous batcher) must reproduce per-request sequential
-//! `decode_step` logits *bit for bit*, including when requests join the
-//! batch at different iterations, because each sub-layer is row-independent
-//! and attention runs against each request's own KV cache. Second, the
-//! `DecodeSim` engine's accounting must conserve requests under any traffic
-//! and any placement policy: every offered request is admitted or shed, and
-//! every admitted request completes or is evicted — nothing is lost or
+//! Property-based proof for the decode-serving subsystem: the `DecodeSim`
+//! engine's accounting must conserve requests under any traffic and any
+//! placement policy. Every offered request is admitted or shed, and every
+//! admitted request completes or is evicted — nothing is lost or
 //! double-counted, and identical inputs give bit-identical reports.
 
 use hyflex_pim::backend::{Backend, HyFlexPim};
@@ -16,119 +9,9 @@ use hyflex_pim::PerformanceModel;
 use hyflex_runtime::{
     ArrivalProcess, DecodeConfig, DecodeSim, KvPlacementPolicy, RequestTrace, TrafficConfig,
 };
-use hyflex_tensor::rng::Rng;
-use hyflex_transformer::{KvCache, ModelConfig, TransformerModel};
+use hyflex_transformer::ModelConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
-
-const VOCAB: usize = 64;
-
-/// One decode request: its prompt and the iteration it joins the batch.
-#[derive(Debug, Clone)]
-struct DecodeRequest {
-    prompt: Vec<usize>,
-    joins_at: usize,
-}
-
-/// 1..=4 requests with 1..=6-token prompts joining within the first 4
-/// iterations of an 8-iteration run (tiny decoder max sequence is 16).
-fn arbitrary_requests() -> impl Strategy<Value = Vec<DecodeRequest>> {
-    proptest::collection::vec(
-        (1usize..=6, 0usize..4, any::<u64>()).prop_map(|(len, joins_at, seed)| {
-            let mut rng = Rng::seed_from(seed);
-            DecodeRequest {
-                prompt: (0..len).map(|_| rng.below(VOCAB)).collect(),
-                joins_at,
-            }
-        }),
-        1..5,
-    )
-}
-
-/// Runs `iterations` of continuous batched decode next to the sequential
-/// reference and asserts every logits row matches bit for bit.
-fn check_batched_decode_is_bit_identical(
-    model_seed: u64,
-    requests: &[DecodeRequest],
-    iterations: usize,
-) {
-    let mut rng = Rng::seed_from(model_seed);
-    let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
-    let layers = model.config().num_layers;
-
-    // Pre-draw every token stream so both paths feed identical inputs
-    // (greedy sampling would also match, but pre-drawing keeps a divergence
-    // in one iteration from cascading into confusing downstream failures).
-    let streams: Vec<Vec<usize>> = requests
-        .iter()
-        .enumerate()
-        .map(|(b, _)| {
-            let mut rng = Rng::seed_from(model_seed ^ (b as u64 + 1));
-            (0..iterations).map(|_| rng.below(VOCAB)).collect()
-        })
-        .collect();
-
-    // Sequential reference: each request prefills and decodes alone.
-    let mut reference: Vec<Vec<hyflex_tensor::Matrix>> = Vec::new();
-    for (b, request) in requests.iter().enumerate() {
-        let mut cache = KvCache::new(layers);
-        model.prefill(&request.prompt, &mut cache).unwrap();
-        let mut logits = Vec::new();
-        for &token in streams[b]
-            .iter()
-            .take(iterations.saturating_sub(request.joins_at))
-        {
-            logits.push(model.decode_step(token, &mut cache).unwrap());
-        }
-        reference.push(logits);
-    }
-
-    // Continuous batch: requests join at their iteration and share every
-    // subsequent decode step, each against its own cache.
-    let mut caches: Vec<Option<KvCache>> = vec![None; requests.len()];
-    let mut decoded = vec![0usize; requests.len()];
-    for iteration in 0..iterations {
-        for (b, request) in requests.iter().enumerate() {
-            if request.joins_at == iteration {
-                let mut cache = KvCache::new(layers);
-                model.prefill(&request.prompt, &mut cache).unwrap();
-                caches[b] = Some(cache);
-            }
-        }
-        let members: Vec<usize> = (0..requests.len())
-            .filter(|&b| caches[b].is_some())
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let tokens: Vec<usize> = members.iter().map(|&b| streams[b][decoded[b]]).collect();
-        let mut borrowed: Vec<&mut KvCache> = Vec::new();
-        let mut rest: &mut [Option<KvCache>] = &mut caches;
-        let mut cursor = 0usize;
-        for &b in &members {
-            let (_, tail) = rest.split_at_mut(b - cursor);
-            let (slot, tail) = tail.split_at_mut(1);
-            borrowed.push(slot[0].as_mut().unwrap());
-            rest = tail;
-            cursor = b + 1;
-        }
-        let batched = model.decode_step_batch(&tokens, &mut borrowed).unwrap();
-        for (row, &b) in members.iter().enumerate() {
-            let expected = &reference[b][decoded[b]];
-            assert_eq!(expected.rows(), 1);
-            assert_eq!(batched.cols(), expected.cols());
-            for (c, (bv, ev)) in batched.row(row).iter().zip(expected.row(0)).enumerate() {
-                assert_eq!(
-                    bv.to_bits(),
-                    ev.to_bits(),
-                    "request {b} decode step {} logit {c}: batched {bv:?} vs sequential {ev:?}",
-                    decoded[b],
-                );
-            }
-            decoded[b] += 1;
-        }
-    }
-}
 
 fn paper_backend() -> Arc<dyn Backend> {
     Arc::new(
@@ -199,16 +82,6 @@ fn check_decode_serving_conserves_requests(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Continuous batched decode with staggered joins is bit-identical to
-    /// per-request sequential decode.
-    #[test]
-    fn batched_decode_is_bit_identical_to_sequential(
-        requests in arbitrary_requests(),
-        model_seed in any::<u64>(),
-    ) {
-        check_batched_decode_is_bit_identical(model_seed, &requests, 8);
-    }
-
     /// Request conservation holds for every placement policy across
     /// randomized traffic, pool sizes, and output lengths — including
     /// overloaded pools that shed and evict.
@@ -235,13 +108,4 @@ proptest! {
             seed,
         );
     }
-}
-
-#[test]
-fn batch_of_one_matches_sequential_exactly() {
-    let requests = vec![DecodeRequest {
-        prompt: vec![3, 1, 4],
-        joins_at: 0,
-    }];
-    check_batched_decode_is_bit_identical(7, &requests, 8);
 }
