@@ -40,14 +40,10 @@
 //! `hyflex-runtime` and the tests therefore go through one trait.
 //!
 //! The crate also hosts the name-addressed side of the comparison surface:
-//!
-//! * [`registry`] — [`BackendRegistry`]: name → constructor table for every
-//!   comparison backend (`hyflexpim`, `asadi-int8`, `asadi-fp32`, `nmp`,
-//!   `sprint`, `non-pim`, `analog-attention`), the one place that knows the
-//!   full roster.
-//! * [`system`] — [`SystemBuilder`]: validated, fluent construction of a
-//!   deployed system
-//!   (`SystemBuilder::paper().slc_rate(0.05).backend("asadi-int8").build()`).
+//! [`system`] holds the roster ([`BACKENDS`], [`PAPER_FIGURE_BACKENDS`]) and
+//! [`SystemBuilder`], the one way to turn a name into a validated, deployed
+//! system
+//! (`SystemBuilder::paper().slc_rate(0.05).backend("asadi-int8").build()`).
 //!
 //! [`HyFlexPim`]: hyflex_pim::backend::HyFlexPim
 
@@ -55,7 +51,6 @@ pub mod analog_attention;
 pub mod asadi;
 pub mod nmp;
 pub mod non_pim;
-pub mod registry;
 pub mod sprint;
 pub mod system;
 
@@ -65,9 +60,8 @@ pub use analog_attention::{AnalogAttention, ANALOG_ATTENTION_EFFICIENCY};
 pub use asadi::{Asadi, AsadiPrecision};
 pub use nmp::NearMemoryProcessing;
 pub use non_pim::NonPim;
-pub use registry::{BackendParams, BackendRegistry};
 pub use sprint::Sprint;
-pub use system::SystemBuilder;
+pub use system::{SystemBuilder, BACKENDS, PAPER_FIGURE_BACKENDS};
 
 /// Default activation-buffer budget charged against batches on the digital
 /// baselines (SPRINT, NMP, non-PIM), bytes. These designs hold a batch's
@@ -95,18 +89,19 @@ mod tests {
     use hyflex_pim::energy_breakdown::EnergyBreakdown;
     use std::sync::Arc;
 
-    /// Every registered design bound to `model`, HyFlexPIM at `slc`, in
-    /// registry order (HyFlexPIM first).
+    /// Every roster design bound to `model`, HyFlexPIM at `slc`, in
+    /// [`BACKENDS`] order (HyFlexPIM first).
     fn roster(model: &ModelConfig, slc: f64) -> Vec<Box<dyn Backend>> {
-        let registry = BackendRegistry::paper();
-        let params = BackendParams {
-            slc_rank_fraction: slc,
-            ..BackendParams::paper(model.clone())
-        };
-        registry
-            .names()
+        BACKENDS
             .into_iter()
-            .map(|name| registry.build(name, &params).unwrap())
+            .map(|name| {
+                SystemBuilder::paper()
+                    .model(model.clone())
+                    .slc_rate(slc)
+                    .backend(name)
+                    .build()
+                    .unwrap()
+            })
             .collect()
     }
 

@@ -18,15 +18,65 @@
 //! ```
 //!
 //! `build()` rejects an SLC rate outside `[0, 1]`, an MLC level outside
-//! `2..=4`, and unknown backend names (the error lists the available
-//! backends), so the figure binaries and the serving simulator never see a
-//! half-validated configuration.
+//! `2..=4`, and unknown backend names (the error lists [`BACKENDS`]), so the
+//! figure binaries and the serving simulator never see a half-validated
+//! configuration. This module is the one place that knows the roster of
+//! comparison backends and turns a name into a `Box<dyn Backend>`.
 
-use crate::registry::{BackendParams, BackendRegistry};
-use hyflex_pim::backend::Backend;
-use hyflex_pim::{PimError, Result};
+use crate::{AnalogAttention, Asadi, AsadiPrecision, NearMemoryProcessing, NonPim, Sprint};
+use hyflex_pim::backend::{Backend, HyFlexPim};
+use hyflex_pim::perf::PerformanceModel;
+use hyflex_pim::{HyFlexPimConfig, PimError, Result};
 use hyflex_rram::cell::CellMode;
 use hyflex_transformer::config::ModelConfig;
+
+/// Every backend name [`SystemBuilder::backend`] accepts, in paper-figure
+/// order: HyFlexPIM, the paper's baselines (ASADI in both precisions), and
+/// the serving-oriented `analog-attention` design used by the
+/// decode-serving study.
+pub const BACKENDS: [&str; 7] = [
+    "hyflexpim",
+    "asadi-int8",
+    "asadi-fp32",
+    "nmp",
+    "sprint",
+    "non-pim",
+    "analog-attention",
+];
+
+/// The six designs the paper's own figures compare: [`BACKENDS`] without
+/// `analog-attention`, so the figure binaries that reproduce published
+/// plots (14, 15, 19–21) keep their default output as serving-only designs
+/// are added.
+pub const PAPER_FIGURE_BACKENDS: [&str; 6] = [
+    "hyflexpim",
+    "asadi-int8",
+    "asadi-fp32",
+    "nmp",
+    "sprint",
+    "non-pim",
+];
+
+/// Validates a backend name without building anything.
+///
+/// # Errors
+///
+/// Returns [`PimError::InvalidConfig`] naming the available backends for
+/// an unknown name.
+pub fn ensure_known(name: &str) -> Result<()> {
+    if BACKENDS.contains(&name) {
+        Ok(())
+    } else {
+        Err(unknown_backend(name))
+    }
+}
+
+fn unknown_backend(name: &str) -> PimError {
+    PimError::InvalidConfig(format!(
+        "unknown backend '{name}'; available backends: {}",
+        BACKENDS.join(", ")
+    ))
+}
 
 /// Fluent builder for a model-bound comparison backend.
 #[derive(Debug, Clone)]
@@ -72,17 +122,11 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the backend by registry name (see
-    /// [`BackendRegistry::names`]).
+    /// Selects the backend by name (one of [`BACKENDS`]).
     #[must_use]
     pub fn backend(mut self, name: &str) -> Self {
         self.backend = name.to_string();
         self
-    }
-
-    /// The currently selected backend name.
-    pub fn backend_name(&self) -> &str {
-        &self.backend
     }
 
     /// Validates the configuration and builds the bound backend.
@@ -107,15 +151,29 @@ impl SystemBuilder {
             )));
         }
         self.model.validate()?;
-        let registry = BackendRegistry::paper();
-        let params = BackendParams {
-            model: self.model,
-            slc_rank_fraction: self.slc_rate,
-            mlc_mode: CellMode::Mlc {
-                bits: self.mlc_bits,
-            },
-        };
-        registry.build(&self.backend, &params)
+        let model = self.model;
+        Ok(match self.backend.as_str() {
+            "hyflexpim" => {
+                let hw = HyFlexPimConfig {
+                    mlc_mode: CellMode::Mlc {
+                        bits: self.mlc_bits,
+                    },
+                    ..HyFlexPimConfig::paper_default()
+                };
+                Box::new(HyFlexPim::new(
+                    PerformanceModel::new(hw)?,
+                    model,
+                    self.slc_rate,
+                )?)
+            }
+            "asadi-int8" => Box::new(Asadi::new(AsadiPrecision::Int8, model)?),
+            "asadi-fp32" => Box::new(Asadi::new(AsadiPrecision::Fp32, model)?),
+            "nmp" => Box::new(NearMemoryProcessing::new(model)),
+            "sprint" => Box::new(Sprint::new(model)),
+            "non-pim" => Box::new(NonPim::new(model)),
+            "analog-attention" => Box::new(AnalogAttention::new(model)?),
+            name => return Err(unknown_backend(name)),
+        })
     }
 }
 
@@ -147,6 +205,19 @@ mod tests {
             .unwrap();
         assert_eq!(backend.name(), "SPRINT");
         assert_eq!(backend.model().name, "GPT-2");
+        // Every roster name builds a backend that prices a request, and a
+        // batched evaluation reports that same request as its `single`.
+        for name in BACKENDS {
+            let backend = SystemBuilder::paper().backend(name).build().unwrap();
+            let summary = backend.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
+            assert!(
+                summary.latency.total_ns() > 0.0,
+                "{name} reports no latency"
+            );
+            let batched = backend.evaluate_batched(128, 4).unwrap();
+            assert_eq!(batched.single, summary, "{name} batched/single mismatch");
+            assert!(backend.capacity() >= backend.request_cells(128), "{name}");
+        }
     }
 
     #[test]
@@ -171,9 +242,21 @@ mod tests {
                 "unexpected error: {err}"
             );
         }
+        let energy_pj = |bits: u8| {
+            SystemBuilder::paper()
+                .mlc_bits(bits)
+                .build()
+                .unwrap()
+                .evaluate(&InferenceRequest::of_len(0, 128))
+                .unwrap()
+                .energy
+                .total_pj()
+        };
         for good in [2u8, 3, 4] {
-            assert!(SystemBuilder::paper().mlc_bits(good).build().is_ok());
+            assert!(energy_pj(good) > 0.0);
         }
+        // Denser cells pack more bits per array: the mappings differ.
+        assert_ne!(energy_pj(2), energy_pj(4));
     }
 
     #[test]
@@ -184,8 +267,22 @@ mod tests {
             .unwrap_err();
         let message = err.to_string();
         assert!(message.contains("asadi-int4"));
-        for name in BackendRegistry::paper().names() {
+        for name in BACKENDS {
             assert!(message.contains(name), "{message} should list {name}");
         }
+        // `ensure_known` gives the same verdict without building anything.
+        assert_eq!(ensure_known("asadi-int4").unwrap_err().to_string(), message);
+        for name in BACKENDS {
+            assert!(ensure_known(name).is_ok(), "{name}");
+        }
+        assert!(ensure_known("tpu").is_err());
+        // The figure roster is the full roster, in order, without the
+        // serving-only design; HyFlexPIM leads both.
+        let figure: Vec<&str> = BACKENDS
+            .into_iter()
+            .filter(|&n| n != "analog-attention")
+            .collect();
+        assert_eq!(figure, PAPER_FIGURE_BACKENDS);
+        assert_eq!(BACKENDS[0], "hyflexpim");
     }
 }

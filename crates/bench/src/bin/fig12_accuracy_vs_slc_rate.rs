@@ -69,7 +69,7 @@ fn main() {
     let args = BinArgs::parse();
     args.init_output();
     // Only HyFlexPIM has a noise/accuracy model; anything else is rejected
-    // through the registry (with the listing).
+    // (unknown names with the roster listing).
     args.require_hyflexpim("fig12 sweeps task accuracy under the HyFlexPIM noise model");
     let pool = args.pool();
     let mlc = args.mlc_mode();

@@ -20,7 +20,7 @@ fn main() {
     let args = BinArgs::parse();
     args.init_output();
     // SLC selection is a HyFlexPIM-mapping concern; reject other backends
-    // (and unknown names) through the registry.
+    // (and unknown names, with the roster listing).
     args.require_hyflexpim("fig13 compares SLC selection strategies of the HyFlexPIM mapping");
     let pool = args.pool();
     let svd_algo = args.svd_algo_or_exit(SvdAlgorithm::Jacobi);

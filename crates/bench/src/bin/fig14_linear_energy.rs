@@ -2,9 +2,9 @@
 //! sequence lengths and SLC protection rates.
 //!
 //! Common flags: `--out PATH`, `--backend NAME` (restrict the baseline rows
-//! to one registered design).
+//! to one design).
 
-use hyflex_baselines::{BackendParams, BackendRegistry, NonPim};
+use hyflex_baselines::{NonPim, SystemBuilder, PAPER_FIGURE_BACKENDS};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_transformer::ModelConfig;
@@ -12,27 +12,23 @@ use hyflex_transformer::ModelConfig;
 fn main() {
     let args = BinArgs::parse();
     args.init_output();
-    let registry = BackendRegistry::paper();
     let model = ModelConfig::bert_large();
     // Every design is deployed once for the model; the cells below only
     // price sequence lengths.
-    let build = |name: &str, slc_rank_fraction: f64| {
-        let params = BackendParams {
-            slc_rank_fraction,
-            ..BackendParams::paper(model.clone())
-        };
-        registry.build(name, &params).expect("registered")
+    let build = |name: &str, slc_rate: f64| {
+        SystemBuilder::paper()
+            .model(model.clone())
+            .slc_rate(slc_rate)
+            .backend(name)
+            .build()
+            .expect("roster backend builds")
     };
-    // --backend restricts the comparison rows; default shows every design.
-    let baselines: Vec<Box<dyn Backend>> = match args.selected_backend_or_exit() {
-        Some(name) => vec![build(&name, 0.05)],
-        None => registry
-            .paper_figure_names()
-            .into_iter()
-            .skip(1)
-            .map(|name| build(name, 0.05))
-            .collect(),
-    };
+    // --backend restricts the comparison rows; default shows every baseline.
+    let baselines: Vec<Box<dyn Backend>> = args
+        .backends_or_exit(&PAPER_FIGURE_BACKENDS[1..])
+        .iter()
+        .map(|name| build(name, 0.05))
+        .collect();
     let lengths = [128usize, 512, 1024, 2048, 4096, 8192];
     let slc_rates = [0.05, 0.10, 0.30, 0.40, 0.50];
     let hyflex: Vec<Box<dyn Backend>> = slc_rates

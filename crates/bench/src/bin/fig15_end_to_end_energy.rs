@@ -1,9 +1,9 @@
 //! Figure 15: end-to-end energy comparison and HyFlexPIM component breakdown.
 //!
 //! Common flags: `--out PATH`, `--backend NAME` (restrict the comparison
-//! rows to one registered design).
+//! rows to one design).
 
-use hyflex_baselines::{BackendParams, BackendRegistry};
+use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::energy_breakdown::EnergyBreakdown;
@@ -20,19 +20,17 @@ fn energy(backend: &dyn Backend, seq_len: usize) -> EnergyBreakdown {
 
 /// Prints the comparison table and the HyFlexPIM breakdown for one model,
 /// deploying every design once at `slc_rate` (only HyFlexPIM reads it).
-fn figure(model: ModelConfig, slc_rate: f64, selected: Option<&str>) {
-    let registry = BackendRegistry::paper();
-    let params = BackendParams {
-        slc_rank_fraction: slc_rate,
-        ..BackendParams::paper(model)
+fn figure(model: ModelConfig, slc_rate: f64, names: &[String]) {
+    let build = |name: &str| {
+        SystemBuilder::paper()
+            .model(model.clone())
+            .slc_rate(slc_rate)
+            .backend(name)
+            .build()
+            .expect("roster backend builds")
     };
-    let build = |name: &str| registry.build(name, &params).expect("registered");
     let hyflex = build("hyflexpim");
-    let names = match selected {
-        Some(name) => vec![name],
-        None => registry.paper_figure_names(),
-    };
-    let rows: Vec<Box<dyn Backend>> = names.into_iter().map(build).collect();
+    let rows: Vec<Box<dyn Backend>> = names.iter().map(|name| build(name)).collect();
     comparison(hyflex.as_ref(), &rows, slc_rate);
     breakdown(hyflex.as_ref(), slc_rate);
 }
@@ -95,10 +93,10 @@ fn main() {
     let args = BinArgs::parse();
     args.init_output();
     // --backend restricts the comparison rows; default shows every design.
-    let selected = args.selected_backend_or_exit();
+    let names = args.backends_or_exit(&PAPER_FIGURE_BACKENDS);
     emitln!("Figure 15 — end-to-end energy comparison and breakdown");
     // (a, b): BERT-Large at 5% SLC.
-    figure(ModelConfig::bert_large(), 0.05, selected.as_deref());
+    figure(ModelConfig::bert_large(), 0.05, &names);
     // (c, d): GPT-2 at 30% SLC.
-    figure(ModelConfig::gpt2_small(), 0.30, selected.as_deref());
+    figure(ModelConfig::gpt2_small(), 0.30, &names);
 }

@@ -1,10 +1,10 @@
 //! Figure 16: throughput (TOPS/mm²) speedup over ASADI† and SPRINT.
 //!
 //! Common flags: `--out PATH` (tee rows to a file), `--backend NAME`
-//! (compare HyFlexPIM against one registered baseline instead of the
-//! default ASADI† + SPRINT pair).
+//! (compare HyFlexPIM against one baseline instead of the default
+//! ASADI† + SPRINT pair).
 
-use hyflex_baselines::{BackendParams, BackendRegistry};
+use hyflex_baselines::SystemBuilder;
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_transformer::ModelConfig;
@@ -38,13 +38,13 @@ fn versus(hyflex: &[Box<dyn Backend>], baseline: &dyn Backend, decimals: usize) 
 /// Deploys HyFlexPIM at every SLC rate and each named baseline once for
 /// `model`, then prints the speedup table.
 fn sweep(title: &str, model: ModelConfig, baselines: &[String]) {
-    let registry = BackendRegistry::paper();
-    let build = |name: &str, slc_rank_fraction: f64| {
-        let params = BackendParams {
-            slc_rank_fraction,
-            ..BackendParams::paper(model.clone())
-        };
-        registry.build(name, &params).expect("registered")
+    let build = |name: &str, slc_rate: f64| {
+        SystemBuilder::paper()
+            .model(model.clone())
+            .slc_rate(slc_rate)
+            .backend(name)
+            .build()
+            .expect("roster backend builds")
     };
     let hyflex: Vec<Box<dyn Backend>> = SLC_RATES
         .iter()
@@ -67,11 +67,8 @@ fn main() {
     let args = BinArgs::parse();
     args.init_output();
     // Default comparison set: ASADI-dagger and SPRINT (the paper's Figure
-    // 16); --backend narrows it to a single registered design.
-    let baselines = match args.selected_backend_or_exit() {
-        Some(name) => vec![name],
-        None => vec!["asadi-int8".to_string(), "sprint".to_string()],
-    };
+    // 16); --backend narrows it to a single design.
+    let baselines = args.backends_or_exit(&["asadi-int8", "sprint"]);
     emitln!("Figure 16 — throughput speedup (TOPS/mm^2)");
     // (a) GLUE proxy: BERT-Large; (b) WikiText-2 proxy: GPT-2.
     sweep(

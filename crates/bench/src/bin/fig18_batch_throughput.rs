@@ -11,6 +11,7 @@
 //! backend instead of HyFlexPIM; defaults reproduce the historical HyFlexPIM
 //! rows bit for bit).
 
+use hyflex_baselines::SystemBuilder;
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::packed_batch;
@@ -25,8 +26,20 @@ use std::sync::Arc;
 const BATCH_SIZES: [usize; 6] = [1, 2, 4, 8, 16, 32];
 const SLC_RATE: f64 = 0.05;
 
+/// The `--backend` design (default HyFlexPIM) bound to `model`, with the
+/// `--mlc-bits` ablation folded in.
+fn build(args: &BinArgs, model: ModelConfig) -> Box<dyn Backend> {
+    SystemBuilder::paper()
+        .model(model)
+        .slc_rate(SLC_RATE)
+        .mlc_bits(args.mlc_mode().bits_per_cell())
+        .backend(&args.backend_or_exit("hyflexpim"))
+        .build()
+        .expect("roster backend builds")
+}
+
 fn batch_sweep(args: &BinArgs, title: &str, model: ModelConfig, seq_len: usize) {
-    let backend = args.build_backend_or_exit("hyflexpim", model, SLC_RATE);
+    let backend = build(args, model);
     // The backend name already carries the mapping parameters where they
     // apply (e.g. "HyFlexPIM (5% SLC)"); baselines have no SLC rate.
     emitln!(
@@ -64,8 +77,7 @@ fn batch_sweep(args: &BinArgs, title: &str, model: ModelConfig, seq_len: usize) 
 }
 
 fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) {
-    let backend: Arc<dyn Backend> =
-        Arc::from(args.build_backend_or_exit("hyflexpim", model.clone(), SLC_RATE));
+    let backend: Arc<dyn Backend> = Arc::from(build(args, model.clone()));
     emitln!(
         "\n(b) {}: closed-loop serving on {} (Poisson arrivals, batch cap 16, N = {seq_len})",
         model.name,

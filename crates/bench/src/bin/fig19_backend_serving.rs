@@ -2,17 +2,18 @@
 //!
 //! The first payoff of the unified `Backend` API: one serving workload
 //! (BERT-Large, N = 128, Poisson arrivals, batch cap 16) driven across every
-//! registered backend — HyFlexPIM and the four baselines — through the same
-//! `BatchScheduler` and one-chip `ClusterSim` machinery. The offered load is
+//! figure backend — HyFlexPIM and the five baseline designs (ASADI in both
+//! precisions, SPRINT, NMP, non-PIM) — through the same `BatchScheduler`
+//! and one-chip `ClusterSim` machinery. The offered load is
 //! **matched**: every backend is offered the same QPS, anchored to
 //! HyFlexPIM's single-request service rate, so tail latency and sustained
 //! throughput are directly comparable. Designs slower than the offered load saturate and
 //! their percentiles explode — that is the comparison.
 //!
 //! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict the
-//! table to one registered backend).
+//! table to one backend).
 
-use hyflex_baselines::{BackendRegistry, SystemBuilder};
+use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
@@ -35,15 +36,7 @@ fn build(name: &str) -> Box<dyn Backend> {
 fn main() {
     let args = BinArgs::parse();
     args.init_output();
-    let registry = BackendRegistry::paper();
-    let names: Vec<String> = match args.selected_backend_or_exit() {
-        Some(name) => vec![name],
-        None => registry
-            .paper_figure_names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect(),
-    };
+    let names = args.backends_or_exit(&PAPER_FIGURE_BACKENDS);
     let seed = args.seed_or(19);
 
     // Matched load: every backend is offered the same QPS, anchored to the

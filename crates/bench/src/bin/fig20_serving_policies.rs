@@ -12,12 +12,12 @@
 //! batched service rate), so the policy effect is comparable across
 //! designs.
 //!
-//! Common flags: `--seed N`, `--out PATH`, `--backend NAME|all` (restrict
+//! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict
 //! the table to one registered backend), `--chips N` and
 //! `--dispatch rr|jsq` (run each policy on an N-chip cluster; the offered
 //! load scales with the fleet).
 
-use hyflex_baselines::{BackendRegistry, SystemBuilder};
+use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{
@@ -69,15 +69,7 @@ fn sustainable_qps(backend: &dyn Backend) -> f64 {
 fn main() {
     let args = BinArgs::parse();
     args.init_output();
-    let registry = BackendRegistry::paper();
-    let names: Vec<String> = match args.backend.as_deref() {
-        None | Some("all") => registry
-            .paper_figure_names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect(),
-        Some(_) => vec![args.backend_or_exit("hyflexpim")],
-    };
+    let names = args.backends_or_exit(&PAPER_FIGURE_BACKENDS);
     let seed = args.seed_or(20);
     let chips = args.chips_or(1);
     let dispatch = args.dispatch_or_exit(DispatchPolicy::RoundRobin);

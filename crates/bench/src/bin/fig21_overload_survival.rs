@@ -17,12 +17,12 @@
 //! runs in constant memory; latency tails come from the log-linear
 //! histogram (≤ 1.6 % bucket error, mean/max exact).
 //!
-//! Common flags: `--seed N`, `--out PATH`, `--backend NAME|all` (restrict
+//! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict
 //! part (b) to one registered backend), `--requests N` (part (a) trace
 //! length, default 1,000,000), `--smoke` (shrink every part to a
 //! seconds-scale CI run).
 
-use hyflex_baselines::{BackendRegistry, SystemBuilder};
+use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{
@@ -240,15 +240,7 @@ fn main() {
     }
 
     // ---- (b) Cross-backend shed/no-shed sweep ----------------------------
-    let registry = BackendRegistry::paper();
-    let names: Vec<String> = match args.backend.as_deref() {
-        None | Some("all") => registry
-            .paper_figure_names()
-            .iter()
-            .map(|n| n.to_string())
-            .collect(),
-        Some(_) => vec![args.backend_or_exit("hyflexpim")],
-    };
+    let names = args.backends_or_exit(&PAPER_FIGURE_BACKENDS);
     emitln!("\n(b) Shed vs no-shed at {OVERLOAD}x matched overload, {n_sweep} requests per run:");
     let mut shed_wins = 0usize;
     for name in &names {

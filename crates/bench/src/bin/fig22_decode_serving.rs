@@ -24,14 +24,13 @@
 //! `--trace PATH` (replace part (a)'s workload with a trace file),
 //! `--smoke` (shrink every part to a seconds-scale CI run).
 
-use hyflex_baselines::BackendRegistry;
+use hyflex_baselines::SystemBuilder;
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{
     ArrivalProcess, DecodeConfig, DecodeReport, DecodeSim, KvPlacementPolicy, RequestTrace,
     TrafficConfig,
 };
-use hyflex_transformer::ModelConfig;
 use std::sync::Arc;
 
 const SEQ_LEN: usize = 128;
@@ -51,9 +50,12 @@ const PLACEMENTS: [KvPlacementPolicy; 3] = [
 ];
 
 fn build(name: &str) -> Arc<dyn Backend> {
-    let registry = BackendRegistry::paper();
-    let params = hyflex_baselines::BackendParams::paper(ModelConfig::bert_large());
-    Arc::from(registry.build(name, &params).expect("registered backend"))
+    Arc::from(
+        SystemBuilder::paper()
+            .backend(name)
+            .build()
+            .expect("roster backend builds"),
+    )
 }
 
 fn poisson_trace(qps: f64, num_requests: usize, seed: u64) -> RequestTrace {

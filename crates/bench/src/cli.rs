@@ -1,18 +1,20 @@
 //! Shared command-line handling for the figure/table binaries.
 //!
-//! Before this module each binary hand-rolled its own `std::env::args` loop
-//! (seed constants, the `--mlc-bits` flag, ad-hoc output redirection). All
-//! binaries now accept the same flags:
+//! Every binary parses the same flags with [`BinArgs::parse`] and reads
+//! the ones it uses:
 //!
 //! * `--seed N` — override the binary's default experiment seed;
-//! * `--mlc-bits B` — MLC cell level for ablations (2..=4, default 2);
+//! * `--mlc-bits B` — MLC cell level for ablations (2..=4, default 2; read
+//!   by fig12 and fig18 only);
 //! * `--out PATH` — tee every printed row to a file;
 //! * `--threads N` — worker-pool width for parallelized sweeps
 //!   (default: machine parallelism);
-//! * `--backend NAME` — which registered comparison backend to evaluate
-//!   (`hyflexpim`, `asadi-int8`, `asadi-fp32`, `nmp`, `sprint`, `non-pim`);
+//! * `--backend NAME` — which comparison backend to evaluate (one of
+//!   [`BACKENDS`](hyflex_baselines::BACKENDS): `hyflexpim`, `asadi-int8`,
+//!   `asadi-fp32`, `nmp`, `sprint`, `non-pim`, `analog-attention`);
 //!   binaries that only model HyFlexPIM (the accuracy sweeps) reject other
-//!   names with the registry's listing;
+//!   names, and every binary rejects an unknown name with the roster
+//!   listing;
 //! * `--svd-algo NAME` — SVD algorithm for the gradient-redistribution
 //!   pipeline (`jacobi` — the bit-stable default — or `randomized`, the
 //!   Gaussian-sketch subspace iteration);
@@ -25,12 +27,11 @@
 //! * `--smoke` — shrink an experiment to a seconds-scale CI smoke run.
 
 use crate::output;
-use hyflex_baselines::{BackendRegistry, SystemBuilder};
-use hyflex_pim::backend::Backend;
+use hyflex_baselines::system::ensure_known;
 use hyflex_rram::cell::CellMode;
 use hyflex_runtime::{DispatchPolicy, JobPool, RequestTrace};
 use hyflex_tensor::SvdAlgorithm;
-use hyflex_transformer::ModelConfig;
+use std::fmt::Display;
 use std::path::PathBuf;
 
 /// Parsed common flags.
@@ -113,15 +114,14 @@ impl BinArgs {
     /// Binary-facing variant of `svd_algo_or`: prints the error
     /// and exits with status 2 instead of returning it.
     pub fn svd_algo_or_exit(&self, default: SvdAlgorithm) -> SvdAlgorithm {
-        self.svd_algo_or(default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(self.svd_algo_or(default))
     }
 
-    /// The `--chips` selection (or `default`). Like the other numeric
-    /// flags (`--seed`, `--threads`, `--mlc-bits`), a zero or unparsable
-    /// value falls back to the default.
+    /// The `--chips` selection (or `default`). A zero or unparsable value
+    /// falls back to the default, as for `--requests`. (An unparsable
+    /// `--seed` or `--threads` also falls back, but zero is taken as given:
+    /// `--seed 0` runs seed 0, and `--threads 0` gets the pool's one-worker
+    /// minimum.)
     pub fn chips_or(&self, default: usize) -> usize {
         self.chips.filter(|&c| c > 0).unwrap_or(default)
     }
@@ -148,111 +148,57 @@ impl BinArgs {
     /// Binary-facing variant of `dispatch_or`: prints the error
     /// and exits with status 2 instead of returning it.
     pub fn dispatch_or_exit(&self, default: DispatchPolicy) -> DispatchPolicy {
-        self.dispatch_or(default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(self.dispatch_or(default))
     }
 
-    /// The `--backend` selection (or `default`), validated against the
-    /// [`BackendRegistry`]. Binaries call this even when they only support
-    /// one backend, so an unknown name always fails with the registry's
-    /// listing instead of being silently ignored.
+    /// The `--backend` selection (or `default`), validated against
+    /// [`BACKENDS`](hyflex_baselines::BACKENDS). Binaries call this even
+    /// when they only support one backend, so an unknown name always fails
+    /// with the roster listing instead of being silently ignored.
     ///
     /// # Errors
     ///
-    /// Returns the registry's unknown-backend error (which names the
-    /// available backends).
+    /// Returns the unknown-backend error of [`ensure_known`] (which names
+    /// the available backends).
     fn backend_or(&self, default: &str) -> hyflex_pim::Result<String> {
-        let name = self.backend.clone().unwrap_or_else(|| default.to_string());
-        BackendRegistry::paper().ensure_known(&name)?;
-        Ok(name)
+        let name = self.backend.as_deref().unwrap_or(default);
+        ensure_known(name)?;
+        Ok(name.to_string())
     }
 
-    /// Binary-facing variant of `backend_or`: prints the
-    /// registry's unknown-backend listing and exits with status 2 instead of
-    /// returning an error.
+    /// Binary-facing variant of `backend_or`: prints the roster listing and
+    /// exits with status 2 instead of returning an error.
     pub fn backend_or_exit(&self, default: &str) -> String {
-        match self.backend_or(default) {
-            Ok(name) => name,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
+        or_exit(self.backend_or(default))
     }
 
-    /// For comparison figures whose default is "every registered design":
-    /// `None` when `--backend` was not given, `Some(validated name)` when it
-    /// was; exits with status 2 (and the registry's listing) for unknown
-    /// names.
-    pub fn selected_backend_or_exit(&self) -> Option<String> {
-        let name = self.backend.clone()?;
-        if let Err(e) = BackendRegistry::paper().ensure_known(&name) {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-        Some(name)
+    /// The backends a comparison figure runs on: `default` without
+    /// `--backend`, otherwise the one validated name (see
+    /// [`BinArgs::backend_or_exit`]).
+    pub fn backends_or_exit(&self, default: &[&str]) -> Vec<String> {
+        or_exit(self.backends_or(default))
     }
 
-    /// Binary-facing variant of [`BinArgs::build_backend`]: prints the
-    /// validation error and exits with status 2 instead of returning it.
-    pub fn build_backend_or_exit(
-        &self,
-        default: &str,
-        model: ModelConfig,
-        slc_rate: f64,
-    ) -> Box<dyn Backend> {
-        match self.build_backend(default, model, slc_rate) {
-            Ok(backend) => backend,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+    /// Testable core of [`BinArgs::backends_or_exit`].
+    fn backends_or(&self, default: &[&str]) -> hyflex_pim::Result<Vec<String>> {
+        match &self.backend {
+            None => Ok(default.iter().map(|n| n.to_string()).collect()),
+            Some(name) => ensure_known(name).map(|()| vec![name.clone()]),
         }
     }
 
     /// For binaries that model only HyFlexPIM (the accuracy/selection
-    /// sweeps): resolves `--backend` through the registry and exits with
-    /// status 2 — printing the registry's listing for unknown names, or
-    /// `reason` for a registered baseline that has no such model.
+    /// sweeps): validates `--backend` and exits with status 2 — printing
+    /// the roster listing for unknown names, or `reason` for a baseline
+    /// that has no such model.
     pub fn require_hyflexpim(&self, reason: &str) {
-        match self.backend_or("hyflexpim") {
-            Ok(name) if name == "hyflexpim" => {}
-            Ok(name) => {
-                eprintln!(
-                    "{reason}; --backend {name} is not applicable \
-                     (use fig19_backend_serving for cross-backend comparisons)"
-                );
-                std::process::exit(2);
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+        let name = self.backend_or_exit("hyflexpim");
+        if name != "hyflexpim" {
+            or_exit::<()>(Err(format!(
+                "{reason}; --backend {name} is not applicable \
+                 (use fig19_backend_serving for cross-backend comparisons)"
+            )));
         }
-    }
-
-    /// Builds the selected backend bound to `model` through
-    /// [`SystemBuilder`], folding in the `--mlc-bits` ablation flag.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SystemBuilder::build`] validation errors (unknown
-    /// backend names, out-of-range rates).
-    pub fn build_backend(
-        &self,
-        default: &str,
-        model: ModelConfig,
-        slc_rate: f64,
-    ) -> hyflex_pim::Result<Box<dyn Backend>> {
-        let name = self.backend_or(default)?;
-        SystemBuilder::paper()
-            .model(model)
-            .slc_rate(slc_rate)
-            .mlc_bits(self.mlc_mode().bits_per_cell())
-            .backend(&name)
-            .build()
     }
 
     /// The binary's seed, unless overridden on the command line.
@@ -261,7 +207,7 @@ impl BinArgs {
     }
 
     /// The `--requests` selection (or `default`). Zero or unparsable
-    /// values fall back to the default, like the other numeric flags.
+    /// values fall back to the default, as for `--chips`.
     pub fn requests_or(&self, default: usize) -> usize {
         self.requests.filter(|&n| n > 0).unwrap_or(default)
     }
@@ -286,10 +232,7 @@ impl BinArgs {
     /// Binary-facing variant of `trace_or`: prints the error and
     /// exits with status 2 instead of returning it.
     pub fn trace_or_exit(&self, default: impl FnOnce() -> RequestTrace) -> RequestTrace {
-        self.trace_or(default).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+        or_exit(self.trace_or(default))
     }
 
     /// The MLC cell mode selected by `--mlc-bits` (default 2-bit).
@@ -317,6 +260,15 @@ impl BinArgs {
             }
         }
     }
+}
+
+/// Unwraps a flag's validation result, or prints the error and exits with
+/// status 2 (the binaries' usage-error code).
+fn or_exit<T>(result: Result<T, impl Display>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 #[cfg(test)]
@@ -449,32 +401,24 @@ mod tests {
         // Default applies when the flag is absent.
         let args = parse(&[]);
         assert_eq!(args.backend_or("hyflexpim").unwrap(), "hyflexpim");
-        // Unknown names fail with the registry's listing.
+        // Unknown names fail with the roster listing.
         let args = parse(&["--backend", "gpu"]);
         let err = args.backend_or("hyflexpim").unwrap_err().to_string();
         assert!(err.contains("gpu") && err.contains("hyflexpim"), "{err}");
     }
 
     #[test]
-    fn build_backend_binds_the_model_and_mlc_flag() {
-        let args = parse(&["--backend", "non-pim"]);
-        let backend = args
-            .build_backend(
-                "hyflexpim",
-                hyflex_transformer::ModelConfig::bert_base(),
-                0.05,
-            )
-            .unwrap();
-        assert_eq!(backend.name(), "Non-PIM");
-        assert_eq!(backend.model().name, "BERT-Base");
-        let args = parse(&["--mlc-bits", "3"]);
-        let backend = args
-            .build_backend(
-                "hyflexpim",
-                hyflex_transformer::ModelConfig::bert_base(),
-                0.05,
-            )
-            .unwrap();
-        assert!(backend.name().contains("HyFlexPIM"));
+    fn backends_flag_narrows_the_default_rows() {
+        let default = ["asadi-int8", "sprint"];
+        // Absent flag: every default row, in order.
+        let args = parse(&[]);
+        assert_eq!(args.backends_or(&default).unwrap(), default);
+        // A valid name replaces the default with that one row.
+        let args = parse(&["--backend", "analog-attention"]);
+        assert_eq!(args.backends_or(&default).unwrap(), ["analog-attention"]);
+        // "all" is not a backend name.
+        let args = parse(&["--backend", "all"]);
+        let err = args.backends_or(&default).unwrap_err().to_string();
+        assert!(err.contains("'all'") && err.contains("sprint"), "{err}");
     }
 }

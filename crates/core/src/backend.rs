@@ -20,7 +20,7 @@
 //! [`PerformanceModel`] with a model deployed on it), the one way every
 //! consumer outside this crate prices HyFlexPIM; ASADI/ASADI†, SPRINT, NMP, non-PIM and analog
 //! attention in `hyflex-baselines`, each implementing [`Backend`] directly
-//! and addressed by name through its `BackendRegistry` / `SystemBuilder`.
+//! and addressed by name through its `SystemBuilder`.
 
 use crate::perf::{BatchPerfSummary, Deployment, PerfSummary, PerformanceModel};
 use crate::PimError;

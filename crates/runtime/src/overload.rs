@@ -28,7 +28,7 @@
 //! Dispatch ([`DispatchPolicy`]) is decided at arrival time from information
 //! available then, and replicas advance in index order, so a run is a
 //! deterministic function of its inputs. Each replica is its own
-//! `Arc<dyn Backend>`, so a fleet can mix HyFlexPIM chips with any registry
+//! `Arc<dyn Backend>`, so a fleet can mix HyFlexPIM chips with any comparison
 //! baseline; batch evaluations are memoized per replica.
 //!
 //! Latencies accumulate into a log-linear histogram (≤ 1.6 % relative

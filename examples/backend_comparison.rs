@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example backend_comparison`
 
-use hyflex::baselines::{BackendRegistry, SystemBuilder};
+use hyflex::baselines::{SystemBuilder, BACKENDS};
 use hyflex::runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
 use hyflex::transformer::ModelConfig;
 
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "backend", "achieved QPS", "p50 ms", "p95 ms", "p99 ms", "util %"
     );
 
-    for name in BackendRegistry::paper().names() {
+    for name in BACKENDS {
         let backend = SystemBuilder::paper()
             .model(ModelConfig::bert_large())
             .slc_rate(slc_rate)

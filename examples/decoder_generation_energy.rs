@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example decoder_generation_energy`
 
-use hyflex_baselines::{BackendParams, BackendRegistry};
+use hyflex_baselines::{SystemBuilder, BACKENDS};
 use hyflex_pim::backend::InferenceRequest;
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
@@ -51,13 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Architecture part: GPT-2-scale decoding cost at N = 1024.
     println!("\nGPT-2 @ N=1024, end-to-end energy per inference (paper-scale dimensions):");
-    let registry = BackendRegistry::paper();
-    let params = BackendParams {
-        slc_rank_fraction: 0.20,
-        ..BackendParams::paper(ModelConfig::gpt2_small())
-    };
-    for name in registry.names() {
-        let backend = registry.build(name, &params)?;
+    for name in BACKENDS {
+        let backend = SystemBuilder::paper()
+            .model(ModelConfig::gpt2_small())
+            .slc_rate(0.20)
+            .backend(name)
+            .build()?;
         let energy = backend.evaluate(&InferenceRequest::of_len(0, 1024))?.energy;
         println!("  {:<22} {:>10.2} mJ", backend.name(), energy.total_mj());
     }

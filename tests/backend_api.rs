@@ -1,11 +1,12 @@
-//! Cross-crate integration of the unified `Backend` API: every registered
-//! backend (HyFlexPIM + the four baselines) flows through `SystemBuilder`,
-//! `BatchScheduler`, and a one-chip `ClusterSim`; the deployed HyFlexPIM
+//! Cross-crate integration of the unified `Backend` API: every roster
+//! backend (HyFlexPIM, the five baseline designs and analog attention)
+//! flows through `SystemBuilder`, `BatchScheduler`, and a one-chip
+//! `ClusterSim`; the deployed HyFlexPIM
 //! backend is bit-identical to `PerformanceModel`'s `deploy` +
 //! `evaluate_deployed`; and the batched-evaluation edge cases (batch of one,
 //! empty batch, padded mixed-length batches) hold for all of them.
 
-use hyflex::baselines::{BackendParams, BackendRegistry, SystemBuilder};
+use hyflex::baselines::{SystemBuilder, BACKENDS};
 use hyflex::pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex::pim::perf::pipelined_batch;
 use hyflex::pim::{PerformanceModel, PimError};
@@ -16,12 +17,9 @@ use hyflex::transformer::ModelConfig;
 use std::sync::Arc;
 
 fn all_backends() -> Vec<Box<dyn Backend>> {
-    let registry = BackendRegistry::paper();
-    let params = BackendParams::paper(ModelConfig::bert_large());
-    registry
-        .names()
+    BACKENDS
         .into_iter()
-        .map(|name| registry.build(name, &params).unwrap())
+        .map(|name| SystemBuilder::paper().backend(name).build().unwrap())
         .collect()
 }
 
@@ -167,11 +165,11 @@ fn system_builder_validates_rates_and_backend_names() {
         .build()
         .unwrap_err()
         .to_string();
-    for name in BackendRegistry::paper().names() {
+    for name in BACKENDS {
         assert!(err.contains(name), "error should list {name}: {err}");
     }
-    // The happy path builds every registered backend.
-    for name in BackendRegistry::paper().names() {
+    // The happy path builds every roster backend.
+    for name in BACKENDS {
         let backend = SystemBuilder::paper().backend(name).build().unwrap();
         assert!(!backend.name().is_empty());
     }
