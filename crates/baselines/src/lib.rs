@@ -54,6 +54,9 @@ pub mod non_pim;
 pub mod sprint;
 pub mod system;
 
+#[cfg(test)]
+mod registry;
+
 use hyflex_transformer::config::ModelConfig;
 
 pub use analog_attention::{AnalogAttention, ANALOG_ATTENTION_EFFICIENCY};

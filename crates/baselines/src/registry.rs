@@ -1,192 +1,17 @@
-//! Name → constructor table for every comparison backend.
-//!
-//! The registry is the single place that knows the full roster of modeled
-//! accelerators. Consumers address backends by name (`--backend asadi-int8`
-//! on the figure binaries, [`crate::SystemBuilder::backend`]) and get back a
-//! boxed `hyflex_pim::Backend` bound to the requested deployment.
+//! Tests of the backend roster as a whole: [`BACKENDS`] and
+//! [`PAPER_FIGURE_BACKENDS`], [`ensure_known`], and every name built
+//! through [`SystemBuilder`].
 
-use crate::{AnalogAttention, Asadi, AsadiPrecision, NearMemoryProcessing, NonPim, Sprint};
-use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_pim::perf::PerformanceModel;
-use hyflex_pim::{HyFlexPimConfig, PimError, Result};
-use hyflex_rram::cell::CellMode;
-use hyflex_transformer::config::ModelConfig;
-
-/// Deployment parameters a backend is bound to at construction.
-#[derive(Debug, Clone)]
-pub struct BackendParams {
-    /// The transformer architecture served.
-    pub model: ModelConfig,
-    /// SLC protection rate of the HyFlexPIM mapping (ignored by baselines,
-    /// which have no hybrid mapping to protect).
-    pub slc_rank_fraction: f64,
-    /// MLC cell mode of the HyFlexPIM mapping (ignored by baselines).
-    pub mlc_mode: CellMode,
-}
-
-impl BackendParams {
-    /// The paper's deployment: 2-bit MLC, 5 % SLC protection.
-    pub fn paper(model: ModelConfig) -> Self {
-        BackendParams {
-            model,
-            slc_rank_fraction: 0.05,
-            mlc_mode: CellMode::MLC2,
-        }
-    }
-}
-
-type BackendCtor = fn(&BackendParams) -> Result<Box<dyn Backend>>;
-
-/// One registered backend: its lookup name and constructor.
-pub struct BackendSpec {
-    /// Registry lookup name (also the `--backend` flag value).
-    pub name: &'static str,
-    /// One-line description shown in listings.
-    pub summary: &'static str,
-    build: BackendCtor,
-}
-
-/// The roster of comparison backends, in the order the paper's figures list
-/// them.
-pub struct BackendRegistry {
-    specs: Vec<BackendSpec>,
-}
-
-impl BackendRegistry {
-    /// The paper's five designs (ASADI in both precisions) — `hyflexpim`,
-    /// `asadi-int8`, `asadi-fp32`, `nmp`, `sprint`, `non-pim` — plus the
-    /// serving-oriented `analog-attention` baseline used by the
-    /// decode-serving study (see [`Self::paper_figure_names`]).
-    pub fn paper() -> Self {
-        BackendRegistry {
-            specs: vec![
-                BackendSpec {
-                    name: "hyflexpim",
-                    summary: "HyFlexPIM hybrid SLC/MLC analog+digital RRAM PIM (this paper)",
-                    build: |p| {
-                        let hw = HyFlexPimConfig {
-                            mlc_mode: p.mlc_mode,
-                            ..HyFlexPimConfig::paper_default()
-                        };
-                        Ok(Box::new(HyFlexPim::new(
-                            PerformanceModel::new(hw)?,
-                            p.model.clone(),
-                            p.slc_rank_fraction,
-                        )?))
-                    },
-                },
-                BackendSpec {
-                    name: "asadi-int8",
-                    summary: "ASADI\u{2020}: all-SLC RRAM PIM, INT8 linear layers, FP32 attention",
-                    build: |p| Ok(Box::new(Asadi::new(AsadiPrecision::Int8, p.model.clone())?)),
-                },
-                BackendSpec {
-                    name: "asadi-fp32",
-                    summary: "ASADI as published: all-SLC RRAM PIM, FP32 everywhere",
-                    build: |p| Ok(Box::new(Asadi::new(AsadiPrecision::Fp32, p.model.clone())?)),
-                },
-                BackendSpec {
-                    name: "nmp",
-                    summary: "TransPIM-style near-memory processing in HBM banks",
-                    build: |p| Ok(Box::new(NearMemoryProcessing::new(p.model.clone()))),
-                },
-                BackendSpec {
-                    name: "sprint",
-                    summary: "SPRINT: in-RRAM attention pruning + digital INT8 processor",
-                    build: |p| Ok(Box::new(Sprint::new(p.model.clone()))),
-                },
-                BackendSpec {
-                    name: "non-pim",
-                    summary: "conventional digital INT8 accelerator fed from off-chip DRAM",
-                    build: |p| Ok(Box::new(NonPim::new(p.model.clone()))),
-                },
-                BackendSpec {
-                    name: "analog-attention",
-                    summary: "analog in-memory attention over a runtime-programmed KV cache",
-                    build: |p| Ok(Box::new(AnalogAttention::new(p.model.clone())?)),
-                },
-            ],
-        }
-    }
-
-    /// The six designs the paper's own figures compare, in figure order.
-    ///
-    /// `analog-attention` is registered for the decode-serving study
-    /// (Figure 22) but is *not* part of the paper's roster; the figure
-    /// binaries that reproduce published plots (14, 15, 19–21) iterate this
-    /// list so their default output is unchanged by serving-only additions.
-    pub fn paper_figure_names(&self) -> Vec<&'static str> {
-        self.specs
-            .iter()
-            .map(|s| s.name)
-            .filter(|n| *n != "analog-attention")
-            .collect()
-    }
-
-    /// The registered names, in paper-figure order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.specs.iter().map(|s| s.name).collect()
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.specs.iter().any(|s| s.name == name)
-    }
-
-    /// Validates a backend name without building anything.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::InvalidConfig`] naming the available backends for
-    /// an unknown name.
-    pub fn ensure_known(&self, name: &str) -> Result<()> {
-        if self.contains(name) {
-            Ok(())
-        } else {
-            Err(self.unknown(name))
-        }
-    }
-
-    /// Builds the named backend bound to `params`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PimError::InvalidConfig`] naming the available backends for
-    /// an unknown name, and propagates construction errors.
-    pub fn build(&self, name: &str, params: &BackendParams) -> Result<Box<dyn Backend>> {
-        let spec = self
-            .specs
-            .iter()
-            .find(|s| s.name == name)
-            .ok_or_else(|| self.unknown(name))?;
-        (spec.build)(params)
-    }
-
-    fn unknown(&self, name: &str) -> PimError {
-        PimError::InvalidConfig(format!(
-            "unknown backend '{name}'; available backends: {}",
-            self.names().join(", ")
-        ))
-    }
-}
-
-impl Default for BackendRegistry {
-    fn default() -> Self {
-        BackendRegistry::paper()
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::system::{ensure_known, SystemBuilder, BACKENDS, PAPER_FIGURE_BACKENDS};
     use hyflex_pim::backend::InferenceRequest;
+    use hyflex_transformer::config::ModelConfig;
 
     #[test]
     fn registry_lists_all_paper_designs_in_order() {
-        let registry = BackendRegistry::paper();
         assert_eq!(
-            registry.names(),
-            vec![
+            BACKENDS,
+            [
                 "hyflexpim",
                 "asadi-int8",
                 "asadi-fp32",
@@ -198,10 +23,10 @@ mod tests {
         );
         // The figure roster stays pinned to the paper's six designs so the
         // published-figure binaries keep their output stable as serving-only
-        // backends are registered.
+        // backends are added.
         assert_eq!(
-            registry.paper_figure_names(),
-            vec![
+            PAPER_FIGURE_BACKENDS,
+            [
                 "hyflexpim",
                 "asadi-int8",
                 "asadi-fp32",
@@ -210,17 +35,19 @@ mod tests {
                 "non-pim"
             ]
         );
-        assert!(registry.contains("sprint"));
-        assert!(registry.contains("analog-attention"));
-        assert!(!registry.contains("tpu"));
+        assert!(ensure_known("sprint").is_ok());
+        assert!(ensure_known("analog-attention").is_ok());
+        assert!(ensure_known("tpu").is_err());
     }
 
     #[test]
     fn every_registered_backend_builds_and_evaluates() {
-        let registry = BackendRegistry::paper();
-        let params = BackendParams::paper(ModelConfig::bert_large());
-        for name in registry.names() {
-            let backend = registry.build(name, &params).unwrap();
+        for name in BACKENDS {
+            let backend = SystemBuilder::paper()
+                .model(ModelConfig::bert_large())
+                .backend(name)
+                .build()
+                .unwrap();
             let summary = backend.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
             assert!(
                 summary.latency.total_ns() > 0.0,
@@ -234,26 +61,32 @@ mod tests {
 
     #[test]
     fn unknown_names_list_the_available_backends() {
-        let registry = BackendRegistry::paper();
-        let err = registry
-            .build("tpu-v7", &BackendParams::paper(ModelConfig::bert_base()))
+        let err = SystemBuilder::paper()
+            .model(ModelConfig::bert_base())
+            .backend("tpu-v7")
+            .build()
             .unwrap_err();
         let message = err.to_string();
         assert!(message.contains("tpu-v7"), "{message}");
-        for name in registry.names() {
+        for name in BACKENDS {
             assert!(message.contains(name), "{message} should list {name}");
         }
+        // `ensure_known` gives the same verdict without building anything.
+        assert_eq!(ensure_known("tpu-v7").unwrap_err().to_string(), message);
     }
 
     #[test]
     fn hyflexpim_entry_honors_the_mlc_mode() {
-        let registry = BackendRegistry::paper();
-        let mut params = BackendParams::paper(ModelConfig::bert_large());
-        let mlc2 = registry.build("hyflexpim", &params).unwrap();
-        params.mlc_mode = CellMode::Mlc { bits: 4 };
-        let mlc4 = registry.build("hyflexpim", &params).unwrap();
-        let e2 = mlc2.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
-        let e4 = mlc4.evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
+        let build = |bits: u8| {
+            SystemBuilder::paper()
+                .model(ModelConfig::bert_large())
+                .mlc_bits(bits)
+                .backend("hyflexpim")
+                .build()
+                .unwrap()
+        };
+        let e2 = build(2).evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
+        let e4 = build(4).evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
         // Denser cells pack more bits per array: the mappings differ.
         assert_ne!(e2.energy.total_pj(), e4.energy.total_pj());
     }
