@@ -85,8 +85,12 @@ mod tests {
                 .build()
                 .unwrap()
         };
-        let e2 = build(2).evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
-        let e4 = build(4).evaluate(&InferenceRequest::of_len(0, 128)).unwrap();
+        let e2 = build(2)
+            .evaluate(&InferenceRequest::of_len(0, 128))
+            .unwrap();
+        let e4 = build(4)
+            .evaluate(&InferenceRequest::of_len(0, 128))
+            .unwrap();
         // Denser cells pack more bits per array: the mappings differ.
         assert_ne!(e2.energy.total_pj(), e4.energy.total_pj());
     }

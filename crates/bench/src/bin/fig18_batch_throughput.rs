@@ -5,19 +5,19 @@
 //! `Backend::evaluate_batched`: pipelining B requests through the layer
 //! pipeline amortizes fill/drain (the `1 + (L-1)/N` overhead of the
 //! single-request latency), so gains are largest for short, decode-like
-//! sequences where N < L. Part (b) serves one chip (a one-chip `ClusterSim`)
-//! at increasing offered load and reports latency percentiles. Common flags:
-//! `--seed N`, `--out PATH`, `--backend NAME` (run the sweep on a baseline
-//! backend instead of HyFlexPIM; defaults reproduce the historical HyFlexPIM
-//! rows bit for bit).
+//! sequences where N < L. Part (b) serves one chip (a one-replica
+//! `OverloadSim`) at increasing offered load and reports latency
+//! percentiles. Common flags: `--seed N`, `--out PATH`, `--backend NAME`
+//! (run the sweep on a baseline backend instead of HyFlexPIM; defaults
+//! reproduce the historical HyFlexPIM rows bit for bit).
 
 use hyflex_baselines::SystemBuilder;
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::perf::packed_batch;
 use hyflex_runtime::{
-    BatchScheduler, ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, SchedulerConfig,
-    ServingConfig,
+    ArrivalProcess, BatchScheduler, InferenceRequest, OverloadConfig, OverloadSim, RequestTrace,
+    SchedulerConfig, TrafficConfig,
 };
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::ModelConfig;
@@ -100,21 +100,21 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
         .expect("single-request evaluation");
     let service_qps = 1e9 / single.makespan_ns;
     for load in [0.25, 0.5, 1.0, 2.0, 4.0] {
-        let config = ClusterConfig {
-            chips: 1,
-            dispatch: DispatchPolicy::RoundRobin,
-            serving: ServingConfig {
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson {
                 qps: service_qps * load,
-                num_requests: 2000,
-                seq_len,
-                seed,
-                ..ServingConfig::default()
             },
-        };
-        let report = ClusterSim::with_backend(Arc::clone(&backend), config)
-            .expect("serving sim")
-            .run()
-            .expect("serving run");
+            num_requests: 2000,
+            seq_len,
+            seed,
+            ..TrafficConfig::default()
+        })
+        .expect("trace config is valid");
+        let report =
+            OverloadSim::with_replicas(vec![Arc::clone(&backend)], OverloadConfig::new(trace))
+                .expect("serving sim")
+                .run()
+                .expect("serving run");
         print_row(
             &format!("{:.0} ({load}x)", service_qps * load),
             &[
@@ -123,7 +123,7 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
                 fmt(report.latency.p95_ms, 3),
                 fmt(report.latency.p99_ms, 3),
                 fmt(report.mean_batch_size, 1),
-                fmt(report.mean_chip_utilization * 100.0, 1),
+                fmt(report.mean_utilization * 100.0, 1),
             ],
         );
     }

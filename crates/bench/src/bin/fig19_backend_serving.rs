@@ -4,7 +4,7 @@
 //! (BERT-Large, N = 128, Poisson arrivals, batch cap 16) driven across every
 //! figure backend — HyFlexPIM and the five baseline designs (ASADI in both
 //! precisions, SPRINT, NMP, non-PIM) — through the same `BatchScheduler`
-//! and one-chip `ClusterSim` machinery. The offered load is
+//! and one-replica `OverloadSim` machinery. The offered load is
 //! **matched**: every backend is offered the same QPS, anchored to
 //! HyFlexPIM's single-request service rate, so tail latency and sustained
 //! throughput are directly comparable. Designs slower than the offered load saturate and
@@ -13,25 +13,16 @@
 //! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict the
 //! table to one backend).
 
-use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
+use hyflex_baselines::PAPER_FIGURE_BACKENDS;
+use hyflex_bench::serving::{build, SLC_RATE};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
-use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
-use hyflex_transformer::ModelConfig;
+use hyflex_runtime::{ArrivalProcess, OverloadConfig, OverloadSim, RequestTrace, TrafficConfig};
+use std::sync::Arc;
 
 const SEQ_LEN: usize = 128;
-const SLC_RATE: f64 = 0.05;
 const NUM_REQUESTS: usize = 600;
 const LOAD_FACTORS: [f64; 2] = [0.25, 1.0];
-
-fn build(name: &str) -> Box<dyn Backend> {
-    SystemBuilder::paper()
-        .model(ModelConfig::bert_large())
-        .slc_rate(SLC_RATE)
-        .backend(name)
-        .build()
-        .expect("registered backend builds")
-}
 
 fn main() {
     let args = BinArgs::parse();
@@ -42,6 +33,7 @@ fn main() {
     // Matched load: every backend is offered the same QPS, anchored to the
     // HyFlexPIM single-request service rate.
     let anchor = build("hyflexpim")
+        .expect("registered backend builds")
         .evaluate_batched(SEQ_LEN, 1)
         .expect("anchor evaluation");
     let anchor_qps = 1e9 / anchor.makespan_ns;
@@ -59,10 +51,11 @@ fn main() {
 
     // Backend construction and the single-request latency are
     // load-independent; build once and share across the load tables.
-    let backends: Vec<(std::sync::Arc<dyn Backend>, f64)> = names
+    let backends: Vec<(Arc<dyn Backend>, f64)> = names
         .iter()
         .map(|name| {
-            let backend: std::sync::Arc<dyn Backend> = std::sync::Arc::from(build(name));
+            let backend: Arc<dyn Backend> =
+                Arc::from(build(name).expect("registered backend builds"));
             let single_us = backend
                 .evaluate_batched(SEQ_LEN, 1)
                 .expect("single-request evaluation")
@@ -91,21 +84,21 @@ fn main() {
         );
         for (backend, single_us) in &backends {
             let label = backend.name().to_string();
-            let config = ClusterConfig {
-                chips: 1,
-                dispatch: DispatchPolicy::RoundRobin,
-                serving: ServingConfig {
+            let trace = RequestTrace::new(TrafficConfig {
+                process: ArrivalProcess::Poisson {
                     qps: anchor_qps * load,
-                    num_requests: NUM_REQUESTS,
-                    seq_len: SEQ_LEN,
-                    seed,
-                    ..ServingConfig::default()
                 },
-            };
-            let report = ClusterSim::with_backend(std::sync::Arc::clone(backend), config)
-                .expect("serving sim")
-                .run()
-                .expect("serving run");
+                num_requests: NUM_REQUESTS,
+                seq_len: SEQ_LEN,
+                seed,
+                ..TrafficConfig::default()
+            })
+            .expect("trace config is valid");
+            let report =
+                OverloadSim::with_replicas(vec![Arc::clone(backend)], OverloadConfig::new(trace))
+                    .expect("serving sim")
+                    .run()
+                    .expect("serving run");
             print_row(
                 &label,
                 &[
@@ -115,7 +108,7 @@ fn main() {
                     fmt(report.latency.p95_ms, 3),
                     fmt(report.latency.p99_ms, 3),
                     fmt(report.mean_batch_size, 1),
-                    fmt(report.mean_chip_utilization * 100.0, 1),
+                    fmt(report.mean_utilization * 100.0, 1),
                 ],
             );
         }

@@ -14,57 +14,25 @@
 //!
 //! Common flags: `--seed N`, `--out PATH`, `--backend NAME` (restrict
 //! the table to one registered backend), `--chips N` and
-//! `--dispatch rr|jsq` (run each policy on an N-chip cluster; the offered
+//! `--dispatch rr|jsq` (run each policy on an N-replica fleet; the offered
 //! load scales with the fleet).
 
-use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
+use hyflex_baselines::PAPER_FIGURE_BACKENDS;
+use hyflex_bench::serving::{
+    build, interactive_slo_ns, sustainable_qps, two_class_mix, BATCH_CAP, BATCH_SEQ, BATCH_WEIGHT,
+    INTERACTIVE_SEQ, INTERACTIVE_WEIGHT, SLO_FACTOR,
+};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{
-    ClusterConfig, ClusterSim, DispatchPolicy, RequestClass, SchedulerConfig, SchedulingPolicy,
-    ServingConfig,
+    ArrivalProcess, DispatchPolicy, OverloadConfig, OverloadSim, RequestTrace, SchedulerConfig,
+    SchedulingPolicy, TrafficConfig,
 };
-use hyflex_transformer::ModelConfig;
+use std::sync::Arc;
 
-const INTERACTIVE_SEQ: usize = 64;
-const BATCH_SEQ: usize = 256;
-const INTERACTIVE_WEIGHT: f64 = 3.0;
-const BATCH_WEIGHT: f64 = 1.0;
-const SLC_RATE: f64 = 0.05;
 const NUM_REQUESTS: usize = 600;
-const BATCH_CAP: usize = 16;
 /// Offered load relative to the backend's own mixed sustainable rate.
 const OVERLOAD: f64 = 1.3;
-/// Interactive SLO in units of the backend's own single-request latency.
-const SLO_FACTOR: f64 = 25.0;
-
-fn build(name: &str) -> Box<dyn Backend> {
-    SystemBuilder::paper()
-        .model(ModelConfig::bert_large())
-        .slc_rate(SLC_RATE)
-        .backend(name)
-        .build()
-        .expect("registered backend builds")
-}
-
-/// The mixed workload's sustainable rate on `backend` at the batch cap:
-/// the weighted mean per-request initiation interval of full batches.
-fn sustainable_qps(backend: &dyn Backend) -> f64 {
-    let weighted_interval_ns = [
-        (INTERACTIVE_SEQ, INTERACTIVE_WEIGHT),
-        (BATCH_SEQ, BATCH_WEIGHT),
-    ]
-    .iter()
-    .map(|&(seq, weight)| {
-        let summary = backend
-            .evaluate_batched(seq, BATCH_CAP)
-            .expect("batched evaluation");
-        weight * summary.makespan_ns / BATCH_CAP as f64
-    })
-    .sum::<f64>()
-        / (INTERACTIVE_WEIGHT + BATCH_WEIGHT);
-    1e9 / weighted_interval_ns
-}
 
 fn main() {
     let args = BinArgs::parse();
@@ -89,16 +57,13 @@ fn main() {
     let mut edf_wins = 0usize;
     let mut compared = 0usize;
     for name in &names {
-        let probe = build(name);
-        let anchor_qps = sustainable_qps(probe.as_ref()) * chips as f64;
-        let slo_ns = SLO_FACTOR
-            * probe
-                .evaluate_batched(INTERACTIVE_SEQ, 1)
-                .expect("single-request evaluation")
-                .makespan_ns;
+        let backend: Arc<dyn Backend> = Arc::from(build(name).expect("registered backend builds"));
+        let anchor_qps =
+            sustainable_qps(backend.as_ref()).expect("batched evaluation") * chips as f64;
+        let slo_ns = interactive_slo_ns(backend.as_ref()).expect("single-request evaluation");
         emitln!(
             "\n{}: offered {:.0} QPS, interactive SLO {:.2} ms",
-            probe.name(),
+            backend.name(),
             anchor_qps * OVERLOAD,
             slo_ns / 1e6
         );
@@ -112,33 +77,33 @@ fn main() {
                 "mean batch".to_string(),
             ],
         );
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson {
+                qps: anchor_qps * OVERLOAD,
+            },
+            num_requests: NUM_REQUESTS,
+            classes: two_class_mix(slo_ns),
+            seed,
+            ..TrafficConfig::default()
+        })
+        .expect("trace config is valid");
         let mut attainment = Vec::new();
         for policy in SchedulingPolicy::ALL {
-            let config = ClusterConfig {
-                chips,
-                dispatch,
-                serving: ServingConfig {
-                    qps: anchor_qps * OVERLOAD,
-                    num_requests: NUM_REQUESTS,
-                    classes: vec![
-                        RequestClass::new(INTERACTIVE_SEQ, INTERACTIVE_WEIGHT)
-                            .with_slo_ns(slo_ns)
-                            .with_priority(0),
-                        RequestClass::new(BATCH_SEQ, BATCH_WEIGHT).with_priority(1),
-                    ],
-                    seed,
+            let report = OverloadSim::with_replicas(
+                vec![Arc::clone(&backend); chips],
+                OverloadConfig {
                     scheduler: SchedulerConfig {
                         max_batch_size: BATCH_CAP,
                         policy,
                         ..SchedulerConfig::default()
                     },
-                    ..ServingConfig::default()
+                    dispatch,
+                    ..OverloadConfig::new(trace.clone())
                 },
-            };
-            let report = ClusterSim::with_backend(build(name), config)
-                .expect("cluster sim")
-                .run()
-                .expect("cluster run");
+            )
+            .expect("serving sim")
+            .run()
+            .expect("serving run");
             attainment.push(report.slo_attainment);
             print_row(
                 policy.name(),

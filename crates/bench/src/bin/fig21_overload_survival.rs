@@ -22,23 +22,19 @@
 //! length, default 1,000,000), `--smoke` (shrink every part to a
 //! seconds-scale CI run).
 
-use hyflex_baselines::{SystemBuilder, PAPER_FIGURE_BACKENDS};
+use hyflex_baselines::PAPER_FIGURE_BACKENDS;
+use hyflex_bench::serving::{
+    self, two_class_mix, BATCH_CAP, BATCH_SEQ, BATCH_WEIGHT, INTERACTIVE_SEQ, INTERACTIVE_WEIGHT,
+    SLO_FACTOR,
+};
 use hyflex_bench::{emitln, fmt, print_row, BinArgs};
 use hyflex_pim::backend::Backend;
 use hyflex_runtime::{
     AdmissionPolicy, ArrivalProcess, AutoscalerConfig, DispatchPolicy, MmppState, OverloadConfig,
-    OverloadReport, OverloadSim, RequestClass, RequestTrace, SchedulerConfig, SchedulingPolicy,
-    TrafficConfig,
+    OverloadReport, OverloadSim, RequestTrace, SchedulerConfig, SchedulingPolicy, TrafficConfig,
 };
-use hyflex_transformer::ModelConfig;
 use std::sync::Arc;
 
-const INTERACTIVE_SEQ: usize = 64;
-const BATCH_SEQ: usize = 256;
-const INTERACTIVE_WEIGHT: f64 = 3.0;
-const BATCH_WEIGHT: f64 = 1.0;
-const SLC_RATE: f64 = 0.05;
-const BATCH_CAP: usize = 16;
 /// Long-run offered load relative to the backend's sustainable mixed rate:
 /// dwell-weighted mean of the burst and trough states below.
 const OVERLOAD: f64 = 1.5;
@@ -49,48 +45,21 @@ const BURST_DWELL_S: f64 = 0.2;
 /// (0.2 * 2.5 + 0.3 * 5/6) / 0.5 = 1.5 — the OVERLOAD constant.
 const TROUGH_RATE: f64 = 5.0 / 6.0;
 const TROUGH_DWELL_S: f64 = 0.3;
-/// Interactive SLO in units of the backend's own single-request latency.
-const SLO_FACTOR: f64 = 25.0;
 /// Queue-depth admission gate (bounds memory and queue-wait).
 const QUEUE_CAP: usize = 1024;
 
 fn build(name: &str) -> Box<dyn Backend> {
-    SystemBuilder::paper()
-        .model(ModelConfig::bert_large())
-        .slc_rate(SLC_RATE)
-        .backend(name)
-        .build()
-        .expect("registered backend builds")
+    serving::build(name).expect("registered backend builds")
 }
 
-/// The mixed workload's sustainable rate on `backend` at the batch cap
-/// (same anchor as fig20, so overload factors are comparable across
-/// designs).
+/// The mixed workload's sustainable rate on `backend` (same anchor as
+/// fig20, so overload factors are comparable across designs).
 fn sustainable_qps(backend: &dyn Backend) -> f64 {
-    let weighted_interval_ns = [
-        (INTERACTIVE_SEQ, INTERACTIVE_WEIGHT),
-        (BATCH_SEQ, BATCH_WEIGHT),
-    ]
-    .iter()
-    .map(|&(seq, weight)| {
-        let summary = backend
-            .evaluate_batched(seq, BATCH_CAP)
-            .expect("batched evaluation");
-        weight * summary.makespan_ns / BATCH_CAP as f64
-    })
-    .sum::<f64>()
-        / (INTERACTIVE_WEIGHT + BATCH_WEIGHT);
-    1e9 / weighted_interval_ns
+    serving::sustainable_qps(backend).expect("batched evaluation")
 }
 
-/// The backend's interactive SLO: `SLO_FACTOR` x its own single-request
-/// latency at the interactive shape.
 fn interactive_slo_ns(backend: &dyn Backend) -> f64 {
-    SLO_FACTOR
-        * backend
-            .evaluate_batched(INTERACTIVE_SEQ, 1)
-            .expect("single-request evaluation")
-            .makespan_ns
+    serving::interactive_slo_ns(backend).expect("single-request evaluation")
 }
 
 /// Burst/trough MMPP trace with long-run mean `OVERLOAD` x `anchor_qps`.
@@ -103,12 +72,7 @@ fn overload_trace(anchor_qps: f64, slo_ns: f64, num_requests: usize, seed: u64) 
             ],
         },
         num_requests,
-        classes: vec![
-            RequestClass::new(INTERACTIVE_SEQ, INTERACTIVE_WEIGHT)
-                .with_slo_ns(slo_ns)
-                .with_priority(0),
-            RequestClass::new(BATCH_SEQ, BATCH_WEIGHT).with_priority(1),
-        ],
+        classes: two_class_mix(slo_ns),
         seed,
         ..TrafficConfig::default()
     })
@@ -307,12 +271,7 @@ fn main() {
     let trace = RequestTrace::new(TrafficConfig {
         process: ArrivalProcess::Poisson { qps: anchor * 3.0 },
         num_requests: n_scale,
-        classes: vec![
-            RequestClass::new(INTERACTIVE_SEQ, INTERACTIVE_WEIGHT)
-                .with_slo_ns(slo_ns)
-                .with_priority(0),
-            RequestClass::new(BATCH_SEQ, BATCH_WEIGHT).with_priority(1),
-        ],
+        classes: two_class_mix(slo_ns),
         seed,
         ..TrafficConfig::default()
     })

@@ -27,6 +27,7 @@ use hyflex_workloads::Dataset;
 
 pub mod cli;
 pub mod output;
+pub mod serving;
 
 pub use cli::BinArgs;
 pub use output::emit;

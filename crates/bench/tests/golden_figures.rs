@@ -217,3 +217,15 @@ fn fig16_throughput_speedup_backend_hyflexpim_matches_its_fixture() {
         &["--backend", "hyflexpim"],
     );
 }
+
+// fig20 on a two-replica fleet behind join-shortest-queue: the only figure
+// path through multi-replica dispatch.
+
+#[test]
+fn fig20_serving_policies_chips_2_dispatch_jsq_matches_its_fixture() {
+    check(
+        "fig20_serving_policies_chips_2_dispatch_jsq",
+        env!("CARGO_BIN_EXE_fig20_serving_policies"),
+        &["--chips", "2", "--dispatch", "jsq"],
+    );
+}

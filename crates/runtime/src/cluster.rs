@@ -1,73 +1,21 @@
-//! Closed-loop serving: N backend replicas behind a dispatcher.
+//! `ClusterSim`: the closed-loop [`ServingConfig`] workload on N replicas
+//! of one backend, kept only for the end-to-end benchmark.
 //!
-//! [`ClusterSim`] runs the closed-loop [`ServingConfig`] workload on a fleet
-//! of identical chips; one chip is the single-device serving run. One
-//! Poisson arrival stream (with the config's heterogeneous request mix and
-//! SLO semantics) is routed to chips by a [`DispatchPolicy`] — round-robin
-//! or join-shortest-queue — and every chip runs its own
-//! [`BatchScheduler`](crate::batch::BatchScheduler) with the configured
-//! batching window and [`SchedulingPolicy`](crate::policy::SchedulingPolicy).
-//!
-//! A cluster is a configuration of the one serving engine,
-//! [`OverloadSim`]: unbounded admission, no shedding, no preemption and no
-//! autoscaler, over a Poisson [`RequestTrace`] built from the
-//! [`ServingConfig`]. The batching-window semantics, dispatch rules and
-//! histogram-quantized latency percentiles are therefore the engine's (see
-//! [`crate::overload`]), and a run is deterministic for a seed.
+//! The workspace serves encoder-pass traffic through [`OverloadSim`]
+//! directly: a Poisson [`RequestTrace`] and an [`OverloadConfig`] with the
+//! scheduler and [`DispatchPolicy`] set. This wrapper is that same
+//! construction behind the names the stand-alone `e2ebench` package's
+//! `cluster_poisson` workload still uses ([`ClusterSim::with_backend`],
+//! [`ClusterSim::run`], [`ClusterConfig`], [`ClusterReport`]); it goes once
+//! a benchmark change moves that workload onto [`OverloadSim`].
 
-use crate::batch::{Batch, InferenceRequest};
-use crate::overload::{OverloadConfig, OverloadSim};
+use crate::overload::{DispatchPolicy, OverloadConfig, OverloadSim};
 use crate::serving::{LatencySummary, ServingConfig};
 use crate::traffic::{ArrivalProcess, RequestTrace, TrafficConfig};
 use crate::Result;
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use std::marker::PhantomData;
 use std::sync::Arc;
-
-/// How the cluster routes an arriving request to a chip.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum DispatchPolicy {
-    /// Cycle through chips in index order, one request each.
-    #[default]
-    RoundRobin,
-    /// Send each request to the chip with the fewest outstanding requests
-    /// (queued plus launched-but-incomplete) at its arrival time; ties go
-    /// to the lowest chip index.
-    JoinShortestQueue,
-}
-
-impl DispatchPolicy {
-    /// Every dispatch policy, in display order.
-    pub const ALL: [DispatchPolicy; 2] = [
-        DispatchPolicy::RoundRobin,
-        DispatchPolicy::JoinShortestQueue,
-    ];
-
-    /// Stable name (accepted back by [`DispatchPolicy::parse`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            DispatchPolicy::RoundRobin => "round-robin",
-            DispatchPolicy::JoinShortestQueue => "jsq",
-        }
-    }
-
-    /// Parses a policy name as accepted by the binaries' `--dispatch` flag.
-    pub fn parse(name: &str) -> Option<DispatchPolicy> {
-        match name.to_ascii_lowercase().as_str() {
-            "round-robin" | "rr" => Some(DispatchPolicy::RoundRobin),
-            "jsq" | "shortest-queue" | "join-shortest-queue" => {
-                Some(DispatchPolicy::JoinShortestQueue)
-            }
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for DispatchPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Cluster topology and workload of one multi-chip run.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,51 +29,17 @@ pub struct ClusterConfig {
     pub serving: ServingConfig,
 }
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            chips: 2,
-            dispatch: DispatchPolicy::RoundRobin,
-            serving: ServingConfig::default(),
-        }
-    }
-}
-
-/// One launched batch, as observed by the engine (returned by the
-/// `*_traced` entry points for tests and trace analysis).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchTrace {
-    /// Index of the chip that executed the batch (always 0 single-chip).
-    pub chip: usize,
-    /// Time the batch launched, ns.
-    pub launch_ns: f64,
-    /// Modeled makespan of the batch, ns.
-    pub makespan_ns: f64,
-    /// The formed batch (requests, padded shape, cells used).
-    pub batch: Batch,
-}
-
-/// Outcome of one cluster run.
+/// Outcome of one cluster run: the [`OverloadReport`](crate::OverloadReport)
+/// fields the benchmark reads, under their cluster names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterReport {
-    /// Number of chips simulated.
-    pub chips: usize,
-    /// Dispatch policy of the run.
-    pub dispatch: DispatchPolicy,
     /// Requests completed across the cluster (the loop is closed, so this
     /// always equals the number of offered requests).
     pub completed: usize,
     /// Batches executed across all chips.
     pub batches: usize,
-    /// Wall-clock span from first arrival to last completion, seconds.
-    pub sim_seconds: f64,
-    /// Configured offered load (whole cluster), requests per second.
-    pub offered_qps: f64,
-    /// Completed requests per simulated second.
-    pub achieved_qps: f64,
-    /// Goodput under SLO: *useful* completions per simulated second, where
-    /// a completion is useful if it met its deadline or carried no SLO.
-    /// Equals `achieved_qps` when no request carries an SLO.
+    /// Useful completions (met their deadline, or carried none) per
+    /// simulated second.
     pub goodput_qps: f64,
     /// End-to-end request latency distribution.
     pub latency: LatencySummary,
@@ -138,14 +52,11 @@ pub struct ClusterReport {
     pub mean_queue_ms: f64,
     /// Per-chip completed-request counts (sums to `completed`).
     pub per_chip_completed: Vec<usize>,
-    /// Per-chip busy fraction over the chip's active span.
-    pub per_chip_utilization: Vec<f64>,
-    /// Mean of `per_chip_utilization`.
+    /// Mean per-chip busy fraction over the chip's active span.
     pub mean_chip_utilization: f64,
 }
 
-/// The closed-loop serving simulator on one chip or many, generic over the
-/// replicated device.
+/// The closed-loop serving run on `chips` replicas of one backend.
 #[derive(Debug)]
 pub struct ClusterSim<B: Backend = HyFlexPim> {
     engine: OverloadSim,
@@ -153,29 +64,9 @@ pub struct ClusterSim<B: Backend = HyFlexPim> {
     backend: PhantomData<B>,
 }
 
-impl<B: Backend> Clone for ClusterSim<B> {
-    fn clone(&self) -> Self {
-        ClusterSim {
-            engine: self.engine.clone(),
-            backend: PhantomData,
-        }
-    }
-}
-
-impl<B: Backend> ClusterSim<B> {
-    /// Number of chips in the cluster.
-    pub fn chips(&self) -> usize {
-        self.engine.replicas()
-    }
-
-    /// The dispatch policy.
-    pub fn dispatch(&self) -> DispatchPolicy {
-        self.engine.config().dispatch
-    }
-}
-
 impl<B: Backend + 'static> ClusterSim<B> {
-    /// Builds a cluster of `config.chips` replicas of `backend`.
+    /// Builds a cluster of `config.chips` replicas of `backend` serving the
+    /// Poisson trace of `config.serving`.
     ///
     /// # Errors
     ///
@@ -216,72 +107,17 @@ impl<B: Backend + 'static> ClusterSim<B> {
     ///
     /// Propagates scheduler and device-model errors.
     pub fn run(&self) -> Result<ClusterReport> {
-        self.report(self.engine.config().trace.stream(), None)
-    }
-
-    /// Runs the simulation and also returns every launched batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates scheduler and device-model errors.
-    pub fn run_traced(&self) -> Result<(ClusterReport, Vec<BatchTrace>)> {
-        let mut traces = Vec::new();
-        let report = self.report(self.engine.config().trace.stream(), Some(&mut traces))?;
-        Ok((report, traces))
-    }
-
-    /// Replays an explicit arrival stream (sorted by `arrival_ns`) through
-    /// the cluster instead of sampling the configured Poisson process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`](crate::RuntimeError::InvalidConfig)
-    /// for an empty or unsorted stream and propagates scheduler and
-    /// device-model errors.
-    pub fn replay_traced(
-        &self,
-        arrivals: &[InferenceRequest],
-    ) -> Result<(ClusterReport, Vec<BatchTrace>)> {
-        let mut traces = Vec::new();
-        let report = self.report(arrivals.iter().copied(), Some(&mut traces))?;
-        Ok((report, traces))
-    }
-
-    /// Drives `requests` through the engine and reads the report off its
-    /// ledger; launched batches go to `sink` when one is given.
-    fn report(
-        &self,
-        requests: impl IntoIterator<Item = InferenceRequest>,
-        sink: Option<&mut Vec<BatchTrace>>,
-    ) -> Result<ClusterReport> {
-        let (ledger, replicas) = self.engine.drive(requests, sink)?;
-        let span_start = ledger.first_arrival_ns;
-        let run = self.engine.report(ledger, &replicas);
-        let per_chip_utilization: Vec<f64> = (replicas.iter())
-            .map(|r| {
-                if r.device_free > span_start {
-                    r.busy_ns / (r.device_free - span_start)
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let run = self.engine.run()?;
         Ok(ClusterReport {
-            chips: run.replicas,
-            dispatch: self.dispatch(),
             completed: run.completed,
             batches: run.batches,
-            sim_seconds: run.sim_seconds,
-            offered_qps: run.offered_qps,
-            achieved_qps: run.achieved_qps,
             goodput_qps: run.goodput_qps,
             latency: run.latency,
             slo_attainment: run.slo_attainment,
             mean_batch_size: run.mean_batch_size,
             mean_queue_ms: run.mean_queue_ms,
             per_chip_completed: run.per_replica_completed,
-            mean_chip_utilization: per_chip_utilization.iter().sum::<f64>() / replicas.len() as f64,
-            per_chip_utilization,
+            mean_chip_utilization: run.mean_utilization,
         })
     }
 }
@@ -289,29 +125,61 @@ impl<B: Backend + 'static> ClusterSim<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::SchedulerConfig;
+    use crate::overload::OverloadReport;
+    use crate::policy::SchedulingPolicy;
+    use crate::serving::RequestClass;
     use hyflex_pim::PerformanceModel;
     use hyflex_transformer::ModelConfig;
 
-    fn cluster(chips: usize, dispatch: DispatchPolicy, qps: f64) -> ClusterSim {
-        let backend = HyFlexPim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            0.05,
+    fn bert_base() -> Arc<dyn Backend> {
+        Arc::new(
+            HyFlexPim::new(
+                PerformanceModel::paper_default(),
+                ModelConfig::bert_base(),
+                0.05,
+            )
+            .unwrap(),
         )
+    }
+
+    /// `chips` replicas of BERT-Base serving `num_requests` Poisson
+    /// arrivals of the `classes` mix at `qps` under `scheduler`.
+    fn fleet(
+        chips: usize,
+        dispatch: DispatchPolicy,
+        qps: f64,
+        num_requests: usize,
+        classes: Vec<RequestClass>,
+        scheduler: SchedulerConfig,
+    ) -> OverloadSim {
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson { qps },
+            num_requests,
+            classes,
+            ..TrafficConfig::default()
+        })
         .unwrap();
-        ClusterSim::with_backend(
-            backend,
-            ClusterConfig {
-                chips,
+        OverloadSim::with_replicas(
+            vec![bert_base(); chips],
+            OverloadConfig {
+                scheduler,
                 dispatch,
-                serving: ServingConfig {
-                    qps,
-                    num_requests: 240,
-                    ..ServingConfig::default()
-                },
+                ..OverloadConfig::new(trace)
             },
         )
         .unwrap()
+    }
+
+    fn cluster(chips: usize, dispatch: DispatchPolicy, qps: f64) -> OverloadSim {
+        fleet(
+            chips,
+            dispatch,
+            qps,
+            240,
+            Vec::new(),
+            SchedulerConfig::default(),
+        )
     }
 
     #[test]
@@ -333,17 +201,16 @@ mod tests {
 
     #[test]
     fn construction_rejects_zero_chips() {
-        let backend = HyFlexPim::new(
-            PerformanceModel::paper_default(),
-            ModelConfig::bert_base(),
-            0.05,
-        )
+        let trace = RequestTrace::new(TrafficConfig {
+            num_requests: 2000,
+            ..TrafficConfig::default()
+        })
         .unwrap();
-        let config = ClusterConfig {
-            chips: 0,
-            ..ClusterConfig::default()
+        let config = OverloadConfig {
+            dispatch: DispatchPolicy::RoundRobin,
+            ..OverloadConfig::new(trace)
         };
-        assert!(ClusterSim::with_backend(backend, config).is_err());
+        assert!(OverloadSim::with_replicas(Vec::new(), config).is_err());
     }
 
     #[test]
@@ -351,18 +218,17 @@ mod tests {
         for dispatch in DispatchPolicy::ALL {
             let report = cluster(3, dispatch, 6000.0).run().unwrap();
             assert_eq!(report.completed, 240, "{dispatch}");
-            assert_eq!(report.per_chip_completed.iter().sum::<usize>(), 240);
-            assert_eq!(report.per_chip_completed.len(), 3);
-            assert_eq!(report.per_chip_utilization.len(), 3);
+            assert_eq!(report.per_replica_completed.iter().sum::<usize>(), 240);
+            assert_eq!(report.per_replica_completed.len(), 3);
             assert!(
-                report.per_chip_completed.iter().all(|&c| c > 0),
+                report.per_replica_completed.iter().all(|&c| c > 0),
                 "{dispatch}: every chip should serve part of the stream, got \
                  {:?}",
-                report.per_chip_completed
+                report.per_replica_completed
             );
             assert!(report.latency.p50_ms > 0.0);
             assert!(report.latency.p50_ms <= report.latency.p99_ms);
-            assert!(report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0);
+            assert!(report.mean_utilization > 0.0 && report.mean_utilization <= 1.0);
         }
     }
 
@@ -375,53 +241,86 @@ mod tests {
         }
     }
 
+    /// Every `ClusterReport` field equals the engine's field it renames.
+    fn assert_renames(cluster: &ClusterReport, engine: &OverloadReport) {
+        assert_eq!(cluster.completed, engine.completed);
+        assert_eq!(cluster.batches, engine.batches);
+        assert_eq!(cluster.goodput_qps, engine.goodput_qps);
+        assert_eq!(cluster.latency, engine.latency);
+        assert_eq!(cluster.slo_attainment, engine.slo_attainment);
+        assert_eq!(cluster.mean_batch_size, engine.mean_batch_size);
+        assert_eq!(cluster.mean_queue_ms, engine.mean_queue_ms);
+        assert_eq!(cluster.per_chip_completed, engine.per_replica_completed);
+        assert_eq!(cluster.mean_chip_utilization, engine.mean_utilization);
+    }
+
     #[test]
     fn a_one_chip_cluster_matches_the_single_device_simulator() {
-        // One chip is the single-device case: the engine on one replica
-        // with admission off, over the Poisson trace of the serving config.
-        // Driving `OverloadSim` directly on the same backend and trace must
-        // give byte-identical numbers.
-        let report = cluster(1, DispatchPolicy::RoundRobin, 4000.0)
+        // The shim builds the engine's own construction: on one chip, and
+        // on the benchmark's cluster shape (4 replicas, JSQ, EDF, the
+        // 64/256 two-class mix with an interactive SLO), `ClusterSim` and
+        // `OverloadSim` over the same backend and trace give the same
+        // numbers.
+        let backend = bert_base();
+        let single_ns = backend.evaluate_batched(64, 1).unwrap().makespan_ns;
+        let interval_ns = (3.0 * backend.evaluate_batched(64, 16).unwrap().makespan_ns
+            + backend.evaluate_batched(256, 16).unwrap().makespan_ns)
+            / 16.0
+            / 4.0;
+        let edf = SchedulerConfig {
+            max_batch_size: 16,
+            policy: SchedulingPolicy::Edf,
+            ..SchedulerConfig::default()
+        };
+        let mix = vec![
+            RequestClass::new(64, 3.0)
+                .with_slo_ns(25.0 * single_ns)
+                .with_priority(0),
+            RequestClass::new(256, 1.0).with_priority(1),
+        ];
+        let cases = [
+            (
+                1,
+                DispatchPolicy::RoundRobin,
+                4000.0,
+                240,
+                Vec::new(),
+                SchedulerConfig::default(),
+            ),
+            (
+                4,
+                DispatchPolicy::JoinShortestQueue,
+                0.9 * 4.0 * 1e9 / interval_ns,
+                1200,
+                mix,
+                edf,
+            ),
+        ];
+        for (chips, dispatch, qps, num_requests, classes, scheduler) in cases {
+            let shim = ClusterSim::with_backend(
+                Arc::clone(&backend),
+                ClusterConfig {
+                    chips,
+                    dispatch,
+                    serving: ServingConfig {
+                        qps,
+                        num_requests,
+                        classes: classes.clone(),
+                        scheduler,
+                        ..ServingConfig::default()
+                    },
+                },
+            )
+            .unwrap()
             .run()
             .unwrap();
-        let serving = ServingConfig {
-            qps: 4000.0,
-            num_requests: 240,
-            ..ServingConfig::default()
-        };
-        let trace = RequestTrace::new(TrafficConfig {
-            process: ArrivalProcess::Poisson { qps: serving.qps },
-            num_requests: serving.num_requests,
-            seq_len: serving.seq_len,
-            seed: serving.seed,
-            ..TrafficConfig::default()
-        })
-        .unwrap();
-        let single = OverloadSim::with_backend(
-            HyFlexPim::new(
-                PerformanceModel::paper_default(),
-                ModelConfig::bert_base(),
-                0.05,
-            )
-            .unwrap(),
-            OverloadConfig {
-                scheduler: serving.scheduler,
-                ..OverloadConfig::new(trace)
-            },
-        )
-        .unwrap()
-        .run()
-        .unwrap();
-        assert_eq!(report.completed, single.completed);
-        assert_eq!(report.batches, single.batches);
-        assert_eq!(report.latency, single.latency);
-        assert_eq!(report.achieved_qps, single.achieved_qps);
-        assert_eq!(report.goodput_qps, single.goodput_qps);
-        assert_eq!(report.slo_attainment, single.slo_attainment);
-        assert_eq!(report.sim_seconds, single.sim_seconds);
-        assert_eq!(report.mean_batch_size, single.mean_batch_size);
-        assert_eq!(report.mean_queue_ms, single.mean_queue_ms);
-        assert_eq!(report.per_chip_completed, single.per_replica_completed);
+            let engine = fleet(chips, dispatch, qps, num_requests, classes, scheduler)
+                .run()
+                .unwrap();
+            assert_renames(&shim, &engine);
+            assert_eq!(engine.replicas, chips);
+            assert_eq!(engine.completed, num_requests);
+        }
     }
 
     #[test]
@@ -449,34 +348,19 @@ mod tests {
         // request carries; join-shortest-queue reacts to it. Both must
         // still conserve the stream.
         let make = |dispatch| {
-            let backend = HyFlexPim::new(
-                PerformanceModel::paper_default(),
-                ModelConfig::bert_base(),
-                0.05,
+            fleet(
+                3,
+                dispatch,
+                9000.0,
+                300,
+                vec![RequestClass::new(64, 2.0), RequestClass::new(384, 1.0)],
+                SchedulerConfig::default(),
             )
-            .unwrap();
-            ClusterSim::with_backend(
-                backend,
-                ClusterConfig {
-                    chips: 3,
-                    dispatch,
-                    serving: ServingConfig {
-                        qps: 9000.0,
-                        num_requests: 300,
-                        classes: vec![
-                            crate::serving::RequestClass::new(64, 2.0),
-                            crate::serving::RequestClass::new(384, 1.0),
-                        ],
-                        ..ServingConfig::default()
-                    },
-                },
-            )
-            .unwrap()
         };
         let rr = make(DispatchPolicy::RoundRobin).run().unwrap();
         let jsq = make(DispatchPolicy::JoinShortestQueue).run().unwrap();
         assert_eq!(rr.completed, 300);
         assert_eq!(jsq.completed, 300);
-        assert_eq!(jsq.per_chip_completed.iter().sum::<usize>(), 300);
+        assert_eq!(jsq.per_replica_completed.iter().sum::<usize>(), 300);
     }
 }

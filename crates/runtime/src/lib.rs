@@ -25,28 +25,26 @@
 //!   [`InferenceRequest`]s bounded by the tile
 //!   capacity the serving backend reports, admitted in
 //!   [`policy`] order (FCFS, earliest-deadline-first, or strict priority).
-//! * [`overload`] — [`OverloadSim`]: the one serving engine for
-//!   encoder-pass requests. Its event loop drives a chip-heterogeneous
-//!   fleet under the batching-window launch rule, with admission control
-//!   (token-bucket / queue-depth), deadline-aware shedding, policy-driven
-//!   preemption, and a reactive autoscaler; it reports p99.9 tails, goodput
-//!   under SLO, and per-phase (burst vs. trough) breakdowns, and checks
-//!   request conservation at the end of every run
-//!   (`fig21_overload_survival`, `examples/open_loop_traffic.rs`).
-//! * [`cluster`] — [`ClusterSim`]: the closed-loop serving simulator, the
-//!   engine with admission off (unbounded admission, no shedding, no
-//!   preemption, no autoscaler) over N replicas of one backend behind a
-//!   round-robin or join-shortest-queue dispatcher; one chip is the
-//!   single-device case. It reports throughput, utilization, p50/p95/p99
-//!   latency, and SLO attainment (`fig18_batch_throughput`–
-//!   `fig20_serving_policies`, `examples/serving_sim.rs`,
-//!   `examples/cluster_serving.rs`).
-//! * [`serving`] — the closed-loop workload [`ClusterSim`] runs: a
-//!   [`ServingConfig`] of Poisson arrivals, homogeneous or a weighted
-//!   [`RequestClass`] mix with per-class SLOs, and the batching policy.
-//!   Its [`LatencySummary`] is the one latency summary of every simulator:
+//! * [`overload`] — [`OverloadSim`]: the one serving engine and the one
+//!   front end for encoder-pass requests. A [`RequestTrace`] plus an
+//!   [`OverloadConfig`] describe a run. Its event loop drives a
+//!   chip-heterogeneous fleet behind a round-robin or join-shortest-queue
+//!   [`DispatchPolicy`] under the batching-window launch rule, with
+//!   admission control (token-bucket / queue-depth), deadline-aware
+//!   shedding, policy-driven preemption, and a reactive autoscaler; it
+//!   reports throughput, utilization, goodput under SLO, p50–p99.9 tails
+//!   and per-phase (burst vs. trough) breakdowns, and checks request
+//!   conservation at the end of every run. With admission off over a
+//!   Poisson trace it is the closed-loop run (`fig18_batch_throughput`–
+//!   `fig21_overload_survival`, `examples/serving_sim.rs`,
+//!   `examples/cluster_serving.rs`, `examples/open_loop_traffic.rs`).
+//! * [`cluster`] — [`ClusterSim`]: a shim over [`OverloadSim`] kept only
+//!   because the stand-alone end-to-end benchmark's `cluster_poisson`
+//!   workload names it; no workspace code outside its unit tests calls it.
+//! * [`serving`] — the request mix ([`RequestClass`]) and
+//!   [`LatencySummary`], the one latency summary of every simulator:
 //!   histogram-quantized percentiles (≤ 1.6 % error) with exact mean and
-//!   max, in O(1) memory.
+//!   max, in O(1) memory. [`ServingConfig`] is [`ClusterSim`]'s workload.
 //! * [`traffic`] — [`RequestTrace`]: the one arrival generator — seeded
 //!   deterministic Poisson, MMPP and gamma-burst processes under piecewise
 //!   diurnal rate curves, streaming to 10⁶–10⁷ requests in O(1) memory.
@@ -75,14 +73,14 @@ pub mod sweep;
 pub mod traffic;
 
 pub use batch::{Batch, BatchScheduler, InferenceRequest, SchedulerConfig};
-pub use cluster::{BatchTrace, ClusterConfig, ClusterReport, ClusterSim, DispatchPolicy};
+pub use cluster::{ClusterConfig, ClusterReport, ClusterSim};
 pub use decode::{DecodeConfig, DecodeReport, DecodeSim, KvPlacementPolicy};
 pub use error::RuntimeError;
 pub use hyflex_parallel::JobPool;
 pub use hyflex_pim::backend::{Backend, HyFlexPim};
 pub use overload::{
-    AdmissionPolicy, AutoscaleEvent, AutoscalerConfig, OverloadConfig, OverloadReport, OverloadSim,
-    PhaseReport,
+    AdmissionPolicy, AutoscaleEvent, AutoscalerConfig, BatchTrace, DispatchPolicy, OverloadConfig,
+    OverloadReport, OverloadSim, PhaseReport,
 };
 pub use policy::SchedulingPolicy;
 pub use serving::{LatencySummary, RequestClass, ServingConfig};

@@ -2,13 +2,15 @@
 //! fleet, with admission control, deadline-aware shedding, preemption, and
 //! reactive autoscaling.
 //!
-//! [`OverloadSim`]'s loop is the only encoder-pass serving engine in the
-//! crate. The closed-loop simulators are configurations of it:
-//! [`ClusterSim`](crate::cluster::ClusterSim) is the engine with
-//! [`AdmissionPolicy::Unbounded`], no shedding, no preemption and no
-//! autoscaler; one chip is the single-device run. With admission off every offered request completes,
-//! so under sustained overload the queues grow without bound. The survival
-//! policies let the operator *refuse* work instead:
+//! [`OverloadSim`] is the crate's one front end for encoder-pass serving:
+//! every figure, example and test builds a [`RequestTrace`] and an
+//! [`OverloadConfig`] and runs it here. The closed-loop runs are
+//! configurations of it — [`AdmissionPolicy::Unbounded`], no shedding, no
+//! preemption and no autoscaler over a Poisson trace, with one replica for
+//! the single-device case or N replicas behind a [`DispatchPolicy`]. With
+//! admission off every offered request completes, so under sustained
+//! overload the queues grow without bound. The survival policies let the
+//! operator *refuse* work instead:
 //!
 //! * **Admission control** ([`AdmissionPolicy`]) — a token bucket or a
 //!   per-replica queue-depth gate decides at arrival whether a request
@@ -40,8 +42,7 @@
 //! preempted` per phase; a mismatch is returned as
 //! [`RuntimeError::Internal`], in release builds too.
 
-use crate::batch::{BatchScheduler, SchedulerConfig};
-use crate::cluster::{BatchTrace, DispatchPolicy};
+use crate::batch::{Batch, BatchScheduler, SchedulerConfig};
 use crate::error::RuntimeError;
 use crate::policy::order_key;
 use crate::serving::LatencySummary;
@@ -53,6 +54,65 @@ use std::cmp::Reverse;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
+
+/// How the engine routes an arriving request to an active replica.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum DispatchPolicy {
+    /// Cycle through the active replicas in index order, one request each.
+    #[default]
+    RoundRobin,
+    /// Send each request to the active replica with the fewest outstanding
+    /// requests (queued plus launched-but-incomplete) at its arrival time;
+    /// ties go to the lowest replica index.
+    JoinShortestQueue,
+}
+
+impl DispatchPolicy {
+    /// Every dispatch policy, in display order.
+    pub const ALL: [DispatchPolicy; 2] = [
+        DispatchPolicy::RoundRobin,
+        DispatchPolicy::JoinShortestQueue,
+    ];
+
+    /// Stable name (accepted back by [`DispatchPolicy::parse`]).
+    pub fn name(&self) -> &'static str {
+        match self {
+            DispatchPolicy::RoundRobin => "round-robin",
+            DispatchPolicy::JoinShortestQueue => "jsq",
+        }
+    }
+
+    /// Parses a policy name as accepted by the binaries' `--dispatch` flag.
+    pub fn parse(name: &str) -> Option<DispatchPolicy> {
+        match name.to_ascii_lowercase().as_str() {
+            "round-robin" | "rr" => Some(DispatchPolicy::RoundRobin),
+            "jsq" | "shortest-queue" | "join-shortest-queue" => {
+                Some(DispatchPolicy::JoinShortestQueue)
+            }
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for DispatchPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// One launched batch, as observed by the engine (returned by
+/// [`OverloadSim::replay_traced`] for tests and trace analysis).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchTrace {
+    /// Index of the replica that executed the batch.
+    pub chip: usize,
+    /// Time the batch launched, ns.
+    pub launch_ns: f64,
+    /// Modeled makespan of the batch, ns.
+    pub makespan_ns: f64,
+    /// The formed batch (requests, padded shape, cells used).
+    pub batch: Batch,
+}
 
 /// Gate deciding at arrival time whether a request enters the system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -265,6 +325,9 @@ pub struct OverloadReport {
     pub mean_queue_ms: f64,
     /// Per-replica completed-request counts (sums to `completed`).
     pub per_replica_completed: Vec<usize>,
+    /// Mean over the fleet of each replica's busy fraction from the first
+    /// arrival to its last completion (0 for a replica that never ran).
+    pub mean_utilization: f64,
     /// Per-phase breakdown, indexed like the trace's phase labels.
     pub phases: Vec<PhaseReport>,
     /// Autoscaler actuations, in time order (empty without an autoscaler).
@@ -433,14 +496,14 @@ impl PhaseLedger {
 
 /// The run's accounting: every request's fate per arrival phase (run-wide
 /// counts are sums over the phases), the run-wide latency histogram, and
-/// the autoscaler log. Every front-end reads its report off the ledger.
+/// the autoscaler log. The report is read off the ledger.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Ledger {
+struct Ledger {
     phases: Vec<PhaseLedger>,
     hist: LatencyHistogram,
     batches: usize,
     queue_ns_sum: f64,
-    pub(crate) first_arrival_ns: f64,
+    first_arrival_ns: f64,
     last_arrival_ns: f64,
     last_completion_ns: f64,
     autoscale_events: Vec<AutoscaleEvent>,
@@ -512,13 +575,13 @@ impl Ledger {
 
 /// One replica of the fleet: a scheduler queue plus device timing and its
 /// own batch-evaluation memo (replicas may be heterogeneous).
-pub(crate) struct Replica {
+struct Replica {
     index: usize,
     scheduler: BatchScheduler,
     backend: Arc<dyn Backend>,
-    pub(crate) device_free: f64,
-    pub(crate) busy_ns: f64,
-    pub(crate) completed: usize,
+    device_free: f64,
+    busy_ns: f64,
+    completed: usize,
     /// Completion times of launched requests as order keys, earliest on
     /// top (for the outstanding count); popped lazily.
     inflight: BinaryHeap<Reverse<u64>>,
@@ -926,8 +989,27 @@ impl OverloadSim {
         Ok(self.report(ledger, &replicas))
     }
 
+    /// Replays an explicit arrival stream (sorted by `arrival_ns`) through
+    /// the fleet instead of streaming the configured trace, and also
+    /// returns every launched batch. `replay_traced(&trace.collect())`
+    /// reports exactly what [`OverloadSim::run`] does on that trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidConfig`] for an empty or unsorted
+    /// stream, propagates scheduler and device-model errors, and returns
+    /// [`RuntimeError::Internal`] if the run breaks request conservation.
+    pub fn replay_traced(
+        &self,
+        arrivals: &[InferenceRequest],
+    ) -> Result<(OverloadReport, Vec<BatchTrace>)> {
+        let mut traces = Vec::new();
+        let (ledger, replicas) = self.drive(arrivals.iter().copied(), Some(&mut traces))?;
+        Ok((self.report(ledger, &replicas), traces))
+    }
+
     /// Reads a run's report off its ledger and final replica states.
-    pub(crate) fn report(&self, ledger: Ledger, replicas: &[Replica]) -> OverloadReport {
+    fn report(&self, ledger: Ledger, replicas: &[Replica]) -> OverloadReport {
         let completed = ledger.total(|p| p.completed);
         let span_end = ledger.last_completion_ns.max(ledger.last_arrival_ns);
         let sim_seconds = (span_end - ledger.first_arrival_ns).max(0.0) * 1e-9;
@@ -963,6 +1045,16 @@ impl OverloadSim {
             mean_batch_size: completed as f64 / ledger.batches.max(1) as f64,
             mean_queue_ms: ledger.queue_ns_sum / completed.max(1) as f64 / 1e6,
             per_replica_completed: replicas.iter().map(|r| r.completed).collect(),
+            mean_utilization: (replicas.iter())
+                .map(|r| {
+                    if r.device_free > ledger.first_arrival_ns {
+                        r.busy_ns / (r.device_free - ledger.first_arrival_ns)
+                    } else {
+                        0.0
+                    }
+                })
+                .sum::<f64>()
+                / replicas.len() as f64,
             phases: (self.config.trace.phase_labels().into_iter())
                 .zip(&ledger.phases)
                 .map(|(label, phase)| phase.report(label))
@@ -977,7 +1069,7 @@ impl OverloadSim {
     /// states. Arrivals must come in non-decreasing `arrival_ns`; one that
     /// steps back in time is rejected as it streams past. Every launched
     /// batch is pushed to `sink` when one is given.
-    pub(crate) fn drive(
+    fn drive(
         &self,
         requests: impl IntoIterator<Item = InferenceRequest>,
         mut sink: Option<&mut Vec<BatchTrace>>,

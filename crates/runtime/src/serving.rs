@@ -1,25 +1,21 @@
-//! The closed-loop serving workload: Poisson arrivals at a configurable
-//! offered QPS, a homogeneous or heterogeneous request mix, and the batching
-//! policy — plus the latency summary every simulator reports.
+//! The serving vocabulary shared by every simulator: the request mix and
+//! the latency summary.
 //!
-//! A [`ServingConfig`] describes one run: requests either all at
-//! [`ServingConfig::seq_len`] or drawn from a weighted mix of
-//! [`RequestClass`]es (per-request sequence lengths, SLOs and priority
-//! classes, sampled from a seeded, deterministic distribution), queued in a
-//! [`BatchScheduler`](crate::batch::BatchScheduler) under the configured
-//! [`SchedulingPolicy`](crate::policy::SchedulingPolicy) and launched under
-//! the batching-window semantics documented on
-//! [`SchedulerConfig::max_wait_ns`].
+//! A [`RequestClass`] is one stratum of a heterogeneous mix (sequence
+//! length, sampling weight, SLO and priority class); a
+//! [`TrafficConfig`](crate::traffic::TrafficConfig) draws each request's
+//! class from a seeded, deterministic distribution. [`LatencySummary`] is
+//! the one latency report of every simulator, filled from the engine's
+//! log-linear histogram. The unit tests here pin the single-device
+//! behaviour of the one serving engine,
+//! [`OverloadSim`](crate::overload::OverloadSim), on a Poisson trace with
+//! admission off: the batching window documented on
+//! [`SchedulerConfig::max_wait_ns`], SLO accounting, goodput and the
+//! request mix.
 //!
-//! [`ClusterSim`](crate::cluster::ClusterSim) runs it: its arrivals are the
-//! Poisson [`RequestTrace`](crate::traffic::RequestTrace) built from the
-//! config, fanned out over `chips` replicas of any `hyflex_pim::Backend`
-//! (one chip is the single-device case), and driven through the one serving
-//! engine, [`OverloadSim`](crate::overload::OverloadSim), with admission,
-//! shedding, preemption and autoscaling off. Its latency percentiles come
-//! from the engine's log-linear histogram (see [`LatencySummary`]). The
-//! unit tests here pin the single-device behaviour of that path: the
-//! batching window, SLO accounting, goodput and the request mix.
+//! [`ServingConfig`] is the closed-loop workload of the end-to-end
+//! benchmark's [`ClusterSim`](crate::cluster::ClusterSim) shim, which sets
+//! its fields; it goes with that shim.
 
 pub use crate::batch::SchedulerConfig;
 
@@ -67,7 +63,9 @@ impl RequestClass {
     }
 }
 
-/// Workload and policy of one serving run.
+/// Workload and policy of one [`ClusterSim`](crate::cluster::ClusterSim)
+/// run: a Poisson [`TrafficConfig`](crate::traffic::TrafficConfig) at `qps`
+/// plus the scheduler.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingConfig {
     /// Offered load: mean arrival rate, requests per second.
@@ -153,73 +151,82 @@ pub struct LatencySummary {
 mod tests {
     use super::*;
     use crate::batch::InferenceRequest;
-    use crate::cluster::{ClusterConfig, ClusterSim, DispatchPolicy};
+    use crate::overload::{OverloadConfig, OverloadSim};
     use crate::policy::SchedulingPolicy;
+    use crate::traffic::{ArrivalProcess, RequestTrace, TrafficConfig};
     use crate::Result;
     use hyflex_baselines::{NonPim, Sprint};
     use hyflex_pim::backend::{Backend, HyFlexPim};
     use hyflex_transformer::ModelConfig;
 
-    /// `backend` serving `config` as a single device: a one-chip cluster.
-    fn one_chip<B: Backend + 'static>(backend: B, config: ServingConfig) -> Result<ClusterSim<B>> {
-        ClusterSim::with_backend(
+    /// `num_requests` Poisson arrivals at `qps`, homogeneous at N = 128.
+    fn poisson(qps: f64, num_requests: usize) -> TrafficConfig {
+        TrafficConfig {
+            process: ArrivalProcess::Poisson { qps },
+            num_requests,
+            ..TrafficConfig::default()
+        }
+    }
+
+    /// `backend` serving `traffic` under `scheduler` as a single device.
+    fn one_chip(
+        backend: impl Backend + 'static,
+        traffic: TrafficConfig,
+        scheduler: SchedulerConfig,
+    ) -> Result<OverloadSim> {
+        OverloadSim::with_backend(
             backend,
-            ClusterConfig {
-                chips: 1,
-                dispatch: DispatchPolicy::RoundRobin,
-                serving: config,
+            OverloadConfig {
+                scheduler,
+                ..OverloadConfig::new(RequestTrace::new(traffic)?)
             },
         )
     }
 
     /// One paper chip serving BERT-Base at 10 % SLC.
-    fn serve(config: ServingConfig) -> Result<ClusterSim> {
+    fn serve(traffic: TrafficConfig, scheduler: SchedulerConfig) -> Result<OverloadSim> {
         one_chip(
             HyFlexPim::paper(ModelConfig::bert_base(), 0.1).unwrap(),
-            config,
+            traffic,
+            scheduler,
         )
     }
 
-    fn sim(qps: f64, max_batch_size: usize, num_requests: usize) -> ClusterSim {
-        serve(ServingConfig {
-            qps,
-            num_requests,
-            scheduler: SchedulerConfig {
+    /// `serve` with FCFS batching.
+    fn serve_fcfs(traffic: TrafficConfig) -> Result<OverloadSim> {
+        serve(traffic, SchedulerConfig::default())
+    }
+
+    fn sim(qps: f64, max_batch_size: usize, num_requests: usize) -> OverloadSim {
+        serve(
+            poisson(qps, num_requests),
+            SchedulerConfig {
                 max_batch_size,
                 ..SchedulerConfig::default()
             },
-            ..ServingConfig::default()
-        })
+        )
         .unwrap()
     }
 
     #[test]
     fn construction_rejects_bad_loads() {
-        let bad_qps = ServingConfig {
-            qps: 0.0,
-            ..ServingConfig::default()
-        };
-        assert!(serve(bad_qps).is_err());
-        let empty = ServingConfig {
-            num_requests: 0,
-            ..ServingConfig::default()
-        };
-        assert!(serve(empty).is_err());
-        let bad_slo = ServingConfig {
+        assert!(serve_fcfs(poisson(0.0, 2000)).is_err());
+        assert!(serve_fcfs(poisson(1000.0, 0)).is_err());
+        let bad_slo = TrafficConfig {
             slo_ns: 0.0,
-            ..ServingConfig::default()
+            ..poisson(1000.0, 2000)
         };
-        assert!(serve(bad_slo).is_err());
-        let bad_class = ServingConfig {
+        assert!(serve_fcfs(bad_slo).is_err());
+        let bad_class = TrafficConfig {
             classes: vec![RequestClass::new(128, 0.0)],
-            ..ServingConfig::default()
+            ..poisson(1000.0, 2000)
         };
-        assert!(serve(bad_class).is_err());
-        let bad_class_slo = ServingConfig {
+        assert!(serve_fcfs(bad_class).is_err());
+        let bad_class_slo = TrafficConfig {
             classes: vec![RequestClass::new(128, 1.0).with_slo_ns(-1.0)],
-            ..ServingConfig::default()
+            ..poisson(1000.0, 2000)
         };
-        assert!(serve(bad_class_slo).is_err());
+        assert!(serve_fcfs(bad_class_slo).is_err());
     }
 
     #[test]
@@ -235,7 +242,7 @@ mod tests {
         assert!(report.latency.mean_ms <= report.latency.max_ms);
         assert!(report.mean_batch_size >= 1.0);
         assert!(report.mean_batch_size <= 8.0);
-        assert!(report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0);
+        assert!(report.mean_utilization > 0.0 && report.mean_utilization <= 1.0);
         // No request carries an SLO, so attainment is trivially perfect.
         assert_eq!(report.slo_attainment, 1.0);
     }
@@ -249,17 +256,14 @@ mod tests {
 
     #[test]
     fn baseline_backends_serve_through_the_same_machinery() {
-        let config = ServingConfig {
-            qps: 200.0,
-            num_requests: 120,
-            ..ServingConfig::default()
-        };
+        let traffic = poisson(200.0, 120);
+        let fcfs = SchedulerConfig::default();
         for report in [
-            one_chip(Sprint::new(ModelConfig::bert_base()), config.clone())
+            one_chip(Sprint::new(ModelConfig::bert_base()), traffic.clone(), fcfs)
                 .unwrap()
                 .run()
                 .unwrap(),
-            one_chip(NonPim::new(ModelConfig::bert_base()), config.clone())
+            one_chip(NonPim::new(ModelConfig::bert_base()), traffic.clone(), fcfs)
                 .unwrap()
                 .run()
                 .unwrap(),
@@ -267,7 +271,7 @@ mod tests {
             assert_eq!(report.completed, 120);
             assert!(report.latency.p50_ms > 0.0);
             assert!(report.latency.p50_ms <= report.latency.p99_ms);
-            assert!(report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0);
+            assert!(report.mean_utilization > 0.0 && report.mean_utilization <= 1.0);
         }
     }
 
@@ -291,7 +295,7 @@ mod tests {
     fn light_load_keeps_batches_small_and_queues_short() {
         let report = sim(50.0, 16, 200).run().unwrap();
         assert!(report.mean_batch_size < 4.0);
-        assert!(report.mean_chip_utilization < 0.9);
+        assert!(report.mean_utilization < 0.9);
         assert!(report.mean_queue_ms <= report.latency.mean_ms);
     }
 
@@ -304,14 +308,14 @@ mod tests {
         // The fixed anchor is `oldest_arrival + max_wait` (clamped to
         // `ready`): a saturated device launches the moment it frees.
         let max_wait = 10_000.0; // 10 µs, far below the batch makespan
-        let s = serve(ServingConfig {
-            scheduler: SchedulerConfig {
+        let s = serve(
+            poisson(1000.0, 2000),
+            SchedulerConfig {
                 max_batch_size: 2,
                 max_wait_ns: max_wait,
                 ..SchedulerConfig::default()
             },
-            ..ServingConfig::default()
-        })
+        )
         .unwrap();
         let arrivals = [
             // A full batch launches at t = 0 and occupies the device.
@@ -386,17 +390,16 @@ mod tests {
 
     #[test]
     fn heterogeneous_mix_draws_every_class_deterministically() {
-        let config = ServingConfig {
-            qps: 2000.0,
-            num_requests: 400,
+        let traffic = TrafficConfig {
             classes: vec![
                 RequestClass::new(64, 3.0).with_slo_ns(2e6).with_priority(0),
                 RequestClass::new(256, 1.0).with_priority(1),
             ],
-            ..ServingConfig::default()
+            ..poisson(2000.0, 400)
         };
-        let sim = serve(config).unwrap();
-        let (report, traces) = sim.run_traced().unwrap();
+        let sim = serve_fcfs(traffic).unwrap();
+        let run_traced = || sim.replay_traced(&sim.config().trace.collect());
+        let (report, traces) = run_traced().unwrap();
         let arrivals: Vec<InferenceRequest> = traces
             .iter()
             .flat_map(|t| t.batch.requests.iter().copied())
@@ -416,7 +419,7 @@ mod tests {
             .filter(|r| r.seq_len == 256)
             .all(|r| !r.has_deadline() && r.priority == 1));
         // Deterministic: the same seed reproduces the stream and report.
-        assert_eq!((report.clone(), traces), sim.run_traced().unwrap());
+        assert_eq!((report.clone(), traces), run_traced().unwrap());
         assert_eq!(report, sim.run().unwrap());
         assert_eq!(report.completed, 400);
     }
@@ -424,41 +427,35 @@ mod tests {
     #[test]
     fn slo_attainment_tracks_only_deadline_carrying_requests() {
         // Light load, generous SLO: everything tracked meets its deadline.
-        let generous = ServingConfig {
-            qps: 100.0,
-            num_requests: 150,
+        let generous = TrafficConfig {
             slo_ns: 1e9, // 1 s
-            ..ServingConfig::default()
+            ..poisson(100.0, 150)
         };
-        let report = serve(generous).unwrap().run().unwrap();
+        let report = serve_fcfs(generous).unwrap().run().unwrap();
         assert_eq!(report.slo_attainment, 1.0);
         // An SLO tighter than the single-request latency can never be met.
-        let impossible = ServingConfig {
-            qps: 100.0,
-            num_requests: 150,
+        let impossible = TrafficConfig {
             slo_ns: 1.0, // 1 ns
-            ..ServingConfig::default()
+            ..poisson(100.0, 150)
         };
-        let report = serve(impossible).unwrap().run().unwrap();
+        let report = serve_fcfs(impossible).unwrap().run().unwrap();
         assert_eq!(report.slo_attainment, 0.0);
     }
 
     #[test]
     fn edf_policy_runs_deterministically_with_mixed_deadlines() {
-        let config = ServingConfig {
-            qps: 8000.0,
-            num_requests: 300,
+        let traffic = TrafficConfig {
             classes: vec![
                 RequestClass::new(64, 1.0).with_slo_ns(3e6),
                 RequestClass::new(128, 1.0),
             ],
-            scheduler: SchedulerConfig {
-                policy: SchedulingPolicy::Edf,
-                ..SchedulerConfig::default()
-            },
-            ..ServingConfig::default()
+            ..poisson(8000.0, 300)
         };
-        let sim = serve(config).unwrap();
+        let edf = SchedulerConfig {
+            policy: SchedulingPolicy::Edf,
+            ..SchedulerConfig::default()
+        };
+        let sim = serve(traffic, edf).unwrap();
         let a = sim.run().unwrap();
         assert_eq!(a, sim.run().unwrap());
         assert_eq!(a.completed, 300);
@@ -483,13 +480,11 @@ mod tests {
         assert_eq!(report.goodput_qps, report.achieved_qps);
         // An SLO tighter than the single-request latency: every completion
         // misses, so the run achieves throughput but zero goodput.
-        let impossible = ServingConfig {
-            qps: 100.0,
-            num_requests: 150,
+        let impossible = TrafficConfig {
             slo_ns: 1.0, // 1 ns
-            ..ServingConfig::default()
+            ..poisson(100.0, 150)
         };
-        let report = serve(impossible).unwrap().run().unwrap();
+        let report = serve_fcfs(impossible).unwrap().run().unwrap();
         assert!(report.achieved_qps > 0.0);
         assert_eq!(report.goodput_qps, 0.0);
     }

@@ -2,18 +2,18 @@
 //! traces that stream to millions of requests.
 //!
 //! Every serving simulator draws its arrivals from a [`RequestTrace`]: the
-//! closed-loop [`ClusterSim`](crate::cluster::ClusterSim) builds a Poisson
-//! trace from its [`ServingConfig`](crate::serving::ServingConfig). Production
+//! closed-loop runs hand [`OverloadSim`](crate::overload::OverloadSim) a
+//! Poisson trace with admission off. Production
 //! traffic is rarely that tame: it is **open-loop** (arrivals do not wait
 //! for completions), **bursty** (arrival-rate variance far above Poisson),
 //! and **diurnal** (the mean rate itself drifts over the day). This module
 //! models all three with three deterministic seeded processes behind one
 //! [`ArrivalProcess`] surface:
 //!
-//! * [`ArrivalProcess::Poisson`] — the memoryless stream the closed-loop
-//!   simulators sample, so a Poisson [`RequestTrace`] with their seed,
-//!   rate, and request mix replayed through them reproduces their reports
-//!   byte for byte.
+//! * [`ArrivalProcess::Poisson`] — the memoryless stream of the
+//!   closed-loop runs; a Poisson [`RequestTrace`] replayed materialized
+//!   through [`OverloadSim::replay_traced`](crate::overload::OverloadSim::replay_traced)
+//!   reproduces the streamed run's report byte for byte.
 //! * [`ArrivalProcess::Mmpp`] — a Markov-modulated Poisson process: the
 //!   stream cycles through [`MmppState`]s (e.g. *burst* → *trough*), each
 //!   holding a Poisson rate for an exponentially distributed dwell time.
@@ -95,7 +95,7 @@ impl RatePhase {
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// Memoryless Poisson arrivals at a constant mean rate (the closed-loop
-    /// simulators' arrival process).
+    /// runs' arrival process).
     Poisson {
         /// Mean arrival rate, requests per second.
         qps: f64,
@@ -136,8 +136,10 @@ pub struct TrafficConfig {
     /// Relative SLO applied to every request when `classes` is empty;
     /// `f64::INFINITY` tracks no deadline.
     pub slo_ns: f64,
-    /// Heterogeneous request mix, sampled by weight exactly as in
-    /// [`ServingConfig::classes`](crate::serving::ServingConfig::classes).
+    /// Heterogeneous request mix: each request draws one [`RequestClass`]
+    /// by weight (one extra uniform per request; the last class is the
+    /// rounding fallback). Empty means a homogeneous trace at (`seq_len`,
+    /// `slo_ns`, priority 0) that consumes no randomness for the mix.
     pub classes: Vec<RequestClass>,
     /// Seed of the whole trace (dwells, inter-arrivals, and mix draws).
     pub seed: u64,
@@ -163,7 +165,7 @@ impl Default for TrafficConfig {
 /// The trace never materializes its requests — [`RequestTrace::stream`]
 /// yields them one at a time in O(1) memory, so traces scale to 10⁶–10⁷
 /// requests. [`RequestTrace::collect`] materializes small traces for replay
-/// through the closed-loop simulators' `replay` entry points.
+/// through [`OverloadSim::replay_traced`](crate::overload::OverloadSim::replay_traced).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RequestTrace {
     config: TrafficConfig,
@@ -178,8 +180,8 @@ impl RequestTrace {
     /// shapes, dwells, curve durations or multipliers, an empty run, an
     /// empty MMPP state list, more than 256 phases (the per-request phase
     /// tag is a `u8`), a zero sequence length, or a degenerate request mix
-    /// (zero sequence length, non-positive weight or SLO). The closed-loop
-    /// simulators validate their configs through here.
+    /// (zero sequence length, non-positive weight or SLO). Every serving
+    /// run validates its workload through here.
     pub fn new(config: TrafficConfig) -> Result<Self> {
         if config.num_requests == 0 {
             return Err(RuntimeError::InvalidConfig(
@@ -512,7 +514,7 @@ impl RequestTrace {
     }
 
     /// Materializes the whole trace (for replay through
-    /// [`ClusterSim::replay_traced`](crate::cluster::ClusterSim::replay_traced)
+    /// [`OverloadSim::replay_traced`](crate::overload::OverloadSim::replay_traced)
     /// and for tests). Prefer [`RequestTrace::stream`] for large traces.
     pub fn collect(&self) -> Vec<InferenceRequest> {
         self.stream().collect()
@@ -648,7 +650,7 @@ impl Iterator for TrafficStream {
         if self.emitted >= self.config.num_requests {
             return None;
         }
-        match self.config.process.clone() {
+        match self.config.process {
             ArrivalProcess::GammaBurst { qps, shape } => self.next_gamma_arrival(qps, shape),
             _ => self.next_memoryless_arrival(),
         }
@@ -1138,39 +1140,31 @@ seed = 42
 
     #[test]
     fn poisson_trace_matches_the_closed_loop_generator_exactly() {
-        // ClusterSim samples the Poisson trace of its config, so replaying
-        // the same trace (same seed, rate, and mix) reproduces its report.
-        use crate::cluster::{ClusterConfig, ClusterSim, DispatchPolicy};
-        use crate::serving::ServingConfig;
+        // The engine streams its own Poisson trace; replaying the same
+        // trace materialized (same seed, rate, and mix) reproduces its
+        // report.
+        use crate::overload::{DispatchPolicy, OverloadConfig, OverloadSim};
         use hyflex_pim::backend::HyFlexPim;
         use hyflex_transformer::ModelConfig;
 
-        let classes = vec![
-            RequestClass::new(64, 3.0).with_slo_ns(2e6),
-            RequestClass::new(256, 1.0).with_priority(1),
-        ];
-        let sim = ClusterSim::with_backend(
-            HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-            ClusterConfig {
-                chips: 1,
-                dispatch: DispatchPolicy::RoundRobin,
-                serving: ServingConfig {
-                    qps: 3000.0,
-                    num_requests: 500,
-                    classes: classes.clone(),
-                    seed: 99,
-                    ..ServingConfig::default()
-                },
-            },
-        )
-        .unwrap();
         let trace = RequestTrace::new(TrafficConfig {
             process: ArrivalProcess::Poisson { qps: 3000.0 },
             num_requests: 500,
-            classes,
+            classes: vec![
+                RequestClass::new(64, 3.0).with_slo_ns(2e6),
+                RequestClass::new(256, 1.0).with_priority(1),
+            ],
             seed: 99,
             ..TrafficConfig::default()
         })
+        .unwrap();
+        let sim = OverloadSim::with_backend(
+            HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
+            OverloadConfig {
+                dispatch: DispatchPolicy::RoundRobin,
+                ..OverloadConfig::new(trace.clone())
+            },
+        )
         .unwrap();
         let (replayed, _) = sim.replay_traced(&trace.collect()).unwrap();
         assert_eq!(replayed, sim.run().unwrap());

@@ -79,67 +79,72 @@ fn determinism_policy_serving_is_reproducible_and_fcfs_default_unchanged() {
     // byte-identical to the default (policy is additive, not perturbing).
     use hyflex_pim::backend::HyFlexPim;
     use hyflex_runtime::{
-        ClusterConfig, ClusterSim, DispatchPolicy, RequestClass, SchedulerConfig, SchedulingPolicy,
-        ServingConfig,
+        ArrivalProcess, OverloadConfig, OverloadSim, RequestClass, RequestTrace, SchedulerConfig,
+        SchedulingPolicy, TrafficConfig,
     };
 
-    let base = ServingConfig {
-        qps: 4000.0,
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: 4000.0 },
         num_requests: 260,
         classes: vec![
             RequestClass::new(64, 2.0).with_slo_ns(4e6).with_priority(0),
             RequestClass::new(256, 1.0).with_priority(1),
         ],
         seed: 21,
-        ..ServingConfig::default()
-    };
-    let serve = |serving: ServingConfig| {
-        ClusterSim::with_backend(
+        ..TrafficConfig::default()
+    })
+    .unwrap();
+    let serve = |config: OverloadConfig| {
+        OverloadSim::with_backend(
             HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-            ClusterConfig {
-                chips: 1,
-                dispatch: DispatchPolicy::RoundRobin,
-                serving,
-            },
+            config,
         )
         .unwrap()
         .run()
         .unwrap()
     };
     let run = |policy: SchedulingPolicy| {
-        serve(ServingConfig {
+        serve(OverloadConfig {
             scheduler: SchedulerConfig {
                 policy,
                 ..SchedulerConfig::default()
             },
-            ..base.clone()
+            ..OverloadConfig::new(trace.clone())
         })
     };
     for policy in SchedulingPolicy::ALL {
         assert_eq!(run(policy), run(policy), "{policy} run not reproducible");
     }
-    assert_eq!(run(SchedulingPolicy::Fcfs), serve(base.clone()));
+    assert_eq!(
+        run(SchedulingPolicy::Fcfs),
+        serve(OverloadConfig::new(trace.clone()))
+    );
 }
 
 #[test]
 fn determinism_cluster_serving_is_reproducible_and_one_chip_matches_single() {
-    use hyflex_pim::backend::HyFlexPim;
-    use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
+    use hyflex_pim::backend::{Backend, HyFlexPim};
+    use hyflex_runtime::{
+        ArrivalProcess, DispatchPolicy, OverloadConfig, OverloadSim, RequestTrace, TrafficConfig,
+    };
+    use std::sync::Arc;
 
-    let serving = ServingConfig {
-        qps: 6000.0,
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: 6000.0 },
         num_requests: 240,
         seq_len: 128,
         seed: 33,
-        ..ServingConfig::default()
-    };
+        ..TrafficConfig::default()
+    })
+    .unwrap();
     let cluster = |chips: usize, dispatch: DispatchPolicy| {
-        ClusterSim::with_backend(
-            HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap(),
-            ClusterConfig {
-                chips,
+        let backend: Arc<dyn Backend> =
+            Arc::new(HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap());
+        OverloadSim::with_replicas(
+            vec![backend; chips],
+            OverloadConfig {
                 dispatch,
-                serving: serving.clone(),
+                ..OverloadConfig::new(trace.clone())
             },
         )
         .unwrap()
@@ -155,19 +160,10 @@ fn determinism_cluster_serving_is_reproducible_and_one_chip_matches_single() {
             );
         }
     }
-    // One replica is the single-device run whichever dispatcher fronts
-    // it: only the report's dispatch label differs.
+    // One replica is the single-device run whichever dispatcher fronts it.
     let single = cluster(1, DispatchPolicy::RoundRobin);
     for dispatch in DispatchPolicy::ALL {
-        let report = cluster(1, dispatch);
-        assert_eq!(report.dispatch, dispatch);
-        assert_eq!(
-            hyflex_runtime::ClusterReport {
-                dispatch: single.dispatch,
-                ..report
-            },
-            single
-        );
+        assert_eq!(cluster(1, dispatch), single, "{dispatch}");
     }
 }
 

@@ -2,13 +2,13 @@
 //!
 //! Demonstrates the unified `Backend` API: `SystemBuilder` constructs a
 //! validated, model-bound backend by name, and the same closed-loop
-//! one-chip `ClusterSim` drives HyFlexPIM and all four baselines at a
+//! one-replica `OverloadSim` drives HyFlexPIM and all four baselines at a
 //! matched offered load (see also the `fig19_backend_serving` binary).
 //!
 //! Run with: `cargo run --release --example backend_comparison`
 
 use hyflex::baselines::{SystemBuilder, BACKENDS};
-use hyflex::runtime::{ClusterConfig, ClusterSim, DispatchPolicy, ServingConfig};
+use hyflex::runtime::{ArrivalProcess, OverloadConfig, OverloadSim, RequestTrace, TrafficConfig};
 use hyflex::transformer::ModelConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -32,6 +32,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "backend", "achieved QPS", "p50 ms", "p95 ms", "p99 ms", "util %"
     );
 
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: offered_qps },
+        num_requests: 400,
+        seq_len,
+        seed: 7,
+        ..TrafficConfig::default()
+    })?;
     for name in BACKENDS {
         let backend = SystemBuilder::paper()
             .model(ModelConfig::bert_large())
@@ -39,21 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .backend(name)
             .build()?;
         let label = backend.name().to_string();
-        let report = ClusterSim::with_backend(
-            backend,
-            ClusterConfig {
-                chips: 1,
-                dispatch: DispatchPolicy::RoundRobin,
-                serving: ServingConfig {
-                    qps: offered_qps,
-                    num_requests: 400,
-                    seq_len,
-                    seed: 7,
-                    ..ServingConfig::default()
-                },
-            },
-        )?
-        .run()?;
+        let report =
+            OverloadSim::with_backend(backend, OverloadConfig::new(trace.clone()))?.run()?;
         println!(
             "{:<22} {:>12.0} {:>10.3} {:>10.3} {:>10.3} {:>8.1}",
             label,
@@ -61,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.latency.p50_ms,
             report.latency.p95_ms,
             report.latency.p99_ms,
-            report.mean_chip_utilization * 100.0
+            report.mean_utilization * 100.0
         );
     }
     println!(

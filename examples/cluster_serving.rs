@@ -10,14 +10,16 @@
 //!
 //! Run with: `cargo run --release --example cluster_serving`
 
-use hyflex::pim::backend::HyFlexPim;
+use hyflex::pim::backend::{Backend, HyFlexPim};
 use hyflex::runtime::{
-    ClusterConfig, ClusterSim, DispatchPolicy, RequestClass, SchedulerConfig, ServingConfig,
+    ArrivalProcess, DispatchPolicy, OverloadConfig, OverloadSim, RequestClass, RequestTrace,
+    TrafficConfig,
 };
 use hyflex::transformer::ModelConfig;
+use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05)?;
+    let backend: Arc<dyn Backend> = Arc::new(HyFlexPim::paper(ModelConfig::bert_large(), 0.05)?);
     // ~3x one chip's sustained rate for this mix: a single chip saturates
     // hard, two chips still run overloaded, four have headroom.
     let offered_qps = 6000.0;
@@ -30,24 +32,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "{:>6} {:>13} {:>12} {:>10} {:>10} {:>11} {:>10}",
         "chips", "dispatch", "QPS", "p50 ms", "p99 ms", "SLO att %", "util %"
     );
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: offered_qps },
+        num_requests: 2000,
+        classes: vec![
+            RequestClass::new(64, 3.0).with_slo_ns(slo_ns),
+            RequestClass::new(256, 1.0).with_priority(1),
+        ],
+        seed: 7,
+        ..TrafficConfig::default()
+    })?;
     for chips in [1usize, 2, 4] {
         for dispatch in DispatchPolicy::ALL {
-            let config = ClusterConfig {
-                chips,
+            let config = OverloadConfig {
                 dispatch,
-                serving: ServingConfig {
-                    qps: offered_qps,
-                    num_requests: 2000,
-                    classes: vec![
-                        RequestClass::new(64, 3.0).with_slo_ns(slo_ns),
-                        RequestClass::new(256, 1.0).with_priority(1),
-                    ],
-                    seed: 7,
-                    scheduler: SchedulerConfig::default(),
-                    ..ServingConfig::default()
-                },
+                ..OverloadConfig::new(trace.clone())
             };
-            let report = ClusterSim::with_backend(backend.clone(), config)?.run()?;
+            let report =
+                OverloadSim::with_replicas(vec![Arc::clone(&backend); chips], config)?.run()?;
             println!(
                 "{:>6} {:>13} {:>12.0} {:>10.3} {:>10.3} {:>11.1} {:>10.1}",
                 chips,
@@ -56,10 +58,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 report.latency.p50_ms,
                 report.latency.p99_ms,
                 report.slo_attainment * 100.0,
-                report.mean_chip_utilization * 100.0
+                report.mean_utilization * 100.0
             );
         }
     }
-    println!("\nDeterministic for a fixed seed; see crates/runtime/src/cluster.rs for the engine.");
+    println!(
+        "\nDeterministic for a fixed seed; see crates/runtime/src/overload.rs for the engine."
+    );
     Ok(())
 }

@@ -13,7 +13,9 @@
 //! Run with: `cargo run --release --example serving_sim`
 
 use hyflex_pim::backend::{Backend, HyFlexPim};
-use hyflex_runtime::{ClusterConfig, ClusterSim, DispatchPolicy, SchedulerConfig, ServingConfig};
+use hyflex_runtime::{
+    ArrivalProcess, OverloadConfig, OverloadSim, RequestTrace, SchedulerConfig, TrafficConfig,
+};
 use hyflex_transformer::ModelConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,23 +40,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "batch cap", "QPS", "p50 ms", "p95 ms", "p99 ms", "mean batch", "util %"
     );
 
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: offered_qps },
+        num_requests: 4000,
+        seq_len,
+        seed: 7,
+        ..TrafficConfig::default()
+    })?;
     for max_batch_size in [1usize, 4, 16] {
-        let config = ClusterConfig {
-            chips: 1,
-            dispatch: DispatchPolicy::RoundRobin,
-            serving: ServingConfig {
-                qps: offered_qps,
-                num_requests: 4000,
-                seq_len,
-                seed: 7,
-                scheduler: SchedulerConfig {
-                    max_batch_size,
-                    ..SchedulerConfig::default()
-                },
-                ..ServingConfig::default()
+        let config = OverloadConfig {
+            scheduler: SchedulerConfig {
+                max_batch_size,
+                ..SchedulerConfig::default()
             },
+            ..OverloadConfig::new(trace.clone())
         };
-        let report = ClusterSim::with_backend(backend.clone(), config)?.run()?;
+        let report = OverloadSim::with_backend(backend.clone(), config)?.run()?;
         println!(
             "{:>10} {:>12.0} {:>10.3} {:>10.3} {:>10.3} {:>11.1} {:>8.1}",
             max_batch_size,
@@ -63,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.latency.p95_ms,
             report.latency.p99_ms,
             report.mean_batch_size,
-            report.mean_chip_utilization * 100.0
+            report.mean_utilization * 100.0
         );
     }
     println!("\nDeterministic for a fixed seed; see crates/runtime for the scheduler model.");

@@ -1,7 +1,7 @@
 //! Cross-crate integration of the unified `Backend` API: every roster
 //! backend (HyFlexPIM, the five baseline designs and analog attention)
-//! flows through `SystemBuilder`, `BatchScheduler`, and a one-chip
-//! `ClusterSim`; the deployed HyFlexPIM
+//! flows through `SystemBuilder`, `BatchScheduler`, and a one-replica
+//! `OverloadSim`; the deployed HyFlexPIM
 //! backend is bit-identical to `PerformanceModel`'s `deploy` +
 //! `evaluate_deployed`; and the batched-evaluation edge cases (batch of one,
 //! empty batch, padded mixed-length batches) hold for all of them.
@@ -11,7 +11,8 @@ use hyflex::pim::backend::{Backend, HyFlexPim, InferenceRequest};
 use hyflex::pim::perf::pipelined_batch;
 use hyflex::pim::{PerformanceModel, PimError};
 use hyflex::runtime::{
-    BatchScheduler, ClusterConfig, ClusterSim, DispatchPolicy, SchedulerConfig, ServingConfig,
+    ArrivalProcess, BatchScheduler, OverloadConfig, OverloadSim, RequestTrace, SchedulerConfig,
+    TrafficConfig,
 };
 use hyflex::transformer::ModelConfig;
 use std::sync::Arc;
@@ -27,18 +28,15 @@ fn all_backends() -> Vec<Box<dyn Backend>> {
 fn every_registered_backend_runs_through_serving_sim() {
     for backend in all_backends() {
         let name = backend.name().to_string();
-        let config = ClusterConfig {
-            chips: 1,
-            dispatch: DispatchPolicy::RoundRobin,
-            serving: ServingConfig {
-                qps: 500.0,
-                num_requests: 150,
-                seq_len: 128,
-                seed: 19,
-                ..ServingConfig::default()
-            },
-        };
-        let report = ClusterSim::with_backend(backend, config)
+        let trace = RequestTrace::new(TrafficConfig {
+            process: ArrivalProcess::Poisson { qps: 500.0 },
+            num_requests: 150,
+            seq_len: 128,
+            seed: 19,
+            ..TrafficConfig::default()
+        })
+        .unwrap();
+        let report = OverloadSim::with_backend(backend, OverloadConfig::new(trace))
             .unwrap_or_else(|e| panic!("{name}: sim construction failed: {e}"))
             .run()
             .unwrap_or_else(|e| panic!("{name}: run failed: {e}"));
@@ -47,9 +45,9 @@ fn every_registered_backend_runs_through_serving_sim() {
         assert!(report.latency.p50_ms <= report.latency.p95_ms, "{name}");
         assert!(report.latency.p95_ms <= report.latency.p99_ms, "{name}");
         assert!(
-            report.mean_chip_utilization > 0.0 && report.mean_chip_utilization <= 1.0,
+            report.mean_utilization > 0.0 && report.mean_utilization <= 1.0,
             "{name}: utilization {}",
-            report.mean_chip_utilization
+            report.mean_utilization
         );
     }
 }

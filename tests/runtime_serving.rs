@@ -7,38 +7,46 @@
 
 use hyflex::pim::backend::{Backend, HyFlexPim};
 use hyflex::runtime::{
-    ClusterConfig, ClusterSim, DispatchPolicy, InferenceRequest, RequestClass, SchedulerConfig,
-    SchedulingPolicy, ServingConfig,
+    ArrivalProcess, DispatchPolicy, InferenceRequest, OverloadConfig, OverloadSim, RequestClass,
+    RequestTrace, SchedulerConfig, SchedulingPolicy, TrafficConfig,
 };
 use hyflex::transformer::ModelConfig;
 use hyflex_runtime::BatchScheduler;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// `backend` serving `serving` as a single device: a one-chip cluster.
-fn one_chip<B: Backend + 'static>(backend: B, serving: ServingConfig) -> ClusterSim<B> {
-    ClusterSim::with_backend(
+/// `num_requests` Poisson arrivals at `qps` (homogeneous at N = 128
+/// unless `classes` is set).
+fn poisson(qps: f64, num_requests: usize, classes: Vec<RequestClass>, seed: u64) -> TrafficConfig {
+    TrafficConfig {
+        process: ArrivalProcess::Poisson { qps },
+        num_requests,
+        classes,
+        seed,
+        ..TrafficConfig::default()
+    }
+}
+
+/// `backend` serving `traffic` under `scheduler` as a single device.
+fn one_chip(
+    backend: impl Backend + 'static,
+    traffic: TrafficConfig,
+    scheduler: SchedulerConfig,
+) -> OverloadSim {
+    OverloadSim::with_backend(
         backend,
-        ClusterConfig {
-            chips: 1,
-            dispatch: DispatchPolicy::RoundRobin,
-            serving,
+        OverloadConfig {
+            scheduler,
+            ..OverloadConfig::new(RequestTrace::new(traffic).expect("trace is valid"))
         },
     )
     .expect("serving sim builds")
 }
 
-fn serving_config(max_batch_size: usize) -> ServingConfig {
-    ServingConfig {
-        qps: 5000.0,
-        num_requests: 600,
-        seq_len: 128,
-        seed: 18,
-        scheduler: SchedulerConfig {
-            max_batch_size,
-            ..SchedulerConfig::default()
-        },
-        ..ServingConfig::default()
+fn batch_cap(max_batch_size: usize) -> SchedulerConfig {
+    SchedulerConfig {
+        max_batch_size,
+        ..SchedulerConfig::default()
     }
 }
 
@@ -47,7 +55,8 @@ fn serving_reports_throughput_and_tail_latency_for_required_batch_sizes() {
     let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
     let mut achieved = Vec::new();
     for batch in [1usize, 4, 16] {
-        let report = one_chip(backend.clone(), serving_config(batch))
+        let traffic = poisson(5000.0, 600, Vec::new(), 18);
+        let report = one_chip(backend.clone(), traffic, batch_cap(batch))
             .run()
             .expect("serving run completes");
         assert_eq!(report.completed, 600);
@@ -95,7 +104,7 @@ fn paper_backend() -> HyFlexPim {
 
 /// An arbitrary heterogeneous workload: 2–4 classes over a spread of
 /// sequence lengths, random weights, load, and batch cap.
-fn arbitrary_mix() -> impl Strategy<Value = ServingConfig> {
+fn arbitrary_mix() -> impl Strategy<Value = (TrafficConfig, SchedulerConfig)> {
     let class = (
         proptest::sample::select(vec![32usize, 64, 128, 256, 384]),
         0.5..4.0f64,
@@ -106,19 +115,12 @@ fn arbitrary_mix() -> impl Strategy<Value = ServingConfig> {
         1usize..=16,
         any::<u64>(),
     )
-        .prop_map(|(classes, qps, max_batch_size, seed)| ServingConfig {
-            qps,
-            num_requests: 80,
-            classes: classes
+        .prop_map(|(classes, qps, max_batch_size, seed)| {
+            let classes = classes
                 .into_iter()
                 .map(|(seq_len, weight)| RequestClass::new(seq_len, weight))
-                .collect(),
-            seed,
-            scheduler: SchedulerConfig {
-                max_batch_size,
-                ..SchedulerConfig::default()
-            },
-            ..ServingConfig::default()
+                .collect();
+            (poisson(qps, 80, classes, seed), batch_cap(max_batch_size))
         })
 }
 
@@ -129,13 +131,15 @@ proptest! {
     /// completes exactly once, batches respect FCFS order and both caps,
     /// and capacity is charged at the padded (max-sequence) shape.
     #[test]
-    fn mixed_length_serving_preserves_order_caps_and_padding(config in arbitrary_mix()) {
+    fn mixed_length_serving_preserves_order_caps_and_padding(
+        (traffic, scheduler) in arbitrary_mix()
+    ) {
         let backend = paper_backend();
-        let capacity_cells = backend.capacity() * config.scheduler.pus_per_layer;
-        let cap = config.scheduler.max_batch_size;
-        let sim = one_chip(backend.clone(), config.clone());
-        let (report, traces) = sim.run_traced().unwrap();
-        prop_assert_eq!(report.completed, config.num_requests);
+        let capacity_cells = backend.capacity() * scheduler.pus_per_layer;
+        let cap = scheduler.max_batch_size;
+        let sim = one_chip(backend.clone(), traffic.clone(), scheduler);
+        let (report, traces) = sim.replay_traced(&sim.config().trace.collect()).unwrap();
+        prop_assert_eq!(report.completed, traffic.num_requests);
 
         let mut served_ids = Vec::new();
         let mut last_launch = f64::NEG_INFINITY;
@@ -165,7 +169,7 @@ proptest! {
         }
         // FCFS: the concatenated batch membership is exactly arrival order.
         prop_assert!(served_ids.windows(2).all(|w| w[0] < w[1]));
-        prop_assert_eq!(served_ids.len(), config.num_requests);
+        prop_assert_eq!(served_ids.len(), traffic.num_requests);
     }
 }
 
@@ -182,26 +186,18 @@ fn edf_beats_fcfs_on_slo_attainment_under_overload() {
         1e9 / ((3.0 * short + long) / 4.0)
     };
     let run = |policy: SchedulingPolicy| {
-        let config = ServingConfig {
-            qps: 1.3 * sustainable,
-            num_requests: 500,
-            classes: vec![
-                RequestClass::new(64, 3.0)
-                    .with_slo_ns(slo_ns)
-                    .with_priority(0),
-                RequestClass::new(256, 1.0).with_priority(1),
-            ],
-            seed: 20,
-            ..ServingConfig::default()
+        let classes = vec![
+            RequestClass::new(64, 3.0)
+                .with_slo_ns(slo_ns)
+                .with_priority(0),
+            RequestClass::new(256, 1.0).with_priority(1),
+        ];
+        let scheduler = SchedulerConfig {
+            policy,
+            ..SchedulerConfig::default()
         };
-        let config = ServingConfig {
-            scheduler: SchedulerConfig {
-                policy,
-                ..SchedulerConfig::default()
-            },
-            ..config
-        };
-        one_chip(paper_backend(), config).run().unwrap()
+        let traffic = poisson(1.3 * sustainable, 500, classes, 20);
+        one_chip(paper_backend(), traffic, scheduler).run().unwrap()
     };
     let fcfs = run(SchedulingPolicy::Fcfs);
     let edf = run(SchedulingPolicy::Edf);
@@ -219,24 +215,22 @@ fn edf_beats_fcfs_on_slo_attainment_under_overload() {
 #[test]
 fn cluster_conserves_requests_across_chips_and_dispatchers() {
     for dispatch in DispatchPolicy::ALL {
-        let config = ClusterConfig {
-            chips: 3,
-            dispatch,
-            serving: ServingConfig {
-                qps: 9000.0,
-                num_requests: 360,
-                classes: vec![RequestClass::new(64, 2.0), RequestClass::new(256, 1.0)],
-                seed: 11,
-                ..ServingConfig::default()
+        let classes = vec![RequestClass::new(64, 2.0), RequestClass::new(256, 1.0)];
+        let trace = RequestTrace::new(poisson(9000.0, 360, classes, 11)).unwrap();
+        let backend: Arc<dyn Backend> = Arc::new(paper_backend());
+        let (report, traces) = OverloadSim::with_replicas(
+            vec![backend; 3],
+            OverloadConfig {
+                dispatch,
+                ..OverloadConfig::new(trace.clone())
             },
-        };
-        let (report, traces) = ClusterSim::with_backend(paper_backend(), config)
-            .unwrap()
-            .run_traced()
-            .unwrap();
+        )
+        .unwrap()
+        .replay_traced(&trace.collect())
+        .unwrap();
         // Exactly num_requests complete, each request on exactly one chip.
         assert_eq!(report.completed, 360, "{dispatch}");
-        assert_eq!(report.per_chip_completed.iter().sum::<usize>(), 360);
+        assert_eq!(report.per_replica_completed.iter().sum::<usize>(), 360);
         let mut ids: Vec<u64> = traces
             .iter()
             .flat_map(|t| t.batch.requests.iter().map(|r| r.id))
@@ -244,7 +238,7 @@ fn cluster_conserves_requests_across_chips_and_dispatchers() {
         ids.sort_unstable();
         assert_eq!(ids, (0..360u64).collect::<Vec<_>>(), "{dispatch}");
         assert!(
-            report.per_chip_completed.iter().all(|&c| c > 0),
+            report.per_replica_completed.iter().all(|&c| c > 0),
             "{dispatch}"
         );
     }
