@@ -1,13 +1,14 @@
-//! Criterion benches for the serving engine's host cost: EDF batch formation
-//! from a deep queue, and one `OverloadSim` pass of a fleet under overload.
+//! Criterion benches for the serving engines' host cost: EDF batch
+//! formation from a deep queue, one `OverloadSim` pass of a fleet under
+//! overload, and one `DecodeSim` pass at fig22's KV-pressure point.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_baselines::SystemBuilder;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_runtime::{
-    AdmissionPolicy, ArrivalProcess, AutoscalerConfig, BatchScheduler, DispatchPolicy, MmppState,
-    OverloadConfig, OverloadSim, RequestClass, RequestTrace, SchedulerConfig, SchedulingPolicy,
-    TrafficConfig,
+    AdmissionPolicy, ArrivalProcess, AutoscalerConfig, BatchScheduler, DecodeConfig, DecodeSim,
+    DispatchPolicy, KvPlacementPolicy, MmppState, OverloadConfig, OverloadSim, RequestClass,
+    RequestTrace, SchedulerConfig, SchedulingPolicy, TrafficConfig,
 };
 use hyflex_tensor::rng::Rng;
 use hyflex_transformer::ModelConfig;
@@ -132,5 +133,38 @@ fn bench_overload_run(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_edf_next_batch, bench_overload_run);
+fn bench_decode_run(c: &mut Criterion) {
+    // fig22 part (a) at 1 000 requests: BERT-Large, 128-token prompts at
+    // 20 000 QPS, hybrid(16) KV placement over a 4-PU pool, 32 output
+    // tokens per request.
+    let trace = RequestTrace::new(TrafficConfig {
+        process: ArrivalProcess::Poisson { qps: 20_000.0 },
+        num_requests: 1_000,
+        seq_len: 128,
+        seed: 23,
+        ..TrafficConfig::default()
+    })
+    .expect("trace config is valid");
+    let sim = DecodeSim::new(
+        backend("hyflexpim"),
+        trace,
+        DecodeConfig {
+            placement: KvPlacementPolicy::Hybrid { hot_window: 16 },
+            output_tokens: 32,
+            kv_pus: 4,
+            ..DecodeConfig::default()
+        },
+    )
+    .expect("decode sim builds");
+    c.bench_function("serving/decode_hybrid_run", |b| {
+        b.iter(|| sim.run().expect("decode run"))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_edf_next_batch,
+    bench_overload_run,
+    bench_decode_run
+);
 criterion_main!(benches);

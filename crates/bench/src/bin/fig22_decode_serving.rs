@@ -4,17 +4,20 @@
 //! The paper's figures price prefill-style inference; this one asks what
 //! the hybrid SLC/MLC fabric buys when the *KV cache* of autoregressive
 //! decode lives in the analog arrays. The [`DecodeSim`] engine streams an
-//! open-loop trace through a continuous batcher (requests join and retire
-//! at token boundaries) and charges every KV append, prefill write, and
-//! background demotion at the cell model's write energy/latency.
+//! open-loop trace through a continuous batcher (waiting requests join in
+//! arrival order and retire at token boundaries) and charges every KV
+//! append, prefill write, and background demotion at the cell model's
+//! write energy/latency.
 //!
 //! Three placement policies compete for the same pool: **slc-only** writes
 //! one pulse per append but burns 2x the cells per token (evicts under
 //! capacity pressure), **mlc-only** packs 2 bits/cell but pays 4
 //! program-and-verify pulses on the decode critical path and 2x the write
-//! energy, and **hybrid** stages appends in SLC then demotes cooled tokens
-//! past the hot window to MLC off the critical path — the decode-time
-//! analogue of the paper's gradient-redistribution mapping. Part (a)
+//! energy, and **hybrid** writes a prompt's hot tail to SLC and its cold
+//! prefix straight to MLC, stages appends in SLC, and demotes tokens that
+//! cool past the hot window to MLC off the critical path — the decode-time
+//! analogue of the paper's gradient-redistribution mapping. The "demoted"
+//! column counts those decode-time demotions only. Part (a)
 //! compares the three under KV-capacity pressure, part (b) sweeps offered
 //! load, and part (c) swaps in the analog in-memory attention backend,
 //! which prices attention over the cached KV inside the arrays.
@@ -136,6 +139,7 @@ fn main() {
     let backend_name = args.backend_or_exit("hyflexpim");
     let n_main = args.requests_or(if args.smoke { 300 } else { 2000 });
     let n_sweep = if args.smoke { 200 } else { 1000 };
+    let trace = args.trace_or_exit(|| poisson_trace(PRESSURE_QPS, n_main, seed));
 
     emitln!("Figure 22 — decode serving: KV cache on the SLC/MLC hybrid fabric (extension)");
     emitln!(
@@ -146,12 +150,11 @@ fn main() {
     );
 
     // ---- (a) Placement comparison under KV-capacity pressure -------------
-    let trace = args.trace_or_exit(|| poisson_trace(PRESSURE_QPS, n_main, seed));
     emitln!(
         "\n(a) {backend_name} at {:.0} QPS offered ({} requests): KV placement under \
          capacity pressure",
         trace.mean_qps(),
-        trace.collect().len()
+        trace.config().num_requests
     );
     placement_header();
     for placement in PLACEMENTS {

@@ -1,6 +1,7 @@
 //! `--backend` through every comparison binary: each roster name runs to
 //! completion and shows up in the output, and the rejected names exit with
-//! status 2 and say why.
+//! status 2 and say why. fig22, the one binary that reads `--trace`, replays
+//! a trace file and turns a malformed one away the same way.
 
 use hyflex_baselines::{SystemBuilder, BACKENDS};
 use std::process::{Command, Output};
@@ -80,4 +81,51 @@ fn rejected_backend_names_exit_with_status_two() {
     // "all" is not a backend: omitting the flag already runs every design.
     let stderr = rejected(env!("CARGO_BIN_EXE_fig20_serving_policies"), "all");
     assert!(stderr.contains("'all'"), "{stderr}");
+}
+
+#[test]
+fn fig22_replays_a_trace_file_and_rejects_a_malformed_one() {
+    let fig22 = env!("CARGO_BIN_EXE_fig22_decode_serving");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let trace = dir.join("fig22_mmpp.trace");
+    std::fs::write(
+        &trace,
+        "# two-state MMPP burst\n\
+         process = mmpp\n\
+         state = burst qps=20000 dwell_s=0.02\n\
+         state = lull qps=4000 dwell_s=0.03\n\
+         num_requests = 120\n\
+         seq_len = 128\n\
+         seed = 7\n",
+    )
+    .unwrap();
+    let output = Command::new(fig22)
+        .args(["--smoke", "--trace"])
+        .arg(&trace)
+        .output()
+        .unwrap();
+    assert!(
+        output.status.success(),
+        "fig22 --trace exited with {}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    assert!(stdout.contains("(120 requests)"), "{stdout}");
+
+    let malformed = dir.join("fig22_malformed.trace");
+    std::fs::write(
+        &malformed,
+        "process = poisson qps=3000\nnum_requests = 50\nbogus = 1\n",
+    )
+    .unwrap();
+    let output = Command::new(fig22)
+        .args(["--smoke", "--trace"])
+        .arg(&malformed)
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("line 3"), "{stderr}");
 }

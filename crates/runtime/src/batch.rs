@@ -124,7 +124,6 @@ impl Batch {
 /// |---|---|---|
 /// | [`submit`](BatchScheduler::submit) | O(1) | O(log q) |
 /// | [`next_batch`](BatchScheduler::next_batch) | O(B) | O(B·log q) + one `VecDeque::remove` per request |
-/// | [`admit_continuous`](BatchScheduler::admit_continuous) | O(1) per request | O(log q) + one `VecDeque::remove` per request |
 /// | [`preempt_for`](BatchScheduler::preempt_for) | O(q) scan | O(log q) + one `VecDeque::remove` |
 /// | [`shed_doomed`](BatchScheduler::shed_doomed) | one estimate per shape, O(log q) per shape when nothing is doomed, O(q + k·log q) to shed `k` | same |
 /// | [`fill_time_ns`](BatchScheduler::fill_time_ns) | O(1) memoized, O(B) after a removal | same |
@@ -454,38 +453,6 @@ impl BatchScheduler {
         Some(request)
     }
 
-    /// Continuous (iteration-level) batching: pops up to `slots` queued
-    /// requests in policy order for admission into an *already running*
-    /// batch at a token boundary. `fits` is the caller's admission gate —
-    /// typically a KV-cell capacity check that accumulates the cells each
-    /// admitted prompt will occupy. Like [`BatchScheduler::next_batch`],
-    /// admission stops at the first policy-ordered request the gate
-    /// rejects (no skip-ahead), so FCFS keeps strict arrival order and
-    /// EDF/priority never starve their most-urgent request.
-    ///
-    /// Returns the admitted requests in admission order (possibly empty);
-    /// rejected and unexamined requests stay queued.
-    pub fn admit_continuous(
-        &mut self,
-        slots: usize,
-        mut fits: impl FnMut(&InferenceRequest) -> bool,
-    ) -> Vec<InferenceRequest> {
-        let mut joined = Vec::new();
-        while joined.len() < slots {
-            let Some(candidate) = self.next_candidate() else {
-                break;
-            };
-            if !fits(&self.queue[candidate].1) {
-                break;
-            }
-            let Some(request) = self.take(candidate) else {
-                break;
-            };
-            joined.push(request);
-        }
-        joined
-    }
-
     /// Forms the next batch in policy order: admits queued requests while
     /// both the batch-size cap and the tile capacity hold. Returns `None`
     /// when the queue is empty. A returned batch always satisfies
@@ -743,43 +710,6 @@ mod tests {
         assert!(s.preempt_for(&urgent).is_none());
     }
 
-    #[test]
-    fn continuous_admission_respects_slots_gate_and_policy_order() {
-        let mut s = scheduler(8, 1);
-        for id in 0..6 {
-            s.submit(request(id, 128)).unwrap();
-        }
-        // Slots bind: only two admitted, FCFS order, rest stay queued.
-        let joined = s.admit_continuous(2, |_| true);
-        assert_eq!(joined.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(s.queue_len(), 4);
-        // The gate binds: admission stops at the first rejection with no
-        // skip-ahead, even if later requests would pass.
-        let mut budget = 1;
-        let joined = s.admit_continuous(8, |_| {
-            if budget > 0 {
-                budget -= 1;
-                true
-            } else {
-                false
-            }
-        });
-        assert_eq!(joined.iter().map(|r| r.id).collect::<Vec<_>>(), vec![2]);
-        assert_eq!(s.queue_len(), 3);
-        // Zero slots admits nothing; an empty queue admits nothing.
-        assert!(s.admit_continuous(0, |_| true).is_empty());
-        let drained = s.admit_continuous(8, |_| true);
-        assert_eq!(drained.len(), 3);
-        assert!(s.admit_continuous(8, |_| true).is_empty());
-
-        // EDF: continuous admission serves the tightest deadline first.
-        let mut s = policy_scheduler(SchedulingPolicy::Edf, 4);
-        s.submit(request(0, 128).with_deadline_ns(9_000.0)).unwrap();
-        s.submit(request(1, 128).with_deadline_ns(1_000.0)).unwrap();
-        let joined = s.admit_continuous(1, |_| true);
-        assert_eq!(joined[0].id, 1);
-    }
-
     fn policy_scheduler(policy: SchedulingPolicy, max_batch_size: usize) -> BatchScheduler {
         hyflexpim_scheduler(SchedulerConfig {
             max_batch_size,
@@ -979,24 +909,6 @@ mod tests {
             })
         }
 
-        fn admit_continuous(
-            &mut self,
-            slots: usize,
-            mut fits: impl FnMut(&InferenceRequest) -> bool,
-        ) -> Vec<InferenceRequest> {
-            let mut joined = Vec::new();
-            while joined.len() < slots {
-                let Some(candidate) = self.next_candidate() else {
-                    break;
-                };
-                if !fits(&self.queue[candidate]) {
-                    break;
-                }
-                joined.extend(self.queue.remove(candidate));
-            }
-            joined
-        }
-
         fn preempt_for(&mut self, incoming: &InferenceRequest) -> Option<InferenceRequest> {
             let policy = self.config.policy;
             let victim = policy.victim_index(&self.queue)?;
@@ -1114,7 +1026,7 @@ mod tests {
                 for (step, &(op, a, b)) in ops.iter().enumerate() {
                     let (got, want) = match op {
                         // Submissions are the most common step.
-                        0 | 1 => {
+                        0 | 1 | 3 => {
                             let r = drawn_request(&mut next_id, a, b);
                             s.submit(r).unwrap();
                             reference.queue.push_back(r);
@@ -1130,20 +1042,6 @@ mod tests {
                             (
                                 got.map(|g| g.requests).unwrap_or_default(),
                                 want.map(|w| w.requests).unwrap_or_default(),
-                            )
-                        }
-                        3 => {
-                            let slots = (a % 5) as usize;
-                            let gate = |budget: u64| {
-                                let mut budget = budget % 4;
-                                move |_: &InferenceRequest| {
-                                    budget = budget.saturating_sub(1);
-                                    budget > 0
-                                }
-                            };
-                            (
-                                s.admit_continuous(slots, gate(b)),
-                                reference.admit_continuous(slots, gate(b)),
                             )
                         }
                         4 => {

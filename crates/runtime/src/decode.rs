@@ -25,18 +25,28 @@
 //! `hyflex_pim::GradientRedistribution` keeps gradient-hot singular vectors
 //! in SLC and relegates the cold mass to MLC.
 //!
+//! One rule decides every tier: a sequence of `n` cached tokens holds the
+//! placement's split of `n` (all SLC, all MLC, or the newest `hot_window`
+//! in SLC and the rest in MLC). A prompt is written straight to its split —
+//! a hybrid prompt's cold prefix goes to MLC in the background and is never
+//! demoted — and each decode append lands where the split of one token puts
+//! it; the demotion engine then moves whatever SLC tokens the split of the
+//! grown sequence no longer holds. The report counts every token written
+//! to each tier, and its KV write energy is priced from those counts.
+//!
 //! [`DecodeSim`] drives the system with **continuous (iteration-level)
-//! batching**: requests join and leave the running batch at token
-//! boundaries ([`BatchScheduler::admit_continuous`]), admission is bounded
-//! by KV-cell capacity, and when optimistic admission overcommits the pool
-//! (every admitted request grows by one token per iteration) the engine
-//! evicts the least-progressed resident. Every offered request ends in
-//! exactly one of four ways — shed before prefill, rejected by the
-//! queue-depth gate, evicted mid-decode, or completed — so the report's
-//! counters satisfy `offered = admitted + shed + rejected` and
-//! `admitted = completed + evicted`. Every run checks both identities
-//! before it reports, returning [`RuntimeError::Internal`] on a mismatch,
-//! and `tests/decode_property.rs` pins them under randomized traffic.
+//! batching**: waiting requests join the running batch in arrival order at
+//! token boundaries and leave when their last token is decoded. Admission
+//! is bounded by the batch width and by a KV-cell watermark (90 % of the
+//! pool), and when optimistic admission overcommits the pool (every
+//! admitted request grows by one token per iteration) the engine evicts the
+//! least-progressed resident. Every offered request ends in exactly one of
+//! four ways — shed before prefill, rejected by the queue-depth gate,
+//! evicted mid-decode, or completed — so the report's counters satisfy
+//! `offered = admitted + shed + rejected` and `admitted = completed +
+//! evicted`. Every run checks both identities before it reports, returning
+//! [`RuntimeError::Internal`] on a mismatch, and `tests/decode_property.rs`
+//! pins them under randomized traffic.
 //!
 //! The trace streams in, and request latency and time-per-output-token
 //! accumulate into the same log-linear histogram as the encoder engine's
@@ -45,7 +55,6 @@
 //! ([`DecodeConfig::admission`]): without it, an overloaded trace grows the
 //! waiting queue with the number of requests.
 
-use crate::batch::{BatchScheduler, SchedulerConfig};
 use crate::error::RuntimeError;
 use crate::overload::{conserve, AdmissionPolicy, LatencyHistogram};
 use crate::serving::LatencySummary;
@@ -53,8 +62,16 @@ use crate::traffic::RequestTrace;
 use crate::Result;
 use hyflex_pim::backend::{Backend, InferenceRequest};
 use hyflex_pim::perf::PerformanceModel;
-use hyflex_pim::{kv_token_cost, HyFlexPimConfig, KvTokenCost};
+use hyflex_pim::{kv_token_cost, KvTokenCost};
+use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Fraction of the KV pool admission may fill. Admission is optimistic
+/// about *generation* (it charges only the prompt), so the gap between
+/// this watermark and the pool is the headroom that absorbs decode growth
+/// between completions; filling to 1.0 turns every admission into a
+/// near-immediate eviction.
+const ADMIT_WATERMARK: f64 = 0.9;
 
 /// Where a request's cached K/V rows live on the RRAM fabric.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,6 +101,20 @@ impl KvPlacementPolicy {
             KvPlacementPolicy::Hybrid { hot_window } => format!("hybrid({hot_window})"),
         }
     }
+
+    /// `(slc, mlc)` tokens of a sequence of `tokens` cached tokens: where a
+    /// prompt is written, where one append lands (`split(1)`), and what the
+    /// demotion engine leaves in SLC.
+    fn split(&self, tokens: usize) -> (usize, usize) {
+        match *self {
+            KvPlacementPolicy::SlcOnly => (tokens, 0),
+            KvPlacementPolicy::MlcOnly => (0, tokens),
+            KvPlacementPolicy::Hybrid { hot_window } => {
+                let hot = tokens.min(hot_window);
+                (hot, tokens - hot)
+            }
+        }
+    }
 }
 
 /// Workload and placement policy of one decode-serving run.
@@ -96,17 +127,9 @@ pub struct DecodeConfig {
     /// Most requests decoding concurrently (the continuous batch's width).
     pub max_batch_size: usize,
     /// Processing units whose analog arrays are provisioned as KV-cache
-    /// pool; capacity is `kv_pus × analog_cells_per_pu()` cells.
+    /// pool; capacity is `kv_pus × analog_cells_per_pu()` cells of the
+    /// paper configuration.
     pub kv_pus: usize,
-    /// Fraction of the KV pool admission may fill, in `(0, 1]`. Admission
-    /// is optimistic about *generation* (it charges only the prompt), so
-    /// the gap between this watermark and the pool is the headroom that
-    /// absorbs decode growth between completions; filling to 1.0 turns
-    /// every admission into a near-immediate eviction.
-    pub admit_watermark: f64,
-    /// Hardware constants the KV cost model reads (cells per value, write
-    /// pulses). Defaults to the paper configuration.
-    pub hw: HyFlexPimConfig,
     /// Arrival gate. [`AdmissionPolicy::Unbounded`] (the default) admits
     /// every request whose prompt fits the pool.
     /// [`AdmissionPolicy::QueueDepth`] rejects an arrival while
@@ -123,8 +146,6 @@ impl Default for DecodeConfig {
             output_tokens: 64,
             max_batch_size: 16,
             kv_pus: 8,
-            admit_watermark: 0.9,
-            hw: HyFlexPimConfig::paper_default(),
             admission: AdmissionPolicy::Unbounded,
         }
     }
@@ -139,8 +160,8 @@ pub struct DecodeReport {
     pub placement: String,
     /// Requests the trace offered.
     pub offered: usize,
-    /// Requests accepted into the engine (offered minus the shed ones whose
-    /// prompt alone could never fit the KV pool).
+    /// Requests accepted into the engine (offered minus the shed and the
+    /// rejected ones).
     pub admitted: usize,
     /// Requests that generated every output token.
     pub completed: usize,
@@ -169,15 +190,18 @@ pub struct DecodeReport {
     pub request_latency: LatencySummary,
     /// Total energy, pJ: compute plus KV programming.
     pub total_energy_pj: f64,
-    /// KV programming energy, pJ (appends, prefill writes, demotions).
+    /// KV programming energy, pJ: `slc_tokens_written` at the SLC write
+    /// energy plus `mlc_tokens_written` at the MLC write energy.
     pub kv_write_pj: f64,
     /// Energy per decoded token, pJ.
     pub energy_per_token_pj: f64,
-    /// Tokens written at SLC density (appends and prefill).
+    /// Tokens written at SLC density (prompt hot tails and appends).
     pub slc_tokens_written: usize,
-    /// Tokens written at MLC density (direct appends and demotions).
+    /// Tokens written at MLC density (prompt cold prefixes, direct appends
+    /// and demotions).
     pub mlc_tokens_written: usize,
-    /// Tokens migrated SLC → MLC by the background demotion engine.
+    /// Tokens migrated SLC → MLC by the background demotion engine during
+    /// decode.
     pub demoted_tokens: usize,
     /// Most KV cells resident at once.
     pub peak_kv_cells: usize,
@@ -207,15 +231,24 @@ impl Resident {
     }
 }
 
+/// Tokens written to each tier and demoted, the run's KV write ledger.
+#[derive(Debug, Default)]
+struct KvWrites {
+    slc: usize,
+    mlc: usize,
+    demoted: usize,
+}
+
 /// Deterministic continuous-batching decode-serving simulator.
 ///
 /// Virtual-time model: the engine runs one *iteration* at a time. At each
-/// token boundary it admits waiting requests (KV-capacity-bounded, policy
-/// order), prefills them (batched compute plus prompt KV programming),
-/// evicts residents if the pool overcommitted, then prices one decode
-/// iteration for the whole batch ([`Backend::evaluate_decode_step`] at the
-/// batch's longest context) plus the placement policy's critical-path
-/// append. Identical inputs produce bit-identical reports.
+/// token boundary it admits waiting requests in arrival order (bounded by
+/// batch width and the KV watermark), prefills them (batched compute plus
+/// prompt KV programming), evicts residents if the pool overcommitted, then
+/// prices one decode iteration for the whole batch
+/// ([`Backend::evaluate_decode_step`] at the batch's longest context) plus
+/// the placement policy's critical-path append. Identical inputs produce
+/// bit-identical reports.
 #[derive(Debug, Clone)]
 pub struct DecodeSim {
     backend: Arc<dyn Backend>,
@@ -232,7 +265,7 @@ impl DecodeSim {
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a zero output length,
     /// batch width, KV pool, hybrid hot window or queue-depth limit, or a
-    /// token-bucket gate, and propagates hardware validation errors.
+    /// token-bucket gate, and propagates KV cost-model errors.
     pub fn new(
         backend: Arc<dyn Backend>,
         trace: RequestTrace,
@@ -276,16 +309,10 @@ impl DecodeSim {
                 ));
             }
         }
-        if !(config.admit_watermark > 0.0 && config.admit_watermark <= 1.0) {
-            return Err(RuntimeError::InvalidConfig(format!(
-                "admit_watermark {} must be in (0, 1]",
-                config.admit_watermark
-            )));
-        }
         // The KV cost model shares the perf model's calibrated energy table.
-        let perf = PerformanceModel::new(config.hw)?;
+        let perf = PerformanceModel::paper_default();
         let kv = kv_token_cost(backend.model(), perf.hw(), perf.energy_model())?;
-        let capacity_cells = config.kv_pus * config.hw.analog_cells_per_pu();
+        let capacity_cells = config.kv_pus * perf.hw().analog_cells_per_pu();
         Ok(DecodeSim {
             backend,
             trace,
@@ -295,50 +322,24 @@ impl DecodeSim {
         })
     }
 
-    /// KV pool capacity, cells.
-    pub fn capacity_cells(&self) -> usize {
-        self.capacity_cells
-    }
-
-    /// Cells a prompt of `tokens` occupies at its steady-state placement.
-    fn prompt_cells(&self, tokens: usize) -> usize {
-        match self.config.placement {
-            KvPlacementPolicy::SlcOnly => tokens * self.kv.slc_cells,
-            KvPlacementPolicy::MlcOnly => tokens * self.kv.mlc_cells,
-            KvPlacementPolicy::Hybrid { hot_window } => {
-                let hot = tokens.min(hot_window);
-                hot * self.kv.slc_cells + (tokens - hot) * self.kv.mlc_cells
-            }
-        }
-    }
-
-    /// Critical-path latency of appending one token per resident, ns. All
-    /// residents program their own arrays concurrently, so the batch pays
-    /// one write, not `B`.
-    fn append_latency_ns(&self) -> f64 {
-        match self.config.placement {
-            KvPlacementPolicy::MlcOnly => self.kv.mlc_write_ns,
-            _ => self.kv.slc_write_ns,
-        }
+    /// Cells a sequence of `tokens` occupies at its placement's split.
+    fn cells(&self, tokens: usize) -> usize {
+        let (slc, mlc) = self.config.placement.split(tokens);
+        slc * self.kv.slc_cells + mlc * self.kv.mlc_cells
     }
 
     /// Runs the simulation to completion.
     ///
     /// # Errors
     ///
-    /// Propagates backend evaluation errors, and returns
-    /// [`RuntimeError::Internal`] if the run breaks request conservation.
+    /// Propagates backend evaluation errors, returns
+    /// [`RuntimeError::CapacityExceeded`] for a prompt wider than one layer
+    /// tile, and returns [`RuntimeError::Internal`] if the run breaks
+    /// request conservation.
     pub fn run(&self) -> Result<DecodeReport> {
         let mut arrivals = self.trace.stream().peekable();
         let mut offered = 0usize;
-        let mut queue = BatchScheduler::for_backend(
-            Arc::clone(&self.backend),
-            SchedulerConfig {
-                max_batch_size: self.config.max_batch_size,
-                max_wait_ns: 0.0,
-                ..SchedulerConfig::default()
-            },
-        )?;
+        let mut waiting: VecDeque<InferenceRequest> = VecDeque::new();
         let mut residents: Vec<Resident> = Vec::new();
         let mut now_ns = 0.0f64;
         let mut admitted = 0usize;
@@ -348,20 +349,24 @@ impl DecodeSim {
         let mut peak_waiting = 0usize;
         let mut evicted = 0usize;
         let mut decoded_tokens = 0usize;
-        let mut demoted_tokens = 0usize;
-        let mut slc_tokens_written = 0usize;
-        let mut mlc_tokens_written = 0usize;
-        let mut kv_write_pj = 0.0f64;
+        let mut writes = KvWrites::default();
         let mut compute_pj = 0.0f64;
         let mut peak_kv_cells = 0usize;
         let mut tpot = LatencyHistogram::default();
         let mut request_latency = LatencyHistogram::default();
         let mut first_arrival_ns = f64::NAN;
         let mut last_completion_ns = 0.0f64;
+        // One append lands where the placement puts a one-token sequence.
+        let (append_slc, append_mlc) = self.config.placement.split(1);
+        let append_cells = self.cells(1);
+        let append_ns =
+            append_slc as f64 * self.kv.slc_write_ns + append_mlc as f64 * self.kv.mlc_write_ns;
+        let tile_cells = self.backend.capacity();
+        let watermark_cells = (ADMIT_WATERMARK * self.capacity_cells as f64).floor() as usize;
 
-        while arrivals.peek().is_some() || queue.queue_len() > 0 || !residents.is_empty() {
+        while arrivals.peek().is_some() || !waiting.is_empty() || !residents.is_empty() {
             // Idle engine: jump to the next arrival.
-            if residents.is_empty() && queue.queue_len() == 0 {
+            if residents.is_empty() && waiting.is_empty() {
                 if let Some(next) = arrivals.peek() {
                     now_ns = now_ns.max(next.arrival_ns);
                 }
@@ -373,67 +378,45 @@ impl DecodeSim {
                 if first_arrival_ns.is_nan() {
                     first_arrival_ns = request.arrival_ns;
                 }
-                if self.prompt_cells(request.seq_len + self.config.output_tokens)
-                    > self.capacity_cells
-                {
+                if self.cells(request.seq_len + self.config.output_tokens) > self.capacity_cells {
                     shed += 1;
                     continue;
                 }
                 if let AdmissionPolicy::QueueDepth { max_outstanding } = self.config.admission {
-                    if queue.queue_len() + residents.len() >= max_outstanding {
+                    if waiting.len() + residents.len() >= max_outstanding {
                         rejected += 1;
                         continue;
                     }
                 }
-                admitted += 1;
-                queue.submit(request)?;
-            }
-            peak_waiting = peak_waiting.max(queue.queue_len());
-            // Token boundary: waiting requests join the running batch while
-            // batch width and (optimistically: prompt-only) KV capacity
-            // allow.
-            let mut used: usize = residents.iter().map(|r| r.cells(&self.kv)).sum();
-            let slots = self.config.max_batch_size - residents.len();
-            let watermark =
-                (self.config.admit_watermark * self.capacity_cells as f64).floor() as usize;
-            let joined = queue.admit_continuous(slots, |request| {
-                let cells = self.prompt_cells(request.seq_len);
-                if used + cells <= watermark {
-                    used += cells;
-                    true
-                } else {
-                    false
+                let cells = self.backend.request_cells(request.seq_len);
+                if cells > tile_cells {
+                    return Err(RuntimeError::CapacityExceeded(format!(
+                        "request {} needs {cells} tile cells but the layer tile has {tile_cells}",
+                        request.id
+                    )));
                 }
-            });
+                admitted += 1;
+                waiting.push_back(request);
+            }
+            peak_waiting = peak_waiting.max(waiting.len());
+            // Token boundary: waiting requests join the running batch in
+            // arrival order while batch width and (optimistically:
+            // prompt-only) KV capacity allow.
+            let mut used: usize = residents.iter().map(|r| r.cells(&self.kv)).sum();
+            let mut joined = Vec::new();
+            while residents.len() + joined.len() < self.config.max_batch_size {
+                let Some(front) = waiting.front() else {
+                    break;
+                };
+                let cells = self.cells(front.seq_len);
+                if used + cells > watermark_cells {
+                    break;
+                }
+                used += cells;
+                joined.extend(waiting.pop_front());
+            }
             if !joined.is_empty() {
-                now_ns +=
-                    self.prefill(&joined, &mut residents, &mut kv_write_pj, &mut compute_pj)?;
-                slc_tokens_written += joined
-                    .iter()
-                    .map(|r| match self.config.placement {
-                        KvPlacementPolicy::MlcOnly => 0,
-                        _ => r.seq_len,
-                    })
-                    .sum::<usize>();
-                mlc_tokens_written += joined
-                    .iter()
-                    .map(|r| match self.config.placement {
-                        KvPlacementPolicy::SlcOnly => 0,
-                        KvPlacementPolicy::MlcOnly => r.seq_len,
-                        KvPlacementPolicy::Hybrid { hot_window } => {
-                            r.seq_len.saturating_sub(hot_window)
-                        }
-                    })
-                    .sum::<usize>();
-                demoted_tokens += joined
-                    .iter()
-                    .map(|r| match self.config.placement {
-                        KvPlacementPolicy::Hybrid { hot_window } => {
-                            r.seq_len.saturating_sub(hot_window)
-                        }
-                        _ => 0,
-                    })
-                    .sum::<usize>();
+                now_ns += self.prefill(&joined, &mut residents, &mut writes, &mut compute_pj)?;
             }
             if residents.is_empty() {
                 // Nothing joined (capacity-blocked queue drains only as
@@ -447,7 +430,7 @@ impl DecodeSim {
             // youngest arrival) until the pool holds.
             let mut projected: usize = residents
                 .iter()
-                .map(|r| r.cells(&self.kv) + self.append_cells())
+                .map(|r| r.cells(&self.kv) + append_cells)
                 .sum();
             while projected > self.capacity_cells && !residents.is_empty() {
                 let Some(victim) = residents
@@ -459,7 +442,7 @@ impl DecodeSim {
                     break;
                 };
                 let gone = residents.remove(victim);
-                projected -= gone.cells(&self.kv) + self.append_cells();
+                projected -= gone.cells(&self.kv) + append_cells;
                 evicted += 1;
             }
             // One decode iteration for the whole batch, priced at the
@@ -472,32 +455,22 @@ impl DecodeSim {
             let step = self
                 .backend
                 .evaluate_decode_step(context, residents.len())?;
-            let iteration_ns = step.makespan_ns + self.append_latency_ns();
+            let iteration_ns = step.makespan_ns + append_ns;
             now_ns += iteration_ns;
             compute_pj += step.energy_per_request_pj * residents.len() as f64;
-            // Append one token per resident and run the demotion engine.
-            let (append_pj, append_slc) = match self.config.placement {
-                KvPlacementPolicy::MlcOnly => (self.kv.mlc_write_pj, false),
-                _ => (self.kv.slc_write_pj, true),
-            };
+            // Append one token per resident, then the demotion engine moves
+            // every SLC token the grown sequence's split no longer holds.
             for resident in &mut residents {
-                if append_slc {
-                    resident.slc_tokens += 1;
-                    slc_tokens_written += 1;
-                } else {
-                    resident.mlc_tokens += 1;
-                    mlc_tokens_written += 1;
-                }
-                kv_write_pj += append_pj;
-                if let KvPlacementPolicy::Hybrid { hot_window } = self.config.placement {
-                    while resident.slc_tokens > hot_window {
-                        resident.slc_tokens -= 1;
-                        resident.mlc_tokens += 1;
-                        demoted_tokens += 1;
-                        mlc_tokens_written += 1;
-                        kv_write_pj += self.kv.mlc_write_pj;
-                    }
-                }
+                resident.slc_tokens += append_slc;
+                resident.mlc_tokens += append_mlc;
+                writes.slc += append_slc;
+                writes.mlc += append_mlc;
+                let (hot, _) = self.config.placement.split(resident.context_len());
+                let demoted = resident.slc_tokens.saturating_sub(hot);
+                resident.slc_tokens -= demoted;
+                resident.mlc_tokens += demoted;
+                writes.demoted += demoted;
+                writes.mlc += demoted;
                 resident.decoded += 1;
                 decoded_tokens += 1;
                 tpot.record(iteration_ns);
@@ -535,6 +508,8 @@ impl DecodeSim {
         // The histogram's mean is exact: it is the mean TPOT.
         let mut tpot = tpot.summary();
         tpot.tpot_ms = (decoded_tokens > 0).then_some(tpot.mean_ms);
+        let kv_write_pj =
+            writes.slc as f64 * self.kv.slc_write_pj + writes.mlc as f64 * self.kv.mlc_write_pj;
         let total_energy_pj = compute_pj + kv_write_pj;
         Ok(DecodeReport {
             backend: self.backend.name().to_string(),
@@ -567,32 +542,25 @@ impl DecodeSim {
             } else {
                 0.0
             },
-            slc_tokens_written,
-            mlc_tokens_written,
-            demoted_tokens,
+            slc_tokens_written: writes.slc,
+            mlc_tokens_written: writes.mlc,
+            demoted_tokens: writes.demoted,
             peak_kv_cells,
             kv_capacity_cells: self.capacity_cells,
         })
     }
 
-    /// Cells one append adds before any demotion rebalancing.
-    fn append_cells(&self) -> usize {
-        match self.config.placement {
-            KvPlacementPolicy::MlcOnly => self.kv.mlc_cells,
-            _ => self.kv.slc_cells,
-        }
-    }
-
     /// Prefills newly joined requests: batched compute at the longest
-    /// prompt plus prompt KV programming (the SLC-staged portion on the
-    /// critical path; hybrid's direct-to-MLC cold prefix is programmed by
-    /// the background engine). Returns the critical-path latency and
-    /// registers the new residents.
+    /// prompt plus each prompt written straight to its placement split.
+    /// SLC rows are programmed on the critical path; MLC rows are too,
+    /// except under the hybrid policy, whose cold prefix the background
+    /// engine programs. Returns the critical-path latency and registers the
+    /// new residents.
     fn prefill(
         &self,
         joined: &[InferenceRequest],
         residents: &mut Vec<Resident>,
-        kv_write_pj: &mut f64,
+        writes: &mut KvWrites,
         compute_pj: &mut f64,
     ) -> Result<f64> {
         let max_prompt = joined.iter().map(|r| r.seq_len).max().ok_or_else(|| {
@@ -600,29 +568,18 @@ impl DecodeSim {
         })?;
         let batch = self.backend.evaluate_batched(max_prompt, joined.len())?;
         *compute_pj += batch.energy_per_request_pj * joined.len() as f64;
+        let background_mlc = matches!(self.config.placement, KvPlacementPolicy::Hybrid { .. });
         let mut critical_write_ns = 0.0f64;
         for request in joined {
-            let tokens = request.seq_len;
-            let (slc_tokens, mlc_tokens) = match self.config.placement {
-                KvPlacementPolicy::SlcOnly => (tokens, 0),
-                KvPlacementPolicy::MlcOnly => (0, tokens),
-                KvPlacementPolicy::Hybrid { hot_window } => {
-                    let hot = tokens.min(hot_window);
-                    (hot, tokens - hot)
-                }
-            };
-            *kv_write_pj +=
-                slc_tokens as f64 * self.kv.slc_write_pj + mlc_tokens as f64 * self.kv.mlc_write_pj;
+            let (slc_tokens, mlc_tokens) = self.config.placement.split(request.seq_len);
+            writes.slc += slc_tokens;
+            writes.mlc += mlc_tokens;
             // Prompts program token rows concurrently across requests; the
             // batch pays the slowest request's critical-path writes.
-            let request_write_ns = match self.config.placement {
-                KvPlacementPolicy::SlcOnly => tokens as f64 * self.kv.slc_write_ns,
-                KvPlacementPolicy::MlcOnly => tokens as f64 * self.kv.mlc_write_ns,
-                // Hybrid stages the hot tail through SLC on the critical
-                // path; the cold prefix goes to MLC in the background.
-                KvPlacementPolicy::Hybrid { hot_window } => {
-                    tokens.min(hot_window) as f64 * self.kv.slc_write_ns
-                }
+            let request_write_ns = if background_mlc {
+                slc_tokens as f64 * self.kv.slc_write_ns
+            } else {
+                slc_tokens as f64 * self.kv.slc_write_ns + mlc_tokens as f64 * self.kv.mlc_write_ns
             };
             critical_write_ns = critical_write_ns.max(request_write_ns);
             residents.push(Resident {
@@ -707,12 +664,37 @@ mod tests {
 
     #[test]
     fn unloaded_run_completes_everything_and_conserves_requests() {
-        for placement in [
-            KvPlacementPolicy::SlcOnly,
-            KvPlacementPolicy::MlcOnly,
-            KvPlacementPolicy::Hybrid { hot_window: 32 },
+        // 40 requests × (128 prompt + 32 appended) = 6 400 tokens written.
+        // Hybrid(32) writes each prompt's 32-token hot tail to SLC and its
+        // 96-token cold prefix straight to MLC; every append lands in SLC
+        // and demotes one token.
+        for (placement, (slc, mlc, demoted)) in [
+            (KvPlacementPolicy::SlcOnly, (6_400, 0, 0)),
+            (KvPlacementPolicy::MlcOnly, (0, 6_400, 0)),
+            (
+                KvPlacementPolicy::Hybrid { hot_window: 32 },
+                (2_560, 5_120, 1_280),
+            ),
         ] {
-            let report = sim(placement, 50.0, 40).run().unwrap();
+            let sim = sim(placement, 50.0, 40);
+            let report = sim.run().unwrap();
+            assert_eq!(
+                (
+                    report.slc_tokens_written,
+                    report.mlc_tokens_written,
+                    report.demoted_tokens
+                ),
+                (slc, mlc, demoted),
+                "{}",
+                report.placement
+            );
+            // Write energy is the write counts priced per tier.
+            assert_eq!(
+                report.kv_write_pj,
+                slc as f64 * sim.kv.slc_write_pj + mlc as f64 * sim.kv.mlc_write_pj,
+                "{}",
+                report.placement
+            );
             assert_eq!(report.offered, 40);
             assert_eq!(report.admitted, 40, "{}", report.placement);
             assert_eq!(report.completed, 40, "{}", report.placement);
