@@ -22,9 +22,19 @@
 //! figure binaries and the serving simulator never see a half-validated
 //! configuration. This module is the one place that knows the roster of
 //! comparison backends and turns a name into a `Box<dyn Backend>`.
+//!
+//! Every built backend is wrapped in a [`PriceMemo`], so each
+//! `(seq_len, batch)` and `(context, batch)` shape is priced once per
+//! built backend; the summaries are bit-identical to pricing afresh. A
+//! decode run repeats a few hundred shapes thousands of times, and every
+//! caller that names its backend (the figure binaries, the benches, the
+//! serving simulators) gets the saving without code of its own. The memo
+//! sits *under* the built backend rather than inside a simulator, so a
+//! decorator a caller stacks on top — a timing probe that counts pricing
+//! calls and sums their energy — still sees every call.
 
 use crate::{AnalogAttention, Asadi, AsadiPrecision, NearMemoryProcessing, NonPim, Sprint};
-use hyflex_pim::backend::{Backend, HyFlexPim};
+use hyflex_pim::backend::{Backend, HyFlexPim, PriceMemo};
 use hyflex_pim::perf::PerformanceModel;
 use hyflex_pim::{HyFlexPimConfig, PimError, Result};
 use hyflex_rram::cell::CellMode;
@@ -129,7 +139,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Validates the configuration and builds the bound backend.
+    /// Validates the configuration and builds the bound backend, wrapped in
+    /// a [`PriceMemo`] (see the module docs).
     ///
     /// # Errors
     ///
@@ -138,6 +149,11 @@ impl SystemBuilder {
     /// lists the available backends); propagates model/hardware validation
     /// errors.
     pub fn build(self) -> Result<Box<dyn Backend>> {
+        Ok(Box::new(PriceMemo::new(self.build_unmemoized()?)))
+    }
+
+    /// [`SystemBuilder::build`] without the memo.
+    fn build_unmemoized(self) -> Result<Box<dyn Backend>> {
         if !(0.0..=1.0).contains(&self.slc_rate) || self.slc_rate.is_nan() {
             return Err(PimError::InvalidConfig(format!(
                 "slc_rate {} must lie in [0, 1]",
@@ -231,6 +247,54 @@ mod tests {
         }
         for good in [2u8, 3, 4] {
             assert!(SystemBuilder::paper().mlc_bits(good).build().is_ok());
+        }
+    }
+
+    /// The memo `build` adds changes no figure: on every roster backend,
+    /// each shape of the grid returns exactly what the unwrapped backend
+    /// prices, on the first (cold) call and on the second (memo hit), and
+    /// error shapes return the same error on every call.
+    #[test]
+    fn memoized_backends_price_exactly_as_the_unwrapped_ones() {
+        for name in BACKENDS {
+            let builder = SystemBuilder::paper()
+                .model(ModelConfig::gpt2_small())
+                .backend(name);
+            let memo = builder.clone().build().unwrap();
+            let bare = builder.build_unmemoized().unwrap();
+            assert_eq!(format!("{memo:?}"), format!("{bare:?}"), "{name}");
+            for _ in 0..2 {
+                for len in [1, 2, 3, 17, 64, 127, 128, 129, 512] {
+                    for batch in [1, 2, 7, 16] {
+                        assert_eq!(
+                            memo.evaluate_batched(len, batch),
+                            bare.evaluate_batched(len, batch),
+                            "{name} batched ({len}, {batch})"
+                        );
+                        assert_eq!(
+                            memo.evaluate_decode_step(len, batch),
+                            bare.evaluate_decode_step(len, batch),
+                            "{name} decode ({len}, {batch})"
+                        );
+                    }
+                }
+            }
+            for _ in 0..3 {
+                for (len, batch) in [(128, 0), (0, 4), (0, 0)] {
+                    assert!(memo.evaluate_decode_step(len, batch).is_err(), "{name}");
+                    assert_eq!(
+                        memo.evaluate_decode_step(len, batch),
+                        bare.evaluate_decode_step(len, batch),
+                        "{name} decode ({len}, {batch})"
+                    );
+                }
+                assert!(memo.evaluate_batched(128, 0).is_err(), "{name}");
+                assert_eq!(
+                    memo.evaluate_batched(128, 0),
+                    bare.evaluate_batched(128, 0),
+                    "{name}"
+                );
+            }
         }
     }
 

@@ -21,11 +21,16 @@
 //! consumer outside this crate prices HyFlexPIM; ASADI/ASADI†, SPRINT, NMP, non-PIM and analog
 //! attention in `hyflex-baselines`, each implementing [`Backend`] directly
 //! and addressed by name through its `SystemBuilder`.
+//!
+//! [`PriceMemo`] is a decorator that prices each batched or decode-step
+//! shape once. `SystemBuilder::build` wraps every backend it builds in one.
 
 use crate::perf::{BatchPerfSummary, Deployment, PerfSummary, PerformanceModel};
 use crate::PimError;
 use crate::Result;
 use hyflex_transformer::config::ModelConfig;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One inference request submitted to a backend or the runtime.
 ///
@@ -264,6 +269,114 @@ forward_backend!(&B);
 forward_backend!(Box<B>);
 forward_backend!(std::sync::Arc<B>);
 
+/// One memo table: a batch summary per `(length, batch_size)` shape.
+#[derive(Default)]
+struct ShapeMemo(Mutex<BTreeMap<(usize, usize), BatchPerfSummary>>);
+
+impl ShapeMemo {
+    fn table(&self) -> MutexGuard<'_, BTreeMap<(usize, usize), BatchPerfSummary>> {
+        // The table only ever holds complete entries, so a panic elsewhere
+        // while the lock was held leaves it valid.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memoized summary of `shape`, priced by `price` on a miss. The
+    /// lock is not held while pricing, and an error is returned uncached.
+    fn get_or_price(
+        &self,
+        shape: (usize, usize),
+        price: impl FnOnce() -> Result<BatchPerfSummary>,
+    ) -> Result<BatchPerfSummary> {
+        let hit = self.table().get(&shape).cloned();
+        if let Some(summary) = hit {
+            return Ok(summary);
+        }
+        let summary = price()?;
+        self.table().insert(shape, summary.clone());
+        Ok(summary)
+    }
+}
+
+/// A pricing memo over a bound backend: [`Backend::evaluate_batched`] is
+/// cached by `(seq_len, batch_size)` and [`Backend::evaluate_decode_step`]
+/// by `(context_len, batch_size)`; every other method forwards unchanged.
+///
+/// A bound backend is a deterministic function of its arguments, so a
+/// cached summary is bit-identical to pricing the shape again: wrapping
+/// changes host time only. A decode run re-prices the same few hundred
+/// `(context, batch)` shapes thousands of times, and every caller that
+/// builds its backend by name gets the memo from `SystemBuilder::build`.
+/// Decorators stacked on the built backend (a timing probe, say) still see
+/// every call.
+///
+/// Errors are never cached: a zero batch or a zero context returns the
+/// same error on every call. The tables have no size limit; each holds one
+/// entry per distinct shape priced, so memory is bounded by the number of
+/// distinct shapes a run asks for, not by how often it asks. The tables
+/// sit behind a [`Mutex`], so one memo can be shared across worker
+/// threads.
+pub struct PriceMemo<B> {
+    inner: B,
+    batched: ShapeMemo,
+    decode: ShapeMemo,
+}
+
+impl<B: Backend> PriceMemo<B> {
+    /// Wraps `inner` with empty memo tables.
+    pub fn new(inner: B) -> Self {
+        PriceMemo {
+            inner,
+            batched: ShapeMemo::default(),
+            decode: ShapeMemo::default(),
+        }
+    }
+}
+
+/// Prints as the wrapped backend; the memo tables are host-side state, not
+/// part of the modeled system.
+impl<B: Backend> std::fmt::Debug for PriceMemo<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.inner.fmt(f)
+    }
+}
+
+impl<B: Backend> Backend for PriceMemo<B> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn model(&self) -> &ModelConfig {
+        self.inner.model()
+    }
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+    fn request_cells(&self, seq_len: usize) -> usize {
+        self.inner.request_cells(seq_len)
+    }
+    fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
+        self.inner.evaluate(request)
+    }
+    fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
+        self.batched.get_or_price((seq_len, batch_size), || {
+            self.inner.evaluate_batched(seq_len, batch_size)
+        })
+    }
+    // Forwarded explicitly, as in `forward_backend!`, so the inner
+    // backend's overrides of the provided methods stay in force.
+    fn linear_layer_energy_pj(&self, seq_len: usize) -> Result<f64> {
+        self.inner.linear_layer_energy_pj(seq_len)
+    }
+    fn evaluate_decode_step(
+        &self,
+        context_len: usize,
+        batch_size: usize,
+    ) -> Result<BatchPerfSummary> {
+        self.decode.get_or_price((context_len, batch_size), || {
+            self.inner.evaluate_decode_step(context_len, batch_size)
+        })
+    }
+}
+
 /// HyFlexPIM exposed through the [`Backend`] interface: the paper's hybrid
 /// SLC/MLC design, bound to a model and an SLC protection rate.
 ///
@@ -477,6 +590,116 @@ mod tests {
         }
         assert!(HyFlexPim::paper(ModelConfig::bert_base(), 0.0).is_ok());
         assert!(HyFlexPim::paper(ModelConfig::bert_base(), 1.0).is_ok());
+    }
+
+    /// Counts the pricing calls that reach the wrapped backend.
+    #[derive(Debug)]
+    struct CountingBackend {
+        inner: HyFlexPim,
+        priced: std::sync::atomic::AtomicUsize,
+    }
+
+    impl CountingBackend {
+        fn priced(&self) -> usize {
+            self.priced.load(std::sync::atomic::Ordering::Relaxed)
+        }
+        fn count(&self) {
+            self.priced
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl Backend for CountingBackend {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn model(&self) -> &ModelConfig {
+            self.inner.model()
+        }
+        fn capacity(&self) -> usize {
+            self.inner.capacity()
+        }
+        fn request_cells(&self, seq_len: usize) -> usize {
+            self.inner.request_cells(seq_len)
+        }
+        fn evaluate(&self, request: &InferenceRequest) -> Result<PerfSummary> {
+            self.inner.evaluate(request)
+        }
+        fn evaluate_batched(&self, seq_len: usize, batch_size: usize) -> Result<BatchPerfSummary> {
+            self.count();
+            self.inner.evaluate_batched(seq_len, batch_size)
+        }
+        fn evaluate_decode_step(
+            &self,
+            context_len: usize,
+            batch_size: usize,
+        ) -> Result<BatchPerfSummary> {
+            self.count();
+            self.inner.evaluate_decode_step(context_len, batch_size)
+        }
+    }
+
+    #[test]
+    fn price_memo_prices_each_shape_once_and_never_caches_errors() {
+        let bare = HyFlexPim::paper(ModelConfig::bert_base(), 0.05).unwrap();
+        let memo = PriceMemo::new(CountingBackend {
+            inner: bare.clone(),
+            priced: std::sync::atomic::AtomicUsize::new(0),
+        });
+        for _ in 0..3 {
+            assert_eq!(memo.evaluate_batched(128, 4), bare.evaluate_batched(128, 4));
+            assert_eq!(
+                memo.evaluate_decode_step(128, 4),
+                bare.evaluate_decode_step(128, 4)
+            );
+        }
+        // The two methods keep separate tables even for the same pair.
+        assert_eq!(memo.inner.priced(), 2);
+        for round in 1..=3 {
+            assert_eq!(memo.evaluate_batched(128, 0), Err(PimError::EmptyBatch));
+            assert_eq!(memo.evaluate_decode_step(128, 0), Err(PimError::EmptyBatch));
+            assert!(matches!(
+                memo.evaluate_decode_step(0, 4),
+                Err(PimError::InvalidConfig(_))
+            ));
+            // Every error reaches the wrapped backend again.
+            assert_eq!(memo.inner.priced(), 2 + 3 * round);
+        }
+        // Everything else forwards, Debug included.
+        assert_eq!(memo.name(), bare.name());
+        assert_eq!(memo.capacity(), bare.capacity());
+        assert_eq!(memo.request_cells(64), bare.request_cells(64));
+        assert_eq!(
+            memo.linear_layer_energy_pj(64),
+            bare.linear_layer_energy_pj(64)
+        );
+        assert_eq!(
+            format!("{:?}", PriceMemo::new(bare.clone())),
+            format!("{bare:?}")
+        );
+    }
+
+    /// One memo shared by pool workers that race on the same cold shapes
+    /// returns exactly the serial map of the unwrapped backend.
+    #[test]
+    fn price_memo_shared_across_pool_workers_matches_the_serial_map() {
+        let bare = HyFlexPim::paper(ModelConfig::bert_base(), 0.05).unwrap();
+        let memo = PriceMemo::new(bare.clone());
+        // Every shape three times over, zero shapes included, so workers
+        // meet on hits, on concurrent misses and on uncached errors.
+        let shapes: Vec<(usize, usize)> = (0..3)
+            .flat_map(|_| (0..=96).step_by(7))
+            .flat_map(|len| (0..=8).map(move |batch| (len, batch)))
+            .collect();
+        let price = |backend: &dyn Backend, &(len, batch): &(usize, usize)| {
+            (
+                backend.evaluate_batched(len.max(1), batch),
+                backend.evaluate_decode_step(len, batch),
+            )
+        };
+        let serial: Vec<_> = shapes.iter().map(|shape| price(&bare, shape)).collect();
+        let pooled = hyflex_parallel::JobPool::new(4).par_map(&shapes, |shape| price(&memo, shape));
+        assert_eq!(pooled, serial);
     }
 
     #[test]

@@ -249,6 +249,15 @@ struct KvWrites {
 /// ([`Backend::evaluate_decode_step`] at the batch's longest context) plus
 /// the placement policy's critical-path append. Identical inputs produce
 /// bit-identical reports.
+///
+/// The engine prices every iteration through the backend and keeps no
+/// pricing cache of its own. A run repeats a few hundred `(context, batch)`
+/// shapes thousands of times, so pass a backend from `SystemBuilder::build`,
+/// which wraps it in a [`hyflex_pim::backend::PriceMemo`]: each shape is
+/// then priced once per built backend. The memo sits under the backend
+/// rather than in here so that a decorator stacked on the built backend
+/// (e2ebench's timing probe, which counts calls and sums their energy)
+/// still sees every iteration's pricing call.
 #[derive(Debug, Clone)]
 pub struct DecodeSim {
     backend: Arc<dyn Backend>,
@@ -721,6 +730,38 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// fig22 part (a) at its smoke size, on the memoized backend
+    /// `SystemBuilder` builds and on the bare performance model: the
+    /// pricing memo changes no field of the report.
+    #[test]
+    fn a_memoized_builder_backend_reports_what_the_bare_model_reports() {
+        let built: Arc<dyn Backend> =
+            Arc::from(hyflex_baselines::SystemBuilder::paper().build().unwrap());
+        for placement in [
+            KvPlacementPolicy::SlcOnly,
+            KvPlacementPolicy::Hybrid { hot_window: 16 },
+            KvPlacementPolicy::MlcOnly,
+        ] {
+            let run = |backend: Arc<dyn Backend>| {
+                DecodeSim::new(
+                    backend,
+                    trace(20_000.0, 300, 128),
+                    DecodeConfig {
+                        placement,
+                        output_tokens: 32,
+                        kv_pus: 4,
+                        ..DecodeConfig::default()
+                    },
+                )
+                .unwrap()
+                .run()
+                .unwrap()
+            };
+            // The shared memo is warm from the second placement on.
+            assert_eq!(run(Arc::clone(&built)), run(backend()), "{placement:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,8 @@ pub enum AttentionMask<'a> {
     /// of request `k`, and attention never crosses a segment boundary.
     /// `causal` additionally applies the causal rule *within* each segment.
     Packed {
-        /// Per-request row ranges; together they must cover every row.
+        /// Per-request row ranges, sorted and contiguous; together they must
+        /// cover every row.
         segments: &'a [Range<usize>],
         /// Apply causal masking within each segment.
         causal: bool,
@@ -43,15 +44,23 @@ pub enum AttentionMask<'a> {
 }
 
 impl AttentionMask<'_> {
-    /// Whether query row `r` may attend to key column `c`.
-    fn allows(&self, r: usize, c: usize) -> bool {
-        match self {
-            AttentionMask::Bidirectional => true,
-            AttentionMask::Causal => c <= r,
-            AttentionMask::Packed { segments, causal } => segments
-                .iter()
-                .any(|s| s.contains(&r) && s.contains(&c) && (!causal || c <= r)),
-        }
+    /// The key columns (of `cols`) query row `r` may attend to. Every mask
+    /// allows one contiguous range per row; a row outside every packed
+    /// segment attends to nothing.
+    fn allowed_cols(&self, r: usize, cols: usize) -> Range<usize> {
+        let allowed = match self {
+            AttentionMask::Bidirectional => 0..cols,
+            AttentionMask::Causal => 0..r + 1,
+            AttentionMask::Packed { segments, causal } => {
+                // Sorted, contiguous segments: the first one ending past `r`
+                // is the only one that can hold it.
+                match segments.get(segments.partition_point(|s| s.end <= r)) {
+                    Some(s) if s.contains(&r) => s.start..if *causal { r + 1 } else { s.end },
+                    _ => 0..0,
+                }
+            }
+        };
+        allowed.start.min(cols)..allowed.end.min(cols)
     }
 }
 
@@ -66,12 +75,12 @@ fn mask_fill(m: &mut Matrix, mask: &AttentionMask, fill: f32) {
     if matches!(mask, AttentionMask::Bidirectional) {
         return;
     }
+    let cols = m.cols();
     for r in 0..m.rows() {
-        for c in 0..m.cols() {
-            if !mask.allows(r, c) {
-                m.set(r, c, fill);
-            }
-        }
+        let allowed = mask.allowed_cols(r, cols);
+        let row = m.row_mut(r);
+        row[..allowed.start].fill(fill);
+        row[allowed.end..].fill(fill);
     }
 }
 
@@ -318,6 +327,40 @@ mod tests {
         assert_eq!(attn.num_heads(), 2);
         assert_eq!(attn.dim(), 8);
         assert_eq!(attn.parameter_count(), 4 * (8 * 8 + 8));
+    }
+
+    /// `mask_fill` fills exactly the lanes of the per-lane rule: a lane is
+    /// open iff one segment holds both its row and its column (and, when
+    /// causal, the column does not pass the row).
+    #[test]
+    fn mask_fill_matches_the_per_lane_rule() {
+        let layouts: [&[Range<usize>]; 4] = [
+            &[0..6, 6..7],
+            &[0..1, 1..7],
+            &[0..3, 3..4, 4..7],
+            &[0..2, 2..5, 5..6, 6..7],
+        ];
+        for segments in layouts {
+            for causal in [false, true] {
+                let mut m = Matrix::zeros(7, 7);
+                mask_fill(&mut m, &AttentionMask::Packed { segments, causal }, 1.0);
+                for r in 0..7 {
+                    for c in 0..7 {
+                        let open = segments
+                            .iter()
+                            .any(|s| s.contains(&r) && s.contains(&c) && (!causal || c <= r));
+                        assert_eq!(m.get(r, c) == Some(0.0), open, "{segments:?} ({r}, {c})");
+                    }
+                }
+            }
+        }
+        let mut causal = Matrix::zeros(5, 5);
+        mask_fill(&mut causal, &AttentionMask::Causal, 1.0);
+        for r in 0..5 {
+            for c in 0..5 {
+                assert_eq!(causal.get(r, c) == Some(0.0), c <= r, "({r}, {c})");
+            }
+        }
     }
 
     #[test]

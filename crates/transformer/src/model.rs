@@ -220,8 +220,8 @@ impl TransformerModel {
     /// request alone, while the whole group shares one pass over the static
     /// weights — mirroring how the PIM arrays amortize a weight read-out
     /// schedule across a serving batch without wasting crossbar rows on
-    /// padding lanes. The runtime crate's batch scheduler uses this to
-    /// execute the request groups it forms.
+    /// padding lanes. Only tests call it today: they hold it to that
+    /// per-request bit-identity.
     ///
     /// # Errors
     ///
