@@ -10,9 +10,10 @@ use std::hint::black_box;
 fn bench_svd(c: &mut Criterion) {
     let mut rng = Rng::seed_from(3);
     let mut group = c.benchmark_group("svd/jacobi");
-    for &size in &[16usize, 32, 64] {
-        let w = Matrix::random_normal(size, size, 0.0, 0.5, &mut rng);
-        group.bench_function(format!("{size}x{size}"), |b| {
+    // Square, tall and wide: the wide case runs on the transpose.
+    for &(rows, cols) in &[(16usize, 16usize), (32, 32), (64, 64), (64, 32), (32, 64)] {
+        let w = Matrix::random_normal(rows, cols, 0.0, 0.5, &mut rng);
+        group.bench_function(format!("{rows}x{cols}"), |b| {
             b.iter(|| svd::svd(black_box(&w)).unwrap())
         });
     }

@@ -1,5 +1,7 @@
 //! Figure 11: gradient distribution before SVD, after SVD without the hard
 //! threshold, and after hard-threshold truncation plus fine-tuning.
+//! Training runs on the worker pool (`--threads N`); the output is the same
+//! for every width.
 
 use hyflex_bench::{emitln, run_functional_experiment_with, BinArgs};
 use hyflex_pim::gradient_redistribution::{GradientRedistribution, TruncationPolicy};
@@ -37,14 +39,18 @@ fn main() {
     let mut rng = Rng::seed_from(seed);
     let mut dense_model =
         TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).expect("valid config");
-    let trainer = Trainer::new(
-        AdamWConfig {
-            learning_rate: 3e-3,
-            weight_decay: 0.0,
-            ..AdamWConfig::default()
-        },
-        16,
-    );
+    let pool = args.pool();
+    let trainer = Trainer {
+        pool,
+        ..Trainer::new(
+            AdamWConfig {
+                learning_rate: 3e-3,
+                weight_decay: 0.0,
+                ..AdamWConfig::default()
+            },
+            16,
+        )
+    };
     trainer
         .train(&mut dense_model, &dataset.train, 3)
         .expect("training succeeds");
@@ -75,9 +81,16 @@ fn main() {
     );
 
     // (c) After hard threshold + fine-tuning (the full pipeline).
-    let experiment =
-        run_functional_experiment_with(ModelConfig::tiny_encoder(2), dataset, 3, 3, seed, svd_algo)
-            .expect("experiment succeeds");
+    let experiment = run_functional_experiment_with(
+        ModelConfig::tiny_encoder(2),
+        dataset,
+        3,
+        3,
+        seed,
+        svd_algo,
+        &pool,
+    )
+    .expect("experiment succeeds");
     summarize(
         "(c) after SVD + hard threshold + fine-tune",
         &experiment.report.layer_profiles[0].sigma_gradients,

@@ -32,8 +32,8 @@ fn sweep(
     seed: u64,
     svd_algo: SvdAlgorithm,
 ) {
-    let experiment =
-        run_functional_experiment_with(model, dataset, 4, 2, seed, svd_algo).expect("experiment");
+    let experiment = run_functional_experiment_with(model, dataset, 4, 2, seed, svd_algo, pool)
+        .expect("experiment");
     let simulator = NoiseSimulator::paper_default();
     let baseline = experiment.report.eval_finetuned.metrics.primary_value();
     let base = HybridMappingSpec {

@@ -38,6 +38,7 @@ fn main() {
             2,
             seed,
             svd_algo,
+            &pool,
         )
         .expect("experiment");
         let simulator = NoiseSimulator::paper_default();

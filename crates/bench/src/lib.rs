@@ -20,6 +20,7 @@
 
 use hyflex_pim::gradient_redistribution::{GradientRedistribution, RedistributionReport};
 use hyflex_pim::Result;
+use hyflex_runtime::JobPool;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
@@ -63,7 +64,9 @@ pub struct FunctionalExperiment {
 /// Trains a tiny encoder on the given dataset, runs gradient redistribution
 /// with the given SVD algorithm, and returns everything the accuracy figures
 /// need (the `--svd-algo` flag of the accuracy figure binaries lands here;
-/// `jacobi` reproduces the recorded figures bit for bit).
+/// `jacobi` reproduces the recorded figures bit for bit). Training and the
+/// layer factorization run on `pool` (`--threads`); every width gives the
+/// same bits.
 ///
 /// # Errors
 ///
@@ -75,24 +78,28 @@ pub fn run_functional_experiment_with(
     finetune_epochs: usize,
     seed: u64,
     svd_algorithm: SvdAlgorithm,
+    pool: &JobPool,
 ) -> Result<FunctionalExperiment> {
     let mut rng = Rng::seed_from(seed);
     let mut model = TransformerModel::new(config, &mut rng)?;
-    let trainer = Trainer::new(
-        AdamWConfig {
-            learning_rate: 3e-3,
-            weight_decay: 0.0,
-            ..AdamWConfig::default()
-        },
-        16,
-    );
+    let trainer = Trainer {
+        pool: *pool,
+        ..Trainer::new(
+            AdamWConfig {
+                learning_rate: 3e-3,
+                weight_decay: 0.0,
+                ..AdamWConfig::default()
+            },
+            16,
+        )
+    };
     trainer.train(&mut model, &dataset.train, pretrain_epochs)?;
     let pipeline = GradientRedistribution {
         finetune_epochs,
         svd_algorithm,
         ..GradientRedistribution::new(trainer)
     };
-    let report = pipeline.apply(&mut model, &dataset.train, &dataset.eval)?;
+    let report = pipeline.apply_with_pool(&mut model, &dataset.train, &dataset.eval, pool)?;
     Ok(FunctionalExperiment {
         model,
         dataset,
@@ -122,6 +129,7 @@ mod tests {
             1,
             3,
             SvdAlgorithm::Jacobi,
+            &JobPool::new(2),
         )
         .unwrap();
         assert_eq!(exp.report.layer_profiles.len(), 12);

@@ -69,6 +69,19 @@ fn fig11_gradient_redistribution_matches_its_fixture() {
     );
 }
 
+/// Training runs on the `--threads` pool, and every width must print the
+/// same bytes: the serial loop (1) and the data-parallel trainer (2).
+#[test]
+fn fig11_gradient_redistribution_is_independent_of_threads() {
+    for threads in ["1", "2"] {
+        check(
+            "fig11_gradient_redistribution",
+            env!("CARGO_BIN_EXE_fig11_gradient_redistribution"),
+            &["--threads", threads],
+        );
+    }
+}
+
 #[test]
 fn fig12_accuracy_vs_slc_rate_matches_its_fixture() {
     check(

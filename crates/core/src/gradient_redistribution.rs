@@ -220,11 +220,12 @@ impl GradientRedistribution {
     /// Runs the full pipeline (Algorithm 1 steps 1–4) on a model that has
     /// already been trained in dense form on `train`/`eval`.
     ///
-    /// The factorization step runs pooled at the machine's default
-    /// parallelism ([`JobPool::with_default_parallelism`]); the result is
-    /// bit-identical to the serial pipeline for every worker count (see
-    /// [`GradientRedistribution::factorize_model_pooled`]). Use
-    /// [`GradientRedistribution::apply_with_pool`] to control the width.
+    /// The factorization, fine-tuning and gradient-collection steps run
+    /// pooled at the machine's default parallelism
+    /// ([`JobPool::with_default_parallelism`]); the result is bit-identical
+    /// to the serial pipeline for every worker count (see
+    /// [`GradientRedistribution::factorize_model_pooled`] and `Trainer`).
+    /// Use [`GradientRedistribution::apply_with_pool`] to control the width.
     ///
     /// # Errors
     ///
@@ -239,12 +240,30 @@ impl GradientRedistribution {
     }
 
     /// [`GradientRedistribution::apply`] with an explicit pool for the
-    /// layer-factorization step.
+    /// layer factorization, and for the trainer in place of its own.
     ///
     /// # Errors
     ///
     /// Returns model or decomposition errors.
     pub fn apply_with_pool(
+        &self,
+        model: &mut TransformerModel,
+        train: &[Sample],
+        eval: &[Sample],
+        pool: &JobPool,
+    ) -> Result<RedistributionReport> {
+        let pooled = GradientRedistribution {
+            trainer: Trainer {
+                pool: *pool,
+                ..self.trainer
+            },
+            ..*self
+        };
+        pooled.run(model, train, eval, pool)
+    }
+
+    /// Algorithm 1 steps 1–4 with this pipeline's own trainer.
+    fn run(
         &self,
         model: &mut TransformerModel,
         train: &[Sample],

@@ -9,7 +9,7 @@ use crate::block::TransformerBlock;
 use crate::config::{ModelConfig, ModelKind, TaskKind};
 use crate::error::ModelError;
 use crate::layers::{AnyLinear, Embedding, Layer, LayerCtx, LayerNorm, Linear};
-use crate::param::{Param, ParamPath, ParamStore, ParamVisit};
+use crate::param::{zip_params_mut, Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
@@ -284,6 +284,21 @@ impl TransformerModel {
         input: &ModelInput,
         d_logits_of: &mut dyn FnMut(&Matrix) -> Result<Matrix>,
     ) -> Result<(Matrix, Matrix)> {
+        let (logits, d_logits, d_embedded) = self.backward_to_embedding(input, d_logits_of)?;
+        self.embedding_backward(input, d_embedded.as_ref())?;
+        Ok((logits, d_logits))
+    }
+
+    /// [`TransformerModel::forward_backward`] short of the token embedding:
+    /// every other parameter accumulates its gradient, and the gradient at
+    /// the embedding output is returned (`None` for a vision model, whose
+    /// patch projection accumulates like any other layer) for
+    /// [`TransformerModel::embedding_backward`].
+    pub(crate) fn backward_to_embedding(
+        &mut self,
+        input: &ModelInput,
+        d_logits_of: &mut dyn FnMut(&Matrix) -> Result<Matrix>,
+    ) -> Result<(Matrix, Matrix, Option<Matrix>)> {
         let ctx = self.sequence_ctx();
         // Forward, keeping each block's input and saved intermediates.
         let mut x = self.embed(input)?;
@@ -326,17 +341,78 @@ impl TransformerModel {
             d_x = block.backward(block_input, saved, &d_x, &ctx)?;
         }
 
-        // Backward into the embedding / patch projection.
-        match (input, &mut self.embedding, &mut self.patch_proj) {
-            (ModelInput::Tokens(tokens), Some(embedding), _) => {
-                embedding.backward(tokens, &d_x)?;
-            }
-            (ModelInput::Features(features), _, Some(proj)) => {
+        // Backward into the patch projection, or hand the embedding's
+        // gradient back.
+        let d_embedded = match (input, &mut self.patch_proj) {
+            (ModelInput::Features(features), Some(proj)) => {
                 proj.backward(features, &(), &d_x, &ctx)?;
+                None
             }
-            _ => {}
+            _ => Some(d_x),
+        };
+        Ok((logits, d_logits, d_embedded))
+    }
+
+    /// Accumulates the token embedding's gradient from `d_embedded`, the
+    /// gradient at the embedding output of one sample: one add per token
+    /// occurrence into the table, in position order, and one per position.
+    /// A no-op for feature input or without a gradient.
+    pub(crate) fn embedding_backward(
+        &mut self,
+        input: &ModelInput,
+        d_embedded: Option<&Matrix>,
+    ) -> Result<()> {
+        match (input, &mut self.embedding, d_embedded) {
+            (ModelInput::Tokens(tokens), Some(embedding), Some(d)) => embedding.backward(tokens, d),
+            _ => Ok(()),
         }
-        Ok((logits, d_logits))
+    }
+
+    /// A worker replica for data-parallel training: the same values with
+    /// cleared gradients and no optimizer state. The master takes the
+    /// optimizer steps; [`TransformerModel::sync_replica`] then refreshes
+    /// the replica's values.
+    pub(crate) fn replica(&self) -> TransformerModel {
+        let mut replica = self.clone();
+        replica.visit_params_mut(&mut ParamPath::root(), &mut |_, p| p.make_replica());
+        replica
+    }
+
+    /// Copies every parameter value of this model into `replica`.
+    pub(crate) fn sync_replica(&self, replica: &mut TransformerModel) {
+        let mut masters = Vec::new();
+        self.visit_params(&mut ParamPath::root(), &mut |_, p| masters.push(p));
+        let mut masters = masters.into_iter();
+        replica.visit_params_mut(&mut ParamPath::root(), &mut |_, r| {
+            if let Some(p) = masters.next() {
+                r.copy_value_from(p);
+            }
+        });
+    }
+
+    /// Adds one sample's gradients, formed from zero on `replica` by
+    /// [`TransformerModel::backward_to_embedding`], into this model and
+    /// clears the replica's. Every parameter but the token table received
+    /// one add for the sample, so adding its replica gradient is the add
+    /// the serial loop makes; the table takes one add per token occurrence,
+    /// so its rows are replayed from `d_embedded` in position order.
+    pub(crate) fn absorb_sample(
+        &mut self,
+        replica: &mut TransformerModel,
+        input: &ModelInput,
+        d_embedded: Option<&Matrix>,
+    ) -> Result<()> {
+        if let (Some(dst), Some(src)) = (&mut self.patch_proj, &mut replica.patch_proj) {
+            zip_params_mut(dst, src, |d, s| d.absorb_grad(s));
+        }
+        for (dst, src) in self.blocks.iter_mut().zip(&mut replica.blocks) {
+            zip_params_mut(dst, src, |d, s| d.absorb_grad(s));
+        }
+        zip_params_mut(&mut self.final_norm, &mut replica.final_norm, |d, s| {
+            d.absorb_grad(s)
+        });
+        zip_params_mut(&mut self.head, &mut replica.head, |d, s| d.absorb_grad(s));
+        self.embedding_backward(input, d_embedded)
     }
 }
 

@@ -66,8 +66,12 @@ impl Default for AdamWConfig {
 pub struct Param {
     value: Matrix,
     grad: Matrix,
-    moment1: Matrix,
-    moment2: Matrix,
+    /// AdamW first/second moments, row-major like `value`; empty until the
+    /// first [`ParamVisit::step`] (a zero moment and an absent one step
+    /// identically), so models that are only evaluated, and the trainer's
+    /// worker replicas, never carry optimizer state.
+    moment1: Vec<f32>,
+    moment2: Vec<f32>,
     /// Number of AdamW steps applied (for bias correction).
     steps: u64,
 }
@@ -79,8 +83,8 @@ impl Param {
         Param {
             value,
             grad: Matrix::zeros(r, c),
-            moment1: Matrix::zeros(r, c),
-            moment2: Matrix::zeros(r, c),
+            moment1: Vec::new(),
+            moment2: Vec::new(),
             steps: 0,
         }
     }
@@ -121,6 +125,36 @@ impl Param {
         self.grad.map_inplace(|_| 0.0);
     }
 
+    /// Clears the gradient and drops the optimizer state, leaving what a
+    /// data-parallel worker replica needs to run forward/backward passes.
+    pub(crate) fn make_replica(&mut self) {
+        self.zero_grad();
+        self.moment1 = Vec::new();
+        self.moment2 = Vec::new();
+    }
+
+    /// Adds `worker`'s gradient into this one and clears `worker`'s. The
+    /// worker's gradient was formed from zero over one sample (`0 + g = g`),
+    /// so the add is the one the serial loop makes for that sample. (`0 + g`
+    /// loses only the sign of `g = -0.0`, which shows only when added to a
+    /// `-0.0`; a gradient cleared to `+0.0` and summed with round-to-nearest
+    /// never is one.)
+    pub(crate) fn absorb_grad(&mut self, worker: &mut Param) {
+        let dst = self.grad.as_mut_slice();
+        for (g, w) in dst.iter_mut().zip(worker.grad.as_mut_slice()) {
+            *g += *w;
+            *w = 0.0;
+        }
+    }
+
+    /// Copies `master`'s value into this one (a replica re-synced after an
+    /// optimizer step).
+    pub(crate) fn copy_value_from(&mut self, master: &Param) {
+        self.value
+            .as_mut_slice()
+            .copy_from_slice(master.value.as_slice());
+    }
+
     /// Applies one AdamW update using the accumulated gradient divided by
     /// `batch_size`.
     fn adamw_step(&mut self, config: &AdamWConfig, batch_size: usize) {
@@ -130,10 +164,12 @@ impl Param {
         let bias1 = 1.0 - config.beta1.powi(t);
         let bias2 = 1.0 - config.beta2.powi(t);
         let n = self.value.len();
+        self.moment1.resize(n, 0.0);
+        self.moment2.resize(n, 0.0);
         let value = self.value.as_mut_slice();
         let grad = self.grad.as_slice();
-        let m = self.moment1.as_mut_slice();
-        let v = self.moment2.as_mut_slice();
+        let m = &mut self.moment1;
+        let v = &mut self.moment2;
         for i in 0..n {
             let g = grad[i] * scale;
             m[i] = config.beta1 * m[i] + (1.0 - config.beta1) * g;
@@ -231,6 +267,26 @@ pub trait ParamVisit {
             p.adamw_step(config, batch_size)
         });
     }
+}
+
+/// Calls `f` on the parameters of two modules of one structure pairwise, in
+/// visitation order.
+pub(crate) fn zip_params_mut<A, B>(
+    dst: &mut A,
+    src: &mut B,
+    mut f: impl FnMut(&mut Param, &mut Param),
+) where
+    A: ParamVisit + ?Sized,
+    B: ParamVisit + ?Sized,
+{
+    let mut sources = Vec::new();
+    src.visit_params_mut(&mut ParamPath::root(), &mut |_, p| sources.push(p));
+    let mut sources = sources.into_iter();
+    dst.visit_params_mut(&mut ParamPath::root(), &mut |_, p| {
+        if let Some(s) = sources.next() {
+            f(p, s);
+        }
+    });
 }
 
 /// A snapshot of one [`ParamVisit`] walk: dotted name → parameter reference,

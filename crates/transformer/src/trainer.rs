@@ -5,6 +5,22 @@
 //! regression, and language-modeling tasks so both the dense pre-training of
 //! the tiny models and the post-SVD fine-tuning of the gradient
 //! redistribution pipeline reuse the same code.
+//!
+//! ## Data-parallel passes
+//!
+//! [`Trainer::train`] and [`Trainer::accumulate_gradients`] run the samples
+//! of a batch on the trainer's [`JobPool`], and every model, loss and
+//! gradient is bit-identical to the serial loop for every pool width. Each
+//! worker owns a replica of the model (values and gradients, no optimizer
+//! moments) for the whole call; it runs one sample's forward/backward pass
+//! with gradients formed from zero and, when the sample's turn comes
+//! ([`JobPool::map_fold_in_order`]), adds them into the master model and
+//! the sample's loss into the running total. Every parameter but the token
+//! table receives one gradient add per sample, so `G + (0 + g)` is the
+//! serial chain `G + g`; the table receives one add per token occurrence,
+//! so its rows are replayed in position order from the gradient at the
+//! embedding output. After each optimizer step the replicas copy the
+//! master's values.
 
 use crate::config::TaskKind;
 use crate::error::ModelError;
@@ -12,6 +28,7 @@ use crate::metrics::TaskMetrics;
 use crate::model::{ModelInput, TransformerModel};
 use crate::param::{AdamWConfig, ParamVisit};
 use crate::Result;
+use hyflex_parallel::JobPool;
 use hyflex_tensor::activations::softmax;
 use hyflex_tensor::stats;
 use hyflex_tensor::Matrix;
@@ -108,6 +125,23 @@ fn accumulate_sample(
     Ok(sample_loss)
 }
 
+/// One sample's pass on a worker replica: the loss, with every gradient but
+/// the token table's accumulated into `replica` from zero, and the gradient
+/// at the embedding output for the master to replay.
+fn replica_pass(
+    replica: &mut TransformerModel,
+    task: &TaskKind,
+    sample: &Sample,
+) -> Result<(f64, Option<Matrix>)> {
+    let mut sample_loss = 0.0f64;
+    let (_, _, d_embedded) = replica.backward_to_embedding(&sample.input, &mut |logits| {
+        let (loss, grad) = loss_and_grad(task, logits, &sample.target)?;
+        sample_loss = loss;
+        Ok(grad)
+    })?;
+    Ok((sample_loss, d_embedded))
+}
+
 /// Evaluation summary over a dataset split.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
@@ -124,14 +158,19 @@ pub struct Trainer {
     pub optimizer: AdamWConfig,
     /// Mini-batch size (gradients are averaged over the batch).
     pub batch_size: usize,
+    /// Workers for the samples of a batch (see the module docs); every
+    /// width gives the same bits.
+    pub pool: JobPool,
 }
 
 impl Trainer {
-    /// Creates a trainer with the given optimizer settings and batch size.
+    /// Creates a trainer with the given optimizer settings and batch size,
+    /// running on the machine's default parallelism.
     pub fn new(optimizer: AdamWConfig, batch_size: usize) -> Self {
         Trainer {
             optimizer,
             batch_size: batch_size.max(1),
+            pool: JobPool::with_default_parallelism(),
         }
     }
 
@@ -141,19 +180,7 @@ impl Trainer {
     ///
     /// Returns input/shape errors from the model.
     pub fn train_epoch(&self, model: &mut TransformerModel, samples: &[Sample]) -> Result<f64> {
-        if samples.is_empty() {
-            return Ok(0.0);
-        }
-        let task = model.config().task;
-        let mut total_loss = 0.0f64;
-        for batch in samples.chunks(self.batch_size) {
-            model.zero_grad();
-            for sample in batch {
-                total_loss += accumulate_sample(model, &task, sample)?;
-            }
-            model.step(&self.optimizer, batch.len());
-        }
-        Ok(total_loss / samples.len() as f64)
+        Ok(self.train(model, samples, 1)?.pop().unwrap_or(0.0))
     }
 
     /// Runs several epochs, returning the loss after each epoch.
@@ -167,9 +194,10 @@ impl Trainer {
         samples: &[Sample],
         epochs: usize,
     ) -> Result<Vec<f64>> {
+        let mut replicas = self.replicas(model, self.batch_size.min(samples.len()));
         let mut losses = Vec::with_capacity(epochs);
         for _ in 0..epochs {
-            losses.push(self.train_epoch(model, samples)?);
+            losses.push(self.epoch(model, &mut replicas, samples)?);
         }
         Ok(losses)
     }
@@ -202,12 +230,85 @@ impl Trainer {
         if samples.is_empty() {
             return Ok(0.0);
         }
-        let task = model.config().task;
+        let mut replicas = self.replicas(model, samples.len());
         let mut total_loss = 0.0f64;
-        for sample in samples {
-            total_loss += accumulate_sample(model, &task, sample)?;
+        self.accumulate(model, &mut replicas, samples, &mut total_loss)?;
+        Ok(total_loss / samples.len() as f64)
+    }
+
+    /// One worker replica per worker a pass over `batch` samples runs on;
+    /// none when it runs serially on the master.
+    fn replicas(&self, model: &TransformerModel, batch: usize) -> Vec<TransformerModel> {
+        match self.pool.workers_for(batch) {
+            1 => Vec::new(),
+            workers => (0..workers).map(|_| model.replica()).collect(),
+        }
+    }
+
+    /// One epoch over `samples`, batch by batch, re-syncing the replicas
+    /// after every optimizer step.
+    fn epoch(
+        &self,
+        model: &mut TransformerModel,
+        replicas: &mut [TransformerModel],
+        samples: &[Sample],
+    ) -> Result<f64> {
+        if samples.is_empty() {
+            return Ok(0.0);
+        }
+        let mut total_loss = 0.0f64;
+        for batch in samples.chunks(self.batch_size) {
+            model.zero_grad();
+            self.accumulate(model, replicas, batch, &mut total_loss)?;
+            model.step(&self.optimizer, batch.len());
+            for replica in replicas.iter_mut() {
+                model.sync_replica(replica);
+            }
         }
         Ok(total_loss / samples.len() as f64)
+    }
+
+    /// Accumulates the gradients of `batch` into `model` and adds each
+    /// sample's loss to `total_loss`, in sample order: serially on the
+    /// master without replicas, otherwise on the pool.
+    fn accumulate(
+        &self,
+        model: &mut TransformerModel,
+        replicas: &mut [TransformerModel],
+        batch: &[Sample],
+        total_loss: &mut f64,
+    ) -> Result<()> {
+        let task = model.config().task;
+        if replicas.is_empty() {
+            for sample in batch {
+                *total_loss += accumulate_sample(model, &task, sample)?;
+            }
+            return Ok(());
+        }
+        let mut failure = None;
+        self.pool.map_fold_in_order(
+            batch,
+            replicas,
+            |replica, sample| replica_pass(replica, &task, sample),
+            |replica, sample, pass| {
+                if failure.is_some() {
+                    // Past the first failure the serial loop has stopped:
+                    // drop the sample's gradients instead of adding them.
+                    replica.zero_grad();
+                    return;
+                }
+                let folded = pass.and_then(|(loss, d_embedded)| {
+                    model.absorb_sample(replica, &sample.input, d_embedded.as_ref())?;
+                    *total_loss += loss;
+                    Ok(())
+                });
+                if let Err(e) = folded {
+                    replica.zero_grad();
+                    failure = Some(e);
+                }
+            },
+        );
+        failure.map_or(Ok(()), Err)
     }
 }
 
@@ -264,6 +365,8 @@ pub fn evaluate_model(model: &TransformerModel, samples: &[Sample]) -> Result<Ev
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::factored::FactoredLinear;
+    use crate::layers::AnyLinear;
     use hyflex_tensor::rng::Rng;
 
     fn classification_dataset(rng: &mut Rng, n: usize) -> Vec<Sample> {
@@ -391,6 +494,128 @@ mod tests {
         let trainer = Trainer::default();
         assert!(trainer.evaluate(&model, &bad).is_err());
         assert!(trainer.train_epoch(&mut model, &[]).unwrap() == 0.0);
+    }
+
+    /// Trains `model` for 2 epochs and then accumulates gradients on top of
+    /// the last batch's, on a pool of `width`; returns the model and every
+    /// loss.
+    fn pooled_run(
+        model: &TransformerModel,
+        samples: &[Sample],
+        width: usize,
+    ) -> (TransformerModel, Vec<f64>) {
+        let trainer = Trainer {
+            pool: JobPool::new(width),
+            ..Trainer::new(
+                AdamWConfig {
+                    learning_rate: 3e-3,
+                    ..AdamWConfig::default()
+                },
+                4,
+            )
+        };
+        let mut model = model.clone();
+        let mut losses = trainer.train(&mut model, samples, 2).unwrap();
+        losses.push(trainer.accumulate_gradients(&mut model, samples).unwrap());
+        (model, losses)
+    }
+
+    /// Every parameter (value, gradient, both moments, step count) and every
+    /// loss is bit-identical across pool widths; width 1 is the serial loop
+    /// on the master model.
+    fn assert_pooled_training_is_exact(name: &str, model: &TransformerModel, samples: &[Sample]) {
+        let (serial, serial_losses) = pooled_run(model, samples, 1);
+        for width in [2, 3, 4] {
+            let (pooled, losses) = pooled_run(model, samples, width);
+            let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&losses),
+                bits(&serial_losses),
+                "{name}: losses, width {width}"
+            );
+            for ((label, p), (_, q)) in serial.params().iter().zip(pooled.params().iter()) {
+                assert!(p == q, "{name}: {label} differs at width {width}");
+            }
+        }
+    }
+
+    #[test]
+    fn pooled_training_is_exact_with_repeated_tokens() {
+        // Every sample repeats tokens, so the table gradient depends on the
+        // in-order row replay.
+        let mut rng = Rng::seed_from(21);
+        let model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
+        let samples: Vec<Sample> = (0..13)
+            .map(|i| {
+                let tokens: Vec<usize> = (0..10).map(|_| 1 + rng.below(5)).collect();
+                Sample {
+                    input: ModelInput::Tokens(tokens),
+                    target: Target::Class(i % 2),
+                }
+            })
+            .collect();
+        assert_pooled_training_is_exact("repeated tokens", &model, &samples);
+    }
+
+    #[test]
+    fn pooled_training_is_exact_on_a_factored_model() {
+        let mut rng = Rng::seed_from(22);
+        let mut model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
+        for (_, layer) in model.named_linears_mut() {
+            if let AnyLinear::Dense(dense) = &*layer {
+                let factored = FactoredLinear::from_weight_hard_threshold(dense.weight()).unwrap();
+                *layer = AnyLinear::Factored(factored);
+            }
+        }
+        let samples = classification_dataset(&mut rng, 13);
+        assert_pooled_training_is_exact("factored", &model, &samples);
+    }
+
+    #[test]
+    fn pooled_training_is_exact_on_tiny_decoder() {
+        let mut rng = Rng::seed_from(23);
+        let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
+        let samples: Vec<Sample> = (0..13)
+            .map(|_| {
+                let tokens: Vec<usize> = (0..9).map(|_| rng.below(64)).collect();
+                let next = tokens[1..].iter().copied().chain([rng.below(64)]).collect();
+                Sample {
+                    input: ModelInput::Tokens(tokens),
+                    target: Target::NextTokens(next),
+                }
+            })
+            .collect();
+        assert_pooled_training_is_exact("tiny_decoder", &model, &samples);
+    }
+
+    #[test]
+    fn pooled_training_is_exact_on_tiny_vit() {
+        let mut rng = Rng::seed_from(24);
+        let model = TransformerModel::new(ModelConfig::tiny_vit(10), &mut rng).unwrap();
+        let samples: Vec<Sample> = (0..13)
+            .map(|_| Sample {
+                input: ModelInput::Features(Matrix::random_normal(9, 24, 0.0, 1.0, &mut rng)),
+                target: Target::Class(rng.below(10)),
+            })
+            .collect();
+        assert_pooled_training_is_exact("tiny_vit", &model, &samples);
+    }
+
+    #[test]
+    fn pooled_training_reports_the_first_failing_sample() {
+        let mut rng = Rng::seed_from(25);
+        let model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
+        let mut samples = classification_dataset(&mut rng, 9);
+        samples[5].target = Target::Class(7);
+        samples[7].input = ModelInput::Tokens(vec![1000]);
+        for width in [1, 2, 3] {
+            let trainer = Trainer {
+                pool: JobPool::new(width),
+                ..Trainer::default()
+            };
+            let err = trainer.train(&mut model.clone(), &samples, 1).unwrap_err();
+            assert!(err.to_string().contains("label 7"), "width {width}: {err}");
+        }
     }
 
     #[test]
