@@ -1,15 +1,14 @@
 //! Autoregressive decode serving: KV cache on the SLC/MLC hybrid fabric
 //! with continuous batching.
 //!
-//! The encoder-pass serving engine ([`crate::overload`], with the
-//! [`crate::cluster`] front-end running the closed-loop workload that
-//! [`crate::serving`] describes) prices a request as **one** batched pass —
-//! the encoder/prefill regime of the paper's figures. Generative serving is different: after its prompt is
-//! prefetched, a request produces output tokens one *iteration* at a time,
-//! and every iteration attends over the request's cached K/V. On HyFlexPIM
-//! that cache competes for the same RRAM real estate the weights live in,
-//! and the SLC/MLC trade that Section 4 exploits for weights reappears for
-//! the cache:
+//! The encoder-pass serving engine ([`crate::overload`], which also runs
+//! the closed-loop workloads) prices a request as **one** batched pass —
+//! the encoder/prefill regime of the paper's figures. Generative serving is
+//! different: after its prompt is prefetched, a request produces output
+//! tokens one *iteration* at a time, and every iteration attends over the
+//! request's cached K/V. On HyFlexPIM that cache competes for the same
+//! RRAM real estate the weights live in, and the SLC/MLC trade that
+//! Section 4 exploits for weights reappears for the cache:
 //!
 //! * **SLC** takes one programming pulse per append (fast, cheap writes) but
 //!   spends 8 cells per INT8 value — half the token capacity.
@@ -41,22 +40,25 @@
 //! pool), and when optimistic admission overcommits the pool (every
 //! admitted request grows by one token per iteration) the engine evicts the
 //! least-progressed resident. Every offered request ends in exactly one of
-//! four ways — shed before prefill, rejected by the queue-depth gate,
+//! four ways — shed before prefill, rejected by the admission gate,
 //! evicted mid-decode, or completed — so the report's counters satisfy
 //! `offered = admitted + shed + rejected` and `admitted = completed +
-//! evicted`. Every run checks both identities before it reports, returning
-//! [`RuntimeError::Internal`] on a mismatch, and `tests/decode_property.rs`
+//! evicted`. Arrivals pass the encoder engine's intake (arrival ledger,
+//! [`AdmissionPolicy`] gate, conservation check), which records a shed
+//! prompt as admitted and shed at once and an eviction as a preemption, so
+//! every run checks the engine's two identities before it reports
+//! ([`RuntimeError::Internal`] on a mismatch); `tests/decode_property.rs`
 //! pins them under randomized traffic.
 //!
 //! The trace streams in, and request latency and time-per-output-token
-//! accumulate into the same log-linear histogram as the encoder engine's
-//! (see [`LatencySummary`]), so memory is bounded in token count. It is
-//! bounded in request count only with the queue-depth gate
+//! accumulate into the engine's log-linear histogram (see
+//! [`LatencySummary`]), so memory is bounded in token count. It is bounded
+//! in request count only with the queue-depth gate
 //! ([`DecodeConfig::admission`]): without it, an overloaded trace grows the
 //! waiting queue with the number of requests.
 
-use crate::error::RuntimeError;
-use crate::overload::{conserve, AdmissionPolicy, LatencyHistogram};
+use crate::error::{invalid_if, RuntimeError};
+use crate::intake::{AdmissionPolicy, Intake, LatencyHistogram};
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
 use crate::Result;
@@ -134,8 +136,8 @@ pub struct DecodeConfig {
     /// every request whose prompt fits the pool.
     /// [`AdmissionPolicy::QueueDepth`] rejects an arrival while
     /// `max_outstanding` or more requests are outstanding (waiting plus
-    /// resident), which bounds the waiting queue. The token bucket is not
-    /// supported here.
+    /// resident), which bounds the waiting queue;
+    /// [`AdmissionPolicy::TokenBucket`] caps the admitted rate.
     pub admission: AdmissionPolicy,
 }
 
@@ -167,7 +169,7 @@ pub struct DecodeReport {
     pub completed: usize,
     /// Requests dropped before prefill (prompt KV exceeds the whole pool).
     pub shed: usize,
-    /// Requests the queue-depth gate turned away at arrival.
+    /// Requests the admission gate turned away at arrival.
     pub rejected: usize,
     /// Most requests waiting (admitted, not yet resident) at once.
     pub peak_waiting: usize,
@@ -175,7 +177,8 @@ pub struct DecodeReport {
     pub evicted: usize,
     /// Output tokens decoded across the run (completed and evicted work).
     pub decoded_tokens: usize,
-    /// Wall-clock span from first arrival to last completion, seconds.
+    /// Span from the first arrival to the last completion (or the last
+    /// arrival if later), seconds.
     pub sim_seconds: f64,
     /// Completed requests per simulated second.
     pub goodput_rps: f64,
@@ -273,51 +276,30 @@ impl DecodeSim {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidConfig`] for a zero output length,
-    /// batch width, KV pool, hybrid hot window or queue-depth limit, or a
-    /// token-bucket gate, and propagates KV cost-model errors.
+    /// batch width, KV pool or hybrid hot window, or a degenerate admission
+    /// policy, and propagates KV cost-model errors.
     pub fn new(
         backend: Arc<dyn Backend>,
         trace: RequestTrace,
         config: DecodeConfig,
     ) -> Result<Self> {
-        if config.output_tokens == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "output_tokens must be at least 1".to_string(),
-            ));
-        }
-        if config.max_batch_size == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "max_batch_size must be at least 1".to_string(),
-            ));
-        }
-        if config.kv_pus == 0 {
-            return Err(RuntimeError::InvalidConfig(
-                "kv_pus must be at least 1".to_string(),
-            ));
-        }
-        if let KvPlacementPolicy::Hybrid { hot_window } = config.placement {
-            if hot_window == 0 {
-                return Err(RuntimeError::InvalidConfig(
-                    "hybrid hot_window must be at least 1".to_string(),
-                ));
-            }
-        }
-        match config.admission {
-            AdmissionPolicy::Unbounded => {}
-            AdmissionPolicy::QueueDepth { max_outstanding } => {
-                if max_outstanding == 0 {
-                    return Err(RuntimeError::InvalidConfig(
-                        "queue-depth gate needs max_outstanding >= 1".to_string(),
-                    ));
-                }
-            }
-            AdmissionPolicy::TokenBucket { .. } => {
-                return Err(RuntimeError::InvalidConfig(
-                    "decode serving supports the queue-depth gate, not the token bucket"
-                        .to_string(),
-                ));
-            }
-        }
+        invalid_if(config.output_tokens == 0, || {
+            "output_tokens must be at least 1".to_string()
+        })?;
+        invalid_if(config.max_batch_size == 0, || {
+            "max_batch_size must be at least 1".to_string()
+        })?;
+        invalid_if(config.kv_pus == 0, || {
+            "kv_pus must be at least 1".to_string()
+        })?;
+        invalid_if(
+            matches!(
+                config.placement,
+                KvPlacementPolicy::Hybrid { hot_window: 0 }
+            ),
+            || "hybrid hot_window must be at least 1".to_string(),
+        )?;
+        config.admission.validate()?;
         // The KV cost model shares the perf model's calibrated energy table.
         let perf = PerformanceModel::paper_default();
         let kv = kv_token_cost(backend.model(), perf.hw(), perf.energy_model())?;
@@ -347,24 +329,16 @@ impl DecodeSim {
     /// request conservation.
     pub fn run(&self) -> Result<DecodeReport> {
         let mut arrivals = self.trace.stream().peekable();
-        let mut offered = 0usize;
+        let mut intake = Intake::new(self.config.admission, &self.trace);
         let mut waiting: VecDeque<InferenceRequest> = VecDeque::new();
         let mut residents: Vec<Resident> = Vec::new();
         let mut now_ns = 0.0f64;
-        let mut admitted = 0usize;
-        let mut completed = 0usize;
-        let mut shed = 0usize;
-        let mut rejected = 0usize;
         let mut peak_waiting = 0usize;
-        let mut evicted = 0usize;
         let mut decoded_tokens = 0usize;
         let mut writes = KvWrites::default();
         let mut compute_pj = 0.0f64;
         let mut peak_kv_cells = 0usize;
         let mut tpot = LatencyHistogram::default();
-        let mut request_latency = LatencyHistogram::default();
-        let mut first_arrival_ns = f64::NAN;
-        let mut last_completion_ns = 0.0f64;
         // One append lands where the placement puts a one-token sequence.
         let (append_slc, append_mlc) = self.config.placement.split(1);
         let append_cells = self.cells(1);
@@ -380,22 +354,22 @@ impl DecodeSim {
                     now_ns = now_ns.max(next.arrival_ns);
                 }
             }
-            // Feed arrivals at or before the current token boundary; a
-            // prompt that could never fit the empty pool is shed outright.
+            // Feed arrivals at or before the current token boundary. A
+            // prompt that could never fit the empty pool is admitted and
+            // shed at once; the others then face the admission gate.
             while let Some(request) = arrivals.next_if(|r| r.arrival_ns <= now_ns) {
-                offered += 1;
-                if first_arrival_ns.is_nan() {
-                    first_arrival_ns = request.arrival_ns;
-                }
+                intake.on_offered(&request)?;
                 if self.cells(request.seq_len + self.config.output_tokens) > self.capacity_cells {
-                    shed += 1;
+                    let phase = intake.phase(&request);
+                    phase.admitted += 1;
+                    phase.shed += 1;
                     continue;
                 }
-                if let AdmissionPolicy::QueueDepth { max_outstanding } = self.config.admission {
-                    if waiting.len() + residents.len() >= max_outstanding {
-                        rejected += 1;
-                        continue;
-                    }
+                if !intake.take_token(request.arrival_ns)
+                    || intake.queue_full(|| waiting.len() + residents.len())
+                {
+                    intake.phase(&request).rejected += 1;
+                    continue;
                 }
                 let cells = self.backend.request_cells(request.seq_len);
                 if cells > tile_cells {
@@ -404,7 +378,7 @@ impl DecodeSim {
                         request.id
                     )));
                 }
-                admitted += 1;
+                intake.phase(&request).admitted += 1;
                 waiting.push_back(request);
             }
             peak_waiting = peak_waiting.max(waiting.len());
@@ -452,7 +426,7 @@ impl DecodeSim {
                 };
                 let gone = residents.remove(victim);
                 projected -= gone.cells(&self.kv) + append_cells;
-                evicted += 1;
+                intake.phase(&gone.request).preempted += 1;
             }
             // One decode iteration for the whole batch, priced at the
             // longest resident context (the executed shape). The max is
@@ -489,9 +463,7 @@ impl DecodeSim {
             // Leave at the token boundary.
             residents.retain(|resident| {
                 if resident.decoded >= self.config.output_tokens {
-                    completed += 1;
-                    request_latency.record(now_ns - resident.request.arrival_ns);
-                    last_completion_ns = last_completion_ns.max(now_ns);
+                    intake.on_completed(&resident.request, now_ns);
                     false
                 } else {
                     true
@@ -499,21 +471,11 @@ impl DecodeSim {
             });
         }
 
-        let sim_seconds = if first_arrival_ns.is_nan() {
-            0.0
-        } else {
-            ((last_completion_ns - first_arrival_ns) * 1e-9).max(0.0)
-        };
-        conserve(
-            "offered = admitted + shed + rejected",
-            offered,
-            &[admitted, shed, rejected],
-        )?;
-        conserve(
-            "admitted = completed + evicted",
-            admitted,
-            &[completed, evicted],
-        )?;
+        intake.check()?;
+        // The intake's `shed` are the never-fits prompts it counted as
+        // admitted, and its `preempted` are the evictions.
+        let shed = intake.total(|p| p.shed);
+        let completed = intake.total(|p| p.completed);
         // The histogram's mean is exact: it is the mean TPOT.
         let mut tpot = tpot.summary();
         tpot.tpot_ms = (decoded_tokens > 0).then_some(tpot.mean_ms);
@@ -523,27 +485,19 @@ impl DecodeSim {
         Ok(DecodeReport {
             backend: self.backend.name().to_string(),
             placement: self.config.placement.label(),
-            offered,
-            admitted,
+            offered: intake.total(|p| p.offered),
+            admitted: intake.total(|p| p.admitted) - shed,
             completed,
             shed,
-            rejected,
+            rejected: intake.total(|p| p.rejected),
             peak_waiting,
-            evicted,
+            evicted: intake.total(|p| p.preempted),
             decoded_tokens,
-            sim_seconds,
-            goodput_rps: if sim_seconds > 0.0 {
-                completed as f64 / sim_seconds
-            } else {
-                0.0
-            },
-            tokens_per_s: if sim_seconds > 0.0 {
-                decoded_tokens as f64 / sim_seconds
-            } else {
-                0.0
-            },
+            sim_seconds: intake.sim_seconds(),
+            goodput_rps: intake.per_second(completed),
+            tokens_per_s: intake.per_second(decoded_tokens),
             tpot,
-            request_latency: request_latency.summary(),
+            request_latency: intake.hist.summary(),
             total_energy_pj,
             kv_write_pj,
             energy_per_token_pj: if decoded_tokens > 0 {
@@ -664,11 +618,53 @@ mod tests {
         }));
         assert!(bad(DecodeConfig {
             admission: AdmissionPolicy::TokenBucket {
-                rate_qps: 100.0,
-                burst: 4.0,
+                rate_qps: 0.0,
+                burst: 10.0,
             },
             ..DecodeConfig::default()
         }));
+        assert!(bad(DecodeConfig {
+            admission: AdmissionPolicy::TokenBucket {
+                rate_qps: 100.0,
+                burst: 0.5,
+            },
+            ..DecodeConfig::default()
+        }));
+    }
+
+    #[test]
+    fn token_bucket_caps_the_admitted_rate() {
+        // 20 000 qps offered against a 2 000 qps bucket: the bucket, not
+        // the KV pool, decides who gets in.
+        let (rate_qps, burst) = (2_000.0, 8.0);
+        let report = DecodeSim::new(
+            backend(),
+            trace(20_000.0, 600, 128),
+            DecodeConfig {
+                output_tokens: 32,
+                kv_pus: 4,
+                admission: AdmissionPolicy::TokenBucket { rate_qps, burst },
+                ..DecodeConfig::default()
+            },
+        )
+        .unwrap()
+        .run()
+        .unwrap();
+        assert!(report.rejected > 0);
+        // Admissions track the bucket's rate over the run, give or take
+        // the burst.
+        let expected = rate_qps * report.sim_seconds;
+        assert!(
+            (report.admitted as f64 - expected).abs() <= burst,
+            "{} admitted over {} s, expected about {expected}",
+            report.admitted,
+            report.sim_seconds
+        );
+        assert_eq!(
+            report.offered,
+            report.admitted + report.shed + report.rejected
+        );
+        assert_eq!(report.admitted, report.completed + report.evicted);
     }
 
     #[test]

@@ -45,6 +45,19 @@ impl Error for RuntimeError {
     }
 }
 
+/// [`RuntimeError::InvalidConfig`] with the message when `invalid` holds,
+/// else `Ok(())`: the one shape of the simulators' constructor checks.
+pub(crate) fn invalid_if(
+    invalid: bool,
+    message: impl FnOnce() -> String,
+) -> Result<(), RuntimeError> {
+    if invalid {
+        Err(RuntimeError::InvalidConfig(message()))
+    } else {
+        Ok(())
+    }
+}
+
 impl From<hyflex_pim::PimError> for RuntimeError {
     fn from(e: hyflex_pim::PimError) -> Self {
         RuntimeError::Pim(e)

@@ -51,7 +51,8 @@
 //! * [`decode`] — [`DecodeSim`]: autoregressive decode serving with
 //!   continuous batching and the KV cache on the SLC/MLC fabric. It runs
 //!   its own token-iteration loop, but streams its trace and shares the
-//!   engine's latency histogram and conservation checks
+//!   whole intake with [`OverloadSim`]: arrival ledger, [`AdmissionPolicy`]
+//!   gate, latency histogram and conservation checks
 //!   (`fig22_decode_serving`).
 //!
 //! The whole execution layer is **backend-generic**: the scheduler and the
@@ -66,6 +67,7 @@ pub mod batch;
 pub mod cluster;
 pub mod decode;
 pub mod error;
+mod intake;
 pub mod overload;
 pub mod policy;
 pub mod serving;

@@ -37,17 +37,19 @@
 //! carries its own locked [`PriceMemo`](hyflex_pim::backend::PriceMemo),
 //! which here sees only the engine memo's misses.
 //!
-//! Latencies accumulate into a log-linear histogram (≤ 1.6 % relative
-//! error), so p99.9 is available at 10⁶–10⁷ requests in O(1) memory. The
-//! report carries goodput under SLO, shed/preempt/reject counts, and
-//! per-phase (burst vs. trough) breakdowns keyed by the arrival phase the
-//! traffic generator tagged each request with. Every run ends by checking
-//! `offered = admitted + rejected` and `admitted = completed + shed +
-//! preempted` per phase; a mismatch is returned as
-//! [`RuntimeError::Internal`], in release builds too.
+//! Arrivals pass the intake [`DecodeSim`](crate::decode::DecodeSim) also
+//! uses, which checks `offered = admitted + rejected` and `admitted =
+//! completed + shed + preempted` per phase after every run, in release
+//! builds too. Latencies accumulate into a log-linear histogram, so p99.9
+//! is available at 10⁶–10⁷ requests in O(1) memory. The report carries
+//! goodput under SLO, shed/preempt/reject counts, and per-phase (burst vs.
+//! trough) breakdowns keyed by the arrival phase the traffic generator
+//! tagged each request with.
 
 use crate::batch::{Batch, BatchScheduler, SchedulerConfig};
-use crate::error::RuntimeError;
+use crate::error::{invalid_if, RuntimeError};
+use crate::intake::Intake;
+pub use crate::intake::{AdmissionPolicy, PhaseReport};
 use crate::policy::order_key;
 use crate::serving::LatencySummary;
 use crate::traffic::RequestTrace;
@@ -116,44 +118,6 @@ pub struct BatchTrace {
     pub makespan_ns: f64,
     /// The formed batch (requests, padded shape, cells used).
     pub batch: Batch,
-}
-
-/// Gate deciding at arrival time whether a request enters the system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdmissionPolicy {
-    /// Admit everything (the closed-loop behavior; queues are unbounded).
-    Unbounded,
-    /// Token bucket: the bucket refills continuously at `rate_qps` tokens
-    /// per second up to `burst`; a request is admitted iff a whole token
-    /// is available, consuming it. Caps the *sustained* admitted rate at
-    /// `rate_qps` while letting bursts of up to `burst` requests through.
-    TokenBucket {
-        /// Sustained admitted rate, requests per second.
-        rate_qps: f64,
-        /// Bucket capacity, requests.
-        burst: f64,
-    },
-    /// Per-replica queue-depth gate: a request routed to a replica with
-    /// `max_outstanding` or more outstanding requests (queued plus
-    /// in-flight) is rejected — unless preemption is enabled and the
-    /// newcomer is more urgent than a queued request. Bounds queue memory
-    /// and queue-wait regardless of how far offered load exceeds service
-    /// capacity.
-    QueueDepth {
-        /// Maximum outstanding requests per replica.
-        max_outstanding: usize,
-    },
-}
-
-impl AdmissionPolicy {
-    /// Stable display name (for table rows).
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdmissionPolicy::Unbounded => "unbounded",
-            AdmissionPolicy::TokenBucket { .. } => "token-bucket",
-            AdmissionPolicy::QueueDepth { .. } => "queue-depth",
-        }
-    }
 }
 
 /// Reactive autoscaling policy over the fleet.
@@ -253,35 +217,6 @@ impl OverloadConfig {
     }
 }
 
-/// Per-phase (burst/trough/curve-segment) slice of the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseReport {
-    /// Phase label from the traffic generator.
-    pub label: String,
-    /// Requests that arrived in this phase.
-    pub offered: usize,
-    /// ... of which admitted.
-    pub admitted: usize,
-    /// ... of which completed.
-    pub completed: usize,
-    /// ... rejected at admission.
-    pub rejected: usize,
-    /// ... shed after admission.
-    pub shed: usize,
-    /// ... preempted after admission.
-    pub preempted: usize,
-    /// Deadline-carrying arrivals of this phase that met their deadline,
-    /// over all deadline-carrying arrivals (rejected/shed/preempted ones
-    /// count as misses); 1.0 when the phase carried no SLOs.
-    pub slo_attainment: f64,
-    /// 99th-percentile completion latency of the phase, ms (0 when the
-    /// phase completed nothing). Histogram-quantized (≤ 1.6 % error).
-    pub p99_ms: f64,
-    /// 99.9th-percentile completion latency of the phase, ms; `None` below
-    /// 1000 completions (see [`LatencySummary`]).
-    pub p999_ms: Option<f64>,
-}
-
 /// Outcome of one open-loop overload run.
 ///
 /// Counts satisfy `offered = admitted + rejected` and
@@ -340,241 +275,15 @@ pub struct OverloadReport {
     pub peak_active_replicas: usize,
 }
 
-/// Log-linear latency histogram: exact counts below 64 ns, then 64
-/// sub-buckets per power-of-two octave, giving nearest-rank quantiles with
-/// ≤ 1/64 ≈ 1.6 % relative error in O(1) memory. It is the one percentile
-/// path of every serving simulator, so no run holds a latency per request.
-/// Mean and max are tracked exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LatencyHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum_ns: f64,
-    max_ns: f64,
-}
-
-/// Values below this are binned exactly (1 ns buckets).
-const LINEAR_BUCKETS: usize = 64;
-/// Sub-buckets per octave above the linear range.
-const SUB_BUCKETS: usize = 64;
-/// Octaves 2⁶..2⁶³ after the linear range.
-const NUM_BUCKETS: usize = LINEAR_BUCKETS + (64 - 6) * SUB_BUCKETS;
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        LatencyHistogram {
-            counts: vec![0; NUM_BUCKETS],
-            total: 0,
-            sum_ns: 0.0,
-            max_ns: 0.0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    fn bucket_index(value_ns: f64) -> usize {
-        let v = if value_ns.is_finite() && value_ns > 0.0 {
-            value_ns as u64
-        } else {
-            0
-        };
-        if v < LINEAR_BUCKETS as u64 {
-            v as usize
-        } else {
-            let exponent = 63 - v.leading_zeros() as usize; // >= 6
-            let mantissa = ((v >> (exponent - 6)) & 63) as usize;
-            LINEAR_BUCKETS + (exponent - 6) * SUB_BUCKETS + mantissa
-        }
-    }
-
-    /// Midpoint of a bucket's value range (the reported quantile value).
-    fn bucket_mid_ns(index: usize) -> f64 {
-        if index < LINEAR_BUCKETS {
-            index as f64 + 0.5
-        } else {
-            let exponent = 6 + (index - LINEAR_BUCKETS) / SUB_BUCKETS;
-            let mantissa = ((index - LINEAR_BUCKETS) % SUB_BUCKETS) as f64;
-            let base = (exponent as f64).exp2();
-            let width = base / SUB_BUCKETS as f64;
-            base + mantissa * width + width / 2.0
-        }
-    }
-
-    pub(crate) fn record(&mut self, value_ns: f64) {
-        self.counts[Self::bucket_index(value_ns)] += 1;
-        self.total += 1;
-        self.sum_ns += value_ns.max(0.0);
-        self.max_ns = self.max_ns.max(value_ns);
-    }
-
-    /// Nearest-rank quantile (bucket midpoint), ns; `None` on an empty
-    /// histogram.
-    pub(crate) fn quantile_ns(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
-        let mut seen = 0u64;
-        for (index, &count) in self.counts.iter().enumerate() {
-            seen += count;
-            if seen >= rank {
-                return Some(Self::bucket_mid_ns(index));
-            }
-        }
-        Some(self.max_ns)
-    }
-
-    /// Summary with the p99.9 small-sample rule (`None` below 1000
-    /// samples); percentiles are bucket midpoints, mean/max exact.
-    pub(crate) fn summary(&self) -> LatencySummary {
-        if self.total == 0 {
-            return LatencySummary::default();
-        }
-        LatencySummary {
-            p50_ms: self.quantile_ns(0.50).unwrap_or(0.0) / 1e6,
-            p95_ms: self.quantile_ns(0.95).unwrap_or(0.0) / 1e6,
-            p99_ms: self.quantile_ns(0.99).unwrap_or(0.0) / 1e6,
-            p999_ms: (self.total >= 1000).then(|| self.quantile_ns(0.999).unwrap_or(0.0) / 1e6),
-            mean_ms: self.sum_ns / self.total as f64 / 1e6,
-            max_ms: self.max_ns / 1e6,
-            tpot_ms: None,
-        }
-    }
-}
-
-/// Checks one conservation identity `total = Σ parts` at the end of a run.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Internal`] naming the identity on a mismatch: a
-/// request was lost or counted twice, which is an engine bug.
-pub(crate) fn conserve(identity: &str, total: usize, parts: &[usize]) -> Result<()> {
-    let sum: usize = parts.iter().sum();
-    if total == sum {
-        Ok(())
-    } else {
-        Err(RuntimeError::Internal(format!(
-            "conservation violated: {identity} ({total} != {sum})"
-        )))
-    }
-}
-
-/// One arrival phase's slice of the [`Ledger`]: how its requests ended.
-#[derive(Debug, Clone, Default)]
-struct PhaseLedger {
-    offered: usize,
-    admitted: usize,
-    rejected: usize,
-    shed: usize,
-    preempted: usize,
-    completed: usize,
-    /// Deadline-carrying arrivals; of those, the ones that completed (met
-    /// or missed), and the ones that met their deadline.
-    slo_tracked: usize,
-    slo_completed: usize,
-    slo_met: usize,
-    hist: LatencyHistogram,
-}
-
-impl PhaseLedger {
-    fn report(&self, label: String) -> PhaseReport {
-        let latency = self.hist.summary();
-        PhaseReport {
-            label,
-            offered: self.offered,
-            admitted: self.admitted,
-            completed: self.completed,
-            rejected: self.rejected,
-            shed: self.shed,
-            preempted: self.preempted,
-            slo_attainment: if self.slo_tracked > 0 {
-                self.slo_met as f64 / self.slo_tracked as f64
-            } else {
-                1.0
-            },
-            p99_ms: latency.p99_ms,
-            p999_ms: latency.p999_ms,
-        }
-    }
-}
-
-/// The run's accounting: every request's fate per arrival phase (run-wide
-/// counts are sums over the phases), the run-wide latency histogram, and
-/// the autoscaler log. The report is read off the ledger.
-#[derive(Debug, Clone, Default)]
+/// The run's accounting: the shared [`Intake`] (every request's fate, the
+/// latency histogram, the span) plus what only the fleet has — batches,
+/// queue wait and the autoscaler log. The report is read off the ledger.
 struct Ledger {
-    phases: Vec<PhaseLedger>,
-    hist: LatencyHistogram,
+    intake: Intake,
     batches: usize,
     queue_ns_sum: f64,
-    first_arrival_ns: f64,
-    last_arrival_ns: f64,
-    last_completion_ns: f64,
     autoscale_events: Vec<AutoscaleEvent>,
     peak_active: usize,
-}
-
-impl Ledger {
-    fn phase(&mut self, request: &InferenceRequest) -> &mut PhaseLedger {
-        let index = (request.phase as usize).min(self.phases.len() - 1);
-        &mut self.phases[index]
-    }
-
-    /// A run-wide count: one phase counter summed over the phases.
-    fn total(&self, count: fn(&PhaseLedger) -> usize) -> usize {
-        self.phases.iter().map(count).sum()
-    }
-
-    /// Counts an offered request, rejecting a NaN arrival time or a step
-    /// back in time.
-    fn on_offered(&mut self, request: &InferenceRequest) -> Result<()> {
-        let now = request.arrival_ns;
-        if now.is_nan() || now < self.last_arrival_ns {
-            return Err(RuntimeError::InvalidConfig(
-                "arrivals must be sorted by non-decreasing arrival_ns".to_string(),
-            ));
-        }
-        if self.first_arrival_ns.is_nan() {
-            self.first_arrival_ns = now;
-        }
-        self.last_arrival_ns = now;
-        let phase = self.phase(request);
-        phase.offered += 1;
-        phase.slo_tracked += usize::from(request.has_deadline());
-        Ok(())
-    }
-
-    fn on_completed(&mut self, request: &InferenceRequest, launch_ns: f64, completion_ns: f64) {
-        let latency = completion_ns - request.arrival_ns;
-        self.queue_ns_sum += launch_ns - request.arrival_ns;
-        self.last_completion_ns = self.last_completion_ns.max(completion_ns);
-        self.hist.record(latency);
-        let phase = self.phase(request);
-        phase.completed += 1;
-        phase.hist.record(latency);
-        if request.has_deadline() {
-            phase.slo_completed += 1;
-            phase.slo_met += usize::from(completion_ns <= request.deadline_ns);
-        }
-    }
-
-    /// Checks both conservation identities of every phase after the final
-    /// drain.
-    fn check(&self) -> Result<()> {
-        for p in &self.phases {
-            conserve(
-                "offered = admitted + rejected",
-                p.offered,
-                &[p.admitted, p.rejected],
-            )?;
-            conserve(
-                "admitted = completed + shed + preempted",
-                p.admitted,
-                &[p.completed, p.shed, p.preempted],
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// One replica of the fleet: a scheduler queue plus device timing and its
@@ -687,7 +396,7 @@ impl Replica {
                 });
                 if !shed.is_empty() {
                     for request in &shed {
-                        ledger.phase(request).shed += 1;
+                        ledger.intake.phase(request).shed += 1;
                     }
                     continue;
                 }
@@ -704,7 +413,8 @@ impl Replica {
             };
             for (k, request) in batch.requests.iter().enumerate() {
                 let completion = launch + summary.completion_ns(k);
-                ledger.on_completed(request, launch, completion);
+                ledger.queue_ns_sum += launch - request.arrival_ns;
+                ledger.intake.on_completed(request, completion);
                 self.inflight.push(Reverse(order_key(completion)));
             }
             self.device_free = launch + summary.makespan_ns;
@@ -886,69 +596,31 @@ impl OverloadSim {
     /// the trace's mix that does not fit some replica's tile capacity;
     /// propagates scheduler-configuration errors.
     pub fn with_replicas(replicas: Vec<Arc<dyn Backend>>, config: OverloadConfig) -> Result<Self> {
-        if replicas.is_empty() {
-            return Err(RuntimeError::InvalidConfig(
-                "the fleet needs at least one replica".to_string(),
-            ));
-        }
-        match config.admission {
-            AdmissionPolicy::Unbounded => {}
-            AdmissionPolicy::TokenBucket { rate_qps, burst } => {
-                if !(rate_qps.is_finite() && rate_qps > 0.0) {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "token-bucket rate {rate_qps} must be positive and finite"
-                    )));
-                }
-                if !(burst.is_finite() && burst >= 1.0) {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "token-bucket burst {burst} must be at least 1"
-                    )));
-                }
-            }
-            AdmissionPolicy::QueueDepth { max_outstanding } => {
-                if max_outstanding == 0 {
-                    return Err(RuntimeError::InvalidConfig(
-                        "queue-depth gate needs max_outstanding >= 1".to_string(),
-                    ));
-                }
-            }
-        }
+        invalid_if(replicas.is_empty(), || {
+            "the fleet needs at least one replica".to_string()
+        })?;
+        config.admission.validate()?;
         if let Some(scaler) = &config.autoscaler {
-            let max = scaler.max_replicas.min(replicas.len());
-            if scaler.min_replicas == 0 || scaler.min_replicas > max {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "autoscaler floor {} must be in 1..={} (fleet-clamped ceiling)",
-                    scaler.min_replicas, max
-                )));
-            }
-            if !(scaler.check_interval_s.is_finite() && scaler.check_interval_s > 0.0) {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "autoscaler check interval {} must be positive",
-                    scaler.check_interval_s
-                )));
-            }
-            if scaler.actuation_lag_s.is_nan() || scaler.actuation_lag_s < 0.0 {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "autoscaler actuation lag {} must be non-negative",
-                    scaler.actuation_lag_s
-                )));
-            }
-            if !(scaler.scale_up_outstanding > scaler.scale_down_outstanding
-                && scaler.scale_down_outstanding >= 0.0
-                && scaler.scale_up_outstanding.is_finite())
-            {
-                return Err(RuntimeError::InvalidConfig(format!(
-                    "autoscaler thresholds need 0 <= down ({}) < up ({})",
-                    scaler.scale_down_outstanding, scaler.scale_up_outstanding
-                )));
-            }
-            if let Some(alpha) = scaler.ewma_alpha {
-                if !(alpha > 0.0 && alpha <= 1.0) {
-                    return Err(RuntimeError::InvalidConfig(format!(
-                        "autoscaler EWMA gain {alpha} must be in (0, 1]"
-                    )));
-                }
-            }
+            let (floor, max) = (scaler.min_replicas, scaler.max_replicas.min(replicas.len()));
+            invalid_if(floor == 0 || floor > max, || {
+                format!("autoscaler floor {floor} must be in 1..={max} (fleet-clamped ceiling)")
+            })?;
+            let interval = scaler.check_interval_s;
+            invalid_if(!(interval.is_finite() && interval > 0.0), || {
+                format!("autoscaler check interval {interval} must be positive")
+            })?;
+            let lag = scaler.actuation_lag_s;
+            invalid_if(lag.is_nan() || lag < 0.0, || {
+                format!("autoscaler actuation lag {lag} must be non-negative")
+            })?;
+            let (down, up) = (scaler.scale_down_outstanding, scaler.scale_up_outstanding);
+            invalid_if(!(up > down && down >= 0.0 && up.is_finite()), || {
+                format!("autoscaler thresholds need 0 <= down ({down}) < up ({up})")
+            })?;
+            let alpha = scaler.ewma_alpha.unwrap_or(1.0);
+            invalid_if(!(alpha > 0.0 && alpha <= 1.0), || {
+                format!("autoscaler EWMA gain {alpha} must be in (0, 1]")
+            })?;
         }
         // Probe every replica with every shape in the mix so capacity
         // violations surface at construction, not mid-run.
@@ -1014,45 +686,37 @@ impl OverloadSim {
 
     /// Reads a run's report off its ledger and final replica states.
     fn report(&self, ledger: Ledger, replicas: &[Replica]) -> OverloadReport {
-        let completed = ledger.total(|p| p.completed);
-        let span_end = ledger.last_completion_ns.max(ledger.last_arrival_ns);
-        let sim_seconds = (span_end - ledger.first_arrival_ns).max(0.0) * 1e-9;
-        let per_second = |count: usize| {
-            if sim_seconds > 0.0 {
-                count as f64 / sim_seconds
-            } else {
-                0.0
-            }
-        };
+        let intake = &ledger.intake;
+        let completed = intake.total(|p| p.completed);
         // A completion is useful unless it carried a deadline and missed it.
-        let missed = ledger.total(|p| p.slo_completed) - ledger.total(|p| p.slo_met);
-        let slo_tracked = ledger.total(|p| p.slo_tracked);
+        let missed = intake.total(|p| p.slo_completed) - intake.total(|p| p.slo_met);
+        let slo_tracked = intake.total(|p| p.slo_tracked);
         OverloadReport {
             replicas: replicas.len(),
-            offered: ledger.total(|p| p.offered),
-            admitted: ledger.total(|p| p.admitted),
-            rejected: ledger.total(|p| p.rejected),
-            shed: ledger.total(|p| p.shed),
-            preempted: ledger.total(|p| p.preempted),
+            offered: intake.total(|p| p.offered),
+            admitted: intake.total(|p| p.admitted),
+            rejected: intake.total(|p| p.rejected),
+            shed: intake.total(|p| p.shed),
+            preempted: intake.total(|p| p.preempted),
             completed,
             batches: ledger.batches,
-            sim_seconds,
+            sim_seconds: intake.sim_seconds(),
             offered_qps: self.config.trace.mean_qps(),
-            achieved_qps: per_second(completed),
-            goodput_qps: per_second(completed - missed),
+            achieved_qps: intake.per_second(completed),
+            goodput_qps: intake.per_second(completed - missed),
             slo_attainment: if slo_tracked > 0 {
-                ledger.total(|p| p.slo_met) as f64 / slo_tracked as f64
+                intake.total(|p| p.slo_met) as f64 / slo_tracked as f64
             } else {
                 1.0
             },
-            latency: ledger.hist.summary(),
+            latency: intake.hist.summary(),
             mean_batch_size: completed as f64 / ledger.batches.max(1) as f64,
             mean_queue_ms: ledger.queue_ns_sum / completed.max(1) as f64 / 1e6,
             per_replica_completed: replicas.iter().map(|r| r.completed).collect(),
             mean_utilization: (replicas.iter())
                 .map(|r| {
-                    if r.device_free > ledger.first_arrival_ns {
-                        r.busy_ns / (r.device_free - ledger.first_arrival_ns)
+                    if r.device_free > intake.first_arrival_ns {
+                        r.busy_ns / (r.device_free - intake.first_arrival_ns)
                     } else {
                         0.0
                     }
@@ -1060,7 +724,7 @@ impl OverloadSim {
                 .sum::<f64>()
                 / replicas.len() as f64,
             phases: (self.config.trace.phase_labels().into_iter())
-                .zip(&ledger.phases)
+                .zip(&intake.phases)
                 .map(|(label, phase)| phase.report(label))
                 .collect(),
             autoscale_events: ledger.autoscale_events,
@@ -1086,11 +750,11 @@ impl OverloadSim {
             })
             .collect::<Result<Vec<_>>>()?;
         let mut ledger = Ledger {
-            phases: vec![PhaseLedger::default(); self.config.trace.phase_labels().len()],
-            first_arrival_ns: f64::NAN,
-            last_arrival_ns: f64::NEG_INFINITY,
+            intake: Intake::new(self.config.admission, &self.config.trace),
+            batches: 0,
+            queue_ns_sum: 0.0,
+            autoscale_events: Vec::new(),
             peak_active: initially_active,
-            ..Ledger::default()
         };
         let mut autoscaler = self.config.autoscaler.map(|config| Autoscaler {
             config,
@@ -1100,16 +764,11 @@ impl OverloadSim {
             pending: None,
             ewma: None,
         });
-        let mut tokens = match self.config.admission {
-            AdmissionPolicy::TokenBucket { burst, .. } => burst,
-            _ => 0.0,
-        };
-        let mut last_refill_ns = 0.0f64;
         let mut round_robin = 0usize;
 
         for request in requests {
             let now = request.arrival_ns;
-            ledger.on_offered(&request)?;
+            ledger.intake.on_offered(&request)?;
             // Autoscaler events due at or before this arrival.
             if let Some(autoscaler) = &mut autoscaler {
                 autoscaler.catch_up(now, &mut replicas, &mut ledger, &mut sink)?;
@@ -1119,38 +778,31 @@ impl OverloadSim {
                 replica.advance(now, &mut ledger, sink.as_deref_mut())?;
             }
             // The token bucket does not consult the target queue.
-            if let AdmissionPolicy::TokenBucket { rate_qps, burst } = self.config.admission {
-                tokens = (tokens + (now - last_refill_ns) * 1e-9 * rate_qps).min(burst);
-                last_refill_ns = now;
-                if tokens < 1.0 {
-                    ledger.phase(&request).rejected += 1;
-                    continue;
-                }
-                tokens -= 1.0;
+            if !ledger.intake.take_token(now) {
+                ledger.intake.phase(&request).rejected += 1;
+                continue;
             }
             let target = dispatch(self.config.dispatch, &mut replicas, &mut round_robin, now)?;
             let replica = &mut replicas[target];
             // The queue-depth gate (with optional preemption).
-            if let AdmissionPolicy::QueueDepth { max_outstanding } = self.config.admission {
-                if replica.outstanding(now) >= max_outstanding {
-                    let preempted = if self.config.preempt {
-                        replica.scheduler.preempt_for(&request)
-                    } else {
-                        None
-                    };
-                    match preempted {
-                        Some(victim) => ledger.phase(&victim).preempted += 1,
-                        None => {
-                            ledger.phase(&request).rejected += 1;
-                            continue;
-                        }
+            if ledger.intake.queue_full(|| replica.outstanding(now)) {
+                let preempted = if self.config.preempt {
+                    replica.scheduler.preempt_for(&request)
+                } else {
+                    None
+                };
+                match preempted {
+                    Some(victim) => ledger.intake.phase(&victim).preempted += 1,
+                    None => {
+                        ledger.intake.phase(&request).rejected += 1;
+                        continue;
                     }
                 }
             }
-            ledger.phase(&request).admitted += 1;
+            ledger.intake.phase(&request).admitted += 1;
             replica.scheduler.submit(request)?;
         }
-        if ledger.first_arrival_ns.is_nan() {
+        if ledger.intake.first_arrival_ns.is_nan() {
             return Err(RuntimeError::InvalidConfig(
                 "the arrival stream is empty".to_string(),
             ));
@@ -1160,7 +812,7 @@ impl OverloadSim {
         for replica in &mut replicas {
             replica.advance(f64::INFINITY, &mut ledger, sink.as_deref_mut())?;
         }
-        ledger.check()?;
+        ledger.intake.check()?;
         Ok((ledger, replicas))
     }
 }
@@ -1202,71 +854,6 @@ mod tests {
             ..TrafficConfig::default()
         })
         .unwrap()
-    }
-
-    #[test]
-    fn histogram_quantiles_track_exact_values_within_bucket_error() {
-        let mut hist = LatencyHistogram::default();
-        let mut exact: Vec<f64> = (0..20_000)
-            .map(|i| 1e3 + (i as f64 * 997.0) % 9.7e7)
-            .collect();
-        for &v in &exact {
-            hist.record(v);
-        }
-        exact.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        for q in [0.5, 0.95, 0.99, 0.999] {
-            let rank = ((q * exact.len() as f64).ceil() as usize).clamp(1, exact.len());
-            let truth = exact[rank - 1];
-            let approx = hist.quantile_ns(q).unwrap();
-            assert!(
-                (approx - truth).abs() / truth < 0.016,
-                "q={q}: histogram {approx} vs exact {truth}"
-            );
-        }
-        let summary = hist.summary();
-        assert!(summary.p999_ms.is_some());
-        let exact_mean = exact.iter().sum::<f64>() / exact.len() as f64;
-        assert!((summary.mean_ms * 1e6 - exact_mean).abs() < 1e-3);
-        assert_eq!(summary.max_ms * 1e6, *exact.last().unwrap());
-    }
-
-    #[test]
-    fn histogram_p999_follows_the_small_sample_rule() {
-        let mut hist = LatencyHistogram::default();
-        for i in 0..999 {
-            hist.record(1e6 + i as f64);
-        }
-        assert_eq!(hist.summary().p999_ms, None);
-        hist.record(2e6);
-        assert!(hist.summary().p999_ms.is_some());
-        assert_eq!(
-            LatencyHistogram::default().summary(),
-            LatencySummary::default()
-        );
-    }
-
-    #[test]
-    fn ledger_check_catches_a_lost_request() {
-        let phase = PhaseLedger {
-            offered: 3,
-            admitted: 2,
-            rejected: 1,
-            completed: 1,
-            ..PhaseLedger::default()
-        };
-        let ledger = Ledger {
-            phases: vec![phase.clone()],
-            ..Ledger::default()
-        };
-        let err = ledger.check().unwrap_err();
-        assert!(matches!(err, RuntimeError::Internal(_)), "{err}");
-        assert!(err.to_string().contains("admitted = completed"), "{err}");
-        // The same phase with the request accounted for passes.
-        let balanced = Ledger {
-            phases: vec![PhaseLedger { shed: 1, ..phase }],
-            ..Ledger::default()
-        };
-        assert!(balanced.check().is_ok());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Property-based proof for the decode-serving subsystem: the `DecodeSim`
-//! engine's accounting must conserve requests under any traffic and any
-//! placement policy. Every offered request is admitted or shed, and every
-//! admitted request completes or is evicted — nothing is lost or
-//! double-counted, and identical inputs give bit-identical reports.
+//! engine's accounting must conserve requests under any traffic, any
+//! placement policy and any admission gate. Every offered request is
+//! admitted, shed or rejected, and every admitted request completes or is
+//! evicted — nothing is lost or double-counted, and identical inputs give
+//! bit-identical reports.
 
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::PerformanceModel;
 use hyflex_runtime::{
-    ArrivalProcess, DecodeConfig, DecodeSim, KvPlacementPolicy, RequestTrace, TrafficConfig,
+    AdmissionPolicy, ArrivalProcess, DecodeConfig, DecodeSim, KvPlacementPolicy, MmppState,
+    RequestTrace, TrafficConfig,
 };
 use hyflex_transformer::ModelConfig;
 use proptest::prelude::*;
@@ -28,14 +30,15 @@ fn paper_backend() -> Arc<dyn Backend> {
 /// identities plus run-to-run determinism.
 fn check_decode_serving_conserves_requests(
     placement: KvPlacementPolicy,
-    qps: f64,
+    admission: AdmissionPolicy,
+    process: ArrivalProcess,
     num_requests: usize,
     output_tokens: usize,
     kv_pus: usize,
     seed: u64,
 ) {
     let trace = RequestTrace::new(TrafficConfig {
-        process: ArrivalProcess::Poisson { qps },
+        process,
         num_requests,
         seq_len: 128,
         seed,
@@ -50,7 +53,7 @@ fn check_decode_serving_conserves_requests(
             output_tokens,
             max_batch_size: 8,
             kv_pus,
-            ..DecodeConfig::default()
+            admission,
         },
     )
     .unwrap();
@@ -58,9 +61,12 @@ fn check_decode_serving_conserves_requests(
     assert_eq!(report.offered, num_requests);
     assert_eq!(
         report.offered,
-        report.admitted + report.shed,
+        report.admitted + report.shed + report.rejected,
         "admission leak: {report:?}"
     );
+    if admission == AdmissionPolicy::Unbounded {
+        assert_eq!(report.rejected, 0, "the open gate rejected: {report:?}");
+    }
     assert_eq!(
         report.admitted,
         report.completed + report.evicted,
@@ -82,9 +88,10 @@ fn check_decode_serving_conserves_requests(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Request conservation holds for every placement policy across
-    /// randomized traffic, pool sizes, and output lengths — including
-    /// overloaded pools that shed and evict.
+    /// Request conservation holds for every placement policy and admission
+    /// gate across randomized Poisson and two-phase MMPP traffic, pool
+    /// sizes, and output lengths — including overloaded pools that shed,
+    /// reject and evict.
     #[test]
     fn decode_serving_conserves_requests(
         qps in 500f64..40_000.0,
@@ -93,15 +100,36 @@ proptest! {
         kv_pus in 1usize..6,
         seed in any::<u64>(),
         placement_index in 0usize..3,
+        admission_index in 0usize..3,
+        max_outstanding in 1usize..64,
+        bucket_rate in 100f64..20_000.0,
+        bucket_burst in 1f64..16.0,
+        mmpp in any::<bool>(),
     ) {
         let placement = [
             KvPlacementPolicy::SlcOnly,
             KvPlacementPolicy::MlcOnly,
             KvPlacementPolicy::Hybrid { hot_window: 16 },
         ][placement_index];
+        let admission = [
+            AdmissionPolicy::Unbounded,
+            AdmissionPolicy::QueueDepth { max_outstanding },
+            AdmissionPolicy::TokenBucket { rate_qps: bucket_rate, burst: bucket_burst },
+        ][admission_index];
+        let process = if mmpp {
+            ArrivalProcess::Mmpp {
+                states: vec![
+                    MmppState::new("burst", qps * 2.0, 0.002),
+                    MmppState::new("trough", qps * 0.25, 0.002),
+                ],
+            }
+        } else {
+            ArrivalProcess::Poisson { qps }
+        };
         check_decode_serving_conserves_requests(
             placement,
-            qps,
+            admission,
+            process,
             num_requests,
             output_tokens,
             kv_pus,
