@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::{svd, Matrix};
+use hyflex_tensor::{kernels, svd, Matrix};
 use hyflex_transformer::layers::Linear;
 use hyflex_transformer::{FactoredLinear, Layer, LayerCtx};
 use std::hint::black_box;
@@ -70,17 +70,56 @@ fn bench_factored_layer(c: &mut Criterion) {
 }
 
 fn bench_matmul_tails(c: &mut Criterion) {
-    // Output widths on and off the kernel's 8-lane chunk: a rank-21 factored
-    // layer or a 12-token attention product runs a remainder chunk.
+    // The per-sample transformer pass's products (12 tokens; 9 on the ViT
+    // task): dense 32×32 and FFN layers, rank-16 attention and rank-21 FFN
+    // factors, 12×12 attention, plus output widths on and off the kernel's
+    // 8-lane chunk (a rank-21 factored layer runs a padded tail).
     let mut rng = Rng::seed_from(11);
     let mut group = c.benchmark_group("kernels/matmul");
-    for (m, k, n) in [(12, 64, 31), (12, 64, 32), (12, 32, 12), (12, 32, 16)] {
+    for (m, k, n) in [
+        (12, 64, 31),
+        (12, 64, 32),
+        (12, 32, 12),
+        (12, 32, 16),
+        (12, 16, 32),
+        (12, 32, 32),
+        (12, 64, 21),
+        (12, 21, 64),
+        (12, 12, 16),
+        (9, 32, 16),
+    ] {
         let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
         let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
         group.bench_function(format!("{m}x{k}x{n}"), |bench| {
             bench.iter(|| black_box(&a).matmul(black_box(&b)).unwrap())
         });
     }
+    group.finish();
+
+    // `aᵀ · b` (`m × n` out of a `k`-row pair): weight gradients `xᵀ · g`
+    // and attention's `probsᵀ · d_ctx`, `d_scoresᵀ · q`.
+    let mut group = c.benchmark_group("kernels/matmul_transpose_left");
+    for (m, k, n) in [(32, 12, 32), (12, 12, 16), (21, 12, 64)] {
+        let a = Matrix::random_normal(k, m, 0.0, 1.0, &mut rng);
+        let b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+        group.bench_function(format!("{m}x{k}x{n}"), |bench| {
+            bench.iter(|| kernels::matmul_transpose_left(black_box(&a), black_box(&b)).unwrap())
+        });
+    }
+    group.finish();
+
+    // The backward input gradient `g · Wᵀ` (12 × 32 against a 32 × 32
+    // weight): `matmul_transpose` next to the two-step form that
+    // materializes `Wᵀ` first.
+    let g = Matrix::random_normal(12, 32, 0.0, 1.0, &mut rng);
+    let w = Matrix::random_normal(32, 32, 0.0, 1.0, &mut rng);
+    let mut group = c.benchmark_group("kernels/g_wt_12x32x32");
+    group.bench_function("matmul_transpose", |bench| {
+        bench.iter(|| black_box(&g).matmul_transpose(black_box(&w)).unwrap())
+    });
+    group.bench_function("transpose_then_matmul", |bench| {
+        bench.iter(|| black_box(&g).matmul(&black_box(&w).transpose()).unwrap())
+    });
     group.finish();
 }
 

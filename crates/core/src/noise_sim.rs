@@ -17,6 +17,7 @@ use crate::error::PimError;
 use crate::gradient_redistribution::LayerGradientProfile;
 use crate::selection::{self, SelectionStrategy};
 use crate::Result;
+use hyflex_parallel::JobPool;
 use hyflex_rram::cell::CellMode;
 use hyflex_rram::noise::NoiseModel;
 use hyflex_tensor::quant::QuantizedMatrix;
@@ -241,7 +242,7 @@ impl NoiseSimulator {
         let mut noisy = model.clone();
         let mut rng = Rng::seed_from(seed);
         let stats = self.apply_to_model(&mut noisy, profiles, spec, &mut rng)?;
-        let report = evaluate_model(&noisy, eval).map_err(PimError::from)?;
+        let report = evaluate_model(&noisy, eval, &JobPool::serial()).map_err(PimError::from)?;
         Ok((report, stats))
     }
 

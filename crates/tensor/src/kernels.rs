@@ -1,57 +1,80 @@
-//! Blocked/tiled dense kernels shared by the whole numeric stack.
+//! Register-tiled dense kernels shared by the whole numeric stack.
 //!
-//! [`Matrix::matmul`], [`Matrix::matmul_transpose`], and [`Matrix::matvec`]
-//! route through this module, so the transformer layers, the factored-SVD
-//! layers, and the trainer all run on the same cache-blocked inner loops.
-//! The randomized SVD's sketch products and the fused rank-k
-//! [`crate::svd::Svd::reconstruct`] live here too.
+//! [`Matrix::matmul`], [`Matrix::matmul_transpose`],
+//! [`matmul_transpose_left`] and the view products
+//! ([`crate::MatrixView::matmul`], [`matmul_acc`]) all run on one
+//! micro-kernel, so the transformer layers, the factored-SVD layers, the
+//! trainer and the randomized SVD's sketch products share the same inner
+//! loop. [`matvec`] and the fused rank-k [`crate::svd::Svd::reconstruct`]
+//! live here too.
 //!
-//! **Bit-identity contract.** Every kernel in this module produces output
-//! that is bit-identical to the naive reference loop it replaces: blocking
-//! and panel packing only reorder *memory* — which output element is worked
-//! on next and where the operands sit — never the order in which
-//! contributions are accumulated into a given element (always ascending
-//! inner index `k`, with the same skip-on-zero shortcuts).
-//! `tests/property_invariants.rs` enforces kernel-vs-naive equivalence
-//! exactly, not within a tolerance.
+//! **Bit-identity contract.** Every product in this module is
+//! bit-identical to the textbook `ikj` loop with the `a == 0.0` skip:
+//! output element `(i, j)` starts from the value already in the output
+//! (zero for a fresh product) and adds `a[i][k] · b[k][j]` for every `k` in
+//! ascending order whose `a[i][k]` is not zero. Tiling only reorders
+//! *memory* — which output elements are worked on together and where the
+//! operands are read from — never that chain. `tests/property_invariants.rs`
+//! enforces kernel-vs-naive equality exactly, not within a tolerance.
 //!
-//! **The packed panel layer.** [`matmul`] copies each `BLOCK_INNER ×
-//! BLOCK_COLS` tile of `b` once into a contiguous, lane-stride-aligned
-//! panel buffer and runs `packed_micro_kernel` — a register-blocked
-//! (`MR` output rows × `LANES` columns) kernel — over it; the panel is
-//! then reused by every row block of `a`. [`matmul_transpose`] packs the
-//! rows of `b` into `NR`-interleaved dot panels, [`matmul_transpose_left`]
-//! computes `aᵀ · b` without materializing the transpose (the randomized
-//! SVD's sketch projections ride on it), and [`matvec`] register-blocks
-//! `MR` rows over the shared input vector, which is its own panel already.
+//! **The tile design.** Operands are [`MatrixView`]s, so `aᵀ` and `bᵀ` are
+//! strided reads and an attention head is a column window; nothing is
+//! transposed or sliced into a temporary. The micro-kernel keeps an
+//! `R × W` block of outputs (`R ≤ MR = 2` rows, `W` = 16 or 8 lanes) in a
+//! fixed-size accumulator array the compiler holds in vector registers: it
+//! loads the block from the output, extends every element's chain over one
+//! `k` slab (one broadcast `a` value per row, one `W`-lane row of `b` per
+//! `k`), and stores it back. Const-generic `R` and `W` give every loop a
+//! compile-time trip count: with a run-time row count the compiler keeps
+//! the accumulators in memory. Row-major `b` is read in place. Only the
+//! last `width % 8` columns are copied, into an 8-lane panel, so the tail
+//! runs the same vector body; its pad lanes are computed and never stored.
+//! A `b` with a non-unit column stride (a `bᵀ` view) is packed tile by tile
+//! into rows padded to a multiple of 8 lanes, the only copy a transposed
+//! operand costs; its last tile may be a 16-lane one ending in pad.
+//!
+//! **Why the zero skip stays.** It is part of the reference chain, and it
+//! is observable: `0 · ∞` is NaN, so without it a zero `a` facing an
+//! infinite `b` would poison the output, and a `-0.0` already in an output
+//! window ([`matmul_acc`]) would turn `+0.0` once a `±0` product were
+//! added. The skip is a per-lane keep-select (`acc` if `a == 0`, else
+//! `acc + a·b`) taken only on a `k` step whose broadcast `a` values include
+//! a zero; every other step is the plain multiply-add, at the cost of one
+//! compare per row. For a finite `b` the skip chain also equals the plain
+//! row dot product `Σₖ a[i][k] · b[k][j]` from `+0.0`: such an accumulator
+//! never becomes `-0.0`, so adding a `±0` product leaves it unchanged.
+//!
+//! **Why there is no AVX2 path.** The release build targets baseline
+//! x86-64 (SSE2), so one `W = 16` row is four 4-lane registers and a
+//! `2 × 16` tile uses eight of the sixteen. Runtime dispatch to an AVX2
+//! copy of the kernel would need `#[target_feature]` functions, and calling
+//! one is `unsafe`, which the crate's `forbid(unsafe_code)` rules out. Rust
+//! never contracts `a * b + c` into a fused multiply-add, so every target
+//! gives the same bits.
 
 use crate::error::TensorError;
 use crate::matrix::Matrix;
+use crate::view::{MatrixView, MatrixViewMut};
 use crate::Result;
 
-/// Row-block (`i`) tile: output rows worked on together.
-const BLOCK_ROWS: usize = 32;
-/// Inner-dimension (`k`) tile: rows of `b` kept hot across a row block.
+/// Inner-dimension (`k`) tile: rows of `b` kept hot while every output row
+/// tile runs over them.
 const BLOCK_INNER: usize = 64;
 /// Column (`j`) tile: bounds the `b`-block working set to
 /// `BLOCK_INNER × BLOCK_COLS` floats (~128 KiB), which fits mid-level cache.
 const BLOCK_COLS: usize = 512;
-/// `f32` lanes per vector step of the micro-kernels. Eight lanes is one
-/// AVX2 register (or two NEON registers); packed panel rows are padded to a
-/// multiple of this so every full-chunk load has the same lane phase, which
-/// is what lets the autovectorizer emit aligned-width FMA loops.
+/// `f32` lanes of the narrow tile and of the padded tail: two SSE
+/// registers (one AVX register).
 const LANES: usize = 8;
-/// Output rows register-blocked together by [`packed_micro_kernel`]: each
-/// packed panel row loaded from cache feeds `MR` independent accumulator
-/// rows before the next `k` step.
-const MR: usize = 4;
-/// `b` rows interleaved per packed dot panel in [`matmul_transpose`].
-const NR: usize = 4;
+/// `f32` lanes of the wide tile.
+const WIDE: usize = 2 * LANES;
+/// Output rows per register tile: `MR × WIDE` accumulators plus one `b`
+/// row and `MR` broadcasts fit the sixteen SSE registers.
+const MR: usize = 2;
+/// Output rows [`matvec`] register-blocks over the shared input vector.
+const MATVEC_ROWS: usize = 4;
 
-/// Blocked matrix multiplication `a * b`.
-///
-/// Bit-identical to the textbook `ikj` loop with the `a == 0.0` skip: for
-/// every output element the contributions arrive in ascending `k` order.
+/// Matrix multiplication `a · b`.
 ///
 /// # Errors
 ///
@@ -64,201 +87,11 @@ pub fn matmul(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let mut out = Matrix::zeros(a.rows(), b.cols());
-    matmul_rows_into(a, b, 0, a.rows(), out.as_mut_slice());
-    Ok(out)
+    Ok(product(a.view(), b.view()))
 }
 
-/// A contiguous, lane-stride-aligned copy of one `b` tile: rows `k0..k1`,
-/// columns `col0..col0 + width`, each packed row starting at a multiple of
-/// `stride` (`width` rounded up to [`LANES`]).
-struct PackedPanel<'p> {
-    data: &'p [f32],
-    stride: usize,
-    width: usize,
-    k0: usize,
-    k1: usize,
-    col0: usize,
-}
-
-/// The output band a micro-kernel writes into: rows `row0..` of the full
-/// product, `n` columns wide.
-struct OutBand<'o> {
-    data: &'o mut [f32],
-    n: usize,
-    row0: usize,
-}
-
-/// Copies the `b` tile (`k0..k1` × `col0..col0 + width`) into `packed` with
-/// row stride `stride`, zeroing each row's pad lanes past `width`: the
-/// micro-kernel's last chunk reads them, and its results there are dropped.
-fn pack_panel(
-    b_data: &[f32],
-    n: usize,
-    (k0, k1): (usize, usize),
-    col0: usize,
-    width: usize,
-    stride: usize,
-    packed: &mut [f32],
-) {
-    for (kk, k) in (k0..k1).enumerate() {
-        let src = &b_data[k * n + col0..k * n + col0 + width];
-        let row = &mut packed[kk * stride..(kk + 1) * stride];
-        row[..width].copy_from_slice(src);
-        row[width..].fill(0.0);
-    }
-}
-
-/// The register-blocked micro-kernel: accumulates the `[k0, k1)` slab of the
-/// product into output rows `i..i + h` (`h ≤ MR`), reading `b` through a
-/// [`PackedPanel`].
-///
-/// **Why packing preserves the bit-identity contract.** Floating-point
-/// addition is not associative, so the contract demands that every output
-/// element receives its contributions in exactly the reference order:
-/// ascending `k`, skipping `a[i][k] == 0.0` terms. This kernel changes three
-/// things relative to the unpacked loop, and none of them touch that order:
-///
-/// 1. *Packing* copies the `b` tile into a contiguous panel — a pure memory
-///    relocation; the values multiplied are bit-for-bit the same.
-/// 2. *Register blocking* keeps `MR` output rows' accumulators live at
-///    once. Each output row's accumulation chain is independent of the
-///    others, so interleaving rows reorders nothing within any chain.
-/// 3. *Load–accumulate–store*: each `LANES`-wide accumulator is initialised
-///    **from the output buffer** (carrying the sum accumulated by earlier
-///    `k` slabs), extended in ascending `k` with the same zero skips, and
-///    stored back. `(…(out + x₁) + x₂)…` evaluated in registers is the same
-///    chain the unpacked loop builds through memory, bit for bit. A fresh
-///    `acc = 0.0` summed and added at the end would *not* be — that
-///    re-association is exactly what the contract forbids.
-///
-/// Columns are walked in `LANES`-wide chunks, the last one padded when
-/// `width % LANES != 0`: it runs the same vectorized body, but loads and
-/// stores only its real lanes. Each real lane keeps its own reference
-/// chain; the pad lanes accumulate products of the panel's zeroed pad and
-/// are discarded.
-fn packed_micro_kernel(
-    a_data: &[f32],
-    inner: usize,
-    i: usize,
-    h: usize,
-    panel: &PackedPanel<'_>,
-    out: &mut OutBand<'_>,
-) {
-    let chunks = panel.width / LANES;
-    for c in 0..chunks {
-        let jo = c * LANES;
-        let mut acc = [[0.0f32; LANES]; MR];
-        for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
-            let base = (i + r - out.row0) * out.n + panel.col0 + jo;
-            acc_row.copy_from_slice(&out.data[base..base + LANES]);
-        }
-        accumulate_chunk(a_data, inner, (i, h), panel, jo, &mut acc);
-        for (r, acc_row) in acc.iter().take(h).enumerate() {
-            let base = (i + r - out.row0) * out.n + panel.col0 + jo;
-            out.data[base..base + LANES].copy_from_slice(acc_row);
-        }
-    }
-    let jo = chunks * LANES;
-    let lanes = panel.width - jo;
-    if lanes == 0 {
-        return;
-    }
-    // The padded tail chunk. Its lane loops run a fixed `LANES` times and
-    // test the bound (a `lanes`-long copy would keep the accumulators out
-    // of registers).
-    let mut acc = [[0.0f32; LANES]; MR];
-    for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
-        let base = (i + r - out.row0) * out.n + panel.col0 + jo;
-        let src = &out.data[base..base + lanes];
-        for (l, accv) in acc_row.iter_mut().enumerate() {
-            *accv = src.get(l).copied().unwrap_or(0.0);
-        }
-    }
-    accumulate_chunk(a_data, inner, (i, h), panel, jo, &mut acc);
-    for (r, acc_row) in acc.iter().take(h).enumerate() {
-        let base = (i + r - out.row0) * out.n + panel.col0 + jo;
-        let dst = &mut out.data[base..base + lanes];
-        for (l, &accv) in acc_row.iter().enumerate() {
-            if let Some(d) = dst.get_mut(l) {
-                *d = accv;
-            }
-        }
-    }
-}
-
-/// Extends the accumulators of output rows `i..i + h` over the panel's
-/// `k` slab at panel column `jo`: ascending `k`, skipping zero `a`
-/// entries, which is every lane's reference chain.
-#[inline(always)]
-fn accumulate_chunk(
-    a_data: &[f32],
-    inner: usize,
-    (i, h): (usize, usize),
-    panel: &PackedPanel<'_>,
-    jo: usize,
-    acc: &mut [[f32; LANES]; MR],
-) {
-    for k in panel.k0..panel.k1 {
-        let prow = &panel.data[(k - panel.k0) * panel.stride + jo..][..LANES];
-        for (r, acc_row) in acc.iter_mut().take(h).enumerate() {
-            let aik = a_data[(i + r) * inner + k];
-            if aik == 0.0 {
-                continue;
-            }
-            for (accv, &pv) in acc_row.iter_mut().zip(prow.iter()) {
-                *accv += aik * pv;
-            }
-        }
-    }
-}
-
-/// Computes output rows `[row0, row1)` of `a * b` into `out` (a buffer of
-/// exactly `(row1 - row0) * b.cols()` zeros) via the packed panel layer:
-/// each `b` tile is packed once and reused by every row block.
-fn matmul_rows_into(a: &Matrix, b: &Matrix, row0: usize, row1: usize, out: &mut [f32]) {
-    let inner = a.cols();
-    let n = b.cols();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    // Sized to the *actual* largest tile, not the BLOCK_* maxima: small
-    // matmuls (the layer forward/backward hot path) must not pay a fixed
-    // 128 KiB zeroed allocation per call.
-    let mut packed =
-        vec![0.0f32; BLOCK_INNER.min(inner) * BLOCK_COLS.min(n).next_multiple_of(LANES)];
-    let mut band = OutBand { data: out, n, row0 };
-    for col0 in (0..n).step_by(BLOCK_COLS) {
-        let col1 = (col0 + BLOCK_COLS).min(n);
-        let width = col1 - col0;
-        let stride = width.next_multiple_of(LANES);
-        for k0 in (0..inner).step_by(BLOCK_INNER) {
-            let k1 = (k0 + BLOCK_INNER).min(inner);
-            pack_panel(b_data, n, (k0, k1), col0, width, stride, &mut packed);
-            let panel = PackedPanel {
-                data: &packed,
-                stride,
-                width,
-                k0,
-                k1,
-                col0,
-            };
-            for i0 in (row0..row1).step_by(BLOCK_ROWS) {
-                let i1 = (i0 + BLOCK_ROWS).min(row1);
-                let mut i = i0;
-                while i < i1 {
-                    let h = MR.min(i1 - i);
-                    packed_micro_kernel(a_data, inner, i, h, &panel, &mut band);
-                    i += h;
-                }
-            }
-        }
-    }
-}
-
-/// Blocked matrix multiplication with the transpose of `b`: `a * bᵀ`.
-///
-/// Bit-identical to the naive row-dot-row loop: each output element is a
-/// single dot product accumulated in ascending `k` order.
+/// Matrix multiplication with the transpose of `b`: `a · bᵀ`, bit-identical
+/// to `a.matmul(&b.transpose())` without materializing the transpose.
 ///
 /// # Errors
 ///
@@ -271,60 +104,12 @@ pub fn matmul_transpose(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let m = a.rows();
-    let n = b.rows();
-    let inner = a.cols();
-    let mut out = Matrix::zeros(m, n);
-    let out_data = out.as_mut_slice();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    // Pack every group of NR `b` rows once into a k-major interleaved dot
-    // panel: panel[k * NR + jj] = b[j0 + jj][k]. Walking k then reads the
-    // panel strictly sequentially while feeding NR accumulators. Short tail
-    // groups are zero-padded for a uniform stride; pad accumulators are
-    // computed but never stored. This is a memory relocation only — each
-    // stored dot product still accumulates every k in ascending order (no
-    // zero skip, matching the reference), so bit-identity holds.
-    let groups = n.div_ceil(NR);
-    let mut packed = vec![0.0f32; groups * NR * inner];
-    for j in 0..n {
-        let base = (j / NR) * NR * inner + (j % NR);
-        for (k, &v) in b_data[j * inner..(j + 1) * inner].iter().enumerate() {
-            packed[base + k * NR] = v;
-        }
-    }
-    for i0 in (0..m).step_by(BLOCK_ROWS) {
-        let i1 = (i0 + BLOCK_ROWS).min(m);
-        for g in 0..groups {
-            let j0 = g * NR;
-            let gh = NR.min(n - j0);
-            let panel = &packed[g * NR * inner..(g + 1) * NR * inner];
-            for i in i0..i1 {
-                let a_row = &a_data[i * inner..(i + 1) * inner];
-                let mut acc = [0.0f32; NR];
-                for (k, &av) in a_row.iter().enumerate() {
-                    let pk = &panel[k * NR..k * NR + NR];
-                    for (accv, &pv) in acc.iter_mut().zip(pk.iter()) {
-                        *accv += av * pv;
-                    }
-                }
-                let dst = &mut out_data[i * n + j0..i * n + j0 + gh];
-                dst.copy_from_slice(&acc[..gh]);
-            }
-        }
-    }
-    Ok(out)
+    Ok(product(a.view(), b.view().t()))
 }
 
-/// Blocked matrix multiplication with the transpose of `a`: `aᵀ * b`,
-/// computed without materializing the transpose.
-///
-/// Element `(i, j)` is `Σₖ a[k][i] · b[k][j]` accumulated in ascending `k`
-/// with the `a[k][i] == 0.0` skip — exactly the chain
-/// `a.transpose().matmul(b)` builds (the skip tests the same element the
-/// transposed matmul would), so the result is bit-identical to that
-/// two-step form while reading both operands through their contiguous
-/// rows. The randomized SVD's sketch projection (`qᵀ · w`) runs on this.
+/// Matrix multiplication with the transpose of `a`: `aᵀ · b`, bit-identical
+/// to `a.transpose().matmul(b)` without materializing the transpose (the
+/// skip tests the same element the transposed matmul would).
 ///
 /// # Errors
 ///
@@ -337,30 +122,232 @@ pub fn matmul_transpose_left(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             rhs: b.shape(),
         });
     }
-    let m = a.cols();
-    let n = b.cols();
-    let inner = a.rows();
-    let mut out = Matrix::zeros(m, n);
-    let out_data = out.as_mut_slice();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    // k-outer sweep: each a row contributes one rank-1 update slab. The
-    // output (m × n, both ≤ the sketch width on the SVD path) stays hot;
-    // per output element the contributions arrive in ascending k.
-    for k in 0..inner {
-        let a_row = &a_data[k * m..(k + 1) * m];
-        let b_row = &b_data[k * n..(k + 1) * n];
-        for (i, &aki) in a_row.iter().enumerate() {
-            if aki == 0.0 {
-                continue;
+    Ok(product(a.view().t(), b.view()))
+}
+
+/// Accumulates `a · b` into `out`: each output element's chain continues
+/// from its current value, so on a zeroed window this is exactly the fresh
+/// product (see the module docs).
+///
+/// # Errors
+///
+/// Returns [`TensorError::ShapeMismatch`] when the inner dimensions differ
+/// or `out` is not `a.rows() × b.cols()`.
+pub fn matmul_acc(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut MatrixViewMut<'_>) -> Result<()> {
+    if a.cols != b.rows || out.shape() != (a.rows, b.cols) {
+        return Err(TensorError::ShapeMismatch {
+            op: "matmul_acc",
+            lhs: a.shape(),
+            rhs: b.shape(),
+        });
+    }
+    gemm(a, b, out);
+    Ok(())
+}
+
+/// The fresh product of two shape-checked views.
+fn product(a: MatrixView<'_>, b: MatrixView<'_>) -> Matrix {
+    let mut out = Matrix::zeros(a.rows, b.cols);
+    gemm(a, b, &mut out.view_mut());
+    out
+}
+
+/// `W` lanes of `b` per `k` row: row `kk` of the slab starts at
+/// `data[kk * stride]`.
+#[derive(Clone, Copy)]
+struct Panel<'p> {
+    data: &'p [f32],
+    stride: usize,
+}
+
+impl<'p> Panel<'p> {
+    /// The panel shifted `j` columns right.
+    fn at(self, j: usize) -> Panel<'p> {
+        Panel {
+            data: &self.data[j..],
+            stride: self.stride,
+        }
+    }
+}
+
+/// One `k` slab of one column block: `a`'s columns `k0..k1` against the
+/// `b` panels holding output columns `col0..col0 + width`. `body` can be
+/// read `readable` lanes wide (a multiple of [`LANES`]), and the padded
+/// `tail` holds whatever columns lie past that.
+struct Slab<'s> {
+    a: MatrixView<'s>,
+    k0: usize,
+    k1: usize,
+    body: Panel<'s>,
+    readable: usize,
+    tail: Panel<'s>,
+    col0: usize,
+    width: usize,
+}
+
+/// `out += a · b` over shape-checked views.
+fn gemm(a: MatrixView<'_>, b: MatrixView<'_>, out: &mut MatrixViewMut<'_>) {
+    let (m, inner, n) = (a.rows, a.cols, b.cols);
+    let direct = b.col_stride == 1;
+    // A transposed `b` is packed whole per tile; a row-major one only in
+    // its padded tail. Both buffers are sized to the largest tile used.
+    let mut packed = if direct {
+        Vec::new()
+    } else {
+        vec![0.0f32; BLOCK_INNER.min(inner) * BLOCK_COLS.min(n).next_multiple_of(LANES)]
+    };
+    let mut tail = if direct && n % LANES != 0 {
+        vec![0.0f32; BLOCK_INNER.min(inner) * LANES]
+    } else {
+        Vec::new()
+    };
+    for col0 in (0..n).step_by(BLOCK_COLS) {
+        let width = BLOCK_COLS.min(n - col0);
+        for k0 in (0..inner).step_by(BLOCK_INNER) {
+            let k1 = (k0 + BLOCK_INNER).min(inner);
+            let (body, readable, tail) = if direct {
+                let full = width - width % LANES;
+                if full < width {
+                    pack(b, (k0, k1), (col0 + full, width - full), &mut tail, LANES);
+                }
+                let body = Panel {
+                    data: &b.data[k0 * b.row_stride + col0..],
+                    stride: b.row_stride,
+                };
+                let tail = Panel {
+                    data: &tail,
+                    stride: LANES,
+                };
+                (body, full, tail)
+            } else {
+                let stride = width.next_multiple_of(LANES);
+                pack(b, (k0, k1), (col0, width), &mut packed, stride);
+                let body = Panel {
+                    data: &packed,
+                    stride,
+                };
+                (body, stride, body)
+            };
+            let slab = Slab {
+                a,
+                k0,
+                k1,
+                body,
+                readable,
+                tail,
+                col0,
+                width,
+            };
+            let mut i = 0;
+            while i + MR <= m {
+                row_tile::<MR>(&slab, i, out);
+                i += MR;
             }
-            let out_row = &mut out_data[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += aki * bv;
+            if i < m {
+                row_tile::<1>(&slab, i, out);
             }
         }
     }
-    Ok(out)
+}
+
+/// Copies `b`'s rows `k0..k1`, columns `c0..c0 + width` into the first
+/// `width` lanes of each `stride`-wide row of `buf`. The pad lanes past
+/// `width` keep what the buffer held (zeros, or an earlier tile's values):
+/// the last tile reads them, and its results there are never stored, so
+/// they reach no output.
+fn pack(
+    b: MatrixView<'_>,
+    (k0, k1): (usize, usize),
+    (c0, width): (usize, usize),
+    buf: &mut [f32],
+    stride: usize,
+) {
+    for (k, row) in (k0..k1).zip(buf.chunks_exact_mut(stride)) {
+        let start = k * b.row_stride + c0 * b.col_stride;
+        for (jj, slot) in row[..width].iter_mut().enumerate() {
+            *slot = b.data[start + jj * b.col_stride];
+        }
+    }
+}
+
+/// Output rows `i..i + R` of one slab: wide tiles and at most one narrow
+/// one over the body (the last may end in pad lanes), then the tail.
+#[inline(always)]
+fn row_tile<const R: usize>(s: &Slab<'_>, i: usize, out: &mut MatrixViewMut<'_>) {
+    let lanes = |j: usize, w: usize| (s.col0 + j, w.min(s.width - j));
+    let mut j = 0;
+    while j + WIDE <= s.readable {
+        tile::<R, WIDE>(s, i, s.body.at(j), lanes(j, WIDE), out);
+        j += WIDE;
+    }
+    if j < s.readable {
+        tile::<R, LANES>(s, i, s.body.at(j), lanes(j, LANES), out);
+    }
+    if s.readable < s.width {
+        tile::<R, LANES>(s, i, s.tail, lanes(s.readable, LANES), out);
+    }
+}
+
+/// The micro-kernel: extends the chains of outputs `(i..i + R) ×
+/// (col..col + lanes)` over the slab's `k` range, reading `b` from `panel`
+/// (`W` lanes per `k`; lanes past `lanes` are pad).
+///
+/// The accumulators are initialised **from the output** and stored back:
+/// `(…(out + x₁) + x₂)…` in registers is the chain the reference builds
+/// through memory, bit for bit, across any number of `k` slabs. A fresh
+/// `acc = 0.0` added to the output at the end would re-associate the sum,
+/// which the contract forbids.
+#[inline(always)]
+fn tile<const R: usize, const W: usize>(
+    s: &Slab<'_>,
+    i: usize,
+    panel: Panel<'_>,
+    (col, lanes): (usize, usize),
+    out: &mut MatrixViewMut<'_>,
+) {
+    // Partial rows go through a scratch row, so the accumulators are only
+    // ever moved whole and stay in registers.
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let src = &out.data[(i + r) * out.row_stride + col..][..lanes];
+        if lanes == W {
+            acc_row.copy_from_slice(src);
+        } else {
+            let mut row = [0.0f32; W];
+            row[..lanes].copy_from_slice(src);
+            *acc_row = row;
+        }
+    }
+    let a = s.a;
+    for (kk, k) in (s.k0..s.k1).enumerate() {
+        let b_row = &panel.data[kk * panel.stride..][..W];
+        let mut a_col = [0.0f32; R];
+        for (r, x) in a_col.iter_mut().enumerate() {
+            *x = a.data[(i + r) * a.row_stride + k * a.col_stride];
+        }
+        if a_col.contains(&0.0) {
+            for (acc_row, &x) in acc.iter_mut().zip(&a_col) {
+                for (v, &y) in acc_row.iter_mut().zip(b_row) {
+                    let extended = *v + x * y;
+                    *v = if x == 0.0 { *v } else { extended };
+                }
+            }
+        } else {
+            for (acc_row, &x) in acc.iter_mut().zip(&a_col) {
+                for (v, &y) in acc_row.iter_mut().zip(b_row) {
+                    *v += x * y;
+                }
+            }
+        }
+    }
+    for (r, &row) in acc.iter().enumerate() {
+        let dst = &mut out.data[(i + r) * out.row_stride + col..][..lanes];
+        if lanes == W {
+            dst.copy_from_slice(&row);
+        } else {
+            dst.copy_from_slice(&row[..lanes]);
+        }
+    }
 }
 
 /// Matrix–vector product `a * v` (row dot products, ascending `k`).
@@ -380,19 +367,20 @@ pub fn matvec(a: &Matrix, v: &[f32]) -> Result<Vec<f32>> {
     let inner = a.cols();
     let a_data = a.as_slice();
     let mut out = vec![0.0f32; m];
-    // Register-block MR output rows per pass: the input vector — already a
-    // contiguous panel — is read once while feeding MR accumulators. Each
-    // dot product still accumulates every k in ascending order (no zero
-    // skip, matching the reference), so bit-identity holds.
+    // Register-block MATVEC_ROWS output rows per pass: the input vector —
+    // already a contiguous panel — is read once while feeding that many
+    // accumulators. Each dot product still accumulates every k in
+    // ascending order (no zero skip, matching the reference), so
+    // bit-identity holds.
     let mut i = 0;
     while i < m {
-        let h = MR.min(m - i);
+        let h = MATVEC_ROWS.min(m - i);
         let empty: &[f32] = &[];
-        let mut rows = [empty; MR];
+        let mut rows = [empty; MATVEC_ROWS];
         for (r, row) in rows.iter_mut().take(h).enumerate() {
             *row = &a_data[(i + r) * inner..(i + r + 1) * inner];
         }
-        let mut acc = [0.0f32; MR];
+        let mut acc = [0.0f32; MATVEC_ROWS];
         for (k, &vk) in v.iter().enumerate() {
             for (accv, row) in acc.iter_mut().zip(rows.iter()).take(h) {
                 *accv += row[k] * vk;
@@ -507,10 +495,21 @@ mod tests {
 
     #[test]
     fn matmul_transpose_matches_explicit_transpose_bitwise() {
+        // The first shape packs a full 512-column block and then a 5-wide
+        // one into the same buffer, over two `k` slabs.
+        for (m, k, n, seed) in [(5, 70, 517, 5u64), (3, 9, 12, 6)] {
+            let a = random(m, k, seed);
+            let b = random(n, k, seed + 100);
+            let fast = matmul_transpose(&a, &b).unwrap();
+            assert_eq!(fast.as_slice(), naive_matmul(&a, &b.transpose()).as_slice());
+        }
         let a = random(37, 50, 7);
         let b = random(41, 50, 8);
         let fast = matmul_transpose(&a, &b).unwrap();
-        // The naive oracle: independent row-dot-row accumulation.
+        let two_step = naive_matmul(&a, &b.transpose());
+        assert_eq!(fast.as_slice(), two_step.as_slice());
+        // For a finite `b` the skip chain is also the plain row dot product
+        // (an accumulator starting at +0.0 never turns -0.0).
         for i in 0..a.rows() {
             for j in 0..b.rows() {
                 let mut acc = 0.0f32;
@@ -574,6 +573,62 @@ mod tests {
     }
 
     #[test]
+    fn transposed_operands_keep_the_zero_skip() {
+        // a[0][1] == 0 faces b[1][*] == inf: the skip keeps NaN out of row 0
+        // whichever operand is read transposed.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut a = random(3, 4, 15);
+        a.set(0, 1, 0.0);
+        a.set(2, 1, -0.0);
+        let mut b = random(4, 19, 16);
+        for j in [0, 9, 18] {
+            b.set(1, j, f32::INFINITY);
+        }
+        let reference = naive_matmul(&a, &b);
+        assert!(reference.at(0, 0).is_finite() && reference.at(1, 0).is_infinite());
+        assert_eq!(
+            bits(&matmul_transpose(&a, &b.transpose()).unwrap()),
+            bits(&reference)
+        );
+        let left = matmul_transpose_left(&a.transpose(), &b).unwrap();
+        assert_eq!(bits(&left), bits(&reference));
+    }
+
+    #[test]
+    fn matmul_acc_continues_each_chain_from_the_output() {
+        // A window whose outputs already hold values, over two `k` slabs.
+        // Row 4 of `a` is all zeros, so only the skip keeps its -0.0 output
+        // negative (-0.0 + 0.0 is +0.0).
+        let mut a = random(5, 70, 17);
+        a.set(0, 0, 0.0);
+        for p in 0..70 {
+            a.set(4, p, if p % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let b = random(70, 11, 18);
+        let mut out = random(5, 20, 19);
+        out.set(4, 3, -0.0);
+        let before = out.clone();
+        let mut window = out.column_window_mut(3, 11).unwrap();
+        matmul_acc(a.view(), b.view(), &mut window).unwrap();
+        for i in 0..5 {
+            for j in 0..20 {
+                let mut expected = before.at(i, j);
+                if (3..14).contains(&j) {
+                    for p in 0..70 {
+                        if a.at(i, p) != 0.0 {
+                            expected += a.at(i, p) * b.at(p, j - 3);
+                        }
+                    }
+                }
+                assert_eq!(out.at(i, j).to_bits(), expected.to_bits(), "({i}, {j})");
+            }
+        }
+        assert_eq!(out.at(4, 3).to_bits(), (-0.0f32).to_bits());
+        let mut wrong = out.column_window_mut(0, 10).unwrap();
+        assert!(matmul_acc(a.view(), b.view(), &mut wrong).is_err());
+    }
+
+    #[test]
     fn shape_errors_are_reported() {
         let a = random(3, 4, 9);
         let b = random(3, 4, 10);
@@ -581,6 +636,7 @@ mod tests {
         let c = random(3, 5, 11);
         assert!(matmul_transpose(&a, &c).is_err());
         assert!(matmul_transpose_left(&a, &random(4, 2, 14)).is_err());
+        assert!(a.view().matmul(b.view()).is_err());
         assert!(matvec(&a, &[0.0; 3]).is_err());
     }
 

@@ -25,9 +25,12 @@
 //! * [`Matrix`] — a row-major dense `f32` matrix with the usual algebra
 //!   (GEMM, GEMV, transpose, element-wise maps) plus slicing helpers used by
 //!   the crossbar tiling code.
-//! * [`kernels`] — the blocked/tiled GEMM, GEMV, and fused rank-k
+//! * [`kernels`] — the register-tiled GEMM, GEMV, and fused rank-k
 //!   reconstruction kernels every `Matrix` product routes through,
 //!   bit-identical to the naive reference loops.
+//! * [`MatrixView`] / [`MatrixViewMut`] — borrowed strided windows (a
+//!   transpose, one attention head's columns) the kernels read and write
+//!   without copying.
 //! * [`svd::Svd`] / [`svd::svd`] / [`svd::svd_with`] — one-sided Jacobi
 //!   singular value decomposition (the bit-stable default) and an opt-in
 //!   randomized subspace-iteration sketch ([`svd::SvdAlgorithm`]), with
@@ -66,11 +69,13 @@ pub mod quant;
 pub mod rng;
 pub mod stats;
 pub mod svd;
+pub mod view;
 
 pub use error::TensorError;
 pub use matrix::{ColumnIter, Matrix};
 pub use quant::QuantizedMatrix;
 pub use svd::{Svd, SvdAlgorithm};
+pub use view::{MatrixView, MatrixViewMut};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;

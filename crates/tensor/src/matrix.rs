@@ -357,26 +357,26 @@ impl Matrix {
         }
     }
 
-    /// Adds a row vector to every row (broadcasting), e.g. a bias term.
+    /// Adds a row vector to every row in place (broadcasting), e.g. a bias
+    /// term.
     ///
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when `bias.len() != self.cols()`.
-    pub fn add_row_broadcast(&self, bias: &[f32]) -> Result<Matrix> {
+    pub fn add_row_broadcast_assign(&mut self, bias: &[f32]) -> Result<()> {
         if bias.len() != self.cols {
             return Err(TensorError::ShapeMismatch {
-                op: "add_row_broadcast",
+                op: "add_row_broadcast_assign",
                 lhs: self.shape(),
                 rhs: (1, bias.len()),
             });
         }
-        let mut out = self.clone();
-        for row in out.data.chunks_mut(self.cols) {
+        for row in self.data.chunks_mut(self.cols) {
             for (value, b) in row.iter_mut().zip(bias) {
                 *value += b;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Extracts the sub-matrix `[row0, row0+n_rows) x [col0, col0+n_cols)`.
@@ -639,11 +639,12 @@ mod tests {
 
     #[test]
     fn broadcast_bias() {
-        let a = sample();
-        let out = a.add_row_broadcast(&[1.0, 1.0, 1.0]).unwrap();
+        let mut out = sample();
+        out.add_row_broadcast_assign(&[1.0, 1.0, 1.0]).unwrap();
         assert_eq!(out.at(0, 0), 2.0);
         assert_eq!(out.at(1, 2), 7.0);
-        assert!(a.add_row_broadcast(&[1.0]).is_err());
+        assert!(out.add_row_broadcast_assign(&[1.0]).is_err());
+        assert_eq!(out.at(1, 2), 7.0);
     }
 
     #[test]

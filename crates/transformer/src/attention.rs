@@ -13,7 +13,7 @@ use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::activations::{softmax, softmax_backward};
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::{kernels, Matrix};
+use hyflex_tensor::{kernels, Matrix, MatrixView};
 use std::ops::Range;
 
 /// Attention masking policy for one forward/backward pass.
@@ -86,9 +86,10 @@ fn mask_fill(m: &mut Matrix, mask: &AttentionMask, fill: f32) {
 
 /// One head's attention probabilities: the row-wise softmax of the masked,
 /// scaled scores `q_h·k_hᵀ / √d`.
-fn head_probs(q_h: &Matrix, k_h: &Matrix, mask: &AttentionMask) -> Result<Matrix> {
+fn head_probs(q_h: MatrixView<'_>, k_h: MatrixView<'_>, mask: &AttentionMask) -> Result<Matrix> {
     let scale = 1.0 / (q_h.cols() as f32).sqrt();
-    let mut scores = q_h.matmul_transpose(k_h)?.scale(scale);
+    let mut scores = q_h.matmul(k_h.t())?;
+    scores.map_inplace(|x| x * scale);
     mask_fill(&mut scores, mask, f32::NEG_INFINITY);
     let mut probs = Matrix::zeros(scores.rows(), scores.cols());
     for r in 0..scores.rows() {
@@ -155,13 +156,10 @@ impl MultiHeadAttention {
         [&self.wq, &self.wk, &self.wv, &self.wo]
     }
 
-    fn head_slice(&self, m: &Matrix, head: usize) -> Result<Matrix> {
-        let hd = self.head_dim();
-        Ok(m.submatrix(0, head * hd, m.rows(), hd)?)
-    }
-
     /// The concatenated per-head context `probs_h·v_h` (see [`head_probs`]),
-    /// plus each head's probabilities for the backward pass.
+    /// plus each head's probabilities for the backward pass. Each head is a
+    /// column window of `q`, `k`, `v` and the context, read and written in
+    /// place.
     fn attend(
         &self,
         q: &Matrix,
@@ -172,9 +170,10 @@ impl MultiHeadAttention {
         let hd = self.head_dim();
         let mut context = Matrix::zeros(q.rows(), self.dim());
         let mut probs = Vec::with_capacity(self.num_heads);
-        for head in 0..self.num_heads {
-            let p = head_probs(&self.head_slice(q, head)?, &self.head_slice(k, head)?, mask)?;
-            context.set_submatrix(0, head * hd, &p.matmul(&self.head_slice(v, head)?)?)?;
+        for col0 in (0..self.num_heads).map(|head| head * hd) {
+            let p = head_probs(q.column_window(col0, hd)?, k.column_window(col0, hd)?, mask)?;
+            let mut context_h = context.column_window_mut(col0, hd)?;
+            kernels::matmul_acc(p.view(), v.column_window(col0, hd)?, &mut context_h)?;
             probs.push(p);
         }
         Ok((context, probs))
@@ -265,15 +264,19 @@ impl Layer for MultiHeadAttention {
         let mut d_k = Matrix::zeros(len, self.dim());
         let mut d_v = Matrix::zeros(len, self.dim());
 
+        // Each head is a column window: read from q, k, v and d_context,
+        // accumulated into the zeroed windows of d_q, d_k and d_v.
         for (head, probs) in probs.iter().enumerate() {
-            let qh = self.head_slice(q, head)?;
-            let kh = self.head_slice(k, head)?;
-            let vh = self.head_slice(v, head)?;
-            let d_ctx_h = self.head_slice(&d_context, head)?;
+            let col0 = head * hd;
+            let q_h = q.column_window(col0, hd)?;
+            let k_h = k.column_window(col0, hd)?;
+            let v_h = v.column_window(col0, hd)?;
+            let d_ctx_h = d_context.column_window(col0, hd)?;
 
-            // d_probs = d_ctx_h · vhᵀ ; d_vh = probsᵀ · d_ctx_h
-            let d_probs = d_ctx_h.matmul(&vh.transpose())?;
-            let d_vh = kernels::matmul_transpose_left(probs, &d_ctx_h)?;
+            // d_probs = d_ctx_h · v_hᵀ ; d_v_h = probsᵀ · d_ctx_h
+            let d_probs = d_ctx_h.matmul(v_h.t())?;
+            let mut d_v_h = d_v.column_window_mut(col0, hd)?;
+            kernels::matmul_acc(probs.view().t(), d_ctx_h, &mut d_v_h)?;
 
             // Through the row-wise softmax.
             let mut d_scores = Matrix::zeros(len, len);
@@ -282,15 +285,13 @@ impl Layer for MultiHeadAttention {
                 d_scores.row_mut(r).copy_from_slice(&ds);
             }
             mask_fill(&mut d_scores, &ctx.mask, 0.0);
-            let d_scores = d_scores.scale(scale);
+            d_scores.map_inplace(|x| x * scale);
 
-            // d_qh = d_scores · kh ; d_kh = d_scoresᵀ · qh
-            let d_qh = d_scores.matmul(&kh)?;
-            let d_kh = kernels::matmul_transpose_left(&d_scores, &qh)?;
-
-            d_q.set_submatrix(0, head * hd, &d_qh)?;
-            d_k.set_submatrix(0, head * hd, &d_kh)?;
-            d_v.set_submatrix(0, head * hd, &d_vh)?;
+            // d_q_h = d_scores · k_h ; d_k_h = d_scoresᵀ · q_h
+            let mut d_q_h = d_q.column_window_mut(col0, hd)?;
+            kernels::matmul_acc(d_scores.view(), k_h, &mut d_q_h)?;
+            let mut d_k_h = d_k.column_window_mut(col0, hd)?;
+            kernels::matmul_acc(d_scores.view().t(), q_h, &mut d_k_h)?;
         }
 
         let mut dx = self.wq.backward(x, q_saved, &d_q, ctx)?;

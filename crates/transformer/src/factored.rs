@@ -11,7 +11,7 @@
 //! a dense matrix (or to the `U` / `ΣVᵀ` pair the hardware stores).
 
 use crate::error::ModelError;
-use crate::layers::{Layer, LayerCtx};
+use crate::layers::{column_sums, Layer, LayerCtx};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
 use hyflex_tensor::svd::{self, hard_threshold_rank, SvdAlgorithm};
@@ -202,8 +202,8 @@ impl Layer for FactoredLinear {
     fn forward_saved(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<(Matrix, FactoredSaved)> {
         let h = x.matmul(self.u.value())?;
         let scaled = self.scale_by_sigma(&h);
-        let y = scaled.matmul(self.vt.value())?;
-        let y = y.add_row_broadcast(self.bias.value().row(0))?;
+        let mut y = scaled.matmul(self.vt.value())?;
+        y.add_row_broadcast_assign(self.bias.value().row(0))?;
         Ok((y, FactoredSaved { h, scaled }))
     }
 
@@ -228,7 +228,7 @@ impl Layer for FactoredLinear {
         self.vt.accumulate_grad(&d_vt)?;
 
         // dL/d(h ⊙ σ) = grad_out · V
-        let d_scaled = grad_out.matmul(&self.vt.value().transpose())?; // [L, k]
+        let d_scaled = grad_out.matmul_transpose(self.vt.value())?; // [L, k]
 
         // dL/dσ_r = Σ_l d_scaled[l, r] · h[l, r], each rank reduced down its
         // column with the allocation-free strided iterators. The
@@ -251,18 +251,10 @@ impl Layer for FactoredLinear {
         let d_u = kernels::matmul_transpose_left(x, &d_h)?;
         self.u.accumulate_grad(&d_u)?;
 
-        // Bias gradient: column sums of grad_out, one contiguous row at a
-        // time (same ascending-row accumulation per column as before).
-        let mut d_bias = Matrix::zeros(1, grad_out.cols());
-        for r in 0..grad_out.rows() {
-            for (slot, g) in d_bias.row_mut(0).iter_mut().zip(grad_out.row(r)) {
-                *slot += g;
-            }
-        }
-        self.bias.accumulate_grad(&d_bias)?;
+        self.bias.accumulate_grad(&column_sums(grad_out))?;
 
         // dL/dx = d_h · Uᵀ
-        Ok(d_h.matmul(&self.u.value().transpose())?)
+        Ok(d_h.matmul_transpose(self.u.value())?)
     }
 }
 

@@ -271,8 +271,9 @@ impl Layer for Linear {
     type Saved = ();
 
     fn forward_saved(&self, x: &Matrix, _ctx: &LayerCtx) -> Result<(Matrix, ())> {
-        let y = x.matmul(self.weight.value())?;
-        Ok((y.add_row_broadcast(self.bias.value().row(0))?, ()))
+        let mut y = x.matmul(self.weight.value())?;
+        y.add_row_broadcast_assign(self.bias.value().row(0))?;
+        Ok((y, ()))
     }
 
     fn backward(
@@ -284,15 +285,22 @@ impl Layer for Linear {
     ) -> Result<Matrix> {
         let d_weight = kernels::matmul_transpose_left(x, grad_out)?;
         self.weight.accumulate_grad(&d_weight)?;
-        let mut d_bias = Matrix::zeros(1, grad_out.cols());
-        for r in 0..grad_out.rows() {
-            for c in 0..grad_out.cols() {
-                d_bias.set(0, c, d_bias.at(0, c) + grad_out.at(r, c));
-            }
-        }
-        self.bias.accumulate_grad(&d_bias)?;
-        Ok(grad_out.matmul(&self.weight.value().transpose())?)
+        self.bias.accumulate_grad(&column_sums(grad_out))?;
+        Ok(grad_out.matmul_transpose(self.weight.value())?)
     }
+}
+
+/// The bias gradient of `y = x·W + b`: the column sums of `grad_out`, one
+/// contiguous row at a time, so each column accumulates in ascending row
+/// order.
+pub(crate) fn column_sums(grad_out: &Matrix) -> Matrix {
+    let mut sums = Matrix::zeros(1, grad_out.cols());
+    for r in 0..grad_out.rows() {
+        for (slot, g) in sums.row_mut(0).iter_mut().zip(grad_out.row(r)) {
+            *slot += g;
+        }
+    }
+    sums
 }
 
 /// Either a dense linear layer or its truncated-SVD factored replacement.

@@ -202,13 +202,14 @@ impl Trainer {
         Ok(losses)
     }
 
-    /// Evaluates a model on a dataset split without updating parameters.
+    /// Evaluates a model on a dataset split without updating parameters,
+    /// running the samples on the trainer's pool ([`evaluate_model`]).
     ///
     /// # Errors
     ///
     /// Returns input/shape errors from the model.
     pub fn evaluate(&self, model: &TransformerModel, samples: &[Sample]) -> Result<EvalReport> {
-        evaluate_model(model, samples)
+        evaluate_model(model, samples, &self.pool)
     }
 
     /// Accumulates loss gradients over `samples` **without** updating any
@@ -318,34 +319,62 @@ impl Default for Trainer {
     }
 }
 
-/// Evaluates a model on a dataset split (free function so that callers
-/// without a [`Trainer`] — e.g. the noise simulator — can reuse it).
+/// What one evaluated sample adds to an [`EvalReport`] besides its loss.
+enum Prediction {
+    /// Predicted and labelled class.
+    Class(usize, usize),
+    /// Predicted and target value.
+    Value(f32, f32),
+    /// Nothing (language modeling reports the loss alone).
+    None,
+}
+
+/// Evaluates a model on a dataset split, running the samples' forward
+/// passes on `pool` and folding their losses and predictions in sample
+/// order, so every pool width gives the same bits. A free function so that
+/// callers without a [`Trainer`] can reuse it: the noise simulator passes
+/// [`JobPool::serial`], since its sweep already runs points in parallel.
 ///
 /// # Errors
 ///
-/// Returns input/shape errors from the model.
-pub fn evaluate_model(model: &TransformerModel, samples: &[Sample]) -> Result<EvalReport> {
+/// Returns input/shape errors from the model: the first failing sample's.
+pub fn evaluate_model(
+    model: &TransformerModel,
+    samples: &[Sample],
+    pool: &JobPool,
+) -> Result<EvalReport> {
     let task = model.config().task;
+    let passes = pool.par_map(samples, |sample| -> Result<(f64, Prediction)> {
+        let logits = model.forward(&sample.input)?;
+        let (loss, _) = loss_and_grad(&task, &logits, &sample.target)?;
+        let prediction = match (&task, &sample.target) {
+            (TaskKind::Classification { .. }, Target::Class(label)) => {
+                Prediction::Class(stats::argmax(logits.row(0)), *label)
+            }
+            (TaskKind::Regression, Target::Value(v)) => Prediction::Value(logits.at(0, 0), *v),
+            _ => Prediction::None,
+        };
+        Ok((loss, prediction))
+    });
+
     let mut total_loss = 0.0f64;
     let mut predicted_classes = Vec::new();
     let mut actual_classes = Vec::new();
     let mut predicted_values = Vec::new();
     let mut actual_values = Vec::new();
-
-    for sample in samples {
-        let logits = model.forward(&sample.input)?;
-        let (loss, _) = loss_and_grad(&task, &logits, &sample.target)?;
+    for pass in passes {
+        let (loss, prediction) = pass?;
         total_loss += loss;
-        match (&task, &sample.target) {
-            (TaskKind::Classification { .. }, Target::Class(label)) => {
-                predicted_classes.push(stats::argmax(logits.row(0)));
-                actual_classes.push(*label);
+        match prediction {
+            Prediction::Class(predicted, actual) => {
+                predicted_classes.push(predicted);
+                actual_classes.push(actual);
             }
-            (TaskKind::Regression, Target::Value(v)) => {
-                predicted_values.push(logits.at(0, 0));
-                actual_values.push(*v);
+            Prediction::Value(predicted, actual) => {
+                predicted_values.push(predicted);
+                actual_values.push(actual);
             }
-            _ => {}
+            Prediction::None => {}
         }
     }
 
@@ -539,6 +568,50 @@ mod tests {
         }
     }
 
+    /// Evaluation folds every sample's loss and prediction in sample
+    /// order, so each pool width reports the serial bits, for every task
+    /// kind (a sample count that does not divide into the widths).
+    #[test]
+    fn pooled_evaluation_is_exact_across_widths() {
+        let mut rng = Rng::seed_from(24);
+        let classifier = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
+        let classes = classification_dataset(&mut rng, 13);
+        let regressor =
+            TransformerModel::new(ModelConfig::tiny_encoder_regression(), &mut rng).unwrap();
+        let values: Vec<Sample> = classes
+            .iter()
+            .map(|s| Sample {
+                input: s.input.clone(),
+                target: Target::Value(rng.uniform() as f32),
+            })
+            .collect();
+        let decoder = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
+        let next_tokens: Vec<Sample> = classes
+            .iter()
+            .map(|s| {
+                let ModelInput::Tokens(tokens) = &s.input else {
+                    unreachable!("the dataset is token input")
+                };
+                Sample {
+                    input: s.input.clone(),
+                    target: Target::NextTokens(tokens.iter().map(|t| (t + 1) % 64).collect()),
+                }
+            })
+            .collect();
+        for (model, samples) in [
+            (&classifier, &classes),
+            (&regressor, &values),
+            (&decoder, &next_tokens),
+        ] {
+            let serial = evaluate_model(model, samples, &JobPool::serial()).unwrap();
+            for width in [2, 3, 4] {
+                let pooled = evaluate_model(model, samples, &JobPool::new(width)).unwrap();
+                assert_eq!(pooled.mean_loss.to_bits(), serial.mean_loss.to_bits());
+                assert_eq!(pooled, serial, "{} at width {width}", model.config().name);
+            }
+        }
+    }
+
     #[test]
     fn pooled_training_is_exact_with_repeated_tokens() {
         // Every sample repeats tokens, so the table gradient depends on the
@@ -626,6 +699,8 @@ mod tests {
             input: ModelInput::Tokens(vec![1, 2, 3]),
             target: Target::Class(5),
         }];
-        assert!(evaluate_model(&model, &bad).is_err());
+        for workers in [1, 2] {
+            assert!(evaluate_model(&model, &bad, &JobPool::new(workers)).is_err());
+        }
     }
 }

@@ -8,8 +8,8 @@
 use hyflex_pim::backend::{Backend, HyFlexPim};
 use hyflex_pim::PerformanceModel;
 use hyflex_runtime::{
-    AdmissionPolicy, ArrivalProcess, DecodeConfig, DecodeSim, KvPlacementPolicy, MmppState,
-    RequestTrace, TrafficConfig,
+    AdmissionPolicy, ArrivalProcess, DecodeConfig, DecodeReport, DecodeSim, KvPlacementPolicy,
+    MmppState, RequestClass, RequestTrace, TrafficConfig,
 };
 use hyflex_transformer::ModelConfig;
 use proptest::prelude::*;
@@ -26,21 +26,44 @@ fn paper_backend() -> Arc<dyn Backend> {
     )
 }
 
-/// Runs a randomized decode-serving workload and checks the conservation
-/// identities plus run-to-run determinism.
-fn check_decode_serving_conserves_requests(
+/// One decode-serving workload: its traffic (three 128-token prompts to
+/// one `long_prompt`) and its engine settings.
+struct Workload {
     placement: KvPlacementPolicy,
     admission: AdmissionPolicy,
     process: ArrivalProcess,
     num_requests: usize,
+    long_prompt: usize,
     output_tokens: usize,
     kv_pus: usize,
     seed: u64,
-) {
+}
+
+/// Runs a decode-serving workload, checks the conservation identities
+/// plus run-to-run determinism, and returns the report.
+///
+/// A 1-PU pool holds 256 SLC or 512 MLC tokens of the BERT-Large KV cache
+/// (496 under the 16-token hybrid window), so a long prompt of up to 640
+/// tokens can never fit a small pool and is shed; the layer tile holds
+/// about 26 k tokens, so no prompt drawn here is a capacity error.
+fn check_decode_serving_conserves_requests(w: Workload) -> DecodeReport {
+    let Workload {
+        placement,
+        admission,
+        process,
+        num_requests,
+        long_prompt,
+        output_tokens,
+        kv_pus,
+        seed,
+    } = w;
     let trace = RequestTrace::new(TrafficConfig {
         process,
         num_requests,
-        seq_len: 128,
+        classes: vec![
+            RequestClass::new(128, 3.0),
+            RequestClass::new(long_prompt, 1.0),
+        ],
         seed,
         ..TrafficConfig::default()
     })
@@ -83,6 +106,29 @@ fn check_decode_serving_conserves_requests(
     assert!(report.peak_kv_cells <= report.kv_capacity_cells);
     // Identical inputs, identical report — bit for bit.
     assert_eq!(report, sim.run().unwrap());
+    report
+}
+
+/// The shed path, pinned: on a 1-PU SLC pool a 600-token prompt never
+/// fits, so every long prompt is admitted and shed at once, while the
+/// 128-token prompts are served.
+#[test]
+fn decode_serving_sheds_prompts_that_never_fit() {
+    let report = check_decode_serving_conserves_requests(Workload {
+        placement: KvPlacementPolicy::SlcOnly,
+        admission: AdmissionPolicy::Unbounded,
+        process: ArrivalProcess::Poisson { qps: 2_000.0 },
+        num_requests: 40,
+        long_prompt: 600,
+        output_tokens: 8,
+        kv_pus: 1,
+        seed: 3,
+    });
+    assert!(report.shed > 0, "no long prompt was shed: {report:?}");
+    assert!(
+        report.completed > 0,
+        "no short prompt was served: {report:?}"
+    );
 }
 
 proptest! {
@@ -90,8 +136,8 @@ proptest! {
 
     /// Request conservation holds for every placement policy and admission
     /// gate across randomized Poisson and two-phase MMPP traffic, pool
-    /// sizes, and output lengths — including overloaded pools that shed,
-    /// reject and evict.
+    /// sizes, prompt mixes and output lengths — including overloaded pools
+    /// that shed, reject and evict.
     #[test]
     fn decode_serving_conserves_requests(
         qps in 500f64..40_000.0,
@@ -105,6 +151,7 @@ proptest! {
         bucket_rate in 100f64..20_000.0,
         bucket_burst in 1f64..16.0,
         mmpp in any::<bool>(),
+        long_prompt in 64usize..640,
     ) {
         let placement = [
             KvPlacementPolicy::SlcOnly,
@@ -126,14 +173,15 @@ proptest! {
         } else {
             ArrivalProcess::Poisson { qps }
         };
-        check_decode_serving_conserves_requests(
+        check_decode_serving_conserves_requests(Workload {
             placement,
             admission,
             process,
             num_requests,
+            long_prompt,
             output_tokens,
             kv_pus,
             seed,
-        );
+        });
     }
 }

@@ -174,39 +174,72 @@ proptest! {
         prop_assert!(selection::slc_cell_fraction(lo, 2) <= selection::slc_cell_fraction(hi, 2) + 1e-12);
     }
 
-    /// The packed kernels (`matmul_transpose`, `matmul_transpose_left`,
-    /// `matvec`) are bit-identical to their naive reference loops: panel
-    /// packing and register blocking relocate memory, never the per-element
-    /// accumulation order.
+    /// Every product kernel (`matmul`, `matmul_transpose`,
+    /// `matmul_transpose_left`) and `matvec` is bit-identical to its naive
+    /// reference loop: tiling relocates memory, never the per-element
+    /// accumulation chain. `a` carries exact `0.0`, `-0.0` and `±inf`
+    /// entries, and each `b` a few infinities, each facing a zero `a` entry
+    /// in its row of the sum: there the skip is all that keeps `0 · inf =
+    /// NaN` out of the chain. Dimensions up to 70 cross the 16- and 8-lane
+    /// tiles, the padded tail and the 64-deep `k` slab.
     #[test]
     fn packed_kernels_are_bit_identical_to_naive(seed in any::<u64>()) {
         let mut rng = Rng::seed_from(seed);
-        let m = 1 + (seed % 40) as usize;
-        let k = 1 + ((seed >> 8) % 40) as usize;
-        let n = 1 + ((seed >> 16) % 40) as usize;
-        let a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
-        let b = Matrix::random_normal(n, k, 0.0, 1.0, &mut rng);
-
-        // a · bᵀ: independent row-dot-row accumulation, ascending k.
-        let fast = kernels::matmul_transpose(&a, &b).unwrap();
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0f32;
-                for (x, y) in a.row(i).iter().zip(b.row(j).iter()) {
-                    acc += x * y;
-                }
-                prop_assert_eq!(fast.at(i, j).to_bits(), acc.to_bits());
-            }
+        let m = 1 + (seed % 70) as usize;
+        let k = 1 + ((seed >> 8) % 70) as usize;
+        let n = 1 + ((seed >> 16) % 70) as usize;
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut a = Matrix::random_normal(m, k, 0.0, 1.0, &mut rng);
+        let specials = [0.0f32, -0.0, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        for _ in 0..(m * k).div_ceil(8) {
+            let special = specials[rng.below(specials.len())];
+            a.set(rng.below(m), rng.below(k), special);
         }
+        // b (k × n) and c (m × n) with two infinities each; every infinity
+        // at row p meets a zero a(i, p) (for c, a zero aᵀ(i, p) = a(p, i)).
+        let mut b = Matrix::random_normal(k, n, 0.0, 1.0, &mut rng);
+        let mut c = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
+        for inf in [f32::INFINITY, f32::NEG_INFINITY] {
+            let p = rng.below(k);
+            b.set(p, rng.below(n), inf);
+            a.set(rng.below(m), p, 0.0);
+            let p = rng.below(m);
+            c.set(p, rng.below(n), inf);
+            a.set(p, rng.below(k), -0.0);
+        }
+        // The ikj reference: out[i][j] starts at 0 and adds x(i, p)·y(p, j)
+        // for ascending p whose x(i, p) is not zero.
+        let naive = |rows: usize, inner: usize, cols: usize,
+                     x_at: &dyn Fn(usize, usize) -> f32,
+                     y_at: &dyn Fn(usize, usize) -> f32| {
+            let mut out = vec![0.0f32; rows * cols];
+            for i in 0..rows {
+                for p in 0..inner {
+                    let x = x_at(i, p);
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for j in 0..cols {
+                        out[i * cols + j] += x * y_at(p, j);
+                    }
+                }
+            }
+            out
+        };
 
-        // aᵀ · b without materializing the transpose must equal the
-        // materialized two-step product bitwise.
-        let c = Matrix::random_normal(m, n, 0.0, 1.0, &mut rng);
+        // a · b, and a · bᵀ with bᵀ stored as an n × k matrix.
+        let reference = naive(m, k, n, &|i, p| a.at(i, p), &|p, j| b.at(p, j));
+        let fast = kernels::matmul(&a, &b).unwrap();
+        prop_assert_eq!(bits(fast.as_slice()), bits(&reference));
+        let fast = kernels::matmul_transpose(&a, &b.transpose()).unwrap();
+        prop_assert_eq!(bits(fast.as_slice()), bits(&reference));
+
+        // aᵀ · c: `a` read as its k × m transpose.
+        let reference = naive(k, m, n, &|i, p| a.at(p, i), &|p, j| c.at(p, j));
         let fused = kernels::matmul_transpose_left(&a, &c).unwrap();
-        let two_step = a.transpose().matmul(&c).unwrap();
-        prop_assert_eq!(fused.as_slice(), two_step.as_slice());
+        prop_assert_eq!(bits(fused.as_slice()), bits(&reference));
 
-        // a · v: row dots, ascending k.
+        // a · v: row dots, ascending k, no skip.
         let v: Vec<f32> = rng.normal_vec(k);
         let fast = kernels::matvec(&a, &v).unwrap();
         for (r, &got) in fast.iter().enumerate() {
