@@ -73,7 +73,7 @@ fn bench_training(c: &mut Criterion) {
     group.bench_function("train_epoch_tiny_encoder_mrpc", |b| {
         b.iter(|| {
             let mut m = black_box(&model).clone();
-            trainer.train_epoch(&mut m, &dataset.train).unwrap();
+            trainer.train(&mut m, &dataset.train, 1).unwrap();
             m
         })
     });

@@ -44,7 +44,7 @@ pub struct BinArgs {
     /// `--out PATH`: file to tee output rows into.
     pub out: Option<PathBuf>,
     /// `--threads N`: worker-pool width.
-    pub threads: Option<usize>,
+    threads: Option<usize>,
     /// `--backend NAME`: registered comparison backend.
     pub backend: Option<String>,
     /// `--svd-algo NAME`: SVD algorithm for factorization pipelines.

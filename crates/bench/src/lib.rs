@@ -99,7 +99,7 @@ pub fn run_functional_experiment_with(
         svd_algorithm,
         ..GradientRedistribution::new(trainer)
     };
-    let report = pipeline.apply_with_pool(&mut model, &dataset.train, &dataset.eval, pool)?;
+    let report = pipeline.apply(&mut model, &dataset.train, &dataset.eval)?;
     Ok(FunctionalExperiment {
         model,
         dataset,

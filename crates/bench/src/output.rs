@@ -29,11 +29,6 @@ pub fn tee_to_file(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Stops teeing to a file (used by tests; binaries just exit).
-pub fn reset() {
-    *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
-}
-
 /// Prints one line to stdout and, if configured, the `--out` file.
 pub fn emit(line: &str) {
     println!("{line}");
@@ -54,6 +49,11 @@ macro_rules! emitln {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Stops teeing to a file (binaries just exit).
+    fn reset() {
+        *SINK.lock().unwrap_or_else(PoisonError::into_inner) = None;
+    }
 
     #[test]
     fn tee_writes_emitted_lines_to_the_file() {

@@ -8,6 +8,7 @@
 //! the ADC at 1.28 GS/s so that the 128 bit lines of an array are digitized
 //! within the 100 ns crossbar read cycle.
 
+// hyflex-lint: allow-file(U2) — functional model of the Fig. 8 SAR ADC; the `adc::tests` unit tests, tests/paper_claims.rs, tests/cross_crate_consistency.rs and the adc_and_sfu bench drive it
 use crate::error::CircuitError;
 use crate::Result;
 
@@ -36,7 +37,7 @@ impl AdcMode {
     }
 
     /// Number of output codes.
-    pub fn codes(&self) -> u32 {
+    fn codes(&self) -> u32 {
         1u32 << self.bits()
     }
 }
@@ -48,8 +49,6 @@ pub struct Conversion {
     pub code: u32,
     /// Number of comparator decisions performed (equals the active bits).
     pub comparisons: u8,
-    /// The reconstructed analog value `code × LSB`.
-    pub reconstructed: f64,
 }
 
 /// A successive-approximation ADC with the paper's MSB-bypass reconfiguration.
@@ -124,8 +123,8 @@ impl SarAdc {
     /// Converts an analog value using the SAR binary search.
     ///
     /// Values are clamped to `[0, full_scale]`; the method returns the digital
-    /// code, the number of comparator decisions (6 or 7), and the
-    /// reconstructed analog value.
+    /// code and the number of comparator decisions (6 or 7). The code stands
+    /// for the analog value `code × LSB`.
     pub fn convert(&self, analog: f64) -> Conversion {
         let clamped = analog.clamp(0.0, self.full_scale);
         let bits = self.mode.bits();
@@ -143,7 +142,6 @@ impl SarAdc {
         Conversion {
             code,
             comparisons: bits,
-            reconstructed: f64::from(code) * lsb,
         }
     }
 }
@@ -188,7 +186,7 @@ mod tests {
             assert!(conv.code >= last_code);
             last_code = conv.code;
             assert!(conv.code < adc.mode().codes());
-            assert!((conv.reconstructed - i as f64).abs() <= adc.lsb());
+            assert!((f64::from(conv.code) * adc.lsb() - i as f64).abs() <= adc.lsb());
             assert_eq!(conv.comparisons, 6);
         }
     }
@@ -201,7 +199,7 @@ mod tests {
         for sum in 0..64 {
             let conv = adc.convert(sum as f64);
             assert_eq!(conv.code, sum);
-            assert_eq!(conv.reconstructed, sum as f64);
+            assert_eq!(f64::from(conv.code) * adc.lsb(), sum as f64);
         }
     }
 
@@ -228,8 +226,8 @@ mod tests {
         let fine = SarAdc::new(AdcMode::Mlc7Bit, 192.0).unwrap();
         assert!(fine.lsb() < coarse.lsb());
         let x = 77.3;
-        let e_fine = (fine.convert(x).reconstructed - x).abs();
-        let e_coarse = (coarse.convert(x).reconstructed - x).abs();
+        let e_fine = (f64::from(fine.convert(x).code) * fine.lsb() - x).abs();
+        let e_coarse = (f64::from(coarse.convert(x).code) * coarse.lsb() - x).abs();
         assert!(e_fine <= e_coarse);
     }
 

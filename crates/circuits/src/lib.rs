@@ -30,7 +30,6 @@
 //!   bypass reconfiguration between 6-bit (SLC) and 7-bit (MLC) modes.
 //! * [`shift_add`] — the digital shift-and-add recombination of bit-line
 //!   results for SLC (×2 per column) and MLC (×4 per column) mappings.
-//! * [`peripherals`] — word-line drivers and sample-and-hold circuits.
 //! * [`sfu`] — the floating-point special function unit: max-search,
 //!   Taylor-series exponentiation, division, square root; softmax, layer
 //!   norm, and GELU built from those primitives with cycle accounting.
@@ -41,7 +40,6 @@
 pub mod adc;
 pub mod energy;
 pub mod error;
-pub mod peripherals;
 pub mod sfu;
 pub mod shift_add;
 pub mod table2;

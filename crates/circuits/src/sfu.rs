@@ -17,6 +17,8 @@ use crate::Result;
 /// Inputs processed per cycle by one SFU (paper Section 3.1).
 pub const SFU_INPUTS_PER_CYCLE: usize = 256;
 
+// hyflex-lint: allow-file(U2, U3) — functional model of the SFU (softmax, layer norm and GELU with cycle accounting); the `sfu::tests` unit tests and the adc_and_sfu bench drive it and read its statistics record
+
 /// Taylor-series terms used for the exponential (after argument reduction).
 pub const DEFAULT_TAYLOR_TERMS: usize = 8;
 

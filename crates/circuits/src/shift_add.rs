@@ -6,6 +6,7 @@
 //! consecutive weight columns carry single bits (shift by 1 per column); for
 //! 2-bit MLC each column carries two bits (shift by 2, i.e. ×4 per column).
 
+// hyflex-lint: allow-file(U2) — functional model of the S&A unit (Figs. 6 and 7); the `shift_add::tests` unit tests drive it
 use crate::error::CircuitError;
 use crate::Result;
 
@@ -43,12 +44,6 @@ impl ShiftAdder {
     pub fn value(&self) -> i64 {
         self.accumulator
     }
-
-    /// Resets the accumulator for the next output element.
-    pub fn reset(&mut self) {
-        self.accumulator = 0;
-        self.operations = 0;
-    }
 }
 
 #[cfg(test)]
@@ -62,9 +57,6 @@ mod tests {
         sa.accumulate(3, 2).unwrap();
         assert_eq!(sa.value(), 3 + 12);
         assert_eq!(sa.operations, 2);
-        sa.reset();
-        assert_eq!(sa.value(), 0);
-        assert_eq!(sa.operations, 0);
     }
 
     #[test]

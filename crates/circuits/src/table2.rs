@@ -16,8 +16,6 @@ pub struct ComponentSpec {
     pub area_mm2: f64,
     /// Power in mW for all instances inside one module.
     pub power_mw: f64,
-    /// Short description of the sizing parameter (e.g. "64×128", "6-b/7-b").
-    pub parameter: &'static str,
     /// Number of instances inside one module.
     pub count: usize,
 }
@@ -80,49 +78,42 @@ impl Table2 {
                     name: "RRAM Array",
                     area_mm2: 0.048,
                     power_mw: 60.78,
-                    parameter: "1-b/2-b, 64x128",
                     count: 512,
                 },
                 ComponentSpec {
                     name: "IR",
                     area_mm2: 0.00065,
                     power_mw: 0.13,
-                    parameter: "64 B each",
                     count: 512,
                 },
                 ComponentSpec {
                     name: "OR",
                     area_mm2: 0.00129,
                     power_mw: 0.53,
-                    parameter: "128 B each",
                     count: 512,
                 },
                 ComponentSpec {
                     name: "WL DRV",
                     area_mm2: 0.02,
                     power_mw: 297.71,
-                    parameter: "1-b resolution",
                     count: 64 * 512,
                 },
                 ComponentSpec {
                     name: "ADC",
                     area_mm2: 0.30,
                     power_mw: 512.00,
-                    parameter: "6-b/7-b SAR",
                     count: 512,
                 },
                 ComponentSpec {
                     name: "S&A",
                     area_mm2: 0.10,
                     power_mw: 59.54,
-                    parameter: "shift & adder",
                     count: 512,
                 },
                 ComponentSpec {
                     name: "S&H",
                     area_mm2: 6e-5,
                     power_mw: 12e-6,
-                    parameter: "sample & hold",
                     count: 512,
                 },
             ],
@@ -135,49 +126,42 @@ impl Table2 {
                     name: "RRAM Array",
                     area_mm2: 2.86,
                     power_mw: 3890.02,
-                    parameter: "1-b, 1024x1024",
                     count: 256,
                 },
                 ComponentSpec {
                     name: "IR",
                     area_mm2: 0.0031,
                     power_mw: 0.76,
-                    parameter: "1 KB each",
                     count: 256,
                 },
                 ComponentSpec {
                     name: "OR",
                     area_mm2: 0.0032,
                     power_mw: 1.65,
-                    parameter: "1 KB each",
                     count: 256,
                 },
                 ComponentSpec {
                     name: "WL DRV",
                     area_mm2: 0.14,
                     power_mw: 2381.64,
-                    parameter: "1-b resolution",
                     count: 1024 * 256,
                 },
                 ComponentSpec {
                     name: "S&A",
                     area_mm2: 0.21,
                     power_mw: 119.08,
-                    parameter: "shift & adder",
                     count: 1024,
                 },
                 ComponentSpec {
                     name: "S&H",
                     area_mm2: 13e-5,
                     power_mw: 23e-6,
-                    parameter: "sample & hold",
                     count: 1024,
                 },
                 ComponentSpec {
                     name: "SFU",
                     area_mm2: 4.79,
                     power_mw: 138.89,
-                    parameter: "256 inputs/cycle",
                     count: 1,
                 },
             ],

@@ -29,20 +29,13 @@ impl Chip {
         Ok(Chip { config })
     }
 
-    /// The paper's chip.
-    pub fn paper_default() -> Self {
-        Chip {
-            config: HyFlexPimConfig::paper_default(),
-        }
-    }
-
     /// The underlying configuration.
     pub fn config(&self) -> &HyFlexPimConfig {
         &self.config
     }
 
     /// Number of processing units.
-    pub fn pus(&self) -> usize {
+    fn pus(&self) -> usize {
         self.config.pus_per_chip
     }
 
@@ -77,8 +70,8 @@ impl Chip {
         elements * usize::from(self.config.weight_bits)
     }
 
-    /// PUs needed to hold one layer's static weights: the analog half of
-    /// [`Chip::pus_per_layer`], fixed once the model is mapped (it does not
+    /// PUs needed to hold one layer's static weights: the analog half of the
+    /// PUs one layer needs, fixed once the model is mapped (it does not
     /// depend on sequence length).
     pub(crate) fn analog_pus_per_layer(
         &self,
@@ -90,18 +83,7 @@ impl Chip {
     }
 
     /// Number of PUs needed to hold one layer (tensor parallelism, scaling
-    /// case 1 of Section 3.1). At least 1.
-    pub fn pus_per_layer(
-        &self,
-        model: &ModelConfig,
-        seq_len: usize,
-        slc_rank_fraction: f64,
-    ) -> usize {
-        let by_analog = self.analog_pus_per_layer(model, slc_rank_fraction);
-        self.pus_per_layer_given_analog(by_analog, model, seq_len)
-    }
-
-    /// [`Chip::pus_per_layer`] from its precomputed analog half
+    /// case 1 of Section 3.1) from its precomputed analog half
     /// ([`Chip::analog_pus_per_layer`]): the larger of that and the PUs the
     /// layer's dynamic data needs at `seq_len`, at least 1.
     pub(crate) fn pus_per_layer_given_analog(
@@ -138,9 +120,18 @@ impl Chip {
 mod tests {
     use super::*;
 
+    fn paper_chip() -> Chip {
+        Chip::new(HyFlexPimConfig::paper_default()).unwrap()
+    }
+
+    fn pus_per_layer(chip: &Chip, model: &ModelConfig, seq_len: usize, slc: f64) -> usize {
+        let by_analog = chip.analog_pus_per_layer(model, slc);
+        chip.pus_per_layer_given_analog(by_analog, model, seq_len)
+    }
+
     #[test]
     fn pu_resources_match_table_2_geometry() {
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let config = chip.config();
         assert_eq!(
             config.analog_modules_per_pu * config.analog_arrays_per_module,
@@ -153,7 +144,7 @@ mod tests {
 
     #[test]
     fn mlc_mapping_needs_half_the_cells_of_slc() {
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let model = ModelConfig::bert_large();
         let all_slc = chip.analog_cells_for_layer(&model, 1.0);
         let all_mlc = chip.analog_cells_for_layer(&model, 0.0);
@@ -167,9 +158,9 @@ mod tests {
     #[test]
     fn bert_large_fits_one_layer_per_pu_in_hybrid_mode() {
         // Section 5.4: each PU is assigned one BERT-Large layer.
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let model = ModelConfig::bert_large();
-        assert_eq!(chip.pus_per_layer(&model, 128, 0.1), 1);
+        assert_eq!(pus_per_layer(&chip, &model, 128, 0.1), 1);
         assert_eq!(chip.chips_for_layer_pus(1, &model), 1);
         assert_eq!(chip.pus(), 24);
     }
@@ -178,9 +169,9 @@ mod tests {
     fn gpt2_gets_two_layers_per_pu_worth_of_headroom() {
         // BERT-Base and GPT-2 have 12 layers, so a 24-PU chip can dedicate
         // two PUs per layer (the paper's 2x throughput argument).
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let model = ModelConfig::gpt2_small();
-        let per_layer = chip.pus_per_layer(&model, 1024, 0.2);
+        let per_layer = pus_per_layer(&chip, &model, 1024, 0.2);
         assert_eq!(per_layer, 1);
         assert!(chip.pus() / per_layer >= 12);
     }
@@ -189,9 +180,9 @@ mod tests {
     fn llama3_needs_multiple_pus_and_chips_at_long_sequences() {
         // Section 6.3.5: Llama3 layers exceed one PU and the model needs at
         // least two chips.
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let model = ModelConfig::llama3_1b();
-        let per_layer = chip.pus_per_layer(&model, 8192, 0.2);
+        let per_layer = pus_per_layer(&chip, &model, 8192, 0.2);
         assert!(
             per_layer >= 2,
             "expected >=2 PUs per Llama3 layer, got {per_layer}"
@@ -207,12 +198,12 @@ mod tests {
         config.digital_arrays_per_module = 4;
         let chip = Chip::new(config).unwrap();
         let model = ModelConfig::llama3_1b();
-        assert!(chip.pus_per_layer(&model, 8192, 0.5) > chip.pus());
+        assert!(pus_per_layer(&chip, &model, 8192, 0.5) > chip.pus());
     }
 
     #[test]
     fn memory_requirement_helpers_scale_with_model_and_sequence() {
-        let chip = Chip::paper_default();
+        let chip = paper_chip();
         let gpt2 = ModelConfig::gpt2_small();
         let llama = ModelConfig::llama3_1b();
         assert!(chip.model_analog_weight_bytes(&llama) > chip.model_analog_weight_bytes(&gpt2));

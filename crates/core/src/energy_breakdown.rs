@@ -39,11 +39,6 @@ impl EnergyBreakdown {
         self.components().iter().map(|(_, v)| v).sum()
     }
 
-    /// Total energy in millijoules.
-    pub fn total_mj(&self) -> f64 {
-        self.total_pj() / 1e9
-    }
-
     /// Energy attributable to the static-weight linear layers only
     /// (the quantity normalized in Figure 14).
     pub fn linear_layer_pj(&self) -> f64 {
@@ -180,7 +175,6 @@ mod tests {
         let e = sample();
         assert!((e.total_pj() - 56.0).abs() < 1e-9);
         assert!((e.linear_layer_pj() - 25.0).abs() < 1e-9);
-        assert!((e.total_mj() - 56.0e-9).abs() < 1e-18);
     }
 
     #[test]

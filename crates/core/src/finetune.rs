@@ -1,7 +1,5 @@
 //! Fine-tuning hyper-parameters (paper Table 1).
 
-use hyflex_transformer::{AdamWConfig, Trainer};
-
 /// One row of Table 1: the fine-tuning recipe for one evaluation model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyperParams {
@@ -51,20 +49,6 @@ impl HyperParams {
             },
         ]
     }
-
-    /// Builds a trainer from this row. The reduced-scale functional models
-    /// use a larger learning rate (they train from scratch rather than from a
-    /// pre-trained checkpoint); `lr_scale` exposes that adjustment while
-    /// keeping the published value as the reference point.
-    pub fn trainer(&self, lr_scale: f32) -> Trainer {
-        Trainer::new(
-            AdamWConfig {
-                learning_rate: self.learning_rate * lr_scale,
-                ..AdamWConfig::default()
-            },
-            self.batch_size,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -90,13 +74,5 @@ mod tests {
         let gpt = for_model("GPT-2").unwrap();
         assert_eq!(gpt.batch_size, 2);
         assert!(rows.iter().all(|r| r.optimizer == "AdamW"));
-    }
-
-    #[test]
-    fn trainer_applies_learning_rate_scale() {
-        let row = for_model("ViT-Base").unwrap();
-        let trainer = row.trainer(100.0);
-        assert!((trainer.optimizer.learning_rate - 5e-4).abs() < 1e-9);
-        assert_eq!(trainer.batch_size, 10);
     }
 }

@@ -113,6 +113,7 @@ pub struct RedistributionReport {
     /// Evaluation before SVD truncation (dense fine-tuned model).
     pub eval_dense: EvalReport,
     /// Evaluation immediately after truncation, before fine-tuning.
+    // hyflex-lint: allow(U3) — read through the derived `PartialEq`: e2ebench's stage-split check and property_invariants' pooled-apply test compare whole reports
     pub eval_truncated: EvalReport,
     /// Evaluation after fine-tuning the factored model.
     pub eval_finetuned: EvalReport,
@@ -220,12 +221,12 @@ impl GradientRedistribution {
     /// Runs the full pipeline (Algorithm 1 steps 1–4) on a model that has
     /// already been trained in dense form on `train`/`eval`.
     ///
-    /// The factorization, fine-tuning and gradient-collection steps run
-    /// pooled at the machine's default parallelism
-    /// ([`JobPool::with_default_parallelism`]); the result is bit-identical
-    /// to the serial pipeline for every worker count (see
+    /// The factorization, fine-tuning and gradient-collection steps run on
+    /// the trainer's pool (`Trainer::new` sizes it to the machine's default
+    /// parallelism); the result is bit-identical to the serial pipeline for
+    /// every worker count (see
     /// [`GradientRedistribution::factorize_model_pooled`] and `Trainer`).
-    /// Use [`GradientRedistribution::apply_with_pool`] to control the width.
+    /// Set `Trainer { pool, .. }` to control the width.
     ///
     /// # Errors
     ///
@@ -236,40 +237,6 @@ impl GradientRedistribution {
         train: &[Sample],
         eval: &[Sample],
     ) -> Result<RedistributionReport> {
-        self.apply_with_pool(model, train, eval, &JobPool::with_default_parallelism())
-    }
-
-    /// [`GradientRedistribution::apply`] with an explicit pool for the
-    /// layer factorization, and for the trainer in place of its own.
-    ///
-    /// # Errors
-    ///
-    /// Returns model or decomposition errors.
-    pub fn apply_with_pool(
-        &self,
-        model: &mut TransformerModel,
-        train: &[Sample],
-        eval: &[Sample],
-        pool: &JobPool,
-    ) -> Result<RedistributionReport> {
-        let pooled = GradientRedistribution {
-            trainer: Trainer {
-                pool: *pool,
-                ..self.trainer
-            },
-            ..*self
-        };
-        pooled.run(model, train, eval, pool)
-    }
-
-    /// Algorithm 1 steps 1–4 with this pipeline's own trainer.
-    fn run(
-        &self,
-        model: &mut TransformerModel,
-        train: &[Sample],
-        eval: &[Sample],
-        pool: &JobPool,
-    ) -> Result<RedistributionReport> {
         if self.finetune_epochs == 0 {
             return Err(PimError::InvalidConfig(
                 "gradient redistribution needs at least one fine-tuning epoch".to_string(),
@@ -279,7 +246,7 @@ impl GradientRedistribution {
 
         // Steps 1-2: SVD decomposition + truncation, one pooled job per
         // independent layer.
-        self.factorize_model_pooled(model, pool)?;
+        self.factorize_model_pooled(model, &self.trainer.pool)?;
         let eval_truncated = self.trainer.evaluate(model, eval).map_err(PimError::from)?;
 
         // Step 3: fine-tune the factored model.

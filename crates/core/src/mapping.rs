@@ -32,8 +32,6 @@ pub struct PortionResources {
 /// Complete mapping of one static layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerMapping {
-    /// Which of the six static layers this is.
-    pub layer: StaticLayerKind,
     /// Truncated rank `k` (hard threshold).
     pub rank: usize,
     /// Ranks stored in SLC.
@@ -123,7 +121,6 @@ pub fn map_layer(
         energy.array_write_pj(slc.cells, false) + energy.array_write_pj(mlc.cells, true);
 
     Ok(LayerMapping {
-        layer,
         rank,
         slc_ranks,
         mlc_ranks,

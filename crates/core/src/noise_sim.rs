@@ -62,9 +62,9 @@ pub struct NoiseStats {
     /// Number of ranks mapped to MLC (factored layers).
     pub mlc_ranks: usize,
     /// Number of individual weights mapped to SLC (dense layers).
-    pub slc_weights: usize,
+    pub slc_weights: usize, // hyflex-lint: allow(U3) — checked by `dense_model_uses_magnitude_masking`
     /// Number of individual weights mapped to MLC (dense layers).
-    pub mlc_weights: usize,
+    pub mlc_weights: usize, // hyflex-lint: allow(U3) — checked by `dense_model_uses_magnitude_masking`
 }
 
 impl NoiseStats {
@@ -131,6 +131,7 @@ impl NoiseSimulator {
     /// # Errors
     ///
     /// Returns [`PimError::InvalidConfig`] for unsupported precisions.
+    // hyflex-lint: allow(U2) — builds the noise-free simulator `noise_sim::tests` compare exact arithmetic with, and `constructor_validates_precision_and_stats_helpers_work` checks its validation
     pub fn new(noise: NoiseModel, weight_bits: u8) -> Result<Self> {
         if !(2..=16).contains(&weight_bits) {
             return Err(PimError::InvalidConfig(format!(
@@ -146,11 +147,6 @@ impl NoiseSimulator {
             noise: NoiseModel::calibrated_to_paper(),
             weight_bits: 8,
         }
-    }
-
-    /// The underlying noise model.
-    pub fn noise(&self) -> &NoiseModel {
-        &self.noise
     }
 
     /// Perturbs `model` in place according to the mapping spec.
@@ -283,6 +279,7 @@ impl NoiseSimulator {
     /// # Errors
     ///
     /// Propagates the first point's error.
+    // hyflex-lint: allow(U2) — serial oracle of the pooled sweep: `sweep::tests` in hyflex-runtime, runtime/tests/determinism.rs and `noise_sim::tests` compare against it
     pub fn evaluate_sweep(
         &self,
         model: &TransformerModel,

@@ -70,12 +70,6 @@ impl LatencyBreakdown {
     pub fn total_ns(&self) -> f64 {
         self.analog_ns + self.digital_ns + self.sfu_ns + self.interconnect_ns + self.queueing_ns
     }
-
-    /// Total latency excluding queueing: the time one request spends being
-    /// processed once it has entered the pipeline.
-    pub fn service_ns(&self) -> f64 {
-        self.total_ns() - self.queueing_ns
-    }
 }
 
 /// Full evaluation result for one point.
@@ -196,8 +190,8 @@ pub struct Deployment {
     write_energy_pj: f64,
     /// Serialized passes over one PU's analog arrays per factored stage.
     analog_passes: f64,
-    /// PUs one layer's static weights need (the analog half of
-    /// [`Chip::pus_per_layer`]).
+    /// PUs one layer's static weights need (the analog half of the PUs a
+    /// layer occupies).
     analog_pus_per_layer: usize,
     /// Area of one chip, mm² (Table 2).
     chip_area_mm2: f64,
@@ -222,7 +216,7 @@ pub struct PerformanceModel {
     energy: EnergyModel,
     table2: Table2,
     /// Inferences over which analog weight programming is amortized.
-    pub weight_reuse_inferences: u64,
+    weight_reuse_inferences: u64,
 }
 
 impl PerformanceModel {
@@ -715,7 +709,7 @@ mod tests {
         let s = summary(ModelConfig::bert_large(), 128, 0.05);
         // Energy for one BERT-Large inference on a 65 nm PIM should be in the
         // 0.1 mJ .. 1 J band.
-        let mj = s.energy.total_mj();
+        let mj = s.energy.total_pj() / 1e9;
         assert!(mj > 0.1 && mj < 1000.0, "energy {mj} mJ");
         // Latency between 1 µs and 1 s.
         let us = s.latency.total_ns() / 1e3;

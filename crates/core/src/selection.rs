@@ -125,6 +125,7 @@ pub fn select_protected_weights(weights: &Matrix, protection_rate: f64) -> Matri
 /// per rank, the storage fraction equals the rank fraction — but SLC cells
 /// hold half as many bits, so the *cell* fraction is higher. This helper
 /// computes the cell fraction used by the capacity model.
+// hyflex-lint: allow(U2) — the SLC cell-fraction identity behind the capacity argument; `selection::tests::slc_cell_fraction_grows_faster_than_rank_fraction` and property_invariants' `slc_cell_fraction_is_monotone` check it
 pub fn slc_cell_fraction(rank_protection_rate: f64, mlc_bits_per_cell: u8) -> f64 {
     let rate = rank_protection_rate.clamp(0.0, 1.0);
     let slc_cells = rate; // one cell per bit, relative units

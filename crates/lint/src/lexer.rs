@@ -223,13 +223,6 @@ pub fn find_word(code: &str, word: &str) -> Option<usize> {
     None
 }
 
-/// Splits a code-channel line into its identifier tokens (keywords
-/// included), in order.
-pub fn identifiers(code: &str) -> impl Iterator<Item = &str> {
-    code.split(|c: char| !c.is_alphanumeric() && c != '_')
-        .filter(|w| w.starts_with(|c: char| c.is_alphabetic() || c == '_'))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,11 +292,5 @@ mod tests {
         assert!(find_word("type MyHashMap = ();", "HashMap").is_none());
         assert!(find_word("HashMapLike", "HashMap").is_none());
         assert!(find_word("HashMap::new()", "HashMap").is_some());
-    }
-
-    #[test]
-    fn identifiers_skip_numbers_and_punctuation() {
-        let ids: Vec<&str> = identifiers("let x_1 = foo::bar(2.5e3, _y);").collect();
-        assert_eq!(ids, ["let", "x_1", "foo", "bar", "_y"]);
     }
 }

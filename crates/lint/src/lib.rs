@@ -7,8 +7,11 @@
 //! A dependency-free, token-level static-analysis pass over the workspace
 //! that enforces the invariants every recorded number rests on: **same
 //! seed, same bytes, under any thread count** — plus the safety policy
-//! (no `unsafe`, no panic paths in library code) and a surface check (no
-//! library `pub fn` that nothing outside its file names).
+//! (no `unsafe`, no panic paths in library code) and the surface checks:
+//! no library `pub fn` that no other file calls (U1) or that only tests
+//! call (U2), and no library `pub` field that no other file reads (U3).
+//! The surface rules tell a call apart from a same-named binding by the
+//! shape of each mention, with no parser (see the `surface` module).
 //!
 //! The dynamic determinism suite (CI's multi-thread-count jobs, the golden
 //! fixtures) proves these invariants hold *today*; this pass rejects the
@@ -33,8 +36,9 @@
 
 pub mod lexer;
 pub mod rules;
+mod surface;
 
-use lexer::{find_word, identifiers, lex, SourceLine};
+use lexer::{find_word, lex, SourceLine};
 use rules::{severity_for, FileKind, RuleId, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -82,14 +86,14 @@ impl Report {
 
 /// Which crate and target kind a file belongs to.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileCtx {
+struct FileCtx {
     /// Directory name under `crates/` (`runtime`, `core`, …) or `hyflex`
     /// for the workspace-root facade crate.
-    pub crate_name: String,
-    pub kind: FileKind,
+    crate_name: String,
+    kind: FileKind,
     /// Whether this file is a crate root (`src/lib.rs` / `src/main.rs`)
     /// and must carry `#![forbid(unsafe_code)]` (rule D5).
-    pub is_crate_root: bool,
+    is_crate_root: bool,
 }
 
 /// Classifies a workspace-relative `/`-separated path. Returns `None` for
@@ -136,7 +140,7 @@ struct AllowDirective {
     used: bool,
 }
 
-/// Whether U1 reads `rel_path` for references. Every linted file counts,
+/// Whether U1–U3 read `rel_path` for references. Every linted file counts,
 /// and so does the end-to-end benchmark, whose calls into the crates are
 /// API use even though its code sits outside the per-file rules.
 fn is_indexed(rel_path: &str) -> bool {
@@ -145,33 +149,39 @@ fn is_indexed(rel_path: &str) -> bool {
 }
 
 /// Scans in-memory `(workspace-relative path, source)` files as one
-/// workspace: the per-file rules on every classified file, plus U1, which
-/// looks a `pub fn`'s name up in every *other* indexed file's code-channel
-/// identifiers. [`lint_workspace`] is this function over the files on disk.
+/// workspace: the per-file rules on every classified file, plus the surface
+/// rules U1–U3, which look each library `pub fn` and `pub` field up in the
+/// call-, path- and field-shaped mentions of every indexed file.
+/// [`lint_workspace`] is this function over the files on disk.
 pub fn lint_sources(files: &[(&str, &str)]) -> Report {
-    let lexed: Vec<(&str, Vec<SourceLine>)> = files
+    let lexed: Vec<(&str, Option<FileCtx>, Vec<SourceLine>)> = files
         .iter()
         .filter(|(path, _)| is_indexed(path))
-        .map(|&(path, source)| (path, lex(source)))
+        .map(|&(path, source)| (path, classify(path), lex(source)))
         .collect();
-    let index: Vec<BTreeSet<&str>> = lexed
+    let test_lines: Vec<BTreeSet<usize>> = lexed
         .iter()
-        .map(|(_, lines)| lines.iter().flat_map(|l| identifiers(&l.code)).collect())
+        .map(|(_, _, lines)| test_region_lines(lines))
         .collect();
+    let indexed: Vec<surface::IndexedFile<'_>> = lexed
+        .iter()
+        .zip(&test_lines)
+        .map(|((_, ctx, lines), test_lines)| surface::IndexedFile {
+            lines,
+            kind: ctx.as_ref().map(|c| c.kind),
+            test_lines,
+        })
+        .collect();
+    let surface_hits = surface::surface_hits(&indexed);
     let mut report = Report::default();
-    for (i, (path, lines)) in lexed.iter().enumerate() {
-        let Some(ctx) = classify(path) else {
+    for (((path, ctx, lines), test_lines), hits) in lexed.iter().zip(&test_lines).zip(surface_hits)
+    {
+        let Some(ctx) = ctx else {
             continue;
-        };
-        let named_elsewhere = |name: &str| {
-            index
-                .iter()
-                .enumerate()
-                .any(|(j, ids)| j != i && ids.contains(name))
         };
         report
             .findings
-            .extend(lint_lines(path, &ctx, lines, Some(&named_elsewhere)));
+            .extend(lint_lines(path, ctx, lines, test_lines, hits));
         report.files_scanned += 1;
     }
     report
@@ -181,22 +191,32 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Report {
 }
 
 /// Scans one file's source text on its own. `rel_path` decides crate and
-/// kind; fixture tests call this directly with synthetic paths. U1 needs
-/// the other files, so it runs only through [`lint_sources`].
+/// kind; fixture tests call this directly with synthetic paths. U1–U3 need
+/// the other files, so they run only through [`lint_sources`].
+// hyflex-lint: allow(U2) — the single-file entry the rule fixtures in tests/lint_rules.rs replay under synthetic paths
 pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let Some(ctx) = classify(rel_path) else {
         return Vec::new();
     };
-    lint_lines(rel_path, &ctx, &lex(source), None)
+    let lines = lex(source);
+    lint_lines(
+        rel_path,
+        &ctx,
+        &lines,
+        &test_region_lines(&lines),
+        Vec::new(),
+    )
 }
 
-/// The per-file rule pass. `named_elsewhere` answers U1's question — does
-/// another file's code name this identifier? — and `None` skips U1.
+/// The per-file rule pass. `surface_hits` are this file's U1–U3 candidates
+/// from the workspace view; they get their severity and allow directives
+/// here like every other rule's.
 fn lint_lines(
     rel_path: &str,
     ctx: &FileCtx,
     lines: &[SourceLine],
-    named_elsewhere: Option<&dyn Fn(&str) -> bool>,
+    test_lines: &BTreeSet<usize>,
+    surface_hits: Vec<surface::SurfaceHit>,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut directives = parse_directives(rel_path, lines, &mut findings);
@@ -226,7 +246,6 @@ fn lint_lines(
         }
     }
 
-    let test_lines = test_region_lines(lines);
     for (i, line) in lines.iter().enumerate() {
         let kind = if test_lines.contains(&i) {
             FileKind::Test
@@ -271,41 +290,21 @@ fn lint_lines(
         });
     }
 
-    // U1: a non-test library `pub fn` must be named by some other file.
-    let u1 = severity_for(RuleId::U1, &ctx.crate_name, ctx.kind).zip(named_elsewhere);
-    if let Some((severity, named_elsewhere)) = u1 {
-        for (i, line) in lines.iter().enumerate() {
-            if test_lines.contains(&i) {
-                continue;
-            }
-            let Some(name) = pub_fn_name(&line.code) else {
-                continue;
-            };
-            if named_elsewhere(name) || suppressed(RuleId::U1, i, &line_allows, &mut directives) {
-                continue;
-            }
-            let used_here = lines.iter().enumerate().any(|(k, l)| {
-                k != i && !test_lines.contains(&k) && find_word(&l.code, name).is_some()
-            });
-            let message = if used_here {
-                format!(
-                    "`pub fn {name}` is named by no other file; only this file calls it, \
-                     so make it private"
-                )
-            } else {
-                format!(
-                    "`pub fn {name}` is named by no other file and by no non-test code \
-                     here; delete it (and the tests that are its only callers)"
-                )
-            };
-            findings.push(Finding {
-                rule: RuleId::U1,
-                severity,
-                file: rel_path.to_string(),
-                line: i + 1,
-                message,
-            });
+    // U1–U3: library surface the rest of the workspace does not reach.
+    for hit in surface_hits {
+        let Some(severity) = severity_for(hit.rule, &ctx.crate_name, ctx.kind) else {
+            continue;
+        };
+        if suppressed(hit.rule, hit.line, &line_allows, &mut directives) {
+            continue;
         }
+        findings.push(Finding {
+            rule: hit.rule,
+            severity,
+            file: rel_path.to_string(),
+            line: hit.line + 1,
+            message: hit.message,
+        });
     }
 
     // A2: a directive that suppressed nothing is stale and should go.
@@ -330,19 +329,6 @@ fn lint_lines(
     }
     findings.sort_by_key(|f| (f.line, f.rule));
     findings
-}
-
-/// The name declared by a `pub fn` line (`pub const/async/unsafe fn`
-/// too). Restricted visibility (`pub(crate) fn`) is not surface.
-fn pub_fn_name(code: &str) -> Option<&str> {
-    let mut rest = code.trim_start().strip_prefix("pub ")?.trim_start();
-    while let Some(tail) = ["const ", "async ", "unsafe "]
-        .iter()
-        .find_map(|q| rest.strip_prefix(q))
-    {
-        rest = tail.trim_start();
-    }
-    identifiers(rest.strip_prefix("fn ")?).next()
 }
 
 fn line_has_code(line: &SourceLine) -> bool {
@@ -430,9 +416,10 @@ fn parse_one_directive(text: &str, at: usize) -> Result<AllowDirective, String> 
         match RuleId::parse(token) {
             Some(rule) => rule_ids.push(rule),
             None => {
+                let known = RuleId::ALL.map(RuleId::id).join(", ");
                 return Err(format!(
-                    "unknown rule id `{token}` in allow directive (known: D1–D5, E1, U1)"
-                ))
+                    "unknown rule id `{token}` in allow directive (known: {known})"
+                ));
             }
         }
     }
@@ -570,8 +557,8 @@ fn detect(rule: RuleId, code: &str) -> Option<String> {
                 )
             })
         }
-        RuleId::U1 => None, // cross-file check, handled in lint_lines
-        RuleId::A1 | RuleId::A2 => None, // directive hygiene, handled elsewhere
+        RuleId::U1 | RuleId::U2 | RuleId::U3 => None, // cross-file, see `surface`
+        RuleId::A1 | RuleId::A2 => None,              // directive hygiene, handled elsewhere
     }
 }
 
@@ -812,6 +799,18 @@ mod tests {
         assert!(
             findings.iter().any(|f| f.rule == RuleId::D1),
             "{findings:?}"
+        );
+    }
+
+    #[test]
+    fn unknown_rule_message_lists_every_rule() {
+        let source = "// hyflex-lint: allow(U9) — no such rule\npub fn f() {}\n";
+        let findings = lint_source("crates/runtime/src/demo.rs", source);
+        let a1 = findings.iter().find(|f| f.rule == RuleId::A1).unwrap();
+        assert!(
+            a1.message.contains("U2") && a1.message.contains("U3"),
+            "{}",
+            a1.message
         );
     }
 

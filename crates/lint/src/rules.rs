@@ -41,8 +41,12 @@ pub enum RuleId {
     D5,
     /// No `unwrap`/`expect`/`panic!` family in non-test library code.
     E1,
-    /// No library `pub fn` whose name no other file's code mentions.
+    /// No library `pub fn` that no other file calls.
     U1,
+    /// No library `pub fn` that only test code calls.
+    U2,
+    /// No library `pub` field that no other file reads.
+    U3,
     /// A `hyflex-lint:` directive that is malformed or lacks a reason.
     A1,
     /// An allow directive that suppressed nothing.
@@ -51,7 +55,7 @@ pub enum RuleId {
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 9] = [
+    pub const ALL: [RuleId; 11] = [
         RuleId::D1,
         RuleId::D2,
         RuleId::D3,
@@ -59,6 +63,8 @@ impl RuleId {
         RuleId::D5,
         RuleId::E1,
         RuleId::U1,
+        RuleId::U2,
+        RuleId::U3,
         RuleId::A1,
         RuleId::A2,
     ];
@@ -73,6 +79,8 @@ impl RuleId {
             RuleId::D5 => "D5",
             RuleId::E1 => "E1",
             RuleId::U1 => "U1",
+            RuleId::U2 => "U2",
+            RuleId::U3 => "U3",
             RuleId::A1 => "A1",
             RuleId::A2 => "A2",
         }
@@ -88,6 +96,8 @@ impl RuleId {
             RuleId::D5 => "forbid-unsafe-attr",
             RuleId::E1 => "no-panic-paths",
             RuleId::U1 => "unreferenced-pub",
+            RuleId::U2 => "test-only-pub",
+            RuleId::U3 => "unread-pub-field",
             RuleId::A1 => "malformed-allow",
             RuleId::A2 => "unused-allow",
         }
@@ -115,8 +125,18 @@ impl RuleId {
                  conditions into aborts; return typed errors instead"
             }
             RuleId::U1 => {
-                "a library pub fn that no other file's code names is dead \
-                 surface; delete it, or make it private if this file calls it"
+                "a library pub fn that no other file calls (a call or path, not \
+                 a same-named binding) is dead surface; delete it, or make it \
+                 private if this file calls it"
+            }
+            RuleId::U2 => {
+                "a library pub fn that only tests, benches and examples call is \
+                 surface kept for tests; delete it, or allow it naming the test \
+                 it serves as an oracle"
+            }
+            RuleId::U3 => {
+                "a library pub field that no other file reads is dead (read \
+                 nowhere) or needlessly public (read and set only in its file)"
             }
             RuleId::A1 => "hyflex-lint allow directives must name a rule and give a reason",
             RuleId::A2 => "an allow directive that suppresses nothing should be removed",
@@ -180,11 +200,17 @@ pub fn severity_for(rule: RuleId, crate_name: &str, kind: FileKind) -> Option<Se
             // unwrap at top level after printing context.
             FileKind::Bin | FileKind::Test => None,
         },
-        // Library surface must be reached from outside its file (another
-        // module, crate, bin, test, example or the benchmark). A bin's or a
-        // test's `pub` is not surface at all.
-        RuleId::U1 => match kind {
+        // Library surface must be called from outside its file (another
+        // module, crate, bin, test, example or the benchmark), and by more
+        // than tests. A bin's or a test's `pub` is not surface at all.
+        RuleId::U1 | RuleId::U2 => match kind {
             FileKind::Lib => Some(Severity::Deny),
+            FileKind::Bin | FileKind::Test => None,
+        },
+        // A field's readers are harder to tell apart by shape than a fn's
+        // callers, so U3 reports without gating.
+        RuleId::U3 => match kind {
+            FileKind::Lib => Some(Severity::Warn),
             FileKind::Bin | FileKind::Test => None,
         },
         RuleId::A2 => Some(Severity::Warn),
@@ -226,12 +252,18 @@ mod tests {
     #[test]
     fn u1_is_deny_for_library_code_only() {
         for crate_name in ["core", "tensor", "bench", "lint", "hyflex"] {
-            assert_eq!(
-                severity_for(RuleId::U1, crate_name, FileKind::Lib),
-                Some(Severity::Deny)
-            );
-            assert_eq!(severity_for(RuleId::U1, crate_name, FileKind::Bin), None);
-            assert_eq!(severity_for(RuleId::U1, crate_name, FileKind::Test), None);
+            for (rule, severity) in [
+                (RuleId::U1, Severity::Deny),
+                (RuleId::U2, Severity::Deny),
+                (RuleId::U3, Severity::Warn),
+            ] {
+                assert_eq!(
+                    severity_for(rule, crate_name, FileKind::Lib),
+                    Some(severity)
+                );
+                assert_eq!(severity_for(rule, crate_name, FileKind::Bin), None);
+                assert_eq!(severity_for(rule, crate_name, FileKind::Test), None);
+            }
         }
     }
 

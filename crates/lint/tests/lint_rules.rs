@@ -7,7 +7,9 @@
 //! one allow-directive scenario). The `fixtures` directory is excluded from
 //! workspace scans, so these sources only reach the engine through
 //! [`lint_source`] with synthetic workspace-relative paths — which is also
-//! what lets one fixture be replayed against several crate tiers.
+//! what lets one fixture be replayed against several crate tiers. The
+//! `surface_*` fixtures are small workspaces: `// @file <path>` lines split
+//! them into files for [`lint_sources`].
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -192,14 +194,15 @@ fn u1_ignores_mentions_in_another_files_doc_comment() {
 #[test]
 fn u1_counts_callers_in_other_crates_tests_examples_and_the_benchmark() {
     let call = "fn caller() -> u32 {\n    hyflex_pim::fixture::api()\n}\n";
-    for caller in [
-        "crates/runtime/src/user.rs",
-        "tests/user.rs",
-        "examples/user.rs",
-        "e2ebench/src/main.rs",
-    ] {
+    for caller in ["crates/runtime/src/user.rs", "e2ebench/src/main.rs"] {
         let findings = u1_findings(U1_FIXTURE, Some((caller, call)));
         assert!(findings.is_empty(), "{caller}: {findings:#?}");
+    }
+    // A test or an example reaches the fn, so U1 holds, but U2 sees that
+    // nothing else does.
+    for caller in ["tests/user.rs", "examples/user.rs"] {
+        let findings = u1_findings(U1_FIXTURE, Some((caller, call)));
+        assert_single(&findings, RuleId::U2, Severity::Deny, 2);
     }
 }
 
@@ -220,6 +223,125 @@ fn u1_allow_with_reason_suppresses_the_finding() {
         findings.is_empty(),
         "justified allow should suppress U1: {findings:#?}"
     );
+}
+
+/// Splits a `surface_*` fixture at its `// @file <path>` lines into
+/// workspace-relative `(path, source)` files.
+fn fixture_files(text: &str) -> Vec<(&str, String)> {
+    let mut files: Vec<(&str, String)> = Vec::new();
+    for line in text.lines() {
+        if let Some(path) = line.strip_prefix("// @file ") {
+            files.push((path, String::new()));
+        } else if let Some((_, source)) = files.last_mut() {
+            source.push_str(line);
+            source.push('\n');
+        }
+    }
+    files
+}
+
+/// Every finding of a `surface_*` fixture as `(rule, severity, file, line)`.
+fn surface_findings(fixture: &str) -> Vec<(RuleId, Severity, String, usize)> {
+    let files = fixture_files(fixture);
+    let borrowed: Vec<(&str, &str)> = files.iter().map(|(p, s)| (*p, s.as_str())).collect();
+    lint_sources(&borrowed)
+        .findings
+        .into_iter()
+        .map(|f| (f.rule, f.severity, f.file, f.line))
+        .collect()
+}
+
+fn at(
+    rule: RuleId,
+    severity: Severity,
+    file: &str,
+    line: usize,
+) -> (RuleId, Severity, String, usize) {
+    (rule, severity, file.to_string(), line)
+}
+
+#[test]
+fn u1_is_not_fooled_by_a_local_of_the_same_name() {
+    // `SystemBuilder::backend_name` once hid behind fig22's `let backend_name`.
+    let findings = surface_findings(include_str!("fixtures/surface_local_hides_method.rs"));
+    let want = at(
+        RuleId::U1,
+        Severity::Deny,
+        "crates/baselines/src/system.rs",
+        13,
+    );
+    assert_eq!(findings, [want]);
+}
+
+#[test]
+fn u1_sees_the_live_service_ns_shape() {
+    // e2ebench's `let service_ns = …` hid `LatencyBreakdown::service_ns`.
+    let findings = surface_findings(include_str!("fixtures/surface_live_service_ns.rs"));
+    assert_eq!(
+        findings,
+        [at(
+            RuleId::U1,
+            Severity::Deny,
+            "crates/core/src/perf.rs",
+            12
+        )]
+    );
+}
+
+#[test]
+fn u1_resolves_type_paths_to_their_impl() {
+    // `DecodeSim::capacity_cells` shared its name with a live method of
+    // `BatchScheduler`, a field and a local.
+    let findings = surface_findings(include_str!("fixtures/surface_shared_method_name.rs"));
+    assert_eq!(
+        findings,
+        [at(
+            RuleId::U1,
+            Severity::Deny,
+            "crates/runtime/src/decode.rs",
+            16
+        )]
+    );
+}
+
+#[test]
+fn u1_does_not_count_a_foreign_types_constructor() {
+    let lib =
+        "pub struct Pool;\n\nimpl Pool {\n    pub fn new() -> Self {\n        Pool\n    }\n}\n";
+    let bin = "fn main() {\n    let v: Vec<u8> = Vec::new();\n    println!(\"{v:?}\");\n}\n";
+    let findings = lint_sources(&[
+        ("crates/parallel/src/pool.rs", lib),
+        ("crates/bench/src/bin/fig02.rs", bin),
+    ])
+    .findings;
+    assert_single(&findings, RuleId::U1, Severity::Deny, 4);
+}
+
+#[test]
+fn u3_flags_a_pub_field_read_nowhere() {
+    // `BackendSpec::summary` was set in the backend table and never read.
+    let findings = surface_findings(include_str!("fixtures/surface_unread_field.rs"));
+    assert_eq!(
+        findings,
+        [at(
+            RuleId::U3,
+            Severity::Warn,
+            "crates/baselines/src/spec.rs",
+            4
+        )]
+    );
+}
+
+#[test]
+fn a_method_named_in_a_macro_argument_is_reached() {
+    let findings = surface_findings(include_str!("fixtures/surface_macro_argument.rs"));
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+#[test]
+fn a_fn_passed_as_a_value_is_reached() {
+    let findings = surface_findings(include_str!("fixtures/surface_fn_value.rs"));
+    assert!(findings.is_empty(), "{findings:#?}");
 }
 
 /// The self-check: the lint must pass on the workspace that ships it.
@@ -271,11 +393,11 @@ fn cli_fails_on_a_violation_with_rule_id_and_line() {
         include_str!("fixtures/d1_hash_map.rs"),
     )
     .expect("write fixture");
-    // A caller keeps the fixture's `pub fn` clear of U1, so D1 stays the
-    // only finding.
-    std::fs::create_dir_all(ws.join("tests")).expect("mkdir tests");
+    // A bin caller keeps the fixture's `pub fn` clear of U1 and U2, so D1
+    // stays the only finding.
+    std::fs::create_dir_all(src_dir.join("bin")).expect("mkdir bin");
     std::fs::write(
-        ws.join("tests/caller.rs"),
+        src_dir.join("bin/caller.rs"),
         "fn caller() {\n    let _ = runtime::entry_count;\n}\n",
     )
     .expect("write caller");

@@ -8,6 +8,7 @@
 //! the narrower target windows, which is why the architecture only writes
 //! static weights into MLC and keeps dynamically generated data in SLC.
 
+// hyflex-lint: allow-file(U2) — functional model of the SLC/MLC cell (paper Section 3.2); the `cell::tests` unit tests and the crossbar model's tests drive it
 use crate::error::RramError;
 use crate::Result;
 
@@ -123,11 +124,6 @@ impl RramCell {
         self.mode
     }
 
-    /// Currently programmed level.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     /// Number of write operations the cell has absorbed.
     pub fn write_count(&self) -> u64 {
         self.writes
@@ -221,7 +217,7 @@ mod tests {
         for level in 0..4 {
             cell.program(level, 0.0).unwrap();
             assert_eq!(cell.read_level(), level);
-            assert_eq!(cell.level(), level);
+            assert_eq!(cell.level, level);
         }
     }
 

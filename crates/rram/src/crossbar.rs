@@ -8,6 +8,7 @@
 //! the cell level; the faster digit-level functional model used for whole
 //! networks lives in [`crate::mapping`] and is validated against this one.
 
+// hyflex-lint: allow-file(U2) — functional model of the analog crossbar; the `crossbar::tests` unit tests and the crossbar_gemv bench drive it
 use crate::cell::{CellMode, RramCell};
 use crate::error::RramError;
 use crate::noise::NoiseModel;
@@ -46,11 +47,6 @@ impl CrossbarArray {
         })
     }
 
-    /// Array geometry.
-    pub fn spec(&self) -> ArraySpec {
-        self.spec
-    }
-
     /// Cell mode of the array.
     pub fn mode(&self) -> CellMode {
         self.mode
@@ -82,16 +78,6 @@ impl CrossbarArray {
             });
         }
         Ok(row * self.spec.cols + col)
-    }
-
-    /// Immutable access to a cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RramError::IndexOutOfBounds`] for invalid coordinates.
-    pub fn cell(&self, row: usize, col: usize) -> Result<&RramCell> {
-        let idx = self.index(row, col)?;
-        Ok(&self.cells[idx])
     }
 
     /// Programs a block of levels starting at the array origin.
@@ -296,9 +282,9 @@ mod tests {
     #[test]
     fn cell_access_bounds_are_checked() {
         let xbar = CrossbarArray::new(small_spec(), CellMode::Slc, NoiseModel::ideal()).unwrap();
-        assert!(xbar.cell(0, 0).is_ok());
-        assert!(xbar.cell(8, 0).is_err());
-        assert!(xbar.cell(0, 4).is_err());
+        assert!(xbar.index(0, 0).is_ok());
+        assert!(xbar.index(8, 0).is_err());
+        assert!(xbar.index(0, 4).is_err());
     }
 
     #[test]

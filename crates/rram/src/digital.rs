@@ -14,6 +14,7 @@
 //! exact functional results and the cycle/operation accounting used by the
 //! performance model.
 
+// hyflex-lint: allow-file(U2, U3) — functional model of the digital bit-serial PIM module; the `digital::tests` unit tests drive it and read its operation counts
 use crate::error::RramError;
 use crate::spec::{ArraySpec, DIGITAL_ARRAYS_PER_MODULE};
 use crate::Result;
@@ -91,11 +92,6 @@ impl DigitalPimModule {
             operand_bits,
             stats: DigitalOpStats::default(),
         })
-    }
-
-    /// Array geometry.
-    pub fn spec(&self) -> ArraySpec {
-        self.spec
     }
 
     /// Accumulated operation statistics.

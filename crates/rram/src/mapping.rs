@@ -14,6 +14,7 @@
 //! against exact integer GEMV in the tests below and against the cell-level
 //! [`crate::crossbar::CrossbarArray`] in the workspace integration tests.
 
+// hyflex-lint: allow-file(U2) — functional model of the bit-serial analog GEMV on mapped tiles; the `mapping::tests` unit tests, tests/cross_crate_consistency.rs and the crossbar_gemv bench drive it
 use crate::cell::CellMode;
 use crate::error::RramError;
 use crate::noise::NoiseModel;
@@ -34,7 +35,7 @@ pub struct WeightMapping {
     /// ADC resolution in bits; `None` models an ideal (infinite) ADC.
     pub adc_bits: Option<u8>,
     /// Number of word lines per physical array tile (64 for HyFlexPIM).
-    pub array_rows: usize,
+    array_rows: usize,
 }
 
 impl WeightMapping {
@@ -269,16 +270,6 @@ impl MappedMatrix {
         (self.rows, self.cols)
     }
 
-    /// The mapping configuration.
-    pub fn mapping(&self) -> &WeightMapping {
-        &self.mapping
-    }
-
-    /// Number of 64-row array tiles needed to hold the matrix rows.
-    pub fn row_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
     /// Performs the bit-serial analog GEMV `out_j = Σ_i input_i · w_ij`
     /// serially on the calling thread.
     ///
@@ -483,7 +474,7 @@ mod tests {
         )
         .unwrap();
         let out = mapped.gemv(&input).unwrap();
-        let exact = weights.transpose().matvec(&input).unwrap();
+        let exact = hyflex_tensor::kernels::matvec(&weights.transpose(), &input).unwrap();
         assert!(
             relative_l2_error(&out, &exact) < 0.05,
             "bit-serial PIM output should track the float GEMV"
@@ -494,7 +485,7 @@ mod tests {
     fn adc_truncation_and_noise_degrade_mlc_more_than_slc() {
         let weights = random_weights(64, 12, 10);
         let input = random_input(64, 11);
-        let exact = weights.transpose().matvec(&input).unwrap();
+        let exact = hyflex_tensor::kernels::matvec(&weights.transpose(), &input).unwrap();
         let noise = NoiseModel::calibrated_to_paper();
 
         let mut rng = Rng::seed_from(12);
@@ -527,7 +518,7 @@ mod tests {
         let mut rng = Rng::seed_from(15);
         let mapped =
             MappedMatrix::program(&weights, mapping, &NoiseModel::ideal(), &mut rng).unwrap();
-        assert_eq!(mapped.row_tiles(), 3);
+        assert_eq!(mapped.tiles.len(), 3);
         let out = mapped.gemv(&input).unwrap();
         let reference = reference_gemv(&weights, &input, &mapping).unwrap();
         for (a, b) in out.iter().zip(reference.iter()) {

@@ -128,6 +128,7 @@ impl NoiseModel {
     /// # Errors
     ///
     /// Returns [`RramError::InvalidConfig`] for negative or non-finite values.
+    // hyflex-lint: allow(U2) — builds the explicit-sigma models of `weight_sigma_scales_with_level_count` and `constructors_validate_input`
     pub fn new(write_sigma: f64, retention_sigma: f64) -> Result<Self> {
         for (name, v) in [
             ("write_sigma", write_sigma),
@@ -160,6 +161,7 @@ impl NoiseModel {
     }
 
     /// A noiseless model (useful for functional validation).
+    // hyflex-lint: allow(U2) — the noise-free baseline the crossbar, mapping and noise_sim tests compare exact arithmetic against
     pub fn ideal() -> Self {
         NoiseModel {
             write_sigma: 0.0,

@@ -32,6 +32,7 @@ pub struct ArraySpec {
 
 impl ArraySpec {
     /// The analog PIM array used by HyFlexPIM (64 x 128).
+    // hyflex-lint: allow(U2) — the geometry tests/cross_crate_consistency.rs and the crossbar_gemv bench build analog arrays from
     pub fn analog() -> Self {
         ArraySpec {
             rows: ANALOG_ARRAY_ROWS,
@@ -54,6 +55,7 @@ impl ArraySpec {
 
     /// ADC resolution required for a full-precision analog read:
     /// `ceil(log2(rows)) + bits_per_cell - 1` (paper Section 3.2).
+    // hyflex-lint: allow(U2) — oracle: tests/cross_crate_consistency.rs checks the SAR ADC's two modes against this rule
     pub fn required_adc_bits(&self, bits_per_cell: u8) -> u8 {
         let log_rows = (usize::BITS - (self.rows - 1).leading_zeros()) as u8;
         log_rows + bits_per_cell - 1

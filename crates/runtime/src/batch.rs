@@ -197,11 +197,6 @@ impl BatchScheduler {
         &self.config
     }
 
-    /// Tile-cell capacity of one layer tile (the per-batch budget).
-    pub fn capacity_cells(&self) -> usize {
-        self.capacity_cells
-    }
-
     /// Tile cells one request of length `seq_len` occupies per layer tile.
     pub fn request_cells(&self, seq_len: usize) -> usize {
         self.backend.request_cells(seq_len)
@@ -550,7 +545,7 @@ mod tests {
         // digital-PIM cell budget of the layer's PUs.
         let hw = HyFlexPimConfig::paper_default();
         let s = scheduler(4, 2);
-        assert_eq!(s.capacity_cells(), 2 * hw.digital_cells_per_pu());
+        assert_eq!(s.capacity_cells, 2 * hw.digital_cells_per_pu());
         let chip = hyflex_pim::arch::Chip::new(hw).unwrap();
         assert_eq!(
             s.request_cells(512),
@@ -563,12 +558,12 @@ mod tests {
         let backend = Arc::new(NonPim::new(ModelConfig::bert_large()));
         let capacity = backend.capacity();
         let mut s = BatchScheduler::for_backend(backend, SchedulerConfig::default()).unwrap();
-        assert_eq!(s.capacity_cells(), capacity);
+        assert_eq!(s.capacity_cells, capacity);
         for id in 0..20 {
             s.submit(request(id, 128)).unwrap();
         }
         while let Some(batch) = s.next_batch() {
-            assert!(batch.cells_used <= s.capacity_cells());
+            assert!(batch.cells_used <= s.capacity_cells);
             assert!(batch.len() <= 16);
         }
     }
@@ -587,10 +582,10 @@ mod tests {
             assert!(batch.len() <= 4);
             assert!(!batch.is_empty());
             assert!(
-                batch.cells_used <= s.capacity_cells(),
+                batch.cells_used <= s.capacity_cells,
                 "batch uses {} of {} cells",
                 batch.cells_used,
-                s.capacity_cells()
+                s.capacity_cells
             );
             // Capacity is charged at the padded (max-seq) execution shape.
             let recomputed = batch.len() * s.request_cells(batch.max_seq_len);
@@ -644,7 +639,7 @@ mod tests {
         }
         let batch = wide.next_batch().unwrap();
         assert!(batch.len() < 4, "capacity should split the batch");
-        assert!(batch.cells_used <= wide.capacity_cells());
+        assert!(batch.cells_used <= wide.capacity_cells);
     }
 
     #[test]
@@ -760,7 +755,7 @@ mod tests {
             let mut drained = 0;
             while let Some(batch) = s.next_batch() {
                 assert!(batch.len() <= 4);
-                assert!(batch.cells_used <= s.capacity_cells());
+                assert!(batch.cells_used <= s.capacity_cells);
                 assert_eq!(
                     batch.cells_used,
                     batch.len() * s.request_cells(batch.max_seq_len)
@@ -1127,7 +1122,7 @@ mod tests {
         s.submit(request(1, 64)).unwrap();
         assert_eq!(s.fill_time_ns(), None);
         let long = 4096;
-        let capacity_batch = s.capacity_cells() / s.request_cells(long);
+        let capacity_batch = s.capacity_cells / s.request_cells(long);
         assert!(
             (1..=3).contains(&capacity_batch),
             "test premise: long requests bind (capacity batch {capacity_batch})"

@@ -174,9 +174,9 @@ impl Default for AutoscalerConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoscaleEvent {
     /// Time the actuation took effect, seconds.
-    pub at_s: f64,
+    pub at_s: f64, // hyflex-lint: allow(U3) — checked by `autoscaler_grows_the_fleet_under_load_and_records_events`; the event stream of ROADMAP item 4 replaces this log
     /// Active replica count after the actuation.
-    pub active_replicas: usize,
+    pub active_replicas: usize, // hyflex-lint: allow(U3) — checked by `autoscaler_grows_the_fleet_under_load_and_records_events`; the event stream of ROADMAP item 4 replaces this log
 }
 
 /// Workload and survival policy of one open-loop run.
@@ -245,8 +245,6 @@ pub struct OverloadReport {
     /// Span from first arrival to the last completion (or last arrival if
     /// later), seconds.
     pub sim_seconds: f64,
-    /// Long-run mean offered rate of the trace, requests per second.
-    pub offered_qps: f64,
     /// Completed requests per simulated second.
     pub achieved_qps: f64,
     /// Goodput under SLO: useful completions (met their deadline, or
@@ -675,6 +673,7 @@ impl OverloadSim {
     /// Returns [`RuntimeError::InvalidConfig`] for an empty or unsorted
     /// stream, propagates scheduler and device-model errors, and returns
     /// [`RuntimeError::Internal`] if the run breaks request conservation.
+    // hyflex-lint: allow(U2) — the serving and traffic tests read per-batch traces through it until ROADMAP item 4's event stream replaces it
     pub fn replay_traced(
         &self,
         arrivals: &[InferenceRequest],
@@ -701,7 +700,6 @@ impl OverloadSim {
             completed,
             batches: ledger.batches,
             sim_seconds: intake.sim_seconds(),
-            offered_qps: self.config.trace.mean_qps(),
             achieved_qps: intake.per_second(completed),
             goodput_qps: intake.per_second(completed - missed),
             slo_attainment: if slo_tracked > 0 {

@@ -53,7 +53,7 @@ pub struct MmppState {
     pub qps: f64,
     /// Mean dwell time in this state, seconds (the actual dwell of each
     /// visit is exponentially distributed around this mean).
-    pub mean_dwell_s: f64,
+    mean_dwell_s: f64,
 }
 
 impl MmppState {
@@ -75,9 +75,9 @@ pub struct RatePhase {
     /// Display label used in per-phase report rows (e.g. `"peak"`).
     pub label: String,
     /// Segment length, seconds.
-    pub duration_s: f64,
+    duration_s: f64,
     /// Rate multiplier applied while the curve is in this segment.
-    pub multiplier: f64,
+    multiplier: f64,
 }
 
 impl RatePhase {

@@ -58,9 +58,9 @@ pub struct LayerNormOutput {
     /// Pre-affine normalized values `(x - mean) / std`.
     pub normalized: Vec<f32>,
     /// Row mean.
-    pub mean: f32,
+    pub mean: f32, // hyflex-lint: allow(U3) — layer_norm's saved row statistic; the per-sample training path stays as it is in this change
     /// Row inverse standard deviation.
-    pub inv_std: f32,
+    inv_std: f32,
 }
 
 /// Layer normalization over a single vector with affine parameters.

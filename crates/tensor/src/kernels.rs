@@ -355,6 +355,7 @@ fn tile<const R: usize, const W: usize>(
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] when `v.len() != a.cols()`.
+// hyflex-lint: allow(U2) — property_invariants' `packed_kernels` pins it bit for bit, and the rram mapping tests and tests/cross_crate_consistency.rs use it as the exact GEMV reference
 pub fn matvec(a: &Matrix, v: &[f32]) -> Result<Vec<f32>> {
     if v.len() != a.cols() {
         return Err(TensorError::ShapeMismatch {

@@ -67,6 +67,7 @@ impl Matrix {
     ///
     /// Returns [`TensorError::InvalidDimension`] if the rows are empty or
     /// ragged.
+    // hyflex-lint: allow(U2) — builds the literal matrices that the unit tests of tensor, rram, transformer and core and tests/golden_model.rs check against
     pub fn from_rows(rows: &[Vec<f32>]) -> Result<Self> {
         if rows.is_empty() || rows[0].is_empty() {
             return Err(TensorError::InvalidDimension(
@@ -114,6 +115,7 @@ impl Matrix {
     }
 
     /// Creates a matrix with entries drawn uniformly from `[lo, hi)`.
+    // hyflex-lint: allow(U2) — test-data source of `matrix::tests`, `quant::tests` and the crate-level doc example
     pub fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut Rng) -> Self {
         Matrix::from_fn(rows, cols, |_, _| {
             rng.uniform_range(lo as f64, hi as f64) as f32
@@ -220,20 +222,11 @@ impl Matrix {
         &mut self.data[row * cols..(row + 1) * cols]
     }
 
-    /// Copy of a single column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn column(&self, col: usize) -> Vec<f32> {
-        self.column_iter(col).collect()
-    }
-
     /// Strided iterator over a single column, top to bottom.
     ///
-    /// Unlike [`Matrix::column`] this allocates nothing, so hot loops (the
-    /// Jacobi SVD's Gram accumulations, the factored layers' per-rank
-    /// reductions) can walk columns without a fresh `Vec` per call.
+    /// It allocates nothing, so hot loops (the Jacobi SVD's Gram
+    /// accumulations, the factored layers' per-rank reductions) can walk
+    /// columns without a fresh `Vec` per call.
     ///
     /// # Panics
     ///
@@ -279,15 +272,6 @@ impl Matrix {
     /// Returns [`TensorError::ShapeMismatch`] when `self.cols() != other.cols()`.
     pub fn matmul_transpose(&self, other: &Matrix) -> Result<Matrix> {
         crate::kernels::matmul_transpose(self, other)
-    }
-
-    /// Matrix–vector product `self * v` (see [`crate::kernels::matvec`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f32]) -> Result<Vec<f32>> {
-        crate::kernels::matvec(self, v)
     }
 
     /// Element-wise addition.
@@ -446,17 +430,13 @@ impl Matrix {
         self.data.iter().fold(0.0f32, |acc, x| acc.max(x.abs()))
     }
 
-    /// Mean of all entries.
-    pub fn mean(&self) -> f32 {
-        (self.data.iter().map(|x| *x as f64).sum::<f64>() / self.data.len() as f64) as f32
-    }
-
     /// Sum of all entries.
     pub fn sum(&self) -> f32 {
         self.data.iter().map(|x| *x as f64).sum::<f64>() as f32
     }
 
     /// Returns true when every element differs by at most `tol`.
+    // hyflex-lint: allow(U2) — the elementwise oracle the svd, factored-layer, attention and property_invariants tests compare results with
     pub fn approx_eq(&self, other: &Matrix, tol: f32) -> bool {
         self.shape() == other.shape()
             && self
@@ -471,6 +451,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`TensorError::ShapeMismatch`] when the shapes differ.
+    // hyflex-lint: allow(U2) — the reconstruction-error oracle of the svd, cell and property_invariants tests
     pub fn relative_error(&self, other: &Matrix) -> Result<f32> {
         let diff = self.sub(other)?;
         let denom = other.frobenius_norm().max(f32::MIN_POSITIVE);
@@ -623,7 +604,7 @@ mod tests {
     fn matvec_matches_matmul() {
         let a = sample();
         let v = vec![1.0, 0.5, -1.0];
-        let out = a.matvec(&v).unwrap();
+        let out = crate::kernels::matvec(&a, &v).unwrap();
         assert_eq!(out, vec![1.0 + 1.0 - 3.0, 4.0 + 2.5 - 6.0]);
     }
 
@@ -667,7 +648,6 @@ mod tests {
         let m = Matrix::from_rows(&[vec![3.0, 4.0]]).unwrap();
         assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
         assert_eq!(m.max_abs(), 4.0);
-        assert!((m.mean() - 3.5).abs() < 1e-6);
         assert!((m.sum() - 7.0).abs() < 1e-6);
     }
 
@@ -681,7 +661,7 @@ mod tests {
     fn row_and_column_access() {
         let m = sample();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
-        assert_eq!(m.column(2), vec![3.0, 6.0]);
+        assert_eq!(m.column_iter(2).collect::<Vec<f32>>(), vec![3.0, 6.0]);
         assert_eq!(m.get(5, 0), None);
         assert_eq!(m.get(1, 1), Some(5.0));
     }
@@ -692,7 +672,8 @@ mod tests {
         for c in 0..m.cols() {
             let iter = m.column_iter(c);
             assert_eq!(iter.len(), m.rows());
-            assert_eq!(iter.collect::<Vec<f32>>(), m.column(c));
+            let copy: Vec<f32> = (0..m.rows()).map(|r| m.at(r, c)).collect();
+            assert_eq!(iter.collect::<Vec<f32>>(), copy);
         }
         // Single-column and single-row shapes.
         let tall = Matrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]).unwrap();

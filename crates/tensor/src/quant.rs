@@ -51,15 +51,6 @@ impl QuantizedMatrix {
         })
     }
 
-    /// Quantizes to INT8 (the paper's default for linear layers and Q/K/V).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`QuantizedMatrix::quantize`] (none for 8 bits).
-    pub fn quantize_int8(m: &Matrix) -> Result<Self> {
-        Self::quantize(m, 8)
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -88,11 +79,6 @@ impl QuantizedMatrix {
     pub fn value(&self, row: usize, col: usize) -> i32 {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.values[row * self.cols + col]
-    }
-
-    /// All quantized integers in row-major order.
-    pub fn values(&self) -> &[i32] {
-        &self.values
     }
 
     /// Reconstructs the floating-point matrix `q * scale`.
@@ -177,7 +163,7 @@ mod tests {
     fn int8_round_trip_error_is_small() {
         let mut rng = Rng::seed_from(1);
         let m = Matrix::random_normal(16, 16, 0.0, 0.5, &mut rng);
-        let q = QuantizedMatrix::quantize_int8(&m).unwrap();
+        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
         assert_eq!(q.bits(), 8);
         let diff = q.dequantize().sub(&m).unwrap();
         let err = diff.as_slice().iter().map(|x| x.abs()).sum::<f32>() / diff.len() as f32;
@@ -196,15 +182,15 @@ mod tests {
     #[test]
     fn zero_matrix_has_unit_scale_and_zero_values() {
         let m = Matrix::zeros(3, 3);
-        let q = QuantizedMatrix::quantize_int8(&m).unwrap();
+        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
         assert_eq!(q.scale(), 1.0);
-        assert!(q.values().iter().all(|&v| v == 0));
+        assert!(q.values.iter().all(|&v| v == 0));
     }
 
     #[test]
     fn extreme_values_saturate_to_qmax() {
         let m = Matrix::from_rows(&[vec![1.0, -1.0, 0.5]]).unwrap();
-        let q = QuantizedMatrix::quantize_int8(&m).unwrap();
+        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
         assert_eq!(q.value(0, 0), 127);
         assert_eq!(q.value(0, 1), -127);
     }
@@ -258,7 +244,7 @@ mod tests {
     #[test]
     fn dequantize_preserves_shape() {
         let m = Matrix::zeros(3, 7);
-        let q = QuantizedMatrix::quantize_int8(&m).unwrap();
+        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
         assert_eq!(q.dequantize().shape(), (3, 7));
     }
 }

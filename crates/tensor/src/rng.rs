@@ -113,11 +113,6 @@ impl Rng {
     pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.normal()
     }
-
-    /// Fills a vector with `n` standard-normal samples.
-    pub fn normal_vec(&mut self, n: usize) -> Vec<f32> {
-        (0..n).map(|_| self.normal() as f32).collect()
-    }
 }
 
 #[cfg(test)]

@@ -13,20 +13,6 @@ pub fn mean(xs: &[f32]) -> f64 {
     xs.iter().map(|x| *x as f64).sum::<f64>() / xs.len() as f64
 }
 
-/// Population variance. Returns 0 for an empty slice.
-fn variance(xs: &[f32]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = mean(xs);
-    xs.iter().map(|x| (*x as f64 - m).powi(2)).sum::<f64>() / xs.len() as f64
-}
-
-/// Population standard deviation.
-pub fn std_dev(xs: &[f32]) -> f64 {
-    variance(xs).sqrt()
-}
-
 /// Pearson correlation coefficient between two equal-length slices.
 ///
 /// Returns 0 when either input is constant or the slices are empty.
@@ -61,13 +47,13 @@ pub fn pearson(xs: &[f32], ys: &[f32]) -> f64 {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     /// True positives.
-    pub tp: usize,
+    tp: usize,
     /// True negatives.
-    pub tn: usize,
+    tn: usize,
     /// False positives.
-    pub fp: usize,
+    fp: usize,
     /// False negatives.
-    pub fn_: usize,
+    fn_: usize,
 }
 
 impl ConfusionMatrix {
@@ -97,14 +83,6 @@ impl ConfusionMatrix {
     /// Total number of samples.
     pub fn total(&self) -> usize {
         self.tp + self.tn + self.fp + self.fn_
-    }
-
-    /// Classification accuracy.
-    pub fn accuracy(&self) -> f64 {
-        if self.total() == 0 {
-            return 0.0;
-        }
-        (self.tp + self.tn) as f64 / self.total() as f64
     }
 
     /// Matthews correlation coefficient (the CoLA metric).
@@ -167,6 +145,7 @@ pub fn perplexity(mean_loss: f64) -> f64 {
 
 /// Geometric mean of a set of positive values (used for the paper's G-AVG
 /// column across GLUE tasks). Returns 0 if any value is non-positive.
+// hyflex-lint: allow(U2) — examples/encoder_glue_pipeline.rs prints its G-AVG row with it
 pub fn geometric_mean(values: &[f64]) -> f64 {
     if values.is_empty() || values.iter().any(|v| *v <= 0.0) {
         return 0.0;
@@ -204,10 +183,7 @@ mod tests {
     fn mean_variance_std() {
         let xs = [2.0f32, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-9);
-        assert!((variance(&xs) - 4.0).abs() < 1e-9);
-        assert!((std_dev(&xs) - 2.0).abs() < 1e-9);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance(&[]), 0.0);
     }
 
     #[test]
@@ -235,7 +211,6 @@ mod tests {
         assert_eq!(cm.fn_, 1);
         assert_eq!(cm.tn, 1);
         assert_eq!(cm.total(), 5);
-        assert!((cm.accuracy() - 0.6).abs() < 1e-9);
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl MultiHeadAttention {
         self.wq.in_dim()
     }
 
-    /// Number of attention heads.
-    pub fn num_heads(&self) -> usize {
-        self.num_heads
-    }
-
     /// Per-head dimension.
     fn head_dim(&self) -> usize {
         self.dim() / self.num_heads
@@ -325,7 +320,7 @@ mod tests {
         assert!(MultiHeadAttention::new(8, 0, &mut rng).is_err());
         let attn = MultiHeadAttention::new(8, 2, &mut rng).unwrap();
         assert_eq!(attn.head_dim(), 4);
-        assert_eq!(attn.num_heads(), 2);
+        assert_eq!(attn.num_heads, 2);
         assert_eq!(attn.dim(), 8);
         assert_eq!(attn.parameter_count(), 4 * (8 * 8 + 8));
     }

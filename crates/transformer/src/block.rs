@@ -61,11 +61,13 @@ impl TransformerBlock {
     }
 
     /// The attention sub-layer.
+    // hyflex-lint: allow(U2) — tests/golden_model.rs fingerprints each block's attention through it
     pub fn attention(&self) -> &MultiHeadAttention {
         self.attn.inner()
     }
 
     /// The FFN sub-layer.
+    // hyflex-lint: allow(U2) — tests/golden_model.rs fingerprints each block's FFN through it
     pub fn ffn(&self) -> &FeedForward {
         self.ffn.inner()
     }

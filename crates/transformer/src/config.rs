@@ -178,6 +178,7 @@ impl ModelConfig {
     }
 
     /// Rough total parameter count including embeddings and heads.
+    // hyflex-lint: allow(U2) — closed-form oracle `model::tests::parameter_count_is_consistent_with_config_estimate` checks the built model against
     pub fn approx_total_params(&self) -> usize {
         let embeddings = match self.kind {
             ModelKind::VisionEncoder => self.patch_dim.unwrap_or(0) * self.hidden_dim,
@@ -270,6 +271,7 @@ impl ModelConfig {
     }
 
     /// All five paper-scale configurations.
+    // hyflex-lint: allow(U2) — tests/paper_claims.rs and `config::tests` check every paper model's shape against it
     pub fn paper_models() -> Vec<ModelConfig> {
         vec![
             ModelConfig::bert_base(),

@@ -76,6 +76,7 @@ impl FactoredLinear {
     /// # Errors
     ///
     /// Propagates SVD failures.
+    // hyflex-lint: allow(U2) — the factored-layer and trainer tests and the svd_pipeline bench's `factorize_hard_threshold` row build D_Th factors with it
     pub fn from_weight_hard_threshold(weight: &Matrix) -> Result<Self> {
         let rank = hard_threshold_rank(weight.rows(), weight.cols());
         Self::from_weight_seeded(weight, rank, SvdAlgorithm::Jacobi, None)
@@ -142,6 +143,7 @@ impl FactoredLinear {
     ///
     /// Returns a shape error if the factors no longer chain (only possible
     /// after a caller reshaped one through the `*_param_mut` accessors).
+    // hyflex-lint: allow(U2) — dense oracle the factored-layer and gradient-redistribution tests compare factor products with
     pub fn to_dense(&self) -> Result<Matrix> {
         Ok(self.u.value().matmul(&self.sigma_vt())?)
     }

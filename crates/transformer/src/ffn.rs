@@ -33,11 +33,6 @@ impl FeedForward {
         self.fc1.in_dim()
     }
 
-    /// Inner (expanded) dimension.
-    pub fn ffn_dim(&self) -> usize {
-        self.fc1.out_dim()
-    }
-
     /// Access to `[FFN1, FFN2]` for factorization and noise injection.
     pub fn layers_mut(&mut self) -> [&mut AnyLinear; 2] {
         [&mut self.fc1, &mut self.fc2]
@@ -124,7 +119,7 @@ mod tests {
         let mut rng = Rng::seed_from(1);
         let ffn = FeedForward::new(8, 32, &mut rng);
         assert_eq!(ffn.dim(), 8);
-        assert_eq!(ffn.ffn_dim(), 32);
+        assert_eq!(ffn.fc1.out_dim(), 32);
         let x = Matrix::random_normal(3, 8, 0.0, 1.0, &mut rng);
         let y = ffn.forward(&x, &CTX).unwrap();
         assert_eq!(y.shape(), (3, 8));

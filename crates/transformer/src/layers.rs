@@ -216,6 +216,7 @@ impl Linear {
     }
 
     /// Creates a layer from an explicit weight matrix (bias zero).
+    // hyflex-lint: allow(U2) — builds known-weight layers for the layer and factored-layer tests and the svd_pipeline bench's dense baseline
     pub fn from_weight(weight: Matrix) -> Self {
         let out = weight.cols();
         Linear {
@@ -336,9 +337,13 @@ impl AnyLinear {
             AnyLinear::Factored(f) => f.out_dim(),
         }
     }
+}
 
+/// Variant accessors for the layer tests of this crate.
+#[cfg(test)]
+impl AnyLinear {
     /// Returns the factored layer, if this is one.
-    pub fn as_factored(&self) -> Option<&FactoredLinear> {
+    pub(crate) fn as_factored(&self) -> Option<&FactoredLinear> {
         match self {
             AnyLinear::Factored(f) => Some(f),
             AnyLinear::Dense(_) => None,
@@ -346,7 +351,7 @@ impl AnyLinear {
     }
 
     /// Returns the dense layer mutably, if this is one.
-    pub fn as_dense_mut(&mut self) -> Option<&mut Linear> {
+    pub(crate) fn as_dense_mut(&mut self) -> Option<&mut Linear> {
         match self {
             AnyLinear::Dense(l) => Some(l),
             AnyLinear::Factored(_) => None,
@@ -539,7 +544,7 @@ impl Embedding {
     }
 
     /// Vocabulary size.
-    pub fn vocab_size(&self) -> usize {
+    fn vocab_size(&self) -> usize {
         self.table.value().rows()
     }
 

@@ -80,38 +80,6 @@ impl TaskMetrics {
             TaskMetrics::LanguageModeling { loss, .. } => -loss,
         }
     }
-
-    /// Accuracy, if this is a classification metric.
-    pub fn accuracy(&self) -> Option<f64> {
-        match self {
-            TaskMetrics::Classification { accuracy, .. } => Some(*accuracy),
-            _ => None,
-        }
-    }
-
-    /// Pearson correlation, if this is a regression metric.
-    pub fn pearson(&self) -> Option<f64> {
-        match self {
-            TaskMetrics::Regression { pearson } => Some(*pearson),
-            _ => None,
-        }
-    }
-
-    /// Evaluation loss, if this is a language-modeling metric.
-    pub fn loss(&self) -> Option<f64> {
-        match self {
-            TaskMetrics::LanguageModeling { loss, .. } => Some(*loss),
-            _ => None,
-        }
-    }
-
-    /// Perplexity, if this is a language-modeling metric.
-    pub fn perplexity(&self) -> Option<f64> {
-        match self {
-            TaskMetrics::LanguageModeling { perplexity, .. } => Some(*perplexity),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -126,10 +94,34 @@ mod tests {
         }
     }
 
+    /// Accuracy, if this is a classification metric.
+    fn accuracy(m: &TaskMetrics) -> Option<f64> {
+        match m {
+            TaskMetrics::Classification { accuracy, .. } => Some(*accuracy),
+            _ => None,
+        }
+    }
+
+    /// Pearson correlation, if this is a regression metric.
+    fn pearson(m: &TaskMetrics) -> Option<f64> {
+        match m {
+            TaskMetrics::Regression { pearson } => Some(*pearson),
+            _ => None,
+        }
+    }
+
+    /// Evaluation loss and perplexity, if this is a language-modeling metric.
+    fn loss_and_perplexity(m: &TaskMetrics) -> Option<(f64, f64)> {
+        match m {
+            TaskMetrics::LanguageModeling { loss, perplexity } => Some((*loss, *perplexity)),
+            _ => None,
+        }
+    }
+
     #[test]
     fn classification_metrics_for_perfect_predictions() {
         let m = TaskMetrics::classification(&[0, 1, 1, 0], &[0, 1, 1, 0]);
-        assert_eq!(m.accuracy(), Some(1.0));
+        assert_eq!(accuracy(&m), Some(1.0));
         assert_eq!(matthews(&m), Some(1.0));
         assert!((m.primary_value() - 1.0).abs() < 1e-12);
     }
@@ -137,22 +129,23 @@ mod tests {
     #[test]
     fn multiclass_predictions_skip_binary_metrics() {
         let m = TaskMetrics::classification(&[0, 1, 2], &[0, 2, 2]);
-        assert!((m.accuracy().unwrap() - 2.0 / 3.0).abs() < 1e-9);
+        assert!((accuracy(&m).unwrap() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(matthews(&m), Some(0.0));
     }
 
     #[test]
     fn regression_metrics_report_pearson() {
         let m = TaskMetrics::regression(&[1.0, 2.0, 3.0], &[2.0, 4.0, 6.0]);
-        assert!((m.pearson().unwrap() - 1.0).abs() < 1e-9);
-        assert!(m.accuracy().is_none());
+        assert!((pearson(&m).unwrap() - 1.0).abs() < 1e-9);
+        assert!(accuracy(&m).is_none());
     }
 
     #[test]
     fn language_modeling_metrics_expose_loss_and_perplexity() {
         let m = TaskMetrics::language_modeling(2.0);
-        assert_eq!(m.loss(), Some(2.0));
-        assert!((m.perplexity().unwrap() - 2.0f64.exp()).abs() < 1e-9);
+        let (loss, perplexity) = loss_and_perplexity(&m).unwrap();
+        assert_eq!(loss, 2.0);
+        assert!((perplexity - 2.0f64.exp()).abs() < 1e-9);
         assert!((m.primary_value() + 2.0).abs() < 1e-12);
     }
 }

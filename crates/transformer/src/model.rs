@@ -122,11 +122,13 @@ impl TransformerModel {
     }
 
     /// The transformer blocks.
+    // hyflex-lint: allow(U2) — tests/golden_model.rs walks the blocks to fingerprint each sub-layer
     pub fn blocks(&self) -> &[TransformerBlock] {
         &self.blocks
     }
 
     /// A flat, named snapshot of every parameter (see [`ParamStore`]).
+    // hyflex-lint: allow(U2) — tests/golden_model.rs fingerprints every parameter through it, and the model and trainer tests look parameters up by name
     pub fn params(&self) -> ParamStore<'_> {
         ParamStore::of(self)
     }
@@ -227,6 +229,7 @@ impl TransformerModel {
     ///
     /// Returns [`ModelError::InvalidInput`] for an empty group and propagates
     /// per-request embedding/shape errors.
+    // hyflex-lint: allow(U2) — the packed path tests/packing_property.rs checks against per-request forwards; it waits for a batched serving caller
     pub fn forward_batch(&self, inputs: &[ModelInput]) -> Result<Vec<Matrix>> {
         if inputs.is_empty() {
             return Err(ModelError::InvalidInput(
@@ -572,7 +575,8 @@ mod tests {
     fn param_store_resolves_scoped_names() {
         let model = tiny_model(9);
         let store = model.params();
-        assert_eq!(store.parameter_count(), model.parameter_count());
+        let stored: usize = store.iter().map(|(_, p)| p.value().len()).sum();
+        assert_eq!(stored, model.parameter_count());
         let q = store.get("blocks.1.attn.q_proj.weight").unwrap();
         assert_eq!(q.value().shape(), (32, 32));
         assert!(store.get("blocks.1.attn.q_proj").is_none());

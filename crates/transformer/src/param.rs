@@ -27,7 +27,8 @@
 //! let store = ParamStore::of(&model);
 //! let q = store.get("blocks.0.attn.q_proj.weight").unwrap();
 //! assert_eq!(q.value().rows(), 32);
-//! assert_eq!(store.parameter_count(), model.parameter_count());
+//! let stored: usize = store.iter().map(|(_, p)| p.value().len()).sum();
+//! assert_eq!(stored, model.parameter_count());
 //! ```
 
 use crate::Result;
@@ -316,11 +317,6 @@ impl<'a> ParamStore<'a> {
         self.entries.is_empty()
     }
 
-    /// The dotted names, in visitation order.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(n, _)| n.as_str())
-    }
-
     /// `(name, param)` pairs in visitation order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &'a Param)> + '_ {
         self.entries.iter().map(|(n, p)| (n.as_str(), *p))
@@ -332,11 +328,6 @@ impl<'a> ParamStore<'a> {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, p)| *p)
-    }
-
-    /// Total number of scalar parameter values.
-    pub fn parameter_count(&self) -> usize {
-        self.entries.iter().map(|(_, p)| p.value().len()).sum()
     }
 }
 

@@ -13,16 +13,20 @@ pub struct Dataset {
     pub eval: Vec<Sample>,
 }
 
+/// A pre-split constructor for the tests of this crate.
+#[cfg(test)]
 impl Dataset {
     /// Creates a dataset from pre-split samples.
-    pub fn new(name: impl Into<String>, train: Vec<Sample>, eval: Vec<Sample>) -> Self {
+    fn new(name: impl Into<String>, train: Vec<Sample>, eval: Vec<Sample>) -> Self {
         Dataset {
             name: name.into(),
             train,
             eval,
         }
     }
+}
 
+impl Dataset {
     /// Splits a flat sample list into train/eval with the given eval fraction.
     pub fn from_samples(
         name: impl Into<String>,

@@ -13,18 +13,18 @@ use hyflex_transformer::ModelInput;
 
 /// Configuration for the synthetic corpus generator.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LmConfig {
+struct LmConfig {
     /// Vocabulary size of the target model.
-    pub vocab_size: usize,
+    vocab_size: usize,
     /// Sequence length of every sample (tokens per sample).
-    pub seq_len: usize,
+    seq_len: usize,
     /// Number of training sequences.
-    pub train_sequences: usize,
+    train_sequences: usize,
     /// Number of evaluation sequences.
-    pub eval_sequences: usize,
+    eval_sequences: usize,
     /// Number of high-probability successors per token (sparsity of the
     /// transition structure). Smaller = more predictable corpus.
-    pub branching: usize,
+    branching: usize,
 }
 
 impl LmConfig {
@@ -42,7 +42,7 @@ impl LmConfig {
 
 /// A seeded Markov-chain corpus generator.
 #[derive(Debug, Clone)]
-pub struct MarkovCorpus {
+struct MarkovCorpus {
     config: LmConfig,
     /// `successors[t]` lists the preferred next tokens of token `t`.
     successors: Vec<Vec<usize>>,
@@ -50,7 +50,7 @@ pub struct MarkovCorpus {
 
 impl MarkovCorpus {
     /// Builds the transition structure from a seed.
-    pub fn new(config: LmConfig, seed: u64) -> Self {
+    fn new(config: LmConfig, seed: u64) -> Self {
         let mut rng = Rng::seed_from(seed ^ 0xabcd_ef01_2345_6789);
         let successors = (0..config.vocab_size)
             .map(|_| {
@@ -60,11 +60,6 @@ impl MarkovCorpus {
             })
             .collect();
         MarkovCorpus { config, successors }
-    }
-
-    /// The generator configuration.
-    pub fn config(&self) -> &LmConfig {
-        &self.config
     }
 
     /// Samples one token sequence of length `seq_len + 1` (so that inputs and
@@ -88,7 +83,7 @@ impl MarkovCorpus {
     }
 
     /// Generates the full dataset.
-    pub fn generate(&self, seed: u64) -> Dataset {
+    fn generate(&self, seed: u64) -> Dataset {
         let mut rng = Rng::seed_from(seed);
         let total = self.config.train_sequences + self.config.eval_sequences;
         let samples: Vec<Sample> = (0..total)

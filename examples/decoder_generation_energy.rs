@@ -9,6 +9,7 @@ use hyflex_pim::backend::InferenceRequest;
 use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
 use hyflex_tensor::rng::Rng;
+use hyflex_transformer::metrics::TaskMetrics;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::lm;
 
@@ -41,11 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let spec = HybridMappingSpec::gradient_based(rate);
         let (eval, _) =
             simulator.evaluate(&model, &report.layer_profiles, &spec, &dataset.eval, 3)?;
+        let perplexity = match eval.metrics {
+            TaskMetrics::LanguageModeling { perplexity, .. } => perplexity,
+            _ => f64::NAN,
+        };
         println!(
             "  SLC rate {:>3.0}% -> eval loss {:.3} (perplexity {:.2})",
             rate * 100.0,
             eval.mean_loss,
-            eval.metrics.perplexity().unwrap_or(f64::NAN)
+            perplexity
         );
     }
 
@@ -58,7 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .backend(name)
             .build()?;
         let energy = backend.evaluate(&InferenceRequest::of_len(0, 1024))?.energy;
-        println!("  {:<22} {:>10.2} mJ", backend.name(), energy.total_mj());
+        println!(
+            "  {:<22} {:>10.2} mJ",
+            backend.name(),
+            energy.total_pj() / 1e9
+        );
     }
     Ok(())
 }

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary = deployed.evaluate(&InferenceRequest::of_len(0, 128))?;
     println!(
         "BERT-Large @ N=128, 10% SLC: {:.2} mJ per inference, {:.1} us latency, {:.2} TOPS/mm^2",
-        summary.energy.total_mj(),
+        summary.energy.total_pj() / 1e9,
         summary.latency.total_ns() / 1e3,
         summary.tops_per_mm2
     );

@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let summary = deployed.evaluate(&InferenceRequest::of_len(0, 197))?;
     println!(
         "\nViT-Base @ 197 tokens, 5% SLC: {:.2} mJ, {:.1} us, {:.2} TOPS/mm^2",
-        summary.energy.total_mj(),
+        summary.energy.total_pj() / 1e9,
         summary.latency.total_ns() / 1e3,
         summary.tops_per_mm2
     );

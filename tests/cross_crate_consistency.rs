@@ -37,7 +37,7 @@ fn bit_serial_crossbar_gemv_matches_dense_reference_within_quantization() {
     mapping.adc_bits = None;
     let mapped = MappedMatrix::program(&weights, mapping, &NoiseModel::ideal(), &mut rng).unwrap();
     let pim = mapped.gemv(&input).unwrap();
-    let exact = weights.transpose().matvec(&input).unwrap();
+    let exact = hyflex_tensor::kernels::matvec(&weights.transpose(), &input).unwrap();
     for (a, b) in pim.iter().zip(exact.iter()) {
         assert!((a - b).abs() < 0.05, "PIM {a} vs exact {b}");
     }

@@ -47,7 +47,7 @@ proptest! {
     /// INT8 quantization keeps every element within one quantization step.
     #[test]
     fn quantization_error_is_bounded(m in arbitrary_matrix(16)) {
-        let q = QuantizedMatrix::quantize_int8(&m).unwrap();
+        let q = QuantizedMatrix::quantize(&m, 8).unwrap();
         let deq = q.dequantize();
         let max_err = m.sub(&deq).unwrap().max_abs();
         prop_assert!(max_err <= q.scale() * 0.5 + 1e-6);
@@ -240,7 +240,7 @@ proptest! {
         prop_assert_eq!(bits(fused.as_slice()), bits(&reference));
 
         // a · v: row dots, ascending k, no skip.
-        let v: Vec<f32> = rng.normal_vec(k);
+        let v: Vec<f32> = (0..k).map(|_| rng.normal() as f32).collect();
         let fast = kernels::matvec(&a, &v).unwrap();
         for (r, &got) in fast.iter().enumerate() {
             let mut acc = 0.0f32;
@@ -279,20 +279,21 @@ proptest! {
         } else {
             SvdAlgorithm::Randomized
         };
-        let pipeline = GradientRedistribution {
+        let trainer = Trainer::new(AdamWConfig::default(), 8);
+        let pipeline = |pool: JobPool| GradientRedistribution {
             svd_algorithm: algorithm,
             finetune_epochs: 1,
-            ..GradientRedistribution::new(Trainer::new(AdamWConfig::default(), 8))
+            ..GradientRedistribution::new(Trainer { pool, ..trainer })
         };
 
         let mut serial_model = model.clone();
-        let serial_report = pipeline
-            .apply_with_pool(&mut serial_model, train, eval, &JobPool::serial())
+        let serial_report = pipeline(JobPool::serial())
+            .apply(&mut serial_model, train, eval)
             .unwrap();
         for workers in [1usize, 2, 4, 8] {
             let mut pooled_model = model.clone();
-            let pooled_report = pipeline
-                .apply_with_pool(&mut pooled_model, train, eval, &JobPool::new(workers))
+            let pooled_report = pipeline(JobPool::new(workers))
+                .apply(&mut pooled_model, train, eval)
                 .unwrap();
             prop_assert_eq!(&pooled_model, &serial_model, "model diverged at workers={}", workers);
             prop_assert_eq!(&pooled_report, &serial_report, "report diverged at workers={}", workers);

@@ -76,9 +76,11 @@ fn serving_reports_throughput_and_tail_latency_for_required_batch_sizes() {
 
 #[test]
 fn scheduler_capacity_contract_holds_through_the_facade() {
-    let backend = HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap();
+    let backend = Arc::new(HyFlexPim::paper(ModelConfig::bert_large(), 0.05).unwrap());
+    // One PU per layer: a batch may fill one backend tile.
+    let capacity_cells = backend.capacity();
     let mut scheduler = BatchScheduler::for_backend(
-        Arc::new(backend),
+        backend,
         SchedulerConfig {
             max_batch_size: 8,
             max_wait_ns: 0.0,
@@ -94,7 +96,7 @@ fn scheduler_capacity_contract_holds_through_the_facade() {
     }
     while let Some(batch) = scheduler.next_batch() {
         assert!(batch.len() <= 8);
-        assert!(batch.cells_used <= scheduler.capacity_cells());
+        assert!(batch.cells_used <= capacity_cells);
     }
 }
 
