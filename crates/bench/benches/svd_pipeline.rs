@@ -1,6 +1,7 @@
 //! Criterion benches for the SVD / gradient-redistribution pipeline pieces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use hyflex_tensor::activations::{gelu, gelu_derivative};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::{kernels, svd, Matrix};
 use hyflex_transformer::layers::Linear;
@@ -123,11 +124,29 @@ fn bench_matmul_tails(c: &mut Criterion) {
     group.finish();
 }
 
+/// The FFN activation and its derivative mapped over the tiny encoder's
+/// FFN hidden (12 tokens × 64), as `FeedForward` runs them.
+fn bench_gelu(c: &mut Criterion) {
+    let mut rng = Rng::seed_from(12);
+    let hidden = Matrix::random_normal(12, 64, 0.0, 1.0, &mut rng);
+    // Named functions, not a loop over fn pointers, so each `map` inlines
+    // its activation as `FeedForward`'s does.
+    let mut group = c.benchmark_group("kernels/gelu");
+    group.bench_function("12x64", |b| b.iter(|| black_box(&hidden).map(gelu)));
+    group.finish();
+    let mut group = c.benchmark_group("kernels/gelu_derivative");
+    group.bench_function("12x64", |b| {
+        b.iter(|| black_box(&hidden).map(gelu_derivative))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_svd,
     bench_svd_algorithms_at_hard_threshold,
     bench_factored_layer,
-    bench_matmul_tails
+    bench_matmul_tails,
+    bench_gelu
 );
 criterion_main!(benches);

@@ -1,22 +1,59 @@
 //! Activation functions, normalization, and their derivatives.
 //!
-//! These are the exact floating-point reference implementations used by the
+//! These are the floating-point reference implementations used by the
 //! functional transformer simulator. The hardware-accurate versions (Taylor
 //! series exponential, pipelined SFU) live in `hyflex-circuits::sfu` and are
 //! validated against these references.
+//!
+//! [`gelu`] and [`gelu_derivative`] do not call libm's `tanhf`: they use a
+//! private odd rational approximation of `tanh` (degree 13 over degree 6,
+//! the Eigen/XLA coefficients) on an input clamped to `±7.905311`, where the
+//! approximation reaches exactly 1. Its largest absolute error against f64
+//! `tanh` is below 5e-7 (libm's `tanhf` is about 1e-7); it is exactly odd
+//! and never exceeds 1 in magnitude. It uses only multiplies, adds and one
+//! divide, with no branch and no fused multiply-add, so `Matrix::map(gelu)`
+//! vectorises and the results do not depend on the host's libm.
+
+/// `√(2/π)`, the GELU tanh approximation's input scale.
+const SQRT_2_OVER_PI: f32 = 0.797_884_6;
+
+/// Odd rational approximation of `tanh` (see the module docs): a degree-13
+/// odd numerator over a degree-6 even denominator, evaluated in Horner form
+/// on `x` clamped to the point where the approximation reaches 1.
+#[inline]
+fn tanh_approx(x: f32) -> f32 {
+    const CLAMP: f32 = 7.905_311;
+    const ALPHA: [f32; 7] = [
+        4.893_524_6e-3,
+        6.372_619_3e-4,
+        1.485_722_4e-5,
+        5.122_297e-8,
+        -8.604_672e-11,
+        2.000_188e-13,
+        -2.760_768_5e-16,
+    ];
+    const BETA: [f32; 4] = [4.893_525e-3, 2.268_434_6e-3, 1.185_347_1e-4, 1.198_258_4e-6];
+    let x = x.clamp(-CLAMP, CLAMP);
+    let x2 = x * x;
+    let [a1, a3, a5, a7, a9, a11, a13] = ALPHA;
+    let [b0, b2, b4, b6] = BETA;
+    let p = a1 + x2 * (a3 + x2 * (a5 + x2 * (a7 + x2 * (a9 + x2 * (a11 + x2 * a13)))));
+    let q = b0 + x2 * (b2 + x2 * (b4 + x2 * b6));
+    x * p / q
+}
 
 /// Gaussian error linear unit (tanh approximation, as used by BERT/GPT-2).
+#[inline]
 pub fn gelu(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + tanh_approx(SQRT_2_OVER_PI * (x + 0.044_715 * x * x * x)))
 }
 
 /// Derivative of [`gelu`] (tanh approximation).
+#[inline]
 pub fn gelu_derivative(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
     let x3 = x * x * x;
     let inner = SQRT_2_OVER_PI * (x + 0.044_715 * x3);
-    let tanh_inner = inner.tanh();
+    let tanh_inner = tanh_approx(inner);
     let sech2 = 1.0 - tanh_inner * tanh_inner;
     0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044_715 * x * x)
 }
@@ -171,6 +208,30 @@ mod tests {
         // Large positive inputs pass through, large negative go to zero.
         assert!((gelu(6.0) - 6.0).abs() < 1e-3);
         assert!(gelu(-6.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn tanh_stays_within_its_stated_error_bound() {
+        // A dense grid over [-10, 10], past the clamp on both sides.
+        let n = 200_000;
+        let mut worst = 0.0f64;
+        for i in -n..=n {
+            let x = (f64::from(i) * 10.0 / f64::from(n)) as f32;
+            let t = tanh_approx(x);
+            worst = worst.max((f64::from(t) - f64::from(x).tanh()).abs());
+            assert_eq!(
+                tanh_approx(-x).to_bits(),
+                (-t).to_bits(),
+                "tanh is not odd at {x}"
+            );
+            assert!(t.abs() <= 1.0, "|tanh({x})| = {} > 1", t.abs());
+        }
+        assert!(worst <= 1e-6, "max abs error {worst:e}");
+        for x in [f32::MAX, f32::INFINITY, 1e30] {
+            assert_eq!(tanh_approx(x), 1.0);
+            assert_eq!(tanh_approx(-x), -1.0);
+        }
+        assert!(tanh_approx(f32::NAN).is_nan());
     }
 
     #[test]

@@ -55,6 +55,20 @@ pub struct Sample {
 
 /// Loss value and gradient for one sample's logits.
 fn loss_and_grad(task: &TaskKind, logits: &Matrix, target: &Target) -> Result<(f64, Matrix)> {
+    let mut grad = Matrix::zeros(logits.rows(), logits.cols());
+    let loss = sample_loss(task, logits, target, Some(&mut grad))?;
+    Ok((loss, grad))
+}
+
+/// Loss for one sample's logits. With `grad` (shaped like `logits`) it
+/// also writes `dL/dlogits` there; evaluation passes `None` and so builds
+/// no gradient, with the same loss bits as [`loss_and_grad`].
+fn sample_loss(
+    task: &TaskKind,
+    logits: &Matrix,
+    target: &Target,
+    mut grad: Option<&mut Matrix>,
+) -> Result<f64> {
     match (task, target) {
         (TaskKind::Classification { num_classes }, Target::Class(label)) => {
             if *label >= *num_classes || logits.cols() != *num_classes {
@@ -63,19 +77,20 @@ fn loss_and_grad(task: &TaskKind, logits: &Matrix, target: &Target) -> Result<(f
                 )));
             }
             let probs = softmax(logits.row(0));
-            let loss = -(probs[*label].max(1e-12) as f64).ln();
-            let mut grad = Matrix::zeros(1, *num_classes);
-            for (c, &p) in probs.iter().enumerate() {
-                let indicator = if c == *label { 1.0 } else { 0.0 };
-                grad.set(0, c, p - indicator);
+            if let Some(grad) = grad {
+                for (c, &p) in probs.iter().enumerate() {
+                    let indicator = if c == *label { 1.0 } else { 0.0 };
+                    grad.set(0, c, p - indicator);
+                }
             }
-            Ok((loss, grad))
+            Ok(-(probs[*label].max(1e-12) as f64).ln())
         }
         (TaskKind::Regression, Target::Value(value)) => {
-            let prediction = logits.at(0, 0);
-            let diff = prediction - value;
-            let grad = Matrix::from_vec(1, 1, vec![2.0 * diff])?;
-            Ok((f64::from(diff * diff), grad))
+            let diff = logits.at(0, 0) - value;
+            if let Some(grad) = grad {
+                grad.set(0, 0, 2.0 * diff);
+            }
+            Ok(f64::from(diff * diff))
         }
         (TaskKind::LanguageModeling, Target::NextTokens(next)) => {
             if next.len() != logits.rows() {
@@ -86,7 +101,6 @@ fn loss_and_grad(task: &TaskKind, logits: &Matrix, target: &Target) -> Result<(f
                 )));
             }
             let vocab = logits.cols();
-            let mut grad = Matrix::zeros(logits.rows(), vocab);
             let mut total_loss = 0.0f64;
             for (r, &tok) in next.iter().enumerate() {
                 if tok >= vocab {
@@ -96,12 +110,14 @@ fn loss_and_grad(task: &TaskKind, logits: &Matrix, target: &Target) -> Result<(f
                 }
                 let probs = softmax(logits.row(r));
                 total_loss += -(probs[tok].max(1e-12) as f64).ln();
-                for (c, &p) in probs.iter().enumerate() {
-                    let indicator = if c == tok { 1.0 } else { 0.0 };
-                    grad.set(r, c, (p - indicator) / next.len() as f32);
+                if let Some(grad) = grad.as_deref_mut() {
+                    for (c, &p) in probs.iter().enumerate() {
+                        let indicator = if c == tok { 1.0 } else { 0.0 };
+                        grad.set(r, c, (p - indicator) / next.len() as f32);
+                    }
                 }
             }
-            Ok((total_loss / next.len() as f64, grad))
+            Ok(total_loss / next.len() as f64)
         }
         _ => Err(ModelError::InvalidInput(
             "target kind does not match the model task".to_string(),
@@ -337,7 +353,7 @@ pub fn evaluate_model(
     let task = model.config().task;
     let passes = pool.par_map(samples, |sample| -> Result<(f64, Prediction)> {
         let logits = model.forward(&sample.input)?;
-        let (loss, _) = loss_and_grad(&task, &logits, &sample.target)?;
+        let loss = sample_loss(&task, &logits, &sample.target, None)?;
         let prediction = match (&task, &sample.target) {
             (TaskKind::Classification { .. }, Target::Class(label)) => {
                 Prediction::Class(stats::argmax(logits.row(0)), *label)

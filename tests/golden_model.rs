@@ -1,7 +1,8 @@
 //! Golden bit-identity fixtures for the transformer layer-graph refactor.
 //!
 //! The files under `tests/fixtures/` capture seeded `forward` and
-//! `forward_backward` outputs of the pre-refactor hand-wired model. Every
+//! `forward_backward` outputs of the model, re-baselined whenever a change
+//! deliberately moves the numerics (EXPERIMENTS.md explains each). Every
 //! `f32` is stored as its exact IEEE-754 bit pattern and compared with bit
 //! equality, so any numeric drift introduced by restructuring the model —
 //! however small — fails CI. The cases cover all three topologies the graph
