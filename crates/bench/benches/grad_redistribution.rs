@@ -2,7 +2,7 @@
 //! factorization (every static layer of the tiny 2-block encoder decomposed
 //! serially vs on the scoped `par_map` pool, with both SVD algorithms) and
 //! the training steps that pre-training, fine-tuning and gradient collection
-//! repeat (one `forward_backward`, one `train_epoch`).
+//! repeat (one `forward_backward`, one `Trainer::train` epoch).
 //!
 //! The serial and pooled factorizations are bit-identical by construction
 //! (each layer's sketch is seeded from its own name), so that group measures

@@ -40,7 +40,6 @@ fn sweep(
         protection_rate: 0.0,
         strategy: SelectionStrategy::GradientBased,
         mlc_mode: mlc,
-        quantize_int8: true,
     };
     // Average a few noise seeds per rate to smooth the small synthetic tasks.
     let points = SweepPoint::grid(&RATES, SEEDS_PER_RATE, seed * 100);

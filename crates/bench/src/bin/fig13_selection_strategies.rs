@@ -56,7 +56,6 @@ fn main() {
                 protection_rate: 0.0,
                 strategy,
                 mlc_mode: CellMode::MLC2,
-                quantize_int8: true,
             };
             let points = SweepPoint::grid(&RATES, SEEDS_PER_RATE, seed * 1000);
             let outcomes = par_noise_sweep(

@@ -130,11 +130,11 @@ fn serving_sweep(args: &BinArgs, seed: u64, model: ModelConfig, seq_len: usize) 
 }
 
 /// Mixed-length request streams padded to the batch maximum waste tokens;
-/// the functional model's packed batching (`AttentionMask::Packed`) executes
-/// only the real rows. This section quantifies the recoverable fraction by
-/// draining a seeded mixed-length queue through the scheduler at several
-/// batch caps and comparing [`hyflex_runtime::Batch::padded_token_count`]
-/// against [`hyflex_runtime::Batch::actual_token_count`], then prices both
+/// a packed batch would execute only the real rows. This section quantifies
+/// the recoverable fraction by draining a seeded mixed-length queue through
+/// the scheduler at several batch caps and comparing
+/// [`hyflex_runtime::Batch::padded_token_count`] against
+/// [`hyflex_runtime::Batch::actual_token_count`], then prices both
 /// shapes on one HyFlexPIM deployment: the padded columns charge every batch
 /// at its maximum length (`evaluate_batched`), the packed columns charge
 /// only the real tokens ([`packed_batch`]), so "saved %" is the device time

@@ -36,9 +36,6 @@ pub struct HybridMappingSpec {
     pub strategy: SelectionStrategy,
     /// Cell mode used for the unprotected portion.
     pub mlc_mode: CellMode,
-    /// Whether to apply INT8 quantization error before the analog noise
-    /// (the paper's baseline already includes INT8 quantization).
-    pub quantize_int8: bool,
 }
 
 impl HybridMappingSpec {
@@ -49,7 +46,6 @@ impl HybridMappingSpec {
             protection_rate,
             strategy: SelectionStrategy::GradientBased,
             mlc_mode: CellMode::MLC2,
-            quantize_int8: true,
         }
     }
 }
@@ -207,14 +203,14 @@ impl NoiseSimulator {
                     };
                     stats.slc_ranks += protected.iter().filter(|p| **p).count();
                     stats.mlc_ranks += protected.iter().filter(|p| !**p).count();
-                    self.perturb_factored(f, &protected, spec, rng);
+                    self.perturb_factored(f, &protected, spec, rng)?;
                 }
                 AnyLinear::Dense(d) => {
                     let weight = d.weight().clone();
                     let mask = selection::select_protected_weights(&weight, spec.protection_rate);
                     stats.slc_weights += mask.sum() as usize;
                     stats.mlc_weights += weight.len() - mask.sum() as usize;
-                    let perturbed = self.perturb_dense(&weight, &mask, spec, rng);
+                    let perturbed = self.perturb_dense(&weight, &mask, spec, rng)?;
                     *d.weight_param_mut().value_mut() = perturbed;
                 }
             }
@@ -294,13 +290,11 @@ impl NoiseSimulator {
             .collect()
     }
 
-    fn maybe_quantize(&self, m: &Matrix, quantize: bool) -> Matrix {
-        if !quantize {
-            return m.clone();
-        }
-        QuantizedMatrix::quantize(m, self.weight_bits)
-            .map(|q| q.dequantize())
-            .unwrap_or_else(|_| m.clone())
+    /// `m` after a round trip through the simulator's weight precision: the
+    /// quantization error every stored weight carries before the analog
+    /// noise (the paper's baseline already includes INT8 quantization).
+    fn quantize(&self, m: &Matrix) -> Result<Matrix> {
+        Ok(QuantizedMatrix::quantize(m, self.weight_bits)?.dequantize())
     }
 
     fn perturb_factored(
@@ -309,9 +303,9 @@ impl NoiseSimulator {
         protected: &[bool],
         spec: &HybridMappingSpec,
         rng: &mut Rng,
-    ) {
-        let u = self.maybe_quantize(layer.u(), spec.quantize_int8);
-        let vt = self.maybe_quantize(layer.vt(), spec.quantize_int8);
+    ) -> Result<()> {
+        let u = self.quantize(layer.u())?;
+        let vt = self.quantize(layer.vt())?;
         let u_scale = flip_scale(&u, self.weight_bits);
         let vt_scale = flip_scale(&vt, self.weight_bits);
 
@@ -333,6 +327,7 @@ impl NoiseSimulator {
         }
         *layer.u_param_mut().value_mut() = new_u;
         *layer.vt_param_mut().value_mut() = new_vt;
+        Ok(())
     }
 
     fn perturb_dense(
@@ -341,8 +336,8 @@ impl NoiseSimulator {
         slc_mask: &Matrix,
         spec: &HybridMappingSpec,
         rng: &mut Rng,
-    ) -> Matrix {
-        let base = self.maybe_quantize(weight, spec.quantize_int8);
+    ) -> Result<Matrix> {
+        let base = self.quantize(weight)?;
         let scale = flip_scale(&base, self.weight_bits);
         let mut out = base;
         for r in 0..out.rows() {
@@ -357,7 +352,7 @@ impl NoiseSimulator {
                 out.set(r, c, value[0]);
             }
         }
-        out
+        Ok(out)
     }
 
     /// Applies the mode-dependent Gaussian error and level flips to a slice
@@ -488,7 +483,6 @@ mod tests {
             protection_rate: 0.0,
             strategy: SelectionStrategy::GradientBased,
             mlc_mode: CellMode::MLC2,
-            quantize_int8: true,
         };
         let (report, _) = sim
             .evaluate(&fx.model, &fx.profiles, &spec, &fx.eval, 3)
@@ -534,7 +528,6 @@ mod tests {
             protection_rate: 0.2,
             strategy: SelectionStrategy::MagnitudeBased,
             mlc_mode: CellMode::MLC2,
-            quantize_int8: true,
         };
         let (report, stats) = sim.evaluate(&model, &[], &spec, &dataset.eval, 9).unwrap();
         assert!(stats.slc_weights > 0);
@@ -554,7 +547,6 @@ mod tests {
                         protection_rate: 0.0,
                         strategy: SelectionStrategy::GradientBased,
                         mlc_mode: mode,
-                        quantize_int8: true,
                     };
                     sim.evaluate(&fx.model, &fx.profiles, &spec, &fx.eval, 80 + s)
                         .unwrap()

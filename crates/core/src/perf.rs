@@ -468,11 +468,9 @@ pub fn pipelined_batch(
 /// accounting: the batch still executes at the padded shape `seq_len` (the
 /// longest request — that is the crossbar read-out schedule), but the
 /// steady-state initiation intervals are charged for `actual_tokens` real
-/// tokens instead of `batch_size × seq_len` padded ones. This is the
-/// device-side counterpart of the functional model's packed batching
-/// (`AttentionMask::Packed` in `hyflex-transformer`): fig18 part (c) prices
-/// mixed-length batches both ways to show the padding fraction packing
-/// recovers.
+/// tokens instead of `batch_size × seq_len` padded ones. Packing is modeled
+/// here only: fig18 part (c) prices mixed-length batches both ways to show
+/// the padding fraction packing recovers.
 ///
 /// `padded` is the batch priced at `seq_len` (e.g. by
 /// `Backend::evaluate_batched`). Its interval `I(N)` is the per-request

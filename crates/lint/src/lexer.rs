@@ -163,6 +163,64 @@ pub fn lex(source: &str) -> Vec<SourceLine> {
     lines
 }
 
+/// The code of the fenced Rust examples in the `///` and `//!` comments of
+/// a lexed file, lexed as a file of its own: what `cargo test --doc`
+/// compiles. Every other line is blank, so a mention keeps its line.
+///
+/// A fence counts when its info string is empty or holds only `rust`,
+/// `no_run`, `should_panic` or an `edition…` tag; `text`, `ignore` and
+/// `compile_fail` examples call nothing that must keep compiling. Hidden
+/// lines (`# use …;`) are code too.
+pub(crate) fn doc_test_lines(lines: &[SourceLine]) -> Vec<SourceLine> {
+    let mut source = String::new();
+    // `Some(runs)` inside a fence.
+    let mut fence: Option<bool> = None;
+    for line in lines {
+        let doc = if line.code.trim().is_empty() {
+            doc_text(&line.comment)
+        } else {
+            None
+        };
+        let Some(text) = doc else {
+            // A fence left open ends with its doc block.
+            fence = None;
+            source.push('\n');
+            continue;
+        };
+        let text = text.trim_start();
+        if let Some(info) = text.strip_prefix("```") {
+            fence = match fence {
+                Some(_) => None,
+                None => Some(runs_as_rust(info)),
+            };
+        } else if fence == Some(true) {
+            source.push_str(match text.strip_prefix('#') {
+                Some(hidden) if hidden.is_empty() || hidden.starts_with(' ') => hidden,
+                _ => text,
+            });
+        }
+        source.push('\n');
+    }
+    lex(&source)
+}
+
+/// The text of an outer (`///`) or inner (`//!`) doc comment line, from
+/// its comment channel; `None` for a plain or `////` comment.
+fn doc_text(comment: &str) -> Option<&str> {
+    match comment.strip_prefix('/') {
+        Some(rest) if !rest.starts_with('/') => Some(rest),
+        Some(_) => None,
+        None => comment.strip_prefix('!'),
+    }
+}
+
+/// Whether rustdoc compiles a fence with this info string as a doc test.
+fn runs_as_rust(info: &str) -> bool {
+    info.split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|tag| !tag.is_empty())
+        .all(|tag| matches!(tag, "rust" | "no_run" | "should_panic") || tag.starts_with("edition"))
+}
+
 /// If the code emitted so far ends with a raw-string opener prefix
 /// (`r`/`br` plus zero or more `#`), returns the hash count.
 fn raw_string_hashes(code: &str) -> Option<usize> {
@@ -284,6 +342,34 @@ mod tests {
         let lines = code_of("let s = \"line one\nHashMap line two\";\nlet w = 4;\n");
         assert!(!lines[1].contains("HashMap"));
         assert!(lines[2].contains("let w = 4;"));
+    }
+
+    #[test]
+    fn doc_test_lines_keep_only_fenced_rust_examples() {
+        let source = "//! ```\n\
+                      //! inner(1);\n\
+                      //! ```\n\
+                      /// ```text\n\
+                      /// prose(2);\n\
+                      /// ```\n\
+                      /// ```no_run\n\
+                      /// # use hidden;\n\
+                      /// outer(3); // \"quoted\"\n\
+                      fn item() {}\n\
+                      /// open(4);\n\
+                      // ```\n\
+                      // plain(5);\n";
+        let doc = doc_test_lines(&lex(source));
+        let code: Vec<(usize, &str)> = doc
+            .iter()
+            .enumerate()
+            .map(|(i, l)| (i, l.code.trim()))
+            .filter(|(_, code)| !code.is_empty())
+            .collect();
+        assert_eq!(
+            code,
+            [(1, "inner(1);"), (7, "use hidden;"), (8, "outer(3);")]
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod lexer;
 pub mod rules;
 mod surface;
 
-use lexer::{find_word, lex, SourceLine};
+use lexer::{doc_test_lines, find_word, lex, SourceLine};
 use rules::{severity_for, FileKind, RuleId, Severity};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -163,6 +163,14 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Report {
         .iter()
         .map(|(_, _, lines)| test_region_lines(lines))
         .collect();
+    // A library file's doc examples compile as a crate of their own: one
+    // more indexed file, of test tier, after the real ones.
+    let doc_tests: Vec<Vec<SourceLine>> = lexed
+        .iter()
+        .filter(|(_, ctx, _)| ctx.as_ref().is_some_and(|c| c.kind == FileKind::Lib))
+        .map(|(_, _, lines)| doc_test_lines(lines))
+        .collect();
+    let no_test_lines = BTreeSet::new();
     let indexed: Vec<surface::IndexedFile<'_>> = lexed
         .iter()
         .zip(&test_lines)
@@ -171,6 +179,11 @@ pub fn lint_sources(files: &[(&str, &str)]) -> Report {
             kind: ctx.as_ref().map(|c| c.kind),
             test_lines,
         })
+        .chain(doc_tests.iter().map(|lines| surface::IndexedFile {
+            lines,
+            kind: Some(FileKind::Test),
+            test_lines: &no_test_lines,
+        }))
         .collect();
     let surface_hits = surface::surface_hits(&indexed);
     let mut report = Report::default();

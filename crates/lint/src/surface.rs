@@ -18,6 +18,10 @@
 //! A `let name` binding, a `name:` field init, an import, a comment or a
 //! string is not a use. Fields are read by `.name` without a call, or by a
 //! `{ name, .. }` destructuring pattern.
+//!
+//! The fenced Rust examples of a library file's doc comments are indexed
+//! as one more file, of test tier: a doc test compiles outside the file
+//! that holds it.
 
 use crate::lexer::SourceLine;
 use crate::rules::{FileKind, RuleId};
@@ -563,8 +567,9 @@ pub(crate) fn surface_hits(files: &[IndexedFile<'_>]) -> Vec<Vec<SurfaceHit>> {
                 Some((
                     RuleId::U2,
                     format!(
-                        "{subject} is called only from test code; delete it with those \
-                         tests, or allow(U2) naming the test it serves as an oracle"
+                        "{subject} is called only from test code (doc examples count); \
+                         delete it with those tests, or allow(U2) naming the test it \
+                         serves as an oracle"
                     ),
                 ))
             } else {

@@ -344,6 +344,23 @@ fn a_fn_passed_as_a_value_is_reached() {
     assert!(findings.is_empty(), "{findings:#?}");
 }
 
+#[test]
+fn a_doc_example_is_a_test_tier_caller() {
+    // `ParamStore::parameter_count` was deleted on U2's word while the
+    // `param` doc test still called it. A fenced example in `///` or `//!`
+    // compiles outside its file, so only a `text` sketch leaves U1 standing.
+    let findings = surface_findings(include_str!("fixtures/surface_doc_test_caller.rs"));
+    let file = "crates/tensor/src/scale.rs";
+    assert_eq!(
+        findings,
+        [
+            at(RuleId::U2, Severity::Deny, file, 14),
+            at(RuleId::U2, Severity::Deny, file, 18),
+            at(RuleId::U1, Severity::Deny, file, 27),
+        ]
+    );
+}
+
 /// The self-check: the lint must pass on the workspace that ships it.
 #[test]
 fn workspace_self_check_has_no_deny_findings() {

@@ -396,26 +396,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Writes `block` into `self` starting at `(row0, col0)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidDimension`] when the block exceeds bounds.
-    pub fn set_submatrix(&mut self, row0: usize, col0: usize, block: &Matrix) -> Result<()> {
-        if row0 + block.rows > self.rows || col0 + block.cols > self.cols {
-            return Err(TensorError::InvalidDimension(format!(
-                "block {}x{} at ({row0}, {col0}) exceeds {}x{}",
-                block.rows, block.cols, self.rows, self.cols
-            )));
-        }
-        for r in 0..block.rows {
-            for c in 0..block.cols {
-                self.set(row0 + r, col0 + c, block.at(r, c));
-            }
-        }
-        Ok(())
-    }
-
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f32 {
         self.data
@@ -629,17 +609,11 @@ mod tests {
     }
 
     #[test]
-    fn submatrix_and_set_submatrix() {
+    fn submatrix_copies_a_block_within_bounds() {
         let m = sample();
         let block = m.submatrix(0, 1, 2, 2).unwrap();
         assert_eq!(block.at(0, 0), 2.0);
         assert_eq!(block.at(1, 1), 6.0);
-
-        let mut target = Matrix::zeros(3, 3);
-        target.set_submatrix(1, 1, &block).unwrap();
-        assert_eq!(target.at(1, 1), 2.0);
-        assert_eq!(target.at(2, 2), 6.0);
-        assert!(target.set_submatrix(2, 2, &block).is_err());
         assert!(m.submatrix(0, 2, 1, 5).is_err());
     }
 

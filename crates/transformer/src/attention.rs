@@ -14,54 +14,14 @@ use crate::Result;
 use hyflex_tensor::activations::{softmax, softmax_backward};
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::{kernels, Matrix, MatrixView};
-use std::ops::Range;
 
 /// Attention masking policy for one forward/backward pass.
-///
-/// The packed variant is what makes mixed-length batching exact: several
-/// requests share one activation matrix (their rows concatenated), and the
-/// mask keeps every request blind to the others, so each row's scores,
-/// softmax, and context are bit-identical to running that request alone
-/// (out-of-segment lanes contribute `exp(-inf) = +0.0` to the softmax sums
-/// and exact zero probabilities to the context product).
-#[derive(Debug, Clone, Copy, Default)]
-pub enum AttentionMask<'a> {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum AttentionMask {
     /// Every position attends to every position.
-    #[default]
     Bidirectional,
     /// Position `i` attends only to positions `<= i` (decoder behaviour).
     Causal,
-    /// Packed mixed-length batch: `segments[k]` is the contiguous row range
-    /// of request `k`, and attention never crosses a segment boundary.
-    /// `causal` additionally applies the causal rule *within* each segment.
-    Packed {
-        /// Per-request row ranges, sorted and contiguous; together they must
-        /// cover every row.
-        segments: &'a [Range<usize>],
-        /// Apply causal masking within each segment.
-        causal: bool,
-    },
-}
-
-impl AttentionMask<'_> {
-    /// The key columns (of `cols`) query row `r` may attend to. Every mask
-    /// allows one contiguous range per row; a row outside every packed
-    /// segment attends to nothing.
-    fn allowed_cols(&self, r: usize, cols: usize) -> Range<usize> {
-        let allowed = match self {
-            AttentionMask::Bidirectional => 0..cols,
-            AttentionMask::Causal => 0..r + 1,
-            AttentionMask::Packed { segments, causal } => {
-                // Sorted, contiguous segments: the first one ending past `r`
-                // is the only one that can hold it.
-                match segments.get(segments.partition_point(|s| s.end <= r)) {
-                    Some(s) if s.contains(&r) => s.start..if *causal { r + 1 } else { s.end },
-                    _ => 0..0,
-                }
-            }
-        };
-        allowed.start.min(cols)..allowed.end.min(cols)
-    }
 }
 
 /// Writes `fill` into every lane of `m` that `mask` disallows, where row `r`
@@ -72,15 +32,15 @@ impl AttentionMask<'_> {
 /// gradients with `0.0`, because a constant-zero probability passes no
 /// gradient.
 fn mask_fill(m: &mut Matrix, mask: &AttentionMask, fill: f32) {
-    if matches!(mask, AttentionMask::Bidirectional) {
-        return;
-    }
-    let cols = m.cols();
-    for r in 0..m.rows() {
-        let allowed = mask.allowed_cols(r, cols);
-        let row = m.row_mut(r);
-        row[..allowed.start].fill(fill);
-        row[allowed.end..].fill(fill);
+    match mask {
+        AttentionMask::Bidirectional => {}
+        AttentionMask::Causal => {
+            for r in 0..m.rows() {
+                let row = m.row_mut(r);
+                let open = (r + 1).min(row.len());
+                row[open..].fill(fill);
+            }
+        }
     }
 }
 
@@ -304,9 +264,7 @@ mod tests {
     use crate::param::AdamWConfig;
     use hyflex_tensor::SvdAlgorithm;
 
-    const CTX: LayerCtx<'static> = LayerCtx {
-        mask: AttentionMask::Bidirectional,
-    };
+    const CTX: LayerCtx = LayerCtx::inference();
 
     fn make(dim: usize, heads: usize, seed: u64) -> MultiHeadAttention {
         let mut rng = Rng::seed_from(seed);
@@ -325,36 +283,24 @@ mod tests {
         assert_eq!(attn.parameter_count(), 4 * (8 * 8 + 8));
     }
 
-    /// `mask_fill` fills exactly the lanes of the per-lane rule: a lane is
-    /// open iff one segment holds both its row and its column (and, when
-    /// causal, the column does not pass the row).
+    /// `mask_fill` fills exactly the lanes of the per-lane rule: every lane
+    /// stays open without a mask, and a causal lane is open iff its column
+    /// does not pass its row.
     #[test]
     fn mask_fill_matches_the_per_lane_rule() {
-        let layouts: [&[Range<usize>]; 4] = [
-            &[0..6, 6..7],
-            &[0..1, 1..7],
-            &[0..3, 3..4, 4..7],
-            &[0..2, 2..5, 5..6, 6..7],
-        ];
-        for segments in layouts {
-            for causal in [false, true] {
-                let mut m = Matrix::zeros(7, 7);
-                mask_fill(&mut m, &AttentionMask::Packed { segments, causal }, 1.0);
-                for r in 0..7 {
-                    for c in 0..7 {
-                        let open = segments
-                            .iter()
-                            .any(|s| s.contains(&r) && s.contains(&c) && (!causal || c <= r));
-                        assert_eq!(m.get(r, c) == Some(0.0), open, "{segments:?} ({r}, {c})");
+        for (mask, causal) in [
+            (AttentionMask::Bidirectional, false),
+            (AttentionMask::Causal, true),
+        ] {
+            for (rows, cols) in [(5, 5), (3, 6), (6, 3)] {
+                let mut m = Matrix::zeros(rows, cols);
+                mask_fill(&mut m, &mask, 1.0);
+                for r in 0..rows {
+                    for c in 0..cols {
+                        let open = !causal || c <= r;
+                        assert_eq!(m.get(r, c) == Some(0.0), open, "{mask:?} ({r}, {c})");
                     }
                 }
-            }
-        }
-        let mut causal = Matrix::zeros(5, 5);
-        mask_fill(&mut causal, &AttentionMask::Causal, 1.0);
-        for r in 0..5 {
-            for c in 0..5 {
-                assert_eq!(causal.get(r, c) == Some(0.0), c <= r, "({r}, {c})");
             }
         }
     }

@@ -149,13 +149,10 @@ impl Layer for TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::AttentionMask;
     use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
 
-    const CTX: LayerCtx<'static> = LayerCtx {
-        mask: AttentionMask::Bidirectional,
-    };
+    const CTX: LayerCtx = LayerCtx::inference();
 
     #[test]
     fn forward_preserves_shape_and_counts_parameters() {

@@ -263,14 +263,11 @@ impl Layer for FactoredLinear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::AttentionMask;
     use crate::layers::{forward_then_backward, Linear};
     use crate::param::AdamWConfig;
     use hyflex_tensor::rng::Rng;
 
-    const CTX: LayerCtx<'static> = LayerCtx {
-        mask: AttentionMask::Bidirectional,
-    };
+    const CTX: LayerCtx = LayerCtx::inference();
 
     fn factor(w: &Matrix, rank: usize) -> FactoredLinear {
         FactoredLinear::from_weight_seeded(w, rank, SvdAlgorithm::Jacobi, None).unwrap()

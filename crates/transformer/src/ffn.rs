@@ -104,15 +104,12 @@ impl Layer for FeedForward {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attention::AttentionMask;
     use crate::factored::FactoredLinear;
     use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
     use hyflex_tensor::SvdAlgorithm;
 
-    const CTX: LayerCtx<'static> = LayerCtx {
-        mask: AttentionMask::Bidirectional,
-    };
+    const CTX: LayerCtx = LayerCtx::inference();
 
     #[test]
     fn forward_shape_and_parameter_count() {

@@ -36,25 +36,24 @@ use hyflex_tensor::{kernels, Matrix};
 /// Per-pass context threaded through [`Layer::forward_saved`] and
 /// [`Layer::backward`].
 #[derive(Debug, Clone, Copy)]
-pub struct LayerCtx<'a> {
+pub struct LayerCtx {
     /// Attention masking for this pass; layers without attention ignore it.
-    pub mask: AttentionMask<'a>,
+    pub(crate) mask: AttentionMask,
 }
 
-impl<'a> LayerCtx<'a> {
-    /// Context with the given attention mask.
-    pub fn with_mask(mask: AttentionMask<'a>) -> Self {
-        LayerCtx { mask }
-    }
-
-    /// Bidirectional context (the default).
-    pub fn inference() -> LayerCtx<'static> {
-        LayerCtx::with_mask(AttentionMask::Bidirectional)
+impl LayerCtx {
+    /// Bidirectional context (encoder behaviour).
+    pub const fn inference() -> LayerCtx {
+        LayerCtx {
+            mask: AttentionMask::Bidirectional,
+        }
     }
 
     /// Causally masked context (decoder behaviour).
-    pub fn causal() -> LayerCtx<'static> {
-        LayerCtx::with_mask(AttentionMask::Causal)
+    pub const fn causal() -> LayerCtx {
+        LayerCtx {
+            mask: AttentionMask::Causal,
+        }
     }
 }
 
@@ -653,9 +652,7 @@ mod tests {
     use crate::param::AdamWConfig;
     use hyflex_tensor::SvdAlgorithm;
 
-    const CTX: LayerCtx<'static> = LayerCtx {
-        mask: AttentionMask::Bidirectional,
-    };
+    const CTX: LayerCtx = LayerCtx::inference();
 
     fn finite_difference_check<F>(f: F, x: &Matrix, analytic: &Matrix, tol: f32)
     where
@@ -816,20 +813,7 @@ mod tests {
         assert_forward_is_forward_saved(&block, &x, &CTX);
 
         let attn = MultiHeadAttention::new(8, 2, &mut rng).unwrap();
-        let segments = [0..2, 2..5];
-        for mask in [
-            AttentionMask::Bidirectional,
-            AttentionMask::Causal,
-            AttentionMask::Packed {
-                segments: &segments,
-                causal: false,
-            },
-            AttentionMask::Packed {
-                segments: &segments,
-                causal: true,
-            },
-        ] {
-            let ctx = LayerCtx::with_mask(mask);
+        for ctx in [LayerCtx::inference(), LayerCtx::causal()] {
             assert_forward_is_forward_saved(&attn, &x, &ctx);
             assert_forward_is_forward_saved(&block, &x, &ctx);
         }

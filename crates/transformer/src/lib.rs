@@ -54,7 +54,6 @@ pub mod ops_count;
 pub mod param;
 pub mod trainer;
 
-pub use attention::AttentionMask;
 pub use config::{ModelConfig, ModelKind, TaskKind};
 pub use error::ModelError;
 pub use factored::FactoredLinear;

@@ -1,10 +1,9 @@
 //! End-to-end transformer models: embeddings, block stack, and task head.
 //!
 //! [`TransformerModel`] owns construction from a [`ModelConfig`] and the
-//! runtime behaviour — forward, packed batching, backward, and the named
-//! parameter surface.
+//! runtime behaviour — one request per forward and backward pass, and the
+//! named parameter surface.
 
-use crate::attention::AttentionMask;
 use crate::block::TransformerBlock;
 use crate::config::{ModelConfig, ModelKind, TaskKind};
 use crate::error::ModelError;
@@ -13,7 +12,6 @@ use crate::param::{zip_params_mut, Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
-use std::ops::Range;
 
 /// Input to a transformer model.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,28 +171,11 @@ impl TransformerModel {
     }
 
     /// The whole-sequence context this model's topology implies.
-    fn sequence_ctx(&self) -> LayerCtx<'static> {
+    fn sequence_ctx(&self) -> LayerCtx {
         if self.config.is_causal() {
             LayerCtx::causal()
         } else {
             LayerCtx::inference()
-        }
-    }
-
-    /// Runs the block stack and the final norm over `x`.
-    fn encode(&self, mut x: Matrix, ctx: &LayerCtx) -> Result<Matrix> {
-        for block in &self.blocks {
-            x = block.forward(&x, ctx)?;
-        }
-        self.final_norm.forward(&x, ctx)
-    }
-
-    /// Applies the task head to one request's final hidden rows.
-    fn head_logits(&self, hidden: &Matrix) -> Result<Matrix> {
-        let ctx = LayerCtx::inference();
-        match self.config.task {
-            TaskKind::LanguageModeling => self.head.forward(hidden, &ctx),
-            _ => self.head.forward(&mean_pool(hidden), &ctx),
         }
     }
 
@@ -207,67 +188,16 @@ impl TransformerModel {
     ///
     /// Returns input/shape errors.
     pub fn forward(&self, input: &ModelInput) -> Result<Matrix> {
-        let hidden = self.encode(self.embed(input)?, &self.sequence_ctx())?;
-        self.head_logits(&hidden)
-    }
-
-    /// Runs the model over a group of requests (a serving batch) and returns
-    /// one logits matrix per request, in request order.
-    ///
-    /// The requests are **packed**: each is embedded on its own (positions
-    /// restart at zero per request), the rows are concatenated into a single
-    /// activation matrix with no padding, and [`AttentionMask::Packed`] keeps
-    /// attention from crossing request boundaries. Every per-request result
-    /// is bit-identical to calling [`TransformerModel::forward`] on that
-    /// request alone, while the whole group shares one pass over the static
-    /// weights — mirroring how the PIM arrays amortize a weight read-out
-    /// schedule across a serving batch without wasting crossbar rows on
-    /// padding lanes. Only tests call it today: they hold it to that
-    /// per-request bit-identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::InvalidInput`] for an empty group and propagates
-    /// per-request embedding/shape errors.
-    // hyflex-lint: allow(U2) — the packed path tests/packing_property.rs checks against per-request forwards; it waits for a batched serving caller
-    pub fn forward_batch(&self, inputs: &[ModelInput]) -> Result<Vec<Matrix>> {
-        if inputs.is_empty() {
-            return Err(ModelError::InvalidInput(
-                "batched forward needs at least one request".to_string(),
-            ));
+        let ctx = self.sequence_ctx();
+        let mut x = self.embed(input)?;
+        for block in &self.blocks {
+            x = block.forward(&x, &ctx)?;
         }
-        let (x, segments) = self.pack(inputs)?;
-        let ctx = LayerCtx::with_mask(AttentionMask::Packed {
-            segments: &segments,
-            causal: self.config.is_causal(),
-        });
-        let hidden = self.encode(x, &ctx)?;
-        segments
-            .iter()
-            .map(|seg| {
-                let rows = hidden.submatrix(seg.start, 0, seg.end - seg.start, hidden.cols())?;
-                self.head_logits(&rows)
-            })
-            .collect()
-    }
-
-    /// Embeds each request independently and concatenates the rows into one
-    /// packed activation matrix, returning it with the per-request segments.
-    fn pack(&self, inputs: &[ModelInput]) -> Result<(Matrix, Vec<Range<usize>>)> {
-        let mut segments = Vec::with_capacity(inputs.len());
-        let mut embedded = Vec::with_capacity(inputs.len());
-        let mut rows = 0usize;
-        for input in inputs {
-            let e = self.embed(input)?;
-            segments.push(rows..rows + e.rows());
-            rows += e.rows();
-            embedded.push(e);
+        let hidden = self.final_norm.forward(&x, &ctx)?;
+        match self.config.task {
+            TaskKind::LanguageModeling => self.head.forward(&hidden, &ctx),
+            _ => self.head.forward(&mean_pool(&hidden), &ctx),
         }
-        let mut packed = Matrix::zeros(rows, self.config.hidden_dim);
-        for (seg, e) in segments.iter().zip(&embedded) {
-            packed.set_submatrix(seg.start, 0, e)?;
-        }
-        Ok((packed, segments))
     }
 
     /// Runs the model, then back-propagates `d_logits`, accumulating
@@ -483,48 +413,6 @@ mod tests {
             .forward(&ModelInput::Tokens(vec![1, 5, 9, 2]))
             .unwrap();
         assert_eq!(logits.shape(), (1, 3));
-    }
-
-    #[test]
-    fn packed_batched_forward_matches_per_request_forward() {
-        let model = tiny_model(7);
-        let inputs = vec![
-            ModelInput::Tokens(vec![1, 5, 9, 2]),
-            ModelInput::Tokens(vec![4, 4]),
-            ModelInput::Tokens(vec![7, 0, 3, 3, 3, 1]),
-        ];
-        let batched = model.forward_batch(&inputs).unwrap();
-        assert_eq!(batched.len(), inputs.len());
-        for (input, logits) in inputs.iter().zip(&batched) {
-            let solo = model.forward(input).unwrap();
-            assert_eq!(solo.shape(), logits.shape());
-            for r in 0..solo.rows() {
-                for (c, (a, b)) in solo.row(r).iter().zip(logits.row(r)).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "packed logits diverge at [{r},{c}]: {a:?} != {b:?}"
-                    );
-                }
-            }
-        }
-        assert!(model.forward_batch(&[]).is_err());
-    }
-
-    #[test]
-    fn packed_causal_batch_matches_per_request_forward() {
-        let mut rng = Rng::seed_from(11);
-        let model = TransformerModel::new(ModelConfig::tiny_decoder(), &mut rng).unwrap();
-        let inputs = vec![
-            ModelInput::Tokens(vec![3, 1, 4, 1, 5]),
-            ModelInput::Tokens(vec![9]),
-            ModelInput::Tokens(vec![2, 6, 5]),
-        ];
-        let batched = model.forward_batch(&inputs).unwrap();
-        for (input, logits) in inputs.iter().zip(&batched) {
-            let solo = model.forward(input).unwrap();
-            assert_eq!(&solo, logits);
-        }
     }
 
     #[test]
