@@ -1,16 +1,16 @@
 //! Criterion benches for the gradient-redistribution pipeline: the pooled
 //! factorization (every static layer of the tiny 2-block encoder decomposed
-//! serially vs on the scoped `par_map` pool, with both SVD algorithms) and
-//! the training steps that pre-training, fine-tuning and gradient collection
-//! repeat (one `forward_backward`, one `Trainer::train` epoch).
+//! by Jacobi serially vs on the scoped `par_map` pool) and the training
+//! steps that pre-training, fine-tuning and gradient collection repeat (one
+//! `forward_backward`, one `Trainer::train` epoch).
 //!
 //! The serial and pooled factorizations are bit-identical by construction
-//! (each layer's sketch is seeded from its own name), so that group measures
-//! pure scheduling cost/win at equal output.
+//! (each layer's SVD is deterministic and independent of the others), so
+//! that group measures pure scheduling cost/win at equal output.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hyflex_parallel::JobPool;
-use hyflex_pim::gradient_redistribution::{GradientRedistribution, SvdAlgorithm};
+use hyflex_pim::gradient_redistribution::GradientRedistribution;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
@@ -22,31 +22,26 @@ fn bench_factorize_model(c: &mut Criterion) {
     let model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
     let trainer = Trainer::new(AdamWConfig::default(), 16);
 
-    for algorithm in [SvdAlgorithm::Jacobi, SvdAlgorithm::Randomized] {
-        let pipeline = GradientRedistribution {
-            svd_algorithm: algorithm,
-            ..GradientRedistribution::new(trainer)
-        };
-        let mut group = c.benchmark_group(format!("grad_redistribution/factorize_{algorithm}"));
-        group.bench_function("serial", |b| {
+    let pipeline = GradientRedistribution::new(trainer);
+    let mut group = c.benchmark_group("grad_redistribution/factorize_jacobi");
+    group.bench_function("serial", |b| {
+        b.iter(|| {
+            let mut m = black_box(&model).clone();
+            pipeline.factorize_model(&mut m).unwrap();
+            m
+        })
+    });
+    for workers in [2usize, 4] {
+        let pool = JobPool::new(workers);
+        group.bench_function(format!("pooled_{workers}"), |b| {
             b.iter(|| {
                 let mut m = black_box(&model).clone();
-                pipeline.factorize_model(&mut m).unwrap();
+                pipeline.factorize_model_pooled(&mut m, &pool).unwrap();
                 m
             })
         });
-        for workers in [2usize, 4] {
-            let pool = JobPool::new(workers);
-            group.bench_function(format!("pooled_{workers}"), |b| {
-                b.iter(|| {
-                    let mut m = black_box(&model).clone();
-                    pipeline.factorize_model_pooled(&mut m, &pool).unwrap();
-                    m
-                })
-            });
-        }
-        group.finish();
     }
+    group.finish();
 }
 
 /// One training step and one training epoch of the tiny encoder on synthetic

@@ -21,19 +21,16 @@ fn bench_svd(c: &mut Criterion) {
     group.finish();
 }
 
-/// Jacobi vs randomized at the paper's hard-threshold rank — the truncated
-/// decomposition `GradientRedistribution::apply` actually needs.
-fn bench_svd_algorithms_at_hard_threshold(c: &mut Criterion) {
+/// Jacobi truncated to the paper's hard-threshold rank — the decomposition
+/// `GradientRedistribution::apply` actually needs.
+fn bench_svd_at_hard_threshold(c: &mut Criterion) {
     let mut rng = Rng::seed_from(5);
     for &size in &[32usize, 64] {
         let w = Matrix::random_normal(size, size, 0.0, 0.5, &mut rng);
         let k = svd::hard_threshold_rank(size, size);
         let mut group = c.benchmark_group(format!("svd/truncated_{size}x{size}_rank{k}"));
         group.bench_function("jacobi", |b| {
-            b.iter(|| svd::svd_with(black_box(&w), svd::SvdAlgorithm::Jacobi, k).unwrap())
-        });
-        group.bench_function("randomized", |b| {
-            b.iter(|| svd::svd_with(black_box(&w), svd::SvdAlgorithm::Randomized, k).unwrap())
+            b.iter(|| svd::svd(black_box(&w)).unwrap().truncate(k).unwrap())
         });
         group.finish();
     }
@@ -43,14 +40,15 @@ fn bench_factored_layer(c: &mut Criterion) {
     let mut rng = Rng::seed_from(4);
     let weight = Matrix::random_normal(64, 64, 0.0, 0.5, &mut rng);
     let dense = Linear::from_weight(weight.clone());
-    let mut factored = FactoredLinear::from_weight_hard_threshold(&weight).unwrap();
+    let rank = svd::hard_threshold_rank(64, 64);
+    let mut factored = FactoredLinear::from_weight(&weight, rank).unwrap();
     let x = Matrix::random_normal(16, 64, 0.0, 1.0, &mut rng);
     let upstream = Matrix::random_normal(16, 64, 0.0, 1.0, &mut rng);
     let ctx = LayerCtx::inference();
 
     let mut group = c.benchmark_group("factored_linear_64x64");
     group.bench_function("factorize_hard_threshold", |b| {
-        b.iter(|| FactoredLinear::from_weight_hard_threshold(black_box(&weight)).unwrap())
+        b.iter(|| FactoredLinear::from_weight(black_box(&weight), rank).unwrap())
     });
     group.bench_function("dense_forward", |b| {
         b.iter(|| dense.forward(black_box(&x), &ctx).unwrap())
@@ -144,7 +142,7 @@ fn bench_gelu(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_svd,
-    bench_svd_algorithms_at_hard_threshold,
+    bench_svd_at_hard_threshold,
     bench_factored_layer,
     bench_matmul_tails,
     bench_gelu

@@ -6,7 +6,6 @@
 use hyflex_bench::{emitln, run_functional_experiment_with, BinArgs};
 use hyflex_pim::gradient_redistribution::{GradientRedistribution, TruncationPolicy};
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::glue::{self, GlueConfig, GlueTask};
 
@@ -31,7 +30,6 @@ fn main() {
     args.init_output();
     args.require_hyflexpim("fig11 profiles the SVD gradient-redistribution pipeline of HyFlexPIM");
     let seed = args.seed_or(11);
-    let svd_algo = args.svd_algo_or_exit(SvdAlgorithm::Jacobi);
     let dataset = glue::generate(GlueTask::Mrpc, &GlueConfig::default(), seed);
     emitln!("Figure 11 — gradient redistribution (tiny encoder, synthetic MRPC)");
 
@@ -54,10 +52,7 @@ fn main() {
     trainer
         .train(&mut dense_model, &dataset.train, 3)
         .expect("training succeeds");
-    let pipeline = GradientRedistribution {
-        svd_algorithm: svd_algo,
-        ..GradientRedistribution::new(trainer)
-    };
+    let pipeline = GradientRedistribution::new(trainer);
     let dense_profile = pipeline
         .dense_row_gradient_profile(&mut dense_model, &dataset.train, 0, 0)
         .expect("dense profile");
@@ -81,16 +76,9 @@ fn main() {
     );
 
     // (c) After hard threshold + fine-tuning (the full pipeline).
-    let experiment = run_functional_experiment_with(
-        ModelConfig::tiny_encoder(2),
-        dataset,
-        3,
-        3,
-        seed,
-        svd_algo,
-        &pool,
-    )
-    .expect("experiment succeeds");
+    let experiment =
+        run_functional_experiment_with(ModelConfig::tiny_encoder(2), dataset, 3, 3, seed, &pool)
+            .expect("experiment succeeds");
     summarize(
         "(c) after SVD + hard threshold + fine-tune",
         &experiment.report.layer_profiles[0].sigma_gradients,

@@ -15,7 +15,6 @@ use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator};
 use hyflex_pim::selection::SelectionStrategy;
 use hyflex_rram::cell::CellMode;
 use hyflex_runtime::{par_noise_sweep, JobPool};
-use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::ModelConfig;
 use hyflex_workloads::glue::{self, GlueConfig, GlueTask};
 use hyflex_workloads::{lm, vision};
@@ -30,10 +29,9 @@ fn sweep(
     dataset: hyflex_workloads::Dataset,
     mlc: CellMode,
     seed: u64,
-    svd_algo: SvdAlgorithm,
 ) {
-    let experiment = run_functional_experiment_with(model, dataset, 4, 2, seed, svd_algo, pool)
-        .expect("experiment");
+    let experiment =
+        run_functional_experiment_with(model, dataset, 4, 2, seed, pool).expect("experiment");
     let simulator = NoiseSimulator::paper_default();
     let baseline = experiment.report.eval_finetuned.metrics.primary_value();
     let base = HybridMappingSpec {
@@ -72,7 +70,6 @@ fn main() {
     args.require_hyflexpim("fig12 sweeps task accuracy under the HyFlexPIM noise model");
     let pool = args.pool();
     let mlc = args.mlc_mode();
-    let svd_algo = args.svd_algo_or_exit(SvdAlgorithm::Jacobi);
     emitln!(
         "Figure 12 — task quality vs SLC protection rate (MLC = {}-bit cells, {} workers)",
         mlc.bits_per_cell(),
@@ -104,7 +101,6 @@ fn main() {
             dataset,
             mlc,
             seed,
-            svd_algo,
         );
     }
     let stsb_seed = args.seed_or(22);
@@ -116,7 +112,6 @@ fn main() {
         stsb,
         mlc,
         stsb_seed,
-        svd_algo,
     );
 
     // (b) Decoder: synthetic WikiText-2 stand-in on the tiny decoder.
@@ -129,7 +124,6 @@ fn main() {
         wiki,
         mlc,
         wiki_seed,
-        svd_algo,
     );
 
     // Vision: synthetic CIFAR-10 stand-in on the tiny ViT.
@@ -142,6 +136,5 @@ fn main() {
         cifar,
         mlc,
         vit_seed,
-        svd_algo,
     );
 }

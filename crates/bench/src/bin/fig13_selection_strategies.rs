@@ -9,7 +9,6 @@ use hyflex_pim::noise_sim::{HybridMappingSpec, NoiseSimulator, SweepPoint};
 use hyflex_pim::selection::SelectionStrategy;
 use hyflex_rram::cell::CellMode;
 use hyflex_runtime::par_noise_sweep;
-use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::ModelConfig;
 use hyflex_workloads::glue::{self, GlueConfig, GlueTask};
 
@@ -23,7 +22,6 @@ fn main() {
     // (and unknown names, with the roster listing).
     args.require_hyflexpim("fig13 compares SLC selection strategies of the HyFlexPIM mapping");
     let pool = args.pool();
-    let svd_algo = args.svd_algo_or_exit(SvdAlgorithm::Jacobi);
     emitln!(
         "Figure 13 — SLC selection strategy comparison (tiny encoder, {} workers)",
         pool.workers()
@@ -37,7 +35,6 @@ fn main() {
             4,
             2,
             seed,
-            svd_algo,
             &pool,
         )
         .expect("experiment");

@@ -1,7 +1,8 @@
 //! Shared command-line handling for the figure/table binaries.
 //!
 //! Every binary parses the same flags with [`BinArgs::parse`] and reads
-//! the ones it uses:
+//! the ones it uses; any other `--name` exits with status 2 and lists
+//! these:
 //!
 //! * `--seed N` — override the binary's default experiment seed;
 //! * `--mlc-bits B` — MLC cell level for ablations (2..=4, default 2; read
@@ -15,9 +16,6 @@
 //!   binaries that only model HyFlexPIM (the accuracy sweeps) reject other
 //!   names, and every binary rejects an unknown name with the roster
 //!   listing;
-//! * `--svd-algo NAME` — SVD algorithm for the gradient-redistribution
-//!   pipeline (`jacobi` — the bit-stable default — or `randomized`, the
-//!   Gaussian-sketch subspace iteration);
 //! * `--chips N` — cluster size for multi-chip serving binaries;
 //! * `--dispatch NAME` — cluster request routing (`round-robin`/`rr`,
 //!   `jsq`/`shortest-queue`);
@@ -30,9 +28,22 @@ use crate::output;
 use hyflex_baselines::system::ensure_known;
 use hyflex_rram::cell::CellMode;
 use hyflex_runtime::{DispatchPolicy, JobPool, RequestTrace};
-use hyflex_tensor::SvdAlgorithm;
 use std::fmt::Display;
 use std::path::PathBuf;
+
+/// Every flag [`BinArgs::parse`] accepts; all but `--smoke` take a value.
+const FLAGS: [&str; 10] = [
+    "--seed",
+    "--mlc-bits",
+    "--out",
+    "--threads",
+    "--backend",
+    "--chips",
+    "--dispatch",
+    "--requests",
+    "--trace",
+    "--smoke",
+];
 
 /// Parsed common flags.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -47,8 +58,6 @@ pub struct BinArgs {
     threads: Option<usize>,
     /// `--backend NAME`: registered comparison backend.
     pub backend: Option<String>,
-    /// `--svd-algo NAME`: SVD algorithm for factorization pipelines.
-    pub svd_algo: Option<String>,
     /// `--chips N`: cluster size for multi-chip serving.
     pub chips: Option<usize>,
     /// `--dispatch NAME`: cluster request-routing policy.
@@ -62,15 +71,31 @@ pub struct BinArgs {
 }
 
 impl BinArgs {
-    /// Parses the process arguments, ignoring flags it does not know.
+    /// Parses the process arguments. An unknown `--name` prints the
+    /// accepted flags and exits with status 2, so a misspelt or retired
+    /// flag never runs the default experiment in its place.
     pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
+        or_exit(Self::parse_from(std::env::args().skip(1)))
     }
 
     /// Parses from an explicit argument iterator (testable core of
     /// [`BinArgs::parse`]).
-    fn parse_from(args: impl IntoIterator<Item = String>) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// Names the first argument that looks like a flag (`--name`) but is
+    /// not one of [`FLAGS`], and lists them.
+    fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let args: Vec<String> = args.into_iter().collect();
+        if let Some(unknown) = args
+            .iter()
+            .find(|a| a.starts_with("--") && !FLAGS.contains(&a.as_str()))
+        {
+            return Err(format!(
+                "unknown flag {unknown}; expected one of: {}",
+                FLAGS.join(", ")
+            ));
+        }
         let mut parsed = BinArgs::default();
         let value_of = |flag: &str| -> Option<&String> {
             args.iter()
@@ -84,37 +109,12 @@ impl BinArgs {
         parsed.out = value_of("--out").map(PathBuf::from);
         parsed.threads = value_of("--threads").and_then(|v| v.parse().ok());
         parsed.backend = value_of("--backend").cloned();
-        parsed.svd_algo = value_of("--svd-algo").cloned();
         parsed.chips = value_of("--chips").and_then(|v| v.parse().ok());
         parsed.dispatch = value_of("--dispatch").cloned();
         parsed.requests = value_of("--requests").and_then(|v| v.parse().ok());
         parsed.trace = value_of("--trace").map(PathBuf::from);
         parsed.smoke = args.iter().any(|a| a == "--smoke");
-        parsed
-    }
-
-    /// The `--svd-algo` selection (or `default`), validated against the
-    /// algorithm names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`hyflex_pim::PimError::InvalidConfig`] naming the accepted
-    /// algorithms for an unknown name.
-    fn svd_algo_or(&self, default: SvdAlgorithm) -> hyflex_pim::Result<SvdAlgorithm> {
-        match &self.svd_algo {
-            None => Ok(default),
-            Some(name) => SvdAlgorithm::parse(name).ok_or_else(|| {
-                hyflex_pim::PimError::InvalidConfig(format!(
-                    "unknown --svd-algo {name}; expected one of: jacobi, randomized"
-                ))
-            }),
-        }
-    }
-
-    /// Binary-facing variant of `svd_algo_or`: prints the error
-    /// and exits with status 2 instead of returning it.
-    pub fn svd_algo_or_exit(&self, default: SvdAlgorithm) -> SvdAlgorithm {
-        or_exit(self.svd_algo_or(default))
+        Ok(parsed)
     }
 
     /// The `--chips` selection (or `default`). A zero or unparsable value
@@ -275,12 +275,16 @@ fn or_exit<T>(result: Result<T, impl Display>) -> T {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> BinArgs {
+    fn try_parse(args: &[&str]) -> Result<BinArgs, String> {
         BinArgs::parse_from(args.iter().map(|s| s.to_string()))
     }
 
+    fn parse(args: &[&str]) -> BinArgs {
+        try_parse(args).unwrap()
+    }
+
     #[test]
-    fn parses_all_flags_and_ignores_unknown() {
+    fn parses_all_flags_and_rejects_unknown() {
         let args = parse(&[
             "--seed",
             "99",
@@ -290,12 +294,17 @@ mod tests {
             "rows.txt",
             "--threads",
             "4",
-            "--verbose",
         ]);
         assert_eq!(args.seed_or(1), 99);
         assert_eq!(args.mlc_mode(), CellMode::Mlc { bits: 3 });
         assert_eq!(args.out.as_deref(), Some(std::path::Path::new("rows.txt")));
         assert_eq!(args.pool().workers(), 4);
+        // An unknown flag is an error that names it and lists every flag.
+        let err = try_parse(&["--seed", "99", "--verbose"]).unwrap_err();
+        assert!(err.contains("--verbose"), "{err}");
+        for flag in FLAGS {
+            assert!(err.contains(flag), "{err} should list {flag}");
+        }
     }
 
     #[test]
@@ -339,31 +348,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("random") && err.contains("jsq"), "{err}");
-    }
-
-    #[test]
-    fn svd_algo_flag_parses_and_validates() {
-        let args = parse(&["--svd-algo", "randomized"]);
-        assert_eq!(
-            args.svd_algo_or(SvdAlgorithm::Jacobi).unwrap(),
-            SvdAlgorithm::Randomized
-        );
-        // Default applies when the flag is absent.
-        let args = parse(&[]);
-        assert_eq!(
-            args.svd_algo_or(SvdAlgorithm::Jacobi).unwrap(),
-            SvdAlgorithm::Jacobi
-        );
-        // Unknown names are errors that list the accepted values.
-        let args = parse(&["--svd-algo", "lapack"]);
-        let err = args
-            .svd_algo_or(SvdAlgorithm::Jacobi)
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("lapack") && err.contains("randomized"),
-            "{err}"
-        );
     }
 
     #[test]

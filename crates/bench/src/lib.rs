@@ -22,7 +22,6 @@ use hyflex_pim::gradient_redistribution::{GradientRedistribution, Redistribution
 use hyflex_pim::Result;
 use hyflex_runtime::JobPool;
 use hyflex_tensor::rng::Rng;
-use hyflex_tensor::SvdAlgorithm;
 use hyflex_transformer::{AdamWConfig, ModelConfig, Trainer, TransformerModel};
 use hyflex_workloads::Dataset;
 
@@ -61,12 +60,10 @@ pub struct FunctionalExperiment {
     pub trainer: Trainer,
 }
 
-/// Trains a tiny encoder on the given dataset, runs gradient redistribution
-/// with the given SVD algorithm, and returns everything the accuracy figures
-/// need (the `--svd-algo` flag of the accuracy figure binaries lands here;
-/// `jacobi` reproduces the recorded figures bit for bit). Training and the
-/// layer factorization run on `pool` (`--threads`); every width gives the
-/// same bits.
+/// Trains a tiny encoder on the given dataset, runs gradient redistribution,
+/// and returns everything the accuracy figures need. Training and the layer
+/// factorization run on `pool` (`--threads`); every width gives the same
+/// bits.
 ///
 /// # Errors
 ///
@@ -77,7 +74,6 @@ pub fn run_functional_experiment_with(
     pretrain_epochs: usize,
     finetune_epochs: usize,
     seed: u64,
-    svd_algorithm: SvdAlgorithm,
     pool: &JobPool,
 ) -> Result<FunctionalExperiment> {
     let mut rng = Rng::seed_from(seed);
@@ -96,7 +92,6 @@ pub fn run_functional_experiment_with(
     trainer.train(&mut model, &dataset.train, pretrain_epochs)?;
     let pipeline = GradientRedistribution {
         finetune_epochs,
-        svd_algorithm,
         ..GradientRedistribution::new(trainer)
     };
     let report = pipeline.apply(&mut model, &dataset.train, &dataset.eval)?;
@@ -128,7 +123,6 @@ mod tests {
             2,
             1,
             3,
-            SvdAlgorithm::Jacobi,
             &JobPool::new(2),
         )
         .unwrap();

@@ -1,7 +1,8 @@
 //! `--backend` through every comparison binary: each roster name runs to
 //! completion and shows up in the output, and the rejected names exit with
 //! status 2 and say why. fig22, the one binary that reads `--trace`, replays
-//! a trace file and turns a malformed one away the same way.
+//! a trace file and turns a malformed one away the same way, and a flag no
+//! binary knows is turned away before anything runs.
 
 use hyflex_baselines::{SystemBuilder, BACKENDS};
 use std::process::{Command, Output};
@@ -128,4 +129,21 @@ fn fig22_replays_a_trace_file_and_rejects_a_malformed_one() {
     assert!(output.stdout.is_empty());
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("line 3"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_flag_exits_with_status_two_and_lists_the_flags() {
+    // `--svd-algo` was retired with the randomized SVD: it must fail, not
+    // quietly print the default figure.
+    let output = Command::new(env!("CARGO_BIN_EXE_fig11_gradient_redistribution"))
+        .args(["--svd-algo", "randomized"])
+        .output()
+        .unwrap();
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("--svd-algo") && stderr.contains("--threads"),
+        "{stderr}"
+    );
 }

@@ -82,17 +82,6 @@ fn fig11_gradient_redistribution_is_independent_of_threads() {
     }
 }
 
-/// The opt-in randomized SVD gets its own fixture, so its factorization is
-/// pinned as the default Jacobi path's is.
-#[test]
-fn fig11_gradient_redistribution_svd_algo_randomized_matches_its_fixture() {
-    check(
-        "fig11_gradient_redistribution_svd_algo_randomized",
-        env!("CARGO_BIN_EXE_fig11_gradient_redistribution"),
-        &["--svd-algo", "randomized"],
-    );
-}
-
 #[test]
 fn fig12_accuracy_vs_slc_rate_matches_its_fixture() {
     check(

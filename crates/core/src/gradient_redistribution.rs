@@ -22,37 +22,16 @@ use crate::error::PimError;
 use crate::Result;
 use hyflex_parallel::JobPool;
 use hyflex_tensor::svd::hard_threshold_rank;
-pub use hyflex_tensor::svd::SvdAlgorithm;
-use hyflex_tensor::Matrix;
+use hyflex_tensor::{Matrix, SvdAlgorithm};
 use hyflex_transformer::layers::AnyLinear;
 use hyflex_transformer::trainer::{EvalReport, Sample};
 use hyflex_transformer::{FactoredLinear, ParamVisit, Trainer, TransformerModel};
-
-/// Deterministic per-layer sketch seed: FNV-1a over the dotted parameter
-/// name (`blocks.3.attn.q_proj`, ...).
-///
-/// Seeding each layer's randomized SVD from its own *name* — not from a
-/// shared RNG stream or a worker index — is what keeps the pooled
-/// factorization bit-identical to the serial one for every worker count:
-/// the sketch a layer draws depends only on which layer it is, never on
-/// which worker ran it or in what order. (The Jacobi default has no
-/// randomness; the seed is ignored there.)
-fn layer_sketch_seed(name: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in name.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// How aggressively to truncate each layer's SVD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TruncationPolicy {
     /// The paper's cost-neutral rank `in·out / (in + out)`.
     HardThreshold,
-    /// A fixed rank for every layer (clamped to the full rank).
-    FixedRank(usize),
     /// Keep the full rank (ablation: SVD without truncation, Figure 11(b)).
     FullRank,
 }
@@ -63,7 +42,6 @@ impl TruncationPolicy {
         let full = in_dim.min(out_dim);
         match self {
             TruncationPolicy::HardThreshold => hard_threshold_rank(in_dim, out_dim).min(full),
-            TruncationPolicy::FixedRank(k) => (*k).clamp(1, full),
             TruncationPolicy::FullRank => full,
         }
     }
@@ -138,9 +116,10 @@ impl RedistributionReport {
 pub struct GradientRedistribution {
     /// Truncation policy (Algorithm 1 step 2).
     pub truncation: TruncationPolicy,
-    /// SVD algorithm used to factorize each layer (Algorithm 1 step 1).
-    /// Jacobi is the bit-stable default; the randomized sketch is the
-    /// opt-in fast path for truncated ranks (`--svd-algo randomized`).
+    /// Read by nothing: every layer is factorized by the one Jacobi SVD.
+    /// Kept only because `e2ebench`'s accuracy workload sets it; ROADMAP
+    /// item 2 deletes it with [`SvdAlgorithm`].
+    // hyflex-lint: allow(U3) — e2ebench's accuracy workload sets it; ROADMAP item 2 deletes it once that line goes
     pub svd_algorithm: SvdAlgorithm,
     /// Fine-tuning epochs (the paper uses 1–3).
     pub finetune_epochs: usize,
@@ -162,9 +141,8 @@ impl GradientRedistribution {
     }
 
     /// Factorizes every static linear layer of `model` under the truncation
-    /// policy with the configured SVD algorithm, serially. Returns the
-    /// chosen rank per layer. Bit-identical to
-    /// [`GradientRedistribution::factorize_model_pooled`] at any width.
+    /// policy, serially. Returns the chosen rank per layer. Bit-identical
+    /// to [`GradientRedistribution::factorize_model_pooled`] at any width.
     ///
     /// # Errors
     ///
@@ -176,11 +154,10 @@ impl GradientRedistribution {
     /// Factorizes the model's static linear layers concurrently on `pool`.
     ///
     /// Each dense layer in the `ParamVisit` tree becomes one job that
-    /// borrows its (index, name, weight, rank) from the model and is
-    /// dispatched through [`JobPool::par_map`]; the SVDs are mutually
-    /// independent and each layer's sketch is seeded from its own name, so
-    /// the factored model is bit-identical to the serial path for every
-    /// worker count.
+    /// borrows its (index, weight, rank) from the model and is dispatched
+    /// through [`JobPool::par_map`]; the SVDs are mutually independent and
+    /// deterministic, so the factored model is bit-identical to the serial
+    /// path for every worker count.
     ///
     /// # Errors
     ///
@@ -192,19 +169,16 @@ impl GradientRedistribution {
     ) -> Result<Vec<usize>> {
         let mut layers = model.named_linears_mut();
         let mut ranks = Vec::with_capacity(layers.len());
-        let mut jobs: Vec<(usize, &str, &Matrix, usize)> = Vec::new();
-        for (index, (name, layer)) in layers.iter().enumerate() {
+        let mut jobs: Vec<(usize, &Matrix, usize)> = Vec::new();
+        for (index, (_, layer)) in layers.iter().enumerate() {
             let rank = self.truncation.rank_for(layer.in_dim(), layer.out_dim());
             ranks.push(rank);
             if let AnyLinear::Dense(dense) = &**layer {
-                jobs.push((index, name, dense.weight(), rank));
+                jobs.push((index, dense.weight(), rank));
             }
         }
-        let algorithm = self.svd_algorithm;
-        let factored = pool.par_map(&jobs, |&(index, name, weight, rank)| {
-            let seed = layer_sketch_seed(name);
-            let result = FactoredLinear::from_weight_seeded(weight, rank, algorithm, Some(seed));
-            (index, result)
+        let factored = pool.par_map(&jobs, |&(index, weight, rank)| {
+            (index, FactoredLinear::from_weight(weight, rank))
         });
         // par_map preserves input order, so the first failure seen here is
         // the first failing layer in model order — matching the serial
@@ -373,8 +347,6 @@ mod tests {
     fn truncation_policy_ranks() {
         assert_eq!(TruncationPolicy::HardThreshold.rank_for(768, 3072), 614);
         assert_eq!(TruncationPolicy::HardThreshold.rank_for(32, 32), 16);
-        assert_eq!(TruncationPolicy::FixedRank(8).rank_for(32, 64), 8);
-        assert_eq!(TruncationPolicy::FixedRank(100).rank_for(32, 64), 32);
         assert_eq!(TruncationPolicy::FullRank.rank_for(32, 64), 32);
     }
 
@@ -442,65 +414,17 @@ mod tests {
     }
 
     #[test]
-    fn randomized_svd_matches_jacobi_error_on_the_fig11_workload() {
-        // The fig11 workload: a tiny encoder trained on synthetic MRPC. At
-        // the paper's hard-threshold rank the randomized sketch must stay
-        // within 1e-3 relative reconstruction error of the exact Jacobi
-        // factorization for every static layer (the acceptance bound).
-        let (model, _dataset, trainer) = trained_tiny_model(6);
-        for (_, layer) in model.named_linears() {
-            let weight = match layer {
-                AnyLinear::Dense(d) => d.weight().clone(),
-                AnyLinear::Factored(_) => unreachable!("the trained model is dense"),
-            };
-            let k = hard_threshold_rank(weight.rows(), weight.cols());
-            let jacobi =
-                FactoredLinear::from_weight_seeded(&weight, k, SvdAlgorithm::Jacobi, None).unwrap();
-            let randomized =
-                FactoredLinear::from_weight_seeded(&weight, k, SvdAlgorithm::Randomized, None)
-                    .unwrap();
-            let err_jacobi = jacobi.to_dense().unwrap().relative_error(&weight).unwrap();
-            let err_randomized = randomized
-                .to_dense()
-                .unwrap()
-                .relative_error(&weight)
+    fn pooled_factorization_is_bit_identical_to_serial() {
+        let (reference_model, _dataset, trainer) = trained_tiny_model(7);
+        let pipeline = GradientRedistribution::new(trainer);
+        let mut serial = reference_model.clone();
+        pipeline.factorize_model(&mut serial).unwrap();
+        for workers in [2, 4, 8] {
+            let mut pooled = reference_model.clone();
+            pipeline
+                .factorize_model_pooled(&mut pooled, &JobPool::new(workers))
                 .unwrap();
-            assert!(
-                err_randomized <= err_jacobi + 1e-3,
-                "layer {}x{}: randomized err {err_randomized} vs jacobi err {err_jacobi}",
-                weight.rows(),
-                weight.cols()
-            );
-        }
-        // The whole pipeline also runs end to end on the randomized path.
-        let (mut model, dataset, _) = trained_tiny_model(6);
-        let pipeline = GradientRedistribution {
-            svd_algorithm: SvdAlgorithm::Randomized,
-            ..GradientRedistribution::new(trainer)
-        };
-        let report = pipeline
-            .apply(&mut model, &dataset.train, &dataset.eval)
-            .unwrap();
-        assert_eq!(report.layer_profiles.len(), 12);
-    }
-
-    #[test]
-    fn pooled_factorization_is_bit_identical_to_serial_for_both_algorithms() {
-        for algorithm in [SvdAlgorithm::Jacobi, SvdAlgorithm::Randomized] {
-            let (reference_model, _dataset, trainer) = trained_tiny_model(7);
-            let pipeline = GradientRedistribution {
-                svd_algorithm: algorithm,
-                ..GradientRedistribution::new(trainer)
-            };
-            let mut serial = reference_model.clone();
-            pipeline.factorize_model(&mut serial).unwrap();
-            for workers in [2, 4, 8] {
-                let mut pooled = reference_model.clone();
-                pipeline
-                    .factorize_model_pooled(&mut pooled, &JobPool::new(workers))
-                    .unwrap();
-                assert_eq!(pooled, serial, "{algorithm} workers={workers}");
-            }
+            assert_eq!(pooled, serial, "workers={workers}");
         }
     }
 

@@ -3,9 +3,8 @@
 //! [`Matrix::matmul`], [`Matrix::matmul_transpose`],
 //! [`matmul_transpose_left`] and the view products
 //! ([`crate::MatrixView::matmul`], [`matmul_acc`]) all run on one
-//! micro-kernel, so the transformer layers, the factored-SVD layers, the
-//! trainer and the randomized SVD's sketch products share the same inner
-//! loop. [`matvec`] and the fused rank-k [`crate::svd::Svd::reconstruct`]
+//! micro-kernel, so the transformer layers, the factored-SVD layers and
+//! the trainer share the same inner loop. [`matvec`] and the fused rank-k [`crate::svd::Svd::reconstruct`]
 //! live here too.
 //!
 //! **Bit-identity contract.** Every product in this module is

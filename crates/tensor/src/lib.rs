@@ -31,11 +31,9 @@
 //! * [`MatrixView`] / [`MatrixViewMut`] — borrowed strided windows (a
 //!   transpose, one attention head's columns) the kernels read and write
 //!   without copying.
-//! * [`svd::Svd`] / [`svd::svd`] / [`svd::svd_with`] — one-sided Jacobi
-//!   singular value decomposition (the bit-stable default) and an opt-in
-//!   randomized subspace-iteration sketch ([`svd::SvdAlgorithm`]), with
-//!   truncation helpers — the core of the paper's *gradient redistribution*
-//!   technique (Section 4 of the paper).
+//! * [`svd::Svd`] / [`svd::svd`] — one-sided Jacobi singular value
+//!   decomposition with truncation helpers — the core of the paper's
+//!   *gradient redistribution* technique (Section 4 of the paper).
 //! * [`quant`] — symmetric integer quantization (INT8 by default, arbitrary
 //!   bit-width for the bit-sliced RRAM mapping).
 //! * [`activations`] — numerically stable softmax / GELU / ReLU / layer norm

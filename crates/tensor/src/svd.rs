@@ -1,5 +1,4 @@
-//! Singular value decomposition: one-sided Jacobi rotations and a
-//! randomized subspace-iteration sketch.
+//! Singular value decomposition by one-sided Jacobi rotations.
 //!
 //! The paper's gradient-redistribution technique (Section 4) decomposes every
 //! static transformer weight matrix as `W = U Σ Vᵀ`, truncates the rank to a
@@ -7,23 +6,12 @@
 //! MAC count is unchanged, fine-tunes the factors, and maps the ranks whose
 //! singular values carry the largest loss gradient onto SLC RRAM.
 //!
-//! Two algorithms are available behind [`SvdAlgorithm`]:
-//!
-//! * [`SvdAlgorithm::Jacobi`] (the default) — one-sided Jacobi, chosen
-//!   because it is simple, numerically robust for the well-conditioned
-//!   weight matrices seen here, and needs no external LAPACK dependency. It
-//!   orthogonalizes the columns of a working copy of `W` by plane rotations;
-//!   the column norms become the singular values. Every figure and table in
-//!   `EXPERIMENTS.md` is produced on this bit-stable path.
-//! * [`SvdAlgorithm::Randomized`] — a Halko–Martinsson–Tropp randomized
-//!   range sketch (Gaussian sketch → QR orthonormalization → subspace/power
-//!   iteration → Jacobi on the small projected matrix). When only the
-//!   leading `k ≪ min(m, n)` ranks are needed — the hard-threshold
-//!   truncation always is — this replaces the `O(n³)`-per-sweep Jacobi cost
-//!   with a handful of `O(m·n·k)` products, which dominates
-//!   `GradientRedistribution::apply` wall-clock. Deterministic: the sketch
-//!   RNG is seeded from `RandomizedSvdConfig::seed`, never from global
-//!   state. Opt-in via `--svd-algo randomized` on the figure binaries.
+//! One-sided Jacobi is chosen because it is simple, numerically robust for
+//! the well-conditioned weight matrices seen here, and needs no external
+//! LAPACK dependency. It orthogonalizes the columns of a working copy of
+//! `W` by plane rotations; the column norms become the singular values.
+//! Every figure and table in `EXPERIMENTS.md` is produced on this
+//! bit-stable path.
 //!
 //! ## Convergence and non-convergence handling
 //!
@@ -45,16 +33,12 @@
 //! [`TensorError::InvalidArgument`] (they would otherwise defeat the cosine
 //! test and come back as silently-"converged" NaN factors), and a working
 //! copy that turns non-finite mid-iteration (overflow) surfaces as
-//! [`TensorError::NoConvergence`]. The randomized SVD finishes with a
-//! Jacobi solve on its small projected matrix, so it stops by the same
-//! rule.
+//! [`TensorError::NoConvergence`].
 
 use crate::error::TensorError;
 use crate::kernels;
 use crate::matrix::Matrix;
-use crate::rng::Rng;
 use crate::Result;
-use std::fmt;
 
 /// Backstop on the Jacobi sweep count. A weight matrix stops at its f32
 /// plateau after 5–10 sweeps (see the module docs on convergence), so this
@@ -69,74 +53,15 @@ fn cosine_tolerance(m: usize) -> f64 {
     (m as f64).sqrt() * f64::from(f32::EPSILON)
 }
 
-/// Which SVD algorithm to run (see the module docs for the trade-off).
+/// The one SVD algorithm, one-sided Jacobi. The enum is kept only because
+/// `e2ebench`'s accuracy workload names `SvdAlgorithm::Jacobi` when it
+/// fills `GradientRedistribution::svd_algorithm`; ROADMAP item 2 deletes
+/// both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SvdAlgorithm {
-    /// One-sided Jacobi: exact to working precision, bit-stable default.
+    /// One-sided Jacobi, exact to working precision.
     #[default]
     Jacobi,
-    /// Gaussian-sketch subspace iteration: fast truncated decompositions,
-    /// opt-in (`--svd-algo randomized`).
-    Randomized,
-}
-
-impl SvdAlgorithm {
-    /// Parses a command-line name (`jacobi`, `randomized`/`rand`).
-    pub fn parse(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "jacobi" => Some(SvdAlgorithm::Jacobi),
-            "randomized" | "rand" => Some(SvdAlgorithm::Randomized),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for SvdAlgorithm {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SvdAlgorithm::Jacobi => write!(f, "jacobi"),
-            SvdAlgorithm::Randomized => write!(f, "randomized"),
-        }
-    }
-}
-
-/// Tuning knobs for `svd_randomized`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RandomizedSvdConfig {
-    /// Target rank (0 means the full `min(m, n)`).
-    rank: usize,
-    /// Extra sketch columns beyond `rank`; the classic HMT recommendation of
-    /// 5–10 columns makes the captured subspace near-optimal.
-    oversample: usize,
-    /// Subspace (power) iterations `(W Wᵀ)^q W Ω`; each sharpens the sketch
-    /// toward the leading singular vectors, which matters for the flat
-    /// spectra of freshly initialized weight matrices.
-    power_iterations: usize,
-    /// Seed for the Gaussian sketch; fixed per decomposition so the
-    /// algorithm is deterministic and thread-count independent.
-    seed: u64,
-}
-
-impl RandomizedSvdConfig {
-    /// The default configuration for a given target rank: 8 oversampling
-    /// columns and 3 subspace iterations.
-    fn for_rank(rank: usize) -> Self {
-        RandomizedSvdConfig::for_rank_seeded(rank, 0x5eed_cafe)
-    }
-
-    /// Like `RandomizedSvdConfig::for_rank` but with a caller-chosen
-    /// sketch seed. The pooled gradient-redistribution path derives one
-    /// seed per layer from the layer's dotted parameter name, so every
-    /// layer draws an independent sketch no matter which worker (or how
-    /// many workers) factorizes it.
-    fn for_rank_seeded(rank: usize, seed: u64) -> Self {
-        RandomizedSvdConfig {
-            rank,
-            oversample: 8,
-            power_iterations: 3,
-            seed,
-        }
-    }
 }
 
 /// A singular value decomposition `W = U Σ Vᵀ`.
@@ -231,122 +156,6 @@ pub fn svd(w: &Matrix) -> Result<Svd> {
     }
 }
 
-/// Computes a (possibly truncated) SVD with the selected algorithm.
-///
-/// `rank == 0` requests the full `min(m, n)` ranks. With
-/// [`SvdAlgorithm::Jacobi`] this computes the full decomposition and then
-/// truncates — exactly the historical `svd(w)? .truncate(rank)` sequence, so
-/// the default path stays bit-identical. With [`SvdAlgorithm::Randomized`]
-/// it sketches only the leading subspace
-/// (see `svd_randomized` and `RandomizedSvdConfig::for_rank`).
-///
-/// # Errors
-///
-/// Propagates decomposition failures from either algorithm.
-// hyflex-lint: allow(U2) — the unseeded entry the svd unit tests, property_invariants and the svd_pipeline bench decompose with
-pub fn svd_with(w: &Matrix, algorithm: SvdAlgorithm, rank: usize) -> Result<Svd> {
-    svd_with_seeded(w, algorithm, rank, None)
-}
-
-/// [`svd_with`] with an optional per-call sketch seed.
-///
-/// `seed` only affects [`SvdAlgorithm::Randomized`] (it replaces the fixed
-/// default of `RandomizedSvdConfig::for_rank`); the Jacobi path is
-/// deterministic with no randomness to seed. Passing `None` is exactly
-/// [`svd_with`].
-///
-/// # Errors
-///
-/// Propagates decomposition failures from either algorithm.
-pub fn svd_with_seeded(
-    w: &Matrix,
-    algorithm: SvdAlgorithm,
-    rank: usize,
-    seed: Option<u64>,
-) -> Result<Svd> {
-    match algorithm {
-        SvdAlgorithm::Jacobi => {
-            let d = svd(w)?;
-            if rank == 0 || rank >= d.rank() {
-                Ok(d)
-            } else {
-                d.truncate(rank)
-            }
-        }
-        SvdAlgorithm::Randomized => {
-            let config = match seed {
-                Some(seed) => RandomizedSvdConfig::for_rank_seeded(rank, seed),
-                None => RandomizedSvdConfig::for_rank(rank),
-            };
-            svd_randomized(w, &config)
-        }
-    }
-}
-
-/// Randomized truncated SVD by Gaussian-sketch subspace iteration
-/// (Halko–Martinsson–Tropp).
-///
-/// Pipeline: draw a seeded Gaussian test matrix `Ω` (`n × ℓ`,
-/// `ℓ = rank + oversample`), orthonormalize `Y = W·Ω` into a range basis
-/// `Q`, sharpen it with `power_iterations` rounds of
-/// `Q ← orth(W · orth(Wᵀ · Q))`, run the exact Jacobi SVD on the small
-/// projected matrix `B = Qᵀ·W` (`ℓ × n`), and lift `U = Q·U_B`. When the
-/// sketch width reaches the full rank there is nothing to compress, so the
-/// exact Jacobi decomposition (truncated to `rank`) is returned instead.
-///
-/// # Errors
-///
-/// Propagates shape/decomposition failures from the underlying products and
-/// the small Jacobi solve.
-fn svd_randomized(w: &Matrix, config: &RandomizedSvdConfig) -> Result<Svd> {
-    ensure_finite(w)?;
-    let full = w.rows().min(w.cols());
-    let rank = if config.rank == 0 {
-        full
-    } else {
-        config.rank.min(full)
-    };
-    let sketch = rank.saturating_add(config.oversample).min(full);
-    if sketch >= full {
-        // No compression possible: fall back to the exact decomposition.
-        let d = svd(w)?;
-        return if rank == d.rank() {
-            Ok(d)
-        } else {
-            d.truncate(rank)
-        };
-    }
-
-    let mut rng = Rng::seed_from(config.seed);
-    let omega = Matrix::random_normal(w.cols(), sketch, 0.0, 1.0, &mut rng);
-    let mut q = w.matmul(&omega)?;
-    orthonormalize_columns(&mut q);
-    // The sketch products run on the packed kernel layer:
-    // `kernels::matmul_transpose_left` computes `wᵀ·q` / `qᵀ·w` without
-    // materializing the transposes, bit-identical to the two-step form.
-    for _ in 0..config.power_iterations {
-        let mut z = kernels::matmul_transpose_left(w, &q)?;
-        orthonormalize_columns(&mut z);
-        q = w.matmul(&z)?;
-        orthonormalize_columns(&mut q);
-    }
-
-    // Exact Jacobi on the ℓ×n projection, then lift back to m rows.
-    let b = kernels::matmul_transpose_left(&q, w)?;
-    let small = svd(&b)?;
-    let u = q.matmul(&small.u)?;
-    let d = Svd {
-        u,
-        singular_values: small.singular_values,
-        vt: small.vt,
-    };
-    if rank == d.rank() {
-        Ok(d)
-    } else {
-        d.truncate(rank)
-    }
-}
-
 /// Rejects non-finite inputs up front: NaNs defeat the Jacobi cosine test
 /// (every `NaN <= tolerance` comparison is false while `f64::max` ignores
 /// NaN), so without this check a NaN matrix would come back as silently
@@ -358,40 +167,6 @@ fn ensure_finite(w: &Matrix) -> Result<()> {
         Err(TensorError::InvalidArgument(
             "SVD input contains non-finite values".to_string(),
         ))
-    }
-}
-
-/// In-place modified Gram–Schmidt on the columns of `q`. Columns that cancel
-/// to (near) zero norm are zeroed out, which downstream code treats as
-/// zero singular directions.
-fn orthonormalize_columns(q: &mut Matrix) {
-    let (m, l) = q.shape();
-    for j in 0..l {
-        for p in 0..j {
-            let dot: f64 = q
-                .column_iter(p)
-                .zip(q.column_iter(j))
-                .map(|(a, b)| f64::from(a) * f64::from(b))
-                .sum();
-            for i in 0..m {
-                let value = f64::from(q.at(i, j)) - dot * f64::from(q.at(i, p));
-                q.set(i, j, value as f32);
-            }
-        }
-        let norm: f64 = q
-            .column_iter(j)
-            .map(|x| f64::from(x).powi(2))
-            .sum::<f64>()
-            .sqrt();
-        if norm > 1e-12 {
-            for i in 0..m {
-                q.set(i, j, (f64::from(q.at(i, j)) / norm) as f32);
-            }
-        } else {
-            for i in 0..m {
-                q.set(i, j, 0.0);
-            }
-        }
     }
 }
 
@@ -666,91 +441,11 @@ mod tests {
         // "converged" NaN factors; now it is a typed error up front.
         let mut w = random(6, 4, 20);
         w.set(2, 1, f32::NAN);
-        for algo in [SvdAlgorithm::Jacobi, SvdAlgorithm::Randomized] {
-            let err = svd_with(&w, algo, 2).unwrap_err();
-            assert!(matches!(err, TensorError::InvalidArgument(_)), "{algo}");
-        }
+        let err = svd(&w).unwrap_err();
+        assert!(matches!(err, TensorError::InvalidArgument(_)));
         let mut w = random(6, 4, 21);
         w.set(0, 0, f32::INFINITY);
         assert!(svd(&w).is_err());
-    }
-
-    #[test]
-    fn svd_with_jacobi_matches_the_historical_truncation_path() {
-        let w = random(14, 9, 22);
-        let direct = svd(&w).unwrap().truncate(5).unwrap();
-        let via = svd_with(&w, SvdAlgorithm::Jacobi, 5).unwrap();
-        assert_eq!(direct.u.as_slice(), via.u.as_slice());
-        assert_eq!(direct.singular_values, via.singular_values);
-        assert_eq!(direct.vt.as_slice(), via.vt.as_slice());
-        // rank 0 requests the full decomposition.
-        let full = svd_with(&w, SvdAlgorithm::Jacobi, 0).unwrap();
-        assert_eq!(full.rank(), 9);
-    }
-
-    #[test]
-    fn randomized_svd_tracks_jacobi_at_the_hard_threshold_rank() {
-        for (rows, cols, seed) in [(32, 32, 30u64), (32, 64, 31), (48, 24, 32)] {
-            let w = random(rows, cols, seed);
-            let k = hard_threshold_rank(rows, cols);
-            let exact = svd_with(&w, SvdAlgorithm::Jacobi, k).unwrap();
-            let sketched = svd_with(&w, SvdAlgorithm::Randomized, k).unwrap();
-            assert_eq!(sketched.rank(), k);
-            let exact_err = w.relative_error(&exact.reconstruct()).unwrap();
-            let sketched_err = w.relative_error(&sketched.reconstruct()).unwrap();
-            assert!(
-                sketched_err <= exact_err + 1e-3,
-                "{rows}x{cols}: randomized err {sketched_err} vs jacobi err {exact_err}"
-            );
-        }
-    }
-
-    #[test]
-    fn randomized_svd_has_orthonormal_factors_and_sorted_values() {
-        let w = random(40, 28, 33);
-        let d = svd_with(&w, SvdAlgorithm::Randomized, 10).unwrap();
-        assert_eq!(d.rank(), 10);
-        let utu = d.u.transpose().matmul(&d.u).unwrap();
-        assert!(utu.approx_eq(&Matrix::identity(10), 1e-3));
-        let vvt = d.vt.matmul(&d.vt.transpose()).unwrap();
-        assert!(vvt.approx_eq(&Matrix::identity(10), 1e-3));
-        for pair in d.singular_values.windows(2) {
-            assert!(pair[0] >= pair[1] - 1e-6);
-        }
-    }
-
-    #[test]
-    fn randomized_svd_is_deterministic() {
-        let w = random(24, 18, 34);
-        let a = svd_with(&w, SvdAlgorithm::Randomized, 6).unwrap();
-        let b = svd_with(&w, SvdAlgorithm::Randomized, 6).unwrap();
-        assert_eq!(a.u.as_slice(), b.u.as_slice());
-        assert_eq!(a.singular_values, b.singular_values);
-        assert_eq!(a.vt.as_slice(), b.vt.as_slice());
-    }
-
-    #[test]
-    fn randomized_svd_falls_back_to_jacobi_when_sketch_covers_full_rank() {
-        // rank + oversample >= min(m, n): compression is impossible.
-        let w = random(10, 6, 35);
-        let sketched = svd_with(&w, SvdAlgorithm::Randomized, 6).unwrap();
-        let exact = svd(&w).unwrap();
-        assert_eq!(sketched.u.as_slice(), exact.u.as_slice());
-        assert_eq!(sketched.singular_values, exact.singular_values);
-    }
-
-    #[test]
-    fn algorithm_names_parse_and_display() {
-        assert_eq!(SvdAlgorithm::parse("jacobi"), Some(SvdAlgorithm::Jacobi));
-        assert_eq!(
-            SvdAlgorithm::parse("RANDOMIZED"),
-            Some(SvdAlgorithm::Randomized)
-        );
-        assert_eq!(SvdAlgorithm::parse("rand"), Some(SvdAlgorithm::Randomized));
-        assert_eq!(SvdAlgorithm::parse("lapack"), None);
-        assert_eq!(SvdAlgorithm::Jacobi.to_string(), "jacobi");
-        assert_eq!(SvdAlgorithm::Randomized.to_string(), "randomized");
-        assert_eq!(SvdAlgorithm::default(), SvdAlgorithm::Jacobi);
     }
 
     #[test]

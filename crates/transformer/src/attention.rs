@@ -262,7 +262,6 @@ mod tests {
     use crate::factored::FactoredLinear;
     use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
-    use hyflex_tensor::SvdAlgorithm;
 
     const CTX: LayerCtx = LayerCtx::inference();
 
@@ -407,9 +406,7 @@ mod tests {
         let mut attn = make(8, 2, 10);
         for proj in attn.projections_mut() {
             let weight = proj.as_dense_mut().unwrap().weight().clone();
-            *proj = AnyLinear::Factored(
-                FactoredLinear::from_weight_seeded(&weight, 4, SvdAlgorithm::Jacobi, None).unwrap(),
-            );
+            *proj = AnyLinear::Factored(FactoredLinear::from_weight(&weight, 4).unwrap());
         }
         assert!(attn.projections().iter().all(|p| p.as_factored().is_some()));
         let mut rng = Rng::seed_from(11);

@@ -7,14 +7,13 @@
 //! gradient. The top-k% ranks are stored in SLC, the rest in MLC.
 //!
 //! [`FactoredLinear`] is that layer: `y = x · U · diag(σ) · Vᵀ + b`, with
-//! per-factor gradients, direct access to `|∂L/∂σ_r|`, and conversion back to
-//! a dense matrix (or to the `U` / `ΣVᵀ` pair the hardware stores).
+//! per-factor gradients and direct access to `|∂L/∂σ_r|`.
 
 use crate::error::ModelError;
 use crate::layers::{column_sums, Layer, LayerCtx};
 use crate::param::{Param, ParamPath, ParamVisit};
 use crate::Result;
-use hyflex_tensor::svd::{self, hard_threshold_rank, SvdAlgorithm};
+use hyflex_tensor::svd;
 use hyflex_tensor::{kernels, Matrix};
 
 /// A linear layer in truncated-SVD form: `y = x · U · diag(σ) · Vᵀ + b`.
@@ -31,55 +30,38 @@ pub struct FactoredLinear {
 }
 
 impl FactoredLinear {
-    /// Factorizes an explicit `[in, out]` weight matrix at the given rank
-    /// with the selected SVD algorithm.
+    /// Factorizes an explicit `[in, out]` weight matrix at the given rank:
+    /// the full Jacobi SVD, truncated to the leading `rank` ranks.
     ///
     /// Rank 0 (or a rank larger than `min(in, out)`) is clamped to the full
-    /// rank; use [`hard_threshold_rank`] for the paper's cost-neutral rank.
-    /// With [`SvdAlgorithm::Jacobi`] this is the full-SVD + truncate path.
-    /// [`SvdAlgorithm::Randomized`] sketches only the retained subspace,
-    /// which is what makes truncated factorization cheap for large layers;
-    /// `seed` only affects that sketch. The pooled gradient-redistribution
-    /// pipeline passes one seed per layer (derived from the layer's parameter
-    /// name) so concurrent factorizations draw independent,
-    /// schedule-independent sketches.
+    /// rank; pass [`hard_threshold_rank`] for the paper's cost-neutral rank
+    /// `D_Th = in·out / (in + out)`, which keeps inference MACs and parameter
+    /// count no larger than the dense layer.
+    ///
+    /// [`hard_threshold_rank`]: hyflex_tensor::svd::hard_threshold_rank
     ///
     /// # Errors
     ///
     /// Propagates SVD failures.
-    pub fn from_weight_seeded(
-        weight: &Matrix,
-        rank: usize,
-        algorithm: SvdAlgorithm,
-        seed: Option<u64>,
-    ) -> Result<Self> {
-        let full_rank = weight.rows().min(weight.cols());
+    pub fn from_weight(weight: &Matrix, rank: usize) -> Result<Self> {
+        let full = svd::svd(weight)?;
         let k = if rank == 0 {
-            full_rank
+            full.rank()
         } else {
-            rank.min(full_rank)
+            rank.min(full.rank())
         };
-        let truncated = svd::svd_with_seeded(weight, algorithm, k, seed)?;
-        let sigma_row = Matrix::from_vec(1, k, truncated.singular_values.to_vec())?;
+        let truncated = if k == full.rank() {
+            full
+        } else {
+            full.truncate(k)?
+        };
+        let sigma_row = Matrix::from_vec(1, k, truncated.singular_values)?;
         Ok(FactoredLinear {
             u: Param::new(truncated.u),
             sigma: Param::new(sigma_row),
             vt: Param::new(truncated.vt),
             bias: Param::new(Matrix::zeros(1, weight.cols())),
         })
-    }
-
-    /// Factorizes at the paper's hard-threshold rank
-    /// `D_Th = in·out / (in + out)`, which keeps inference MACs and parameter
-    /// count no larger than the dense layer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SVD failures.
-    // hyflex-lint: allow(U2) — the factored-layer and trainer tests and the svd_pipeline bench's `factorize_hard_threshold` row build D_Th factors with it
-    pub fn from_weight_hard_threshold(weight: &Matrix) -> Result<Self> {
-        let rank = hard_threshold_rank(weight.rows(), weight.cols());
-        Self::from_weight_seeded(weight, rank, SvdAlgorithm::Jacobi, None)
     }
 
     /// Input dimension.
@@ -122,30 +104,6 @@ impl FactoredLinear {
     /// The right factor `Vᵀ`.
     pub fn vt(&self) -> &Matrix {
         self.vt.value()
-    }
-
-    /// The factor `diag(σ)·Vᵀ` that the hardware stores alongside `U`
-    /// (Figure 10, step 3).
-    fn sigma_vt(&self) -> Matrix {
-        let mut out = self.vt.value().clone();
-        let sigma = self.sigma.value().row(0);
-        for (k, &s) in sigma.iter().enumerate() {
-            for value in out.row_mut(k) {
-                *value *= s;
-            }
-        }
-        out
-    }
-
-    /// Reconstructs the equivalent dense weight matrix `U·diag(σ)·Vᵀ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error if the factors no longer chain (only possible
-    /// after a caller reshaped one through the `*_param_mut` accessors).
-    // hyflex-lint: allow(U2) — dense oracle the factored-layer and gradient-redistribution tests compare factor products with
-    pub fn to_dense(&self) -> Result<Matrix> {
-        Ok(self.u.value().matmul(&self.sigma_vt())?)
     }
 
     /// Mutable access to the `U` parameter (noise injection).
@@ -266,11 +224,24 @@ mod tests {
     use crate::layers::{forward_then_backward, Linear};
     use crate::param::AdamWConfig;
     use hyflex_tensor::rng::Rng;
+    use hyflex_tensor::svd::hard_threshold_rank;
 
     const CTX: LayerCtx = LayerCtx::inference();
 
+    /// The factor `diag(σ)·Vᵀ` that the hardware stores alongside `U`
+    /// (Figure 10, step 3).
+    fn sigma_vt(f: &FactoredLinear) -> Matrix {
+        let mut out = f.vt().clone();
+        for (k, s) in f.singular_values().into_iter().enumerate() {
+            for value in out.row_mut(k) {
+                *value *= s;
+            }
+        }
+        out
+    }
+
     fn factor(w: &Matrix, rank: usize) -> FactoredLinear {
-        FactoredLinear::from_weight_seeded(w, rank, SvdAlgorithm::Jacobi, None).unwrap()
+        FactoredLinear::from_weight(w, rank).unwrap()
     }
 
     fn random_weight(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -289,14 +260,15 @@ mod tests {
         let dense_out = dense.forward(&x, &CTX).unwrap();
         let factored_out = factored.forward(&x, &CTX).unwrap();
         assert!(dense_out.approx_eq(&factored_out, 1e-3));
-        assert!(factored.to_dense().unwrap().approx_eq(&w, 1e-3));
+        let product = factored.u().matmul(&sigma_vt(&factored)).unwrap();
+        assert!(product.approx_eq(&w, 1e-3));
     }
 
     #[test]
     fn truncation_reduces_rank_and_parameters_at_hard_threshold() {
         let w = random_weight(64, 256, 3);
-        let factored = FactoredLinear::from_weight_hard_threshold(&w).unwrap();
         let expected_rank = hard_threshold_rank(64, 256);
+        let factored = factor(&w, expected_rank);
         assert_eq!(factored.rank(), expected_rank);
         // Parameter count (excluding sigma and bias bookkeeping) stays at or
         // below the dense count — the paper's cost-neutrality argument.
@@ -306,11 +278,24 @@ mod tests {
     }
 
     #[test]
+    fn from_weight_is_the_truncated_jacobi_svd() {
+        let w = random_weight(14, 9, 22);
+        let direct = svd::svd(&w).unwrap().truncate(5).unwrap();
+        let f = factor(&w, 5);
+        assert_eq!(f.u().as_slice(), direct.u.as_slice());
+        assert_eq!(f.singular_values(), direct.singular_values);
+        assert_eq!(f.vt().as_slice(), direct.vt.as_slice());
+        // Rank 0 requests the full decomposition.
+        assert_eq!(factor(&w, 0).rank(), 9);
+    }
+
+    #[test]
     fn sigma_vt_combines_scale_into_right_factor() {
         let w = random_weight(8, 5, 4);
         let f = factor(&w, 4);
-        let reconstructed = f.u().matmul(&f.sigma_vt()).unwrap();
-        assert!(reconstructed.approx_eq(&f.to_dense().unwrap(), 1e-4));
+        let reconstructed = f.u().matmul(&sigma_vt(&f)).unwrap();
+        let truncated = svd::svd(&w).unwrap().truncate(4).unwrap();
+        assert!(reconstructed.approx_eq(&truncated.reconstruct(), 1e-4));
     }
 
     #[test]

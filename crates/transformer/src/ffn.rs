@@ -107,7 +107,6 @@ mod tests {
     use crate::factored::FactoredLinear;
     use crate::layers::forward_then_backward;
     use crate::param::AdamWConfig;
-    use hyflex_tensor::SvdAlgorithm;
 
     const CTX: LayerCtx = LayerCtx::inference();
 
@@ -164,10 +163,7 @@ mod tests {
         for layer in ffn.layers_mut() {
             let full_rank = layer.in_dim().min(layer.out_dim());
             let weight = layer.as_dense_mut().unwrap().weight().clone();
-            *layer = AnyLinear::Factored(
-                FactoredLinear::from_weight_seeded(&weight, full_rank, SvdAlgorithm::Jacobi, None)
-                    .unwrap(),
-            );
+            *layer = AnyLinear::Factored(FactoredLinear::from_weight(&weight, full_rank).unwrap());
         }
         let factored_out = ffn.forward(&x, &CTX).unwrap();
         assert!(dense_out.approx_eq(&factored_out, 1e-2));

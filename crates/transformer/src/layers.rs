@@ -650,7 +650,6 @@ pub(crate) fn forward_then_backward<L: Layer>(
 mod tests {
     use super::*;
     use crate::param::AdamWConfig;
-    use hyflex_tensor::SvdAlgorithm;
 
     const CTX: LayerCtx = LayerCtx::inference();
 
@@ -738,9 +737,7 @@ mod tests {
         let x = Matrix::random_normal(2, 8, 0.0, 1.0, &mut rng);
         let dense_out = layer.forward(&x, &CTX).unwrap();
         let weight = layer.as_dense_mut().unwrap().weight().clone();
-        layer = AnyLinear::Factored(
-            FactoredLinear::from_weight_seeded(&weight, 6, SvdAlgorithm::Jacobi, None).unwrap(),
-        );
+        layer = AnyLinear::Factored(FactoredLinear::from_weight(&weight, 6).unwrap());
         assert!(layer.as_dense_mut().is_none());
         assert_eq!(layer.as_factored().unwrap().rank(), 6);
         let factored_out = layer.forward(&x, &CTX).unwrap();
@@ -798,9 +795,7 @@ mod tests {
         let mut rng = Rng::seed_from(8);
         let x = Matrix::random_normal(5, 8, 0.0, 1.0, &mut rng);
         let linear = Linear::new(8, 6, &mut rng);
-        let factored =
-            FactoredLinear::from_weight_seeded(linear.weight(), 4, SvdAlgorithm::Jacobi, None)
-                .unwrap();
+        let factored = FactoredLinear::from_weight(linear.weight(), 4).unwrap();
         assert_forward_is_forward_saved(&linear, &x, &CTX);
         assert_forward_is_forward_saved(&factored, &x, &CTX);
         assert_forward_is_forward_saved(&AnyLinear::Dense(linear), &x, &CTX);

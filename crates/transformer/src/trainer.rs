@@ -404,6 +404,7 @@ mod tests {
     use crate::factored::FactoredLinear;
     use crate::layers::AnyLinear;
     use hyflex_tensor::rng::Rng;
+    use hyflex_tensor::svd::hard_threshold_rank;
 
     fn classification_dataset(rng: &mut Rng, n: usize) -> Vec<Sample> {
         // Simple learnable rule: class = (whether token 1 appears in the
@@ -647,7 +648,9 @@ mod tests {
         let mut model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
         for (_, layer) in model.named_linears_mut() {
             if let AnyLinear::Dense(dense) = &*layer {
-                let factored = FactoredLinear::from_weight_hard_threshold(dense.weight()).unwrap();
+                let w = dense.weight();
+                let rank = hard_threshold_rank(w.rows(), w.cols());
+                let factored = FactoredLinear::from_weight(w, rank).unwrap();
                 *layer = AnyLinear::Factored(factored);
             }
         }

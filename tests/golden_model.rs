@@ -17,7 +17,7 @@
 
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::svd::hard_threshold_rank;
-use hyflex_tensor::{Matrix, SvdAlgorithm};
+use hyflex_tensor::Matrix;
 use hyflex_transformer::layers::AnyLinear;
 use hyflex_transformer::{FactoredLinear, ModelConfig, ModelInput, TransformerModel};
 use std::fmt::Write as _;
@@ -184,13 +184,7 @@ fn run_case(case: &str) -> Vec<(String, Matrix)> {
                     panic!("a freshly built model is dense");
                 };
                 let rank = hard_threshold_rank(dense.in_dim(), dense.out_dim());
-                let factored = FactoredLinear::from_weight_seeded(
-                    dense.weight(),
-                    rank,
-                    SvdAlgorithm::Jacobi,
-                    None,
-                )
-                .unwrap();
+                let factored = FactoredLinear::from_weight(dense.weight(), rank).unwrap();
                 *layer = AnyLinear::Factored(factored);
             }
             let input = ModelInput::Tokens(vec![4, 0, 9, 3, 3]);
