@@ -2,7 +2,7 @@
 //! factorization (every static layer of the tiny 2-block encoder decomposed
 //! by Jacobi serially vs on the scoped `par_map` pool) and the training
 //! steps that pre-training, fine-tuning and gradient collection repeat (one
-//! `forward_backward`, one `Trainer::train` epoch).
+//! `forward_backward`, one `Trainer::train` epoch serially and pooled).
 //!
 //! The serial and pooled factorizations are bit-identical by construction
 //! (each layer's SVD is deterministic and independent of the others), so
@@ -45,8 +45,9 @@ fn bench_factorize_model(c: &mut Criterion) {
 }
 
 /// One training step and one training epoch of the tiny encoder on synthetic
-/// MRPC (sequence length 12, 160 training samples, batch 16): the unit of
-/// work that pre-training, fine-tuning and `collect_profiles` repeat.
+/// MRPC (sequence length 12, 160 training samples, batch 16), the epoch
+/// serially and on a 2-worker pool: the unit of work that pre-training,
+/// fine-tuning and `collect_profiles` repeat.
 fn bench_training(c: &mut Criterion) {
     let dataset = glue::generate(GlueTask::Mrpc, &GlueConfig::default(), 11);
     let mut rng = Rng::seed_from(12);
@@ -65,13 +66,18 @@ fn bench_training(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    group.bench_function("train_epoch_tiny_encoder_mrpc", |b| {
-        b.iter(|| {
-            let mut m = black_box(&model).clone();
-            trainer.train(&mut m, &dataset.train, 1).unwrap();
-            m
-        })
-    });
+    // Serial and on a 2-wide pool: the pooled path must beat the serial
+    // loop it reproduces bit for bit.
+    for (name, pool) in [("serial", JobPool::serial()), ("pooled_2", JobPool::new(2))] {
+        let trainer = Trainer { pool, ..trainer };
+        group.bench_function(format!("train_epoch_tiny_encoder_mrpc/{name}"), |b| {
+            b.iter(|| {
+                let mut m = black_box(&model).clone();
+                trainer.train(&mut m, &dataset.train, 1).unwrap();
+                m
+            })
+        });
+    }
     group.finish();
 }
 

@@ -30,6 +30,7 @@ use hyflex_rram::cell::CellMode;
 use hyflex_runtime::{DispatchPolicy, JobPool, RequestTrace};
 use std::fmt::Display;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 /// Every flag [`BinArgs::parse`] accepts; all but `--smoke` take a value.
 const FLAGS: [&str; 10] = [
@@ -84,7 +85,9 @@ impl BinArgs {
     /// # Errors
     ///
     /// Names the first argument that looks like a flag (`--name`) but is
-    /// not one of [`FLAGS`], and lists them.
+    /// not one of [`FLAGS`], and lists them; names a value flag given
+    /// without a value; and names a value that does not parse or is out of
+    /// range, with the accepted range.
     fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
         let args: Vec<String> = args.into_iter().collect();
         if let Some(unknown) = args
@@ -96,32 +99,42 @@ impl BinArgs {
                 FLAGS.join(", ")
             ));
         }
-        let mut parsed = BinArgs::default();
-        let value_of = |flag: &str| -> Option<&String> {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|pos| args.get(pos + 1))
+        let value_of = |flag: &str| -> Result<Option<&String>, String> {
+            let Some(pos) = args.iter().position(|a| a == flag) else {
+                return Ok(None);
+            };
+            match args.get(pos + 1) {
+                Some(value) if !value.starts_with("--") => Ok(Some(value)),
+                _ => Err(format!("{flag} needs a value")),
+            }
         };
-        parsed.seed = value_of("--seed").and_then(|v| v.parse().ok());
-        parsed.mlc_bits = value_of("--mlc-bits")
-            .and_then(|v| v.parse().ok())
-            .filter(|b| (2..=4).contains(b));
-        parsed.out = value_of("--out").map(PathBuf::from);
-        parsed.threads = value_of("--threads").and_then(|v| v.parse().ok());
-        parsed.backend = value_of("--backend").cloned();
-        parsed.chips = value_of("--chips").and_then(|v| v.parse().ok());
-        parsed.dispatch = value_of("--dispatch").cloned();
-        parsed.requests = value_of("--requests").and_then(|v| v.parse().ok());
-        parsed.trace = value_of("--trace").map(PathBuf::from);
-        parsed.smoke = args.iter().any(|a| a == "--smoke");
-        Ok(parsed)
+        let mlc_bits: Option<u8> = parse_value("--mlc-bits", value_of("--mlc-bits")?, "2, 3 or 4")?;
+        if let Some(bits) = mlc_bits.filter(|b| !(2..=4).contains(b)) {
+            return Err(format!("invalid --mlc-bits {bits}; expected 2, 3 or 4"));
+        }
+        let count = |flag: &str, expected: &str| parse_value(flag, value_of(flag)?, expected);
+        Ok(BinArgs {
+            seed: parse_value(
+                "--seed",
+                value_of("--seed")?,
+                &format!("an integer in 0..={}", u64::MAX),
+            )?,
+            mlc_bits,
+            out: value_of("--out")?.map(PathBuf::from),
+            threads: count("--threads", "a worker count (0 runs one worker)")?,
+            backend: value_of("--backend")?.cloned(),
+            chips: count("--chips", "a chip count (0 keeps the default)")?,
+            dispatch: value_of("--dispatch")?.cloned(),
+            requests: count("--requests", "a request count (0 keeps the default)")?,
+            trace: value_of("--trace")?.map(PathBuf::from),
+            smoke: args.iter().any(|a| a == "--smoke"),
+        })
     }
 
-    /// The `--chips` selection (or `default`). A zero or unparsable value
-    /// falls back to the default, as for `--requests`. (An unparsable
-    /// `--seed` or `--threads` also falls back, but zero is taken as given:
-    /// `--seed 0` runs seed 0, and `--threads 0` gets the pool's one-worker
-    /// minimum.)
+    /// The `--chips` selection (or `default`). Zero falls back to the
+    /// default, as for `--requests`. (Zero `--seed` and `--threads` are
+    /// taken as given: `--seed 0` runs seed 0, and `--threads 0` gets the
+    /// pool's one-worker minimum.)
     pub fn chips_or(&self, default: usize) -> usize {
         self.chips.filter(|&c| c > 0).unwrap_or(default)
     }
@@ -206,8 +219,8 @@ impl BinArgs {
         self.seed.unwrap_or(default)
     }
 
-    /// The `--requests` selection (or `default`). Zero or unparsable
-    /// values fall back to the default, as for `--chips`.
+    /// The `--requests` selection (or `default`). Zero falls back to the
+    /// default, as for `--chips`.
     pub fn requests_or(&self, default: usize) -> usize {
         self.requests.filter(|&n| n > 0).unwrap_or(default)
     }
@@ -262,6 +275,21 @@ impl BinArgs {
     }
 }
 
+/// Parses a flag's value, if given, or names the flag, the value and what
+/// is `expected`.
+fn parse_value<T: FromStr>(
+    flag: &str,
+    value: Option<&String>,
+    expected: &str,
+) -> Result<Option<T>, String> {
+    value
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid {flag} {v}; expected {expected}"))
+        })
+        .transpose()
+}
+
 /// Unwraps a flag's validation result, or prints the error and exits with
 /// status 2 (the binaries' usage-error code).
 fn or_exit<T>(result: Result<T, impl Display>) -> T {
@@ -313,11 +341,29 @@ mod tests {
         assert_eq!(args.seed_or(21), 21);
         assert_eq!(args.mlc_mode(), CellMode::MLC2);
         assert!(args.pool().workers() >= 1);
-        // Out-of-range MLC level falls back to the default.
-        let args = parse(&["--mlc-bits", "9"]);
-        assert_eq!(args.mlc_mode(), CellMode::MLC2);
-        let args = parse(&["--seed", "not-a-number"]);
-        assert_eq!(args.seed_or(5), 5);
+        // Zero chips or requests keep the default.
+        let args = parse(&["--chips", "0", "--requests", "0"]);
+        assert_eq!((args.chips_or(2), args.requests_or(9)), (2, 9));
+        // Any other bad value is an error that names the flag, the value
+        // and what is accepted, never a silent default.
+        for (bad, expected) in [
+            (&["--seed", "not-a-number"][..], "--seed not-a-number"),
+            (&["--seed", "-1"], "--seed -1"),
+            (&["--threads", "two"], "--threads two"),
+            (&["--chips", "1.5"], "--chips 1.5"),
+            (&["--requests", "many"], "--requests many"),
+            (&["--mlc-bits", "9"], "--mlc-bits 9; expected 2, 3 or 4"),
+            (&["--mlc-bits", "x"], "--mlc-bits x; expected 2, 3 or 4"),
+        ] {
+            let err = try_parse(bad).unwrap_err();
+            assert!(err.contains(expected), "{bad:?}: {err}");
+            assert!(err.contains("expected"), "{bad:?}: {err}");
+        }
+        // A value flag without its value is an error too.
+        for bad in [&["--seed"][..], &["--out", "--smoke"], &["--trace"]] {
+            let err = try_parse(bad).unwrap_err();
+            assert!(err.contains("needs a value"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

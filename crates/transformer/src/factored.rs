@@ -130,10 +130,10 @@ impl FactoredLinear {
 
 impl ParamVisit for FactoredLinear {
     fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
-        f(&path.leaf("u"), &self.u);
-        f(&path.leaf("sigma"), &self.sigma);
-        f(&path.leaf("vt"), &self.vt);
-        f(&path.leaf("bias"), &self.bias);
+        f(path.leaf("u"), &self.u);
+        f(path.leaf("sigma"), &self.sigma);
+        f(path.leaf("vt"), &self.vt);
+        f(path.leaf("bias"), &self.bias);
     }
 
     fn visit_params_mut<'a>(
@@ -141,10 +141,10 @@ impl ParamVisit for FactoredLinear {
         path: &mut ParamPath,
         f: &mut dyn FnMut(&str, &'a mut Param),
     ) {
-        f(&path.leaf("u"), &mut self.u);
-        f(&path.leaf("sigma"), &mut self.sigma);
-        f(&path.leaf("vt"), &mut self.vt);
-        f(&path.leaf("bias"), &mut self.bias);
+        f(path.leaf("u"), &mut self.u);
+        f(path.leaf("sigma"), &mut self.sigma);
+        f(path.leaf("vt"), &mut self.vt);
+        f(path.leaf("bias"), &mut self.bias);
     }
 }
 

@@ -252,8 +252,8 @@ impl Linear {
 
 impl ParamVisit for Linear {
     fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
-        f(&path.leaf("weight"), &self.weight);
-        f(&path.leaf("bias"), &self.bias);
+        f(path.leaf("weight"), &self.weight);
+        f(path.leaf("bias"), &self.bias);
     }
 
     fn visit_params_mut<'a>(
@@ -261,8 +261,8 @@ impl ParamVisit for Linear {
         path: &mut ParamPath,
         f: &mut dyn FnMut(&str, &'a mut Param),
     ) {
-        f(&path.leaf("weight"), &mut self.weight);
-        f(&path.leaf("bias"), &mut self.bias);
+        f(path.leaf("weight"), &mut self.weight);
+        f(path.leaf("bias"), &mut self.bias);
     }
 }
 
@@ -448,8 +448,8 @@ impl LayerNorm {
 
 impl ParamVisit for LayerNorm {
     fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
-        f(&path.leaf("gamma"), &self.gamma);
-        f(&path.leaf("beta"), &self.beta);
+        f(path.leaf("gamma"), &self.gamma);
+        f(path.leaf("beta"), &self.beta);
     }
 
     fn visit_params_mut<'a>(
@@ -457,8 +457,8 @@ impl ParamVisit for LayerNorm {
         path: &mut ParamPath,
         f: &mut dyn FnMut(&str, &'a mut Param),
     ) {
-        f(&path.leaf("gamma"), &mut self.gamma);
-        f(&path.leaf("beta"), &mut self.beta);
+        f(path.leaf("gamma"), &mut self.gamma);
+        f(path.leaf("beta"), &mut self.beta);
     }
 }
 
@@ -604,23 +604,50 @@ impl Embedding {
                 "embedding backward shape mismatch".to_string(),
             ));
         }
-        for (i, &tok) in tokens.iter().enumerate() {
-            for c in 0..self.dim() {
-                let g = grad_out.at(i, c);
-                let t = self.table.grad_mut().at(tok, c) + g;
-                self.table.grad_mut().set(tok, c, t);
-                let p = self.positions.grad_mut().at(i, c) + g;
-                self.positions.grad_mut().set(i, c, p);
+        self.replay(tokens, grad_out);
+        Ok(())
+    }
+
+    /// The accumulation of [`Embedding::backward`] for a gradient whose
+    /// shape matches the lookup: one add per token occurrence into its
+    /// table row and one per position, in position order. A pooled fold
+    /// replays each sample's gradient with it, which gives the table the
+    /// serial chain of adds even where a sample repeats a token.
+    pub(crate) fn replay(&mut self, tokens: &[usize], grad_out: &Matrix) {
+        let dim = self.dim();
+        let table = self.table.grad_mut().as_mut_slice();
+        for (&tok, g) in tokens.iter().zip(grad_out.as_slice().chunks_exact(dim)) {
+            for (t, &g) in table[tok * dim..(tok + 1) * dim].iter_mut().zip(g) {
+                *t += g;
             }
         }
-        Ok(())
+        let positions = self.positions.grad_mut().as_mut_slice();
+        for (p, &g) in positions
+            .iter_mut()
+            .zip(&grad_out.as_slice()[..tokens.len() * dim])
+        {
+            *p += g;
+        }
+    }
+
+    /// Copies `master`'s values into this embedding (a replica re-synced
+    /// after an optimizer step).
+    pub(crate) fn copy_values_from(&mut self, master: &Embedding) {
+        self.table.copy_value_from(&master.table);
+        self.positions.copy_value_from(&master.positions);
+    }
+
+    /// Scalar adds [`Embedding::replay`] makes for a full-length sample,
+    /// the weight of the replay when a pooled fold balances its parts.
+    pub(crate) fn replay_len(&self) -> usize {
+        2 * self.max_len() * self.dim()
     }
 }
 
 impl ParamVisit for Embedding {
     fn visit_params<'a>(&'a self, path: &mut ParamPath, f: &mut dyn FnMut(&str, &'a Param)) {
-        f(&path.leaf("table"), &self.table);
-        f(&path.leaf("positions"), &self.positions);
+        f(path.leaf("table"), &self.table);
+        f(path.leaf("positions"), &self.positions);
     }
 
     fn visit_params_mut<'a>(
@@ -628,8 +655,8 @@ impl ParamVisit for Embedding {
         path: &mut ParamPath,
         f: &mut dyn FnMut(&str, &'a mut Param),
     ) {
-        f(&path.leaf("table"), &mut self.table);
-        f(&path.leaf("positions"), &mut self.positions);
+        f(path.leaf("table"), &mut self.table);
+        f(path.leaf("positions"), &mut self.positions);
     }
 }
 

@@ -8,7 +8,7 @@ use crate::block::TransformerBlock;
 use crate::config::{ModelConfig, ModelKind, TaskKind};
 use crate::error::ModelError;
 use crate::layers::{AnyLinear, Embedding, Layer, LayerCtx, LayerNorm, Linear};
-use crate::param::{zip_params_mut, Param, ParamPath, ParamStore, ParamVisit};
+use crate::param::{Param, ParamPath, ParamStore, ParamVisit};
 use crate::Result;
 use hyflex_tensor::rng::Rng;
 use hyflex_tensor::Matrix;
@@ -303,49 +303,47 @@ impl TransformerModel {
 
     /// A worker replica for data-parallel training: the same values with
     /// cleared gradients and no optimizer state. The master takes the
-    /// optimizer steps; [`TransformerModel::sync_replica`] then refreshes
-    /// the replica's values.
+    /// optimizer steps, and the pooled pass copies the new values into the
+    /// replica.
     pub(crate) fn replica(&self) -> TransformerModel {
         let mut replica = self.clone();
-        replica.visit_params_mut(&mut ParamPath::root(), &mut |_, p| p.make_replica());
+        replica.visit_params_mut(&mut ParamPath::unnamed(), &mut |_, p| p.make_replica());
         replica
     }
 
-    /// Copies every parameter value of this model into `replica`.
-    pub(crate) fn sync_replica(&self, replica: &mut TransformerModel) {
-        let mut masters = Vec::new();
-        self.visit_params(&mut ParamPath::root(), &mut |_, p| masters.push(p));
-        let mut masters = masters.into_iter();
-        replica.visit_params_mut(&mut ParamPath::root(), &mut |_, r| {
-            if let Some(p) = masters.next() {
-                r.copy_value_from(p);
-            }
-        });
+    /// Splits this model for a pooled fold: the token embedding, whose
+    /// table takes one gradient add per token occurrence and so is replayed
+    /// from each sample's gradient at the embedding output, and every other
+    /// parameter, in visitation order — the order
+    /// [`TransformerModel::visit_trunk`] walks a replica's.
+    pub(crate) fn fold_targets(&mut self) -> (Option<&mut Embedding>, Vec<&mut Param>) {
+        let mut trunk = Vec::new();
+        let mut path = ParamPath::unnamed();
+        let collect = &mut |_: &str, p| trunk.push(p);
+        if let Some(proj) = &mut self.patch_proj {
+            proj.visit_params_mut(&mut path, collect);
+        }
+        for block in &mut self.blocks {
+            block.visit_params_mut(&mut path, collect);
+        }
+        self.final_norm.visit_params_mut(&mut path, collect);
+        self.head.visit_params_mut(&mut path, collect);
+        (self.embedding.as_mut(), trunk)
     }
 
-    /// Adds one sample's gradients, formed from zero on `replica` by
-    /// [`TransformerModel::backward_to_embedding`], into this model and
-    /// clears the replica's. Every parameter but the token table received
-    /// one add for the sample, so adding its replica gradient is the add
-    /// the serial loop makes; the table takes one add per token occurrence,
-    /// so its rows are replayed from `d_embedded` in position order.
-    pub(crate) fn absorb_sample(
-        &mut self,
-        replica: &mut TransformerModel,
-        input: &ModelInput,
-        d_embedded: Option<&Matrix>,
-    ) -> Result<()> {
-        if let (Some(dst), Some(src)) = (&mut self.patch_proj, &mut replica.patch_proj) {
-            zip_params_mut(dst, src, |d, s| d.absorb_grad(s));
+    /// Calls `f` on every parameter but the token embedding's, in the
+    /// order of [`TransformerModel::fold_targets`].
+    pub(crate) fn visit_trunk(&self, f: &mut dyn FnMut(&Param)) {
+        let mut path = ParamPath::unnamed();
+        let f = &mut |_: &str, p: &Param| f(p);
+        if let Some(proj) = &self.patch_proj {
+            proj.visit_params(&mut path, f);
         }
-        for (dst, src) in self.blocks.iter_mut().zip(&mut replica.blocks) {
-            zip_params_mut(dst, src, |d, s| d.absorb_grad(s));
+        for block in &self.blocks {
+            block.visit_params(&mut path, f);
         }
-        zip_params_mut(&mut self.final_norm, &mut replica.final_norm, |d, s| {
-            d.absorb_grad(s)
-        });
-        zip_params_mut(&mut self.head, &mut replica.head, |d, s| d.absorb_grad(s));
-        self.embedding_backward(input, d_embedded)
+        self.final_norm.visit_params(&mut path, f);
+        self.head.visit_params(&mut path, f);
     }
 }
 
@@ -358,8 +356,7 @@ impl ParamVisit for TransformerModel {
             path.scope("patch_proj", |p| proj.visit_params(p, f));
         }
         for (i, block) in self.blocks.iter().enumerate() {
-            let scope = format!("blocks.{i}");
-            path.scope(&scope, |p| block.visit_params(p, f));
+            path.scope(format_args!("blocks.{i}"), |p| block.visit_params(p, f));
         }
         path.scope("final_norm", |p| self.final_norm.visit_params(p, f));
         path.scope("head", |p| self.head.visit_params(p, f));
@@ -377,8 +374,7 @@ impl ParamVisit for TransformerModel {
             path.scope("patch_proj", |p| proj.visit_params_mut(p, f));
         }
         for (i, block) in self.blocks.iter_mut().enumerate() {
-            let scope = format!("blocks.{i}");
-            path.scope(&scope, |p| block.visit_params_mut(p, f));
+            path.scope(format_args!("blocks.{i}"), |p| block.visit_params_mut(p, f));
         }
         path.scope("final_norm", |p| self.final_norm.visit_params_mut(p, f));
         path.scope("head", |p| self.head.visit_params_mut(p, f));

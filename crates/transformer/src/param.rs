@@ -33,6 +33,7 @@
 
 use crate::Result;
 use hyflex_tensor::Matrix;
+use std::fmt::{Display, Write};
 
 /// Hyper-parameters of the AdamW optimizer (paper Table 1 uses AdamW for all
 /// fine-tuning runs).
@@ -134,17 +135,19 @@ impl Param {
         self.moment2 = Vec::new();
     }
 
-    /// Adds `worker`'s gradient into this one and clears `worker`'s. The
-    /// worker's gradient was formed from zero over one sample (`0 + g = g`),
-    /// so the add is the one the serial loop makes for that sample. (`0 + g`
-    /// loses only the sign of `g = -0.0`, which shows only when added to a
-    /// `-0.0`; a gradient cleared to `+0.0` and summed with round-to-nearest
-    /// never is one.)
-    pub(crate) fn absorb_grad(&mut self, worker: &mut Param) {
-        let dst = self.grad.as_mut_slice();
-        for (g, w) in dst.iter_mut().zip(worker.grad.as_mut_slice()) {
-            *g += *w;
-            *w = 0.0;
+    /// Adds `replica`'s gradient into this one. The replica's gradient was
+    /// formed from zero over one sample (`0 + g = g`), so the add is the one
+    /// the serial loop makes for that sample. (`0 + g` loses only the sign
+    /// of `g = -0.0`, which shows only when added to a `-0.0`; a gradient
+    /// cleared to `+0.0` and summed with round-to-nearest never is one.)
+    pub(crate) fn add_grad_of(&mut self, replica: &Param) {
+        for (g, r) in self
+            .grad
+            .as_mut_slice()
+            .iter_mut()
+            .zip(replica.grad.as_slice())
+        {
+            *g += *r;
         }
     }
 
@@ -158,7 +161,7 @@ impl Param {
 
     /// Applies one AdamW update using the accumulated gradient divided by
     /// `batch_size`.
-    fn adamw_step(&mut self, config: &AdamWConfig, batch_size: usize) {
+    pub(crate) fn adamw_step(&mut self, config: &AdamWConfig, batch_size: usize) {
         self.steps += 1;
         let scale = 1.0 / batch_size.max(1) as f32;
         let t = self.steps as i32;
@@ -186,43 +189,70 @@ impl Param {
 /// Dotted-path builder threaded through [`ParamVisit`] walks.
 ///
 /// Modules enter child scopes with [`ParamPath::scope`] and name leaf
-/// parameters with [`ParamPath::leaf`]; the buffer is restored on scope exit,
-/// so one allocation-light builder serves the whole recursive walk.
+/// parameters with [`ParamPath::leaf`]. One buffer holds the scope prefix
+/// and, after it, the last leaf name; it is cut back on scope entry and
+/// exit, so a whole recursive walk allocates only while the buffer first
+/// grows.
 #[derive(Debug, Default)]
 pub struct ParamPath {
     buf: String,
+    /// Length of the scope prefix within `buf`.
+    scope_len: usize,
+    /// Builds no names: every leaf is `""` (see `ParamPath::unnamed`).
+    unnamed: bool,
 }
 
 impl ParamPath {
     /// A path at the root scope (empty prefix).
     pub fn root() -> Self {
-        ParamPath { buf: String::new() }
+        ParamPath::default()
+    }
+
+    /// A root path for walks that ignore names (clearing, stepping,
+    /// counting, the pooled fold): it writes no names, so every leaf is
+    /// `""`.
+    pub(crate) fn unnamed() -> Self {
+        ParamPath {
+            unnamed: true,
+            ..ParamPath::default()
+        }
     }
 
     /// Runs `f` with `segment` appended to the path, restoring it afterwards.
-    pub fn scope<R>(&mut self, segment: &str, f: impl FnOnce(&mut ParamPath) -> R) -> R {
-        let saved = self.buf.len();
-        if !self.buf.is_empty() {
-            self.buf.push('.');
-        }
-        self.buf.push_str(segment);
+    pub fn scope<R>(&mut self, segment: impl Display, f: impl FnOnce(&mut ParamPath) -> R) -> R {
+        let saved = self.scope_len;
+        self.push(segment);
+        self.scope_len = self.buf.len();
         let out = f(self);
         self.buf.truncate(saved);
+        self.scope_len = saved;
         out
     }
 
-    /// The full dotted name of a leaf parameter under the current scope.
-    pub fn leaf(&self, name: &str) -> String {
-        if self.buf.is_empty() {
-            name.to_string()
-        } else {
-            format!("{}.{name}", self.buf)
+    /// The full dotted name of a leaf parameter under the current scope,
+    /// valid until the path is next used.
+    pub fn leaf(&mut self, name: &str) -> &str {
+        self.push(name);
+        &self.buf
+    }
+
+    /// Replaces whatever follows the scope prefix with `.segment` (or just
+    /// `segment` at the root).
+    fn push(&mut self, segment: impl Display) {
+        if self.unnamed {
+            return;
         }
+        self.buf.truncate(self.scope_len);
+        if self.scope_len > 0 {
+            self.buf.push('.');
+        }
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.buf, "{segment}");
     }
 
     /// The current scope prefix.
     pub fn as_str(&self) -> &str {
-        &self.buf
+        &self.buf[..self.scope_len]
     }
 }
 
@@ -249,13 +279,15 @@ pub trait ParamVisit {
     /// Total number of scalar parameter values.
     fn parameter_count(&self) -> usize {
         let mut count = 0;
-        self.visit_params(&mut ParamPath::root(), &mut |_, p| count += p.value().len());
+        self.visit_params(&mut ParamPath::unnamed(), &mut |_, p| {
+            count += p.value().len()
+        });
         count
     }
 
     /// Clears every accumulated gradient.
     fn zero_grad(&mut self) {
-        self.visit_params_mut(&mut ParamPath::root(), &mut |_, p| p.zero_grad());
+        self.visit_params_mut(&mut ParamPath::unnamed(), &mut |_, p| p.zero_grad());
     }
 
     /// Applies one AdamW step to every parameter.
@@ -264,30 +296,10 @@ pub trait ParamVisit {
     /// the visitation walk is bit-identical to the per-field `step` methods
     /// it replaced.
     fn step(&mut self, config: &AdamWConfig, batch_size: usize) {
-        self.visit_params_mut(&mut ParamPath::root(), &mut |_, p| {
+        self.visit_params_mut(&mut ParamPath::unnamed(), &mut |_, p| {
             p.adamw_step(config, batch_size)
         });
     }
-}
-
-/// Calls `f` on the parameters of two modules of one structure pairwise, in
-/// visitation order.
-pub(crate) fn zip_params_mut<A, B>(
-    dst: &mut A,
-    src: &mut B,
-    mut f: impl FnMut(&mut Param, &mut Param),
-) where
-    A: ParamVisit + ?Sized,
-    B: ParamVisit + ?Sized,
-{
-    let mut sources = Vec::new();
-    src.visit_params_mut(&mut ParamPath::root(), &mut |_, p| sources.push(p));
-    let mut sources = sources.into_iter();
-    dst.visit_params_mut(&mut ParamPath::root(), &mut |_, p| {
-        if let Some(s) = sources.next() {
-            f(p, s);
-        }
-    });
 }
 
 /// A snapshot of one [`ParamVisit`] walk: dotted name → parameter reference,

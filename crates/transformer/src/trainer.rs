@@ -8,27 +8,33 @@
 //!
 //! ## Data-parallel passes
 //!
-//! [`Trainer::train`] and [`Trainer::accumulate_gradients`] run the samples
-//! of a batch on the trainer's [`JobPool`], and every model, loss and
-//! gradient is bit-identical to the serial loop for every pool width. Each
-//! worker owns a replica of the model (values and gradients, no optimizer
-//! moments) for the whole call; it runs one sample's forward/backward pass
-//! with gradients formed from zero and, when the sample's turn comes
-//! ([`JobPool::map_fold_in_order`]), adds them into the master model and
-//! the sample's loss into the running total. Every parameter but the token
+//! [`Trainer::train`] (one pool call per epoch) and
+//! [`Trainer::accumulate_gradients`] (one call) run their samples on the
+//! trainer's [`JobPool`], and every model, loss and gradient is
+//! bit-identical to the serial loop for every pool width. Each worker owns
+//! a replica of the model (values and gradients, no optimizer moments) for
+//! the whole call. The samples run in rounds
+//! ([`JobPool::map_fold_rounds`]): each worker clears its replica's
+//! gradients and runs one sample's forward/backward pass on it; then every
+//! worker adds the round's replica gradients, in sample order, into its own
+//! part of the master model. The parts split the master's parameters into
+//! runs of about equal element count; the first part also replays the
+//! token embedding and sums the losses. Every parameter but the token
 //! table receives one gradient add per sample, so `G + (0 + g)` is the
 //! serial chain `G + g`; the table receives one add per token occurrence,
 //! so its rows are replayed in position order from the gradient at the
-//! embedding output. After each optimizer step the replicas copy the
-//! master's values.
+//! embedding output. At the end of a batch each worker takes the AdamW
+//! step on its own parts (the update is element-wise) and then copies
+//! every part's new values into its replica.
 
 use crate::config::TaskKind;
 use crate::error::ModelError;
+use crate::layers::Embedding;
 use crate::metrics::TaskMetrics;
 use crate::model::{ModelInput, TransformerModel};
-use crate::param::{AdamWConfig, ParamVisit};
+use crate::param::{AdamWConfig, Param, ParamVisit};
 use crate::Result;
-use hyflex_parallel::JobPool;
+use hyflex_parallel::{Batches, JobPool};
 use hyflex_tensor::activations::softmax;
 use hyflex_tensor::stats;
 use hyflex_tensor::Matrix;
@@ -141,14 +147,18 @@ fn accumulate_sample(
     Ok(sample_loss)
 }
 
+/// One sample's loss and the gradient at its embedding output (`None` for
+/// a vision model).
+type SamplePass = (f64, Option<Matrix>);
+
 /// One sample's pass on a worker replica: the loss, with every gradient but
-/// the token table's accumulated into `replica` from zero, and the gradient
-/// at the embedding output for the master to replay.
+/// the token embedding's accumulated into `replica`, and the gradient at
+/// the embedding output for the master to replay.
 fn replica_pass(
     replica: &mut TransformerModel,
     task: &TaskKind,
     sample: &Sample,
-) -> Result<(f64, Option<Matrix>)> {
+) -> Result<SamplePass> {
     let mut sample_loss = 0.0f64;
     let (_, _, d_embedded) = replica.backward_to_embedding(&sample.input, &mut |logits| {
         let (loss, grad) = loss_and_grad(task, logits, &sample.target)?;
@@ -240,7 +250,20 @@ impl Trainer {
         }
         let mut replicas = self.replicas(model, samples.len());
         let mut total_loss = 0.0f64;
-        self.accumulate(model, &mut replicas, samples, &mut total_loss)?;
+        if replicas.is_empty() {
+            let task = model.config().task;
+            for sample in samples {
+                total_loss += accumulate_sample(model, &task, sample)?;
+            }
+        } else {
+            self.pooled(
+                model,
+                &mut replicas,
+                samples,
+                Batches::whole(),
+                &mut total_loss,
+            )?;
+        }
         Ok(total_loss / samples.len() as f64)
     }
 
@@ -253,8 +276,10 @@ impl Trainer {
         }
     }
 
-    /// One epoch over `samples`, batch by batch, re-syncing the replicas
-    /// after every optimizer step.
+    /// One epoch over `samples`, batch by batch: serially on the master
+    /// without replicas, otherwise on the pool, with each worker stepping
+    /// AdamW on its part of the master at the end of a batch and copying
+    /// the new values into its replica.
     fn epoch(
         &self,
         model: &mut TransformerModel,
@@ -265,59 +290,168 @@ impl Trainer {
             return Ok(0.0);
         }
         let mut total_loss = 0.0f64;
-        for batch in samples.chunks(self.batch_size) {
-            model.zero_grad();
-            self.accumulate(model, replicas, batch, &mut total_loss)?;
-            model.step(&self.optimizer, batch.len());
-            for replica in replicas.iter_mut() {
-                model.sync_replica(replica);
+        if replicas.is_empty() {
+            let task = model.config().task;
+            for batch in samples.chunks(self.batch_size) {
+                model.zero_grad();
+                for sample in batch {
+                    total_loss += accumulate_sample(model, &task, sample)?;
+                }
+                model.step(&self.optimizer, batch.len());
             }
+        } else {
+            model.zero_grad();
+            let batches = Batches {
+                size: self.batch_size,
+                end: |part: &mut FoldPart, batch: &[Sample]| {
+                    part.step(&self.optimizer, batch.len())
+                },
+                refresh: |replica: &mut TransformerModel, part: &FoldPart| {
+                    part.copy_values_into(replica);
+                },
+            };
+            self.pooled(model, replicas, samples, batches, &mut total_loss)?;
         }
         Ok(total_loss / samples.len() as f64)
     }
 
-    /// Accumulates the gradients of `batch` into `model` and adds each
-    /// sample's loss to `total_loss`, in sample order: serially on the
-    /// master without replicas, otherwise on the pool.
-    fn accumulate(
+    /// Accumulates the gradients of `samples` into `model` on the pool and
+    /// adds each sample's loss to `total_loss`, in sample order, with
+    /// `batches` ending each batch.
+    fn pooled<'m, B, U>(
         &self,
-        model: &mut TransformerModel,
+        model: &'m mut TransformerModel,
         replicas: &mut [TransformerModel],
-        batch: &[Sample],
-        total_loss: &mut f64,
-    ) -> Result<()> {
+        samples: &[Sample],
+        batches: Batches<B, U>,
+        total_loss: &'m mut f64,
+    ) -> Result<()>
+    where
+        B: Fn(&mut FoldPart<'m>, &[Sample]) + Sync,
+        U: Fn(&mut TransformerModel, &FoldPart<'m>) + Sync,
+    {
         let task = model.config().task;
-        if replicas.is_empty() {
-            for sample in batch {
-                *total_loss += accumulate_sample(model, &task, sample)?;
-            }
-            return Ok(());
-        }
-        let mut failure = None;
-        self.pool.map_fold_in_order(
-            batch,
+        let width = self.pool.workers_for(samples.len()).min(replicas.len());
+        let mut parts = fold_parts(model, total_loss, width);
+        self.pool.map_fold_rounds(
+            samples,
+            batches,
             replicas,
-            |replica, sample| replica_pass(replica, &task, sample),
-            |replica, sample, pass| {
-                if failure.is_some() {
-                    // Past the first failure the serial loop has stopped:
-                    // drop the sample's gradients instead of adding them.
-                    replica.zero_grad();
-                    return;
-                }
-                let folded = pass.and_then(|(loss, d_embedded)| {
-                    model.absorb_sample(replica, &sample.input, d_embedded.as_ref())?;
-                    *total_loss += loss;
-                    Ok(())
-                });
-                if let Err(e) = folded {
-                    replica.zero_grad();
-                    failure = Some(e);
-                }
+            &mut parts,
+            |replica, sample| {
+                replica.zero_grad();
+                replica_pass(replica, &task, sample)
             },
-        );
-        failure.map_or(Ok(()), Err)
+            |part, replica, sample, pass| part.fold(replica, &sample.input, pass),
+        )
     }
+}
+
+/// One worker's part of the master model in a pooled pass: a run of the
+/// parameters [`TransformerModel::fold_targets`] lists after the
+/// embedding, and, in the first part only, the embedding and the loss sum.
+struct FoldPart<'m> {
+    /// Index of `params[0]` among the trunk parameters.
+    first: usize,
+    params: Vec<&'m mut Param>,
+    lead: Option<(Option<&'m mut Embedding>, &'m mut f64)>,
+    /// Whether the part's gradients are cleared before its next fold: set
+    /// by every optimizer step, so each batch accumulates from zero as the
+    /// serial loop's `zero_grad` makes it.
+    clear: bool,
+}
+
+impl FoldPart<'_> {
+    /// Adds one sample's pass on `replica` into this part of the master.
+    fn fold(&mut self, replica: &TransformerModel, input: &ModelInput, pass: &SamplePass) {
+        if std::mem::take(&mut self.clear) {
+            self.params.iter_mut().for_each(|p| p.zero_grad());
+            if let Some((Some(embedding), _)) = &mut self.lead {
+                embedding.zero_grad();
+            }
+        }
+        let (loss, d_embedded) = pass;
+        if let Some((embedding, total_loss)) = &mut self.lead {
+            // `d_embedded` comes from the sample's own pass, so it has the
+            // lookup's shape.
+            if let (Some(embedding), ModelInput::Tokens(tokens), Some(d)) =
+                (embedding, input, d_embedded)
+            {
+                embedding.replay(tokens, d);
+            }
+            **total_loss += loss;
+        }
+        let mut index = 0usize;
+        replica.visit_trunk(&mut |p| {
+            if let Some(dst) = index
+                .checked_sub(self.first)
+                .and_then(|k| self.params.get_mut(k))
+            {
+                dst.add_grad_of(p);
+            }
+            index += 1;
+        });
+    }
+
+    /// One AdamW step on this part's parameters, as [`ParamVisit::step`]
+    /// takes it on the whole model (the update is element-wise).
+    fn step(&mut self, config: &AdamWConfig, batch_size: usize) {
+        self.params
+            .iter_mut()
+            .for_each(|p| p.adamw_step(config, batch_size));
+        if let Some((Some(embedding), _)) = &mut self.lead {
+            embedding.step(config, batch_size);
+        }
+        self.clear = true;
+    }
+
+    /// Copies this part's parameter values into `replica`.
+    fn copy_values_into(&self, replica: &mut TransformerModel) {
+        let (embedding, trunk) = replica.fold_targets();
+        if let (Some((Some(master), _)), Some(embedding)) = (&self.lead, embedding) {
+            embedding.copy_values_from(master);
+        }
+        for (dst, src) in trunk.into_iter().skip(self.first).zip(&self.params) {
+            dst.copy_value_from(src);
+        }
+    }
+}
+
+/// Splits `model` into at most `width` fold parts of about equal weight:
+/// each trunk parameter weighs its element count, and the embedding replay
+/// that leads the first part weighs what a full-length sample adds.
+fn fold_parts<'m>(
+    model: &'m mut TransformerModel,
+    total_loss: &'m mut f64,
+    width: usize,
+) -> Vec<FoldPart<'m>> {
+    let (embedding, trunk) = model.fold_targets();
+    let lead_weight = embedding.as_ref().map_or(0, |e| e.replay_len());
+    let total = lead_weight + trunk.iter().map(|p| p.value().len()).sum::<usize>();
+    let mut parts = Vec::with_capacity(width);
+    let mut part = FoldPart {
+        first: 0,
+        params: Vec::new(),
+        lead: Some((embedding, total_loss)),
+        clear: false,
+    };
+    let mut filled = lead_weight;
+    for (index, param) in trunk.into_iter().enumerate() {
+        // Close the part once it holds its share of the total.
+        if parts.len() + 1 < width && filled * width >= (parts.len() + 1) * total {
+            let next = FoldPart {
+                first: index,
+                params: Vec::new(),
+                lead: None,
+                clear: false,
+            };
+            parts.push(std::mem::replace(&mut part, next));
+        }
+        filled += param.value().len();
+        part.params.push(param);
+    }
+    parts.push(part);
+    parts
 }
 
 impl Default for Trainer {
@@ -537,12 +671,13 @@ mod tests {
         assert!(losses.iter().all(|&loss| loss == 0.0));
     }
 
-    /// Trains `model` for 2 epochs and then accumulates gradients on top of
-    /// the last batch's, on a pool of `width`; returns the model and every
-    /// loss.
+    /// Trains `model` for 2 epochs in batches of `batch` and then
+    /// accumulates gradients on top of the last batch's, on a pool of
+    /// `width`; returns the model and every loss.
     fn pooled_run(
         model: &TransformerModel,
         samples: &[Sample],
+        batch: usize,
         width: usize,
     ) -> (TransformerModel, Vec<f64>) {
         let trainer = Trainer {
@@ -552,7 +687,7 @@ mod tests {
                     learning_rate: 3e-3,
                     ..AdamWConfig::default()
                 },
-                4,
+                batch,
             )
         };
         let mut model = model.clone();
@@ -562,12 +697,21 @@ mod tests {
     }
 
     /// Every parameter (value, gradient, both moments, step count) and every
-    /// loss is bit-identical across pool widths; width 1 is the serial loop
-    /// on the master model.
+    /// loss is bit-identical across pool widths, in batches of 4; width 1 is
+    /// the serial loop on the master model.
     fn assert_pooled_training_is_exact(name: &str, model: &TransformerModel, samples: &[Sample]) {
-        let (serial, serial_losses) = pooled_run(model, samples, 1);
+        assert_pooled_training_is_exact_in_batches(name, model, samples, 4);
+    }
+
+    fn assert_pooled_training_is_exact_in_batches(
+        name: &str,
+        model: &TransformerModel,
+        samples: &[Sample],
+        batch: usize,
+    ) {
+        let (serial, serial_losses) = pooled_run(model, samples, batch, 1);
         for width in [2, 3, 4] {
-            let (pooled, losses) = pooled_run(model, samples, width);
+            let (pooled, losses) = pooled_run(model, samples, batch, width);
             let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
                 bits(&losses),
@@ -640,6 +784,18 @@ mod tests {
             })
             .collect();
         assert_pooled_training_is_exact("repeated tokens", &model, &samples);
+    }
+
+    #[test]
+    fn pooled_training_is_exact_with_a_partial_last_round() {
+        // 13 samples in batches of 5: at width 4 each full batch ends with
+        // a round of one sample, the last batch of 3 runs one round at
+        // width 3, and the gradient pass over all 13 ends with a round of
+        // one.
+        let mut rng = Rng::seed_from(26);
+        let model = TransformerModel::new(ModelConfig::tiny_encoder(2), &mut rng).unwrap();
+        let samples = classification_dataset(&mut rng, 13);
+        assert_pooled_training_is_exact_in_batches("partial rounds", &model, &samples, 5);
     }
 
     #[test]

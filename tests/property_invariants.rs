@@ -1,6 +1,6 @@
 //! Property-based tests of core invariants, using proptest.
 
-use hyflex_parallel::JobPool;
+use hyflex_parallel::{Batches, JobPool};
 use hyflex_pim::selection::{self, SelectionStrategy};
 use hyflex_rram::cell::CellMode;
 use hyflex_rram::noise::{ber_from_sigma, sigma_from_ber};
@@ -315,6 +315,62 @@ fn pool_stress_nested_scopes_inside_ten_thousand_uneven_jobs() {
     let expected: Vec<u64> = items.iter().map(work).collect();
     let got = pool.par_map(&items, work);
     assert_eq!(got, expected);
+}
+
+/// The round fold under stress: thousands of items of uneven cost, more
+/// parts than workers, widths above the core count, a failure late in the
+/// run, and a nested `par_map` inside some maps. Every part must see the
+/// serial loop's fold sequence, stopping at the first failing item.
+#[test]
+fn pool_stress_round_fold_matches_the_serial_fold() {
+    fn uneven(x: u64) -> u64 {
+        let spins = (x * 37 % 64) * 16;
+        (0..spins).fold(x, |acc, i| acc.wrapping_mul(2654435761).wrapping_add(i))
+    }
+    let items: Vec<u64> = (0..3_001).collect();
+    let failing = 2_718;
+    for workers in [2, 3, 4, 5] {
+        let pool = JobPool::new(workers);
+        let map = |mapped: &mut u64, &x: &u64| -> Result<u64, u64> {
+            if x == failing {
+                return Err(x);
+            }
+            *mapped += 1;
+            let mut value = uneven(x);
+            if x % 101 == 0 {
+                let nested = pool.par_map(&[x, x + 1], |&y| uneven(y));
+                value ^= nested[0].wrapping_add(nested[1]);
+            }
+            Ok(value)
+        };
+        // A part: an order-sensitive hash of what it folded, and a count.
+        let fold = |part: &mut (u64, u64, u64), _: &u64, &x: &u64, &y: &u64| {
+            part.1 = part.1.wrapping_mul(1_000_003) ^ y.wrapping_add(x * part.0);
+            part.2 += 1;
+        };
+        let fresh = || (0..7u64).map(|id| (id, 0u64, 0u64)).collect::<Vec<_>>();
+        let mut serial = fresh();
+        let mut state = 0;
+        let serial_result = items.iter().try_for_each(|x| {
+            let y = map(&mut state, x)?;
+            serial.iter_mut().for_each(|part| fold(part, &state, x, &y));
+            Ok(())
+        });
+        let mut pooled = fresh();
+        let mut states = vec![0u64; workers];
+        let result = pool.map_fold_rounds(
+            &items,
+            Batches::whole(),
+            &mut states,
+            &mut pooled,
+            map,
+            fold,
+        );
+        assert_eq!(result, serial_result, "workers = {workers}");
+        assert_eq!(result, Err(failing));
+        assert_eq!(pooled, serial, "workers = {workers}");
+        assert!(pooled.iter().all(|part| part.2 == failing));
+    }
 }
 
 proptest! {
